@@ -3,16 +3,14 @@
 DESIGN.md ablation 1. Both engines compute identical ``Trmin``
 matrices (property-tested in the suite); the bench quantifies the cost
 of faithfulness — the enumeration engine is the paper's ``~k^6`` term,
-the DP is polynomial. The enumeration engine is measured twice: with
-the frontier-expansion kernel (the default) and in reference mode (the
-retained pure-Python DFS), so the ablation separates the cost of
-*faithful semantics* from the cost of the old per-path Python loop.
+the DP is polynomial. (What the frontier-expansion kernel buys over
+the old per-path Python DFS is ``bench_enum_kernel.py``'s job.)
 """
 
 import numpy as np
 import pytest
 
-from repro.routing import PathEngine, ResponseTimeModel, use_enumeration_kernel
+from repro.routing import PathEngine, ResponseTimeModel
 from repro.topology import LinkUtilizationModel, NodeKind, build_fat_tree
 
 
@@ -27,19 +25,10 @@ def fabric():
 
 
 @pytest.mark.parametrize(
-    "engine,kernel_on",
-    [
-        (PathEngine.ENUMERATION, True),
-        (PathEngine.ENUMERATION, False),
-        (PathEngine.DP, True),
-    ],
-    ids=["enum-kernel", "enum-reference", "dp"],
+    "engine", [PathEngine.ENUMERATION, PathEngine.DP], ids=["enum-kernel", "dp"]
 )
-def test_ablation_trmin_engine(benchmark, fabric, engine, kernel_on):
+def test_ablation_trmin_engine(benchmark, fabric, engine):
     topo, sources, destinations = fabric
     model = ResponseTimeModel(engine=engine, max_hops=5)
-    with use_enumeration_kernel(kernel_on):
-        R, _, _ = benchmark(
-            lambda: model.resistance_matrix(topo, sources, destinations)
-        )
+    R, _, _ = benchmark(lambda: model.resistance_matrix(topo, sources, destinations))
     assert np.isfinite(R).all()

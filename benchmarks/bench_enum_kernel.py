@@ -1,15 +1,16 @@
-"""Benchmark the frontier-expansion enumeration kernel vs the reference DFS.
+"""Benchmark the frontier-expansion enumeration kernel vs the exhaustive DFS.
 
 Measures, on a fat-tree k=16 (k=4 with ``--smoke``), best-of-N wall
 time for enumeration-engine Trmin pricing of a spread busy x candidate
 pair sample at hop budgets 4 and 5 (3 and 4 with ``--smoke``):
 
-* kernel — ``ResponseTimeModel.resistance_matrix`` with the
+* kernel — ``ResponseTimeModel.resistance_matrix``, i.e. the
   :mod:`repro.routing.enumkernel` frontier expansion + admissible
-  lower-bound pruning enabled (the default);
-* reference — the same call with ``REPRO_ENUM_KERNEL`` semantics off,
-  i.e. the retained pure-Python DFS stream through the same canonical
-  fold.
+  lower-bound pruning feeding the canonical fold (the one enumeration
+  pricing route in ``src/``);
+* reference — a comparator built here from primitives that stay
+  public: the pure-Python ``iter_simple_paths_raw`` DFS stream of every
+  pair through the same canonical fold (``_fold_raw_paths``).
 
 Every timed configuration is compared **bit-for-bit** against the
 reference: ``np.array_equal`` on the resistance and hop matrices (no
@@ -43,8 +44,8 @@ from typing import List
 
 import numpy as np
 
-from repro.routing import count_paths_kernel, iter_simple_paths_raw, use_enumeration_kernel
-from repro.routing.response_time import PathEngine, ResponseTimeModel
+from repro.routing import Path, count_paths_kernel, iter_simple_paths_raw
+from repro.routing.response_time import PathEngine, ResponseTimeModel, _fold_raw_paths
 from repro.topology import LinkUtilizationModel
 from repro.topology.fattree import build_fat_tree
 
@@ -73,10 +74,26 @@ def timed(fn, repeats: int) -> float:
     return best
 
 
-def price(topo, sources, destinations, max_hops, kernel_on: bool):
+def price_kernel(topo, sources, destinations, max_hops):
     model = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=max_hops)
-    with use_enumeration_kernel(kernel_on):
-        return model.resistance_matrix(topo, sources, destinations, with_paths=True)
+    return model.resistance_matrix(topo, sources, destinations, with_paths=True)
+
+
+def price_reference(topo, sources, destinations, max_hops):
+    """Every pair's full DFS stream through the canonical fold."""
+    weights = ResponseTimeModel(max_hops=max_hops).edge_weights(topo)
+    R = np.full((len(sources), len(destinations)), np.inf)
+    hops = np.full(R.shape, -1, dtype=np.int64)
+    paths = {}
+    for a, s in enumerate(sources):
+        for b, d in enumerate(destinations):
+            res, nh, raw = _fold_raw_paths(
+                iter_simple_paths_raw(topo, s, d, max_hops), weights
+            )
+            if raw is not None:
+                R[a, b], hops[a, b] = res, nh
+                paths[(s, d)] = Path(nodes=raw[0], edges=raw[1])
+    return R, hops, paths
 
 
 def main(argv=None) -> int:
@@ -107,8 +124,8 @@ def main(argv=None) -> int:
     points = []
 
     for max_hops in hop_budgets:
-        ref_R, ref_hops, ref_paths = price(topo, sources, destinations, max_hops, False)
-        ker_R, ker_hops, ker_paths = price(topo, sources, destinations, max_hops, True)
+        ref_R, ref_hops, ref_paths = price_reference(topo, sources, destinations, max_hops)
+        ker_R, ker_hops, ker_paths = price_kernel(topo, sources, destinations, max_hops)
         identical = (
             np.array_equal(ref_R, ker_R)
             and np.array_equal(ref_hops, ker_hops)
@@ -116,14 +133,14 @@ def main(argv=None) -> int:
         )
         if not identical:
             failures.append(
-                f"hop {max_hops}: kernel result differs from the reference DFS"
+                f"hop {max_hops}: kernel result differs from the exhaustive DFS"
             )
 
         kernel_s = timed(
-            lambda h=max_hops: price(topo, sources, destinations, h, True), repeats
+            lambda h=max_hops: price_kernel(topo, sources, destinations, h), repeats
         )
         reference_s = timed(
-            lambda h=max_hops: price(topo, sources, destinations, h, False), repeats
+            lambda h=max_hops: price_reference(topo, sources, destinations, h), repeats
         )
         speedup = reference_s / kernel_s if kernel_s else float("inf")
         points.append(

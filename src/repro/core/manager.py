@@ -156,6 +156,8 @@ class DUSTManager:
         max_hops: Optional[int] = None,
         heuristic_fallback: bool = True,
         reclaim_hysteresis_pct: float = 5.0,
+        # Accepted and ignored: the only caller is benchmarks/e2e/workloads.py;
+        # deleted with that call site in the next [benchmark] PR.
         workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         quarantine_s: float = 300.0,
@@ -180,7 +182,6 @@ class DUSTManager:
         self.nmdb = NMDB(topology, policy)
         self.placement_engine = placement_engine or PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
-            workers=workers,
         )
         # Periodic re-solves run through a session so each optimization
         # round warm-starts the LP from the previous round's basis (and
@@ -212,7 +213,6 @@ class DUSTManager:
             self.distributed_engine = DistributedPlacementEngine(
                 zones=zones, engine=self.placement_engine
             )
-        self.workers = workers
         self.update_interval_s = update_interval_s
         self.optimization_period_s = optimization_period_s
         self.keepalive_timeout_s = keepalive_timeout_s

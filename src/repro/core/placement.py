@@ -252,11 +252,8 @@ class PlacementEngine:
         disable for pure timing studies.
     trmin_engine:
         Route-pricing engine the Trmin matrix is computed through
-        (parallel fan-out + versioned incremental cache). ``None``
-        builds one from ``workers``.
-    workers:
-        Worker count for the default engine; ``None`` defers to
-        ``REPRO_WORKERS`` / CPU count.
+        (versioned incremental cache around the one pricing pipeline).
+        ``None`` builds a default :class:`TrminEngine`.
     """
 
     def __init__(
@@ -265,6 +262,8 @@ class PlacementEngine:
         lp_backend: str = "transportation",
         with_routes: bool = True,
         trmin_engine: Optional[TrminEngine] = None,
+        # Accepted and ignored: the only caller is benchmarks/e2e/workloads.py;
+        # deleted with that call site in the next [benchmark] PR.
         workers: Optional[int] = None,
     ) -> None:
         if lp_backend not in ("transportation", "scipy", "simplex"):
@@ -275,8 +274,7 @@ class PlacementEngine:
         self.response_model = response_model
         self.lp_backend = lp_backend
         self.with_routes = with_routes
-        self.workers = workers
-        self.trmin_engine = trmin_engine or TrminEngine(workers=workers)
+        self.trmin_engine = trmin_engine or TrminEngine()
 
     # -- internals -----------------------------------------------------------------
     def _model_for(self, problem: PlacementProblem) -> ResponseTimeModel:
@@ -340,7 +338,8 @@ class PlacementEngine:
             row = [variables[(i, j)] for j in range(n) if (i, j) in variables]
             if not row:
                 if cs[i] > _FLOW_TOL:
-                    return SolveStatus.INFEASIBLE, np.zeros((m, n)), float("nan"), {}
+                    empty = np.zeros((m, n))
+                    return SolveStatus.INFEASIBLE, empty, float("nan"), {}, _LpExtra()
                 continue
             lp.add_constraint(lp_sum(row) == float(cs[i]), name=f"supply_{i}")
         for j in range(n):

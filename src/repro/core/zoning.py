@@ -298,7 +298,7 @@ class ZonedPlacementEngine:
         workers: Optional[int] = None,
         heuristic_relief: bool = False,
     ) -> None:
-        self.engine = engine or PlacementEngine(with_routes=False, workers=workers)
+        self.engine = engine or PlacementEngine(with_routes=False)
         self.max_hops = max_hops
         self.workers = workers
         #: When True, an infeasible zone gets a second chance through

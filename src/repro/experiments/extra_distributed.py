@@ -27,7 +27,6 @@ from repro.core.thresholds import ThresholdPolicy
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.obs import observability_artifact
-from repro.routing.engine import TrminEngine
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 
@@ -42,7 +41,6 @@ def _engine(max_hops: Optional[int]) -> PlacementEngine:
     return PlacementEngine(
         response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
         with_routes=False,
-        trmin_engine=TrminEngine(mode="rows"),
     )
 
 

@@ -11,10 +11,9 @@ still exposing the blow-up factor; pass larger ``hops_*`` to push
 further.
 
 Beyond the paper's 16-k ceiling, a 32-k (1280-node) series runs on the
-DP path-engine with the matrix Trmin kernel — exhaustive enumeration is
-hopeless at that scale, but one all-sources DP plane per solve keeps
-each point in seconds, which is exactly the regime the matrix kernel
-exists for.
+DP path-engine — exhaustive enumeration is hopeless at that scale, but
+one all-sources DP plane per solve keeps each point in seconds, which
+is exactly the regime the matrix kernel exists for.
 """
 
 from __future__ import annotations
@@ -28,20 +27,18 @@ from repro.routing.response_time import PathEngine
 
 DEFAULT_HOPS_8K: Tuple[int, ...] = (2, 3, 4, 5, 6, 7)
 DEFAULT_HOPS_16K: Tuple[int, ...] = (2, 3, 4, 5)
-#: The extra-paper 32-k series (DP engine + matrix Trmin kernel).
+#: The extra-paper 32-k series (DP engine).
 DEFAULT_HOPS_32K: Tuple[int, ...] = (2, 3, 4)
 
 
-def _sweep_point(payload: Tuple[int, int, int, int, PathEngine, str]) -> float:
+def _sweep_point(payload: Tuple[int, int, int, int, PathEngine]) -> float:
     """One (k, max-hop) point — module-level so pool workers can run it.
 
     No arrays ride along here: ``mean_solve_time`` rebuilds through the
     fat-tree blueprint LRU, so each worker pays one build per k at most.
     """
-    k, h, iters, seed, engine_kind, trmin_mode = payload
-    mean_s, _ = mean_solve_time(
-        k, h, iters, seed=seed, engine_kind=engine_kind, trmin_mode=trmin_mode
-    )
+    k, h, iters, seed, engine_kind = payload
+    mean_s, _ = mean_solve_time(k, h, iters, seed=seed, engine_kind=engine_kind)
     return mean_s
 
 
@@ -60,26 +57,25 @@ def run(
     (k, max-hop) points are independent solves, so they shard over the
     worker pool like the fig11/fig12 scale points. The 8-k/16-k series
     replicate the paper's enumeration measurement; the 32-k series
-    (pass ``hops_32k=()`` to skip) swaps in the DP engine with the
-    matrix Trmin kernel, the only combination that prices a 1280-node
-    fabric in reasonable time.
+    (pass ``hops_32k=()`` to skip) swaps in the DP engine, the only
+    one that prices a 1280-node fabric in reasonable time.
     """
     start = time.perf_counter()
     series = (
-        (8, hops_8k, iterations_8k, PathEngine.ENUMERATION, "rows"),
-        (16, hops_16k, iterations_16k, PathEngine.ENUMERATION, "rows"),
-        (32, hops_32k, iterations_32k, PathEngine.DP, "matrix"),
+        (8, hops_8k, iterations_8k, PathEngine.ENUMERATION),
+        (16, hops_16k, iterations_16k, PathEngine.ENUMERATION),
+        (32, hops_32k, iterations_32k, PathEngine.DP),
     )
     payloads = [
-        (k, h, iters, seed, engine_kind, trmin_mode)
-        for k, hops, iters, engine_kind, trmin_mode in series
+        (k, h, iters, seed, engine_kind)
+        for k, hops, iters, engine_kind in series
         for h in hops
     ]
     times = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
     times_16k = {}
-    for (k, h, _, _, engine_kind, trmin_mode), mean_s in zip(payloads, times):
-        engine_label = "enum" if engine_kind is PathEngine.ENUMERATION else f"dp/{trmin_mode}"
+    for (k, h, _, _, engine_kind), mean_s in zip(payloads, times):
+        engine_label = "enum" if engine_kind is PathEngine.ENUMERATION else "dp"
         rows.append((f"{k}-k", h, engine_label, mean_s))
         if k == 16:
             times_16k[h] = mean_s

@@ -80,9 +80,7 @@ def scalability_point(
             with_routes=False,
         )
     )
-    heuristic_trmin = TrminEngine(
-        ResponseTimeModel(engine=PathEngine.DP), mode="matrix"
-    )
+    heuristic_trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
     hfrs, ilp_times, heuristic_times = [], [], []
     for _, capacities in sampler.states(iterations):
         roles = classify_network(capacities, policy)

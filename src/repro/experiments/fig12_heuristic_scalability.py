@@ -56,8 +56,8 @@ def heuristic_time_at_scale(
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     # Shared across iterations at this scale so lane pricing reuses the
     # version-cached Trmin matrices instead of re-deriving them per
-    # state; matrix mode prices all busy sources in one DP plane.
-    trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP), mode="matrix")
+    # state; the dp model prices all busy sources in one DP plane.
+    trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
     times, hfrs, busy_count = [], [], 0
     for _, capacities in sampler.states(iterations):
         roles = classify_network(capacities, policy)

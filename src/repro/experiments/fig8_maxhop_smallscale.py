@@ -21,7 +21,6 @@ from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSes
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
-from repro.routing.engine import TrminEngine
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 
@@ -35,14 +34,12 @@ def mean_solve_time(
     seed: int = 0,
     policy: Optional[ThresholdPolicy] = None,
     engine_kind: PathEngine = PathEngine.ENUMERATION,
-    trmin_mode: str = "rows",
 ) -> Tuple[float, float]:
     """(mean total solve seconds, mean feasible beta) for one hop limit.
 
-    ``trmin_mode="matrix"`` prices all busy sources through one
-    all-sources DP plane (only meaningful with
-    ``engine_kind=PathEngine.DP``) — this is what keeps the k=32 series
-    of Fig. 10 tractable.
+    ``engine_kind=PathEngine.DP`` prices all busy sources through one
+    all-sources DP plane — this is what keeps the k=32 series of
+    Fig. 10 tractable.
     """
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
     topology = build_fat_tree(k)
@@ -51,7 +48,6 @@ def mean_solve_time(
         engine=PlacementEngine(
             response_model=ResponseTimeModel(engine=engine_kind, max_hops=max_hops),
             with_routes=False,
-            trmin_engine=TrminEngine(mode=trmin_mode),
         )
     )
     times = []

@@ -40,14 +40,11 @@ __all__ = [
 
 #: EngineStats field -> catalog name.
 ENGINE_STATS_MIRROR: Dict[str, str] = {
-    "serial_computes": "trmin.serial_computes",
-    "parallel_computes": "trmin.parallel_computes",
     "cache_hits": "trmin.cache_hits",
     "full_computes": "trmin.full_computes",
     "incremental_updates": "trmin.incremental_updates",
     "pairs_repriced": "trmin.pairs_repriced",
     "gate_fallbacks": "trmin.gate_fallbacks",
-    "matrix_computes": "trmin.matrix_computes",
 }
 
 #: ManagerCounters field -> catalog name. The four transport/network

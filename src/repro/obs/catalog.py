@@ -55,10 +55,6 @@ __all__ = [
 #: (kind, name, unit, owner, description) for every catalog metric.
 CATALOG: List[Tuple[str, str, str, str, str]] = [
     # -- trmin: route-pricing engine ------------------------------------------------
-    ("counter", "trmin.serial_computes", "count", "repro.routing.engine",
-     "Matrix pricings executed on the serial path"),
-    ("counter", "trmin.parallel_computes", "count", "repro.routing.engine",
-     "Matrix pricings fanned out onto the worker pool"),
     ("counter", "trmin.cache_hits", "count", "repro.routing.engine",
      "Pricings answered from the versioned TrminCache unchanged"),
     ("counter", "trmin.full_computes", "count", "repro.routing.engine",
@@ -69,8 +65,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Individual (source, destination) pairs re-priced incrementally"),
     ("counter", "trmin.gate_fallbacks", "count", "repro.routing.engine",
      "Incremental repairs abandoned by the dp cost gate"),
-    ("counter", "trmin.matrix_computes", "count", "repro.routing.engine",
-     "All-sources pricings answered by the matrix DP kernel"),
     ("histogram", "trmin.price_seconds", "seconds", "repro.routing.engine",
      "Wall time of one resistance_matrix call"),
     # -- routing: frontier-expansion enumeration kernel -----------------------------

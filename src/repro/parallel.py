@@ -1,4 +1,4 @@
-"""Worker-pool plumbing shared by the route-pricing engine and the
+"""Worker-pool plumbing shared by the sharded experiment sweeps and the
 zoned placement solver.
 
 One knob controls everything: the ``REPRO_WORKERS`` environment
@@ -8,7 +8,7 @@ engages when the caller has more than one independent task and more
 than one core is available, so small problems keep their serial
 (zero-overhead, trivially deterministic) code path.
 
-Process pools are preferred because the enumeration hot loop is pure
+Process pools are preferred because the solver hot loops are largely
 Python (GIL-bound); the ``fork`` start method is used when the platform
 offers it so workers inherit the topology without re-importing the
 world. Environments where process pools cannot start (restricted

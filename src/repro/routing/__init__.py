@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from repro.routing.engine import EngineStats, TrminCache, TrminEngine
-from repro.routing.enumkernel import (
-    count_paths_kernel,
-    enumeration_kernel_enabled,
-    set_enumeration_kernel,
-    use_enumeration_kernel,
-)
+from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.kshortest import k_shortest_paths, path_cost
 from repro.routing.paths import (
     count_paths,
@@ -21,7 +16,6 @@ from repro.routing.response_time import PathEngine, ResponseTimeModel, TrminEntr
 from repro.routing.routes import Path, RouteChoice
 from repro.routing.shortest import (
     HopConstrainedResult,
-    all_sources_hop_constrained,
     hop_constrained_shortest,
     shortest_path,
 )
@@ -41,15 +35,11 @@ __all__ = [
     "TrminCache",
     "TrminEngine",
     "TrminEntry",
-    "all_sources_hop_constrained",
     "count_paths",
     "count_paths_kernel",
     "enumerate_paths",
-    "enumeration_kernel_enabled",
     "hop_constrained_shortest",
     "iter_simple_paths",
     "iter_simple_paths_raw",
-    "set_enumeration_kernel",
     "shortest_path",
-    "use_enumeration_kernel",
 ]

@@ -1,16 +1,15 @@
-"""Parallel + incremental Trmin route-pricing engine.
+"""Versioned, incrementally repaired cache around Trmin route pricing.
 
 Pricing the ``Trmin_ij`` matrix dominates every quantitative result in
 the paper (the ILP itself is cheap; Figs. 8–12 measure the route
-pricing). :class:`TrminEngine` wraps the serial reference
-implementation in :class:`~repro.routing.response_time.ResponseTimeModel`
-with three orthogonal accelerations:
+pricing). There is one pricing pipeline —
+:meth:`ResponseTimeModel.resistance_matrix
+<repro.routing.response_time.ResponseTimeModel.resistance_matrix>`: the
+all-sources matrix DP for a dp model, the frontier-expansion kernel
+feeding the canonical fold for an enumeration model — and
+:class:`TrminEngine` is only the state around that call:
 
-* **parallel** — the matrix is row-partitioned across sources and
-  fanned out onto a process pool (:mod:`repro.parallel`); rows are
-  independent, so chunked results are *bit-identical* to the serial
-  sweep and are simply re-stacked;
-* **incremental** — a :class:`TrminCache` keys results on the
+* a :class:`TrminCache` keyed on the
   :class:`~repro.topology.graph.Topology` version counter. When only a
   few link weights changed, it re-prices just the pairs whose cached
   optimal route touches a dirty edge, plus the pairs that a
@@ -20,19 +19,14 @@ with three orthogonal accelerations:
   For the dp engine, a *cost gate* first estimates the repair bill in
   source-row units and falls back to the flat full recompute whenever
   the dirty set makes repair a loss (``EngineStats.gate_fallbacks``);
-* **vectorized** — the underlying enumeration primitive batches path
-  pricing through one ``np.add.reduceat`` per ~512 paths (see
-  :func:`~repro.routing.response_time._best_enum_route`), and by
-  default sources those paths from the frontier-expansion kernel
-  (:mod:`repro.routing.enumkernel`): array-level hop expansion with
-  admissible lower-bound pruning, whose DFS-ordered survivors replay
-  through the same fold — so serial, parallel, incremental and matrix
-  modes all thread through the kernel automatically
-  (``REPRO_ENUM_KERNEL=0`` restores the reference DFS everywhere).
+* :class:`EngineStats` and the ``trmin.*`` metrics / ``trmin.price``
+  span.
 
-All three layers reuse the same canonical per-pair / per-source
-primitives, so every mode returns bit-identical ``(R, hops)`` matrices
-— the property suite asserts exact equality, not approximate.
+A repair re-prices through the same kernels as a fresh compute (one
+matrix DP over the flagged source rows; the enumeration kernel per
+flagged pair), so fresh, cache-warm and repaired ``(R, hops)`` matrices
+are bit-identical — the property suite asserts exact equality against
+the oracles in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -46,18 +40,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.obs import ENGINE_STATS_MIRROR, get_registry, mirror_counters, trace_span
-from repro.parallel import chunk_evenly, map_with_pool_retry, resolve_workers
 from repro.routing.response_time import (
     PathEngine,
     ResponseTimeModel,
     _best_enum_route,
-    _dp_source_row,
+    _dp_matrix,
     validate_data_volumes,
 )
-from repro.routing.routes import Path
+from repro.routing.routes import _TIE_TOL, Path
+from repro.routing.shortest import hop_constrained_shortest
 from repro.topology.graph import Topology
-
-_TIE_TOL = 1e-12
 
 #: Estimated cost of one screening DP (a hop-layered sweep with no path
 #: recovery, see :meth:`TrminEngine._improvable_pairs`) relative to one
@@ -70,19 +62,10 @@ _SCREEN_ROW_COST = 0.25
 Pair = Tuple[int, int]
 
 
-def _price_chunk(payload) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
-    """Pool worker: price one contiguous block of source rows with the
-    serial reference implementation (bit-identical by construction)."""
-    model, topology, chunk, destinations, with_paths = payload
-    return model.resistance_matrix(topology, chunk, destinations, with_paths=with_paths)
-
-
 @dataclass
 class EngineStats:
     """Observable engine activity (reset with :meth:`TrminEngine.reset_stats`)."""
 
-    serial_computes: int = 0
-    parallel_computes: int = 0
     cache_hits: int = 0
     full_computes: int = 0
     incremental_updates: int = 0
@@ -90,9 +73,6 @@ class EngineStats:
     #: Incremental repairs abandoned by the dp cost gate because the
     #: dirty set made repair at least as expensive as a full recompute.
     gate_fallbacks: int = 0
-    #: All-sources pricings answered by the matrix DP kernel
-    #: (``mode="matrix"``, dp model).
-    matrix_computes: int = 0
 
 
 @dataclass
@@ -201,34 +181,19 @@ class TrminEngine:
         Default :class:`ResponseTimeModel`; every method also accepts a
         per-call ``model=`` override (cache entries are keyed per
         model, so one engine serves many configurations).
-    workers:
-        Worker count; ``None`` defers to ``REPRO_WORKERS`` / CPU count
-        (see :func:`repro.parallel.resolve_workers`). ``1`` forces the
-        serial path.
     cache:
         Enable the versioned :class:`TrminCache`.
+    max_cache_entries:
+        LRU capacity of that cache.
     dirty_fraction_threshold:
         Incremental re-pricing is abandoned for a full recompute once
         more than this fraction of edges changed weight.
-    min_parallel_pairs:
-        Matrices smaller than this stay serial — pool startup would
-        dominate.
-    executor_kind:
-        ``"process"`` (default) or ``"thread"``.
-    mode:
-        ``"rows"`` (default) prices source rows independently (serial
-        or pool-chunked). ``"matrix"`` answers dp-model pricings with
-        one all-sources hop-layered DP over the cached CSR
-        (:func:`repro.routing.matrix.matrix_hop_constrained`) — no
-        per-source Python loop, no pool — and is bit-identical in
-        ``(R, hops)``. Enumeration-model pricings ignore the mode (the
-        matrix kernel is a DP).
 
     Attributes
     ----------
     stats : EngineStats
-        Cumulative per-engine counters (serial/parallel computes, cache
-        hits, incremental repairs, …). After every pricing call they
+        Cumulative per-engine counters (cache hits, full computes,
+        incremental repairs, …). After every pricing call they
         are mirrored into the process-wide ``trmin.*`` metrics, the
         call's wall time lands in ``trmin.price_seconds``, and — when
         tracing is on — the call records a ``trmin.price`` span (see
@@ -239,23 +204,17 @@ class TrminEngine:
         self,
         model: Optional[ResponseTimeModel] = None,
         *,
-        workers: Optional[int] = None,
         cache: bool = True,
         max_cache_entries: int = 16,
         dirty_fraction_threshold: float = 0.25,
-        min_parallel_pairs: int = 32,
-        executor_kind: str = "process",
-        mode: str = "rows",
+        # Accepted and ignored: the only caller is benchmarks/e2e/workloads.py;
+        # deleted with that call site in the next [benchmark] PR.
+        workers: Optional[int] = None,
+        mode: Optional[str] = None,
     ) -> None:
-        if mode not in ("rows", "matrix"):
-            raise ValueError(f"mode must be 'rows' or 'matrix', got {mode!r}")
         self.model = model if model is not None else ResponseTimeModel()
-        self.workers = workers
         self.cache_enabled = cache
         self.dirty_fraction_threshold = dirty_fraction_threshold
-        self.min_parallel_pairs = min_parallel_pairs
-        self.executor_kind = executor_kind
-        self.mode = mode
         self._cache = TrminCache(max_entries=max_cache_entries)
         self.stats = EngineStats()
 
@@ -282,7 +241,7 @@ class TrminEngine:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
         """Drop-in replacement for
         :meth:`ResponseTimeModel.resistance_matrix` — same contract,
-        same bits, parallel and cache-aware."""
+        same bits, cache-aware."""
         model = model if model is not None else self.model
         src = tuple(int(s) for s in sources)
         dst = tuple(int(d) for d in destinations)
@@ -297,7 +256,7 @@ class TrminEngine:
                 or len(set(src)) != len(src)
                 or len(set(dst)) != len(dst)
             ):
-                result = self._compute(model, topology, src, dst, with_paths)
+                result = model.resistance_matrix(topology, src, dst, with_paths)
             else:
                 result = self._cached(model, topology, src, dst, with_paths)
         get_registry().histogram("trmin.price_seconds").observe(
@@ -316,7 +275,7 @@ class TrminEngine:
         model: Optional[ResponseTimeModel] = None,
     ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
         """Eq. 2 as a matrix (``T[a, b] = D_a * R[a, b]``) through the
-        parallel/cached pricing path."""
+        cached pricing path."""
         data = validate_data_volumes(data_mb, len(sources))
         R, hops, paths = self.resistance_matrix(
             topology, sources, destinations, with_paths, model=model
@@ -329,83 +288,6 @@ class TrminEngine:
 
     def reset_stats(self) -> None:
         self.stats = EngineStats()
-
-    # -- computation ---------------------------------------------------------------
-    def _compute(
-        self,
-        model: ResponseTimeModel,
-        topology: Topology,
-        sources: Tuple[int, ...],
-        destinations: Tuple[int, ...],
-        with_paths: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
-        if self.mode == "matrix" and model.engine is PathEngine.DP:
-            return self._compute_matrix(model, topology, sources, destinations, with_paths)
-        workers = resolve_workers(self.workers, task_count=len(sources))
-        pairs = len(sources) * len(destinations)
-        if workers <= 1 or len(sources) < 2 or pairs < self.min_parallel_pairs:
-            self.stats.serial_computes += 1
-            return model.resistance_matrix(
-                topology, list(sources), list(destinations), with_paths=with_paths
-            )
-        chunks = chunk_evenly(sources, workers)
-        payloads = [
-            (model, topology, chunk, list(destinations), with_paths)
-            for chunk in chunks
-        ]
-        results = map_with_pool_retry(
-            _price_chunk, payloads, workers, self.executor_kind, collect_metrics=True
-        )
-        if results is None:
-            # Pool unusable even after a one-shot rebuild (fork bomb
-            # guard, sandbox, worker death ×2): serial fallback.
-            self.stats.serial_computes += 1
-            return model.resistance_matrix(
-                topology, list(sources), list(destinations), with_paths=with_paths
-            )
-        self.stats.parallel_computes += 1
-        R = np.vstack([r for r, _, _ in results])
-        hops = np.vstack([h for _, h, _ in results])
-        paths: Dict[Pair, Path] = {}
-        for _, _, chunk_paths in results:
-            paths.update(chunk_paths)
-        return R, hops, paths
-
-    def _compute_matrix(
-        self,
-        model: ResponseTimeModel,
-        topology: Topology,
-        sources: Tuple[int, ...],
-        destinations: Tuple[int, ...],
-        with_paths: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
-        """One all-sources matrix DP instead of per-source row solves.
-
-        ``(R, hops)`` are bit-identical to the per-source sweep (see
-        :mod:`repro.routing.matrix` for the operand-set argument);
-        materialized paths are optimal and price-consistent but may
-        pick different tie-equivalent routes.
-        """
-        from repro.routing.matrix import matrix_hop_constrained
-
-        weights = model.edge_weights(topology)
-        result = matrix_hop_constrained(
-            topology, sources, model.max_hops, weights, with_parents=with_paths
-        )
-        dest_arr = np.asarray(destinations, dtype=int)
-        R = result.best[:, dest_arr]
-        hops = np.where(np.isfinite(R), result.hops[:, dest_arr], -1)
-        paths: Dict[Pair, Path] = {}
-        if with_paths:
-            for a, s in enumerate(sources):
-                row = R[a]
-                for b, d in enumerate(destinations):
-                    if np.isfinite(row[b]):
-                        path = result.path_to(a, int(d))
-                        if path is not None:
-                            paths[(int(s), int(d))] = path
-        self.stats.matrix_computes += 1
-        return R, hops, paths
 
     # -- cache layer ------------------------------------------------------------------
     def _cached(
@@ -429,7 +311,9 @@ class TrminEngine:
         # route to know which cached results a dirty edge invalidates.
         version = topology.version
         weights = model.edge_weights(topology)
-        R, hops, paths = self._compute(model, topology, sources, destinations, True)
+        R, hops, paths = model.resistance_matrix(
+            topology, sources, destinations, with_paths=True
+        )
         self.stats.full_computes += 1
         entry = _CacheEntry(
             topo_ref=weakref.ref(topology),
@@ -542,8 +426,6 @@ class TrminEngine:
         path through ``e``. Pairs whose cached optimum already beats
         the bound cannot improve and are skipped.
         """
-        from repro.routing.shortest import hop_constrained_shortest
-
         H = model.max_hops if model.max_hops is not None else topology.num_nodes - 1
         if H < 1:
             return []
@@ -587,16 +469,17 @@ class TrminEngine:
     ) -> None:
         if model.engine is PathEngine.DP:
             # The DP prices a whole source row at once; re-solve every
-            # source with at least one flagged pair.
-            for s in sorted({pair[0] for pair in flagged}):
+            # source with at least one flagged pair in one matrix DP.
+            rows = sorted({pair[0] for pair in flagged})
+            R, hops, paths = _dp_matrix(
+                topology, rows, entry.destinations, model.max_hops, weights, True
+            )
+            for i, s in enumerate(rows):
                 a = entry.src_index[s]
-                row, row_hops, row_paths = _dp_source_row(
-                    topology, s, list(entry.destinations), model.max_hops, weights, True
-                )
-                entry.R[a, :] = row
-                entry.hops[a, :] = row_hops
+                entry.R[a, :] = R[i]
+                entry.hops[a, :] = hops[i]
                 for d in entry.destinations:
-                    entry.replace_pair((s, d), row_paths.get((s, d)))
+                    entry.replace_pair((s, d), paths.get((s, d)))
             return
         # Shared backward bound-DP cache for the enumeration kernel:
         # weights and hop budget are fixed across the flagged pairs, so

@@ -39,14 +39,15 @@ Two entry points share the expansion core:
     ``dist`` is a true lower bound and the cut is sound for
     minimization.
 
-Bit-identity with the serial reference
---------------------------------------
+Bit-identity with the exhaustive DFS
+-----------------------------------
 The kernel never *selects* the best route itself. It returns the
 surviving complete paths as raw ``(nodes, edges)`` tuples in exact DFS
 order, and :func:`repro.routing.response_time._best_enum_route` feeds
-them through the same canonical sequential fold the reference stream
-uses, so the resistance-then-fewer-hops-then-DFS-order tie-break is
-reproduced update for update. Two properties make that exact:
+them through the same canonical sequential fold a full DFS stream
+would go through, so the resistance-then-fewer-hops-then-DFS-order
+tie-break is reproduced update for update. Two properties make that
+exact:
 
 * *DFS order is recoverable.* The reference DFS visits neighbors in
   CSR lane order, so paths are emitted in lexicographic order of their
@@ -69,80 +70,32 @@ reproduced update for update. Two properties make that exact:
   uniform-cost meshes of the property suite) compare equal bit for bit
   and are reproduced exactly.
 
-The kernel is the default behind ``PathEngine.ENUMERATION``; set
-``REPRO_ENUM_KERNEL=0`` (or call :func:`set_enumeration_kernel`) to
-fall back to the reference DFS. Counter totals are kept as plain local
-ints in the hot loop and mirrored into the metrics registry once per
-call, per the repo's hot-loop observability convention.
+The kernel is the only route behind ``PathEngine.ENUMERATION`` and
+:func:`repro.routing.paths.count_paths`; the pure-Python DFS
+(:func:`repro.routing.paths.iter_simple_paths_raw`) stays as public
+enumeration API and as the oracle the test suite compares against.
+Counter totals are kept as plain local ints in the hot loop and
+mirrored into the metrics registry once per call, per the repo's
+hot-loop observability convention.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.routing.matrix import _degree_classes
+from repro.routing.routes import _TIE_TOL
 from repro.routing.shortest import hop_constrained_shortest
 from repro.topology.graph import Topology
 
-__all__ = [
-    "count_paths_kernel",
-    "pruned_candidates",
-    "enumeration_kernel_enabled",
-    "set_enumeration_kernel",
-    "use_enumeration_kernel",
-]
-
-_TIE_TOL = 1e-12  # must match repro.routing.response_time._TIE_TOL
+__all__ = ["count_paths_kernel", "pruned_candidates"]
 
 #: Frontier rows expanded per dense gather pass; bounds the size of the
 #: per-chunk child temporaries to ``_CHUNK_ROWS * max_degree`` entries.
 _CHUNK_ROWS = 1 << 16
-
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_ENUM_KERNEL", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-_kernel_enabled: bool = _env_default()
-
-
-def enumeration_kernel_enabled() -> bool:
-    """Whether ``PathEngine.ENUMERATION`` routes through this kernel."""
-    return _kernel_enabled
-
-
-def set_enumeration_kernel(enabled: bool) -> bool:
-    """Toggle the kernel (e.g. to A/B against the reference DFS).
-
-    Returns the previous setting. The initial value comes from the
-    ``REPRO_ENUM_KERNEL`` environment variable (default on), which is
-    also how the setting reaches spawn-style pool workers; fork-style
-    workers inherit the module flag directly.
-    """
-    global _kernel_enabled
-    previous = _kernel_enabled
-    _kernel_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_enumeration_kernel(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_enumeration_kernel` for tests and benches."""
-    previous = set_enumeration_kernel(enabled)
-    try:
-        yield
-    finally:
-        set_enumeration_kernel(previous)
 
 
 def _flush_counters(calls: int, frontier: int, pruned: int, cutoffs: int) -> None:

@@ -9,10 +9,10 @@ Figures 8 and 10 measure, so the engine deliberately materializes each
 path.
 
 For the polynomial alternative see :mod:`repro.routing.shortest`; for
-the vectorized frontier-expansion form of this same enumeration (the
-default behind counting and Trmin pricing) see
-:mod:`repro.routing.enumkernel` — this module remains the readable
-reference it is property-tested against.
+the vectorized frontier-expansion form of this same enumeration (what
+counting and Trmin pricing run on) see :mod:`repro.routing.enumkernel`
+— this module remains the readable form it is property-tested
+against.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingError
+from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.routes import Path
 from repro.topology.graph import Topology
 
@@ -134,15 +135,8 @@ def count_paths(
     """Number of hop-bounded simple paths (drives the complexity plots).
 
     Counting is exhaustive by definition: the frontier-expansion kernel
-    (when enabled) applies only the simple-path and hop-budget
-    constraints — never the pricing bound — and the reference fallback
-    consumes the raw iterator without building a :class:`Path` per
-    path.
+    applies only the simple-path and hop-budget constraints — never the
+    pricing bound — so the count equals the length of
+    :func:`iter_simple_paths_raw`'s stream.
     """
-    from repro.routing import enumkernel
-
-    if enumkernel.enumeration_kernel_enabled():
-        return enumkernel.count_paths_kernel(topology, source, destination, max_hops)
-    return sum(
-        1 for _ in iter_simple_paths_raw(topology, source, destination, max_hops)
-    )
+    return count_paths_kernel(topology, source, destination, max_hops)

@@ -15,22 +15,22 @@ Two engines are provided, selected by :class:`PathEngine`:
 * ``DP`` — layered Bellman–Ford (:mod:`repro.routing.shortest`),
   polynomial and exactly equivalent in optimum value.
 
-All pricing goes through two canonical primitives —
-:func:`_best_enum_route` (batched ``np.add.reduceat`` pricing over the
-raw path stream) and :func:`_dp_source_row` — shared with the parallel
-and cached layers in :mod:`repro.routing.engine`. Summation order is
-strictly sequential everywhere (Python accumulation below 8 edges,
-``reduceat`` segments above), which is what makes serial, parallel and
-incrementally-cached results bit-identical.
+All matrix pricing goes through two canonical primitives, shared with
+the cached layer in :mod:`repro.routing.engine`:
 
-By default the ENUMERATION stream comes from the vectorized
-frontier-expansion kernel (:mod:`repro.routing.enumkernel`), which
-prunes provably non-influential paths with an admissible lower bound
-and replays the DFS-ordered survivors through the same canonical fold
-(:func:`_fold_raw_paths`); ``REPRO_ENUM_KERNEL=0`` or
-:func:`repro.routing.enumkernel.set_enumeration_kernel` falls back to
-the retained pure-Python reference DFS
-(:func:`_best_enum_route_reference`).
+* :func:`_dp_matrix` — one all-sources matrix DP
+  (:func:`repro.routing.matrix.matrix_hop_constrained`), with parent
+  planes when paths are asked for;
+* :func:`_best_enum_route` — the frontier-expansion kernel
+  (:mod:`repro.routing.enumkernel`) prunes provably non-influential
+  paths with an admissible lower bound and the DFS-ordered survivors
+  are priced by the canonical sequential fold (:func:`_fold_raw_paths`,
+  batched ``np.add.reduceat`` over the raw path stream).
+
+Summation order is strictly sequential everywhere (Python accumulation
+below 8 edges, ``reduceat`` segments above), which is what makes fresh
+and incrementally-cached results bit-identical — and equal to the
+readable per-source DP / exhaustive DFS oracles in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ import numpy as np
 
 from repro.errors import RoutingError
 from repro.routing import enumkernel
-from repro.routing.paths import iter_simple_paths_raw
-from repro.routing.routes import Path, RouteChoice
+from repro.routing.matrix import matrix_hop_constrained
+from repro.routing.routes import _TIE_TOL, Path, RouteChoice
 from repro.routing.shortest import hop_constrained_shortest
 from repro.topology.graph import Topology
 from repro.topology.links import BandwidthConvention
-
-_TIE_TOL = 1e-12
 
 #: Paths priced per ``reduceat`` call in the enumeration hot loop.
 _PRICE_BATCH = 512
@@ -92,9 +90,9 @@ def _fold_raw_paths(
     instead of one numpy round trip per path; only candidates within
     ``_TIE_TOL`` of the running minimum are then examined in DFS order,
     preserving the serial scan's resistance-then-fewer-hops tie-break
-    exactly. Both the reference DFS stream and the enumeration kernel's
-    pruned survivor stream terminate here, which is what makes the two
-    engines bit-identical.
+    exactly. Both the exhaustive DFS stream (the test oracle) and the
+    enumeration kernel's pruned survivor stream terminate here, which
+    is what makes the two bit-identical.
     """
     best_res = np.inf
     best_hops = -1
@@ -140,25 +138,6 @@ def _fold_raw_paths(
     return best_res, best_hops, best_raw
 
 
-def _best_enum_route_reference(
-    topology: Topology,
-    source: int,
-    destination: int,
-    max_hops: Optional[int],
-    edge_weights: np.ndarray,
-) -> Tuple[float, int, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Best hop-bounded route by exhaustive reference enumeration.
-
-    The retained pure-Python DFS path: every hop-bounded simple path is
-    generated and fed to the canonical fold. This is the ground truth
-    the vectorized kernel is benchmarked and property-tested against.
-    """
-    return _fold_raw_paths(
-        iter_simple_paths_raw(topology, source, destination, max_hops),
-        edge_weights,
-    )
-
-
 def _best_enum_route(
     topology: Topology,
     source: int,
@@ -171,53 +150,44 @@ def _best_enum_route(
 
     Returns ``(resistance, hops, (nodes, edges))`` — or
     ``(inf, -1, None)`` when the destination is unreachable within the
-    hop budget. Dispatches to the frontier-expansion kernel
-    (:mod:`repro.routing.enumkernel`) when enabled — the kernel prunes
-    provably non-influential paths and hands the DFS-ordered survivors
-    to the same canonical fold, so the outcome is bit-identical to the
-    reference DFS. ``bound_cache`` (keyed by destination) lets matrix
-    builds reuse the kernel's backward bound DP across source rows.
-
-    The kernel path requires strictly positive edge weights (the bound
-    DP validates them); exotic non-positive weight vectors fall back to
-    the reference automatically.
+    hop budget. The frontier-expansion kernel
+    (:mod:`repro.routing.enumkernel`) prunes provably non-influential
+    paths and hands the DFS-ordered survivors to the canonical fold, so
+    the outcome is bit-identical to folding the full DFS stream.
+    ``bound_cache`` (keyed by destination) lets matrix builds reuse the
+    kernel's backward bound DP across source rows. Edge weights must be
+    strictly positive (the bound DP raises :class:`RoutingError`
+    otherwise, exactly as the dp engine does).
     """
-    if enumkernel.enumeration_kernel_enabled() and (
-        edge_weights.size == 0 or float(edge_weights.min()) > 0.0
-    ):
-        survivors = enumkernel.pruned_candidates(
-            topology, source, destination, max_hops, edge_weights, bound_cache
-        )
-        return _fold_raw_paths(survivors, edge_weights)
-    return _best_enum_route_reference(
-        topology, source, destination, max_hops, edge_weights
+    survivors = enumkernel.pruned_candidates(
+        topology, source, destination, max_hops, edge_weights, bound_cache
     )
+    return _fold_raw_paths(survivors, edge_weights)
 
 
-def _dp_source_row(
+def _dp_matrix(
     topology: Topology,
-    source: int,
+    sources: Sequence[int],
     destinations: Sequence[int],
     max_hops: Optional[int],
     edge_weights: np.ndarray,
     with_paths: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[int, int], Path]]:
-    """One source's Trmin row via the layered DP, optionally with the
-    optimal paths materialized."""
-    result = hop_constrained_shortest(topology, source, max_hops, edge_weights)
+    """Trmin rows of ``sources`` via one all-sources matrix DP,
+    optionally with one optimal path per reachable pair materialized
+    (weight-minimal, then hop-minimal; tie witnesses are the kernel's)."""
+    result = matrix_hop_constrained(
+        topology, sources, max_hops, edge_weights, with_parents=with_paths
+    )
     dest_arr = np.asarray(destinations, dtype=int)
-    best = result.best
-    row = best[dest_arr]
-    bh = result.best_hops()
-    row_hops = np.where(np.isfinite(row), bh[dest_arr], -1)
+    R = result.best[:, dest_arr]
+    hops = result.hops[:, dest_arr]
     paths: Dict[Tuple[int, int], Path] = {}
     if with_paths:
-        for dst in destinations:
-            if np.isfinite(best[int(dst)]):
-                path = result.path_to(int(dst))
-                if path is not None:
-                    paths[(int(source), int(dst))] = path
-    return row, row_hops, paths
+        for a, b in zip(*np.nonzero(np.isfinite(R))):
+            dst = int(destinations[b])
+            paths[(int(sources[a]), dst)] = result.path_to(int(a), dst)
+    return R, hops, paths
 
 
 class PathEngine(enum.Enum):
@@ -307,40 +277,18 @@ class ResponseTimeModel:
         ``paths`` maps (source, destination) node-id pairs to a
         materialized optimal :class:`Path` when ``with_paths``.
 
-        For parallel and incrementally-cached variants of this exact
-        computation see :class:`repro.routing.engine.TrminEngine`.
+        For the versioned, incrementally repaired cache around this
+        exact computation see :class:`repro.routing.engine.TrminEngine`.
         """
         weights = self.edge_weights(topology)
-        ns, nd = len(sources), len(destinations)
-        R = np.full((ns, nd), np.inf)
-        hops = np.full((ns, nd), -1, dtype=np.int64)
-        paths: Dict[Tuple[int, int], Path] = {}
-
         if self.engine is PathEngine.DP:
-            if not with_paths:
-                # Fast path: all sources relaxed in one vectorized sweep.
-                from repro.routing.shortest import all_sources_hop_constrained
+            return _dp_matrix(
+                topology, sources, destinations, self.max_hops, weights, with_paths
+            )
 
-                dest_arr = np.asarray(destinations, dtype=int)
-                best_all, hops_all = all_sources_hop_constrained(
-                    topology, [int(s) for s in sources], self.max_hops, weights
-                )
-                R[:, :] = best_all[:, dest_arr]
-                hops[:, :] = np.where(
-                    np.isfinite(R), hops_all[:, dest_arr], -1
-                )
-                return R, hops, paths
-            for a, src in enumerate(sources):
-                row, row_hops, row_paths = _dp_source_row(
-                    topology, int(src), destinations, self.max_hops, weights, True
-                )
-                R[a, :] = row
-                hops[a, :] = row_hops
-                paths.update(row_paths)
-            # Same-node pairs have zero resistance and hop count 0 already
-            # handled by the DP (dist[0, source] = 0).
-            return R, hops, paths
-
+        R = np.full((len(sources), len(destinations)), np.inf)
+        hops = np.full(R.shape, -1, dtype=np.int64)
+        paths: Dict[Tuple[int, int], Path] = {}
         # One backward bound-DP per distinct destination, shared across
         # all source rows (the kernel keys it by destination; weights
         # and hop budget are fixed for the whole call).

@@ -16,6 +16,12 @@ import numpy as np
 
 from repro.errors import RoutingError
 
+#: Two route resistances within this of each other are a tie (the paper
+#: then prefers fewer hops). The one definition: the canonical pricing
+#: fold, the enumeration kernel's prune margin and the cache's
+#: decreased-edge screen must all agree on it.
+_TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Path:

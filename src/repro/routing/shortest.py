@@ -183,69 +183,3 @@ def shortest_path(
     """Convenience wrapper: one optimal hop-bounded path or ``None``."""
     result = hop_constrained_shortest(topology, source, max_hops, edge_weights)
     return result.path_to(destination)
-
-
-def all_sources_hop_constrained(
-    topology: Topology,
-    sources: List[int],
-    max_hops: Optional[int],
-    edge_weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Layered DP for *many* sources in one vectorized sweep.
-
-    Returns ``(best, best_hops)`` with shape ``(len(sources), V)``:
-    minimum hop-bounded weight from each source to every node, and the
-    fewest hops achieving it (−1 when unreachable). Equivalent to
-    running :func:`hop_constrained_shortest` per source but relaxes all
-    sources simultaneously with one 2-D scatter-min per layer — per the
-    optimization guide, the Python-level loop runs over layers (≤ H)
-    instead of sources × layers. Parent pointers are not kept; use the
-    single-source solver when paths must be materialized.
-    """
-    n = topology.num_nodes
-    m = topology.num_edges
-    weights = np.asarray(edge_weights, dtype=float)
-    if weights.shape != (m,):
-        raise RoutingError(f"expected {m} edge weights, got shape {weights.shape}")
-    if m and weights.min() <= 0:
-        raise RoutingError("edge weights must be strictly positive")
-    if max_hops is None:
-        max_hops = max(n - 1, 0)
-    if max_hops < 0:
-        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
-    src = np.asarray(sources, dtype=int)
-    for s in src:
-        topology.node(int(s))
-
-    S = src.size
-    dist = np.full((S, n), np.inf)
-    dist[np.arange(S), src] = 0.0
-    best_hops = np.full((S, n), -1, dtype=np.int64)
-    best_hops[np.arange(S), src] = 0
-
-    if m == 0 or max_hops == 0 or S == 0:
-        return dist, best_hops
-
-    # Padded-neighbor tables: nbr[v, d] is v's d-th neighbor and
-    # nbr_w[v, d] the edge weight (∞-padded). One layer is then a pure
-    # gather + reduction — no `ufunc.at` scatter, which profiling shows
-    # is the bottleneck for the scatter formulation.
-    max_deg = max(topology.degree(v) for v in range(n))
-    nbr = np.zeros((n, max_deg), dtype=np.int64)
-    nbr_w = np.full((n, max_deg), np.inf)
-    for v in range(n):
-        for d, (u, edge_id) in enumerate(topology.incident(v)):
-            nbr[v, d] = u
-            nbr_w[v, d] = weights[edge_id]
-
-    current = dist.copy()
-    for h in range(1, int(max_hops) + 1):
-        # (S, n, deg): cost of reaching v through each neighbor.
-        through = current[:, nbr] + nbr_w[None, :, :]
-        new = np.minimum(current, through.min(axis=2))
-        improved = new < current
-        if not improved.any():
-            break
-        best_hops[improved] = h
-        current = new
-    return current, best_hops

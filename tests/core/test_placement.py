@@ -186,6 +186,31 @@ class TestSolve:
 
 
 class TestBackendEquivalence:
+    @pytest.mark.parametrize("backend", ["transportation", "scipy", "simplex"])
+    def test_unreachable_busy_row_is_infeasible_on_every_backend(self, backend):
+        """A busy row with excess and no reachable candidate: the general
+        LP path must report INFEASIBLE like the transportation one."""
+        topo = Topology()
+        for _ in range(4):
+            topo.add_node()
+        topo.add_edge(0, 1, Link(capacity_mbps=1000.0))
+        topo.add_edge(2, 3, Link(capacity_mbps=1000.0))
+        problem = PlacementProblem(
+            topology=topo,
+            busy=(0,),
+            candidates=(3,),
+            cs=np.array([5.0]),
+            cd=np.array([10.0]),
+            data_mb=np.array([1.0]),
+        )
+        report = PlacementEngine(
+            response_model=ResponseTimeModel(engine=PathEngine.DP),
+            lp_backend=backend,
+        ).solve(problem)
+        assert report.status is SolveStatus.INFEASIBLE
+        assert np.isnan(report.objective_beta)
+        assert report.assignments == ()
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2000))
     def test_property_backends_agree_on_random_states(self, seed):

@@ -119,7 +119,7 @@ class TestFig10:
             workers=1,
         )
         by_k = {row[0]: row for row in result.rows}
-        assert by_k["32-k"][2] == "dp/matrix"
+        assert by_k["32-k"][2] == "dp"
         assert by_k["32-k"][3] > 0
 
 
@@ -136,7 +136,9 @@ class TestFig11:
 
 class TestFig12:
     def test_heuristic_time_grows(self):
-        result = run_experiment("fig12", scales=((4, 3), (16, 1)), seed=0)
+        # 4-k vs 64-k: a ~50x gap, so a scheduler stall on a ~0.3 ms solve
+        # cannot invert the ordering.
+        result = run_experiment("fig12", scales=((4, 3), (64, 1)), seed=0)
         times = [row[2] for row in result.rows]
         assert times[-1] > times[0]
 

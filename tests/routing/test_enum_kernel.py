@@ -1,12 +1,12 @@
-"""Frontier-expansion kernel vs reference DFS: bit-identity properties.
+"""Frontier-expansion kernel vs exhaustive DFS: bit-identity properties.
 
 The kernel (:mod:`repro.routing.enumkernel`) must be indistinguishable
-from the retained pure-Python reference on every fixture: identical
-``(resistance, hops, path)`` triples out of the pricing fold (including
-the resistance-then-fewer-hops-then-DFS-order tie-break) and identical
-exhaustive path counts. These tests drive both engines over hypothesis
-random graphs, fat-trees k in {4, 8}, and the degenerate corners the
-kernel special-cases.
+from the exhaustive-DFS oracle (:func:`tests.oracles.enum_best_route`)
+on every fixture: identical ``(resistance, hops, path)`` triples out of
+the pricing fold (including the resistance-then-fewer-hops-then-DFS-
+order tie-break) and identical exhaustive path counts. These tests
+drive both over hypothesis random graphs, fat-trees k in {4, 8, 16},
+and the degenerate corners the kernel special-cases.
 """
 
 import numpy as np
@@ -17,18 +17,8 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.obs import get_registry
 from repro.routing import count_paths, enumerate_paths, iter_simple_paths_raw
-from repro.routing import enumkernel
-from repro.routing.enumkernel import (
-    count_paths_kernel,
-    enumeration_kernel_enabled,
-    pruned_candidates,
-    set_enumeration_kernel,
-    use_enumeration_kernel,
-)
-from repro.routing.response_time import (
-    _best_enum_route,
-    _best_enum_route_reference,
-)
+from repro.routing.enumkernel import count_paths_kernel, pruned_candidates
+from repro.routing.response_time import PathEngine, ResponseTimeModel, _best_enum_route
 from repro.topology import (
     BandwidthConvention,
     Link,
@@ -37,6 +27,7 @@ from repro.topology import (
     build_fat_tree,
     build_random_connected,
 )
+from tests import oracles
 
 
 def _weights(topo):
@@ -48,11 +39,10 @@ def _ref_count(topo, s, d, h):
 
 
 def _assert_pair_identical(topo, s, d, h, weights):
-    ref = _best_enum_route_reference(topo, s, d, h, weights)
-    with use_enumeration_kernel(True):
-        ker = _best_enum_route(topo, s, d, h, weights)
     # Bit-identity: same float (== not approx), same hops, same path.
-    assert ker == ref
+    assert _best_enum_route(topo, s, d, h, weights) == oracles.enum_best_route(
+        topo, s, d, h, weights
+    )
 
 
 def disconnected_topology():
@@ -92,13 +82,10 @@ class TestCountIdentity:
     def test_count_paths_dispatches_to_kernel(self):
         topo = build_fat_tree(4)
         reg = get_registry()
-        with use_enumeration_kernel(True):
-            before = reg.counter("routing.enum_kernel_calls").value
-            a = count_paths(topo, 0, topo.num_nodes - 1, 4)
-            assert reg.counter("routing.enum_kernel_calls").value == before + 1
-        with use_enumeration_kernel(False):
-            b = count_paths(topo, 0, topo.num_nodes - 1, 4)
-        assert a == b
+        before = reg.counter("routing.enum_kernel_calls").value
+        count = count_paths(topo, 0, topo.num_nodes - 1, 4)
+        assert reg.counter("routing.enum_kernel_calls").value == before + 1
+        assert count == _ref_count(topo, 0, topo.num_nodes - 1, 4)
 
     def test_counting_path_never_prunes(self):
         """The bound counters stay flat across exhaustive counting."""
@@ -137,6 +124,24 @@ class TestBestRouteIdentity:
         for h in (2, 4, 5, None if k == 4 else 6):
             for s, d in pairs:
                 _assert_pair_identical(topo, s, d, h, weights)
+
+    def test_fat_tree_16_matrix_matches_oracle(self):
+        """A reduced k=16 point through the public matrix call:
+        resistances, hops and the winning paths themselves."""
+        topo = build_fat_tree(16)
+        LinkUtilizationModel(0.2, 0.8, seed=0).apply(topo)
+        model = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=4)
+        sources = list(range(0, topo.num_nodes, 53))
+        destinations = list(range(1, topo.num_nodes, 47))
+        R, hops, paths = model.resistance_matrix(
+            topo, sources, destinations, with_paths=True
+        )
+        R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(hops, hops_ref)
+        assert paths == paths_ref
 
     def test_tie_heavy_uniform_cost_mesh(self):
         """Every same-length path prices bit-equal: the fold must pick
@@ -200,47 +205,20 @@ class TestDegenerateCorners:
         with pytest.raises(RoutingError):
             pruned_candidates(topo, 0, 1, -2, _weights(topo))
 
-
-class TestToggle:
-    def test_set_and_restore(self):
-        initial = enumeration_kernel_enabled()
-        try:
-            prev = set_enumeration_kernel(False)
-            assert prev == initial
-            assert not enumeration_kernel_enabled()
-            with use_enumeration_kernel(True):
-                assert enumeration_kernel_enabled()
-            assert not enumeration_kernel_enabled()
-        finally:
-            set_enumeration_kernel(initial)
-
-    def test_disabled_kernel_falls_back_to_reference(self):
+    def test_nonpositive_weights_rejected(self):
+        """No fallback engine: the bound DP rejects them like the dp
+        engine does (``model.edge_weights`` cannot produce them)."""
         topo = build_fat_tree(4)
         weights = _weights(topo)
-        reg = get_registry()
-        with use_enumeration_kernel(False):
-            before = reg.counter("routing.enum_kernel_calls").value
-            out = _best_enum_route(topo, 0, topo.num_nodes - 1, 4, weights)
-            assert reg.counter("routing.enum_kernel_calls").value == before
-        assert out == _best_enum_route_reference(
-            topo, 0, topo.num_nodes - 1, 4, weights
-        )
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENUM_KERNEL", "0")
-        assert not enumkernel._env_default()
-        monkeypatch.setenv("REPRO_ENUM_KERNEL", "off")
-        assert not enumkernel._env_default()
-        monkeypatch.setenv("REPRO_ENUM_KERNEL", "1")
-        assert enumkernel._env_default()
-        monkeypatch.delenv("REPRO_ENUM_KERNEL")
-        assert enumkernel._env_default()
+        weights[0] = 0.0
+        with pytest.raises(RoutingError, match="strictly positive"):
+            _best_enum_route(topo, 0, topo.num_nodes - 1, 4, weights)
 
 
 class TestSurvivorStream:
     def test_survivors_are_dfs_prefix_consistent(self):
-        """Survivors appear in reference DFS order and include the
-        reference winner."""
+        """Survivors appear in DFS order and include the oracle's
+        winner."""
         topo = build_fat_tree(4)
         LinkUtilizationModel(0.3, 0.7, seed=11).apply(topo)
         weights = _weights(topo)
@@ -250,8 +228,7 @@ class TestSurvivorStream:
         positions = {p: i for i, p in enumerate(all_paths)}
         idx = [positions[p] for p in survivors]
         assert idx == sorted(idx)  # DFS order preserved
-        ref = _best_enum_route_reference(topo, s, d, 5, weights)
-        assert ref[2] in survivors
+        assert oracles.enum_best_route(topo, s, d, 5, weights)[2] in survivors
 
     def test_enumerate_paths_limit_is_dfs_prefix(self):
         topo = build_fat_tree(4)

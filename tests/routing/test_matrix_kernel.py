@@ -1,8 +1,9 @@
 """Bit-identity of the matrix Trmin DP kernel vs the per-source DP.
 
 The matrix kernel promises *exact* equality of ``best``/``hops`` with
-:func:`repro.routing.hop_constrained_shortest` (see the operand-set
-argument in :mod:`repro.routing.matrix`), so these tests compare with
+:func:`repro.routing.hop_constrained_shortest` looped per source
+(:func:`tests.oracles.dp_matrix`; see the operand-set argument in
+:mod:`repro.routing.matrix`), so these tests compare with
 ``np.array_equal`` — no tolerances.
 """
 
@@ -18,14 +19,14 @@ from repro.routing.matrix import matrix_hop_constrained
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import Topology, build_random_connected, build_ring
 from repro.topology.fattree import build_fat_tree
+from tests import oracles
 
 
 def _assert_bit_identical(topology, sources, max_hops, weights, **kwargs):
     result = matrix_hop_constrained(topology, sources, max_hops, weights, **kwargs)
-    for a, s in enumerate(sources):
-        ref = hop_constrained_shortest(topology, s, max_hops, weights)
-        assert np.array_equal(result.best[a], ref.best), f"source {s} best differs"
-        assert np.array_equal(result.hops[a], ref.best_hops()), f"source {s} hops differ"
+    best, hops = oracles.dp_matrix(topology, sources, max_hops, weights)
+    assert np.array_equal(result.best, best)
+    assert np.array_equal(result.hops, hops)
     return result
 
 
@@ -156,29 +157,29 @@ class TestEngineMatrixMode:
     def _dp_model(self, max_hops=4):
         return ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops)
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            TrminEngine(mode="diagonal")
-
     def test_matrix_mode_matches_rows_mode_exactly(self):
+        """The engine's dp pricing (one matrix DP) equals the per-source
+        row loop it replaced, with and without paths."""
         topo = build_fat_tree(4)
         model = self._dp_model()
         sources = [0, 2, 5, 9]
         destinations = [1, 3, 8, 12, 19]
-        rows_engine = TrminEngine(model, cache=False)
-        matrix_engine = TrminEngine(model, cache=False, mode="matrix")
-        R_rows, hops_rows, _ = rows_engine.resistance_matrix(
+        R_rows, hops_rows, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
+        engine = TrminEngine(model, cache=False)
+        R_plain, hops_plain, no_paths = engine.resistance_matrix(
             topo, sources, destinations, with_paths=False
         )
-        R_matrix, hops_matrix, paths = matrix_engine.resistance_matrix(
+        R_matrix, hops_matrix, paths = engine.resistance_matrix(
             topo, sources, destinations, with_paths=True
         )
-        assert np.array_equal(R_rows, R_matrix)
-        assert np.array_equal(hops_rows, hops_matrix)
-        assert matrix_engine.stats.matrix_computes == 1
-        assert rows_engine.stats.matrix_computes == 0
+        assert no_paths == {}
+        for R, hops in ((R_plain, hops_plain), (R_matrix, hops_matrix)):
+            assert np.array_equal(R, R_rows)
+            assert np.array_equal(hops, hops_rows)
         # Materialized paths cover exactly the finite pairs and price
-        # consistently (witness ties may differ from the rows engine).
+        # consistently (witness ties may differ from the row loop's).
         weights = model.edge_weights(topo)
         for a, s in enumerate(sources):
             for b, d in enumerate(destinations):
@@ -187,13 +188,3 @@ class TestEngineMatrixMode:
                     assert sum(weights[e] for e in path.edges) == pytest.approx(
                         R_matrix[a, b]
                     )
-
-    def test_enumeration_model_bypasses_matrix_path(self):
-        topo = build_fat_tree(4)
-        engine = TrminEngine(
-            ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=3),
-            cache=False,
-            mode="matrix",
-        )
-        engine.resistance_matrix(topo, [0, 1], [2, 3], with_paths=False)
-        assert engine.stats.matrix_computes == 0

@@ -171,53 +171,3 @@ def test_shortest_path_wrapper():
     path = shortest_path(topo, 0, 2, w)
     assert path is not None and path.nodes == (0, 1, 2)
     assert shortest_path(topo, 0, 2, w, max_hops=1) is None
-
-
-class TestAllSourcesVectorized:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.integers(min_value=3, max_value=18),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=1, max_value=6),
-    )
-    def test_property_matches_per_source_dp(self, n, seed, max_hops):
-        """The vectorized multi-source sweep equals the per-source DP."""
-        from repro.routing import all_sources_hop_constrained
-
-        topo = build_random_connected(n, 0.25, seed=seed)
-        rng = np.random.default_rng(seed + 3)
-        w = rng.uniform(0.1, 4.0, topo.num_edges)
-        sources = list(range(0, n, 2))
-        best, hops = all_sources_hop_constrained(topo, sources, max_hops, w)
-        for a, s in enumerate(sources):
-            ref = hop_constrained_shortest(topo, s, max_hops, w)
-            finite = np.isfinite(ref.best)
-            assert (np.isfinite(best[a]) == finite).all()
-            np.testing.assert_allclose(best[a][finite], ref.best[finite])
-            np.testing.assert_array_equal(hops[a], ref.best_hops())
-
-    def test_empty_sources(self):
-        from repro.routing import all_sources_hop_constrained
-
-        topo = build_ring(4)
-        best, hops = all_sources_hop_constrained(topo, [], 3, np.ones(4))
-        assert best.shape == (0, 4)
-        assert hops.shape == (0, 4)
-
-    def test_zero_hop_budget(self):
-        from repro.routing import all_sources_hop_constrained
-
-        topo = build_ring(4)
-        best, hops = all_sources_hop_constrained(topo, [1], 0, np.ones(4))
-        assert best[0, 1] == 0.0
-        assert np.isinf(best[0, [0, 2, 3]]).all()
-        assert hops[0, 1] == 0
-
-    def test_validation(self):
-        from repro.routing import all_sources_hop_constrained
-
-        topo = build_ring(4)
-        with pytest.raises(RoutingError):
-            all_sources_hop_constrained(topo, [0], 2, np.ones(3))
-        with pytest.raises(RoutingError):
-            all_sources_hop_constrained(topo, [0], -1, np.ones(4))

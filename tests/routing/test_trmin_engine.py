@@ -1,9 +1,10 @@
-"""Property-style suite for the parallel + incremental Trmin engine.
+"""Property-style suite for the cached + incremental Trmin engine.
 
-The engine's contract is *bit-identity*: serial, parallel, cache-warm
-and incrementally re-priced matrices must be exactly equal (``==``,
-not ``allclose``) to a fresh serial :class:`ResponseTimeModel` sweep,
-for both path engines, including the hop tie-breaks.
+The engine's contract is *bit-identity*: uncached, cache-warm and
+incrementally re-priced matrices must be exactly equal (``==``, not
+``allclose``) to the slow oracles in :mod:`tests.oracles` (per-source
+DP, exhaustive DFS fold), for both path engines, including the hop
+tie-breaks.
 """
 
 import pickle
@@ -20,6 +21,7 @@ from repro.topology import (
     build_fat_tree,
     build_random_connected,
 )
+from tests import oracles
 
 ENGINES = [PathEngine.ENUMERATION, PathEngine.DP]
 
@@ -52,55 +54,89 @@ def assert_same_paths(expected, actual):
         assert actual[pair].edges == path.edges, pair
 
 
+def assert_paths_price_consistent(topo, model, R, hops, paths, sources, destinations):
+    """Exactly one path per reachable pair, and it is the priced route:
+    endpoints match, Σ edge weights == R[a, b] bit for bit (same left
+    fold the DP accumulates), hop count == hops[a, b]."""
+    weights = model.edge_weights(topo)
+    reachable = {
+        (s, d)
+        for a, s in enumerate(sources)
+        for b, d in enumerate(destinations)
+        if np.isfinite(R[a, b])
+    }
+    assert set(paths) == reachable
+    for a, s in enumerate(sources):
+        for b, d in enumerate(destinations):
+            if (s, d) not in reachable:
+                assert hops[a, b] == -1
+                continue
+            path = paths[(s, d)]
+            assert path.nodes[0] == s and path.nodes[-1] == d
+            assert sum(weights[e] for e in path.edges) == R[a, b], (s, d)
+            assert len(path.edges) == hops[a, b], (s, d)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("path_engine", ENGINES)
-    def test_serial_parallel_cached_agree_exactly(self, path_engine):
+    def test_uncached_and_cached_match_oracle_exactly(self, path_engine):
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=path_engine, max_hops=4)
-        R_ref, hops_ref, paths_ref = model.resistance_matrix(
-            topo, sources, destinations, with_paths=True
+        R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+            model, topo, sources, destinations
         )
 
-        serial = TrminEngine(model, workers=1, cache=False)
-        parallel = TrminEngine(
-            model, workers=3, cache=False, min_parallel_pairs=1
-        )
-        cached = TrminEngine(model, workers=1)
-        for engine in (serial, parallel, cached, cached):  # last call = warm
+        uncached = TrminEngine(model, cache=False)
+        cached = TrminEngine(model)
+        for engine in (uncached, cached, cached):  # last call = warm
             R, hops, paths = engine.resistance_matrix(
                 topo, sources, destinations, with_paths=True
             )
             assert np.array_equal(R, R_ref)
             assert np.array_equal(hops, hops_ref)
-            assert_same_paths(paths_ref, paths)
-        assert serial.stats.serial_computes == 1
-        assert parallel.stats.parallel_computes == 1
+            if paths_ref is not None:
+                assert_same_paths(paths_ref, paths)
+            else:
+                assert_paths_price_consistent(
+                    topo, model, R, hops, paths, sources, destinations
+                )
+        assert uncached.stats.full_computes == 0
         assert cached.stats.full_computes == 1
         assert cached.stats.cache_hits == 1
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_topologies_all_modes_agree(self, seed):
+        """Both path engines × (uncached, cold cache, warm cache)."""
         topo = seeded_random_topology(seed)
         sources, destinations = endpoints(topo)
         for path_engine in ENGINES:
             model = ResponseTimeModel(engine=path_engine, max_hops=4)
-            R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
-            for engine in (
-                TrminEngine(model, workers=1, cache=False),
-                TrminEngine(
-                    model,
-                    workers=2,
-                    cache=False,
-                    min_parallel_pairs=1,
-                    executor_kind="thread",
-                ),
-                TrminEngine(model, workers=1),
-            ):
+            R_ref, hops_ref, _ = oracles.resistance_matrix(
+                model, topo, sources, destinations
+            )
+            cached = TrminEngine(model)
+            for engine in (TrminEngine(model, cache=False), cached, cached):
                 R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
                 assert np.array_equal(R, R_ref), (seed, path_engine)
                 assert np.array_equal(hops, hops_ref), (seed, path_engine)
+
+    def test_dp_paths_are_price_consistent_on_fat_tree_8(self):
+        topo = build_fat_tree(8)
+        rng = np.random.default_rng(8)
+        topo.set_link_utilizations(rng.uniform(0.0, 0.9, topo.num_edges))
+        nodes = rng.permutation(topo.num_nodes)
+        sources = [int(v) for v in nodes[:6]]
+        destinations = [int(v) for v in nodes[6:30]]
+        for max_hops in (2, 4, None):
+            model = ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops)
+            R, hops, paths = TrminEngine(model).resistance_matrix(
+                topo, sources, destinations, with_paths=True
+            )
+            assert_paths_price_consistent(
+                topo, model, R, hops, paths, sources, destinations
+            )
 
     @pytest.mark.parametrize("path_engine", ENGINES)
     def test_tie_breaks_prefer_fewer_hops(self, path_engine):
@@ -111,7 +147,7 @@ class TestBitIdentity:
         topo.add_edge(n1, n2, Link(capacity_mbps=100.0))
         topo.add_edge(n0, n2, Link(capacity_mbps=50.0))
         model = ResponseTimeModel(engine=path_engine, max_hops=3)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         R, hops, paths = engine.resistance_matrix(topo, [n0], [n2], with_paths=True)
         assert R[0, 0] == pytest.approx(1.0 / 50.0)
         assert hops[0, 0] == 1
@@ -125,7 +161,7 @@ class TestIncrementalCache:
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=path_engine, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         engine.resistance_matrix(topo, sources, destinations)
 
         edge_id = 3
@@ -134,7 +170,9 @@ class TestIncrementalCache:
         topo.set_utilization(edge_id, new_util)
 
         R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         if path_engine is PathEngine.DP:
@@ -154,14 +192,16 @@ class TestIncrementalCache:
         topo = seeded_random_topology(3)
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=path_engine, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         engine.resistance_matrix(topo, sources, destinations)
         rng = np.random.default_rng(11)
         for _ in range(5):
             edge_id = int(rng.integers(0, topo.num_edges))
             topo.set_utilization(edge_id, float(rng.uniform(0.0, 0.9)))
             R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-            R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+            R_ref, hops_ref, _ = oracles.resistance_matrix(
+                model, topo, sources, destinations
+            )
             assert np.array_equal(R, R_ref)
             assert np.array_equal(hops, hops_ref)
         if path_engine is PathEngine.DP:
@@ -178,14 +218,16 @@ class TestIncrementalCache:
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1, dirty_fraction_threshold=1.1)
+        engine = TrminEngine(model, dirty_fraction_threshold=1.1)
         engine.resistance_matrix(topo, sources, destinations)
         utils = np.array(
             [topo.link(e).utilization for e in range(topo.num_edges)]
         )
         topo.set_link_utilizations(utils * 0.5)  # every link decreases
         R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.gate_fallbacks == 1
@@ -198,13 +240,15 @@ class TestIncrementalCache:
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         engine.resistance_matrix(topo, sources, destinations)
         edge_id = 3
         util = topo.link(edge_id).utilization
         topo.set_utilization(edge_id, min(util + 0.4, 0.95))
         R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.gate_fallbacks == 0
@@ -215,12 +259,14 @@ class TestIncrementalCache:
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1, dirty_fraction_threshold=0.1)
+        engine = TrminEngine(model, dirty_fraction_threshold=0.1)
         engine.resistance_matrix(topo, sources, destinations)
         rng = np.random.default_rng(5)
         topo.set_link_utilizations(rng.uniform(0.0, 0.9, topo.num_edges))
         R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.full_computes == 2
@@ -230,12 +276,14 @@ class TestIncrementalCache:
         topo = seeded_random_topology(9)
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         engine.resistance_matrix(topo, sources, destinations)
         topo.add_node()
         topo.add_edge(0, topo.num_nodes - 1, Link(capacity_mbps=500.0))
         R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.full_computes == 2
@@ -255,7 +303,7 @@ class TestIncrementalCache:
         engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=4))
         engine.resistance_matrix(topo, [0, 0, 1], [5, 6])
         assert engine.stats.full_computes == 0
-        assert engine.stats.serial_computes == 1
+        assert len(engine._cache) == 0
 
 
 class TestEngineMechanics:
@@ -264,9 +312,11 @@ class TestEngineMechanics:
         sources, destinations = endpoints(topo)
         data_mb = [float(2 * a + 1) for a in range(len(sources))]
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         T, hops, _ = engine.trmin_matrix(topo, sources, destinations, data_mb)
-        R_ref, hops_ref, _ = model.resistance_matrix(topo, sources, destinations)
+        R_ref, hops_ref, _ = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
         assert np.array_equal(T, np.asarray(data_mb)[:, None] * R_ref)
         assert np.array_equal(hops, hops_ref)
 
@@ -274,7 +324,7 @@ class TestEngineMechanics:
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, workers=1)
+        engine = TrminEngine(model)
         R_ref, _, _ = engine.resistance_matrix(topo, sources, destinations)
         clone = pickle.loads(pickle.dumps(engine))
         assert len(clone._cache) == 0
