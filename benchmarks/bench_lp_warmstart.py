@@ -7,9 +7,9 @@ CI runs ``--smoke``):
   fat-tree; 4-k with ``--smoke``) is solved cold, then one busy node's
   excess load is perturbed *without* changing the busy/candidate sets
   and re-solved through a :class:`PlacementSession`. The session must
-  register a warm hit, the route pricing must come out of the Trmin
-  cache, and the warm LP re-solve must beat the cold solve of the same
-  perturbed instance. Cold, warm and scipy (HiGHS) objectives must
+  register a warm hit and the warm LP re-solve must beat the cold solve
+  of the same perturbed instance (LP seconds only; both sides price
+  their routes afresh). Cold, warm and scipy (HiGHS) objectives must
   agree to 1e-6.
 * **branch & bound** — integral placement-shaped ILPs with
   heterogeneous capacity coefficients (which break total unimodularity
@@ -110,13 +110,7 @@ def bench_session(
     session = PlacementSession(
         engine=PlacementEngine(response_model=model, with_routes=False)
     )
-    # Cold reference shares the session's Trmin engine so both sides
-    # price routes from the same cache and the timing isolates the LP.
-    cold_engine = PlacementEngine(
-        response_model=model,
-        with_routes=False,
-        trmin_engine=session.trmin_engine,
-    )
+    cold_engine = PlacementEngine(response_model=model, with_routes=False)
 
     cold = cold_engine.solve(perturbed)
     if not cold.feasible:
@@ -158,14 +152,9 @@ def bench_session(
         failures.append(
             f"session: {session.warm_hits} warm hits over {repeats} repeats"
         )
-    if session.trmin_engine.stats.cache_hits < 1:
-        failures.append("session: route pricing never hit the Trmin cache")
 
     scipy_engine = PlacementEngine(
-        response_model=model,
-        lp_backend="scipy",
-        with_routes=False,
-        trmin_engine=session.trmin_engine,
+        response_model=model, lp_backend="scipy", with_routes=False
     )
     scipy_report = scipy_engine.solve(perturbed)
     if abs(scipy_report.objective_beta - cold.objective_beta) > _OBJ_TOL:
@@ -183,6 +172,7 @@ def bench_session(
         "cold_lp_s": cold_lp_s,
         "cold_pivots": cold.lp_iterations,
         "warm_lp_s": warm_lp_s,
+        # Whole warm re-solve: the LP plus a real route pricing call.
         "warm_resolve_s": warm_total_s,
         "warm_pivots": warm_report.lp_iterations,
         "warm_speedup": cold_lp_s / warm_lp_s if warm_lp_s else None,

@@ -144,14 +144,14 @@ def count_touches(op: Callable[[], object]) -> Tuple[int, int]:
 
 # -- workloads ----------------------------------------------------------------------
 def trmin_workload(smoke: bool) -> Callable[[], object]:
-    """One pricing op: uncached resistance_matrix sweep."""
+    """One pricing op: a resistance_matrix sweep."""
     k = 4 if smoke else 8
     topo = build_fat_tree(k)
     LinkUtilizationModel(0.2, 0.8, seed=0).apply(topo)
     edge = topo.nodes_of_kind(NodeKind.EDGE_SWITCH)
     sources, destinations = edge[: k], edge[-k:]
     model = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=4)
-    engine = TrminEngine(model, cache=False)
+    engine = TrminEngine(model)
     return lambda: engine.resistance_matrix(topo, sources, destinations)
 
 

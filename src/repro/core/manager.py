@@ -184,8 +184,7 @@ class DUSTManager:
             response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
         )
         # Periodic re-solves run through a session so each optimization
-        # round warm-starts the LP from the previous round's basis (and
-        # keeps hitting the engine's incremental route cache).
+        # round warm-starts the LP from the previous round's basis.
         self.placement_session = PlacementSession(engine=self.placement_engine)
         # Alternative solve mode: decompose each round's Eq. 3 solve
         # across zone managers (repro.lp.distributed). Same optimum as

@@ -252,8 +252,8 @@ class PlacementEngine:
         disable for pure timing studies.
     trmin_engine:
         Route-pricing engine the Trmin matrix is computed through
-        (versioned incremental cache around the one pricing pipeline).
-        ``None`` builds a default :class:`TrminEngine`.
+        (the one pricing pipeline plus its span and metrics). ``None``
+        builds a default :class:`TrminEngine`.
     """
 
     def __init__(
@@ -527,18 +527,16 @@ class PlacementEngine:
 
 
 class PlacementSession:
-    """Stateful solve loop: route cache + LP warm basis, kept together.
+    """Stateful solve loop: the LP warm basis carried across solves.
 
-    PR 1's :class:`~repro.routing.engine.TrminEngine` already makes the
-    *pricing* step incremental across successive solves; this session
-    adds the matching reuse for the *LP* step, holding the last optimal
-    basis and feeding it back whenever the next problem has the same
-    busy/candidate sets (so the basis shape and lane structure match).
-    A perturbation of utilizations or capacities between re-solves —
-    the manager's periodic cycle, a sweep iteration — then pays only
-    for what actually changed: dirty routes are re-priced through the
-    engine's cache, and the LP re-converges from the previous tree in a
-    handful of pivots instead of a cold Vogel start.
+    Route pricing is recomputed from the current link utilizations on
+    every solve (there is no route cache); this session adds reuse for
+    the *LP* step, holding the last optimal basis and feeding it back
+    whenever the next problem has the same busy/candidate sets (so the
+    basis shape and lane structure match). A perturbation of
+    utilizations or capacities between re-solves — the manager's
+    periodic cycle, a sweep iteration — then re-converges from the
+    previous tree in a handful of pivots instead of a cold Vogel start.
 
     Warm starts are **skipped** (the solve is simply cold) when the
     busy/candidate sets differ from the previous solve, when the LP
@@ -612,6 +610,6 @@ class PlacementSession:
         return report
 
     def reset(self) -> None:
-        """Drop the remembered basis (route cache is unaffected)."""
+        """Drop the remembered basis."""
         self._last_key = None
         self._last_basis = None

@@ -488,13 +488,13 @@ class DistributedPlacementEngine:
         self.max_bids = max_bids
         # One session per zone: each zone's local subproblem keeps its
         # own warm basis across optimization rounds (PR 2's cheap
-        # re-solves), while the shared engine keeps one route cache.
+        # re-solves).
         self._sessions: Dict[int, PlacementSession] = {
             z.zone_id: PlacementSession(engine=self.engine) for z in self.zones
         }
 
     def reset(self) -> None:
-        """Drop all per-zone warm bases (route cache unaffected)."""
+        """Drop all per-zone warm bases."""
         for session in self._sessions.values():
             session.reset()
 

@@ -37,8 +37,8 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
         for conv in BandwidthConvention
     }
     # One session per convention for the whole sweep, so consecutive
-    # iterations share the Trmin cache and LP warm-start state instead
-    # of rebuilding a cold PlacementEngine every time.
+    # iterations share LP warm-start state instead of rebuilding a
+    # cold PlacementEngine every time.
     sessions = {
         conv: PlacementSession(
             engine=PlacementEngine(

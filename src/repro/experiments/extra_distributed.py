@@ -37,7 +37,7 @@ GAP_TOLERANCE = 1e-6
 
 def _engine(max_hops: Optional[int]) -> PlacementEngine:
     """A DP-engine PlacementEngine; each solver gets its own instance so
-    neither side warms the other's route cache."""
+    the two sides being compared share nothing."""
     return PlacementEngine(
         response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
         with_routes=False,

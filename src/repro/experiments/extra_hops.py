@@ -45,8 +45,8 @@ def run(
     heuristic_beta, heuristic_hfr = [], []
 
     # One session per hop budget for the whole sweep: consecutive
-    # iterations reuse the Trmin cache and warm-start the LP basis
-    # instead of paying a cold engine per (iteration, budget) pair.
+    # iterations warm-start the LP basis instead of paying a cold
+    # engine per (iteration, budget) pair.
     sessions = {
         b: PlacementSession(
             engine=PlacementEngine(

@@ -47,7 +47,6 @@ Trace a phase (tracing is off by default; enable explicitly, with
 
 from repro.obs.adapters import (
     CLIENT_MIRROR,
-    ENGINE_STATS_MIRROR,
     FAULTY_NETWORK_MIRROR,
     MANAGER_COUNTERS_MIRROR,
     NETWORK_MIRROR,
@@ -111,7 +110,6 @@ __all__ = [
     "register_catalog",
     # adapters
     "mirror_counters",
-    "ENGINE_STATS_MIRROR",
     "MANAGER_COUNTERS_MIRROR",
     "CLIENT_MIRROR",
     "NETWORK_MIRROR",

@@ -1,20 +1,18 @@
 """Bridges between legacy per-object counters and the registry.
 
 The hot layers keep their own cheap counter objects —
-``EngineStats`` dataclass fields in the routing engine,
 ``ManagerCounters`` on the DUST-Manager, plain ``int`` attributes on
 clients and simulated networks. Those stay: a plain attribute add in a
 pivot loop beats a locked registry update. This module folds their
-*cumulative* totals into the registry at sync points (end of a pricing
-call, end of an optimization round, end of a chaos run) without double
-counting, via per-object delta mirroring:
+*cumulative* totals into the registry at sync points (end of an
+optimization round, end of a chaos run) without double counting, via
+per-object delta mirroring:
 
 * :func:`mirror_counters` remembers, per live source object, the last
   total it saw for each attribute and increments the registry counter
   by the growth since then. Mirroring the same object twice is a no-op;
-  a *new* object (fresh ``EngineStats`` after ``reset_stats``, the
-  standby's promoted manager, the next chaos run's network) starts from
-  zero and contributes only its own activity.
+  a *new* object (the standby's promoted manager, the next chaos run's
+  network) starts from zero and contributes only its own activity.
 
 To stay import-cycle-free this module never imports the mirrored
 layers; the attribute lists below are plain data, validated against the
@@ -31,21 +29,11 @@ from repro.obs.registry import get_registry
 
 __all__ = [
     "mirror_counters",
-    "ENGINE_STATS_MIRROR",
     "MANAGER_COUNTERS_MIRROR",
     "CLIENT_MIRROR",
     "NETWORK_MIRROR",
     "FAULTY_NETWORK_MIRROR",
 ]
-
-#: EngineStats field -> catalog name.
-ENGINE_STATS_MIRROR: Dict[str, str] = {
-    "cache_hits": "trmin.cache_hits",
-    "full_computes": "trmin.full_computes",
-    "incremental_updates": "trmin.incremental_updates",
-    "pairs_repriced": "trmin.pairs_repriced",
-    "gate_fallbacks": "trmin.gate_fallbacks",
-}
 
 #: ManagerCounters field -> catalog name. The four transport/network
 #: mirror fields (``retransmissions``, ``sends_gave_up``,
@@ -133,11 +121,11 @@ def mirror_counters(source: object, mapping: Mapping[str, str]) -> None:
     ----------
     source :
         Any object carrying cumulative numeric counter attributes
-        (an ``EngineStats``, ``ManagerCounters``, client, network, …).
+        (a ``ManagerCounters``, client, network, …).
         Tracked weakly, so mirroring never extends object lifetimes.
     mapping :
         Attribute name -> registry counter name, e.g.
-        :data:`ENGINE_STATS_MIRROR`.
+        :data:`MANAGER_COUNTERS_MIRROR`.
 
     Notes
     -----

@@ -55,16 +55,8 @@ __all__ = [
 #: (kind, name, unit, owner, description) for every catalog metric.
 CATALOG: List[Tuple[str, str, str, str, str]] = [
     # -- trmin: route-pricing engine ------------------------------------------------
-    ("counter", "trmin.cache_hits", "count", "repro.routing.engine",
-     "Pricings answered from the versioned TrminCache unchanged"),
     ("counter", "trmin.full_computes", "count", "repro.routing.engine",
-     "Cache misses that re-priced the full matrix"),
-    ("counter", "trmin.incremental_updates", "count", "repro.routing.engine",
-     "Cache entries repaired by incremental re-pricing"),
-    ("counter", "trmin.pairs_repriced", "count", "repro.routing.engine",
-     "Individual (source, destination) pairs re-priced incrementally"),
-    ("counter", "trmin.gate_fallbacks", "count", "repro.routing.engine",
-     "Incremental repairs abandoned by the dp cost gate"),
+     "Pricing calls; there is no route cache, so every call prices the full matrix"),
     ("histogram", "trmin.price_seconds", "seconds", "repro.routing.engine",
      "Wall time of one resistance_matrix call"),
     # -- routing: frontier-expansion enumeration kernel -----------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.routing.engine import EngineStats, TrminCache, TrminEngine
+from repro.routing.engine import EngineStats, TrminEngine
 from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.kshortest import k_shortest_paths, path_cost
 from repro.routing.paths import (
@@ -32,7 +32,6 @@ __all__ = [
     "PathEngine",
     "ResponseTimeModel",
     "RouteChoice",
-    "TrminCache",
     "TrminEngine",
     "TrminEntry",
     "count_paths",

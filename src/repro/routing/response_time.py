@@ -15,8 +15,7 @@ Two engines are provided, selected by :class:`PathEngine`:
 * ``DP`` — layered Bellman–Ford (:mod:`repro.routing.shortest`),
   polynomial and exactly equivalent in optimum value.
 
-All matrix pricing goes through two canonical primitives, shared with
-the cached layer in :mod:`repro.routing.engine`:
+All matrix pricing goes through two canonical primitives:
 
 * :func:`_dp_matrix` — one all-sources matrix DP
   (:func:`repro.routing.matrix.matrix_hop_constrained`), with parent
@@ -28,9 +27,9 @@ the cached layer in :mod:`repro.routing.engine`:
   batched ``np.add.reduceat`` over the raw path stream).
 
 Summation order is strictly sequential everywhere (Python accumulation
-below 8 edges, ``reduceat`` segments above), which is what makes fresh
-and incrementally-cached results bit-identical — and equal to the
-readable per-source DP / exhaustive DFS oracles in ``tests/oracles``.
+below 8 edges, ``reduceat`` segments above), which is what makes the
+results bit-identical to the readable per-source DP / exhaustive DFS
+oracles in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -276,9 +275,6 @@ class ResponseTimeModel:
         the chosen route's hop count (``-1`` unreachable), and
         ``paths`` maps (source, destination) node-id pairs to a
         materialized optimal :class:`Path` when ``with_paths``.
-
-        For the versioned, incrementally repaired cache around this
-        exact computation see :class:`repro.routing.engine.TrminEngine`.
         """
         weights = self.edge_weights(topology)
         if self.engine is PathEngine.DP:
@@ -322,7 +318,7 @@ class ResponseTimeModel:
         """
         data = validate_data_volumes(data_mb, len(sources))
         R, hops, paths = self.resistance_matrix(topology, sources, destinations, with_paths)
-        return data[:, None] * R, hops, paths
+        return scale_by_data_volume(data, R), hops, paths
 
 
 def validate_data_volumes(data_mb: Sequence[float], num_sources: int) -> np.ndarray:
@@ -336,3 +332,12 @@ def validate_data_volumes(data_mb: Sequence[float], num_sources: int) -> np.ndar
     if (data < 0).any():
         raise RoutingError("data volumes must be non-negative")
     return data
+
+
+def scale_by_data_volume(data: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Eq. 2's row scaling ``T[a, b] = D_a * R[a, b]``. An unreachable
+    pair stays ``inf`` — the forbidden-lane marker downstream — even
+    for ``D_a == 0``, where the plain product would be ``NaN``."""
+    T = np.full(R.shape, np.inf)
+    np.multiply(data[:, None], R, out=T, where=np.isfinite(R))
+    return T

@@ -10,7 +10,8 @@ Besides node churn, the injector can take links up and down. A downed
 link is modelled as fully saturated (utilization 1.0, so its effective
 bandwidth collapses to the Trmin floor and routes steer around it) via
 the :class:`~repro.topology.graph.Topology` mutation API — the version
-counter bumps, so version-keyed route caches reprice honestly.
+counter bumps, so the version-keyed edge-cost caches refresh and the
+next pricing sees the change.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class FailureInjector:
             self._saved_utilization[event.edge_id] = link.utilization
             # Saturating the link floors its effective bandwidth, so
             # Trmin routing steers around it; set_utilization bumps the
-            # topology version and marks the edge dirty.
+            # topology version.
             self.topology.set_utilization(event.edge_id, 1.0)
         else:
             if event.edge_id not in self._saved_utilization:

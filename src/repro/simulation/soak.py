@@ -27,10 +27,9 @@ than drop, which drives the ladder to FREEZE).
 
 Re-placement itself stays **incremental**: rounds run through the
 manager's warm-started :class:`~repro.core.placement.PlacementSession`
-(LP basis reuse + the Trmin engine's versioned route cache keyed off
-the topology's dirty-edge journal), never a from-scratch solve. A
-periodic **drift watchdog** keeps that honest: it solves a from-scratch
-oracle placement from client ground truth, compares per-source relief
+(LP basis reuse), never a from-scratch solve. A periodic **drift
+watchdog** keeps that honest: it solves a from-scratch oracle placement
+from client ground truth, compares per-source relief
 (:func:`~repro.core.metrics.relief_divergence`), and past
 ``drift_bound`` forces reconvergence via
 :meth:`~repro.core.manager.DUSTManager.reset_placement`.
@@ -366,8 +365,8 @@ class _SoakDriver:
         self.admissions = 0
         self.evictions = 0
         self._rng = np.random.default_rng(config.seed)
-        # From-scratch oracle: its own engine so nothing warm-starts and
-        # its route cache never mixes with the incremental session's.
+        # From-scratch oracle: a bare engine, no session, so nothing
+        # warm-starts.
         self._oracle_engine = PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP)
         )

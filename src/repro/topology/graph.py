@@ -26,10 +26,6 @@ from repro.topology.links import (
     Link,
 )
 
-#: Mutation-journal length cap; once exceeded the oldest entries are
-#: dropped and caches older than the journal horizon must recompute.
-_JOURNAL_CAP = 4096
-
 
 @dataclass(frozen=True)
 class CSRAdjacency:
@@ -223,9 +219,6 @@ class Topology:
         self._lazy_adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._version = 0
-        # Journal of (version-after-bump, dirty edge ids or None for a
-        # structural change); consumed by dirty_edges_since().
-        self._journal: List[Tuple[int, Optional[Tuple[int, ...]]]] = []
         # CSR export caches: structure arrays keyed on (nodes, edges) —
         # the graph is append-only, so those two counts pin the wiring —
         # and one costed view per bandwidth convention keyed on version.
@@ -278,68 +271,40 @@ class Topology:
     def version(self) -> int:
         """Monotonically increasing mutation counter. Every structural
         change (node/edge added) and every link-state change made
-        through the topology mutation API bumps it; route-pricing
-        caches key their entries on this value."""
+        through the topology mutation API bumps it; the CSR and
+        link-state caches key their entries on this value."""
         return self._version
 
-    def _bump(self, dirty_edges: Optional[Iterable[int]]) -> None:
+    def _bump(self) -> None:
         self._version += 1
-        entry = None if dirty_edges is None else tuple(dirty_edges)
-        self._journal.append((self._version, entry))
-        if len(self._journal) > _JOURNAL_CAP:
-            del self._journal[: len(self._journal) - _JOURNAL_CAP]
-
-    def dirty_edges_since(self, version: int) -> Optional[frozenset]:
-        """Edge ids whose link state may have changed after ``version``.
-
-        Returns an empty set when nothing changed, ``None`` when the
-        answer is unknown (a structural change happened, the version is
-        from the future, or the journal no longer reaches back that
-        far) — callers must then treat *everything* as dirty.
-        """
-        if version == self._version:
-            return frozenset()
-        if version > self._version:
-            return None
-        start = self._journal[0][0] if self._journal else self._version + 1
-        if start > version + 1:
-            return None  # journal truncated below the requested version
-        dirty: set = set()
-        for entry_version, edges in self._journal:
-            if entry_version <= version:
-                continue
-            if edges is None:
-                return None
-            dirty.update(edges)
-        return frozenset(dirty)
 
     # -- link-state mutation API --------------------------------------------------
     # Writing through these (rather than mutating Link objects in
-    # place) is what keeps ``version``/``dirty_edges_since`` truthful —
-    # the contract the incremental Trmin cache depends on.
+    # place) is what keeps ``version`` truthful — the contract the
+    # version-keyed CSR / link-state caches depend on.
     def set_utilization(self, edge_id: int, utilization: float) -> None:
-        """Set one link's utilization and mark the edge dirty."""
+        """Set one link's utilization and bump the version."""
         link = self.link(edge_id)
         if not 0.0 <= utilization <= 1.0:
             raise TopologyError(
                 f"link utilization must be in [0, 1], got {utilization}"
             )
         link.utilization = float(utilization)
-        self._bump((edge_id,))
+        self._bump()
 
     def set_capacity(self, edge_id: int, capacity_mbps: float) -> None:
-        """Set one link's capacity and mark the edge dirty."""
+        """Set one link's capacity and bump the version."""
         link = self.link(edge_id)
         if capacity_mbps <= 0:
             raise TopologyError(
                 f"link capacity must be positive, got {capacity_mbps}"
             )
         link.capacity_mbps = float(capacity_mbps)
-        self._bump((edge_id,))
+        self._bump()
 
     def set_link_utilizations(self, utilizations: Sequence[float]) -> None:
         """Bulk utilization update (one value per edge, by edge id);
-        bumps the version once with every edge marked dirty."""
+        bumps the version once."""
         values = np.asarray(utilizations, dtype=float)
         if values.shape != (self.num_edges,):
             raise TopologyError(
@@ -355,7 +320,7 @@ class Topology:
         else:
             for link, value in zip(self._links_store, values.tolist()):
                 link.utilization = value
-        self._bump(range(self.num_edges))
+        self._bump()
         # The new state is already in hand — when the cached capacity
         # vector was current, refresh the cache in place instead of
         # re-walking every Link on the next read.
@@ -365,14 +330,11 @@ class Topology:
     def touch_links(self, edge_ids: Optional[Iterable[int]] = None) -> None:
         """Declare that the given links (all, when ``None``) were
         mutated out of band — e.g. by writing ``Link`` fields directly —
-        so version-keyed caches reprice them."""
-        if edge_ids is None:
-            self._bump(range(self.num_edges))
-            return
-        ids = tuple(edge_ids)
-        for edge_id in ids:
-            self.link(edge_id)  # validates existence
-        self._bump(ids)
+        so the version-keyed caches drop their view of them."""
+        if edge_ids is not None:
+            for edge_id in edge_ids:
+                self.link(edge_id)  # validates existence
+        self._bump()
 
     # -- construction -----------------------------------------------------------
     def add_node(
@@ -388,7 +350,7 @@ class Topology:
             Node(node_id=node_id, name=name or f"n{node_id}", kind=kind, pod=pod, attrs=attrs)
         )
         self._adjacency.append([])
-        self._bump(None)
+        self._bump()
         return node_id
 
     def add_edge(self, u: int, v: int, link: Optional[Link] = None) -> int:
@@ -406,7 +368,7 @@ class Topology:
         self._edge_index[key] = edge_id
         self._adjacency[u].append((v, edge_id))
         self._adjacency[v].append((u, edge_id))
-        self._bump(None)
+        self._bump()
         return edge_id
 
     def _check_node(self, node_id: int) -> None:
@@ -604,11 +566,10 @@ class Topology:
         """Cached CSR adjacency export (see :class:`CSRAdjacency`).
 
         Keyed on the topology :attr:`version`, so any mutation made
-        through the versioned API (including PR 1's dirty-edge journal
-        writers) invalidates the costed view for free; the structure
-        arrays survive pure link-state changes. Cache traffic is
-        reported on the ``topology.csr_cache_hits`` / ``_misses``
-        counters.
+        through the versioned API invalidates the costed view for
+        free; the structure arrays survive pure link-state changes.
+        Cache traffic is reported on the ``topology.csr_cache_hits`` /
+        ``_misses`` counters.
         """
         from repro.obs import get_registry
 
@@ -660,7 +621,7 @@ class Topology:
     def from_arrays(cls, arrays: TopologyArrays) -> "Topology":
         """Materialize a fresh topology from :class:`TopologyArrays`.
 
-        Bulk construction: one journal entry instead of one per
+        Bulk construction: one version bump instead of one per
         ``add_node``/``add_edge`` call, no per-edge duplicate checks
         (the arrays came from a validated topology). Each call returns
         an independent, freely mutable graph.
@@ -717,7 +678,7 @@ class Topology:
                 adjacency[us[eid]].append((vs[eid], eid))
                 adjacency[vs[eid]].append((us[eid], eid))
             topo._adjacency = adjacency
-        topo._bump(None)
+        topo._bump()
         topo._link_state_cache = (
             topo._version,
             arrays.capacity_mbps.astype(float, copy=True),

@@ -132,7 +132,7 @@ class LinkUtilizationModel:
         """Assign fresh utilizations to every link of ``topology``."""
         values = self.sample(topology.num_edges)
         if hasattr(topology, "set_link_utilizations"):
-            # Bump the topology version so Trmin caches see the change.
+            # Bump the topology version so the edge-cost caches see the change.
             topology.set_link_utilizations(values)
         else:  # bare link containers (tests, duck-typed graphs)
             for link, value in zip(topology.links, values):

@@ -6,7 +6,6 @@ import os
 
 from repro.obs import (
     CLIENT_MIRROR,
-    ENGINE_STATS_MIRROR,
     FAULTY_NETWORK_MIRROR,
     MANAGER_COUNTERS_MIRROR,
     NETWORK_MIRROR,
@@ -23,10 +22,22 @@ class TestMirrorMapsMatchReality:
     layers), so these tests pin them to the real field lists."""
 
     def test_engine_stats_fields(self):
-        from repro.routing.engine import EngineStats
+        # EngineStats is not mirrored: its one live field counts
+        # straight into the registry, once per pricing call.
+        from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
+        from repro.topology import build_fat_tree
 
-        fields = {f.name for f in dataclasses.fields(EngineStats)}
-        assert set(ENGINE_STATS_MIRROR) <= fields
+        reg = get_registry()
+        before = reg.value("trmin.full_computes")
+        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=2))
+        engine.resistance_matrix(build_fat_tree(4), [4, 5], [6, 7])
+        assert dataclasses.asdict(engine.stats) == {
+            "full_computes": 1,
+            "cache_hits": 0,
+            "incremental_updates": 0,
+            "gate_fallbacks": 0,
+        }
+        assert reg.value("trmin.full_computes") - before == 1
 
     def test_manager_counters_fields(self):
         from repro.core.manager import ManagerCounters
@@ -60,7 +71,6 @@ class TestMirrorMapsMatchReality:
     def test_every_mirror_target_is_a_catalog_metric(self):
         reg = get_registry()
         for mapping in (
-            ENGINE_STATS_MIRROR,
             MANAGER_COUNTERS_MIRROR,
             CLIENT_MIRROR,
             NETWORK_MIRROR,

@@ -148,7 +148,7 @@ class TestSnapshotDeltaMerge:
 
 def test_global_registry_carries_the_catalog():
     reg = get_registry()
-    for name in ("trmin.cache_hits", "placement.solves",
+    for name in ("trmin.full_computes", "placement.solves",
                  "transport.retransmissions", "network.messages_dropped",
                  "failover.takeovers", "chaos.runs"):
         assert name in reg, name

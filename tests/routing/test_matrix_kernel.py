@@ -167,7 +167,7 @@ class TestEngineMatrixMode:
         R_rows, hops_rows, _ = oracles.resistance_matrix(
             model, topo, sources, destinations
         )
-        engine = TrminEngine(model, cache=False)
+        engine = TrminEngine(model)
         R_plain, hops_plain, no_paths = engine.resistance_matrix(
             topo, sources, destinations, with_paths=False
         )

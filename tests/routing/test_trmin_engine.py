@@ -1,13 +1,14 @@
-"""Property-style suite for the cached + incremental Trmin engine.
+"""Property-style suite for the Trmin pricing engine.
 
-The engine's contract is *bit-identity*: uncached, cache-warm and
-incrementally re-priced matrices must be exactly equal (``==``, not
-``allclose``) to the slow oracles in :mod:`tests.oracles` (per-source
-DP, exhaustive DFS fold), for both path engines, including the hop
-tie-breaks.
+The engine's contract is *bit-identity*: every matrix it prices —
+first call, repeated call, after any mutation made through the
+``Topology`` API — must be exactly equal (``==``, not ``allclose``) to
+the slow oracles in :mod:`tests.oracles` (per-source DP, exhaustive DFS
+fold), for both path engines, including the hop tie-breaks.
 """
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -78,37 +79,33 @@ def assert_paths_price_consistent(topo, model, R, hops, paths, sources, destinat
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("path_engine", ENGINES)
-    def test_uncached_and_cached_match_oracle_exactly(self, path_engine):
+    def test_engine_matches_oracle_exactly(self):
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
-        model = ResponseTimeModel(engine=path_engine, max_hops=4)
-        R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
-            model, topo, sources, destinations
-        )
-
-        uncached = TrminEngine(model, cache=False)
-        cached = TrminEngine(model)
-        for engine in (uncached, cached, cached):  # last call = warm
-            R, hops, paths = engine.resistance_matrix(
-                topo, sources, destinations, with_paths=True
+        for path_engine in ENGINES:
+            model = ResponseTimeModel(engine=path_engine, max_hops=4)
+            R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+                model, topo, sources, destinations
             )
-            assert np.array_equal(R, R_ref)
-            assert np.array_equal(hops, hops_ref)
-            if paths_ref is not None:
-                assert_same_paths(paths_ref, paths)
-            else:
-                assert_paths_price_consistent(
-                    topo, model, R, hops, paths, sources, destinations
+            engine = TrminEngine(model)
+            for calls in (1, 2):  # the repeat prices again, same bits
+                R, hops, paths = engine.resistance_matrix(
+                    topo, sources, destinations, with_paths=True
                 )
-        assert uncached.stats.full_computes == 0
-        assert cached.stats.full_computes == 1
-        assert cached.stats.cache_hits == 1
+                assert np.array_equal(R, R_ref)
+                assert np.array_equal(hops, hops_ref)
+                if paths_ref is not None:
+                    assert_same_paths(paths_ref, paths)
+                else:
+                    assert_paths_price_consistent(
+                        topo, model, R, hops, paths, sources, destinations
+                    )
+                assert engine.stats.full_computes == calls
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_topologies_all_modes_agree(self, seed):
-        """Both path engines × (uncached, cold cache, warm cache)."""
+        """Both path engines × (first call, repeated call)."""
         topo = seeded_random_topology(seed)
         sources, destinations = endpoints(topo)
         for path_engine in ENGINES:
@@ -116,8 +113,8 @@ class TestBitIdentity:
             R_ref, hops_ref, _ = oracles.resistance_matrix(
                 model, topo, sources, destinations
             )
-            cached = TrminEngine(model)
-            for engine in (TrminEngine(model, cache=False), cached, cached):
+            engine = TrminEngine(model)
+            for _ in range(2):
                 R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
                 assert np.array_equal(R, R_ref), (seed, path_engine)
                 assert np.array_equal(hops, hops_ref), (seed, path_engine)
@@ -155,6 +152,13 @@ class TestBitIdentity:
 
 
 class TestIncrementalCache:
+    """Never a stale price after a mutation: whatever changes through
+    the ``Topology`` API between two calls, the second call prices the
+    new state exactly (this guards the cached CSR wiring and the
+    version-keyed link-state views under the kernels). The class name
+    predates the removal of the route cache; it is kept so these test
+    ids stay stable."""
+
     @pytest.mark.parametrize("path_engine", ENGINES)
     @pytest.mark.parametrize("direction", ["increase", "decrease"])
     def test_single_link_delta_reprices_exactly(self, path_engine, direction):
@@ -175,17 +179,6 @@ class TestIncrementalCache:
         )
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
-        if path_engine is PathEngine.DP:
-            # The dp cost gate may decide a full recompute is cheaper
-            # than row-by-row repair on this small fixture; both paths
-            # must stay exact, and exactly one of them must have run.
-            assert (
-                engine.stats.incremental_updates + engine.stats.gate_fallbacks == 1
-            )
-            assert engine.stats.full_computes == 1 + engine.stats.gate_fallbacks
-        else:
-            assert engine.stats.full_computes == 1
-            assert engine.stats.incremental_updates == 1
 
     @pytest.mark.parametrize("path_engine", ENGINES)
     def test_repeated_mixed_deltas_stay_exact(self, path_engine):
@@ -204,62 +197,12 @@ class TestIncrementalCache:
             )
             assert np.array_equal(R, R_ref)
             assert np.array_equal(hops, hops_ref)
-        if path_engine is PathEngine.DP:
-            assert engine.stats.full_computes == 1 + engine.stats.gate_fallbacks
-            assert engine.stats.incremental_updates + engine.stats.gate_fallbacks >= 1
-        else:
-            assert engine.stats.full_computes == 1
-            assert engine.stats.incremental_updates >= 1
-
-    def test_dp_gate_falls_back_when_repair_is_a_loss(self):
-        # Decreasing many links at once makes the dp screening pass more
-        # expensive than the flat recompute, so the cost gate must fire
-        # (without invalidating the >=10%-dirty bulk threshold).
-        topo = fat_tree_fixture()
-        sources, destinations = endpoints(topo)
-        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, dirty_fraction_threshold=1.1)
-        engine.resistance_matrix(topo, sources, destinations)
-        utils = np.array(
-            [topo.link(e).utilization for e in range(topo.num_edges)]
-        )
-        topo.set_link_utilizations(utils * 0.5)  # every link decreases
-        R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = oracles.resistance_matrix(
-            model, topo, sources, destinations
-        )
-        assert np.array_equal(R, R_ref)
-        assert np.array_equal(hops, hops_ref)
-        assert engine.stats.gate_fallbacks == 1
-        assert engine.stats.incremental_updates == 0
-        assert engine.stats.full_computes == 2
-
-    def test_dp_gate_keeps_single_increase_incremental(self):
-        # A pure increase needs no screening pass, so the gate must not
-        # fire and the delta must be repaired in place.
-        topo = fat_tree_fixture()
-        sources, destinations = endpoints(topo)
-        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model)
-        engine.resistance_matrix(topo, sources, destinations)
-        edge_id = 3
-        util = topo.link(edge_id).utilization
-        topo.set_utilization(edge_id, min(util + 0.4, 0.95))
-        R, hops, _ = engine.resistance_matrix(topo, sources, destinations)
-        R_ref, hops_ref, _ = oracles.resistance_matrix(
-            model, topo, sources, destinations
-        )
-        assert np.array_equal(R, R_ref)
-        assert np.array_equal(hops, hops_ref)
-        assert engine.stats.gate_fallbacks == 0
-        assert engine.stats.incremental_updates == 1
-        assert engine.stats.full_computes == 1
 
     def test_bulk_resample_past_threshold_forces_full_recompute(self):
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model, dirty_fraction_threshold=0.1)
+        engine = TrminEngine(model)
         engine.resistance_matrix(topo, sources, destinations)
         rng = np.random.default_rng(5)
         topo.set_link_utilizations(rng.uniform(0.0, 0.9, topo.num_edges))
@@ -270,7 +213,6 @@ class TestIncrementalCache:
         assert np.array_equal(R, R_ref)
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.full_computes == 2
-        assert engine.stats.incremental_updates == 0
 
     def test_structural_change_forces_full_recompute(self):
         topo = seeded_random_topology(9)
@@ -288,22 +230,19 @@ class TestIncrementalCache:
         assert np.array_equal(hops, hops_ref)
         assert engine.stats.full_computes == 2
 
-    def test_unchanged_topology_hits_cache(self):
+    def test_duplicate_endpoints_match_the_oracle(self):
         topo = fat_tree_fixture()
-        sources, destinations = endpoints(topo)
-        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=4))
-        engine.resistance_matrix(topo, sources, destinations)
-        engine.resistance_matrix(topo, sources, destinations)
-        engine.resistance_matrix(topo, sources, destinations)
-        assert engine.stats.full_computes == 1
-        assert engine.stats.cache_hits == 2
-
-    def test_duplicate_endpoints_bypass_cache(self):
-        topo = fat_tree_fixture()
-        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=4))
-        engine.resistance_matrix(topo, [0, 0, 1], [5, 6])
-        assert engine.stats.full_computes == 0
-        assert len(engine._cache) == 0
+        sources, destinations = [0, 0, 1], [5, 6, 5]
+        for path_engine in ENGINES:
+            model = ResponseTimeModel(engine=path_engine, max_hops=4)
+            R, hops, _ = TrminEngine(model).resistance_matrix(
+                topo, sources, destinations
+            )
+            R_ref, hops_ref, _ = oracles.resistance_matrix(
+                model, topo, sources, destinations
+            )
+            assert np.array_equal(R, R_ref)
+            assert np.array_equal(hops, hops_ref)
 
 
 class TestEngineMechanics:
@@ -320,22 +259,26 @@ class TestEngineMechanics:
         assert np.array_equal(T, np.asarray(data_mb)[:, None] * R_ref)
         assert np.array_equal(hops, hops_ref)
 
-    def test_pickled_engine_drops_cache_and_still_works(self):
+    @pytest.mark.parametrize("path_engine", ENGINES)
+    def test_zero_volume_keeps_unreachable_pairs_forbidden(self, path_engine):
+        # 0 * inf is NaN; downstream, inf (not NaN) marks a forbidden lane.
+        topo = build_fat_tree(4)
+        neighbour = topo.neighbors(4)[0]
+        model = ResponseTimeModel(engine=path_engine, max_hops=1)
+        for pricer in (TrminEngine(model), model):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                T, hops, _ = pricer.trmin_matrix(topo, [4], [neighbour, 19], [0.0])
+            assert T.tolist() == [[0.0, np.inf]]
+            assert hops.tolist() == [[1, -1]]
+
+    def test_pickled_engine_still_prices(self):
+        # Zone fan-out ships engines to pool workers.
         topo = fat_tree_fixture()
         sources, destinations = endpoints(topo)
         model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
         engine = TrminEngine(model)
         R_ref, _, _ = engine.resistance_matrix(topo, sources, destinations)
         clone = pickle.loads(pickle.dumps(engine))
-        assert len(clone._cache) == 0
         R, _, _ = clone.resistance_matrix(topo, sources, destinations)
         assert np.array_equal(R, R_ref)
-
-    def test_invalidate_clears_cached_entries(self):
-        topo = fat_tree_fixture()
-        sources, destinations = endpoints(topo)
-        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=4))
-        engine.resistance_matrix(topo, sources, destinations)
-        engine.invalidate()
-        engine.resistance_matrix(topo, sources, destinations)
-        assert engine.stats.full_computes == 2

@@ -1,4 +1,4 @@
-"""Topology version counter + dirty-edge journal (the cache contract)."""
+"""Topology version counter (what the CSR / link-state caches key on)."""
 
 import pytest
 
@@ -55,67 +55,15 @@ class TestVersionCounter:
             topo.set_link_utilizations([0.1])  # wrong arity
         assert topo.version == v
 
-
-class TestDirtyEdges:
-    def test_current_version_is_clean(self):
-        topo = line3()
-        assert topo.dirty_edges_since(topo.version) == frozenset()
-
-    def test_future_version_is_unknown(self):
-        topo = line3()
-        assert topo.dirty_edges_since(topo.version + 1) is None
-
-    def test_single_edge_write_marks_that_edge(self):
-        topo = line3()
-        v = topo.version
-        topo.set_utilization(1, 0.3)
-        assert topo.dirty_edges_since(v) == frozenset({1})
-
-    def test_writes_accumulate_across_versions(self):
-        topo = line3()
-        v = topo.version
-        topo.set_utilization(0, 0.3)
-        topo.set_capacity(1, 400.0)
-        assert topo.dirty_edges_since(v) == frozenset({0, 1})
-        # An intermediate version only sees what came after it.
-        assert topo.dirty_edges_since(v + 1) == frozenset({1})
-
-    def test_bulk_update_marks_everything(self):
-        topo = line3()
-        v = topo.version
-        topo.set_link_utilizations([0.1, 0.2])
-        assert topo.dirty_edges_since(v) == frozenset({0, 1})
-
-    def test_structural_change_is_unknown(self):
-        topo = line3()
-        v = topo.version
-        topo.add_node()
-        assert topo.dirty_edges_since(v) is None
-        # ... even when a clean link write follows it.
-        topo.set_utilization(0, 0.1)
-        assert topo.dirty_edges_since(v) is None
-
     def test_touch_links_declares_out_of_band_mutation(self):
         topo = line3()
         v = topo.version
         topo.links[0].utilization = 0.7  # direct write: invisible...
-        assert topo.dirty_edges_since(v) == frozenset()
+        assert topo.version == v
         topo.touch_links([0])  # ...until declared
-        assert topo.dirty_edges_since(v) == frozenset({0})
+        assert topo.version == v + 1
         topo.touch_links()
-        assert topo.dirty_edges_since(v) == frozenset({0, 1})
+        assert topo.version == v + 2
         with pytest.raises(TopologyError):
             topo.touch_links([99])
-
-    def test_journal_truncation_is_unknown(self, monkeypatch):
-        import repro.topology.graph as graph_mod
-
-        monkeypatch.setattr(graph_mod, "_JOURNAL_CAP", 4)
-        topo = line3()
-        v = topo.version
-        for _ in range(6):
-            topo.set_utilization(0, 0.5)
-        # The journal no longer reaches back to v: everything may be dirty.
-        assert topo.dirty_edges_since(v) is None
-        # Recent versions are still answerable.
-        assert topo.dirty_edges_since(topo.version - 2) == frozenset({0})
+        assert topo.version == v + 2
