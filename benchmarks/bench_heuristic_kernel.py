@@ -4,7 +4,8 @@ Measures, on a fig12-style fat-tree instance (k=16; k=4 with
 ``--smoke``), best-of-N wall time for:
 
 * ``solve_heuristic`` — the CSR gather + ``np.lexsort`` kernel;
-* ``solve_heuristic_reference`` — the original per-busy-node loop.
+* ``tests.oracles.solve_heuristic_reference`` — the per-busy-node
+  loop the test suite uses as its oracle.
 
 Every timed kernel run is compared field-for-field (assignments,
 offloaded/failed maps, HFR) against the reference on the same problem;
@@ -32,12 +33,16 @@ from typing import List
 
 import numpy as np
 
-from repro.core.heuristic import solve_heuristic, solve_heuristic_reference
+from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import IterationSampler
 from repro.topology.fattree import build_fat_tree
+
+# The comparator lives with the test oracles, outside the package.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+from tests.oracles import solve_heuristic_reference  # noqa: E402
 
 
 def build_problem(k: int, seed: int) -> PlacementProblem:

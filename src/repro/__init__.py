@@ -27,7 +27,6 @@ from repro.core import (
     PlacementReport,
     ThresholdPolicy,
     solve_heuristic,
-    solve_heuristic_reference,
 )
 from repro.errors import ReproError
 from repro.routing import PathEngine, ResponseTimeModel
@@ -65,5 +64,4 @@ __all__ = [
     "__version__",
     "build_fat_tree",
     "solve_heuristic",
-    "solve_heuristic_reference",
 ]

@@ -871,9 +871,7 @@ class DUSTManager:
                 # Partial relief beats none: Algorithm 1 places whatever
                 # fits one hop away even when Eq. 3 has no full solution.
                 self.counters.heuristic_fallbacks += 1
-                assignments = solve_heuristic(
-                    problem, trmin_engine=self.placement_engine.trmin_engine
-                ).assignments
+                assignments = solve_heuristic(problem).assignments
             else:
                 return report
         for assignment in assignments:

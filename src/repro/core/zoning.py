@@ -36,16 +36,9 @@ from repro.core.placement import (
 )
 from repro.errors import PlacementError, TopologyError
 from repro.lp.distributed import DistributedSolveResult, ZoneWorker, run_protocol
-from repro.parallel import map_with_pool_retry, resolve_workers
 from repro.topology.graph import NodeKind, Topology
 
 _TOL = 1e-9
-
-
-def _solve_zone(payload: Tuple[PlacementEngine, PlacementProblem]) -> PlacementReport:
-    """Pool task: one zone's Eq. 3 solve (module-level so it pickles)."""
-    engine, problem = payload
-    return engine.solve(problem)
 
 
 @dataclass(frozen=True)
@@ -295,12 +288,10 @@ class ZonedPlacementEngine:
         self,
         engine: Optional[PlacementEngine] = None,
         max_hops: Optional[int] = 7,
-        workers: Optional[int] = None,
         heuristic_relief: bool = False,
     ) -> None:
         self.engine = engine or PlacementEngine(with_routes=False)
         self.max_hops = max_hops
-        self.workers = workers
         #: When True, an infeasible zone gets a second chance through
         #: the vectorized Algorithm-1 kernel: partial one-hop relief
         #: beats leaving the whole zone's excess stranded (the same
@@ -341,7 +332,7 @@ class ZonedPlacementEngine:
                     max_hops=self.max_hops,
                 )
             )
-        reports = self._solve_all(problems)
+        reports = [self.engine.solve(p) for p in problems]
 
         zone_reports: List[Tuple[Zone, PlacementReport]] = []
         unplaced: Dict[int, float] = {}
@@ -364,22 +355,6 @@ class ZonedPlacementEngine:
             total_seconds=time.perf_counter() - start,
             heuristic_relief_per_zone=relief_reports,
         )
-
-    def _solve_all(self, problems: List[PlacementProblem]) -> List[PlacementReport]:
-        """Solve zones serially or on the worker pool; order preserved.
-
-        Zones are independent subproblems, so each zone's report is the
-        same object-for-object result either way; any pool failure
-        (restricted sandbox, unpicklable backend) degrades to serial.
-        """
-        workers = resolve_workers(self.workers, task_count=len(problems))
-        if workers <= 1 or len(problems) < 2:
-            return [self.engine.solve(p) for p in problems]
-        payloads = [(self.engine, p) for p in problems]
-        reports = map_with_pool_retry(_solve_zone, payloads, workers)
-        if reports is None:
-            return [self.engine.solve(p) for p in problems]
-        return reports
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,6 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
         )
         for conv in BandwidthConvention
     }
-    heuristic_trmins = {
-        conv: sessions[conv].trmin_engine for conv in BandwidthConvention
-    }
     agreement = 0
     considered = 0
     for _, capacities in sampler.states(iterations):
@@ -77,13 +74,7 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
                 bucket["feasible"] += 1
                 bucket["hops"].append(mean_hops(report))
                 destinations[conv] = frozenset(report.destinations())
-            bucket["hfr"].append(
-                solve_heuristic(
-                    problem,
-                    convention=conv,
-                    trmin_engine=heuristic_trmins[conv],
-                ).hfr_pct
-            )
+            bucket["hfr"].append(solve_heuristic(problem, convention=conv).hfr_pct)
         if len(destinations) == 2 and len(set(destinations.values())) == 1:
             agreement += 1
 

@@ -21,7 +21,6 @@ from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSes
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
-from repro.routing import TrminEngine
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 
@@ -55,7 +54,6 @@ def run(
         )
         for b in budgets
     }
-    heuristic_trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
 
     for _, capacities in sampler.states(iterations):
         roles = classify_network(capacities, policy)
@@ -75,9 +73,7 @@ def run(
             if report.feasible and report.assignments:
                 per_budget_hops[budget].append(mean_hops(report))
                 per_budget_beta[budget].append(report.objective_beta)
-        heuristic = solve_heuristic(
-            PlacementProblem(**base), trmin_engine=heuristic_trmin
-        )
+        heuristic = solve_heuristic(PlacementProblem(**base))
         if heuristic.assignments:
             beta = sum(a.amount_pct * a.response_time_s for a in heuristic.assignments)
             heuristic_beta.append(beta)

@@ -29,7 +29,6 @@ from repro.experiments.common import (
     resolve_topology_arrays,
     run_sharded_sweep,
 )
-from repro.routing import TrminEngine
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree, fat_tree_arrays
 from repro.topology.graph import ShmTopologyHandle, Topology, TopologyArrays
@@ -80,7 +79,6 @@ def scalability_point(
             with_routes=False,
         )
     )
-    heuristic_trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
     hfrs, ilp_times, heuristic_times = [], [], []
     for _, capacities in sampler.states(iterations):
         roles = classify_network(capacities, policy)
@@ -96,7 +94,7 @@ def scalability_point(
             data_mb=np.full(len(busy), 10.0),
             max_hops=ilp_max_hops,
         )
-        heuristic = solve_heuristic(problem, trmin_engine=heuristic_trmin)
+        heuristic = solve_heuristic(problem)
         hfrs.append(heuristic.hfr_pct)
         heuristic_times.append(heuristic.total_seconds)
         if run_ilp:

@@ -27,7 +27,6 @@ from repro.experiments.common import (
     resolve_topology_arrays,
     run_sharded_sweep,
 )
-from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
 from repro.topology.fattree import build_fat_tree, fat_tree_arrays
 from repro.topology.graph import ShmTopologyHandle, Topology, TopologyArrays
 
@@ -54,10 +53,6 @@ def heuristic_time_at_scale(
     arrays = resolve_topology_arrays(arrays)
     topology = Topology.from_arrays(arrays) if arrays is not None else build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
-    # Shared across iterations at this scale so lane pricing reuses the
-    # version-cached Trmin matrices instead of re-deriving them per
-    # state; the dp model prices all busy sources in one DP plane.
-    trmin = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
     times, hfrs, busy_count = [], [], 0
     for _, capacities in sampler.states(iterations):
         roles = classify_network(capacities, policy)
@@ -73,7 +68,7 @@ def heuristic_time_at_scale(
             cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
             data_mb=np.full(len(busy), 10.0),
         )
-        report = solve_heuristic(problem, trmin_engine=trmin)
+        report = solve_heuristic(problem)
         times.append(report.total_seconds)
         hfrs.append(report.hfr_pct)
     return (

@@ -62,7 +62,7 @@ def run(
             data_mb=np.full(len(busy), 10.0),
             max_hops=max_hops,
         )
-        heuristic = solve_heuristic(problem, trmin_engine=ilp_session.trmin_engine)
+        heuristic = solve_heuristic(problem)
         ilp = ilp_session.solve(problem)
         categories.append(categorize_iteration(heuristic, ilp))
         hfrs.append(heuristic.hfr_pct)

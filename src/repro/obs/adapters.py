@@ -8,11 +8,13 @@ pivot loop beats a locked registry update. This module folds their
 optimization round, end of a chaos run) without double counting, via
 per-object delta mirroring:
 
-* :func:`mirror_counters` remembers, per live source object, the last
+* :func:`mirror_counters` keeps, on each source object itself, the last
   total it saw for each attribute and increments the registry counter
   by the growth since then. Mirroring the same object twice is a no-op;
   a *new* object (the standby's promoted manager, the next chaos run's
-  network) starts from zero and contributes only its own activity.
+  network) starts from zero and contributes only its own activity. The
+  baseline lives and dies with its source, so there is no process-wide
+  table to prune.
 
 To stay import-cycle-free this module never imports the mirrored
 layers; the attribute lists below are plain data, validated against the
@@ -22,7 +24,6 @@ real dataclasses by ``tests/obs/test_adapters.py``.
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Dict, Mapping
 
 from repro.obs.registry import get_registry
@@ -102,16 +103,6 @@ FAULTY_NETWORK_MIRROR: Dict[str, str] = dict(
 )
 
 _MIRROR_LOCK = threading.Lock()
-# Keyed by id() rather than a WeakKeyDictionary: mirrored sources are
-# often eq-comparing dataclasses (EngineStats, ManagerCounters), which
-# are unhashable. A weakref finalizer prunes each entry so id reuse
-# after garbage collection can never resurrect stale baselines.
-_LAST_SEEN: Dict[int, Dict[str, float]] = {}
-
-
-def _forget(source_id: int) -> None:
-    with _MIRROR_LOCK:
-        _LAST_SEEN.pop(source_id, None)
 
 
 def mirror_counters(source: object, mapping: Mapping[str, str]) -> None:
@@ -121,8 +112,9 @@ def mirror_counters(source: object, mapping: Mapping[str, str]) -> None:
     ----------
     source :
         Any object carrying cumulative numeric counter attributes
-        (a ``ManagerCounters``, client, network, …).
-        Tracked weakly, so mirroring never extends object lifetimes.
+        (a ``ManagerCounters``, client, network, …). It must accept
+        attribute assignment: the totals last mirrored are kept on it
+        as ``_mirrored_totals``.
     mapping :
         Attribute name -> registry counter name, e.g.
         :data:`MANAGER_COUNTERS_MIRROR`.
@@ -137,15 +129,9 @@ def mirror_counters(source: object, mapping: Mapping[str, str]) -> None:
     """
     registry = get_registry()
     with _MIRROR_LOCK:
-        source_id = id(source)
-        last = _LAST_SEEN.get(source_id)
+        last = getattr(source, "_mirrored_totals", None)
         if last is None:
-            last = {}
-            _LAST_SEEN[source_id] = last
-            try:
-                weakref.finalize(source, _forget, source_id)
-            except TypeError:  # not weakref-able; entry stays resident
-                pass
+            last = source._mirrored_totals = {}
         for attr, metric_name in mapping.items():
             current = float(getattr(source, attr, 0) or 0)
             grown = current - last.get(attr, 0.0)

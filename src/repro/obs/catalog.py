@@ -110,8 +110,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("histogram", "heuristic.kernel.batch_size", "busy-nodes",
      "repro.core.heuristic",
      "Busy-node batch size of one vectorized kernel solve"),
-    ("counter", "heuristic.kernel.fallbacks", "count", "repro.core.heuristic",
-     "Solves routed to the reference loop (hop_radius > 1)"),
     # -- manager: protocol loops ----------------------------------------------------
     ("counter", "manager.acks_sent", "count", "repro.core.manager",
      "Admission ACKs sent to announcing clients"),

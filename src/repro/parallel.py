@@ -1,5 +1,5 @@
-"""Worker-pool plumbing shared by the sharded experiment sweeps and the
-zoned placement solver.
+"""Worker-pool plumbing for the sharded experiment sweeps (fig10–12);
+nothing under ``core/``, ``routing/`` or ``lp/`` uses it.
 
 One knob controls everything: the ``REPRO_WORKERS`` environment
 variable (or an explicit ``workers=`` argument, which wins). The

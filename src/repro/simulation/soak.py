@@ -573,9 +573,7 @@ class _SoakDriver:
         report = self._oracle_engine.solve(problem)
         assignments = report.assignments
         if not report.feasible:
-            assignments = solve_heuristic(
-                problem, trmin_engine=self._oracle_engine.trmin_engine
-            ).assignments
+            assignments = solve_heuristic(problem).assignments
         relief: Dict[int, float] = {}
         for a in assignments:
             relief[a.busy] = relief.get(a.busy, 0.0) + a.amount_pct

@@ -1,10 +1,12 @@
-"""Bit-identity of the vectorized Algorithm-1 kernel vs the reference.
+"""Bit-identity of the vectorized Algorithm-1 pipeline vs its oracle.
 
-The CSR kernel behind :func:`solve_heuristic` must produce reports that
-are *bit-identical* to :func:`solve_heuristic_reference` — same
-amounts, same HFR, same lane order, same routes — across hundreds of
-randomized fat-tree instances and every degenerate shape we can think
-of. Any drift here silently changes Fig. 11/12.
+:func:`solve_heuristic` must produce reports that are *bit-identical*
+to :func:`tests.oracles.solve_heuristic_reference` — same amounts, same
+HFR, same lane order, same routes — across hundreds of randomized
+fat-tree instances and every degenerate shape we can think of, at the
+paper's radius 1 and at wider radii (where routes are held to the
+price-consistency rule instead: the matrix DP's tie witnesses are its
+own). Any drift here silently changes Fig. 11/12.
 """
 
 import numpy as np
@@ -15,10 +17,10 @@ from repro.core import (
     ThresholdPolicy,
     classify_network,
     solve_heuristic,
-    solve_heuristic_reference,
 )
 from repro.errors import PlacementError
 from repro.obs import get_registry
+from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
 from repro.topology import (
     CapacityModel,
     LinkUtilizationModel,
@@ -26,11 +28,14 @@ from repro.topology import (
     build_line,
     build_star,
 )
+from tests.oracles import solve_heuristic_reference
 
 #: 70 seeds per fat-tree size -> 210 random instances, the ISSUE's
 #: >= 200-instance floor for the bit-identity property.
 SEEDS_PER_K = 70
 KS = (4, 8, 16)
+#: Per (k, radius) cell of the wider-radius property (r in {2, 3}).
+WIDER_RADIUS_SEEDS = 20
 
 
 def random_instance(k: int, seed: int) -> PlacementProblem:
@@ -58,8 +63,15 @@ def random_instance(k: int, seed: int) -> PlacementProblem:
     )
 
 
-def assert_reports_identical(kernel, reference):
-    """Bit-for-bit equality of every externally visible report field."""
+def assert_reports_identical(kernel, reference, problem=None):
+    """Bit-for-bit equality of every externally visible report field.
+
+    With ``problem`` (the wider-radius cases) a route need not be the
+    oracle's tie witness: it must be a simple busy→candidate path
+    within the radius whose Eq.-1 cost is the assignment's
+    ``response_time_s`` — the rule ``tests.oracles.resistance_matrix``
+    applies to dp paths.
+    """
     # Dict contents AND insertion order (callers iterate these).
     assert list(kernel.offloaded_per_busy.items()) == list(
         reference.offloaded_per_busy.items()
@@ -70,6 +82,8 @@ def assert_reports_identical(kernel, reference):
     assert kernel.hfr_pct == reference.hfr_pct
     assert kernel.hop_radius == reference.hop_radius
     assert len(kernel.assignments) == len(reference.assignments)
+    if problem is not None:
+        weights = ResponseTimeModel(engine=PathEngine.DP).edge_weights(problem.topology)
     for got, want in zip(kernel.assignments, reference.assignments):
         assert got.busy == want.busy
         assert got.candidate == want.candidate
@@ -77,8 +91,24 @@ def assert_reports_identical(kernel, reference):
         assert got.response_time_s == want.response_time_s
         assert got.hops == want.hops
         assert got.route is not None and want.route is not None
-        assert got.route.nodes == want.route.nodes
-        assert got.route.edges == want.route.edges
+        if problem is None:
+            assert got.route.nodes == want.route.nodes
+            assert got.route.edges == want.route.edges
+        else:
+            assert_route_prices(got, problem, weights, kernel.hop_radius)
+
+
+def assert_route_prices(assignment, problem, weights, hop_radius):
+    route = assignment.route
+    assert route.nodes[0] == assignment.busy
+    assert route.nodes[-1] == assignment.candidate
+    assert len(set(route.nodes)) == len(route.nodes)
+    assert len(route.edges) == assignment.hops <= hop_radius
+    for (u, v), edge in zip(zip(route.nodes, route.nodes[1:]), route.edges):
+        assert {u, v} == set(problem.topology.edges[edge])
+    data_mb = problem.data_mb[problem.busy.index(assignment.busy)]
+    # Same left fold the DP accumulates, then Eq. 2's scaling.
+    assert data_mb * sum(weights[e] for e in route.edges) == assignment.response_time_s
 
 
 class TestBitIdentityProperty:
@@ -88,6 +118,17 @@ class TestBitIdentityProperty:
             problem = random_instance(k, seed)
             assert_reports_identical(
                 solve_heuristic(problem), solve_heuristic_reference(problem)
+            )
+
+    @pytest.mark.parametrize("k", (4, 8))
+    @pytest.mark.parametrize("hop_radius", (2, 3))
+    def test_wider_radius_matches_oracle_on_random_instances(self, k, hop_radius):
+        for seed in range(WIDER_RADIUS_SEEDS):
+            problem = random_instance(k, seed)
+            assert_reports_identical(
+                solve_heuristic(problem, hop_radius=hop_radius),
+                solve_heuristic_reference(problem, hop_radius=hop_radius),
+                problem,
             )
 
     def test_hfr_never_nan_on_random_instances(self):
@@ -116,12 +157,18 @@ def star_problem(**overrides):
 
 
 class TestDegenerateShapes:
-    """The edge shapes the random sweep can miss, both solvers."""
+    """The edge shapes the random sweep can miss, both solvers — at
+    radius 1 (whose report each test inspects) and at radii 2 and 3."""
 
     def both(self, problem):
+        for hop_radius in (2, 3):
+            assert_reports_identical(
+                solve_heuristic(problem, hop_radius=hop_radius),
+                solve_heuristic_reference(problem, hop_radius=hop_radius),
+                problem,
+            )
         kernel = solve_heuristic(problem)
-        reference = solve_heuristic_reference(problem)
-        assert_reports_identical(kernel, reference)
+        assert_reports_identical(kernel, solve_heuristic_reference(problem))
         return kernel
 
     def test_no_busy_nodes(self):
@@ -229,15 +276,16 @@ class TestKernelDispatch:
         solve_heuristic(star_problem())
         assert _histogram_count("heuristic.kernel.batch_size") == before + 1
 
-    def test_wider_radius_counts_fallback(self):
-        before = _counter_value("heuristic.kernel.fallbacks")
-        solve_heuristic(star_problem(), hop_radius=2)
-        assert _counter_value("heuristic.kernel.fallbacks") == before + 1
-
-
-def _counter_value(name: str) -> float:
-    metric = get_registry().snapshot()["metrics"].get(name)
-    return metric["value"] if metric else 0.0
+    def test_only_wider_radius_prices_through_the_engine(self):
+        engine = TrminEngine()
+        for hop_radius, priced in ((1, 0), (2, 1)):
+            computes = engine.stats.full_computes
+            observed = _histogram_count("heuristic.kernel.batch_size")
+            solve_heuristic(
+                star_problem(), hop_radius=hop_radius, trmin_engine=engine
+            )
+            assert engine.stats.full_computes == computes + priced
+            assert _histogram_count("heuristic.kernel.batch_size") == observed + 1
 
 
 def _histogram_count(name: str) -> float:

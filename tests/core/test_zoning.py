@@ -73,8 +73,8 @@ class TestPartitioning:
 
 
 class TestZonedPlacement:
-    def setup_case(self, seed=0):
-        topo = build_fat_tree(4)
+    def setup_case(self, seed=0, k=4):
+        topo = build_fat_tree(k)
         LinkUtilizationModel(0.2, 0.8, seed=seed).apply(topo)
         policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
         caps = CapacityModel(x_min=10.0, seed=seed + 1).sample(topo.num_nodes)
@@ -99,6 +99,26 @@ class TestZonedPlacement:
         for a in report.assignments():
             assert zone_of[a.busy] == zone_of[a.candidate]
         # Conservation: offloaded + unplaced == excess.
+        assert report.total_offloaded + report.total_unplaced == pytest.approx(
+            sum(cs)
+        )
+
+    def test_zones_solve_in_the_calling_process(self, monkeypatch):
+        """No worker pool per solve, whatever ``REPRO_WORKERS`` says."""
+        import repro.parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("zoned placement started a worker pool")
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr(repro.parallel, "map_with_pool_retry", no_pool)
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+        topo, busy, cands, cs, cd = self.setup_case(seed=3, k=8)
+        zones = partition_by_pod(topo)
+        report = ZonedPlacementEngine().solve(
+            topo, zones, busy, cands, cs, cd, [10.0] * len(busy)
+        )
+        assert len(report.zone_reports) == len(zones) == 8
         assert report.total_offloaded + report.total_unplaced == pytest.approx(
             sum(cs)
         )

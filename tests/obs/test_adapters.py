@@ -3,6 +3,8 @@ mirroring never double-counts, aliases normalize, pool metrics merge."""
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 from repro.obs import (
     CLIENT_MIRROR,
@@ -110,6 +112,50 @@ class TestMirrorSemantics:
         before = reg.counter("testmirror.missing").value
         mirror_counters(_Stats(), {"nope": "testmirror.missing"})
         assert reg.value("testmirror.missing") == before
+
+
+_GC_INSIDE_MIRROR = """
+import gc, os, threading
+from repro.obs import get_registry, mirror_counters
+
+class Stats:
+    hits = 1
+
+class CollectsWhenRead:
+    # A counter read that starts a cyclic-GC pass - what any allocation
+    # inside mirror_counters may do on its own.
+    @property
+    def hits(self):
+        gc.collect()
+        return 2
+
+mapping = {"hits": "testmirror.gc"}
+gc.disable()
+dead = Stats()
+dead.cycle = dead  # only the cycle collector can reclaim it
+mirror_counters(dead, mapping)
+del dead
+worker = threading.Thread(
+    target=mirror_counters, args=(CollectsWhenRead(), mapping), daemon=True
+)
+worker.start()
+worker.join(5)
+print("deadlocked" if worker.is_alive() else get_registry().value("testmirror.gc"))
+os._exit(0)  # a stuck worker holds the lock exit-time finalizers want
+"""
+
+
+class TestMirrorUnderGarbageCollection:
+    def test_gc_pass_inside_mirror_does_not_deadlock(self):
+        """A collection that runs while ``mirror_counters`` holds its
+        lock, and reclaims an earlier mirrored source, must not need
+        that lock again. Own interpreter: a deadlocked lock would hang
+        every later mirror call in this one."""
+        done = subprocess.run(
+            [sys.executable, "-c", _GC_INSIDE_MIRROR],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == "3.0", done.stdout + done.stderr
 
 
 class TestAliasNormalization:

@@ -1,16 +1,31 @@
-"""Slow, readable oracles the routing kernels are held bit-equal to.
+"""Slow, readable oracles the kernels in ``src/`` are held bit-equal to.
 
-``src/`` has one pricing pipeline (matrix DP, enumeration kernel); the
-implementations it replaced live on here, composed from primitives that
-stay public, so the suites compare ``==`` / ``array_equal`` against
-them instead of against a runtime-selectable second engine.
+``src/`` has one pricing pipeline (matrix DP, enumeration kernel) and
+one Algorithm-1 pipeline; the implementations they replaced live on
+here, composed from primitives that stay public, so the suites compare
+``==`` / ``array_equal`` against them instead of against a
+runtime-selectable second engine.
 """
+
+import time
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.routing import PathEngine, hop_constrained_shortest, iter_simple_paths_raw
+from repro.core.heuristic import HeuristicReport
+from repro.core.placement import PlacementAssignment, PlacementProblem
+from repro.errors import PlacementError
+from repro.routing import (
+    PathEngine,
+    ResponseTimeModel,
+    hop_constrained_shortest,
+    iter_simple_paths_raw,
+)
 from repro.routing.response_time import _fold_raw_paths
 from repro.routing.routes import Path
+from repro.topology.links import BandwidthConvention
+
+_TOL = 1e-9
 
 
 def enum_best_route(topology, source, destination, max_hops, edge_weights):
@@ -56,3 +71,96 @@ def resistance_matrix(model, topology, sources, destinations):
                 R[a, b], hops[a, b] = res, nh
                 paths[(s, d)] = Path(nodes=raw[0], edges=raw[1])
     return R, hops, paths
+
+
+def solve_heuristic_reference(
+    problem: PlacementProblem,
+    hop_radius: int = 1,
+    convention: BandwidthConvention = BandwidthConvention.AVAILABLE,
+) -> HeuristicReport:
+    """The per-node Python loop — Algorithm 1 as the paper writes it.
+
+    The executable specification ``repro.core.solve_heuristic`` is
+    tested against at every radius. Radius 1 walks
+    ``topology.incident()``; wider radii price each busy node with its
+    own :func:`hop_constrained_shortest`, never through the pricing
+    pipeline the kernel uses. The candidate index and the shared
+    residual-capacity array are hoisted out of the per-busy loop;
+    residual capacity is consumed across busy nodes (never reset) so
+    successors see what predecessors took.
+    """
+    if hop_radius < 1:
+        raise PlacementError(f"hop_radius must be >= 1, got {hop_radius}")
+    start = time.perf_counter()
+    topology = problem.topology
+    candidate_index = {node: b for b, node in enumerate(problem.candidates)}
+    candidate_items = tuple(candidate_index.items())
+    remaining_cd = problem.cd.copy()
+
+    model = ResponseTimeModel(
+        convention=convention, engine=PathEngine.DP, max_hops=hop_radius
+    )
+    weights = model.edge_weights(topology)
+
+    assignments: List[PlacementAssignment] = []
+    offloaded: Dict[int, float] = {}
+    failed: Dict[int, float] = {}
+
+    for a, busy in enumerate(problem.busy):
+        need = float(problem.cs[a])
+        offloaded[busy] = 0.0
+        failed[busy] = 0.0
+        if need <= _TOL:
+            continue
+        # Candidate lanes within the radius, priced per Eq. 1.
+        lanes: List[Tuple[float, int, int, object]] = []  # (cost, hops, cand, path)
+        if hop_radius == 1:
+            for nbr, edge_id in topology.incident(busy):
+                b = candidate_index.get(nbr)
+                if b is None or remaining_cd[b] <= _TOL:
+                    continue
+                cost = float(problem.data_mb[a] * weights[edge_id])
+                path = Path(nodes=(busy, nbr), edges=(edge_id,))
+                lanes.append((cost, 1, b, path))
+        else:
+            result = hop_constrained_shortest(topology, busy, hop_radius, weights)
+            best = result.best
+            for node, b in candidate_items:
+                if node == busy or remaining_cd[b] <= _TOL:
+                    continue
+                if not np.isfinite(best[node]):
+                    continue
+                path = result.path_to(node)
+                cost = float(problem.data_mb[a] * best[node])
+                lanes.append((cost, path.num_hops if path else hop_radius, b, path))
+
+        # Cheapest-first fill (optimal for a single supply).
+        lanes.sort(key=lambda lane: (lane[0], lane[1]))
+        for cost, hops, b, path in lanes:
+            if need <= _TOL:
+                break
+            take = min(need, float(remaining_cd[b]))
+            if take <= _TOL:
+                continue
+            remaining_cd[b] -= take
+            need -= take
+            offloaded[busy] += take
+            assignments.append(
+                PlacementAssignment(
+                    busy=busy,
+                    candidate=problem.candidates[b],
+                    amount_pct=take,
+                    response_time_s=cost,
+                    hops=hops,
+                    route=path,
+                )
+            )
+        failed[busy] = max(0.0, need)
+
+    return HeuristicReport(
+        assignments=tuple(assignments),
+        offloaded_per_busy=offloaded,
+        failed_per_busy=failed,
+        total_seconds=time.perf_counter() - start,
+        hop_radius=hop_radius,
+    )
