@@ -5,12 +5,16 @@ time for enumeration-engine Trmin pricing of a spread busy x candidate
 pair sample at hop budgets 4 and 5 (3 and 4 with ``--smoke``):
 
 * kernel — ``ResponseTimeModel.resistance_matrix``, i.e. the
-  :mod:`repro.routing.enumkernel` frontier expansion + admissible
-  lower-bound pruning feeding the canonical fold (the one enumeration
-  pricing route in ``src/``);
+  :mod:`repro.routing.enumkernel` frontier expansion (one frontier for
+  all pairs of the call) + admissible lower-bound pruning feeding the
+  canonical fold (the one enumeration pricing route in ``src/``);
 * reference — a comparator built here from primitives that stay
   public: the pure-Python ``iter_simple_paths_raw`` DFS stream of every
   pair through the same canonical fold (``_fold_raw_paths``).
+
+A second point has the shape ``benchmarks/e2e``'s ``fig11_sweep_k8``
+actually prices: fat-tree(8) (k=4 with ``--smoke``), 18 x 22 pairs,
+hop 5, ``with_paths=False``.
 
 Every timed configuration is compared **bit-for-bit** against the
 reference: ``np.array_equal`` on the resistance and hop matrices (no
@@ -74,12 +78,24 @@ def timed(fn, repeats: int) -> float:
     return best
 
 
-def price_kernel(topo, sources, destinations, max_hops):
+def build_fig11_fixture(smoke: bool, seed: int):
+    """The busy x candidate shape of a ``fig11_sweep_k8`` unit."""
+    k = 4 if smoke else 8
+    topo = build_fat_tree(k)
+    LinkUtilizationModel(0.2, 0.8, seed=seed).apply(topo)
+    nodes = np.random.default_rng(seed).permutation(topo.num_nodes)
+    n_src = min(18, topo.num_nodes // 2)
+    sources = [int(i) for i in nodes[:n_src]]
+    destinations = [int(i) for i in nodes[n_src : n_src + 22]]
+    return topo, k, sources, destinations
+
+
+def price_kernel(topo, sources, destinations, max_hops, with_paths=True):
     model = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=max_hops)
-    return model.resistance_matrix(topo, sources, destinations, with_paths=True)
+    return model.resistance_matrix(topo, sources, destinations, with_paths=with_paths)
 
 
-def price_reference(topo, sources, destinations, max_hops):
+def price_reference(topo, sources, destinations, max_hops, with_paths=True):
     """Every pair's full DFS stream through the canonical fold."""
     weights = ResponseTimeModel(max_hops=max_hops).edge_weights(topo)
     R = np.full((len(sources), len(destinations)), np.inf)
@@ -92,8 +108,36 @@ def price_reference(topo, sources, destinations, max_hops):
             )
             if raw is not None:
                 R[a, b], hops[a, b] = res, nh
-                paths[(s, d)] = Path(nodes=raw[0], edges=raw[1])
+                if with_paths:
+                    paths[(s, d)] = Path(nodes=raw[0], edges=raw[1])
     return R, hops, paths
+
+
+def measure_point(
+    topo, sources, destinations, max_hops, with_paths, repeats, label, failures
+):
+    """Bit-compare kernel vs reference, then time both (best-of-N)."""
+    args = (topo, sources, destinations, max_hops, with_paths)
+    ref_R, ref_hops, ref_paths = price_reference(*args)
+    ker_R, ker_hops, ker_paths = price_kernel(*args)
+    identical = (
+        np.array_equal(ref_R, ker_R)
+        and np.array_equal(ref_hops, ker_hops)
+        and ref_paths == ker_paths
+    )
+    if not identical:
+        failures.append(f"{label}: kernel result differs from the exhaustive DFS")
+    kernel_s = timed(lambda: price_kernel(*args), repeats)
+    reference_s = timed(lambda: price_reference(*args), repeats)
+    return {
+        "max_hops": max_hops,
+        "pairs": len(sources) * len(destinations),
+        "with_paths": with_paths,
+        "kernel_s": kernel_s,
+        "reference_s": reference_s,
+        "speedup": reference_s / kernel_s if kernel_s else float("inf"),
+        "bit_identical": identical,
+    }
 
 
 def main(argv=None) -> int:
@@ -121,38 +165,18 @@ def main(argv=None) -> int:
 
     topo, k, sources, destinations, hop_budgets = build_fixture(args.smoke, seed=0)
     failures: List[str] = []
-    points = []
-
-    for max_hops in hop_budgets:
-        ref_R, ref_hops, ref_paths = price_reference(topo, sources, destinations, max_hops)
-        ker_R, ker_hops, ker_paths = price_kernel(topo, sources, destinations, max_hops)
-        identical = (
-            np.array_equal(ref_R, ker_R)
-            and np.array_equal(ref_hops, ker_hops)
-            and ref_paths == ker_paths
+    points = [
+        measure_point(
+            topo, sources, destinations, h, True, repeats, f"hop {h}", failures
         )
-        if not identical:
-            failures.append(
-                f"hop {max_hops}: kernel result differs from the exhaustive DFS"
-            )
-
-        kernel_s = timed(
-            lambda h=max_hops: price_kernel(topo, sources, destinations, h), repeats
-        )
-        reference_s = timed(
-            lambda h=max_hops: price_reference(topo, sources, destinations, h), repeats
-        )
-        speedup = reference_s / kernel_s if kernel_s else float("inf")
-        points.append(
-            {
-                "max_hops": max_hops,
-                "pairs": len(sources) * len(destinations),
-                "kernel_s": kernel_s,
-                "reference_s": reference_s,
-                "speedup": speedup,
-                "bit_identical": identical,
-            }
-        )
+        for h in hop_budgets
+    ]
+    f_topo, f_k, f_sources, f_destinations = build_fig11_fixture(args.smoke, seed=0)
+    fig11_point = measure_point(
+        f_topo, f_sources, f_destinations, 5, False, repeats, "fig11 shape", failures
+    )
+    fig11_point["topology"] = f"fat-tree k={f_k}"
+    fig11_point["shape"] = [len(f_sources), len(f_destinations)]
 
     # Exhaustive count parity on a pair sample at the largest budget.
     count_hops = hop_budgets[-1]
@@ -187,11 +211,12 @@ def main(argv=None) -> int:
             "repeats": repeats,
         },
         "points": points,
+        "fig11_shape_point": fig11_point,
         "count_checks": count_checks,
         "gate_hop": gate_point["max_hops"],
         "speedup_at_gate": gate_point["speedup"],
         "min_speedup_gate": args.min_speedup if gated else None,
-        "bit_identical": all(p["bit_identical"] for p in points),
+        "bit_identical": all(p["bit_identical"] for p in points + [fig11_point]),
         "passed": not failures,
     }
     if failures:

@@ -6,7 +6,8 @@ path. This module replaces that hot loop with a breadth-layered
 *frontier expansion*: every partial path of depth ``L`` is one row of a
 small set of parallel arrays —
 
-* ``(P, L+1)`` int64 node matrix (the partial path's node sequence),
+* ``(P, L, 3)`` int64 trail (per hop: node reached, edge taken and
+  adjacency lane taken — the DFS-order key; pricing only),
 * ``(P, W)``   uint64 visited-bitset matrix (``W = ceil(n / 64)``),
 * ``(P,)``     float64 running-resistance vector,
 
@@ -24,38 +25,55 @@ Two entry points share the expansion core:
     from the reference DFS by construction (the complexity plots of
     Figs. 8/10 depend on this).
 
-:func:`pruned_candidates`
-    Best-route candidate production for Trmin pricing, with
-    **admissible lower-bound pruning**: a frontier row ending at node
-    ``v`` with ``hops_left`` budget is dropped when
+:func:`pruned_candidates_matrix`
+    Best-route candidate production for Trmin pricing of a whole
+    sources x destinations call (:func:`pruned_candidates` is its
+    one-pair call), with **admissible lower-bound pruning**: a
+    frontier row of pair ``(s, d)`` ending at node ``v`` with
+    ``hops_left`` budget is dropped when
 
-    ``partial_resistance + dist[hops_left, v] > opt + margin``
+    ``partial_resistance + dist_d[hops_left, v] > opt_sd + margin``
 
-    where ``dist`` is the hop-layered Bellman–Ford plane of
+    where ``dist_d`` is the hop-layered Bellman–Ford plane of
     :func:`repro.routing.shortest.hop_constrained_shortest` run *from
     the destination* (the graph is undirected, so ``d -> v`` bounds
-    ``v -> d``), and ``opt = dist[H, source]`` is the DP optimum
+    ``v -> d``), and ``opt_sd = dist_d[H, s]`` is the DP optimum
     itself. The DP relaxes over walks, a superset of simple paths, so
-    ``dist`` is a true lower bound and the cut is sound for
+    ``dist_d`` is a true lower bound and the cut is sound for
     minimization.
+
+One frontier serves many pairs
+------------------------------
+Pruning leaves each pair a handful of rows, so a frontier per pair is
+all fixed NumPy call overhead. The pricing frontier therefore carries
+a ``(P,)`` *pair* column: it is seeded with one row per non-trivial,
+DP-reachable pair, every hop expands the end nodes of all pairs in
+the same degree-class gathers, and each child row is tested against
+*its own* pair's destination, bound plane (built once per call per
+destination, stacked ``(D, H+1, n)``) and threshold. Rows never
+interact — a child's resistance is still ``res[parent] +
+weights[edge]`` — so which pairs share a frontier cannot change any
+survivor. Pairs are expanded ``_PAIR_BLOCK`` at a time, which bounds
+memory on tie-heavy inputs where every equal-cost path survives.
 
 Bit-identity with the exhaustive DFS
 -----------------------------------
-The kernel never *selects* the best route itself. It returns the
-surviving complete paths as raw ``(nodes, edges)`` tuples in exact DFS
-order, and :func:`repro.routing.response_time._best_enum_route` feeds
-them through the same canonical sequential fold a full DFS stream
-would go through, so the resistance-then-fewer-hops-then-DFS-order
-tie-break is reproduced update for update. Two properties make that
-exact:
+The kernel never *selects* the best route itself. It returns each
+pair's surviving complete paths as raw ``(nodes, edges)`` tuples in
+exact DFS order, and :mod:`repro.routing.response_time` feeds them
+through the same canonical sequential fold a full DFS stream would go
+through, so the resistance-then-fewer-hops-then-DFS-order tie-break is
+reproduced update for update. Two properties make that exact:
 
 * *DFS order is recoverable.* The reference DFS visits neighbors in
-  CSR lane order, so paths are emitted in lexicographic order of their
-  per-hop lane sequences. The kernel carries a ``(P, L)`` lane matrix
-  alongside each partial path and ``np.lexsort``s the survivors; no
-  complete path's lane sequence is a proper prefix of another's (both
-  end at the destination, which is never extended through), so the
-  ``-1`` padding never decides a comparison.
+  CSR lane order, so a pair's paths are emitted in lexicographic order
+  of their per-hop lane sequences. The kernel records the lane taken
+  at every hop of each partial path and ``np.lexsort``s the survivors
+  pair-major, then by lane sequence, and splits the result at pair
+  boundaries; no complete path's lane sequence is a proper prefix of
+  another's of the same pair (both end at the destination, which is
+  never extended through), so the ``-1`` padding never decides a
+  comparison.
 * *The prune margin covers every influential path.* The canonical
   fold's final best resistance is at most ``gm + (H+1) * _TIE_TOL``
   above the true minimum ``gm`` (each tolerance-tie update moves the
@@ -75,13 +93,13 @@ The kernel is the only route behind ``PathEngine.ENUMERATION`` and
 (:func:`repro.routing.paths.iter_simple_paths_raw`) stays as public
 enumeration API and as the oracle the test suite compares against.
 Counter totals are kept as plain local ints in the hot loop and
-mirrored into the metrics registry once per call, per the repo's
+mirrored into the metrics registry once per frontier, per the repo's
 hot-loop observability convention.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,11 +109,21 @@ from repro.routing.routes import _TIE_TOL
 from repro.routing.shortest import hop_constrained_shortest
 from repro.topology.graph import Topology
 
-__all__ = ["count_paths_kernel", "pruned_candidates"]
+__all__ = ["count_paths_kernel", "pruned_candidates", "pruned_candidates_matrix"]
+
+#: One complete path as raw ``(nodes, edges)`` tuples.
+RawPath = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: Frontier rows expanded per dense gather pass; bounds the size of the
 #: per-chunk child temporaries to ``_CHUNK_ROWS * max_degree`` entries.
 _CHUNK_ROWS = 1 << 16
+
+#: (source, destination) pairs sharing one pruned frontier. Measured on
+#: fat-tree(16), 70 x 90 pairs, hop 5, uniform costs (every equal-cost
+#: path survives): all pairs in one frontier peak at 365 MB RSS, 512
+#: at 144 MB, 128 at 112 MB against 96 MB for a frontier per pair; a
+#: fat-tree(8) 18 x 22 hop-5 placement costs 7.7 ms at 128, 6.8 at 512.
+_PAIR_BLOCK = 128
 
 
 def _flush_counters(calls: int, frontier: int, pruned: int, cutoffs: int) -> None:
@@ -112,11 +140,11 @@ def _flush_counters(calls: int, frontier: int, pruned: int, cutoffs: int) -> Non
 
 
 def _validate(
-    topology: Topology, source: int, destination: int, max_hops: Optional[int]
+    topology: Topology, nodes: Iterable[int], max_hops: Optional[int]
 ) -> int:
     """Mirror the reference iterator's validation; return the hop limit."""
-    topology.node(source)
-    topology.node(destination)
+    for node in nodes:
+        topology.node(node)
     if max_hops is not None and max_hops < 0:
         raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
     return max_hops if max_hops is not None else topology.num_nodes - 1
@@ -216,7 +244,7 @@ def count_paths_kernel(
     the reference DFS applies; no weights and no bound ever enter, so
     the count equals ``sum(1 for _ in iter_simple_paths_raw(...))``.
     """
-    limit = _validate(topology, source, destination, max_hops)
+    limit = _validate(topology, (source, destination), max_hops)
     if source == destination:
         _flush_counters(1, 0, 0, 0)
         return 1
@@ -270,28 +298,62 @@ def count_paths_kernel(
     return count
 
 
-def _bound_plane(
+def pruned_candidates_matrix(
     topology: Topology,
-    destination: int,
-    limit: int,
+    sources: Sequence[int],
+    destinations: Sequence[int],
+    max_hops: Optional[int],
     edge_weights: np.ndarray,
-    bound_cache: Optional[Dict[int, np.ndarray]],
-) -> np.ndarray:
-    """``(H+1, n)`` remaining-resistance lower bounds from ``destination``.
+) -> Iterator[Tuple[int, int, List[RawPath]]]:
+    """Complete hop-bounded paths that can influence each pair's best route.
 
-    One backward layered DP per destination; ``bound_cache`` (keyed by
-    destination node id) amortizes it across the source rows of a
-    matrix build, where weights, hop budget and topology version are
-    fixed for the whole call.
+    Yields ``(a, b, survivors)`` for every ``(sources[a],
+    destinations[b])`` pair reachable within the hop budget: the
+    complete paths the admissible cut of the module docstring cannot
+    exclude, as raw ``(nodes, edges)`` tuples **in exact DFS order**,
+    ready for the canonical sequential fold (the trivial zero-hop path
+    when ``sources[a] == destinations[b]``).
     """
-    if bound_cache is not None:
-        plane = bound_cache.get(destination)
-        if plane is not None:
-            return plane
-    plane = hop_constrained_shortest(topology, destination, limit, edge_weights).dist
-    if bound_cache is not None:
-        bound_cache[destination] = plane
-    return plane
+    src = np.array([int(s) for s in sources], dtype=np.int64)
+    dst = np.array([int(d) for d in destinations], dtype=np.int64)
+    limit = _validate(topology, (*src.tolist(), *dst.tolist()), max_hops)
+    same = src[:, None] == dst[None, :]
+    for a, b in zip(*np.nonzero(same)):
+        yield int(a), int(b), [((int(src[a]),), ())]
+    a_idx, b_idx = np.nonzero(~same)
+    if limit == 0 or a_idx.size == 0:
+        return
+
+    weights = np.asarray(edge_weights, dtype=float)
+    # One backward layered DP per distinct destination, stacked
+    # (D, H+1, n): planes[j, h, v] bounds v -> dest_nodes[j] in <= h hops.
+    dest_nodes, plane_of = np.unique(dst[b_idx], return_inverse=True)
+    planes = np.stack(
+        [
+            hop_constrained_shortest(topology, int(d), limit, weights).dist
+            for d in dest_nodes
+        ]
+    )
+    opt = planes[plane_of, limit, src[a_idx]]
+    # The DP relaxes a superset of the simple paths: unreachable in
+    # budget for walks means unreachable for the enumeration too.
+    reachable = np.isfinite(opt)
+    a_idx, b_idx, plane_of, opt = (x[reachable] for x in (a_idx, b_idx, plane_of, opt))
+    # Fixed, order-independent prune threshold per pair: the DP optimum
+    # plus the tie-chain margin and the relative summation-order
+    # cushion derived in the module docstring.
+    threshold = (
+        opt
+        + (limit + 3) * _TIE_TOL
+        + 64.0 * np.finfo(float).eps * (limit + 1) * np.abs(opt)
+    )
+
+    cmap = _ClassMap(topology)
+    pairs = (src[a_idx], dst[b_idx], plane_of, threshold)
+    for lo in range(0, a_idx.size, _PAIR_BLOCK):
+        block = np.arange(lo, min(lo + _PAIR_BLOCK, a_idx.size))
+        for p, survivors in _expand_block(cmap, weights, planes, limit, block, *pairs):
+            yield int(a_idx[p]), int(b_idx[p]), survivors
 
 
 def pruned_candidates(
@@ -300,79 +362,57 @@ def pruned_candidates(
     destination: int,
     max_hops: Optional[int],
     edge_weights: np.ndarray,
-    bound_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Complete hop-bounded paths that can influence the best route.
+) -> List[RawPath]:
+    """The one-pair call of :func:`pruned_candidates_matrix`; ``[]``
+    when ``destination`` is unreachable within the hop budget."""
+    for _, _, survivors in pruned_candidates_matrix(
+        topology, [source], [destination], max_hops, edge_weights
+    ):
+        return survivors
+    return []
 
-    Expands the frontier with the admissible lower-bound cut described
-    in the module docstring and returns the surviving complete paths as
-    raw ``(nodes, edges)`` tuples **in exact DFS order**, ready for the
-    canonical sequential fold. Unreachable pairs return ``[]``;
-    ``source == destination`` returns the trivial zero-hop path.
+
+def _extend_trail(trail: np.ndarray, rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``trail[rows]`` with one more ``(node, edge, lane)`` hop per row."""
+    return np.concatenate([trail[rows], step[:, None]], axis=1)
+
+
+def _expand_block(
+    cmap: _ClassMap,
+    weights: np.ndarray,
+    planes: np.ndarray,
+    limit: int,
+    pair: np.ndarray,
+    sources: np.ndarray,
+    dests: np.ndarray,
+    plane_of: np.ndarray,
+    threshold: np.ndarray,
+) -> List[Tuple[int, List[RawPath]]]:
+    """One pruned frontier seeded with the pairs ``pair`` of a call.
+
+    Pair ``p`` runs ``sources[p] -> dests[p]`` against its own bound
+    plane ``planes[plane_of[p]]`` and ``threshold[p]``. Returns
+    ``(p, survivors)`` per pair, survivors in exact DFS order.
     """
-    limit = _validate(topology, source, destination, max_hops)
-    if source == destination:
-        _flush_counters(1, 0, 0, 0)
-        return [((source,), ())]
-    if limit == 0:
-        _flush_counters(1, 0, 0, 0)
-        return []
+    ends = sources[pair]
+    visited = np.zeros((ends.size, (planes.shape[2] + 63) // 64), dtype=np.uint64)
+    visited[np.arange(ends.size), ends >> 6] = np.uint64(1) << (
+        ends & np.int64(63)
+    ).astype(np.uint64)
+    res = np.zeros(ends.size, dtype=np.float64)
+    # Per row and hop taken: (node reached, edge id, adjacency-lane offset).
+    trail = np.empty((ends.size, 0, 3), dtype=np.int64)
 
-    weights = np.asarray(edge_weights, dtype=float)
-    plane = _bound_plane(topology, destination, limit, weights, bound_cache)
-    opt = float(plane[limit, source])
-    if not np.isfinite(opt):
-        # The DP relaxes a superset of the simple paths: unreachable in
-        # budget for walks means unreachable for the enumeration too.
-        _flush_counters(1, 0, 0, 0)
-        return []
-    # Fixed, order-independent prune threshold: the DP optimum plus a
-    # margin covering (a) every tolerance-tie update the canonical fold
-    # can accept — at most (H+1) * _TIE_TOL above the true minimum —
-    # and (b) summation-order rounding between the DP's scatter-min
-    # sums and the fold's sequential sums (relative-epsilon term).
-    threshold = (
-        opt
-        + (limit + 3) * _TIE_TOL
-        + 64.0 * np.finfo(float).eps * (limit + 1) * abs(opt)
-    )
+    done: List[Tuple[np.ndarray, np.ndarray]] = []  # complete survivors: (pair, trail)
+    frontier_rows = pruned_rows = bound_cutoffs = 0
 
-    n = topology.num_nodes
-    words = (n + 63) // 64
-    cmap = _ClassMap(topology)
-
-    ends = np.array([source], dtype=np.int64)
-    visited = np.zeros((1, words), dtype=np.uint64)
-    visited[0, source >> 6] = np.uint64(1) << np.uint64(source & 63)
-    res = np.zeros(1, dtype=np.float64)
-    lanes = np.empty((1, 0), dtype=np.int64)  # per-hop adjacency offsets
-    nodes_m = np.array([[source]], dtype=np.int64)
-    edges_m = np.empty((1, 0), dtype=np.int64)
-
-    # Survivor batches per completion depth: (hops, nodes, edges, lanes).
-    batches: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    frontier_rows = 0
-    pruned_rows = 0
-    bound_cutoffs = 0
-
-    for depth in range(limit):
-        if ends.size == 0:
-            break
+    for hops_left in range(limit - 1, -1, -1):  # budget left after this hop
         frontier_rows += int(ends.size)
-        extend = depth + 1 < limit
-        hops_left = limit - (depth + 1)
-        lb = plane[hops_left]
-        n_ends: List[np.ndarray] = []
-        n_visited: List[np.ndarray] = []
-        n_res: List[np.ndarray] = []
-        n_lanes: List[np.ndarray] = []
-        n_nodes: List[np.ndarray] = []
-        n_edges: List[np.ndarray] = []
+        grown: List[Tuple[np.ndarray, ...]] = []  # next-frontier columns per chunk
         for lo in range(0, ends.size, _CHUNK_ROWS):
             chunk = slice(lo, min(lo + _CHUNK_ROWS, ends.size))
-            e_chunk = ends[chunk]
             v_chunk = visited[chunk]
-            row_idx, within, child, edge = cmap.expand(e_chunk)
+            row_idx, within, child, edge = cmap.expand(ends[chunk])
             if row_idx.size == 0:
                 continue
             seen, word, bit = _seen_mask(v_chunk, row_idx, child)
@@ -380,78 +420,65 @@ def pruned_candidates(
             # Running resistance after this hop: one more term of the
             # same left fold the canonical pricing performs.
             child_res = res[chunk][row_idx] + weights[edge]
+            child_pair = pair[chunk][row_idx]
+            at_dest = child == dests[child_pair]
+            bar = threshold[child_pair]
+            step = np.stack((child, edge, within), axis=1)
 
-            hit = np.flatnonzero(fresh & (child == destination))
+            hit = np.flatnonzero(fresh & at_dest)
             if hit.size:
-                keep = child_res[hit] <= threshold
+                keep = child_res[hit] <= bar[hit]
                 bound_cutoffs += int(hit.size - np.count_nonzero(keep))
                 hit = hit[keep]
             if hit.size:
-                rows = row_idx[hit]
-                batches.append(
-                    (
-                        depth + 1,
-                        np.concatenate(
-                            [nodes_m[chunk][rows], child[hit, None]], axis=1
-                        ),
-                        np.concatenate(
-                            [edges_m[chunk][rows], edge[hit, None]], axis=1
-                        ),
-                        np.concatenate(
-                            [lanes[chunk][rows], within[hit, None]], axis=1
-                        ),
-                    )
+                done.append(
+                    (child_pair[hit], _extend_trail(trail[chunk], row_idx[hit], step[hit]))
                 )
-            if not extend:
+            if hops_left == 0:
                 continue
-            grow_mask = fresh & (child != destination)
-            cut = grow_mask & (child_res + lb[child] > threshold)
+            grow_mask = fresh & ~at_dest
+            lb = planes[plane_of[child_pair], hops_left, child]
+            cut = grow_mask & (child_res + lb > bar)
             pruned_rows += int(np.count_nonzero(cut))
             grow = np.flatnonzero(grow_mask & ~cut)
             if grow.size == 0:
                 continue
             rows = row_idx[grow]
-            n_ends.append(child[grow])
-            n_visited.append(_mark_visited(v_chunk, rows, word[grow], bit[grow]))
-            n_res.append(child_res[grow])
-            n_lanes.append(
-                np.concatenate([lanes[chunk][rows], within[grow, None]], axis=1)
+            grown.append(
+                (
+                    child[grow],
+                    child_pair[grow],
+                    _mark_visited(v_chunk, rows, word[grow], bit[grow]),
+                    child_res[grow],
+                    _extend_trail(trail[chunk], rows, step[grow]),
+                )
             )
-            n_nodes.append(
-                np.concatenate([nodes_m[chunk][rows], child[grow, None]], axis=1)
-            )
-            n_edges.append(
-                np.concatenate([edges_m[chunk][rows], edge[grow, None]], axis=1)
-            )
-        if not extend or not n_ends:
+        if not grown:
             break
-        ends = np.concatenate(n_ends)
-        visited = np.concatenate(n_visited, axis=0)
-        res = np.concatenate(n_res)
-        lanes = np.concatenate(n_lanes, axis=0)
-        nodes_m = np.concatenate(n_nodes, axis=0)
-        edges_m = np.concatenate(n_edges, axis=0)
+        ends, pair, visited, res, trail = (
+            np.concatenate(column) for column in zip(*grown)
+        )
 
     _flush_counters(1, frontier_rows, pruned_rows, bound_cutoffs)
-    if not batches:
+    if not done:
         return []
 
-    # Restore DFS order: lexicographic on the per-hop lane offsets,
-    # -1-padded to the hop budget (padding never decides — see module
-    # docstring).
-    total = sum(b[3].shape[0] for b in batches)
-    lane_pad = np.full((total, limit), -1, dtype=np.int64)
-    raw: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    row = 0
-    for _, b_nodes, b_edges, b_lanes in batches:
-        count = b_lanes.shape[0]
-        lane_pad[row : row + count, : b_lanes.shape[1]] = b_lanes
-        raw.extend(
-            zip(
-                (tuple(r) for r in b_nodes.tolist()),
-                (tuple(r) for r in b_edges.tolist()),
-            )
-        )
-        row += count
-    order = np.lexsort(tuple(lane_pad[:, i] for i in range(limit - 1, -1, -1)))
-    return [raw[i] for i in order]
+    # Restore per-pair DFS order: pair-major, then lexicographic on the
+    # per-hop lane offsets, -1-padded to the hop budget (padding never
+    # decides — see module docstring).
+    owner = np.concatenate([d_pair for d_pair, _ in done])
+    lane_pad = np.full((owner.size, limit), -1, dtype=np.int64)
+    raw: List[RawPath] = []
+    for d_pair, d_trail in done:
+        hops = d_trail.shape[1]
+        lane_pad[len(raw) : len(raw) + d_pair.size, :hops] = d_trail[:, :, 2]
+        nodes = np.column_stack((sources[d_pair], d_trail[:, :, 0]))
+        raw.extend(zip(map(tuple, nodes.tolist()), map(tuple, d_trail[:, :, 1].tolist())))
+    order = np.lexsort((*lane_pad.T[::-1], owner))
+    owner = owner[order]
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]]).tolist()
+    order = order.tolist()
+    return [
+        (int(owner[lo]), [raw[i] for i in order[lo:hi]])
+        for lo, hi in zip(starts, starts[1:] + [owner.size])
+    ]

@@ -20,11 +20,12 @@ All matrix pricing goes through two canonical primitives:
 * :func:`_dp_matrix` — one all-sources matrix DP
   (:func:`repro.routing.matrix.matrix_hop_constrained`), with parent
   planes when paths are asked for;
-* :func:`_best_enum_route` — the frontier-expansion kernel
-  (:mod:`repro.routing.enumkernel`) prunes provably non-influential
-  paths with an admissible lower bound and the DFS-ordered survivors
-  are priced by the canonical sequential fold (:func:`_fold_raw_paths`,
-  batched ``np.add.reduceat`` over the raw path stream).
+* :func:`repro.routing.enumkernel.pruned_candidates_matrix` — one
+  frontier expansion for every pair of the call, pruning provably
+  non-influential paths with an admissible lower bound; each pair's
+  DFS-ordered survivors are then priced by the canonical sequential
+  fold (:func:`_fold_raw_paths`, batched ``np.add.reduceat`` over the
+  raw path stream). :func:`_best_enum_route` is the one-pair form.
 
 Summation order is strictly sequential everywhere (Python accumulation
 below 8 edges, ``reduceat`` segments above), which is what makes the
@@ -61,7 +62,7 @@ def _path_resistance(path: "Path", edge_weights: np.ndarray) -> float:
 
     Sequential accumulation in both branches (the ``reduceat`` of a
     single segment is a strict left fold), so the result is bit-equal
-    to the batched pricing in :func:`_best_enum_route`.
+    to the batched pricing in :func:`_fold_raw_paths`.
     """
     edges = path.edges
     n = len(edges)
@@ -143,23 +144,19 @@ def _best_enum_route(
     destination: int,
     max_hops: Optional[int],
     edge_weights: np.ndarray,
-    bound_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[float, int, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
     """Best hop-bounded route by exhaustive enumeration.
 
     Returns ``(resistance, hops, (nodes, edges))`` — or
     ``(inf, -1, None)`` when the destination is unreachable within the
-    hop budget. The frontier-expansion kernel
-    (:mod:`repro.routing.enumkernel`) prunes provably non-influential
-    paths and hands the DFS-ordered survivors to the canonical fold, so
-    the outcome is bit-identical to folding the full DFS stream.
-    ``bound_cache`` (keyed by destination) lets matrix builds reuse the
-    kernel's backward bound DP across source rows. Edge weights must be
-    strictly positive (the bound DP raises :class:`RoutingError`
-    otherwise, exactly as the dp engine does).
+    hop budget: the one-pair call of the kernel behind
+    :meth:`ResponseTimeModel.resistance_matrix`, bit-identical to
+    folding the full DFS stream. Edge weights must be strictly positive
+    (the bound DP raises :class:`RoutingError` otherwise, exactly as
+    the dp engine does).
     """
     survivors = enumkernel.pruned_candidates(
-        topology, source, destination, max_hops, edge_weights, bound_cache
+        topology, source, destination, max_hops, edge_weights
     )
     return _fold_raw_paths(survivors, edge_weights)
 
@@ -285,22 +282,16 @@ class ResponseTimeModel:
         R = np.full((len(sources), len(destinations)), np.inf)
         hops = np.full(R.shape, -1, dtype=np.int64)
         paths: Dict[Tuple[int, int], Path] = {}
-        # One backward bound-DP per distinct destination, shared across
-        # all source rows (the kernel keys it by destination; weights
-        # and hop budget are fixed for the whole call).
-        bound_cache: Dict[int, np.ndarray] = {}
-        for a, src in enumerate(sources):
-            for b, dst in enumerate(destinations):
-                res, nh, raw = _best_enum_route(
-                    topology, int(src), int(dst), self.max_hops, weights,
-                    bound_cache=bound_cache,
+        # One kernel call expands every pair; each pair's DFS-ordered
+        # survivors (never empty) then go through the canonical fold.
+        for a, b, survivors in enumkernel.pruned_candidates_matrix(
+            topology, sources, destinations, self.max_hops, weights
+        ):
+            R[a, b], hops[a, b], raw = _fold_raw_paths(survivors, weights)
+            if with_paths:
+                paths[(int(sources[a]), int(destinations[b]))] = Path(
+                    nodes=raw[0], edges=raw[1]
                 )
-                if raw is None:
-                    continue
-                R[a, b] = res
-                hops[a, b] = nh
-                if with_paths:
-                    paths[(int(src), int(dst))] = Path(nodes=raw[0], edges=raw[1])
         return R, hops, paths
 
     def trmin_matrix(

@@ -223,7 +223,11 @@ class Topology:
         # the graph is append-only, so those two counts pin the wiring —
         # and one costed view per bandwidth convention keyed on version.
         self._csr_structure: Optional[
-            Tuple[Tuple[int, int], np.ndarray, np.ndarray, np.ndarray]
+            Tuple[
+                Tuple[int, int],
+                np.ndarray, np.ndarray, np.ndarray,  # indptr, indices, edge_ids
+                np.ndarray, np.ndarray,  # edge endpoints us, vs
+            ]
         ] = None
         self._csr_cache: Dict[object, CSRAdjacency] = {}
         # Version-cached (capacity, utilization) edge vectors backing
@@ -519,11 +523,11 @@ class Topology:
         )
 
     def edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays ``(us, vs)`` for all edges."""
-        if not self._endpoints:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        arr = np.asarray(self._endpoints, dtype=int)
-        return arr[:, 0], arr[:, 1]
+        """Read-only endpoint arrays ``(us, vs)`` for all edges, cached
+        with the CSR wiring (the layered DP asks once per source)."""
+        self._ensure_csr_structure()
+        *_, us, vs = self._csr_structure
+        return us, vs
 
     def _ensure_csr_structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(indptr, indices, edge_ids)`` wiring arrays,
@@ -548,10 +552,12 @@ class Topology:
                 dtype=np.int64,
                 count=total,
             )
-            for arr in (indptr, indices, edge_ids):
+            endpoints = np.asarray(self._endpoints, dtype=np.int64).reshape(-1, 2)
+            us, vs = endpoints[:, 0].copy(), endpoints[:, 1].copy()
+            for arr in (indptr, indices, edge_ids, us, vs):
                 arr.setflags(write=False)
-            self._csr_structure = (structure_key, indptr, indices, edge_ids)
-        _, indptr, indices, edge_ids = self._csr_structure
+            self._csr_structure = (structure_key, indptr, indices, edge_ids, us, vs)
+        _, indptr, indices, edge_ids, _, _ = self._csr_structure
         return indptr, indices, edge_ids
 
     def csr_structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -640,12 +646,9 @@ class Topology:
         utils = arrays.utilization.tolist()
         lats = arrays.latency_ms.tolist()
         m = len(caps)
-        endpoints = list(
-            zip(
-                np.minimum(arrays.us, arrays.vs).tolist(),
-                np.maximum(arrays.us, arrays.vs).tolist(),
-            )
-        )
+        us = np.minimum(arrays.us, arrays.vs)
+        vs = np.maximum(arrays.us, arrays.vs)
+        endpoints = list(zip(us.tolist(), vs.tolist()))
         edge_index = dict(zip(endpoints, range(m)))
         # Link objects and adjacency lists are deferred: the properties
         # materialize them on first access, and sweep workers running
@@ -656,13 +659,17 @@ class Topology:
         if arrays.csr_indptr is not None:
             # The exporter shipped the CSR wiring: prefill the structure
             # cache and back the deferred adjacency with it.
-            for arr in (arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids):
+            for arr in (
+                arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids, us, vs
+            ):
                 arr.setflags(write=False)
             topo._csr_structure = (
                 (arrays.num_nodes, m),
                 arrays.csr_indptr,
                 arrays.csr_indices,
                 arrays.csr_edge_ids,
+                us,
+                vs,
             )
             topo._lazy_adjacency = (
                 arrays.csr_indptr,
@@ -673,10 +680,9 @@ class Topology:
             adjacency: List[List[Tuple[int, int]]] = [
                 [] for _ in range(arrays.num_nodes)
             ]
-            us, vs = arrays.us.tolist(), arrays.vs.tolist()
-            for eid in range(m):
-                adjacency[us[eid]].append((vs[eid], eid))
-                adjacency[vs[eid]].append((us[eid], eid))
+            for eid, (u, v) in enumerate(endpoints):
+                adjacency[u].append((v, eid))
+                adjacency[v].append((u, eid))
             topo._adjacency = adjacency
         topo._bump()
         topo._link_state_cache = (

@@ -6,17 +6,21 @@ on every fixture: identical ``(resistance, hops, path)`` triples out of
 the pricing fold (including the resistance-then-fewer-hops-then-DFS-
 order tie-break) and identical exhaustive path counts. These tests
 drive both over hypothesis random graphs, fat-trees k in {4, 8, 16},
-and the degenerate corners the kernel special-cases.
+and the degenerate corners the kernel special-cases — pair by pair and
+through the batched matrix call, where one frontier serves every pair.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.obs import get_registry
-from repro.routing import count_paths, enumerate_paths, iter_simple_paths_raw
+from repro.routing import count_paths, enumerate_paths, enumkernel, iter_simple_paths_raw
 from repro.routing.enumkernel import count_paths_kernel, pruned_candidates
 from repro.routing.response_time import PathEngine, ResponseTimeModel, _best_enum_route
 from repro.topology import (
@@ -163,6 +167,195 @@ class TestBestRouteIdentity:
         for s in range(8):
             for d in range(8):
                 _assert_pair_identical(topo, s, d, 4, weights)
+
+
+def _enum_model(max_hops):
+    return ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=max_hops)
+
+
+def _fixed_weights(weights):
+    """Price with ``weights`` instead of the topology's link state (the
+    model under test and the oracle both ask ``edge_weights``)."""
+    return mock.patch.object(
+        ResponseTimeModel, "edge_weights", lambda self, topology: weights
+    )
+
+
+def _assert_matrix_identical(topo, sources, destinations, max_hops):
+    """One batched call == the oracle's per-pair exhaustive fold, and
+    ``with_paths`` does not change ``(R, hops)``."""
+    model = _enum_model(max_hops)
+    R, hops, paths = model.resistance_matrix(
+        topo, sources, destinations, with_paths=True
+    )
+    R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+        model, topo, sources, destinations
+    )
+    assert np.array_equal(R, R_ref)
+    assert np.array_equal(hops, hops_ref)
+    assert paths == paths_ref
+    R_np, hops_np, no_paths = model.resistance_matrix(topo, sources, destinations)
+    assert np.array_equal(R_np, R) and np.array_equal(hops_np, hops)
+    assert no_paths == {}
+    return R, hops, paths
+
+
+class TestBatchedMatrixIdentity:
+    """Every pair of a call shares one frontier; the judge is still the
+    exhaustive per-pair fold, compared with exact ``==``."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=11),
+        st.integers(min_value=0, max_value=300),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    )
+    def test_property_random_graphs(self, n, seed, max_hops):
+        topo = build_random_connected(n, 0.3, seed=seed)
+        LinkUtilizationModel(0.1, 0.9, seed=seed + 1).apply(topo)
+        # Overlapping source / destination sets: s == d pairs included.
+        _assert_matrix_identical(
+            topo, list(range(0, n, 2)), list(range(0, n, 3)), max_hops
+        )
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("costs", ["random", "uniform", "near_zero"])
+    def test_fat_tree(self, k, costs):
+        topo = build_fat_tree(k)
+        n = topo.num_nodes
+        sources = list(range(0, n, max(1, n // 6)))
+        destinations = list(range(1, n, max(1, n // 7)))
+        if costs == "random":
+            LinkUtilizationModel(0.2, 0.8, seed=k).apply(topo)
+        weights = (
+            np.full(topo.num_edges, 1e-13) if costs == "near_zero" else _weights(topo)
+        )
+        if costs != "random":
+            assert np.unique(weights).size == 1  # every equal-length path ties
+        with _fixed_weights(weights):
+            for h in (0, 1, 3, 4, 5):
+                _assert_matrix_identical(topo, sources, destinations, h)
+
+    def test_overlap_and_duplicate_node_ids(self):
+        topo = build_fat_tree(4)
+        LinkUtilizationModel(0.2, 0.8, seed=3).apply(topo)
+        sources = [0, 5, 5, 9]  # duplicate source
+        destinations = [5, 0, 12, 12, 9]  # duplicate destination, overlaps
+        R, hops, paths = _assert_matrix_identical(topo, sources, destinations, 4)
+        for a, s in enumerate(sources):
+            for b, d in enumerate(destinations):
+                if s == d:
+                    assert (R[a, b], hops[a, b]) == (0.0, 0)
+                    assert paths[(s, d)].nodes == (s,)
+                    assert paths[(s, d)].edges == ()
+        assert np.array_equal(R[1], R[2]) and np.array_equal(hops[1], hops[2])
+        assert np.array_equal(R[:, 2], R[:, 3])
+
+    def test_empty_sources_or_destinations(self):
+        topo = build_fat_tree(4)
+        model = _enum_model(3)
+        for sources, destinations in ([], [1, 2, 3]), ([0, 1], []), ([], []):
+            R, hops, paths = model.resistance_matrix(
+                topo, sources, destinations, with_paths=True
+            )
+            assert R.shape == hops.shape == (len(sources), len(destinations))
+            assert paths == {}
+
+    def test_disconnected_graph(self):
+        topo = disconnected_topology()
+        R, hops, paths = _assert_matrix_identical(topo, [0, 1, 2], [1, 3], None)
+        assert np.isinf(R[0, 1]) and hops[0, 1] == -1 and (0, 3) not in paths
+        assert np.isfinite(R[2, 1]) and hops[2, 1] == 1
+        assert set(paths) == {(0, 1), (1, 1), (2, 3)}
+
+    def test_rejections_match_the_single_pair_call(self):
+        topo = build_fat_tree(4)
+        n = topo.num_nodes
+        with pytest.raises(TopologyError):
+            _enum_model(3).resistance_matrix(topo, [0, n], [1])
+        with pytest.raises(TopologyError):
+            _enum_model(3).resistance_matrix(topo, [0], [1, -1])
+        with pytest.raises(RoutingError, match="non-negative"):
+            _enum_model(-1).resistance_matrix(topo, [0], [1])
+        weights = _weights(topo)
+        weights[0] = 0.0
+        with _fixed_weights(weights):
+            with pytest.raises(RoutingError, match="strictly positive"):
+                _enum_model(4).resistance_matrix(topo, [0, 1], [n - 1])
+
+    def test_block_boundaries_cannot_change_a_result(self, monkeypatch):
+        """Pairs never interact, so how many share a frontier is
+        invisible — on a tie-heavy call where every equal-cost path
+        survives into the fold."""
+        topo = build_fat_tree(8)  # untouched links: uniform weights
+        sources = list(range(0, 80, 9))
+        destinations = list(range(2, 80, 7))
+        model = _enum_model(5)
+        results = []
+        for block in (1, 7, 10**9):
+            monkeypatch.setattr(enumkernel, "_PAIR_BLOCK", block)
+            results.append(
+                model.resistance_matrix(topo, sources, destinations, with_paths=True)
+            )
+        for R, hops, paths in results[1:]:
+            assert np.array_equal(R, results[0][0])
+            assert np.array_equal(hops, results[0][1])
+            assert paths == results[0][2]
+
+
+class TestBatchedCounters:
+    """The kernel counters are per-pair sums whatever shares a frontier;
+    only ``enum_kernel_calls`` sees the batching."""
+
+    TOTALS = (
+        "routing.enum_frontier_rows",
+        "routing.enum_pruned_rows",
+        "routing.enum_bound_cutoffs",
+    )
+
+    @staticmethod
+    def _delta(names, fn):
+        reg = get_registry()
+        before = [reg.counter(name).value for name in names]
+        fn()
+        return [reg.counter(name).value - b for name, b in zip(names, before)]
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_totals_equal_the_per_pair_sums(self, k):
+        topo = build_fat_tree(k)
+        LinkUtilizationModel(0.2, 0.8, seed=k + 1).apply(topo)
+        n = topo.num_nodes
+        sources = list(range(0, n, max(1, n // 5)))
+        destinations = list(range(0, n, max(1, n // 6)))  # overlaps sources
+        model = _enum_model(5)
+        weights = model.edge_weights(topo)
+
+        def per_pair():
+            for s in sources:
+                for d in destinations:
+                    pruned_candidates(topo, s, d, 5, weights)
+
+        batched = self._delta(
+            self.TOTALS, lambda: model.resistance_matrix(topo, sources, destinations)
+        )
+        assert batched == self._delta(self.TOTALS, per_pair)
+        assert batched[0] > 0 and batched[1] > 0
+
+    def test_kernel_calls_count_pair_blocks_not_pairs(self):
+        """Structural guard: an 18 x 22 call is a handful of frontiers,
+        not one per pair."""
+        topo = build_fat_tree(8)
+        LinkUtilizationModel(0.2, 0.8, seed=5).apply(topo)
+        sources = list(range(0, 72, 4))
+        destinations = list(range(1, 80, 3))[:22]
+        assert (len(sources), len(destinations)) == (18, 22)
+        nontrivial = sum(s != d for s in sources for d in destinations)
+        (calls,) = self._delta(
+            ["routing.enum_kernel_calls"],
+            lambda: _enum_model(5).resistance_matrix(topo, sources, destinations),
+        )
+        assert calls == math.ceil(nontrivial / enumkernel._PAIR_BLOCK)
+        assert calls < 18
 
 
 class TestDegenerateCorners:

@@ -113,6 +113,20 @@ class TestVectorizedViews:
         assert us.shape == (3,)
         assert (us < vs).all()
 
+    def test_edge_endpoint_arrays_follow_growth(self):
+        """Cached with the CSR wiring, so an edge added after a call
+        shows in the next; callers get read-only views."""
+        topo, _ = triangle()
+        us, vs = topo.edge_endpoint_arrays()
+        assert topo.edge_endpoint_arrays()[0] is us  # served from the cache
+        assert not us.flags.writeable and not vs.flags.writeable
+        d = topo.add_node()
+        topo.add_edge(0, d, Link(capacity_mbps=100.0))
+        us2, vs2 = topo.edge_endpoint_arrays()
+        assert us2.shape == vs2.shape == (4,)
+        assert (us2[-1], vs2[-1]) == (0, d)
+        assert list(zip(us2.tolist(), vs2.tolist())) == list(topo.edges)
+
     def test_empty_graph_arrays(self):
         topo = Topology()
         us, vs = topo.edge_endpoint_arrays()
