@@ -3,8 +3,8 @@
 Measures, per fat-tree ``k`` (default 16 and 32; k=8 with ``--smoke``),
 one randomized snapshot solved two ways on identical inputs:
 
-* **centralized** — one warm-started ``PlacementSession`` holding the
-  whole network view (DP response model);
+* **centralized** — one ``PlacementEngine`` holding the whole network
+  view (DP response model);
 * **distributed** — per-pod zone managers presolving their local
   blocks and pricing only their own busy rows, with the thin
   price-exchange coordinator of ``repro.lp.distributed``.

@@ -7,11 +7,11 @@ Three measurements, written to ``BENCH_obs.json``:
 2. **registry update microbench** — ns per ``Counter.inc`` /
    ``Histogram.observe`` (the locked slow path instrumented call sites
    actually pay);
-3. **real-workload overhead** — on the PR 1 Trmin pricing bench fixture
-   and the PR 2 warm-solve session fixture, count the instrumentation
-   touches one operation performs (spans recorded with the tracer
-   forced on; registry updates counted with bench-local wrappers) and
-   price them at the measured unit costs. The estimated
+3. **real-workload overhead** — on a Trmin pricing op and a whole
+   ``PlacementEngine.solve`` (pricing + LP) of a fat-tree state, count
+   the instrumentation touches one operation performs (spans recorded
+   with the tracer forced on; registry updates counted with bench-local
+   wrappers) and price them at the measured unit costs. The estimated
    disabled-instrumentation overhead must stay **under 3%** of the
    operation's wall time or the script exits non-zero (CI runs
    ``--smoke``).
@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import IterationSampler
@@ -155,8 +155,8 @@ def trmin_workload(smoke: bool) -> Callable[[], object]:
     return lambda: engine.resistance_matrix(topo, sources, destinations)
 
 
-def warm_solve_workload(smoke: bool) -> Callable[[], object]:
-    """One PR 2-style op: warm session re-solve of a perturbed state."""
+def placement_solve_workload(smoke: bool) -> Callable[[], object]:
+    """One Eq.-3 op: ``PlacementEngine.solve`` (pricing + LP) of one state."""
     k = 4 if smoke else 8
     policy = ThresholdPolicy(c_max=80.0, co_max=35.0, x_min=10.0)
     topo = build_fat_tree(k)
@@ -172,32 +172,19 @@ def warm_solve_workload(smoke: bool) -> Callable[[], object]:
             break
     else:
         raise RuntimeError("no feasible busy/candidate split sampled")
-    base = dict(
+    problem = PlacementProblem(
         topology=topo,
         busy=tuple(busy),
         candidates=tuple(candidates),
+        cs=cs,
         cd=cd,
         data_mb=np.full(len(busy), 10.0),
     )
-    problem = PlacementProblem(**base, cs=cs)
-    cs2 = cs.copy()
-    cs2[0] *= 0.85
-    perturbed = PlacementProblem(**base, cs=cs2)
-    model = ResponseTimeModel(engine=PathEngine.DP, max_hops=None)
-    session = PlacementSession(
-        engine=PlacementEngine(response_model=model, with_routes=False)
+    engine = PlacementEngine(
+        response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=None),
+        with_routes=False,
     )
-    session.solve(problem)  # prime basis + route cache
-
-    state = {"flip": False}
-
-    def op():
-        # Alternate states so every solve re-prices + re-pivots a warm
-        # basis instead of hitting a fully-memoized result.
-        state["flip"] = not state["flip"]
-        return session.solve(perturbed if state["flip"] else problem)
-
-    return op
+    return lambda: engine.solve(problem)
 
 
 def bench_workload(
@@ -262,8 +249,12 @@ def main(argv=None) -> int:
             "trmin_pricing": bench_workload(
                 "trmin_pricing", trmin_workload(args.smoke), repeats, unit, failures
             ),
-            "warm_solve": bench_workload(
-                "warm_solve", warm_solve_workload(args.smoke), repeats, unit, failures
+            "placement_solve": bench_workload(
+                "placement_solve",
+                placement_solve_workload(args.smoke),
+                repeats,
+                unit,
+                failures,
             ),
         },
         "failures": failures,

@@ -62,7 +62,6 @@ from repro.core.placement import (
     PlacementEngine,
     PlacementProblem,
     PlacementReport,
-    PlacementSession,
 )
 from repro.core.postoffload import KeepaliveTracker, ReplicaSelector
 from repro.obs import (
@@ -183,12 +182,9 @@ class DUSTManager:
         self.placement_engine = placement_engine or PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
         )
-        # Periodic re-solves run through a session so each optimization
-        # round warm-starts the LP from the previous round's basis.
-        self.placement_session = PlacementSession(engine=self.placement_engine)
         # Alternative solve mode: decompose each round's Eq. 3 solve
         # across zone managers (repro.lp.distributed). Same optimum as
-        # the centralized session — the zones split the pricing work.
+        # the centralized engine — the zones split the pricing work.
         if solve_mode not in ("centralized", "distributed"):
             raise ProtocolError(
                 f"unknown solve_mode {solve_mode!r}; expected "
@@ -862,7 +858,7 @@ class DUSTManager:
         if self.distributed_engine is not None:
             report = self.distributed_engine.solve(problem)
         else:
-            report = self.placement_session.solve(problem)
+            report = self.placement_engine.solve(problem)
         self.placement_history.append(report)
         assignments = report.assignments
         if not report.feasible:
@@ -1025,9 +1021,9 @@ class DUSTManager:
     def reset_placement(self) -> int:
         """Tear the current placement down and re-place from scratch.
 
-        Every active offload is reclaimed (both endpoints are told),
-        the warm-start session and its cached basis are dropped, and an
-        immediate optimization round re-solves from the live NMDB. The
+        Every active offload is reclaimed (both endpoints are told) and
+        an immediate optimization round re-solves from the live NMDB
+        (every solve is from scratch; the ledger is the only state). The
         soak drift watchdog invokes this when the incremental placement
         has diverged from the from-scratch oracle past its bound;
         returns the number of ledger rows torn down.
@@ -1043,9 +1039,6 @@ class DUSTManager:
                 )
                 self._send_ctrl(offload.destination, reclaim)
                 self._send_ctrl(offload.source, reclaim)
-        self.placement_session.reset()
-        if self.distributed_engine is not None:
-            self.distributed_engine.reset()
         self.counters.placements_reset += 1
         self._persist()
         return rows

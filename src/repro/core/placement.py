@@ -11,10 +11,11 @@ paths (Eq. 2). The solve decomposes exactly as the paper's simulator
 does:
 
 1. **route pricing** — compute the ``Trmin`` matrix with the configured
-   :class:`~repro.routing.response_time.ResponseTimeModel` (exhaustive
-   enumeration by default: this step, not the LP, dominates the
-   measured computation time and produces the max-hop blowup of
-   Figs. 8/10);
+   :class:`~repro.routing.response_time.ResponseTimeModel` (the
+   hop-layered DP by default; the paper's exhaustive enumeration —
+   whose cost, not the LP's, is the max-hop blowup of Figs. 8/10 — is
+   the same ``(Trmin, hops)`` and is named explicitly by the callers
+   that time it);
 2. **LP solve** — by default the exact transportation solver
    (:mod:`repro.lp.transportation`); ``scipy`` (HiGHS, the Gurobi
    stand-in) and the from-scratch ``simplex`` are selectable.
@@ -36,9 +37,7 @@ from repro.core.nmdb import NetworkSnapshot
 from repro.errors import PlacementError
 from repro.lp import (
     LinearProgram,
-    SimplexBasis,
     SolveStatus,
-    TransportationBasis,
     TransportationProblem,
     lp_sum,
     solve_branch_and_bound,
@@ -54,15 +53,6 @@ from repro.topology.graph import Topology
 
 #: Flows below this are dropped from the assignment list (numerical dust).
 _FLOW_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class _LpExtra:
-    """Warm-start bookkeeping riding along with one LP dispatch."""
-
-    basis: object = None
-    warm_started: bool = False
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,16 +194,11 @@ class PlacementReport:
     #: id -> dual of its 3a row), populated when the scipy backend
     #: solved the LP: beta falls by |dual| per extra capacity point.
     capacity_duals: Dict[int, float] = field(default_factory=dict)
-    #: Warm-start handle for the next same-shaped solve: the
-    #: transportation backend's final basis tree, or the simplex
-    #: backend's :class:`~repro.lp.simplex.SimplexBasis`. ``None`` when
-    #: the backend has nothing reusable (scipy, infeasible, no LP run).
-    lp_basis: object = None
-    #: True when the LP actually started from a supplied warm basis
-    #: (a rejected/repaired-to-cold hint reports False).
+    #: Never set: the only reader is benchmarks/e2e/spans.py; deleted
+    #: with that reader in the next [benchmark] PR.
     lp_warm_started: bool = False
-    #: Pivot count of the LP solve (MODI or simplex iterations) — the
-    #: quantity warm starts shrink; 0 for scipy and trivial solves.
+    #: Pivot count of the LP solve (MODI or simplex iterations); 0 for
+    #: scipy and trivial solves.
     lp_iterations: int = 0
 
     @property
@@ -241,8 +226,10 @@ class PlacementEngine:
     Parameters
     ----------
     response_model:
-        Trmin computation configuration; defaults to the faithful
-        exhaustive-enumeration engine with the problem's ``max_hops``.
+        Trmin computation configuration; defaults to the hop-layered
+        DP with the problem's ``max_hops`` (same ``(Trmin, hops)`` as
+        exhaustive enumeration, without its unbounded cost when the
+        problem sets no ``max_hops``).
     lp_backend:
         ``"transportation"`` (default, exact network simplex),
         ``"scipy"`` (HiGHS) or ``"simplex"`` (from-scratch tableau).
@@ -287,9 +274,7 @@ class PlacementEngine:
                     max_hops=problem.max_hops,
                 )
             return model
-        return ResponseTimeModel(
-            engine=PathEngine.ENUMERATION, max_hops=problem.max_hops
-        )
+        return ResponseTimeModel(engine=PathEngine.DP, max_hops=problem.max_hops)
 
     def _solve_lp(
         self,
@@ -298,34 +283,20 @@ class PlacementEngine:
         cd: np.ndarray,
         coeff: Optional[np.ndarray] = None,
         integral: bool = False,
-        warm_start: object = None,
-    ) -> Tuple[SolveStatus, np.ndarray, float, Dict[int, float], "_LpExtra"]:
+    ) -> Tuple[SolveStatus, np.ndarray, float, Dict[int, float], int]:
         """Dispatch the placement LP; returns (status, flow, beta, duals,
-        extra) where ``extra`` carries the warm-start bookkeeping.
+        pivots).
 
         The specialized transportation backend handles the paper's
         homogeneous continuous case; heterogeneous coefficients or
         integral variables force the general LP/MILP path (with the
         ``transportation`` backend transparently upgraded to scipy).
-        ``warm_start`` is the previous same-shaped solve's basis: a
-        :class:`~repro.lp.transportation.TransportationBasis` for the
-        transportation path, a :class:`~repro.lp.simplex.SimplexBasis`
-        for the from-scratch simplex. Mismatched hints are ignored by
-        the solvers, so passing a stale one is always safe.
         """
         m, n = cost.shape
         general_needed = coeff is not None or integral
         if self.lp_backend == "transportation" and not general_needed:
-            result = solve_transportation(
-                TransportationProblem(cs, cd, cost),
-                warm_start=warm_start if isinstance(warm_start, TransportationBasis) else None,
-            )
-            extra = _LpExtra(
-                basis=result.basis,
-                warm_started=result.warm_started,
-                iterations=result.iterations,
-            )
-            return result.status, result.flow, result.objective, {}, extra
+            result = solve_transportation(TransportationProblem(cs, cd, cost))
+            return result.status, result.flow, result.objective, {}, result.iterations
         lp = LinearProgram("dust-placement")
         variables: Dict[Tuple[int, int], object] = {}
         for i in range(m):
@@ -339,7 +310,7 @@ class PlacementEngine:
             if not row:
                 if cs[i] > _FLOW_TOL:
                     empty = np.zeros((m, n))
-                    return SolveStatus.INFEASIBLE, empty, float("nan"), {}, _LpExtra()
+                    return SolveStatus.INFEASIBLE, empty, float("nan"), {}, 0
                 continue
             lp.add_constraint(lp_sum(row) == float(cs[i]), name=f"supply_{i}")
         for j in range(n):
@@ -364,10 +335,7 @@ class PlacementEngine:
         elif self.lp_backend in ("scipy", "transportation"):
             solution = solve_scipy(lp)
         else:
-            solution = solve_simplex(
-                lp,
-                warm_start=warm_start if isinstance(warm_start, SimplexBasis) else None,
-            )
+            solution = solve_simplex(lp)
         flow = np.zeros((m, n))
         if solution.status.is_optimal:
             for (i, j), var in variables.items():
@@ -377,28 +345,19 @@ class PlacementEngine:
             for name, value in solution.duals.items()
             if name.startswith("capacity_")
         }
-        extra = _LpExtra(
-            basis=solution.basis,
-            warm_started=solution.warm_started,
-            iterations=solution.iterations,
-        )
-        return solution.status, flow, solution.objective, duals, extra
+        return solution.status, flow, solution.objective, duals, solution.iterations
 
     # -- public API ---------------------------------------------------------------------
-    def solve(
-        self, problem: PlacementProblem, warm_start: object = None
-    ) -> PlacementReport:
+    def solve(self, problem: PlacementProblem) -> PlacementReport:
         """Solve one placement instance to optimality (or infeasibility).
+
+        A pure function of ``problem`` and the engine's configuration:
+        nothing is carried from one solve to the next.
 
         Parameters
         ----------
         problem : PlacementProblem
             Busy/candidate sets, loads, capacities and routing limits.
-        warm_start : object, optional
-            The ``lp_basis`` of a previous report for the same
-            busy/candidate sets (usually supplied by a
-            :class:`PlacementSession` rather than by hand). The optimum
-            is identical either way; only the pivot count changes.
 
         Returns
         -------
@@ -414,7 +373,7 @@ class PlacementEngine:
             candidates=len(problem.candidates),
             backend=self.lp_backend,
         ):
-            report = self._solve_impl(problem, warm_start)
+            report = self._solve_impl(problem)
         registry = get_registry()
         registry.counter("placement.solves").inc()
         if report.status is SolveStatus.INFEASIBLE:
@@ -424,9 +383,7 @@ class PlacementEngine:
         registry.histogram("placement.total_seconds").observe(report.total_seconds)
         return report
 
-    def _solve_impl(
-        self, problem: PlacementProblem, warm_start: object = None
-    ) -> PlacementReport:
+    def _solve_impl(self, problem: PlacementProblem) -> PlacementReport:
         start = time.perf_counter()
         model = self._model_for(problem)
         m, n = len(problem.busy), len(problem.candidates)
@@ -466,7 +423,7 @@ class PlacementEngine:
 
         t1 = time.perf_counter()
         duals_by_index: Dict[int, float] = {}
-        extra = _LpExtra()
+        pivots = 0
         with trace_span("placement.lp"):
             if n == 0:
                 status, flow, beta = (
@@ -475,13 +432,12 @@ class PlacementEngine:
                     float("nan"),
                 )
             else:
-                status, flow, beta, duals_by_index, extra = self._solve_lp(
+                status, flow, beta, duals_by_index, pivots = self._solve_lp(
                     trmin,
                     problem.cs,
                     problem.cd,
                     coeff=problem.capacity_coefficients,
                     integral=problem.integral,
-                    warm_start=warm_start,
                 )
         lp_seconds = time.perf_counter() - t1
 
@@ -520,96 +476,15 @@ class PlacementEngine:
                 int(problem.candidates[j]): float(v)
                 for j, v in duals_by_index.items()
             },
-            lp_basis=extra.basis,
-            lp_warm_started=extra.warm_started,
-            lp_iterations=extra.iterations,
+            lp_iterations=pivots,
         )
 
 
 class PlacementSession:
-    """Stateful solve loop: the LP warm basis carried across solves.
-
-    Route pricing is recomputed from the current link utilizations on
-    every solve (there is no route cache); this session adds reuse for
-    the *LP* step, holding the last optimal basis and feeding it back
-    whenever the next problem has the same busy/candidate sets (so the
-    basis shape and lane structure match). A perturbation of
-    utilizations or capacities between re-solves — the manager's
-    periodic cycle, a sweep iteration — then re-converges from the
-    previous tree in a handful of pivots instead of a cold Vogel start.
-
-    Warm starts are **skipped** (the solve is simply cold) when the
-    busy/candidate sets differ from the previous solve, when the LP
-    runs on the scipy backend (HiGHS keeps no basis across calls), or
-    for integral problems (branch-and-bound warm-starts internally but
-    has no single reusable final basis). Feasibility and optima are
-    never affected — a stale basis is repaired or discarded inside the
-    solver.
-    """
-
-    def __init__(
-        self, engine: Optional[PlacementEngine] = None, **engine_kwargs: object
-    ) -> None:
-        self.engine = engine or PlacementEngine(**engine_kwargs)  # type: ignore[arg-type]
-        self._last_key: Optional[Tuple] = None
-        self._last_basis: object = None
-        #: Solves where a warm basis was offered to the LP.
-        self.warm_attempts = 0
-        #: Solves where the LP actually started from that basis.
-        self.warm_hits = 0
-
-    @property
-    def trmin_engine(self) -> TrminEngine:
-        return self.engine.trmin_engine
-
-    def _key(self, problem: PlacementProblem) -> Tuple:
-        return (
-            problem.busy,
-            problem.candidates,
-            problem.max_hops,
-            problem.integral,
-            problem.is_homogeneous,
-            self.engine.lp_backend,
-        )
+    # Only caller is benchmarks/e2e/workloads.py; deleted with that call
+    # site in the next [benchmark] PR.
+    def __init__(self, engine: PlacementEngine) -> None:
+        self.engine = engine
 
     def solve(self, problem: PlacementProblem) -> PlacementReport:
-        """Solve, warm-starting from the previous compatible basis.
-
-        Parameters
-        ----------
-        problem : PlacementProblem
-            The instance to solve. When its busy/candidate sets match
-            the previous solve's, the remembered LP basis is offered as
-            a warm start.
-
-        Returns
-        -------
-        PlacementReport
-            Same contract as :meth:`PlacementEngine.solve`;
-            ``lp_warm_started`` tells whether the basis was used.
-            Warm-start attempts and hits are also published as
-            ``placement.warm_attempts`` / ``placement.warm_hits``.
-        """
-        registry = get_registry()
-        key = self._key(problem)
-        warm = self._last_basis if key == self._last_key else None
-        if warm is not None:
-            self.warm_attempts += 1
-            registry.counter("placement.warm_attempts").inc()
-        report = self.engine.solve(problem, warm_start=warm)
-        if report.lp_warm_started:
-            self.warm_hits += 1
-            registry.counter("placement.warm_hits").inc()
-        if report.status.is_optimal and report.lp_basis is not None:
-            self._last_key = key
-            self._last_basis = report.lp_basis
-        else:
-            # Don't let a failed solve leave a misleading handle behind.
-            self._last_key = None
-            self._last_basis = None
-        return report
-
-    def reset(self) -> None:
-        """Drop the remembered basis."""
-        self._last_key = None
-        self._last_basis = None
+        return self.engine.solve(problem)

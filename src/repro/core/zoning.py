@@ -32,7 +32,6 @@ from repro.core.placement import (
     PlacementEngine,
     PlacementProblem,
     PlacementReport,
-    PlacementSession,
 )
 from repro.errors import PlacementError, TopologyError
 from repro.lp.distributed import DistributedSolveResult, ZoneWorker, run_protocol
@@ -382,7 +381,7 @@ class DistributedPlacementReport(PlacementReport):
         Sum of feasible zones' presolve objectives (the no-cross-zone
         baseline; ``nan`` when no zone presolved).
     presolve_warm_hits : int
-        Zones whose local presolve warm-started from a previous round.
+        Never set (see the field's comment).
     coordinator_seconds : float
         Coordinator-side merge/pivot wall time.
     zone_seconds : dict of int to float
@@ -401,6 +400,8 @@ class DistributedPlacementReport(PlacementReport):
     gap: float = float("nan")
     dsolve_messages: int = 0
     local_objective: float = float("nan")
+    # Never set: the only reader is benchmarks/e2e/spans.py; deleted with
+    # that reader in the next [benchmark] PR.
     presolve_warm_hits: int = 0
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
@@ -414,14 +415,15 @@ class DistributedPlacementEngine:
     Unlike :class:`ZonedPlacementEngine` — which forbids inter-zone
     offloading and accepts the stranded-excess cost — this engine
     reaches the *global* optimum: each zone manager prices its own busy
-    rows (the Θ(m_z·n) Trmin + reduced-cost work, which dominates) and
-    solves its local subproblem through a per-zone warm-started
-    :class:`~repro.core.placement.PlacementSession`, while the thin
+    rows once (the Θ(m_z·n) Trmin + reduced-cost work, which dominates)
+    and presolves its local block from those same rows
+    (:class:`~repro.lp.distributed.ZoneWorker`), while the thin
     coordinator from :mod:`repro.lp.distributed` merges the zone bases
     and exchanges consensus prices until no zone can improve. The
     returned objective equals the centralized
     :class:`~repro.core.placement.PlacementEngine` solve on the same
-    problem (same LP optimum, different pivot order).
+    problem (same LP optimum, different pivot order). Every solve is a
+    pure function of its problem: nothing is carried between calls.
 
     Parameters
     ----------
@@ -429,8 +431,8 @@ class DistributedPlacementEngine:
         The zone partition (must cover the topology; see
         :func:`validate_partition`).
     engine : PlacementEngine, optional
-        Supplies the Trmin engine, response model and LP backend for
-        the local presolves. A route-less engine is built when omitted.
+        Supplies the Trmin engine and response model the zones price
+        with. A route-less engine is built when omitted.
     price_rule : str
         ``"block"`` or ``"dantzig"`` — the coordinator's
         price-coordination rule (see
@@ -461,69 +463,6 @@ class DistributedPlacementEngine:
         self.gap_tol = gap_tol
         self.max_rounds = max_rounds
         self.max_bids = max_bids
-        # One session per zone: each zone's local subproblem keeps its
-        # own warm basis across optimization rounds (PR 2's cheap
-        # re-solves).
-        self._sessions: Dict[int, PlacementSession] = {
-            z.zone_id: PlacementSession(engine=self.engine) for z in self.zones
-        }
-
-    def reset(self) -> None:
-        """Drop all per-zone warm bases."""
-        for session in self._sessions.values():
-            session.reset()
-
-    def _presolve_zone(
-        self,
-        zone: Zone,
-        problem: PlacementProblem,
-        rows: List[int],
-        cols: List[int],
-        trmin_rows: np.ndarray,
-    ) -> Tuple[Tuple, float]:
-        """Local warm-started solve of one zone's own block.
-
-        Returns the ``(cells, objective, feasible, warm_started)``
-        tuple :class:`~repro.lp.distributed.ZoneWorker` expects, plus
-        the presolve's wall time. A zone whose excess exceeds its own
-        spare capacity presolves a supply-clipped variant (the tree is
-        what matters; the coordinator restores real supplies) and is
-        marked locally infeasible.
-        """
-        start = time.perf_counter()
-        if not rows or not cols:
-            feasible = not rows or float(problem.cs[rows].sum()) <= _TOL
-            return ((), float("nan"), feasible, False), time.perf_counter() - start
-        zone_busy = tuple(problem.busy[i] for i in rows)
-        zone_cands = tuple(problem.candidates[j] for j in cols)
-        cs = problem.cs[rows]
-        cd = problem.cd[cols]
-        total_s, total_d = float(cs.sum()), float(cd.sum())
-        clipped = total_s > total_d + _TOL
-        if clipped:
-            if total_d <= _TOL:
-                return ((), float("nan"), False, False), time.perf_counter() - start
-            cs = cs * (total_d / total_s) * (1.0 - 1e-12)
-        local = PlacementProblem(
-            topology=problem.topology,
-            busy=zone_busy,
-            candidates=zone_cands,
-            cs=cs,
-            cd=cd,
-            data_mb=problem.data_mb[rows],
-            max_hops=problem.max_hops,
-        )
-        report = self._sessions[zone.zone_id].solve(local)
-        cells: List[Tuple[int, int, float]] = []
-        if report.status.is_optimal and report.lp_basis is not None:
-            for a, b in getattr(report.lp_basis, "cells", ()):
-                if a >= len(rows):  # local dummy row
-                    continue
-                cells.append((rows[a], cols[b], float(trmin_rows[a, cols[b]])))
-        feasible = report.feasible and not clipped
-        objective = report.objective_beta if report.feasible else float("nan")
-        elapsed = time.perf_counter() - start
-        return (tuple(cells), objective, feasible, report.lp_warm_started), elapsed
 
     def solve(self, problem: PlacementProblem) -> DistributedPlacementReport:
         """Solve one placement instance via the distributed protocol.
@@ -564,11 +503,10 @@ class DistributedPlacementEngine:
         for j, c in enumerate(problem.candidates):
             cols_of[owner[c]].append(j)
 
-        # Phase 0+1 per zone: full-width Trmin rows, then the local
-        # warm-started presolve. Both are zone-side work.
+        # Phase 0 per zone: full-width Trmin rows. The worker presolves
+        # its local block from them inside run_protocol.
         workers: List[ZoneWorker] = []
         trmin_seconds: Dict[int, float] = {}
-        presolve_seconds: Dict[int, float] = {}
         full_trmin = np.zeros((m, n))
         full_hops = np.zeros((m, n), dtype=int)
         all_cands = list(problem.candidates)
@@ -590,10 +528,6 @@ class DistributedPlacementEngine:
             else:
                 trmin_rows = np.zeros((len(rows), n))
             trmin_seconds[zone.zone_id] = time.perf_counter() - t0
-            presolved, presolve_s = self._presolve_zone(
-                zone, problem, rows, cols, trmin_rows
-            )
-            presolve_seconds[zone.zone_id] = presolve_s
             workers.append(
                 ZoneWorker(
                     zone_id=zone.zone_id,
@@ -602,7 +536,6 @@ class DistributedPlacementEngine:
                     cost_rows=trmin_rows,
                     supplies=problem.cs[rows],
                     capacities=problem.cd[cols],
-                    presolved=presolved,
                 )
             )
 
@@ -629,7 +562,6 @@ class DistributedPlacementEngine:
 
         zone_totals = {
             z.zone_id: trmin_seconds[z.zone_id]
-            + presolve_seconds[z.zone_id]
             + result.zone_seconds.get(z.zone_id, 0.0)
             for z in self.zones
         }
@@ -645,9 +577,7 @@ class DistributedPlacementEngine:
             assignments=tuple(assignments),
             trmin_seconds=float(sum(trmin_seconds.values())),
             lp_seconds=float(
-                sum(presolve_seconds.values())
-                + sum(result.zone_seconds.values())
-                + result.coordinator_seconds
+                sum(result.zone_seconds.values()) + result.coordinator_seconds
             ),
             total_seconds=time.perf_counter() - start,
             lp_backend=self.engine.lp_backend,
@@ -655,7 +585,6 @@ class DistributedPlacementEngine:
             max_hops=problem.max_hops,
             total_excess=problem.total_excess,
             total_spare=problem.total_spare,
-            lp_warm_started=result.presolve_warm_hits > 0,
             lp_iterations=result.pivots,
             zones=len(self.zones),
             rounds=result.rounds,
@@ -663,7 +592,6 @@ class DistributedPlacementEngine:
             gap=result.gap,
             dsolve_messages=result.messages,
             local_objective=result.local_objective,
-            presolve_warm_hits=result.presolve_warm_hits,
             coordinator_seconds=result.coordinator_seconds,
             zone_seconds=zone_totals,
             critical_path_seconds=result.coordinator_seconds

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import mean_hops
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -36,16 +36,9 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
         conv: {"feasible": 0, "hops": [], "hfr": [], "solved": 0}
         for conv in BandwidthConvention
     }
-    # One session per convention for the whole sweep, so consecutive
-    # iterations share LP warm-start state instead of rebuilding a
-    # cold PlacementEngine every time.
-    sessions = {
-        conv: PlacementSession(
-            engine=PlacementEngine(
-                response_model=ResponseTimeModel(
-                    convention=conv, engine=PathEngine.DP
-                ),
-            )
+    engines = {
+        conv: PlacementEngine(
+            response_model=ResponseTimeModel(convention=conv, engine=PathEngine.DP),
         )
         for conv in BandwidthConvention
     }
@@ -67,7 +60,7 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
         )
         destinations = {}
         for conv in BandwidthConvention:
-            report = sessions[conv].solve(problem)
+            report = engines[conv].solve(problem)
             bucket = stats[conv]
             bucket["solved"] += 1
             if report.feasible:

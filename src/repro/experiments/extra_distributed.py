@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
@@ -55,7 +55,7 @@ def solve_point(
 
     Builds the k-ary fat tree, samples one randomized network state,
     and solves the identical :class:`PlacementProblem` with the
-    centralized warm-started session and with the per-pod distributed
+    centralized engine and with the per-pod distributed
     engine. Raises ``AssertionError`` if the objectives disagree beyond
     :data:`GAP_TOLERANCE` — the study is a correctness gate first and a
     speedup curve second.
@@ -76,7 +76,7 @@ def solve_point(
         max_hops=max_hops,
     )
 
-    central = PlacementSession(engine=_engine(max_hops)).solve(problem)
+    central = _engine(max_hops).solve(problem)
     zones = partition_by_pod(topology)
     distributed = DistributedPlacementEngine(
         zones=zones, engine=_engine(max_hops), price_rule=price_rule
@@ -109,7 +109,6 @@ def solve_point(
         "gap": distributed.gap,
         "objective_rel_diff": rel_diff,
         "objective_beta": distributed.objective_beta,
-        "presolve_warm_hits": distributed.presolve_warm_hits,
     }
 
 

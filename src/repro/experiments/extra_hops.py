@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import mean_hops
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -43,14 +43,9 @@ def run(
     per_budget_beta = {b: [] for b in budgets}
     heuristic_beta, heuristic_hfr = [], []
 
-    # One session per hop budget for the whole sweep: consecutive
-    # iterations warm-start the LP basis instead of paying a cold
-    # engine per (iteration, budget) pair.
-    sessions = {
-        b: PlacementSession(
-            engine=PlacementEngine(
-                response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=b),
-            )
+    engines = {
+        b: PlacementEngine(
+            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=b),
         )
         for b in budgets
     }
@@ -69,7 +64,7 @@ def run(
             data_mb=np.full(len(busy), 10.0),
         )
         for budget in budgets:
-            report = sessions[budget].solve(PlacementProblem(**base, max_hops=budget))
+            report = engines[budget].solve(PlacementProblem(**base, max_hops=budget))
             if report.feasible and report.assignments:
                 per_budget_hops[budget].append(mean_hops(report))
                 per_budget_beta[budget].append(report.objective_beta)

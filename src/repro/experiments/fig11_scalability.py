@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import fit_power_law
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import (
@@ -71,13 +71,11 @@ def scalability_point(
     arrays = resolve_topology_arrays(arrays)
     topology = Topology.from_arrays(arrays) if arrays is not None else build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
-    ilp_session = PlacementSession(
-        engine=PlacementEngine(
-            response_model=ResponseTimeModel(
-                engine=PathEngine.ENUMERATION, max_hops=ilp_max_hops
-            ),
-            with_routes=False,
-        )
+    ilp_engine = PlacementEngine(
+        response_model=ResponseTimeModel(
+            engine=PathEngine.ENUMERATION, max_hops=ilp_max_hops
+        ),
+        with_routes=False,
     )
     hfrs, ilp_times, heuristic_times = [], [], []
     for _, capacities in sampler.states(iterations):
@@ -98,7 +96,7 @@ def scalability_point(
         hfrs.append(heuristic.hfr_pct)
         heuristic_times.append(heuristic.total_seconds)
         if run_ilp:
-            ilp_times.append(ilp_session.solve(problem).total_seconds)
+            ilp_times.append(ilp_engine.solve(problem).total_seconds)
     return (
         float(np.mean(hfrs)) if hfrs else float("nan"),
         float(np.mean(ilp_times)) if ilp_times else float("nan"),

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -38,11 +38,9 @@ def io_rate_for_policy(
     """Infeasible-rate (%) of the placement program over random states."""
     topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
-    session = PlacementSession(
-        engine=PlacementEngine(
-            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
-            with_routes=False,
-        )
+    engine = PlacementEngine(
+        response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
+        with_routes=False,
     )
     infeasible = 0
     considered = 0
@@ -61,7 +59,7 @@ def io_rate_for_policy(
             data_mb=np.full(len(busy), 10.0),
             max_hops=max_hops,
         )
-        report = session.solve(problem)
+        report = engine.solve(problem)
         if report.status is SolveStatus.INFEASIBLE:
             infeasible += 1
     if considered == 0:

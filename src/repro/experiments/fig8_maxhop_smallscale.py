@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -44,11 +44,9 @@ def mean_solve_time(
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
     topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
-    session = PlacementSession(
-        engine=PlacementEngine(
-            response_model=ResponseTimeModel(engine=engine_kind, max_hops=max_hops),
-            with_routes=False,
-        )
+    engine = PlacementEngine(
+        response_model=ResponseTimeModel(engine=engine_kind, max_hops=max_hops),
+        with_routes=False,
     )
     times = []
     betas = []
@@ -66,7 +64,7 @@ def mean_solve_time(
             data_mb=np.full(len(busy), 10.0),
             max_hops=max_hops,
         )
-        report = session.solve(problem)
+        report = engine.solve(problem)
         times.append(report.total_seconds)
         if report.feasible:
             betas.append(report.objective_beta)

@@ -18,7 +18,7 @@ from repro.core.metrics import (
     categorize_iteration,
     summarize_categories,
 )
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -39,11 +39,9 @@ def run(
     policy = ThresholdPolicy(c_max=c_max, co_max=co_max, x_min=x_min)
     topology = build_fat_tree(4)
     sampler = IterationSampler(topology, x_min=x_min, seed=seed)
-    ilp_session = PlacementSession(
-        engine=PlacementEngine(
-            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
-            with_routes=False,
-        )
+    ilp_engine = PlacementEngine(
+        response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
+        with_routes=False,
     )
     categories = []
     hfrs = []
@@ -63,7 +61,7 @@ def run(
             max_hops=max_hops,
         )
         heuristic = solve_heuristic(problem)
-        ilp = ilp_session.solve(problem)
+        ilp = ilp_engine.solve(problem)
         categories.append(categorize_iteration(heuristic, ilp))
         hfrs.append(heuristic.hfr_pct)
     summary = summarize_categories(categories)

@@ -9,9 +9,9 @@ item 1. This module decomposes the Eq. 3 transportation solve across
 * each **zone** owns its busy rows (their supplies and full cost rows,
   i.e. the Trmin pricing work, which dominates wall-clock) and its
   candidate columns (their capacities). It solves its *local*
-  subproblem — its busy rows against its own candidates — exactly, via
-  a warm-started solve, and afterwards only ever *prices* its rows
-  against broadcast duals;
+  subproblem — its busy rows against its own candidates — exactly,
+  from the cost rows it holds, and afterwards only ever *prices* its
+  rows against broadcast duals;
 * a **thin coordinator** owns no cost matrix — just the global basis
   tree (``m + n + 1`` cells), the flows that tree carries, and the dual
   prices it implies. Per iteration it broadcasts boundary duals
@@ -60,7 +60,6 @@ import numpy as np
 from repro.errors import SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.transportation import (
-    TransportationBasis,
     TransportationProblem,
     _BasisTree,
     _UnionFind,
@@ -117,7 +116,7 @@ class ZoneProfile:
         with no finite lane.
     basis_cells : tuple of (int, int, float)
         Spanning-tree cells ``(row, col, cost)`` of the zone's local
-        warm-started presolve, in *global* coordinates (local dummy
+        presolve, in *global* coordinates (local dummy
         rows dropped; ``inf`` costs mark forbidden lanes). The
         coordinator merges these into the initial global basis so the
         price iterations start near the local optima.
@@ -127,8 +126,6 @@ class ZoneProfile:
         Whether the zone could place its own load within its own
         candidates — ``False`` zones are exactly the ones that need
         cross-zone lanes.
-    presolve_warm_started : bool
-        Whether the local solve actually reused a warm basis.
     """
 
     zone_id: int
@@ -140,7 +137,6 @@ class ZoneProfile:
     basis_cells: Tuple[Tuple[int, int, float], ...] = ()
     local_objective: float = float("nan")
     local_feasible: bool = True
-    presolve_warm_started: bool = False
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,6 @@ class DistributedSolveResult:
     local_objective : float
         Sum of feasible zones' presolve objectives — the "no
         cross-zone lanes" baseline the price iterations improve on.
-    presolve_warm_hits : int
-        Zones whose local presolve reused a warm basis.
     coordinator_seconds : float
         Wall time spent in coordinator-side merge/pivot work.
     zone_seconds : dict of int to float
@@ -295,7 +289,6 @@ class DistributedSolveResult:
     zone_count: int
     messages: int
     local_objective: float = float("nan")
-    presolve_warm_hits: int = 0
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
     critical_path_seconds: float = 0.0
@@ -315,7 +308,9 @@ class ZoneWorker:
     rows (every candidate column, so cross-zone lanes can be priced) —
     plus the capacities of the zone's own candidate columns. All the
     Θ(m_z·n) pricing work happens here; the coordinator never sees a
-    cost matrix.
+    cost matrix. The worker keeps nothing from one solve to the next:
+    :meth:`profile` presolves the local block from ``cost_rows`` every
+    time it is called.
 
     Parameters
     ----------
@@ -332,15 +327,6 @@ class ZoneWorker:
         ``s_i`` per row (``rows`` order).
     capacities : sequence of float
         ``d_j`` per owned column (``cols`` order).
-    presolved : tuple, optional
-        Externally solved local subproblem
-        ``(basis_cells, objective, feasible, warm_started)`` with
-        cells in global ``(row, col, cost)`` coordinates — supplied by
-        :class:`repro.core.zoning.DistributedPlacementEngine`, which
-        solves the local block through a warm-started
-        ``PlacementSession``. When omitted, :meth:`profile` runs its
-        own :func:`~repro.lp.transportation.solve_transportation`
-        presolve, warm-started from this worker's previous solve.
     """
 
     def __init__(
@@ -351,7 +337,6 @@ class ZoneWorker:
         cost_rows: np.ndarray,
         supplies: Sequence[float],
         capacities: Sequence[float],
-        presolved: Optional[Tuple] = None,
     ) -> None:
         self.zone_id = int(zone_id)
         self.rows = tuple(int(r) for r in rows)
@@ -368,14 +353,12 @@ class ZoneWorker:
             raise SolverError(f"zone {zone_id}: supplies shape mismatch")
         if self.capacities.shape != (len(self.cols),):
             raise SolverError(f"zone {zone_id}: capacities shape mismatch")
-        self._presolved = presolved
-        self._warm: Optional[TransportationBasis] = None
         self.seconds = 0.0
         self.final_flows: Tuple[Tuple[int, int, float], ...] = ()
         self.final_status: Optional[SolveStatus] = None
 
     # -- phase 1: local presolve ---------------------------------------------------
-    def _local_presolve(self) -> Tuple[Tuple, float, bool, bool]:
+    def _local_presolve(self) -> Tuple[Tuple, float, bool]:
         """Solve the zone-local block (own rows × own cols) exactly.
 
         A zone whose load exceeds its own spare capacity solves a
@@ -385,22 +368,20 @@ class ZoneWorker:
         """
         m_z, n_z = len(self.rows), len(self.cols)
         if m_z == 0 or n_z == 0 or float(self.supplies.sum()) <= _EPS:
-            return (), float("nan"), n_z > 0 or m_z == 0, False
+            return (), float("nan"), n_z > 0 or m_z == 0
         local_cost = self.cost_rows[:, list(self.cols)]
         supplies = self.supplies
         total_s, total_d = float(supplies.sum()), float(self.capacities.sum())
         feasible_shape = total_s <= total_d + _EPS
         if not feasible_shape:
             if total_d <= _EPS:
-                return (), float("nan"), False, False
+                return (), float("nan"), False
             supplies = supplies * (total_d / total_s) * (1.0 - 1e-12)
         result = solve_transportation(
-            TransportationProblem(supplies, self.capacities, local_cost),
-            warm_start=self._warm,
+            TransportationProblem(supplies, self.capacities, local_cost)
         )
         if result.basis is None:
-            return (), float("nan"), False, result.warm_started
-        self._warm = result.basis
+            return (), float("nan"), False
         cells: List[Tuple[int, int, float]] = []
         for i, j in result.basis.cells:
             if i >= m_z:  # local dummy row — coordinator has its own
@@ -410,15 +391,12 @@ class ZoneWorker:
             )
         feasible = feasible_shape and result.status.is_optimal
         objective = result.objective if result.status.is_optimal else float("nan")
-        return tuple(cells), objective, feasible, result.warm_started
+        return tuple(cells), objective, feasible
 
     def profile(self) -> ZoneProfile:
         """Build the zone's :class:`ZoneProfile` (runs the presolve)."""
         start = time.perf_counter()
-        if self._presolved is not None:
-            cells, objective, feasible, warm = self._presolved
-        else:
-            cells, objective, feasible, warm = self._local_presolve()
+        cells, objective, feasible = self._local_presolve()
         finite = self.cost_rows[np.isfinite(self.cost_rows)]
         profile = ZoneProfile(
             zone_id=self.zone_id,
@@ -427,10 +405,9 @@ class ZoneWorker:
             supplies=tuple(float(s) for s in self.supplies),
             capacities=tuple(float(d) for d in self.capacities),
             max_finite_cost=float(finite.max()) if finite.size else 0.0,
-            basis_cells=tuple(cells),
-            local_objective=float(objective),
-            local_feasible=bool(feasible),
-            presolve_warm_started=bool(warm),
+            basis_cells=cells,
+            local_objective=objective,
+            local_feasible=feasible,
         )
         self.seconds += time.perf_counter() - start
         return profile
@@ -504,8 +481,7 @@ def _sparse_tree_flows(
 ) -> Optional[Dict[Tuple[int, int], float]]:
     """Leaf-elimination flows of a spanning tree, without a dense matrix.
 
-    Sparse analogue of the centralized solver's ``_tree_flows``:
-    returns ``None`` when the tree would need a negative flow (the
+    Returns ``None`` when the tree would need a negative flow (the
     merged zone bases don't fit the global balance), in which case the
     coordinator falls back to its trivial artificial basis.
     """
@@ -1054,8 +1030,8 @@ def solve_distributed(
     max_bids : int
         Bids per zone per epoch under the ``block`` rule.
     workers : sequence of ZoneWorker, optional
-        Pre-built zone workers (e.g. with injected presolves); built
-        from the problem slices when omitted.
+        Pre-built zone workers; built from the problem slices when
+        omitted.
 
     Returns
     -------
@@ -1106,8 +1082,9 @@ def run_protocol(
 
     The loop :func:`solve_distributed` delegates to, exposed for
     callers that build their own :class:`ZoneWorker` objects (the core
-    layer injects ``PlacementSession``-presolved workers). Publishes the
-    ``dsolve.*`` metrics.
+    layer builds them from the Trmin rows each zone priced). Every
+    worker presolves its local block here, through
+    :meth:`ZoneWorker.profile`. Publishes the ``dsolve.*`` metrics.
 
     Parameters
     ----------
@@ -1130,7 +1107,6 @@ def run_protocol(
     )
     messages = 0
     profiles = [w.profile() for w in workers]
-    warm_hits = sum(1 for p in profiles if p.presolve_warm_started)
     local_objective = float(
         sum(p.local_objective for p in profiles
             if p.local_feasible and np.isfinite(p.local_objective))
@@ -1175,7 +1151,6 @@ def run_protocol(
         zone_count=len(workers),
         messages=messages,
         local_objective=local_objective,
-        presolve_warm_hits=warm_hits,
         coordinator_seconds=coordinator.seconds,
         zone_seconds=zone_seconds,
         critical_path_seconds=coordinator.seconds + slowest,

@@ -61,11 +61,11 @@ class Solution:
     #: continuous LPs). For a `<=` capacity row the dual is ≤ 0: the
     #: objective decreases by |dual| per unit of extra capacity.
     duals: Mapping[str, float] = field(default_factory=dict)
-    #: Backend-specific warm-start handle for the next solve: the
-    #: transportation backend stores its final
-    #: :class:`~repro.lp.transportation.TransportationBasis`, the dense
-    #: simplex a tuple of basic variable names. ``None`` when the
-    #: backend has nothing reusable (non-optimal exit, scipy backend).
+    #: Backend-specific final basis: the transportation backend stores
+    #: its :class:`~repro.lp.transportation.TransportationBasis`, the
+    #: dense simplex the :class:`~repro.lp.simplex.SimplexBasis` that
+    #: branch-and-bound restarts child relaxations from. ``None`` when
+    #: the backend has none (non-optimal exit, scipy).
     basis: object = None
     #: Sum of simplex pivots across every relaxation a composite solver
     #: ran (branch-and-bound reports the whole tree here); equals

@@ -1,4 +1,4 @@
-"""Exact transportation-problem solver (Vogel + array-tree MODI, warm-startable).
+"""Exact transportation-problem solver (Vogel + array-tree MODI).
 
 The DUST placement program (paper Eq. 3) is a *transportation problem*:
 
@@ -25,29 +25,22 @@ and the pivot cycle is traced in O(tree depth) by walking parent
 pointers from the entering cell's endpoints to their lowest common
 ancestor.
 
-Warm starts: every optimal solve returns its final basis as a
-:class:`TransportationBasis`; passing it back via
-``solve_transportation(..., warm_start=basis)`` re-prices from that
-tree instead of building a cold one. A stale basis (perturbed supplies,
-demands or costs — e.g. the manager's periodic re-solve after
-utilization drift) is *repaired*: cells that no longer fit the instance
-are dropped, the forest is completed to a spanning tree with
-cheapest-cost connectors, and flows are recomputed by leaf elimination.
-If the repaired tree is primal-infeasible (a recomputed flow would be
-negative) the solver silently falls back to the Vogel cold start, so a
-warm-started call can never return a different optimum than a cold one.
+Every solve is a pure function of its instance: the start is always
+Vogel's, and nothing is carried from one call to the next. An optimal
+solve also returns its final basis tree as a
+:class:`TransportationBasis`; the zone presolve of
+:mod:`repro.lp.distributed` reads its cells to seed the coordinator's
+global tree.
 
 Complexity per MODI iteration is Θ(m·n) for pricing plus O(m+n) for the
 tree walk and O(depth) for the cycle pivot, far below the general dense
 simplex — this is one of the repo's ablation axes
-(``benchmarks/bench_ablation_lp.py``; warm-vs-cold numbers live in
-``benchmarks/bench_lp_warmstart.py`` → ``BENCH_lp.json``).
+(``benchmarks/bench_ablation_lp.py``).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,8 +53,6 @@ from repro.obs import get_registry, trace_span
 _EPS = 1e-9
 #: Relative optimality tolerance on reduced costs.
 _OPT_TOL = 1e-7
-#: A repaired warm-start flow below this is primal-infeasible.
-_FEAS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -108,12 +99,10 @@ class TransportationProblem:
 
 @dataclass(frozen=True)
 class TransportationBasis:
-    """An optimal (or at least basic) spanning tree, reusable as a warm start.
+    """The spanning tree an optimal solve ended on.
 
     ``cells`` live in *balanced* coordinates: row ``m`` (when ``dummy``)
-    is the slack supply row absorbing spare destination capacity. A
-    basis is only meaningful for instances of the same ``(m, n)`` shape;
-    :func:`solve_transportation` ignores mismatched warm starts.
+    is the slack supply row absorbing spare destination capacity.
     """
 
     shape: Tuple[int, int]  # (m, n) of the real problem
@@ -130,18 +119,15 @@ class TransportationResult:
     objective: float
     iterations: int  # MODI pivots performed
     solve_time: float
-    #: Final basis tree when optimal — feed back as ``warm_start=``.
+    #: Final basis tree when optimal.
     basis: Optional[TransportationBasis] = None
-    #: True when the solve actually started from a repaired warm basis.
-    warm_started: bool = False
 
     def to_solution(self, name_of: Optional[Sequence[Sequence[str]]] = None) -> Solution:
         """Convert to the generic :class:`~repro.lp.result.Solution`.
 
         ``name_of[i][j]`` supplies the variable name for lane (i, j);
         defaults to ``x_{i}_{j}``. The final basis rides along in
-        ``Solution.basis`` so callers holding the generic container can
-        still warm-start the next solve.
+        ``Solution.basis``.
         """
         values: Dict[str, float] = {}
         if self.status.is_optimal:
@@ -159,11 +145,10 @@ class TransportationResult:
             solve_time=self.solve_time,
             basis=self.basis,
             total_pivots=self.iterations,
-            warm_started=self.warm_started,
         )
 
 
-# -- cold start: Vogel's approximation ---------------------------------------------
+# -- initial basis: Vogel's approximation ------------------------------------------
 
 
 def _vogel_basis(
@@ -246,10 +231,13 @@ def _vogel_basis(
     return flow, cells
 
 
-# -- warm start: basis repair ------------------------------------------------------
+# -- the basis tree ---------------------------------------------------------------
 
 
 class _UnionFind:
+    """Disjoint sets over tree nodes — how the distributed coordinator
+    merges zone trees into one spanning tree without closing a cycle."""
+
     __slots__ = ("parent",)
 
     def __init__(self, size: int) -> None:
@@ -269,87 +257,6 @@ class _UnionFind:
             return False
         self.parent[rb] = ra
         return True
-
-
-def _repair_warm_cells(
-    warm: TransportationBasis, mb: int, n: int, cost_b: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Rebuild a spanning tree from a possibly-stale basis.
-
-    Cells outside the current balanced shape (e.g. a dummy row that no
-    longer exists) are dropped, cycle-creating duplicates are skipped,
-    and the surviving forest is completed with the cheapest cells that
-    connect two components — so a lightly perturbed basis survives
-    nearly intact while arbitrary garbage still yields a valid tree.
-    """
-    uf = _UnionFind(mb + n)
-    kept: List[Tuple[int, int]] = []
-    for i, j in warm.cells:
-        if 0 <= i < mb and 0 <= j < n and uf.union(i, mb + j):
-            kept.append((i, j))
-    while len(kept) < mb + n - 1:
-        comp_row = np.fromiter((uf.find(i) for i in range(mb)), dtype=np.int64, count=mb)
-        comp_col = np.fromiter(
-            (uf.find(mb + j) for j in range(n)), dtype=np.int64, count=n
-        )
-        connects = comp_row[:, None] != comp_col[None, :]
-        masked = np.where(connects, cost_b, np.inf)
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, n)
-        if not np.isfinite(masked[i, j]):  # pragma: no cover - complete bipartite
-            raise SolverError("cannot complete warm basis to a spanning tree")
-        uf.union(i, mb + j)
-        kept.append((i, j))
-    return kept
-
-
-def _tree_flows(
-    cells: Sequence[Tuple[int, int]], mb: int, n: int, supply: np.ndarray, demand: np.ndarray
-) -> Optional[np.ndarray]:
-    """Unique flow the spanning tree must carry, by leaf elimination.
-
-    Returns the (mb, n) flow matrix, or ``None`` when the tree demands a
-    negative flow — i.e. the warm basis is primal-infeasible for the
-    perturbed supplies/demands and the caller should cold-start.
-    """
-    N = mb + n
-    adjacency: List[List[int]] = [[] for _ in range(N)]
-    for idx, (i, j) in enumerate(cells):
-        adjacency[i].append(idx)
-        adjacency[mb + j].append(idx)
-    degree = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=N)
-    remaining = np.concatenate([supply, demand]).astype(float)
-    done = np.zeros(len(cells), dtype=bool)
-    flow = np.zeros((mb, n))
-    leaves = deque(int(x) for x in np.flatnonzero(degree == 1))
-    while leaves:
-        node = leaves.popleft()
-        if degree[node] != 1:
-            continue
-        edge = next((e for e in adjacency[node] if not done[e]), None)
-        if edge is None:
-            continue
-        i, j = cells[edge]
-        other = mb + j if node == i else i
-        amount = remaining[node]
-        if amount < -_FEAS_TOL:
-            return None
-        flow[i, j] = max(0.0, amount)
-        remaining[node] = 0.0
-        remaining[other] -= amount
-        done[edge] = True
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(int(other))
-    if not done.all():  # pragma: no cover - guarded by _BasisTree validation
-        raise SolverError("warm basis cells do not form a spanning tree")
-    if (remaining < -_FEAS_TOL).any() or (remaining > _FEAS_TOL).any():
-        return None
-    return flow
-
-
-# -- the basis tree ---------------------------------------------------------------
 
 
 class _BasisTree:
@@ -470,9 +377,8 @@ def solve_transportation(
     problem: TransportationProblem,
     max_iter: int = 100_000,
     big_m: Optional[float] = None,
-    warm_start: Optional[TransportationBasis] = None,
 ) -> TransportationResult:
-    """Solve to optimality with Vogel (or a warm basis) + MODI pivots.
+    """Solve to optimality with a Vogel start + MODI pivots.
 
     Parameters
     ----------
@@ -483,11 +389,6 @@ def solve_transportation(
     big_m : float, optional
         Cost used for forbidden (infinite-cost) lanes; auto-scaled from
         the finite costs when omitted.
-    warm_start : TransportationBasis, optional
-        Basis returned by a previous solve of a same-shaped instance.
-        Repaired if stale; silently ignored when the shape mismatches
-        or the repair is primal-infeasible — the optimum never depends
-        on the warm start, only the pivot count does.
 
     Returns
     -------
@@ -500,9 +401,8 @@ def solve_transportation(
         "lp.transportation.solve",
         rows=problem.num_sources,
         cols=problem.num_destinations,
-        warm=warm_start is not None,
     ):
-        result = _solve_transportation_impl(problem, max_iter, big_m, warm_start)
+        result = _solve_transportation_impl(problem, max_iter, big_m)
     registry = get_registry()
     registry.counter("lp.transportation.solves").inc()
     if result.iterations:
@@ -515,7 +415,6 @@ def _solve_transportation_impl(
     problem: TransportationProblem,
     max_iter: int = 100_000,
     big_m: Optional[float] = None,
-    warm_start: Optional[TransportationBasis] = None,
 ) -> TransportationResult:
     start = time.perf_counter()
     supply = problem.supply
@@ -562,18 +461,7 @@ def _solve_transportation_impl(
         forbidden_b = forbidden
     mb = supply_b.size
 
-    # Initial basis: repaired warm tree when one fits, Vogel otherwise.
-    flow_mat: Optional[np.ndarray] = None
-    cells: Optional[List[Tuple[int, int]]] = None
-    warm_used = False
-    if warm_start is not None and tuple(warm_start.shape) == (m, n):
-        repaired = _repair_warm_cells(warm_start, mb, n, cost_b)
-        flows = _tree_flows(repaired, mb, n, supply_b, demand)
-        if flows is not None:
-            flow_mat, cells, warm_used = flows, repaired, True
-    if flow_mat is None or cells is None:
-        flow_mat, cells = _vogel_basis(supply_b, demand, cost_b)
-
+    flow_mat, cells = _vogel_basis(supply_b, demand, cost_b)
     tree = _BasisTree(cells, mb, n)
     tree.refresh()
 
@@ -626,7 +514,6 @@ def _solve_transportation_impl(
             objective=float("nan"),
             iterations=pivots,
             solve_time=solve_time,
-            warm_started=warm_used,
         )
 
     real_flow = np.maximum(flow_mat[:m], 0.0)
@@ -638,5 +525,4 @@ def _solve_transportation_impl(
         iterations=pivots,
         solve_time=solve_time,
         basis=basis,
-        warm_started=warm_used,
     )

@@ -92,15 +92,11 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Branch-and-bound tree nodes explored"),
     ("histogram", "lp.bnb.solve_seconds", "seconds", "repro.lp.branch_and_bound",
      "Wall time of one branch-and-bound solve"),
-    # -- placement: Eq. 3 engine + warm-start session -------------------------------
+    # -- placement: Eq. 3 engine ----------------------------------------------------
     ("counter", "placement.solves", "count", "repro.core.placement",
      "PlacementEngine.solve calls"),
     ("counter", "placement.infeasible", "count", "repro.core.placement",
      "Placement solves that ended INFEASIBLE (Fig. 7's io events)"),
-    ("counter", "placement.warm_attempts", "count", "repro.core.placement",
-     "Session solves that offered a warm basis to the LP"),
-    ("counter", "placement.warm_hits", "count", "repro.core.placement",
-     "Session solves where the LP actually started from that basis"),
     ("histogram", "placement.trmin_seconds", "seconds", "repro.core.placement",
      "Route-pricing phase of one placement solve"),
     ("histogram", "placement.lp_seconds", "seconds", "repro.core.placement",

@@ -5,7 +5,7 @@ inside ``placement.solve``, the LP solve, the manager's message
 exchange, retransmissions under loss — and this tracer records them as
 spans so the whole round renders as a single timeline::
 
-    with trace_span("lp.warm_solve", rows=m, cols=n):
+    with trace_span("lp.transportation.solve", rows=m, cols=n):
         ...                       # nested trace_span calls nest visibly
 
 Tracing is **off by default** and the disabled path is a single branch:
@@ -346,7 +346,7 @@ def trace_span(name: str, **tags: object) -> object:
 
     Examples
     --------
-    >>> with trace_span("lp.warm_solve", rows=4, cols=7):
+    >>> with trace_span("lp.transportation.solve", rows=4, cols=7):
     ...     pass
     """
     tracer = _TRACER

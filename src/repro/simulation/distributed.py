@@ -373,9 +373,6 @@ class NetworkedDistributedSolve:
             bids_received=self.coordinator.bids_received,
             zone_count=len(self.workers),
             messages=self.messages_sent,
-            presolve_warm_hits=sum(
-                1 for w in self.workers if getattr(w, "_warm", None) is not None
-            ),
             coordinator_seconds=self.coordinator.seconds,
             zone_seconds=zone_seconds,
             critical_path_seconds=self.coordinator.seconds + slowest,

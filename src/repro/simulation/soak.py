@@ -25,11 +25,13 @@ events are *never* shed or rejected — when the gate is full they evict
 the lowest-tier queued event instead (and overflow the bound rather
 than drop, which drives the ladder to FREEZE).
 
-Re-placement itself stays **incremental**: rounds run through the
-manager's warm-started :class:`~repro.core.placement.PlacementSession`
-(LP basis reuse), never a from-scratch solve. A periodic **drift
-watchdog** keeps that honest: it solves a from-scratch oracle placement
-from client ground truth, compares per-source relief
+Re-placement itself stays **incremental**: each round places only the
+excess that is busy *now*, on top of the offloads already in the
+ledger; it never re-places from scratch. A periodic **drift watchdog**
+keeps that honest: it solves a from-scratch oracle placement from
+client ground truth (the ledger undone; the same stateless
+:meth:`~repro.core.placement.PlacementEngine.solve` the manager
+calls), compares per-source relief
 (:func:`~repro.core.metrics.relief_divergence`), and past
 ``drift_bound`` forces reconvergence via
 :meth:`~repro.core.manager.DUSTManager.reset_placement`.
@@ -365,8 +367,8 @@ class _SoakDriver:
         self.admissions = 0
         self.evictions = 0
         self._rng = np.random.default_rng(config.seed)
-        # From-scratch oracle: a bare engine, no session, so nothing
-        # warm-starts.
+        # From-scratch oracle: the manager's solve on the ledger-undone
+        # instance.
         self._oracle_engine = PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP)
         )

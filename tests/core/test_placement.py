@@ -1,5 +1,7 @@
 """Tests for the Eq. 3 placement engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import PlacementEngine, PlacementProblem, ThresholdPolicy, classify_network
 from repro.core.nmdb import NMDB
+from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
 from repro.routing import PathEngine, ResponseTimeModel
@@ -246,3 +249,51 @@ class TestBackendEquivalence:
             # Duals certify the optimum via weak duality: every binding
             # candidate capacity has a non-positive shadow price.
             assert all(v <= 1e-9 for v in reports["scipy"].capacity_duals.values())
+
+
+def _fat_tree_problem(topology, policy, seed):
+    caps = CapacityModel(x_min=policy.x_min, seed=seed).sample(topology.num_nodes)
+    roles = classify_network(caps, policy)
+    return PlacementProblem(
+        topology=topology,
+        busy=tuple(roles.busy),
+        candidates=tuple(roles.candidates),
+        cs=np.array([policy.excess_load(caps[b]) for b in roles.busy]),
+        cd=np.array([policy.spare_capacity(caps[c]) for c in roles.candidates]),
+        data_mb=np.full(len(roles.busy), 10.0),
+        max_hops=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "distributed", [False, True], ids=["centralized", "distributed"]
+)
+def test_solve_is_a_pure_function_of_its_problem(distributed):
+    """Nothing is carried between solves: the same problem gives the same
+    report — pivots, epochs and messages included — whatever the engine
+    solved before it."""
+    topology = build_fat_tree(8)
+    LinkUtilizationModel(0.1, 0.9, seed=8).apply(topology)
+    policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
+    first = _fat_tree_problem(topology, policy, seed=8)
+    other = _fat_tree_problem(topology, policy, seed=9)
+    assert first.busy != other.busy
+    engine = PlacementEngine(
+        response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=4),
+        with_routes=False,
+    )
+    if distributed:
+        engine = DistributedPlacementEngine(
+            zones=partition_by_pod(topology), engine=engine
+        )
+    reports = [engine.solve(p) for p in (first, first, other, first)]
+    assert reports[0].feasible and reports[0].lp_iterations > 0
+    compared = [
+        f.name for f in dataclasses.fields(reports[0]) if "seconds" not in f.name
+    ]
+    assert {"status", "objective_beta", "assignments", "lp_iterations"} <= set(compared)
+    if distributed:
+        assert {"rounds", "pivots", "dsolve_messages"} <= set(compared)
+    for again in (reports[1], reports[3]):
+        for name in compared:
+            assert getattr(again, name) == getattr(reports[0], name), name

@@ -98,5 +98,6 @@ class TestWithPathsIsForwarded:
             engine=PlacementEngine(response_model=model, with_routes=False),
         ).solve(make_problem(topology))
         assert report.feasible
-        assert len(seen_with_paths) >= 3  # at least one pricing per busy zone
-        assert not any(seen_with_paths)
+        # One pricing call per zone that owns a busy row: the presolve
+        # reads the rows the zone just priced, it does not re-price them.
+        assert seen_with_paths == [False, False, False]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacementEngine, PlacementProblem, PlacementSession
+from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.zoning import (
@@ -31,7 +31,6 @@ from repro.lp import (
     solve_distributed,
     solve_transportation,
 )
-from repro.lp.distributed import extract_zone_subproblems, run_protocol
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 
@@ -111,32 +110,9 @@ class TestConvergenceCorpus:
                 result.objective - reference.objective
             ) / scale <= result.gap + 1e-9
 
-    def test_worker_reuse_warm_starts_presolve(self):
-        rng = np.random.default_rng(7)
-        problem = _random_problem(rng)
-        zone_rows, zone_cols = _random_zones(
-            rng, problem.num_sources, problem.num_destinations
-        )
-        workers = extract_zone_subproblems(problem, zone_rows, zone_cols)
-        first = run_protocol(workers)
-        # Perturb costs slightly and re-run through the same workers:
-        # their presolves should warm-start from the previous basis.
-        for worker in workers:
-            worker.cost_rows = np.where(
-                np.isfinite(worker.cost_rows),
-                worker.cost_rows * 1.01,
-                worker.cost_rows,
-            )
-            worker.final_flows = ()
-            worker.final_status = None
-        second = run_protocol(workers)
-        assert second.status == first.status
-        if first.status is SolveStatus.OPTIMAL:
-            assert second.presolve_warm_hits >= 1
-
 
 class TestTopologyLevel:
-    """The DistributedPlacementEngine against the warm-started session
+    """The DistributedPlacementEngine against the centralized engine
     on real fat-tree snapshots, k in {4, 8, 16}."""
 
     @pytest.mark.parametrize("k", [4, 8, 16])
@@ -164,7 +140,7 @@ class TestTopologyLevel:
                 with_routes=False,
             )
 
-        central = PlacementSession(engine=engine()).solve(problem)
+        central = engine().solve(problem)
         zones = partition_by_pod(topology)
         distributed = DistributedPlacementEngine(zones=zones, engine=engine()).solve(
             problem

@@ -118,13 +118,20 @@ def test_to_solution_exposes_named_values():
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=100_000),
     st.booleans(),
+    st.booleans(),
 )
-def test_property_optimal_matches_highs(m, n, seed, with_forbidden):
+def test_property_optimal_matches_highs(m, n, seed, with_forbidden, degenerate):
     """MODI's optimum equals HiGHS on random instances, including ones
-    with forbidden lanes."""
+    with forbidden lanes and ones whose supplies and demands tie."""
     rng = np.random.default_rng(seed)
-    supply = rng.uniform(0.0, 10.0, m)
-    demand = rng.uniform(0.0, 10.0, n)
+    if degenerate:
+        # Repeated integer supplies/demands force flow ties, the classic
+        # breeding ground for degenerate pivots and cycling.
+        supply = rng.integers(1, 4, m).astype(float)
+        demand = rng.integers(1, 4, n).astype(float)
+    else:
+        supply = rng.uniform(0.0, 10.0, m)
+        demand = rng.uniform(0.0, 10.0, n)
     if supply.sum() > demand.sum():
         supply *= 0.85 * demand.sum() / supply.sum()
     cost = rng.uniform(1.0, 10.0, (m, n))

@@ -1,10 +1,10 @@
-"""Warm-start equivalence suite for the LP layer.
+"""Warm-start equivalence suite for the dense simplex and branch-and-bound.
 
 The contract under test: a warm start never changes *what* is computed
-— cold Vogel starts, warm re-solves from a previous basis (including
-stale bases repaired after a perturbation) and scipy/HiGHS must agree
-on status and objective to 1e-6 — it only changes how many pivots the
-solve spends getting there.
+— cold solves, warm re-solves from a previous basis and scipy/HiGHS
+must agree on status and objective to 1e-6 — it only changes how many
+pivots the solve spends getting there. (The transportation solver takes
+no warm start: every Eq.-3 solve is a pure function of its instance.)
 """
 
 import numpy as np
@@ -16,144 +16,11 @@ from repro.lp import (
     LinearProgram,
     SimplexBasis,
     SolveStatus,
-    TransportationBasis,
-    TransportationProblem,
     lp_sum,
     solve_branch_and_bound,
     solve_scipy,
     solve_simplex,
-    solve_transportation,
 )
-
-
-def scipy_reference(supply, demand, cost):
-    """HiGHS solve of the (possibly unbalanced) transportation instance."""
-    m, n = cost.shape
-    lp = LinearProgram()
-    xs = {}
-    for i in range(m):
-        for j in range(n):
-            if np.isfinite(cost[i, j]):
-                xs[(i, j)] = lp.add_variable(f"x_{i}_{j}")
-    for i in range(m):
-        row = [xs[(i, j)] for j in range(n) if (i, j) in xs]
-        if not row:
-            if supply[i] > 1e-12:
-                return None  # cut-off supply row: trivially infeasible
-            continue
-        lp.add_constraint(lp_sum(row) == float(supply[i]))
-    for j in range(n):
-        col = [xs[(i, j)] for i in range(m) if (i, j) in xs]
-        if col:
-            lp.add_constraint(lp_sum(col) <= float(demand[j]))
-    lp.set_objective(lp_sum(cost[i, j] * v for (i, j), v in xs.items()))
-    return solve_scipy(lp)
-
-
-def random_instance(seed, m, n, with_forbidden, degenerate):
-    """Unbalanced instance; optionally forbidden lanes and tying supplies."""
-    rng = np.random.default_rng(seed)
-    if degenerate:
-        # Repeated integer supplies/demands force flow ties, the classic
-        # breeding ground for degenerate pivots and cycling.
-        supply = rng.integers(1, 4, m).astype(float)
-        demand = rng.integers(1, 4, n).astype(float)
-    else:
-        supply = rng.uniform(0.0, 10.0, m)
-        demand = rng.uniform(0.0, 10.0, n)
-    if supply.sum() > demand.sum():
-        supply *= 0.85 * demand.sum() / supply.sum()
-    cost = rng.uniform(1.0, 10.0, (m, n))
-    if with_forbidden:
-        cost = np.where(rng.random((m, n)) < 0.25, np.inf, cost)
-    return supply, demand, cost
-
-
-def assert_matches_reference(result, ref, supply, demand, cost):
-    if ref is None:
-        assert result.status is SolveStatus.INFEASIBLE
-        return
-    assert result.status == ref.status, (result.status, ref.status)
-    if ref.status is SolveStatus.OPTIMAL:
-        assert result.objective == pytest.approx(ref.objective, abs=1e-6)
-        np.testing.assert_allclose(result.flow.sum(axis=1), supply, atol=1e-6)
-        assert (result.flow.sum(axis=0) <= demand + 1e-6).all()
-        assert (result.flow[~np.isfinite(cost)] <= 1e-9).all()
-
-
-class TestTransportationWarmStart:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=0, max_value=100_000),
-        st.booleans(),
-        st.booleans(),
-    )
-    def test_cold_warm_and_scipy_agree_under_perturbation(
-        self, m, n, seed, with_forbidden, degenerate
-    ):
-        supply, demand, cost = random_instance(
-            seed, m, n, with_forbidden, degenerate
-        )
-        cold = solve_transportation(TransportationProblem(supply, demand, cost))
-        assert_matches_reference(
-            cold, scipy_reference(supply, demand, cost), supply, demand, cost
-        )
-        if cold.status is not SolveStatus.OPTIMAL:
-            return
-        assert isinstance(cold.basis, TransportationBasis)
-        assert not cold.warm_started
-
-        # Perturb one supply (stays feasible: supplies only shrink) and
-        # re-solve warm from the stale basis.
-        rng = np.random.default_rng(seed + 1)
-        perturbed = supply.copy()
-        perturbed[rng.integers(0, m)] *= rng.uniform(0.3, 0.999)
-        warm = solve_transportation(
-            TransportationProblem(perturbed, demand, cost),
-            warm_start=cold.basis,
-        )
-        # warm_started may be False here: a shrunk supply can make the
-        # old tree primal-infeasible, and the documented behaviour is a
-        # silent Vogel fallback. Either way the optimum must match.
-        assert_matches_reference(
-            warm,
-            scipy_reference(perturbed, demand, cost),
-            perturbed,
-            demand,
-            cost,
-        )
-
-    def test_identical_resolve_takes_zero_pivots(self):
-        supply = np.array([6.0, 4.0])
-        demand = np.array([5.0, 5.0, 3.0])
-        cost = np.array([[1.0, 4.0, 6.0], [3.0, 2.0, 2.0]])
-        cold = solve_transportation(TransportationProblem(supply, demand, cost))
-        warm = solve_transportation(
-            TransportationProblem(supply, demand, cost), warm_start=cold.basis
-        )
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.warm_started
-        assert warm.iterations == 0
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-    def test_mismatched_shape_hint_is_ignored(self):
-        small = solve_transportation(
-            TransportationProblem(
-                np.array([1.0]), np.array([2.0]), np.array([[1.0]])
-            )
-        )
-        big = solve_transportation(
-            TransportationProblem(
-                np.array([3.0, 2.0]),
-                np.array([4.0, 4.0]),
-                np.array([[1.0, 2.0], [2.0, 1.0]]),
-            ),
-            warm_start=small.basis,
-        )
-        assert big.status is SolveStatus.OPTIMAL
-        assert not big.warm_started
 
 
 def simplex_fixture(rhs_scale=1.0):
