@@ -32,7 +32,7 @@ restored snapshot against client ground truth in a resync round — see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -395,14 +395,18 @@ class DUSTManager:
 
     def export_snapshot(self):
         """Current durable state as a
-        :class:`~repro.core.failover.ManagerSnapshot`."""
+        :class:`~repro.core.failover.ManagerSnapshot`.
+
+        ``ledger_rows`` is the ledger's own tuple of frozen
+        :class:`~repro.core.offload.ActiveOffload` rows: shared, not
+        copied, since no row is ever mutated in place."""
         from repro.core.failover import ManagerSnapshot
 
         return ManagerSnapshot(
             version=self._snapshot_version,
             timestamp=self.engine.now,
             records=self.nmdb.export_records(),
-            ledger_rows=tuple(dc_replace(o) for o in self.ledger.active),
+            ledger_rows=self.ledger.active,
             keepalive_watch=self.keepalives.export(),
             unconfirmed_sources=tuple(
                 sorted(set(self._unconfirmed_redirects.values()))
@@ -429,7 +433,7 @@ class DUSTManager:
         self.nmdb.load_records(snapshot.records)
         unconfirmed = set(getattr(snapshot, "unconfirmed_sources", ()))
         for row in snapshot.ledger_rows:
-            self.ledger.add(dc_replace(row))
+            self.ledger.add(row)
         for node in snapshot.keepalive_watch:
             self.keepalives.record(node, self.engine.now)
         for source in sorted(unconfirmed):
@@ -759,7 +763,8 @@ class DUSTManager:
     # -- optimization rounds ----------------------------------------------------------------
     def run_optimization_round(self) -> Optional[PlacementReport]:
         """One manager decision cycle; returns the placement report (or
-        ``None`` when there was nothing to do).
+        ``None`` when there was nothing to do — no Busy node with excess
+        left to place).
 
         Wall time lands in ``manager.optimization_round_seconds`` and,
         when tracing is on, the whole cycle — Trmin pricing, LP solve,
@@ -824,10 +829,14 @@ class DUSTManager:
             cutoff = fresh_cutoff.get(node)
             return cutoff is None or self.nmdb.record(node).last_stat_time >= cutoff
 
+        # A relieved Busy node (already offloaded down to C_max) has
+        # Cs_i = 0: its Eq. 3c row can carry no flow, so it is neither
+        # priced nor given an LP row.
         busy = [
             b
             for b in snapshot.busy
-            if b not in in_flight_sources
+            if self.policy.excess_load(snapshot.capacities[b]) > _TOL
+            and b not in in_flight_sources
             and b != self.node_id
             and b not in stale
             and b not in unconfirmed_sources

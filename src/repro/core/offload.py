@@ -85,9 +85,12 @@ class OffloadPlan:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActiveOffload:
-    """One live (source → destination) offload tracked by the manager."""
+    """One live (source → destination) offload tracked by the manager.
+
+    Immutable: a changed offload is a new row, so snapshots and
+    restores share rows with the ledger instead of copying them."""
 
     source: int
     destination: int

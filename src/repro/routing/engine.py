@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,9 +83,14 @@ class TrminEngine:
         destinations: Sequence[int],
         with_paths: bool = False,
         model: Optional[ResponseTimeModel] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Mapping[Pair, Path]]:
         """:meth:`ResponseTimeModel.resistance_matrix` — same contract,
-        same bits — under the ``trmin.price`` span and metrics."""
+        same bits — under the ``trmin.price`` span and metrics.
+
+        With ``with_paths`` and a dp model, ``paths`` is a read-only
+        mapping over every reachable pair that walks a route only when
+        looked up; the span and ``trmin.price_seconds`` therefore cover
+        pricing, not route building."""
         model = model if model is not None else self.model
         start = time.perf_counter()
         with trace_span(
@@ -109,7 +114,7 @@ class TrminEngine:
         data_mb: Sequence[float],
         with_paths: bool = False,
         model: Optional[ResponseTimeModel] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Pair, Path]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Mapping[Pair, Path]]:
         """Eq. 2 as a matrix: ``T[a, b] = D_a * R[a, b]`` seconds."""
         data = validate_data_volumes(data_mb, len(sources))
         R, hops, paths = self.resistance_matrix(

@@ -19,7 +19,8 @@ All matrix pricing goes through two canonical primitives:
 
 * :func:`_dp_matrix` — one all-sources matrix DP
   (:func:`repro.routing.matrix.matrix_hop_constrained`), with parent
-  planes when paths are asked for;
+  planes when paths are asked for, walked into a route only for the
+  pairs a caller looks up;
 * :func:`repro.routing.enumkernel.pruned_candidates_matrix` — one
   frontier expansion for every pair of the call, pruning provably
   non-influential paths with an admissible lower bound; each pair's
@@ -36,14 +37,15 @@ oracles in ``tests/oracles``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.routing import enumkernel
-from repro.routing.matrix import matrix_hop_constrained
+from repro.routing.matrix import MatrixDPResult, matrix_hop_constrained
 from repro.routing.routes import _TIE_TOL, Path, RouteChoice
 from repro.routing.shortest import hop_constrained_shortest
 from repro.topology.graph import Topology
@@ -161,6 +163,58 @@ def _best_enum_route(
     return _fold_raw_paths(survivors, edge_weights)
 
 
+class _DPRoutes(Mapping):
+    """Read-only ``(source, destination) -> Path`` view over a matrix
+    DP's predecessor planes: a route is walked
+    (:meth:`MatrixDPResult.path_to`) only when it is looked up, so a
+    caller that reports a handful of flows pays for a handful of routes.
+
+    Keys are the pairs with a finite ``R`` entry; a source id listed
+    more than once resolves to its last index."""
+
+    def __init__(
+        self, result: MatrixDPResult, destinations: Sequence[int], R: np.ndarray
+    ) -> None:
+        self._result = result
+        self._sources = result.sources
+        self._destinations = tuple(int(d) for d in destinations)
+        self._reachable = np.isfinite(R)
+        self._row = {s: a for a, s in enumerate(self._sources)}
+        self._col = {d: b for b, d in enumerate(self._destinations)}
+
+    def _index(self, key) -> Optional[int]:
+        """Source index of a reachable ``key``, else ``None``."""
+        try:
+            source, destination = key
+            a, b = self._row.get(source), self._col.get(destination)
+        except (TypeError, ValueError):
+            return None
+        if a is None or b is None or not self._reachable[a, b]:
+            return None
+        return a
+
+    def __getitem__(self, key) -> Path:
+        a = self._index(key)
+        if a is None:
+            raise KeyError(key)
+        return self._result.path_to(a, int(key[1]))
+
+    def __contains__(self, key) -> bool:
+        return self._index(key) is not None
+
+    def _keys(self) -> Dict[Tuple[int, int], None]:
+        return dict.fromkeys(
+            (self._sources[a], self._destinations[b])
+            for a, b in zip(*np.nonzero(self._reachable))
+        )
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._keys())
+
+
 def _dp_matrix(
     topology: Topology,
     sources: Sequence[int],
@@ -168,22 +222,20 @@ def _dp_matrix(
     max_hops: Optional[int],
     edge_weights: np.ndarray,
     with_paths: bool,
-) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[int, int], Path]]:
+) -> Tuple[np.ndarray, np.ndarray, Mapping[Tuple[int, int], Path]]:
     """Trmin rows of ``sources`` via one all-sources matrix DP,
-    optionally with one optimal path per reachable pair materialized
-    (weight-minimal, then hop-minimal; tie witnesses are the kernel's)."""
+    optionally with a lazy view that walks one optimal path per
+    reachable pair on lookup (weight-minimal, then hop-minimal; tie
+    witnesses are the kernel's)."""
     result = matrix_hop_constrained(
         topology, sources, max_hops, edge_weights, with_parents=with_paths
     )
     dest_arr = np.asarray(destinations, dtype=int)
     R = result.best[:, dest_arr]
     hops = result.hops[:, dest_arr]
-    paths: Dict[Tuple[int, int], Path] = {}
-    if with_paths:
-        for a, b in zip(*np.nonzero(np.isfinite(R))):
-            dst = int(destinations[b])
-            paths[(int(sources[a]), dst)] = result.path_to(int(a), dst)
-    return R, hops, paths
+    if not with_paths:
+        return R, hops, {}
+    return R, hops, _DPRoutes(result, destinations, R)
 
 
 class PathEngine(enum.Enum):
@@ -263,15 +315,19 @@ class ResponseTimeModel:
         sources: Sequence[int],
         destinations: Sequence[int],
         with_paths: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[int, int], Path]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Mapping[Tuple[int, int], Path]]:
         """Pairwise minimum resistances.
 
         Returns ``(R, hops, paths)`` where ``R[a, b]`` is the minimum
         ``sum 1/Lu_e`` from ``sources[a]`` to ``destinations[b]``
         (``inf`` when unreachable within ``max_hops``), ``hops[a, b]``
         the chosen route's hop count (``-1`` unreachable), and
-        ``paths`` maps (source, destination) node-id pairs to a
-        materialized optimal :class:`Path` when ``with_paths``.
+        ``paths`` maps every reachable (source, destination) node-id
+        pair to an optimal :class:`Path` when ``with_paths`` (empty
+        otherwise). For a dp model ``paths`` is a read-only mapping
+        that walks a route from the DP's predecessor planes only when
+        it is looked up; the enumeration fold already holds every
+        route, so it returns a plain dict.
         """
         weights = self.edge_weights(topology)
         if self.engine is PathEngine.DP:
@@ -301,7 +357,7 @@ class ResponseTimeModel:
         destinations: Sequence[int],
         data_mb: Sequence[float],
         with_paths: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[int, int], Path]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Mapping[Tuple[int, int], Path]]:
         """Eq. 2 as a matrix: ``T[a, b] = D_a * R[a, b]`` seconds.
 
         ``data_mb[a]`` is the monitoring data volume ``D_i`` of

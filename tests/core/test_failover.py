@@ -1,11 +1,14 @@
 """Manager failover: snapshot store, standby takeover, resync."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ActiveOffload,
     DUSTClient,
     DUSTManager,
     ManagerSnapshot,
@@ -165,6 +168,41 @@ class TestPersistence:
         manager, standby, clients, engine, store = build_system(run_to=100.0)
         assert standby.heartbeats_seen >= 9
         assert not standby.promoted
+
+
+class TestSharedLedgerRows:
+    """Ledger rows are immutable, so a snapshot holds the ledger's own
+    rows instead of copies — and still restores an equal ledger."""
+
+    def test_ledger_rows_are_frozen(self):
+        row = ActiveOffload(
+            source=5, destination=7, amount_pct=2.0, route=(5, 7), established_at=0.0
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.amount_pct = 3.0
+
+    def test_snapshot_shares_the_ledger_rows(self):
+        manager, standby, clients, engine, store = build_system(run_to=290.0)
+        snapshot = manager.export_snapshot()
+        assert manager.ledger.active
+        assert len(snapshot.ledger_rows) == len(manager.ledger.active)
+        for k, row in enumerate(manager.ledger.active):
+            assert snapshot.ledger_rows[k] is row
+
+    def test_disk_round_trip_restores_an_equal_ledger(self, tmp_path):
+        manager, standby, clients, engine, store = build_system(run_to=290.0)
+        disk = SnapshotStore(path=tmp_path / "manager.snap")
+        disk.save(manager.export_snapshot())
+        loaded = SnapshotStore(path=tmp_path / "manager.snap").load()
+        assert loaded.unconfirmed_sources == ()
+        assert loaded.ledger_rows == manager.ledger.active
+        fresh_engine = SimulationEngine()
+        successor = DUSTManager(
+            node_id=0, topology=manager.topology, engine=fresh_engine,
+            network=MessageNetwork(manager.topology, fresh_engine), policy=POLICY,
+        )
+        successor.restore_snapshot(loaded)
+        assert successor.ledger.active == manager.ledger.active
 
 
 class TestTakeover:

@@ -69,7 +69,7 @@ def assert_reports_identical(kernel, reference, problem=None):
     With ``problem`` (the wider-radius cases) a route need not be the
     oracle's tie witness: it must be a simple busy→candidate path
     within the radius whose Eq.-1 cost is the assignment's
-    ``response_time_s`` — the rule ``tests.oracles.resistance_matrix``
+    ``response_time_s`` — the price-consistency rule the pricing suite
     applies to dp paths.
     """
     # Dict contents AND insertion order (callers iterate these).

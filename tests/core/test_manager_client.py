@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DUSTClient, DUSTManager, ThresholdPolicy
+from repro.routing import ResponseTimeModel
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.topology import LinkUtilizationModel, build_fat_tree
 
@@ -153,6 +154,100 @@ class TestReclaim:
         # Nobody still hosts for node 5.
         for client in clients.values():
             assert 5 not in client.hosted
+
+
+#: Busy base loads around C_max = 80: exactly relieved, an excess below
+#: the 1e-9 flow tolerance, and a real excess of 5 points.
+RELIEVED, BARELY, HOT = 80.0, 80.0 + 1e-12, 85.0
+
+
+@pytest.fixture
+def priced_sources(monkeypatch):
+    """Sources of every call into the one pricing pipeline."""
+    seen = []
+    original = ResponseTimeModel.resistance_matrix
+
+    def spy(self, topology, sources, destinations, with_paths=False):
+        seen.append(tuple(int(s) for s in sources))
+        return original(self, topology, sources, destinations, with_paths)
+
+    monkeypatch.setattr(ResponseTimeModel, "resistance_matrix", spy)
+    return seen
+
+
+@pytest.mark.parametrize("solve_mode", ["centralized", "distributed"])
+class TestRelievedRows:
+    """A Busy node with no excess left (Cs_i = C_i - C_max within 1e-9
+    of 0) can carry no flow: a round neither prices nor solves its row,
+    and a round with only such nodes is no round at all."""
+
+    @staticmethod
+    def build(loads, solve_mode):
+        topology = build_fat_tree(4)
+        LinkUtilizationModel(0.2, 0.7, seed=3).apply(topology)
+        engine = SimulationEngine()
+        network = MessageNetwork(topology, engine)
+        manager = DUSTManager(
+            node_id=0,
+            topology=topology,
+            engine=engine,
+            network=network,
+            policy=POLICY,
+            update_interval_s=30.0,
+            optimization_period_s=1e9,  # rounds are driven by the test
+            solve_mode=solve_mode,
+        )
+        manager.start()
+        clients = {}
+        for node in range(1, topology.num_nodes):
+            clients[node] = DUSTClient(
+                node_id=node,
+                engine=engine,
+                network=network,
+                manager_node=0,
+                policy=POLICY,
+                base_capacity=loads.get(node, 30.0),
+            )
+            clients[node].start()
+        engine.run_until(45.0)  # admission + first STATs
+        assert set(loads) <= set(manager.nmdb.snapshot(engine.now).busy)
+        return engine, manager, clients
+
+    def test_only_rows_with_excess_are_priced_and_solved(
+        self, solve_mode, priced_sources, monkeypatch
+    ):
+        engine, manager, clients = self.build(
+            {5: RELIEVED, 9: BARELY, 14: HOT}, solve_mode
+        )
+        solver = manager.distributed_engine or manager.placement_engine
+        solved = []
+        solve = solver.solve
+        monkeypatch.setattr(
+            solver, "solve", lambda problem: solved.append(problem.busy) or solve(problem)
+        )
+
+        report = manager.run_optimization_round()
+        assert report is not None and report.feasible
+        assert solved == [(14,)]
+        assert priced_sources and set(priced_sources) == {(14,)}
+        assert {a.busy for a in report.assignments} == {14}
+        assert sum(a.amount_pct for a in report.assignments) == pytest.approx(5.0)
+
+        # Once node 14 has shed its excess every Busy node is relieved.
+        engine.run_until(200.0)
+        assert clients[14].current_capacity(engine.now) == pytest.approx(RELIEVED)
+        priced_sources.clear()
+        assert manager.run_optimization_round() is None
+        assert priced_sources == []
+        assert solved == [(14,)]
+
+    def test_round_with_only_relieved_busy_nodes_prices_nothing(
+        self, solve_mode, priced_sources
+    ):
+        engine, manager, clients = self.build({5: RELIEVED, 9: BARELY}, solve_mode)
+        assert manager.run_optimization_round() is None
+        assert priced_sources == []
+        assert manager.placement_history == []
 
 
 class TestDeterminism:

@@ -11,10 +11,13 @@ whether routes were asked for.
 import numpy as np
 import pytest
 
+from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
+from repro.routing.matrix import MatrixDPResult
 from repro.topology import build_fat_tree
+from tests import oracles
 
 ENGINES = [PathEngine.DP, PathEngine.ENUMERATION]
 
@@ -101,3 +104,43 @@ class TestWithPathsIsForwarded:
         # One pricing call per zone that owns a busy row: the presolve
         # reads the rows the zone just priced, it does not re-price them.
         assert seen_with_paths == [False, False, False]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """``(source_index, destination)`` of every dp route walk."""
+    calls = []
+    path_to = MatrixDPResult.path_to
+
+    def spy(result, source_index, destination):
+        calls.append((source_index, destination))
+        return path_to(result, source_index, destination)
+
+    monkeypatch.setattr(MatrixDPResult, "path_to", spy)
+    return calls
+
+
+class TestRoutesOnlyForFlows:
+    """With routes on, a dp solve walks one route per reported flow —
+    not one per reachable pair — and it is the route an eager walk of
+    every pair would have given that flow."""
+
+    def test_placement_walks_one_route_per_assignment(self, topology, walked):
+        problem = make_problem(topology)
+        report = PlacementEngine(with_routes=True).solve(problem)
+        assert report.feasible and report.assignments
+        assert len(walked) == len(report.assignments)
+        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=problem.max_hops)
+        _, _, eager = oracles.resistance_matrix(model, topology, BUSY, CANDIDATES)
+        assert len(eager) > len(report.assignments)
+        for a in report.assignments:
+            assert a.route == eager[(a.busy, a.candidate)]
+
+    def test_wider_radius_heuristic_walks_one_route_per_assignment(
+        self, topology, walked
+    ):
+        report = solve_heuristic(make_problem(topology), hop_radius=2)
+        assert walked == []  # assignments, and their routes, build on access
+        assert report.assignments
+        assert all(a.route is not None for a in report.assignments)
+        assert len(walked) == len(report.assignments)

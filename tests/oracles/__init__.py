@@ -21,6 +21,7 @@ from repro.routing import (
     hop_constrained_shortest,
     iter_simple_paths_raw,
 )
+from repro.routing.matrix import matrix_hop_constrained
 from repro.routing.response_time import _fold_raw_paths
 from repro.routing.routes import Path
 from repro.topology.links import BandwidthConvention
@@ -49,18 +50,37 @@ def dp_matrix(topology, sources, max_hops, edge_weights):
     return best, hops.reshape(len(results), n)
 
 
+def dp_paths(topology, sources, destinations, max_hops, edge_weights):
+    """Every reachable pair's route walked up front from one matrix DP's
+    predecessor planes, later source indices overwriting earlier ones.
+
+    The tie witnesses are the matrix kernel's own (no slower DP picks
+    the same ones), so this is the eager materialization the lazy dp
+    route view is held ``==`` to, not an independent derivation; price
+    consistency is checked separately."""
+    result = matrix_hop_constrained(
+        topology, sources, max_hops, edge_weights, with_parents=True
+    )
+    paths = {}
+    for a, s in enumerate(sources):
+        for d in destinations:
+            if np.isfinite(result.best[a, d]):
+                paths[(int(s), int(d))] = result.path_to(a, int(d))
+    return paths
+
+
 def resistance_matrix(model, topology, sources, destinations):
     """What ``model.resistance_matrix(..., with_paths=True)`` must equal.
 
-    ``paths`` is ``None`` for a dp model: the matrix kernel's tie
-    witnesses are its own, so dp paths are checked for price
-    consistency rather than identity.
+    For a dp model ``(R, hops)`` come from the per-source DP loop and
+    ``paths`` from :func:`dp_paths`.
     """
     weights = model.edge_weights(topology)
     if model.engine is PathEngine.DP:
         best, hops = dp_matrix(topology, sources, model.max_hops, weights)
         cols = np.asarray(destinations, dtype=int)
-        return best[:, cols], hops[:, cols], None
+        paths = dp_paths(topology, sources, destinations, model.max_hops, weights)
+        return best[:, cols], hops[:, cols], paths
     R = np.full((len(sources), len(destinations)), np.inf)
     hops = np.full(R.shape, -1, dtype=np.int64)
     paths = {}

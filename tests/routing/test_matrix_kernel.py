@@ -164,7 +164,7 @@ class TestEngineMatrixMode:
         model = self._dp_model()
         sources = [0, 2, 5, 9]
         destinations = [1, 3, 8, 12, 19]
-        R_rows, hops_rows, _ = oracles.resistance_matrix(
+        R_rows, hops_rows, paths_rows = oracles.resistance_matrix(
             model, topo, sources, destinations
         )
         engine = TrminEngine(model)
@@ -178,8 +178,10 @@ class TestEngineMatrixMode:
         for R, hops in ((R_plain, hops_plain), (R_matrix, hops_matrix)):
             assert np.array_equal(R, R_rows)
             assert np.array_equal(hops, hops_rows)
-        # Materialized paths cover exactly the finite pairs and price
-        # consistently (witness ties may differ from the row loop's).
+        # Routes are walked on lookup; they equal walking every finite
+        # pair up front and price consistently (witness ties may differ
+        # from the row loop's).
+        assert dict(paths) == paths_rows
         weights = model.edge_weights(topo)
         for a, s in enumerate(sources):
             for b, d in enumerate(destinations):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
+from repro.routing.matrix import MatrixDPResult
 from repro.topology import (
     Link,
     Topology,
@@ -149,6 +150,86 @@ class TestBitIdentity:
         assert R[0, 0] == pytest.approx(1.0 / 50.0)
         assert hops[0, 0] == 1
         assert paths[(n0, n2)].nodes == (n0, n2)
+
+
+class TestLazyDpRoutes:
+    """A dp model's ``paths`` walks a route only when it is looked up,
+    and is ``==`` to walking every reachable pair up front."""
+
+    @staticmethod
+    def priced(topo, sources, destinations, max_hops=4):
+        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops)
+        R, hops, paths = TrminEngine(model).resistance_matrix(
+            topo, sources, destinations, with_paths=True
+        )
+        R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+            model, topo, sources, destinations
+        )
+        assert np.array_equal(R, R_ref) and np.array_equal(hops, hops_ref)
+        reachable = {
+            (s, d)
+            for a, s in enumerate(sources)
+            for b, d in enumerate(destinations)
+            if np.isfinite(R[a, b])
+        }
+        assert set(paths) == set(paths_ref) == reachable
+        assert len(paths) == len(reachable)
+        assert dict(paths) == paths_ref
+        assert paths == paths_ref
+        return paths
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_fat_tree_routes_equal_the_eager_dict(self, k):
+        topo = build_fat_tree(k)
+        rng = np.random.default_rng(k)
+        topo.set_link_utilizations(rng.uniform(0.0, 0.9, topo.num_edges))
+        nodes = rng.permutation(topo.num_nodes)
+        sources = [int(v) for v in nodes[:6]]
+        destinations = [int(v) for v in nodes[6:30]]
+        for max_hops in (2, 4, None):
+            self.priced(topo, sources, destinations, max_hops)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_random_topology_routes_equal_the_eager_dict(self, seed):
+        topo = seeded_random_topology(seed)
+        self.priced(topo, *endpoints(topo))
+
+    def test_duplicate_source_ids_resolve_to_the_last_index(self, monkeypatch):
+        topo = fat_tree_fixture()
+        sources, destinations = [0, 0, 1], [5, 6, 5]
+        paths = self.priced(topo, sources, destinations)
+        walked = []
+        path_to = MatrixDPResult.path_to
+
+        def spy(result, source_index, destination):
+            walked.append((source_index, destination))
+            return path_to(result, source_index, destination)
+
+        monkeypatch.setattr(MatrixDPResult, "path_to", spy)
+        paths = TrminEngine(
+            ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
+        ).resistance_matrix(topo, sources, destinations, with_paths=True)[2]
+        assert walked == []  # pricing walks no route
+        paths[(0, 6)]
+        assert walked == [(1, 6)]
+
+    def test_lookups_outside_the_reachable_set(self):
+        topo = fat_tree_fixture()
+        host = 0
+        near = topo.neighbors(host)[0]
+        far = next(  # beyond the one-hop budget
+            v for v in range(topo.num_nodes) if v != host and v not in topo.neighbors(host)
+        )
+        paths = self.priced(topo, [host], [near, far], max_hops=1)
+        assert set(paths) == {(host, near)}
+        for key in ((host, far), (far, host), (host,), "x", None):
+            assert key not in paths
+            assert paths.get(key) is None
+        with pytest.raises(KeyError):
+            paths[(host, far)]
+        with pytest.raises(TypeError):
+            paths[(host, far)] = None
 
 
 class TestIncrementalCache:
