@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.simulation.random import spawn_seeds
 from repro.topology.capacity import CapacityModel
-from repro.topology.graph import ShmTopologyHandle, Topology, TopologyArrays
+from repro.topology.graph import Topology
 from repro.topology.links import LinkUtilizationModel
 
 
@@ -113,58 +113,21 @@ def timed(fn: Callable[[], object]) -> Tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def publish_topology_arrays(arrays: TopologyArrays) -> ShmTopologyHandle:
-    """Move a topology blueprint into a shared-memory arena.
-
-    Returns the :class:`~repro.topology.graph.ShmTopologyHandle` to put
-    in worker payloads: a ~100-byte (segment name, version) pair, so
-    dispatch size stays flat no matter how large the fabric is. The
-    caller owns the segment and should ``handle.unlink()`` in a
-    ``finally`` once the sweep returns (idempotent — a pool-rebuild may
-    already have unlinked it).
-    """
-    return arrays.to_shm()
-
-
-def resolve_topology_arrays(
-    blueprint: "TopologyArrays | ShmTopologyHandle | None",
-) -> Optional[TopologyArrays]:
-    """Resolve a payload's topology blueprint to plain arrays.
-
-    Accepts either pre-shm payload styles (``TopologyArrays`` inline, or
-    ``None`` for build-locally) or an :class:`ShmTopologyHandle`, which
-    attaches zero-copy to the publisher's arena. Point functions call
-    this so serial, forked, and legacy callers all take the same path.
-    """
-    if isinstance(blueprint, ShmTopologyHandle):
-        return blueprint.resolve()
-    return blueprint
-
-
 def run_sharded_sweep(
     point_fn: Callable,
     payloads: Sequence,
     workers: Optional[int] = None,
-    kind: str = "process",
-    arenas: Sequence = (),
 ) -> List:
     """Shard independent experiment points over the worker pool.
 
     The unit of work is one *point* — e.g. one (k, seed) instance of a
     scalability sweep. ``point_fn`` must be a module-level (picklable)
-    callable of one payload; payloads should carry either plain arrays
-    (:class:`~repro.topology.graph.TopologyArrays`) or — for anything
-    large — an :class:`~repro.topology.graph.ShmTopologyHandle` from
-    :func:`publish_topology_arrays`, so workers attach the shared arena
-    instead of unpickling megabytes of wiring. Results come back in
+    callable of one payload; payloads carry scale parameters and seeds
+    only, and each point builds its own topology (``build_fat_tree``
+    materializes it from the memoized blueprint). Results come back in
     payload order; each worker's obs-registry delta is merged into the
     parent registry via ``collect_metrics=True``, so counters and
     histograms read the same as a serial run.
-
-    ``arenas`` are the :class:`~repro.parallel.ShmArena` objects backing
-    the payload handles; they are forwarded to the pool so a broken-pool
-    rebuild can unlink them (the parent's mappings survive, so the retry
-    and the serial fallback still resolve through the in-process cache).
 
     Any pool failure (sandboxed environment, unpicklable payload,
     worker death twice) degrades to the serial loop, which is always
@@ -176,9 +139,7 @@ def run_sharded_sweep(
     workers = resolve_workers(workers, task_count=len(payloads))
     if workers <= 1 or len(payloads) < 2:
         return [point_fn(p) for p in payloads]
-    results = map_with_pool_retry(
-        point_fn, payloads, workers, kind=kind, collect_metrics=True, arenas=arenas
-    )
+    results = map_with_pool_retry(point_fn, payloads, workers, collect_metrics=True)
     if results is None:
         return [point_fn(p) for p in payloads]
     return results

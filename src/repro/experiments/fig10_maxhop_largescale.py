@@ -34,8 +34,8 @@ DEFAULT_HOPS_32K: Tuple[int, ...] = (2, 3, 4)
 def _sweep_point(payload: Tuple[int, int, int, int, PathEngine]) -> float:
     """One (k, max-hop) point — module-level so pool workers can run it.
 
-    No arrays ride along here: ``mean_solve_time`` rebuilds through the
-    fat-tree blueprint LRU, so each worker pays one build per k at most.
+    ``mean_solve_time`` builds its fat-tree through the blueprint LRU,
+    so each worker pays one wiring build per k at most.
     """
     k, h, iters, seed, engine_kind = payload
     mean_s, _ = mean_solve_time(k, h, iters, seed=seed, engine_kind=engine_kind)

@@ -22,16 +22,9 @@ from repro.core.metrics import fit_power_law
 from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
-from repro.experiments.common import (
-    ExperimentResult,
-    IterationSampler,
-    publish_topology_arrays,
-    resolve_topology_arrays,
-    run_sharded_sweep,
-)
+from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
 from repro.routing.response_time import PathEngine, ResponseTimeModel
-from repro.topology.fattree import build_fat_tree, fat_tree_arrays
-from repro.topology.graph import ShmTopologyHandle, Topology, TopologyArrays
+from repro.topology.fattree import build_fat_tree
 
 #: (k, iterations, run_ilp, ilp_max_hops): the ILP column is produced for
 #: sizes where the paper itself still ran the optimization; the paper
@@ -52,7 +45,6 @@ def scalability_point(
     ilp_max_hops: Optional[int],
     seed: int = 0,
     policy: Optional[ThresholdPolicy] = None,
-    arrays: "Optional[TopologyArrays | ShmTopologyHandle]" = None,
 ) -> Tuple[float, float, float]:
     """(mean HFR %, mean ILP seconds, mean heuristic seconds) at size k.
 
@@ -62,14 +54,13 @@ def scalability_point(
     more generous candidate thresholds one-hop capacity stops being
     scarce at scale and HFR collapses to zero instead.
 
-    ``arrays`` is the sharded-sweep path (see fig12): plain arrays or a
-    shared-memory handle a worker attaches zero-copy. The iteration
-    stream depends only on ``seed``, so per-seed HFR values are
-    identical whether this point runs inline or on a pool worker.
+    The point builds its own fat-tree (a fresh topology from the
+    memoized blueprint), and the iteration stream depends only on
+    ``seed``, so per-seed HFR values are identical whether this point
+    runs inline or on a pool worker.
     """
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=35.0, x_min=10.0)
-    arrays = resolve_topology_arrays(arrays)
-    topology = Topology.from_arrays(arrays) if arrays is not None else build_fat_tree(k)
+    topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     ilp_engine = PlacementEngine(
         response_model=ResponseTimeModel(
@@ -112,7 +103,6 @@ def _sweep_point(payload: dict) -> Tuple[float, float, float]:
         payload["run_ilp"],
         payload["ilp_max_hops"],
         seed=payload["seed"],
-        arrays=payload["arrays"],
     )
 
 
@@ -123,16 +113,11 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 11a (HFR vs size) and 11b (ILP time vs size).
 
-    Scale points shard over the worker pool: one blueprint build per k,
-    published into a shared-memory arena, and shipped to workers as a
-    ~100-byte handle (see :func:`scalability_point`) — dispatch size no
-    longer grows with the fabric.
+    Scale points shard over the worker pool; a payload carries only
+    the scale parameters and seed, and each point builds its own
+    fat-tree (see :func:`scalability_point`).
     """
     start = time.perf_counter()
-    handles = {
-        k: publish_topology_arrays(fat_tree_arrays(k))
-        for k in sorted({k for k, _, _, _ in scales})
-    }
     payloads = [
         {
             "k": k,
@@ -140,17 +125,10 @@ def run(
             "run_ilp": run_ilp,
             "ilp_max_hops": ilp_hops,
             "seed": seed,
-            "arrays": handles[k],
         }
         for k, iterations, run_ilp, ilp_hops in scales
     ]
-    try:
-        points = run_sharded_sweep(
-            _sweep_point, payloads, workers=workers, arenas=tuple(handles.values())
-        )
-    finally:
-        for handle in handles.values():
-            handle.unlink()
+    points = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
     sizes, hfr_series = [], []
     for (k, iterations, run_ilp, ilp_hops), (hfr, ilp_s, _) in zip(scales, points):

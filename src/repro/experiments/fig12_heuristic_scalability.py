@@ -20,15 +20,8 @@ from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementProblem
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
-from repro.experiments.common import (
-    ExperimentResult,
-    IterationSampler,
-    publish_topology_arrays,
-    resolve_topology_arrays,
-    run_sharded_sweep,
-)
-from repro.topology.fattree import build_fat_tree, fat_tree_arrays
-from repro.topology.graph import ShmTopologyHandle, Topology, TopologyArrays
+from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
+from repro.topology.fattree import build_fat_tree
 
 DEFAULT_SCALES: Tuple[Tuple[int, int], ...] = ((4, 10), (8, 5), (16, 3), (32, 2), (64, 1))
 
@@ -38,20 +31,16 @@ def heuristic_time_at_scale(
     iterations: int,
     seed: int = 0,
     policy: Optional[ThresholdPolicy] = None,
-    arrays: "Optional[TopologyArrays | ShmTopologyHandle]" = None,
 ) -> Tuple[float, float, int]:
     """(mean heuristic seconds, mean HFR %, busy count of last state).
 
-    ``arrays`` is the sharded-sweep path: a pool worker receives the
-    fat-tree as a plain-array blueprint (or a shared-memory handle it
-    attaches zero-copy) and materializes its own mutable topology,
-    instead of unpickling a ``Topology`` object graph. The iteration
-    stream depends only on ``seed``, so the sharded and serial runs
-    sample identical network states.
+    The point builds its own mutable fat-tree from the memoized
+    blueprint, so a pool worker needs nothing but ``k`` and ``seed``.
+    The iteration stream depends only on ``seed``, so the sharded and
+    serial runs sample identical network states.
     """
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-    arrays = resolve_topology_arrays(arrays)
-    topology = Topology.from_arrays(arrays) if arrays is not None else build_fat_tree(k)
+    topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     times, hfrs, busy_count = [], [], 0
     for _, capacities in sampler.states(iterations):
@@ -84,7 +73,6 @@ def _sweep_point(payload: dict) -> Tuple[float, float, int]:
         payload["k"],
         payload["iterations"],
         seed=payload["seed"],
-        arrays=payload["arrays"],
     )
 
 
@@ -95,27 +83,16 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 12's heuristic-runtime-vs-size series.
 
-    Scale points are independent, so they shard over the worker pool:
-    each fat-tree is built once per k (the blueprint LRU), published
-    into a shared-memory arena, and shipped to workers as a ~100-byte
-    handle — dispatch size no longer grows with the fabric.
+    Scale points are independent, so they shard over the worker pool;
+    a payload carries only ``k``, the iteration count and the seed, and
+    each point builds its own fat-tree (see
+    :func:`heuristic_time_at_scale`).
     """
     start = time.perf_counter()
-    handles = {
-        k: publish_topology_arrays(fat_tree_arrays(k))
-        for k in sorted({k for k, _ in scales})
-    }
     payloads = [
-        {"k": k, "iterations": iterations, "seed": seed, "arrays": handles[k]}
-        for k, iterations in scales
+        {"k": k, "iterations": iterations, "seed": seed} for k, iterations in scales
     ]
-    try:
-        points = run_sharded_sweep(
-            _sweep_point, payloads, workers=workers, arenas=tuple(handles.values())
-        )
-    finally:
-        for handle in handles.values():
-            handle.unlink()
+    points = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
     times = []
     for (k, iterations), (mean_s, hfr, busy) in zip(scales, points):

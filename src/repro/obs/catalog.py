@@ -4,7 +4,7 @@ Each entry is ``(kind, name, unit, owner, description)``. The catalog
 is registered into the process-wide registry when :mod:`repro.obs` is
 imported, so the full metric namespace exists — at zero — before any
 instrumented code runs. ``docs/observability.md`` renders this catalog
-as a table, and the CI docs job fails when the two drift apart in
+as a table, and the tier-1 docs tests fail when the two drift apart in
 either direction (documented-but-unregistered or
 registered-but-undocumented).
 
@@ -28,7 +28,6 @@ soak       soak harness + degradation ladder (:mod:`repro.simulation.soak`)
 dsolve     distributed placement solve (:mod:`repro.lp.distributed` +
            :mod:`repro.simulation.distributed`)
 topology   CSR adjacency cache (:mod:`repro.topology.graph`)
-parallel   worker pools + shared-memory arenas (:mod:`repro.parallel`)
 ========== ==========================================================
 
 :data:`COUNTER_ALIASES` maps the legacy, pre-catalog key spellings that
@@ -276,15 +275,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "csr_adjacency calls answered by the version-keyed cache"),
     ("counter", "topology.csr_cache_misses", "count", "repro.topology.graph",
      "csr_adjacency rebuilds after a topology version change"),
-    # -- parallel: worker pools + shared-memory arenas -------------------------------
-    ("counter", "parallel.shm_creates", "count", "repro.parallel",
-     "Shared-memory arenas created (segments packed and published)"),
-    ("counter", "parallel.shm_attaches", "count", "repro.parallel",
-     "Zero-copy attaches to an existing arena by a fresh process"),
-    ("counter", "parallel.shm_unlinks", "count", "repro.parallel",
-     "Arena segment names removed from the shared-memory filesystem"),
-    ("counter", "parallel.shm_bytes_shared", "bytes", "repro.parallel",
-     "Total bytes packed into created arena segments"),
 ]
 
 #: Legacy / shorthand counter keys -> catalog names. Applied to report

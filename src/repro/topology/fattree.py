@@ -117,7 +117,8 @@ def fat_tree_arrays(
     name: str = "",
 ) -> TopologyArrays:
     """The cached array blueprint of a fat-tree, without materializing
-    a :class:`Topology` — what sweep shards ship to pool workers."""
+    a :class:`Topology` — the snapshot every :func:`build_fat_tree`
+    call materializes from."""
     arrays, _ = _fat_tree_blueprint(
         k, float(capacity_mbps), float(latency_ms), bool(with_servers), str(name)
     )

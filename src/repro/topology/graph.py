@@ -13,7 +13,6 @@ generic-object traversal.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,13 +47,13 @@ class CSRAdjacency:
 
 @dataclass(frozen=True)
 class TopologyArrays:
-    """Pickle-light snapshot of a topology: plain arrays, no objects.
+    """Snapshot of a topology as plain arrays, no objects.
 
-    Sweep shards ship these to pool workers instead of full
-    :class:`Topology` graphs (object graphs of per-edge dataclasses
-    pickle slowly and defeat fork-time page sharing); a worker
-    materializes a real topology with :meth:`Topology.from_arrays`.
-    Node ``attrs`` are not carried — they are display metadata only.
+    The fat-tree blueprint LRU memoizes one of these per parameter
+    tuple, and :meth:`Topology.from_arrays` materializes a fresh,
+    independently mutable topology from it without re-running the
+    wiring. Node ``attrs`` are not carried — they are display metadata
+    only.
     """
 
     name: str
@@ -68,106 +67,11 @@ class TopologyArrays:
     utilization: np.ndarray
     latency_ms: np.ndarray
     #: Shared CSR wiring (see :class:`CSRAdjacency`): computed once at
-    #: export, so every worker's :meth:`Topology.from_arrays` prefills
-    #: its CSR structure cache instead of re-deriving it per point.
+    #: export, so every :meth:`Topology.from_arrays` build prefills its
+    #: CSR structure cache instead of re-deriving it.
     csr_indptr: Optional[np.ndarray] = None
     csr_indices: Optional[np.ndarray] = None
     csr_edge_ids: Optional[np.ndarray] = None
-
-    # -- shared-memory transport ----------------------------------------------------
-    def to_shm(self, version: Optional[int] = None) -> "ShmTopologyHandle":
-        """Publish this snapshot into a shared-memory arena.
-
-        Returns a :class:`ShmTopologyHandle` — a few dozen bytes that
-        pickle in O(1) — instead of the megabytes of arrays themselves.
-        Sweep payloads ship the handle; workers re-materialize with
-        :meth:`from_shm`, which maps the arena zero-copy (fork workers
-        resolve through the inherited in-process cache and never copy
-        at all). The caller owns the arena: unlink it through
-        :meth:`ShmTopologyHandle.unlink` when the sweep is done.
-        """
-        from repro.parallel import ShmArena
-
-        meta = json.dumps(
-            {
-                "name": self.name,
-                "node_names": list(self.node_names),
-                "node_kinds": list(self.node_kinds),
-                "csr": self.csr_indptr is not None,
-            }
-        ).encode()
-        arrays = {
-            "meta": np.frombuffer(meta, dtype=np.uint8),
-            "node_pods": self.node_pods,
-            "us": self.us,
-            "vs": self.vs,
-            "capacity_mbps": self.capacity_mbps,
-            "utilization": self.utilization,
-            "latency_ms": self.latency_ms,
-        }
-        if self.csr_indptr is not None:
-            arrays["csr_indptr"] = self.csr_indptr
-            arrays["csr_indices"] = self.csr_indices
-            arrays["csr_edge_ids"] = self.csr_edge_ids
-        arena = ShmArena.create(arrays, version=version)
-        return ShmTopologyHandle(segment=arena.name, version=arena.version)
-
-    @classmethod
-    def from_shm(cls, handle: "ShmTopologyHandle") -> "TopologyArrays":
-        """Re-materialize a snapshot from its arena, zero-copy.
-
-        Every numpy field of the result is a read-only view straight
-        into the mapped segment; only the node name/kind tuples (display
-        metadata) are decoded. Raises
-        :class:`~repro.parallel.ShmArenaError` when the segment is gone
-        or its version stamp does not match the handle — the guard that
-        keeps a worker from pricing against re-published wiring.
-        """
-        from repro.parallel import attach_shared
-
-        arena = attach_shared(handle.segment, expected_version=handle.version)
-        views = arena.arrays
-        meta = json.loads(bytes(views["meta"]))
-        has_csr = bool(meta["csr"])
-        return cls(
-            name=meta["name"],
-            num_nodes=len(meta["node_names"]),
-            node_names=tuple(meta["node_names"]),
-            node_kinds=tuple(meta["node_kinds"]),
-            node_pods=views["node_pods"],
-            us=views["us"],
-            vs=views["vs"],
-            capacity_mbps=views["capacity_mbps"],
-            utilization=views["utilization"],
-            latency_ms=views["latency_ms"],
-            csr_indptr=views["csr_indptr"] if has_csr else None,
-            csr_indices=views["csr_indices"] if has_csr else None,
-            csr_edge_ids=views["csr_edge_ids"] if has_csr else None,
-        )
-
-
-@dataclass(frozen=True)
-class ShmTopologyHandle:
-    """Pickle-light pointer to a :class:`TopologyArrays` snapshot living
-    in a shared-memory arena: segment name + the arena's version stamp.
-    This is the entire worker dispatch payload for a topology — its
-    pickled size is constant no matter how large the fabric is."""
-
-    segment: str
-    version: int
-
-    def resolve(self) -> TopologyArrays:
-        """Shorthand for :meth:`TopologyArrays.from_shm`."""
-        return TopologyArrays.from_shm(self)
-
-    def unlink(self) -> None:
-        """Remove the backing segment (idempotent; owner's duty)."""
-        from repro.parallel import ShmArenaError, attach_shared
-
-        try:
-            attach_shared(self.segment).unlink()
-        except ShmArenaError:
-            pass  # already unlinked (e.g. by a broken-pool cleanup)
 
 
 class NodeKind(enum.Enum):
@@ -214,7 +118,7 @@ class Topology:
         self._lazy_links: Optional[Tuple[List[float], List[float], List[float]]] = None
         self._endpoints: List[Tuple[int, int]] = []
         # node -> [(neighbor, edge_id)]; may also be deferred, backed by
-        # the CSR wiring shipped inside TopologyArrays.
+        # the CSR wiring carried inside TopologyArrays.
         self._adjacency_store: List[List[Tuple[int, int]]] = []
         self._lazy_adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._edge_index: Dict[Tuple[int, int], int] = {}
@@ -657,7 +561,7 @@ class Topology:
         topo._endpoints = endpoints
         topo._edge_index = edge_index
         if arrays.csr_indptr is not None:
-            # The exporter shipped the CSR wiring: prefill the structure
+            # The blueprint carries the CSR wiring: prefill the structure
             # cache and back the deferred adjacency with it.
             for arr in (
                 arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids, us, vs

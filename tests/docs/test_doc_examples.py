@@ -44,8 +44,8 @@ def test_documented_python_block_runs(doc, index, block):
 
 
 class TestMetricCatalogSync:
-    """The docs table and the registry must agree exactly — the CI
-    docs job runs these to fail on drift in either direction."""
+    """The docs table and the registry must agree exactly — these fail
+    the tier-1 suite on drift in either direction."""
 
     def test_table_is_generated_from_the_catalog(self):
         from repro.obs import CATALOG

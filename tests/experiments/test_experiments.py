@@ -192,60 +192,27 @@ class TestShardedSweep:
         # (delta merged back) or on the serial fallback.
         assert counter.value == before + len(payloads)
 
-    def test_dispatch_payload_size_does_not_scale_with_topology(self):
-        """The shm handle keeps worker dispatch O(1) in fabric size: the
-        16-k payload pickles to the same few hundred bytes as the 4-k
-        one despite carrying a 16x-larger topology."""
-        import pickle
 
-        from repro.experiments.common import publish_topology_arrays
-        from repro.topology.fattree import fat_tree_arrays
+class TestShardedSweepEquality:
+    """A point builds the same topology and samples the same seeded
+    states wherever it runs, so every non-timing column of a sharded
+    sweep equals the serial one."""
 
-        sizes, handles = {}, []
-        try:
-            for k in (4, 16):
-                arrays = fat_tree_arrays(k)
-                handle = publish_topology_arrays(arrays)
-                handles.append(handle)
-                payload = {"k": k, "iterations": 1, "seed": 0, "arrays": handle}
-                sizes[k] = len(pickle.dumps(payload))
-            assert sizes[16] <= sizes[4] + 8  # name/version digits only
-            assert max(sizes.values()) < 512
-        finally:
-            for handle in handles:
-                handle.unlink()
+    def test_sharded_and_serial_fig11_points_match(self):
+        scales = ((4, 2, True, None), (8, 1, True, 4))
+        serial = run_experiment("fig11", scales=scales, seed=0, workers=1)
+        sharded = run_experiment("fig11", scales=scales, seed=0, workers=2)
+        assert len(serial.rows) == len(sharded.rows) == len(scales)
+        for row_serial, row_sharded in zip(serial.rows, sharded.rows):
+            # fat-tree label, nodes, mean HFR % (column 3 is ILP time)
+            assert row_serial[:3] == row_sharded[:3]
 
-    def test_resolve_topology_arrays_accepts_all_payload_styles(self):
-        import numpy as np
-
-        from repro.experiments.common import (
-            publish_topology_arrays,
-            resolve_topology_arrays,
-        )
-        from repro.topology.fattree import fat_tree_arrays
-
-        assert resolve_topology_arrays(None) is None
-        arrays = fat_tree_arrays(4)
-        assert resolve_topology_arrays(arrays) is arrays  # legacy inline style
-        handle = publish_topology_arrays(arrays)
-        try:
-            resolved = resolve_topology_arrays(handle)
-            np.testing.assert_array_equal(resolved.us, arrays.us)
-            np.testing.assert_array_equal(resolved.capacity_mbps, arrays.capacity_mbps)
-        finally:
-            handle.unlink()
-
-
-class TestShmSweepEquality:
     def test_sharded_and_serial_fig12_points_match(self):
-        """Zero-copy attach cannot change results: per-seed HFR and busy
-        counts are identical whether a point runs inline (serial, cache
-        hit on the publisher's arena) or in a pool worker (fresh
-        attach)."""
         scales = ((4, 2), (8, 1))
         serial = run_experiment("fig12", scales=scales, seed=0, workers=1)
         sharded = run_experiment("fig12", scales=scales, seed=0, workers=2)
+        assert len(serial.rows) == len(sharded.rows) == len(scales)
         for row_serial, row_sharded in zip(serial.rows, sharded.rows):
-            assert row_serial[0] == row_sharded[0]  # fat-tree label
+            assert row_serial[:2] == row_sharded[:2]  # fat-tree label, nodes
             assert row_serial[3] == row_sharded[3]  # mean HFR %
             assert row_serial[4] == row_sharded[4]  # busy count

@@ -5,7 +5,9 @@ import dataclasses
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import repro.parallel as parallel
 from repro.obs import (
     CLIENT_MIRROR,
     FAULTY_NETWORK_MIRROR,
@@ -203,12 +205,15 @@ class TestPoolMetricFlow:
         # directly (deltas skipped by the pid guard).
         assert reg.value("testpool.work_units") - before == sum(amounts)
 
-    def test_thread_pool_does_not_double_count(self):
+    def test_thread_pool_does_not_double_count(self, monkeypatch):
+        # The pool make_executor degrades to where processes cannot start.
+        monkeypatch.setattr(
+            parallel, "make_executor", lambda w: ThreadPoolExecutor(max_workers=w)
+        )
         reg = get_registry()
         before = reg.counter("testpool.work_units", owner="tests").value
         result = map_with_pool_retry(
-            _observe_in_worker, [5, 5], workers=2, kind="thread",
-            collect_metrics=True,
+            _observe_in_worker, [5, 5], workers=2, collect_metrics=True
         )
         assert result is not None
         assert reg.value("testpool.work_units") - before == 10
