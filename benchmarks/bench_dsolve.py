@@ -39,7 +39,7 @@ import os
 import sys
 from typing import List
 
-from repro.experiments.extra_distributed import GAP_TOLERANCE, solve_point
+from repro.experiments.extra_distributed import OBJECTIVE_TOLERANCE, solve_point
 
 
 def main(argv=None) -> int:
@@ -73,10 +73,10 @@ def main(argv=None) -> int:
             failures.append(str(exc))
             continue
         points.append(point)
-        if point["objective_rel_diff"] > GAP_TOLERANCE:
+        if point["objective_rel_diff"] > OBJECTIVE_TOLERANCE:
             failures.append(
                 f"k={k}: objective rel diff {point['objective_rel_diff']:.3e} "
-                f"exceeds {GAP_TOLERANCE:g}"
+                f"exceeds {OBJECTIVE_TOLERANCE:g}"
             )
 
     gated = not args.smoke
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "cpu_count": os.cpu_count(),
         "seed": args.seed,
-        "gap_tolerance": GAP_TOLERANCE,
+        "objective_tolerance": OBJECTIVE_TOLERANCE,
         "min_speedup_gate": args.min_speedup if gated else None,
         "points": points,
         "objectives_match": not any("rel diff" in f or "diverge" in f for f in failures),

@@ -373,13 +373,8 @@ class DistributedPlacementReport(PlacementReport):
         Price-exchange epochs until termination.
     pivots : int
         Coordinator pivots across all rounds.
-    gap : float
-        Certified relative duality gap at termination.
     dsolve_messages : int
         Protocol messages exchanged.
-    local_objective : float
-        Sum of feasible zones' presolve objectives (the no-cross-zone
-        baseline; ``nan`` when no zone presolved).
     presolve_warm_hits : int
         Never set (see the field's comment).
     coordinator_seconds : float
@@ -397,9 +392,7 @@ class DistributedPlacementReport(PlacementReport):
     zones: int = 0
     rounds: int = 0
     pivots: int = 0
-    gap: float = float("nan")
     dsolve_messages: int = 0
-    local_objective: float = float("nan")
     # Never set: the only reader is benchmarks/e2e/spans.py; deleted with
     # that reader in the next [benchmark] PR.
     presolve_warm_hits: int = 0
@@ -433,36 +426,17 @@ class DistributedPlacementEngine:
     engine : PlacementEngine, optional
         Supplies the Trmin engine and response model the zones price
         with. A route-less engine is built when omitted.
-    price_rule : str
-        ``"block"`` or ``"dantzig"`` — the coordinator's
-        price-coordination rule (see
-        :class:`~repro.lp.distributed.DistributedCoordinator`).
-    gap_tol : float, optional
-        Early-termination bound on the certified relative duality gap;
-        ``None`` iterates to exact optimality.
-    max_rounds : int
-        Safety bound on price-exchange epochs.
-    max_bids : int
-        Lane bids per zone per epoch under the ``block`` rule.
     """
 
     def __init__(
         self,
         zones: Sequence[Zone],
         engine: Optional[PlacementEngine] = None,
-        price_rule: str = "block",
-        gap_tol: Optional[float] = None,
-        max_rounds: int = 10_000,
-        max_bids: int = 16,
     ) -> None:
         if not zones:
             raise PlacementError("DistributedPlacementEngine needs at least one zone")
         self.zones = list(zones)
         self.engine = engine or PlacementEngine(with_routes=False)
-        self.price_rule = price_rule
-        self.gap_tol = gap_tol
-        self.max_rounds = max_rounds
-        self.max_bids = max_bids
 
     def solve(self, problem: PlacementProblem) -> DistributedPlacementReport:
         """Solve one placement instance via the distributed protocol.
@@ -539,13 +513,7 @@ class DistributedPlacementEngine:
                 )
             )
 
-        result: DistributedSolveResult = run_protocol(
-            workers,
-            price_rule=self.price_rule,
-            gap_tol=self.gap_tol,
-            max_rounds=self.max_rounds,
-            max_bids=self.max_bids,
-        )
+        result: DistributedSolveResult = run_protocol(workers)
 
         assignments: List[PlacementAssignment] = []
         if result.status.is_optimal:
@@ -589,9 +557,7 @@ class DistributedPlacementEngine:
             zones=len(self.zones),
             rounds=result.rounds,
             pivots=result.pivots,
-            gap=result.gap,
             dsolve_messages=result.messages,
-            local_objective=result.local_objective,
             coordinator_seconds=result.coordinator_seconds,
             zone_seconds=zone_totals,
             critical_path_seconds=result.coordinator_seconds

@@ -32,7 +32,7 @@ from repro.topology.fattree import build_fat_tree
 
 DEFAULT_KS: Sequence[int] = (16, 32)
 #: Relative objective agreement demanded between the two solvers.
-GAP_TOLERANCE = 1e-6
+OBJECTIVE_TOLERANCE = 1e-6
 
 
 def _engine(max_hops: Optional[int]) -> PlacementEngine:
@@ -48,7 +48,6 @@ def solve_point(
     k: int,
     seed: int = 0,
     max_hops: Optional[int] = 4,
-    price_rule: str = "block",
     policy: Optional[ThresholdPolicy] = None,
 ) -> dict:
     """Solve one fat-tree snapshot both ways; return the comparison.
@@ -57,7 +56,7 @@ def solve_point(
     and solves the identical :class:`PlacementProblem` with the
     centralized engine and with the per-pod distributed
     engine. Raises ``AssertionError`` if the objectives disagree beyond
-    :data:`GAP_TOLERANCE` — the study is a correctness gate first and a
+    :data:`OBJECTIVE_TOLERANCE` — the study is a correctness gate first and a
     speedup curve second.
     """
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
@@ -79,7 +78,7 @@ def solve_point(
     central = _engine(max_hops).solve(problem)
     zones = partition_by_pod(topology)
     distributed = DistributedPlacementEngine(
-        zones=zones, engine=_engine(max_hops), price_rule=price_rule
+        zones=zones, engine=_engine(max_hops)
     ).solve(problem)
 
     rel_diff = abs(distributed.objective_beta - central.objective_beta) / max(
@@ -89,8 +88,8 @@ def solve_point(
         f"k={k}: distributed {distributed.status} != centralized {central.status}"
     )
     if central.feasible:
-        assert rel_diff <= GAP_TOLERANCE, (
-            f"k={k}: objectives diverge by {rel_diff:.3e} > {GAP_TOLERANCE}"
+        assert rel_diff <= OBJECTIVE_TOLERANCE, (
+            f"k={k}: objectives diverge by {rel_diff:.3e} > {OBJECTIVE_TOLERANCE}"
         )
     speedup = central.total_seconds / max(1e-12, distributed.critical_path_seconds)
     return {
@@ -106,7 +105,8 @@ def solve_point(
         "rounds": distributed.rounds,
         "pivots": distributed.pivots,
         "messages": distributed.dsolve_messages,
-        "gap": distributed.gap,
+        "status": distributed.status.name,
+        "centralized_status": central.status.name,
         "objective_rel_diff": rel_diff,
         "objective_beta": distributed.objective_beta,
     }
@@ -116,7 +116,6 @@ def run(
     ks: Sequence[int] = DEFAULT_KS,
     seed: int = 0,
     max_hops: Optional[int] = 4,
-    price_rule: str = "block",
     json_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Speedup curve of the distributed solve vs the centralized LP.
@@ -125,14 +124,11 @@ def run(
     observability bundle) as JSON — the CI ``dsolve-smoke`` artifact.
     """
     start = time.perf_counter()
-    points = [
-        solve_point(k, seed=seed, max_hops=max_hops, price_rule=price_rule)
-        for k in ks
-    ]
+    points = [solve_point(k, seed=seed, max_hops=max_hops) for k in ks]
     if json_path is not None:
         artifact = {
             "points": points,
-            "gap_tolerance": GAP_TOLERANCE,
+            "objective_tolerance": OBJECTIVE_TOLERANCE,
             "observability": observability_artifact(),
         }
         Path(json_path).write_text(json.dumps(artifact, indent=2))
@@ -146,19 +142,18 @@ def run(
             f"{p['critical_path_s']:.3f}",
             f"{p['speedup']:.2f}x",
             p["rounds"],
-            f"{p['gap']:.1e}",
             f"{p['objective_rel_diff']:.1e}",
         )
         for p in points
     )
     best = max(p["speedup"] for p in points)
-    exact = all(p["objective_rel_diff"] <= GAP_TOLERANCE for p in points)
+    exact = all(p["objective_rel_diff"] <= OBJECTIVE_TOLERANCE for p in points)
     return ExperimentResult(
         experiment_id="distributed",
         title="Distributed placement solve vs centralized LP (extra)",
         columns=(
             "k", "zones", "busy", "cand", "central s", "critical path s",
-            "speedup", "rounds", "gap", "obj rel diff",
+            "speedup", "rounds", "obj rel diff",
         ),
         rows=rows,
         paper_claim=(
@@ -167,12 +162,9 @@ def run(
         ),
         observations=(
             f"objectives {'matched' if exact else 'DID NOT match'} the "
-            f"centralized LP within {GAP_TOLERANCE:g} on every point; best "
+            f"centralized LP within {OBJECTIVE_TOLERANCE:g} on every point; best "
             f"modeled speedup {best:.2f}x"
         ),
         elapsed_s=time.perf_counter() - start,
-        params=(
-            ("ks", tuple(ks)), ("seed", seed), ("max_hops", max_hops),
-            ("price_rule", price_rule),
-        ),
+        params=(("ks", tuple(ks)), ("seed", seed), ("max_hops", max_hops)),
     )

@@ -16,18 +16,17 @@ item 1. This module decomposes the Eq. 3 transportation solve across
   tree (``m + n + 1`` cells), the flows that tree carries, and the dual
   prices it implies. Per iteration it broadcasts boundary duals
   ``(u, v)``, collects each zone's most-violated lanes as *bids*,
-  applies the winning pivots locally, and repeats until no zone can
-  improve (exact optimum) or a certified duality gap bound is met.
+  applies the winning pivots locally, and repeats until no zone bids
+  and the coordinator finds no pivot of its own (exact optimum).
 
 The coordination loop is exactly a transportation simplex with
 distributed candidate-list pricing, so the converged objective equals
 the centralized :func:`repro.lp.transportation.solve_transportation`
 optimum — not approximately, but as the same LP optimum reached by a
-different pivot order. On top of that, every round carries a certified
-*Lagrangian lower bound* assembled from per-zone row minima under the
-consensus capacity prices ``λ_j = max(0, -v_j)``, so early termination
-at a bounded relative gap (``gap_tol``) is available when exactness is
-not worth the extra rounds.
+different pivot order. Both solvers share one tree core: the
+coordinator prices with :meth:`_BasisTree.potentials` and pivots with
+:meth:`_BasisTree.pivot`, the same calls the centralized loop makes,
+and stops on the same reduced-cost test.
 
 Balanced coordinates: the real ``m × n`` problem gains a *dummy supply
 row* ``m`` (absorbing spare capacity at zero cost) and an *artificial
@@ -53,13 +52,15 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.transportation import (
+    _EPS,
+    _OPT_TOL,
     TransportationProblem,
     _BasisTree,
     _UnionFind,
@@ -76,19 +77,20 @@ __all__ = [
     "ZoneWorker",
     "DistributedCoordinator",
     "extract_zone_subproblems",
+    "finish_solve",
     "run_protocol",
     "solve_distributed",
 ]
 
-_EPS = 1e-9
-#: Same relative reduced-cost tolerance as the centralized solver.
-_OPT_TOL = 1e-7
 #: Flow on a forbidden lane / the artificial column above this means
 #: the real problem is infeasible (mirrors the centralized check).
 _FLOW_TOL = 1e-6
-
-#: Accepted price-coordination rules (see :class:`DistributedCoordinator`).
-PRICE_RULES = ("block", "dantzig")
+#: Most-violated lanes a zone bids per epoch.
+_BLOCK_BIDS = 16
+#: Bounded-time guards: a solve still running after this many epochs
+#: or pivots ends ``ITERATION_LIMIT``.
+_MAX_ROUNDS = 10_000
+_MAX_PIVOTS = 100_000
 
 
 # -- protocol messages -------------------------------------------------------------
@@ -120,12 +122,6 @@ class ZoneProfile:
         rows dropped; ``inf`` costs mark forbidden lanes). The
         coordinator merges these into the initial global basis so the
         price iterations start near the local optima.
-    local_objective : float
-        Objective of the local presolve (``nan`` when skipped).
-    local_feasible : bool
-        Whether the zone could place its own load within its own
-        candidates — ``False`` zones are exactly the ones that need
-        cross-zone lanes.
     """
 
     zone_id: int
@@ -135,8 +131,6 @@ class ZoneProfile:
     capacities: Tuple[float, ...]
     max_finite_cost: float
     basis_cells: Tuple[Tuple[int, int, float], ...] = ()
-    local_objective: float = float("nan")
-    local_feasible: bool = True
 
 
 @dataclass(frozen=True)
@@ -155,26 +149,15 @@ class PriceUpdate:
         ``profile.rows`` order).
     v : tuple of float
         Capacity potentials for all real columns, in global order.
-        ``λ_j = max(0, -v_j)`` is the consensus capacity price used
-        for the Lagrangian bound.
     big_m : float
         Global cost for forbidden (no-route) lanes, shared by every
         zone so reduced costs are comparable.
-    max_bids : int
-        Price-coordination rule knob: how many improving lanes the
-        zone may bid this epoch (1 under the ``dantzig`` rule, a block
-        under ``block``).
-    terminate : bool
-        True on the final update: the zone should stop pricing and
-        await its :class:`FlowAssignment`.
     """
 
     epoch: int
     u: Tuple[float, ...]
     v: Tuple[float, ...]
     big_m: float
-    max_bids: int = 16
-    terminate: bool = False
 
 
 @dataclass(frozen=True)
@@ -186,23 +169,15 @@ class LaneBids:
     zone_id, epoch : int
         Echo of the :class:`PriceUpdate` being answered.
     bids : tuple of (int, int, float, bool)
-        Up to ``max_bids`` cells ``(row, col, cost, forbidden)`` whose
-        reduced cost ``c_ij - u_i - v_j`` is negative beyond tolerance,
-        most negative first. Empty when the zone's rows are fully
-        priced out — the zone votes "converged".
-    best_reduced : float
-        The zone's most negative raw reduced cost (``0.0`` when none).
-    lower_bound_term : float
-        ``Σ_i s_i · min_j (c_ij + λ_j)`` over the zone's rows — its
-        additive share of the global Lagrangian lower bound under the
-        epoch's consensus prices.
+        Up to 16 cells ``(row, col, cost, forbidden)`` whose reduced
+        cost ``c_ij - u_i - v_j`` is negative beyond tolerance, most
+        negative first. Empty when the zone's rows are fully priced
+        out — the zone votes "converged".
     """
 
     zone_id: int
     epoch: int
     bids: Tuple[Tuple[int, int, float, bool], ...] = ()
-    best_reduced: float = 0.0
-    lower_bound_term: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -221,8 +196,6 @@ class FlowAssignment:
         did not end optimal).
     objective : float
         Global objective (``nan`` when not optimal).
-    gap : float
-        Final certified relative duality gap.
     """
 
     zone_id: int
@@ -230,7 +203,6 @@ class FlowAssignment:
     status: SolveStatus
     flows: Tuple[Tuple[int, int, float], ...] = ()
     objective: float = float("nan")
-    gap: float = float("nan")
 
 
 # -- results -----------------------------------------------------------------------
@@ -243,17 +215,14 @@ class DistributedSolveResult:
     Attributes
     ----------
     status : SolveStatus
-        ``OPTIMAL`` (converged; ``gap`` certifies how tightly),
+        ``OPTIMAL`` (converged: no lane prices below zero),
         ``INFEASIBLE`` (load left on artificial/forbidden lanes) or
-        ``ITERATION_LIMIT`` (round/pivot budget exhausted).
+        ``ITERATION_LIMIT`` (round/pivot budget or deadline exhausted).
     flow : numpy.ndarray
         ``(m, n)`` optimal flow in the original coordinates (zeros
         when not optimal).
     objective : float
         Global objective; matches the centralized solver's optimum.
-    gap : float
-        Certified relative duality gap ``(UB - LB) / max(1, |UB|)`` at
-        termination (``0.0``-ish at exact optimality).
     rounds : int
         Price-exchange epochs run.
     pivots : int
@@ -266,9 +235,6 @@ class DistributedSolveResult:
         Protocol messages exchanged (profiles + updates + bids +
         assignments) by the in-process driver; the networked driver
         reports its own (larger, loss-inflated) count.
-    local_objective : float
-        Sum of feasible zones' presolve objectives — the "no
-        cross-zone lanes" baseline the price iterations improve on.
     coordinator_seconds : float
         Wall time spent in coordinator-side merge/pivot work.
     zone_seconds : dict of int to float
@@ -282,13 +248,11 @@ class DistributedSolveResult:
     status: SolveStatus
     flow: np.ndarray
     objective: float
-    gap: float
     rounds: int
     pivots: int
     bids_received: int
     zone_count: int
     messages: int
-    local_objective: float = float("nan")
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
     critical_path_seconds: float = 0.0
@@ -358,8 +322,9 @@ class ZoneWorker:
         self.final_status: Optional[SolveStatus] = None
 
     # -- phase 1: local presolve ---------------------------------------------------
-    def _local_presolve(self) -> Tuple[Tuple, float, bool]:
-        """Solve the zone-local block (own rows × own cols) exactly.
+    def _local_presolve(self) -> Tuple[Tuple[int, int, float], ...]:
+        """Solve the zone-local block (own rows × own cols) exactly and
+        return its basis cells in global coordinates.
 
         A zone whose load exceeds its own spare capacity solves a
         supply-clipped variant instead — the point of the presolve is a
@@ -368,35 +333,29 @@ class ZoneWorker:
         """
         m_z, n_z = len(self.rows), len(self.cols)
         if m_z == 0 or n_z == 0 or float(self.supplies.sum()) <= _EPS:
-            return (), float("nan"), n_z > 0 or m_z == 0
+            return ()
         local_cost = self.cost_rows[:, list(self.cols)]
         supplies = self.supplies
         total_s, total_d = float(supplies.sum()), float(self.capacities.sum())
-        feasible_shape = total_s <= total_d + _EPS
-        if not feasible_shape:
+        if total_s > total_d + _EPS:
             if total_d <= _EPS:
-                return (), float("nan"), False
+                return ()
             supplies = supplies * (total_d / total_s) * (1.0 - 1e-12)
         result = solve_transportation(
             TransportationProblem(supplies, self.capacities, local_cost)
         )
         if result.basis is None:
-            return (), float("nan"), False
-        cells: List[Tuple[int, int, float]] = []
-        for i, j in result.basis.cells:
-            if i >= m_z:  # local dummy row — coordinator has its own
-                continue
-            cells.append(
-                (self.rows[i], self.cols[j], float(local_cost[i, j]))
-            )
-        feasible = feasible_shape and result.status.is_optimal
-        objective = result.objective if result.status.is_optimal else float("nan")
-        return tuple(cells), objective, feasible
+            return ()
+        return tuple(
+            (self.rows[i], self.cols[j], float(local_cost[i, j]))
+            for i, j in result.basis.cells
+            if i < m_z  # local dummy row — coordinator has its own
+        )
 
     def profile(self) -> ZoneProfile:
         """Build the zone's :class:`ZoneProfile` (runs the presolve)."""
         start = time.perf_counter()
-        cells, objective, feasible = self._local_presolve()
+        cells = self._local_presolve()
         finite = self.cost_rows[np.isfinite(self.cost_rows)]
         profile = ZoneProfile(
             zone_id=self.zone_id,
@@ -406,8 +365,6 @@ class ZoneWorker:
             capacities=tuple(float(d) for d in self.capacities),
             max_finite_cost=float(finite.max()) if finite.size else 0.0,
             basis_cells=cells,
-            local_objective=objective,
-            local_feasible=feasible,
         )
         self.seconds += time.perf_counter() - start
         return profile
@@ -425,10 +382,9 @@ class ZoneWorker:
         Returns
         -------
         LaneBids
-            Up to ``update.max_bids`` most-violated lanes plus the
-            zone's Lagrangian lower-bound share. Re-pricing the same
-            epoch returns an identical answer (pure function of the
-            update), which is what makes retransmission safe.
+            Up to 16 most-violated lanes. Re-pricing the same epoch
+            returns an identical answer (pure function of the update),
+            which is what makes retransmission safe.
         """
         start = time.perf_counter()
         m_z = len(self.rows)
@@ -439,29 +395,19 @@ class ZoneWorker:
         forbidden = ~np.isfinite(self.cost_rows)
         cost = np.where(forbidden, update.big_m, self.cost_rows)
         reduced = cost - u[:, None] - v[None, :]
-        lam = np.maximum(0.0, -v)
-        lower = float((self.supplies * (cost + lam[None, :]).min(axis=1)).sum())
         violating = reduced < -_OPT_TOL * (1.0 + np.abs(cost))
         bids: List[Tuple[int, int, float, bool]] = []
-        best = 0.0
         if violating.any():
             flat = np.flatnonzero(violating.ravel())
             order = flat[np.argsort(reduced.ravel()[flat])]
-            best = float(reduced.ravel()[order[0]])
             n = self.cost_rows.shape[1]
-            for idx in order[: max(1, int(update.max_bids))]:
+            for idx in order[:_BLOCK_BIDS]:
                 a, b = divmod(int(idx), n)
                 bids.append(
                     (self.rows[a], int(b), float(cost[a, b]), bool(forbidden[a, b]))
                 )
         self.seconds += time.perf_counter() - start
-        return LaneBids(
-            zone_id=self.zone_id,
-            epoch=update.epoch,
-            bids=tuple(bids),
-            best_reduced=best,
-            lower_bound_term=lower,
-        )
+        return LaneBids(zone_id=self.zone_id, epoch=update.epoch, bids=tuple(bids))
 
     def accept(self, assignment: FlowAssignment) -> None:
         """Record the final flows for this zone's rows (idempotent)."""
@@ -532,55 +478,33 @@ class DistributedCoordinator:
     artificial column ``n`` are coordinator-owned, so it can price its
     own rows/columns without any zone traffic.
 
-    Parameters
+    Each epoch, zones bid up to 16 lanes and the coordinator applies
+    every still-improving one. The solve ends ``OPTIMAL`` (or
+    ``INFEASIBLE``) on the first epoch with no zone bid and no
+    coordinator pivot, or ``ITERATION_LIMIT`` after 10 000 epochs or
+    100 000 pivots.
+
+    Attributes
     ----------
-    price_rule : str
-        ``"block"`` (default): zones bid up to ``max_bids`` lanes per
-        epoch and the coordinator applies every still-improving one —
-        few rounds, slightly more speculative bids. ``"dantzig"``:
-        classic most-negative single bid per zone per epoch.
-    gap_tol : float, optional
-        Early-termination bound on the certified relative duality gap.
-        ``None`` (default) iterates to exact optimality (no zone can
-        bid an improving lane).
-    max_rounds : int
-        Safety bound on price-exchange epochs.
-    max_pivots : int
-        Safety bound on total pivots (mirrors the centralized
-        ``max_iter``).
-    max_bids : int
-        Block size under the ``block`` rule.
+    epoch : int
+        Current epoch (``-1`` before the first :meth:`price_updates`).
+    rounds, pivots, bids_received : int
+        Epochs opened, pivots applied and bids accepted so far.
+    seconds : float
+        Wall time spent in coordinator work.
+    converged : bool
+        True once the solve has ended, with its verdict in ``status``.
     """
 
-    def __init__(
-        self,
-        price_rule: str = "block",
-        gap_tol: Optional[float] = None,
-        max_rounds: int = 10_000,
-        max_pivots: int = 100_000,
-        max_bids: int = 16,
-    ) -> None:
-        if price_rule not in PRICE_RULES:
-            raise SolverError(
-                f"unknown price_rule {price_rule!r}; expected one of {PRICE_RULES}"
-            )
-        self.price_rule = price_rule
-        self.gap_tol = gap_tol
-        self.max_rounds = max_rounds
-        self.max_pivots = max_pivots
-        self.max_bids = 1 if price_rule == "dantzig" else max_bids
+    def __init__(self) -> None:
         self._profiles: Dict[int, ZoneProfile] = {}
         self.epoch = -1
         self.rounds = 0
         self.pivots = 0
         self.bids_received = 0
-        self.stale_bids = 0
         self.seconds = 0.0
         self.converged = False
         self.status: Optional[SolveStatus] = None
-        self.upper_bound = float("nan")
-        self.lower_bound = float("nan")
-        self.gap = float("nan")
         self._epoch_bids: Dict[int, LaneBids] = {}
         self._tree: Optional[_BasisTree] = None
         self._flow: Dict[Tuple[int, int], float] = {}
@@ -589,7 +513,6 @@ class DistributedCoordinator:
         self._slot_cost: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
-        self._epoch_v: Optional[np.ndarray] = None
 
     # -- setup ---------------------------------------------------------------------
     def register(self, profile: ZoneProfile) -> None:
@@ -628,8 +551,6 @@ class DistributedCoordinator:
 
         if m == 0 or total_s <= _EPS:
             self.converged, self.status = True, SolveStatus.OPTIMAL
-            self.upper_bound = self.lower_bound = 0.0
-            self.gap = 0.0
             self.seconds += time.perf_counter() - start
             return
         if n == 0 or total_s > total_d + _EPS:
@@ -699,22 +620,10 @@ class DistributedCoordinator:
     # -- duals ---------------------------------------------------------------------
     def _refresh_potentials(self) -> None:
         """Recompute ``u_i + v_j = c_ij`` over the tree (O(m + n))."""
-        tree = self._tree
-        u = np.empty(self.mb)
-        v = np.empty(self.nb)
-        u[0] = 0.0
-        bi, bj, pcell, slot_cost = tree.bi, tree.bj, tree.pcell, self._slot_cost
-        for node in tree.order[1:]:
-            k = pcell[node]
-            i, j = int(bi[k]), int(bj[k])
-            if node < self.mb:
-                u[i] = slot_cost[k] - v[j]
-            else:
-                v[j] = slot_cost[k] - u[i]
-        # Normalize against the dummy row's zero-cost outside option:
-        # reduced costs only see u_i + v_j (shift-invariant), but this
-        # anchoring makes λ_j = max(0, -v_j) the true capacity dual, so
-        # the Lagrangian gap closes to ~0 at optimality.
+        u, v = self._tree.potentials(self._slot_cost)
+        # Anchor on the dummy row's zero-cost outside option, so -v_j
+        # reads as column j's capacity price. Reduced costs only see
+        # u_i + v_j, so the shift changes no pricing decision.
         shift = u[self.m]
         u -= shift
         v += shift
@@ -728,14 +637,12 @@ class DistributedCoordinator:
         self.rounds += 1
         self._epoch_bids = {}
         u, v = self._u, self._v
-        self._epoch_v = v.copy()
         updates = {
             p.zone_id: PriceUpdate(
                 epoch=self.epoch,
                 u=tuple(float(u[i]) for i in p.rows),
                 v=tuple(float(x) for x in v[: self.n]),
                 big_m=self.big_m,
-                max_bids=self.max_bids,
             )
             for p in self._profiles.values()
         }
@@ -751,7 +658,6 @@ class DistributedCoordinator:
             True when the bids were accepted for the current epoch.
         """
         if bids.epoch != self.epoch or bids.zone_id in self._epoch_bids:
-            self.stale_bids += 1
             return False
         self._epoch_bids[bids.zone_id] = bids
         self.bids_received += len(bids.bids)
@@ -763,7 +669,7 @@ class DistributedCoordinator:
         return len(self._epoch_bids) == len(self._profiles)
 
     def step(self) -> bool:
-        """Close the epoch: apply pivots, update the certified gap.
+        """Close the epoch: apply pivots, then test for termination.
 
         Every bid cell is re-checked against the *current* duals before
         entering (cells go stale as earlier pivots shift prices), and
@@ -793,38 +699,17 @@ class DistributedCoordinator:
                 candidates.append(cell)
 
         applied = 0
-        while self.pivots < self.max_pivots:
+        while self.pivots < _MAX_PIVOTS:
             cell = self._best_entering(candidates)
             if cell is None:
                 break
             self._pivot(*cell)
             applied += 1
 
-        # Certified Lagrangian gap under this epoch's consensus prices
-        # (the broadcast duals — the zones' lower-bound terms used the
-        # same λ, so the bound stays valid after this round's pivots).
-        lam = np.maximum(0.0, -self._epoch_v[: self.n])
-        lower = sum(b.lower_bound_term for b in bids) - float(
-            (lam * self.demand).sum()
-        )
-        upper, clean = self._objective()
-        self.lower_bound = lower
-        if clean:
-            self.upper_bound = upper
-            self.gap = max(0.0, upper - lower) / max(1.0, abs(upper))
-
         if not zone_improving and applied == 0:
             self.converged = True
             self.status = self._terminal_status()
-        elif (
-            self.gap_tol is not None
-            and clean
-            and np.isfinite(self.gap)
-            and self.gap <= self.gap_tol
-        ):
-            self.converged = True
-            self.status = self._terminal_status()
-        elif self.rounds >= self.max_rounds or self.pivots >= self.max_pivots:
+        elif self.rounds >= _MAX_ROUNDS or self.pivots >= _MAX_PIVOTS:
             self.converged = True
             self.status = SolveStatus.ITERATION_LIMIT
         self.seconds += time.perf_counter() - start
@@ -861,23 +746,9 @@ class DistributedCoordinator:
         return best_cell
 
     def _pivot(self, ei: int, ej: int) -> None:
-        cycle = self._tree.cycle(ei, ej)
-        minus = cycle[1::2]
-        theta = min(self._flow[c] for c in minus)
-        leaving = min(
-            (c for c in minus if abs(self._flow[c] - theta) <= _EPS),
-            key=lambda c: (c[0], c[1]),
-        )
-        for pos, cell in enumerate(cycle):
-            if pos % 2 == 0:
-                self._flow[cell] = self._flow.get(cell, 0.0) + theta
-            else:
-                self._flow[cell] -= theta
-        self._flow.pop(leaving, None)
-        self._flow.setdefault((ei, ej), 0.0)
-        self._tree.replace(leaving, (ei, ej))
-        k = self._tree.slot[(ei, ej)]
-        self._slot_cost[k] = self._cell_cost(ei, ej)
+        self._flow[(ei, ej)] = 0.0
+        del self._flow[self._tree.pivot(ei, ej, self._flow)]
+        self._slot_cost[self._tree.slot[(ei, ej)]] = self._cell_cost(ei, ej)
         self._refresh_potentials()
         self.pivots += 1
 
@@ -927,7 +798,6 @@ class DistributedCoordinator:
                 status=status,
                 flows=tuple(sorted(per_zone[z])),
                 objective=objective,
-                gap=self.gap if status is SolveStatus.OPTIMAL else float("nan"),
             )
             for z in self._profiles
         }
@@ -997,11 +867,6 @@ def solve_distributed(
     problem: TransportationProblem,
     zone_rows: Sequence[Sequence[int]],
     zone_cols: Sequence[Sequence[int]],
-    price_rule: str = "block",
-    gap_tol: Optional[float] = None,
-    max_rounds: int = 10_000,
-    max_bids: int = 16,
-    workers: Optional[Sequence[ZoneWorker]] = None,
 ) -> DistributedSolveResult:
     """Solve a transportation instance with the distributed protocol.
 
@@ -1019,26 +884,13 @@ def solve_distributed(
     zone_rows, zone_cols : sequence of sequences of int
         Row/column ownership per zone (partitions of ``0..m-1`` /
         ``0..n-1``; see :func:`extract_zone_subproblems`).
-    price_rule : str
-        ``"block"`` or ``"dantzig"`` — see
-        :class:`DistributedCoordinator`.
-    gap_tol : float, optional
-        Early-termination bound on the certified relative duality gap;
-        ``None`` iterates to exact optimality.
-    max_rounds : int
-        Safety bound on price-exchange epochs.
-    max_bids : int
-        Bids per zone per epoch under the ``block`` rule.
-    workers : sequence of ZoneWorker, optional
-        Pre-built zone workers; built from the problem slices when
-        omitted.
 
     Returns
     -------
     DistributedSolveResult
         Converged status/flow/objective plus protocol statistics
-        (rounds, pivots, certified gap, per-zone seconds). Also
-        reports into the ``dsolve.*`` metrics.
+        (rounds, pivots, per-zone seconds). Also reports into the
+        ``dsolve.*`` metrics.
 
     Examples
     --------
@@ -1060,24 +912,10 @@ def solve_distributed(
         cols=problem.num_destinations,
         zones=len(zone_rows),
     ):
-        if workers is None:
-            workers = extract_zone_subproblems(problem, zone_rows, zone_cols)
-        return run_protocol(
-            workers,
-            price_rule=price_rule,
-            gap_tol=gap_tol,
-            max_rounds=max_rounds,
-            max_bids=max_bids,
-        )
+        return run_protocol(extract_zone_subproblems(problem, zone_rows, zone_cols))
 
 
-def run_protocol(
-    workers: Sequence[ZoneWorker],
-    price_rule: str = "block",
-    gap_tol: Optional[float] = None,
-    max_rounds: int = 10_000,
-    max_bids: int = 16,
-) -> DistributedSolveResult:
+def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
     """Run the full protocol over pre-built zone workers, in-process.
 
     The loop :func:`solve_distributed` delegates to, exposed for
@@ -1091,28 +929,16 @@ def run_protocol(
     workers : sequence of ZoneWorker
         One worker per zone; together they must own partitions of the
         global rows and columns.
-    price_rule, gap_tol, max_rounds, max_bids
-        As on :func:`solve_distributed`.
 
     Returns
     -------
     DistributedSolveResult
         Converged status/flow/objective plus protocol statistics.
     """
-    coordinator = DistributedCoordinator(
-        price_rule=price_rule,
-        gap_tol=gap_tol,
-        max_rounds=max_rounds,
-        max_bids=max_bids,
-    )
+    coordinator = DistributedCoordinator()
     messages = 0
-    profiles = [w.profile() for w in workers]
-    local_objective = float(
-        sum(p.local_objective for p in profiles
-            if p.local_feasible and np.isfinite(p.local_objective))
-    )
-    for p in profiles:
-        coordinator.register(p)
+    for worker in workers:
+        coordinator.register(worker.profile())
         messages += 1
     coordinator.initialize()
     by_id = {w.zone_id: w for w in workers}
@@ -1127,7 +953,44 @@ def run_protocol(
     for zone_id, assignment in coordinator.assignments().items():
         by_id[zone_id].accept(assignment)
         messages += 1
-    status, flow, objective = coordinator.result()
+    return finish_solve(coordinator, workers, messages)
+
+
+def finish_solve(
+    coordinator: DistributedCoordinator,
+    workers: Sequence[ZoneWorker],
+    messages: int,
+    gave_up: bool = False,
+) -> DistributedSolveResult:
+    """Publish one solve's ``dsolve.*`` metrics and build its result.
+
+    Shared by the in-process and networked drivers.
+
+    Parameters
+    ----------
+    coordinator : DistributedCoordinator
+        The solve's coordinator, converged unless ``gave_up``.
+    workers : sequence of ZoneWorker
+        The solve's zones (their pricing seconds are reported).
+    messages : int
+        Protocol messages the driver exchanged.
+    gave_up : bool
+        The solve was abandoned before convergence (the networked
+        driver's ``deadline_s``): report ``ITERATION_LIMIT`` with a
+        zero flow.
+
+    Returns
+    -------
+    DistributedSolveResult
+    """
+    if gave_up:
+        m = sum(len(w.rows) for w in workers)
+        n = max((w.cost_rows.shape[1] for w in workers), default=0)
+        status, flow, objective = (
+            SolveStatus.ITERATION_LIMIT, np.zeros((m, n)), float("nan")
+        )
+    else:
+        status, flow, objective = coordinator.result()
     zone_seconds = {w.zone_id: w.seconds for w in workers}
     slowest = max(zone_seconds.values()) if zone_seconds else 0.0
     registry = get_registry()
@@ -1135,8 +998,6 @@ def run_protocol(
     registry.counter("dsolve.rounds").inc(coordinator.rounds)
     registry.counter("dsolve.pivots").inc(coordinator.pivots)
     registry.counter("dsolve.bids").inc(coordinator.bids_received)
-    if np.isfinite(coordinator.gap):
-        registry.gauge("dsolve.last_gap").set(coordinator.gap)
     registry.histogram("dsolve.solve_seconds").observe(
         coordinator.seconds + sum(zone_seconds.values())
     )
@@ -1144,13 +1005,11 @@ def run_protocol(
         status=status,
         flow=flow,
         objective=objective,
-        gap=coordinator.gap,
         rounds=coordinator.rounds,
         pivots=coordinator.pivots,
         bids_received=coordinator.bids_received,
         zone_count=len(workers),
         messages=messages,
-        local_objective=local_objective,
         coordinator_seconds=coordinator.seconds,
         zone_seconds=zone_seconds,
         critical_path_seconds=coordinator.seconds + slowest,

@@ -266,7 +266,9 @@ class _BasisTree:
     node ``mb + j``. The tree is kept as parallel index arrays
     (``parent``, ``depth``, ``parent_cell``) refreshed with one O(m+n)
     pass per pivot; the pivot cycle itself is traced in O(depth) by
-    climbing parent pointers.
+    climbing parent pointers. The centralized loop below and the
+    distributed coordinator (:mod:`repro.lp.distributed`) both price
+    with :meth:`potentials` and pivot with :meth:`pivot`.
     """
 
     __slots__ = ("mb", "n", "bi", "bj", "slot", "parent", "depth", "pcell", "order")
@@ -319,8 +321,9 @@ class _BasisTree:
         if tail != N:
             raise SolverError("transportation basis is not a spanning tree")
 
-    def potentials(self, cost_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve ``u_i + v_j = c_ij`` over the tree in visit order."""
+    def potentials(self, slot_cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve ``u_i + v_j = c_ij`` over the tree in visit order, from
+        ``slot_cost[k]`` — the cost of the cell in basis slot ``k``."""
         mb = self.mb
         u = np.empty(mb)
         v = np.empty(self.n)
@@ -330,9 +333,9 @@ class _BasisTree:
             k = pcell[node]
             i, j = int(bi[k]), int(bj[k])
             if node < mb:  # row node hangs off its column parent
-                u[i] = cost_b[i, j] - v[j]
+                u[i] = slot_cost[k] - v[j]
             else:
-                v[j] = cost_b[i, j] - u[i]
+                v[j] = slot_cost[k] - u[i]
         return u, v
 
     def cycle(self, ei: int, ej: int) -> List[Tuple[int, int]]:
@@ -359,6 +362,28 @@ class _BasisTree:
         path = [(int(bi[k]), int(bj[k])) for k in side_b]
         path.extend((int(bi[k]), int(bj[k])) for k in reversed(side_a))
         return [(ei, ej)] + path
+
+    def pivot(self, ei: int, ej: int, flow) -> Tuple[int, int]:
+        """Enter cell ``(ei, ej)`` and return the cell that leaves.
+
+        ``flow`` maps cells to amounts — a dense matrix, or a dict
+        holding every basic cell and the entering one. θ, the smallest
+        flow on the cycle's losing cells, moves round the cycle; among
+        the losing cells left at θ the ``(row, col)``-smallest leaves,
+        with its flow set to 0.
+        """
+        cycle = self.cycle(ei, ej)
+        minus = cycle[1::2]
+        theta = min(flow[c] for c in minus)
+        leaving = min(c for c in minus if abs(flow[c] - theta) <= _EPS)
+        for pos, cell in enumerate(cycle):
+            if pos % 2 == 0:
+                flow[cell] += theta
+            else:
+                flow[cell] -= theta
+        flow[leaving] = 0.0
+        self.replace(leaving, (ei, ej))
+        return leaving
 
     def replace(self, leaving: Tuple[int, int], entering: Tuple[int, int]) -> None:
         k = self.slot.pop(leaving)
@@ -466,14 +491,12 @@ def _solve_transportation_impl(
     tree.refresh()
 
     pivots = 0
-    basic_mask_rows = tree.bi
-    basic_mask_cols = tree.bj
     while True:
-        u, v = tree.potentials(cost_b)
+        u, v = tree.potentials(cost_b[tree.bi, tree.bj])
         reduced = cost_b - u[:, None] - v[None, :]
         # Basic cells price to 0 by construction; pin them so numerical
         # noise cannot re-select one as entering.
-        reduced[basic_mask_rows, basic_mask_cols] = 0.0
+        reduced[tree.bi, tree.bj] = 0.0
         entering_flat = int(np.argmin(reduced))
         ei, ej = divmod(entering_flat, n)
         if reduced[ei, ej] >= -_OPT_TOL * (1.0 + abs(cost_b[ei, ej])):
@@ -487,20 +510,7 @@ def _solve_transportation_impl(
                 solve_time=time.perf_counter() - start,
             )
 
-        cycle = tree.cycle(ei, ej)
-        minus_cells = cycle[1::2]
-        theta = min(flow_mat[c] for c in minus_cells)
-        leaving = min(
-            (c for c in minus_cells if abs(flow_mat[c] - theta) <= _EPS),
-            key=lambda c: (c[0], c[1]),
-        )
-        for pos, cell in enumerate(cycle):
-            if pos % 2 == 0:
-                flow_mat[cell] += theta
-            else:
-                flow_mat[cell] -= theta
-        flow_mat[leaving] = 0.0
-        tree.replace(leaving, (ei, ej))
+        tree.pivot(ei, ej, flow_mat)
         pivots += 1
 
     solve_time = time.perf_counter() - start

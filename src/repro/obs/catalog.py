@@ -259,8 +259,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Coordinator basis pivots across all distributed solves"),
     ("counter", "dsolve.bids", "count", "repro.lp.distributed",
      "Lane bids received from zone managers"),
-    ("gauge", "dsolve.last_gap", "fraction", "repro.lp.distributed",
-     "Certified relative duality gap of the latest distributed solve"),
     ("histogram", "dsolve.solve_seconds", "seconds", "repro.lp.distributed",
      "Summed zone + coordinator wall time of one distributed solve"),
     ("counter", "dsolve.messages", "count", "repro.simulation.distributed",

@@ -31,11 +31,8 @@ The full message state machine is specified in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.lp.distributed import (
@@ -47,8 +44,8 @@ from repro.lp.distributed import (
     ZoneProfile,
     ZoneWorker,
     extract_zone_subproblems,
+    finish_solve,
 )
-from repro.lp.result import SolveStatus
 from repro.lp.transportation import TransportationProblem
 from repro.obs import get_registry
 from repro.simulation.engine import SimulationEngine
@@ -168,9 +165,6 @@ class NetworkedDistributedSolve:
     workers : sequence of ZoneWorker
         The zone subproblems (see
         :func:`~repro.lp.distributed.extract_zone_subproblems`).
-    price_rule, gap_tol, max_rounds, max_bids
-        Coordinator knobs, as on
-        :func:`~repro.lp.distributed.solve_distributed`.
     retry_timeout_s : float
         Retransmission period for unanswered requests (simulated
         seconds).
@@ -187,10 +181,6 @@ class NetworkedDistributedSolve:
         coordinator_node: int,
         zone_nodes: Mapping[int, int],
         workers: Sequence[ZoneWorker],
-        price_rule: str = "block",
-        gap_tol: Optional[float] = None,
-        max_rounds: int = 10_000,
-        max_bids: int = 16,
         retry_timeout_s: float = 0.5,
         deadline_s: Optional[float] = None,
     ) -> None:
@@ -206,12 +196,7 @@ class NetworkedDistributedSolve:
         missing = {w.zone_id for w in workers} - set(self.zone_nodes)
         if missing:
             raise SimulationError(f"zones {sorted(missing)} have no host node")
-        self.coordinator = DistributedCoordinator(
-            price_rule=price_rule,
-            gap_tol=gap_tol,
-            max_rounds=max_rounds,
-            max_bids=max_bids,
-        )
+        self.coordinator = DistributedCoordinator()
         self.retry_timeout_s = retry_timeout_s
         self.deadline_s = deadline_s
         self.workers = list(workers)
@@ -344,38 +329,8 @@ class NetworkedDistributedSolve:
         registry = get_registry()
         registry.counter("dsolve.retransmissions").inc(self.retransmissions)
         registry.counter("dsolve.messages").inc(self.messages_sent)
-        zone_seconds = {w.zone_id: w.seconds for w in self.workers}
-        slowest = max(zone_seconds.values()) if zone_seconds else 0.0
-        if self.gave_up:
-            m = sum(len(w.rows) for w in self.workers)
-            n = max((w.cost_rows.shape[1] for w in self.workers), default=0)
-            status: SolveStatus = SolveStatus.ITERATION_LIMIT
-            flow = np.zeros((m, n))
-            objective = float("nan")
-        else:
-            status, flow, objective = self.coordinator.result()
-        registry.counter("dsolve.solves").inc()
-        registry.counter("dsolve.rounds").inc(self.coordinator.rounds)
-        registry.counter("dsolve.pivots").inc(self.coordinator.pivots)
-        registry.counter("dsolve.bids").inc(self.coordinator.bids_received)
-        if np.isfinite(self.coordinator.gap):
-            registry.gauge("dsolve.last_gap").set(self.coordinator.gap)
-        registry.histogram("dsolve.solve_seconds").observe(
-            self.coordinator.seconds + sum(zone_seconds.values())
-        )
-        return DistributedSolveResult(
-            status=status,
-            flow=flow,
-            objective=objective,
-            gap=self.coordinator.gap,
-            rounds=self.coordinator.rounds,
-            pivots=self.coordinator.pivots,
-            bids_received=self.coordinator.bids_received,
-            zone_count=len(self.workers),
-            messages=self.messages_sent,
-            coordinator_seconds=self.coordinator.seconds,
-            zone_seconds=zone_seconds,
-            critical_path_seconds=self.coordinator.seconds + slowest,
+        return finish_solve(
+            self.coordinator, self.workers, self.messages_sent, gave_up=self.gave_up
         )
 
 
@@ -409,8 +364,8 @@ def solve_over_network(
     max_sim_seconds : float
         Upper bound on simulated time to run the engine.
     **knobs
-        Forwarded to :class:`NetworkedDistributedSolve` (``price_rule``,
-        ``gap_tol``, ``retry_timeout_s``, ``deadline_s``, ...).
+        Forwarded to :class:`NetworkedDistributedSolve`
+        (``retry_timeout_s``, ``deadline_s``).
 
     Returns
     -------

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.lp import SolveStatus, TransportationProblem, solve_transportation
+from repro.lp import (
+    SolveStatus,
+    TransportationProblem,
+    solve_distributed,
+    solve_transportation,
+)
 from repro.lp.distributed import extract_zone_subproblems
 from repro.obs import get_registry
 from repro.simulation import (
@@ -73,6 +78,20 @@ class TestCleanFabric:
         assert result.objective == pytest.approx(reference.objective, rel=1e-9)
         assert driver.retransmissions == 0
         assert result.messages == driver.messages_sent > 0
+
+    def test_matches_in_process_solve(self, problem):
+        # Same protocol objects, same pivots: only the message count is
+        # the transport's own.
+        engine = SimulationEngine()
+        network = MessageNetwork(build_fat_tree(4), engine)
+        networked, _ = _run(problem, network, engine)
+        direct = solve_distributed(problem, ZONE_ROWS, ZONE_COLS)
+        assert networked.status is direct.status
+        assert np.array_equal(networked.flow, direct.flow)
+        assert networked.objective == direct.objective
+        assert (networked.rounds, networked.pivots, networked.bids_received) == (
+            direct.rounds, direct.pivots, direct.bids_received
+        )
 
     def test_distinct_nodes_required(self, problem):
         engine = SimulationEngine()
