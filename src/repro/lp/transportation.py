@@ -35,7 +35,10 @@ global tree.
 Complexity per MODI iteration is Θ(m·n) for pricing plus O(m+n) for the
 tree walk and O(depth) for the cycle pivot, far below the general dense
 simplex — this is one of the repo's ablation axes
-(``benchmarks/bench_ablation_lp.py``).
+(``benchmarks/bench_ablation_lp.py``). The Vogel start sorts each row
+once (O(m·n log n)); after that a step costs O(m) scalar work, each of
+the at most m row crossings O(m·n + n log n) to re-rank the columns,
+and all pointer walks together O(m·n) — no step rescans the matrix.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class TransportationProblem:
                 f"cost shape {cost.shape} does not match "
                 f"{supply.size} supplies x {demand.size} demands"
             )
-        if (supply < -_EPS).any() or (demand < -_EPS).any():
-            raise SolverError("supplies and demands must be non-negative")
+        # Written as `>=` so that NaN, which compares False, is rejected too.
+        if not ((supply >= -_EPS).all() and (demand >= -_EPS).all()):
+            raise SolverError("supplies and demands must be non-negative numbers")
 
     @property
     def num_sources(self) -> int:
@@ -154,80 +158,121 @@ class TransportationResult:
 def _vogel_basis(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """Vogel initial BFS on a *balanced* instance.
+    """Vogel initial BFS on a *balanced* instance with finite costs.
 
     Classic crossing-out scheme: each step commits the cheapest cell of
     the line (row or column) with the largest regret (gap between its
-    two cheapest costs) and crosses out exactly one exhausted line, so
-    the chosen cells always number ``m + n - 1`` and form a spanning
-    tree — degenerate zero-flow cells included.
+    two cheapest active costs) and crosses out exactly one exhausted
+    line, so the chosen cells always number ``m + n - 1`` and form a
+    spanning tree — degenerate zero-flow cells included. Ties go to the
+    lowest index, and to a row over a column; with a single column
+    (row) a row's (column's) regret is its one cost.
+
+    Regrets are kept, not recomputed: a line's regret changes only when
+    a line crossing it is crossed out. Each row is sorted once (stably,
+    so its first active entry is the lowest-index cheapest); ``p1`` and
+    ``p2`` point at its two cheapest active columns and only move
+    forward. Column regrets span at most ``m`` entries and change only
+    when a row is crossed out, so they are recomputed then and ranked
+    once, and a pointer walks that ranking past crossed-out columns.
+
+    The crossing rule never removes the last row or column, so until
+    one row (of several) or one column (of several) is left every
+    active line has two active cells and a finite regret. From then on
+    every crossing line has one active cell — it is *forced* — and the
+    remaining cells follow in index order (see the tail below).
     """
     m, n = cost.shape
-    s = supply.astype(float).copy()
-    d = demand.astype(float).copy()
-    work = cost.astype(float).copy()  # inf marks crossed-out lines
-    row_active = np.ones(m, dtype=bool)
-    col_active = np.ones(n, dtype=bool)
+    s, d = supply.tolist(), demand.tolist()
     flow = np.zeros((m, n))
     cells: List[Tuple[int, int]] = []
 
-    def _penalties(matrix: np.ndarray, axis: int) -> np.ndarray:
-        """Gap between the two smallest entries along ``axis`` (inf when
-        fewer than two finite entries remain — such lines are forced)."""
-        k = matrix.shape[axis]
-        if k == 1:
-            return matrix.min(axis=axis)
-        two = np.partition(matrix, 1, axis=axis).take([0, 1], axis=axis)
-        with np.errstate(invalid="ignore"):  # inf - inf on crossed-out lines
-            return two.take(1, axis=axis) - two.take(0, axis=axis)
-
-    for _ in range(m + n - 1):
-        rows_left = int(row_active.sum())
-        cols_left = int(col_active.sum())
-        if rows_left == 0 or cols_left == 0:  # pragma: no cover - balance guard
-            raise SolverError("Vogel crossed out all lines before spanning")
-        row_pen = _penalties(work, axis=1)
-        col_pen = _penalties(work, axis=0)
-        row_pen = np.where(row_active, row_pen, -np.inf)
-        col_pen = np.where(col_active, col_pen, -np.inf)
-        # inf - inf from a fully crossed-out line would poison argmax.
-        row_pen = np.nan_to_num(row_pen, nan=-np.inf)
-        col_pen = np.nan_to_num(col_pen, nan=-np.inf)
-        br, bc = int(np.argmax(row_pen)), int(np.argmax(col_pen))
-        if row_pen[br] >= col_pen[bc]:
-            i = br
-            j = int(np.argmin(work[i]))
-        else:
-            j = bc
-            i = int(np.argmin(work[:, j]))
+    def commit(i: int, j: int) -> None:
         moved = min(s[i], d[j])
         flow[i, j] = moved
         cells.append((i, j))
         s[i] -= moved
         d[j] -= moved
-        # Cross out exactly one line; `min` returns one operand bit-exact
-        # so at least one side reaches 0.0 exactly.
-        if s[i] <= _EPS and d[j] <= _EPS:
-            if rows_left > 1:
-                row_active[i] = False
-                work[i, :] = np.inf
-            else:
-                col_active[j] = False
-                work[:, j] = np.inf
-        elif s[i] <= _EPS:
-            if rows_left > 1:
-                row_active[i] = False
-                work[i, :] = np.inf
-            else:  # last row must survive until every column is closed
-                col_active[j] = False
-                work[:, j] = np.inf
+
+    order = np.argsort(cost, axis=1, kind="stable")
+    rank = order.argsort(axis=1)  # rank[r][c]: position of column c in order[r]
+    ranked = np.take_along_axis(cost, order, axis=1).tolist()
+    order, rank = order.tolist(), rank.tolist()
+    p1, p2 = [0] * m, [1] * m
+    row_active, col_active = [True] * m, [True] * n
+
+    def row_regret(r: int) -> float:
+        if n == 1:
+            return ranked[r][0]
+        if p2[r] == n:  # forced: one column left, the tail takes over
+            return np.inf
+        return ranked[r][p2[r]] - ranked[r][p1[r]]
+
+    cols = cost.T.copy()  # (n, m); inf marks crossed-out rows
+
+    def rank_columns() -> Tuple[List[float], List[int], List[int]]:
+        """Column regrets, columns by regret (descending, lowest index
+        first on ties) and each column's cheapest active row."""
+        if m == 1:
+            regret = cols[:, 0]
         else:
-            if cols_left > 1:
-                col_active[j] = False
-                work[:, j] = np.inf
-            else:
-                row_active[i] = False
-                work[i, :] = np.inf
+            two = np.partition(cols, 1, axis=1)
+            regret = two[:, 1] - two[:, 0]
+        by_regret = np.argsort(-regret, kind="stable")
+        return regret.tolist(), by_regret.tolist(), cols.argmin(axis=1).tolist()
+
+    row_key = [row_regret(r) for r in range(m)]
+    col_key, by_regret, col_best = rank_columns()
+    top = 0  # by_regret[top] is the active column with the largest regret
+    rows_left, cols_left = m, n
+    steps = m + n - 1
+    while len(cells) < steps and not (rows_left == 1 < m or cols_left == 1 < n):
+        while not col_active[by_regret[top]]:
+            top += 1
+        bc = by_regret[top]
+        br = max(range(m), key=row_key.__getitem__)
+        if row_key[br] >= col_key[bc]:
+            i, j = br, order[br][p1[br]]
+        else:
+            i, j = col_best[bc], bc
+        commit(i, j)
+        # Cross out exactly one line; `min` returns one operand bit-exact
+        # so at least one side reaches 0.0 exactly. The last row survives
+        # until every column is closed, and vice versa.
+        if s[i] <= _EPS:
+            cross_row = rows_left > 1
+        else:
+            cross_row = cols_left == 1
+        if cross_row:
+            rows_left -= 1
+            row_active[i] = False
+            row_key[i] = -np.inf
+            cols[:, i] = np.inf
+            col_key, by_regret, col_best = rank_columns()
+            top = 0
+            continue
+        cols_left -= 1
+        col_active[j] = False
+        for r in range(m):
+            q = rank[r][j]
+            if row_active[r] and q <= p2[r]:  # j was one of r's two cheapest
+                if q == p1[r]:
+                    p1[r] = p2[r]
+                b = p2[r] + 1
+                while b < n and not col_active[order[r][b]]:
+                    b += 1
+                p2[r] = b
+                row_key[r] = row_regret(r)
+    # Tail. With one row left (m > 1) every active column is forced and
+    # outranks the row's finite regret, so the lowest-index column is
+    # taken and crossed out; with one column left (n > 1) every active
+    # row is forced and rows win ties, so the lowest-index row is taken
+    # and crossed out. Either way the rest is the active cells in order.
+    for i in range(m):
+        if row_active[i]:
+            for j in range(n):
+                if col_active[j]:
+                    commit(i, j)
     return flow, cells
 
 

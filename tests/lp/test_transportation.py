@@ -1,4 +1,4 @@
-"""Tests for the transportation (NW-corner + MODI) solver."""
+"""Tests for the transportation (Vogel + MODI) solver."""
 
 import numpy as np
 import pytest
@@ -99,6 +99,20 @@ def test_negative_supply_rejected():
     with pytest.raises(SolverError):
         TransportationProblem(
             supply=np.array([-1.0]), demand=np.array([1.0]), cost=np.ones((1, 1))
+        )
+
+
+def test_nan_supply_rejected():
+    with pytest.raises(SolverError):
+        TransportationProblem(
+            supply=np.array([1.0, np.nan]), demand=np.array([3.0]), cost=np.ones((2, 1))
+        )
+
+
+def test_nan_demand_rejected():
+    with pytest.raises(SolverError):
+        TransportationProblem(
+            supply=np.array([1.0]), demand=np.array([np.nan, 3.0]), cost=np.ones((1, 2))
         )
 
 

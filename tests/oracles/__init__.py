@@ -1,10 +1,10 @@
 """Slow, readable oracles the kernels in ``src/`` are held bit-equal to.
 
-``src/`` has one pricing pipeline (matrix DP, enumeration kernel) and
-one Algorithm-1 pipeline; the implementations they replaced live on
-here, composed from primitives that stay public, so the suites compare
-``==`` / ``array_equal`` against them instead of against a
-runtime-selectable second engine.
+``src/`` has one pricing pipeline (matrix DP, enumeration kernel), one
+Algorithm-1 pipeline and one Vogel start; the implementations they
+replaced live on here, composed from primitives that stay public, so
+the suites compare ``==`` / ``array_equal`` against them instead of
+against a runtime-selectable second engine.
 """
 
 import time
@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core.heuristic import HeuristicReport
 from repro.core.placement import PlacementAssignment, PlacementProblem
-from repro.errors import PlacementError
+from repro.errors import PlacementError, SolverError
+from repro.lp.transportation import _EPS
 from repro.routing import (
     PathEngine,
     ResponseTimeModel,
@@ -184,3 +185,83 @@ def solve_heuristic_reference(
         total_seconds=time.perf_counter() - start,
         hop_radius=hop_radius,
     )
+
+
+def vogel_basis(
+    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """Vogel initial BFS on a *balanced* instance.
+
+    Classic crossing-out scheme: each step commits the cheapest cell of
+    the line (row or column) with the largest regret (gap between its
+    two cheapest costs) and crosses out exactly one exhausted line, so
+    the chosen cells always number ``m + n - 1`` and form a spanning
+    tree — degenerate zero-flow cells included.
+    """
+    m, n = cost.shape
+    s = supply.astype(float).copy()
+    d = demand.astype(float).copy()
+    work = cost.astype(float).copy()  # inf marks crossed-out lines
+    row_active = np.ones(m, dtype=bool)
+    col_active = np.ones(n, dtype=bool)
+    flow = np.zeros((m, n))
+    cells: List[Tuple[int, int]] = []
+
+    def _penalties(matrix: np.ndarray, axis: int) -> np.ndarray:
+        """Gap between the two smallest entries along ``axis`` (inf when
+        fewer than two finite entries remain — such lines are forced)."""
+        k = matrix.shape[axis]
+        if k == 1:
+            return matrix.min(axis=axis)
+        two = np.partition(matrix, 1, axis=axis).take([0, 1], axis=axis)
+        with np.errstate(invalid="ignore"):  # inf - inf on crossed-out lines
+            return two.take(1, axis=axis) - two.take(0, axis=axis)
+
+    for _ in range(m + n - 1):
+        rows_left = int(row_active.sum())
+        cols_left = int(col_active.sum())
+        if rows_left == 0 or cols_left == 0:  # pragma: no cover - balance guard
+            raise SolverError("Vogel crossed out all lines before spanning")
+        row_pen = _penalties(work, axis=1)
+        col_pen = _penalties(work, axis=0)
+        row_pen = np.where(row_active, row_pen, -np.inf)
+        col_pen = np.where(col_active, col_pen, -np.inf)
+        # inf - inf from a fully crossed-out line would poison argmax.
+        row_pen = np.nan_to_num(row_pen, nan=-np.inf)
+        col_pen = np.nan_to_num(col_pen, nan=-np.inf)
+        br, bc = int(np.argmax(row_pen)), int(np.argmax(col_pen))
+        if row_pen[br] >= col_pen[bc]:
+            i = br
+            j = int(np.argmin(work[i]))
+        else:
+            j = bc
+            i = int(np.argmin(work[:, j]))
+        moved = min(s[i], d[j])
+        flow[i, j] = moved
+        cells.append((i, j))
+        s[i] -= moved
+        d[j] -= moved
+        # Cross out exactly one line; `min` returns one operand bit-exact
+        # so at least one side reaches 0.0 exactly.
+        if s[i] <= _EPS and d[j] <= _EPS:
+            if rows_left > 1:
+                row_active[i] = False
+                work[i, :] = np.inf
+            else:
+                col_active[j] = False
+                work[:, j] = np.inf
+        elif s[i] <= _EPS:
+            if rows_left > 1:
+                row_active[i] = False
+                work[i, :] = np.inf
+            else:  # last row must survive until every column is closed
+                col_active[j] = False
+                work[:, j] = np.inf
+        else:
+            if cols_left > 1:
+                col_active[j] = False
+                work[:, j] = np.inf
+            else:
+                row_active[i] = False
+                work[i, :] = np.inf
+    return flow, cells
