@@ -491,7 +491,8 @@ class ReliableSender:
         prev = entry.prev_timeout if entry.prev_timeout > 0.0 else policy.base_timeout_s
         cap = min(policy.max_timeout_s, max(policy.base_timeout_s, prev * policy.backoff))
         low = policy.base_timeout_s + (1.0 - policy.jitter) * (cap - policy.base_timeout_s)
-        timeout = float(self._jitter_rng.uniform(low, cap))
+        # ``uniform(low, cap)`` bit for bit, at the cost of ``random()``.
+        timeout = low + (cap - low) * self._jitter_rng.random()
         entry.prev_timeout = timeout
         return timeout
 

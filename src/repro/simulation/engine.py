@@ -10,7 +10,7 @@ in scheduling order (see :class:`~repro.simulation.events.ScheduledEvent`).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulation.events import Handler, ScheduledEvent
@@ -21,7 +21,9 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[ScheduledEvent] = []
+        #: ``(time, sequence, event)`` entries: ``sequence`` is unique, so
+        #: tuple comparison never reaches the event.
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = 0
         self._running = False
         self.events_processed = 0
@@ -34,18 +36,19 @@ class SimulationEngine:
     # -- scheduling ---------------------------------------------------------------
     def schedule_at(self, time: float, handler: Handler, label: str = "") -> ScheduledEvent:
         """Schedule ``handler(engine)`` at absolute virtual time."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time} before now ({self._now})"
             )
-        event = ScheduledEvent(time=time, sequence=self._sequence, handler=handler, label=label)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._sequence
+        event = ScheduledEvent(time, sequence, handler, label)
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_after(self, delay: float, handler: Handler, label: str = "") -> ScheduledEvent:
         """Schedule ``handler(engine)`` after a relative delay ≥ 0."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         return self.schedule_at(self._now + delay, handler, label)
 
@@ -61,7 +64,7 @@ class SimulationEngine:
         ``condition()`` (checked before each firing) returns ``False``.
         Returns the first occurrence's event (cancel it to stop the
         chain before it starts)."""
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise SimulationError(f"period must be positive, got {period}")
 
         def tick(engine: "SimulationEngine") -> None:
@@ -76,11 +79,12 @@ class SimulationEngine:
     # -- execution ------------------------------------------------------------------
     def step(self) -> bool:
         """Process one event; returns ``False`` when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self.events_processed += 1
             event.handler(self)
             return True
@@ -89,30 +93,32 @@ class SimulationEngine:
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with ``time <= end_time``; advances the clock to
         ``end_time`` afterwards. Returns the number of events processed."""
-        if end_time < self._now:
+        if not end_time >= self._now:  # also rejects NaN
             raise SimulationError(f"end_time {end_time} is before now ({self._now})")
         if self._running:
             raise SimulationError("engine is already running (re-entrant run_until)")
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
         processed = 0
         try:
-            while self._heap:
-                head = self._heap[0]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
                     continue
-                if head.time > end_time:
+                if time > end_time:
                     break
-                heapq.heappop(self._heap)
-                self._now = head.time
+                heappop(heap)
+                self._now = time
                 self.events_processed += 1
                 processed += 1
-                head.handler(self)
+                event.handler(self)
                 if max_events is not None and processed >= max_events:
                     break
         finally:
             self._running = False
-        if not self._heap or self._heap[0].time > end_time:
+        if not heap or heap[0][0] > end_time:
             self._now = end_time
         return processed
 
@@ -127,4 +133,4 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)

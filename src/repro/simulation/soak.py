@@ -71,6 +71,7 @@ from repro.simulation.profiles import (
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
+    _require_positive,
 )
 from repro.topology.fattree import build_fat_tree
 from repro.topology.links import LinkUtilizationModel
@@ -225,12 +226,11 @@ class SoakConfig:
     load_step_pct: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise SimulationError("soak horizon must be positive")
+        _require_positive("soak horizon", self.horizon_s)
         if self.ingress_capacity < 1 or self.drain_batch < 1:
             raise SimulationError("gate capacity and drain batch must be >= 1")
-        if self.drain_period_s <= 0 or self.oracle_period_s <= 0:
-            raise SimulationError("drain and oracle periods must be positive")
+        _require_positive("drain period", self.drain_period_s)
+        _require_positive("oracle period", self.oracle_period_s)
         if not 0.0 < self.drift_bound:
             raise SimulationError("drift bound must be positive")
         if self.watchdog_strikes < 1:
@@ -359,6 +359,12 @@ class _SoakDriver:
         self.loads: Dict[int, float] = {}
         self.clients: Dict[int, DUSTClient] = {}
         self.events_generated = 0
+        # ``MetricsRegistry.reset()`` keeps instruments, so the handle
+        # stays live for the whole run.
+        self._generated_counter = get_registry().counter("soak.events_generated")
+        #: One ``[next_time, salt, kind, process]`` head per open-loop
+        #: stream that has an arrival left before the horizon.
+        self._heads: List[list] = []
         self.applied_by_tier: Dict[QoSTier, int] = {t: 0 for t in QoSTier}
         self.latencies: List[float] = []
         self.drift_samples: List[Tuple[float, float]] = []
@@ -434,7 +440,18 @@ class _SoakDriver:
             )
             client.start()
             self.clients[node] = client
-        self._churnable = np.array(sorted(self.clients))
+        self._targets = tuple((node, self._tier_of(node)) for node in sorted(self.clients))
+        # ``(low, high - low)`` per event kind: ``low + (high - low) *
+        # random()`` is numpy's ``uniform(low, high)`` bit for bit, at a
+        # third of the call cost.
+        step = config.load_step_pct
+        offload_low = min(config.policy.c_max + 2.0, high)
+        self._value_draws: Dict[str, Optional[Tuple[float, float]]] = {
+            "load": (-step, step - (-step)),
+            # An explicit offload demand: push the node past c_max.
+            "offload": (offload_low, high - offload_low),
+            "churn": None,  # value unused
+        }
 
     # -- manager hooks --------------------------------------------------------
     def _on_admission(self, node: int) -> None:
@@ -462,35 +479,71 @@ class _SoakDriver:
         return QoSTier.STANDARD
 
     def _make_event(self, kind: str, now: float) -> SoakEvent:
-        node = int(self._churnable[self._rng.integers(len(self._churnable))])
-        low, high = self.config.load_range
-        if kind == "load":
-            step = self.config.load_step_pct
-            value = float(self._rng.uniform(-step, step))
-        elif kind == "offload":
-            # An explicit offload demand: push the node past c_max.
-            value = float(
-                self._rng.uniform(min(self.config.policy.c_max + 2.0, high), high)
+        rng = self._rng
+        node, tier = self._targets[rng.integers(len(self._targets))]
+        draw = self._value_draws[kind]
+        value = 0.0 if draw is None else draw[0] + draw[1] * rng.random()
+        return SoakEvent(time=now, kind=kind, node=node, value=value, tier=tier)
+
+    def _streams(self) -> List[Tuple[int, str, ArrivalProcess]]:
+        """``(salt, kind, process)`` for the three open-loop streams."""
+        config = self.config
+        return [
+            (salt, kind, spec.build(config.seed, salt=salt))
+            for salt, (kind, spec) in enumerate(
+                (
+                    ("load", config.load_stream),
+                    ("offload", config.offload_stream),
+                    ("churn", config.churn_stream),
+                ),
+                start=1,
             )
-        else:  # churn — value unused
-            value = 0.0
-        return SoakEvent(time=now, kind=kind, node=node, value=value, tier=self._tier_of(node))
+        ]
 
-    def _schedule_stream(self, kind: str, process: ArrivalProcess) -> None:
+    def _start_streams(self) -> None:
         horizon = self.config.horizon_s
+        for salt, kind, process in self._streams():
+            first = process.next_arrival()
+            if first < horizon:
+                self._heads.append([first, salt, kind, process])
 
-        def fire(engine: SimulationEngine, k: str = kind, p: ArrivalProcess = process) -> None:
-            self.events_generated += 1
-            get_registry().counter("soak.events_generated").inc()
-            event = self._make_event(k, engine.now)
-            self.gate.admit(event, shedding=self.ladder.shedding_low_tier)
-            nxt = p.next_arrival()
+    def _admit_arrivals(self, until: float) -> None:
+        """Admit every arrival at or before ``until`` to the gate, in
+        time order, each stamped with its own arrival time.
+
+        The streams are open loop and an arrival only writes the gate
+        queue, the gate's per-tier counters, the driver ``_rng`` and
+        ``events_generated``. Between arrivals only :meth:`_drain_tick`
+        reads the gate or moves the ladder, and it calls this first. So
+        admitting a tick's arrivals when the tick fires gives the same
+        gate contents, shed/reject decisions and ``_rng`` draw order as
+        one engine event per arrival, and the engine carries only
+        control-plane events. The one divergence is an arrival whose
+        float time exactly equals a drain tick or another stream's
+        arrival (probability ~2⁻⁵² per tick): here it is admitted before
+        that tick, and equal-time arrivals go in stream order.
+        """
+        heads = self._heads
+        horizon = self.config.horizon_s
+        admit = self.gate.admit
+        make = self._make_event
+        shedding = self.ladder.shedding_low_tier
+        admitted = 0
+        while heads:
+            head = min(heads)
+            now = head[0]
+            if now > until:
+                break
+            admit(make(head[2], now), shedding)
+            admitted += 1
+            nxt = head[3].next_arrival()
             if nxt < horizon:
-                engine.schedule_at(nxt, fire, label=f"soak-{k}")
-
-        first = process.next_arrival()
-        if first < horizon:
-            self.engine.schedule_at(first, fire, label=f"soak-{kind}")
+                head[0] = nxt
+            else:
+                heads.remove(head)
+        if admitted:
+            self.events_generated += admitted
+            self._generated_counter.inc(admitted)
 
     # -- event application (drain loop) ---------------------------------------
     def _apply(self, event: SoakEvent) -> None:
@@ -511,6 +564,7 @@ class _SoakDriver:
         self.latencies.append(self.engine.now - event.time)
 
     def _drain_tick(self) -> None:
+        self._admit_arrivals(self.engine.now)
         registry = get_registry()
         batch = self.gate.drain(self.config.drain_batch)
         for event in batch:
@@ -645,15 +699,7 @@ class _SoakDriver:
     # -- run ------------------------------------------------------------------
     def run(self) -> SoakResult:
         config = self.config
-        for salt, (kind, spec) in enumerate(
-            (
-                ("load", config.load_stream),
-                ("offload", config.offload_stream),
-                ("churn", config.churn_stream),
-            ),
-            start=1,
-        ):
-            self._schedule_stream(kind, spec.build(config.seed, salt=salt))
+        self._start_streams()
         self.engine.schedule_periodic(
             config.drain_period_s, lambda _e: self._drain_tick(), label="soak-drain"
         )
@@ -666,6 +712,9 @@ class _SoakDriver:
 
         wall_start = time.perf_counter()
         self.engine.run_until(config.horizon_s)
+        # Arrivals after the last drain tick (a drain period that does not
+        # divide the horizon).
+        self._admit_arrivals(config.horizon_s)
         # Flush whatever the gate still holds so every admitted event is
         # applied before the final audit.
         while len(self.gate):

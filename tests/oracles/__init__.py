@@ -4,7 +4,8 @@
 Algorithm-1 pipeline and one Vogel start; the implementations they
 replaced live on here, composed from primitives that stay public, so
 the suites compare ``==`` / ``array_equal`` against them instead of
-against a runtime-selectable second engine.
+against a runtime-selectable second engine. The soak's per-arrival
+event scheduling lives in :mod:`tests.oracles.soak`.
 """
 
 import time

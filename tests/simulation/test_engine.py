@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -124,3 +126,107 @@ class TestPeriodic:
         engine = SimulationEngine()
         with pytest.raises(SimulationError):
             engine.schedule_periodic(0.0, lambda e: None)
+
+
+NAN = float("nan")
+
+
+class TestNonFiniteTimes:
+    """NaN compares False against everything, so ``time < now`` guards
+    used to wave it through."""
+
+    def test_schedule_at_nan_rejected(self):
+        # Accepted, it fired first and set the clock to NaN, then back.
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(NAN, lambda e: None)
+        assert engine.pending_events == 0
+
+    def test_schedule_after_nan_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_after(NAN, lambda e: None)
+
+    def test_schedule_periodic_nan_rejected(self):
+        # Accepted, its NaN-time ticks made ``run_until`` spin forever.
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_periodic(NAN, lambda e: None)
+        with pytest.raises(SimulationError):
+            engine.schedule_periodic(1.0, lambda e: None, first_delay=NAN)
+
+    def test_run_until_nan_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.run_until(NAN)
+
+
+#: Few distinct offsets, so equal-time ties are the common case.
+_OFFSETS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
+
+
+def _drive_random_schedule(seed):
+    """Random schedule with ties, cancellations and handlers that
+    schedule at ``now``, driven by a random mix of ``step`` / ``run`` /
+    ``run_until(max_events=)``. A model of the pending set checks every
+    firing against the minimum ``(time, insertion)`` of what is left."""
+    rng = random.Random(seed)
+    engine = SimulationEngine()
+    pending = {}  # insertion index -> (time, handle)
+    scheduled = []  # (time, insertion index)
+    fired = []
+    cancelled = set()
+
+    def add(time):
+        ident = len(scheduled)
+        handle = engine.schedule_at(time, lambda e, i=ident: handler(e, i))
+        pending[ident] = (time, handle)
+        scheduled.append((time, ident))
+
+    def cancel_one():
+        if pending:
+            ident = rng.choice(sorted(pending))
+            pending.pop(ident)[1].cancel()
+            cancelled.add(ident)
+
+    def handler(e, ident):
+        assert ident == min(pending, key=lambda i: (pending[i][0], i))
+        assert e.now == pending.pop(ident)[0]
+        fired.append(ident)
+        roll = rng.random()
+        if roll < 0.35:
+            add(e.now)  # same instant: must fire after everything already due
+        elif roll < 0.6:
+            add(e.now + rng.choice(_OFFSETS))
+        if rng.random() < 0.15:
+            cancel_one()
+
+    for _ in range(rng.randint(5, 40)):
+        add(rng.choice(_OFFSETS) * rng.randint(0, 4))
+    while pending:
+        roll = rng.random()
+        if roll < 0.3:
+            assert engine.step()
+        elif roll < 0.8:
+            end = engine.now + rng.choice(_OFFSETS)
+            limit = rng.choice((None, 1, 2, 5))
+            processed = engine.run_until(end, max_events=limit)
+            if limit is None:
+                assert engine.now == end
+                assert all(time > end for time, _ in pending.values())
+            else:
+                assert processed <= limit
+        else:
+            engine.run(max_events=rng.choice((None, 1, 3)))
+        if rng.random() < 0.2:
+            cancel_one()
+        assert engine.pending_events == len(pending)
+    assert not engine.step()
+    live = [ident for time, ident in sorted(scheduled) if ident not in cancelled]
+    assert fired == live
+
+
+class TestFiringOrderProperty:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_fires_in_time_then_insertion_order(self, seed):
+        _drive_random_schedule(seed)

@@ -210,3 +210,31 @@ class TestArrivalProcesses:
             BurstyArrivals(calm_rate_per_s=5.0, burst_rate_per_s=1.0)
         with pytest.raises(SimulationError):
             BurstyArrivals(1.0, 10.0, mean_calm_s=0.0)
+
+    # Non-finite parameters: a NaN rate stalls Lewis–Shedler thinning or
+    # emits NaN times; an infinite one emits zero gaps, which would spin
+    # any consumer that admits "every arrival up to t".
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiurnalArrivals(float("nan")),
+            lambda: DiurnalArrivals(float("inf")),
+            lambda: DiurnalArrivals(1.0, period_s=float("nan")),
+            lambda: DiurnalArrivals(1.0, phase_s=float("nan")),
+            lambda: PoissonArrivals(float("nan")),
+            lambda: PoissonArrivals(float("inf")),
+            lambda: BurstyArrivals(1.0, float("inf")),
+            lambda: BurstyArrivals(float("nan"), 2.0),
+            lambda: BurstyArrivals(1.0, 2.0, mean_calm_s=float("nan")),
+            lambda: BurstyArrivals(1.0, 2.0, mean_burst_s=float("inf")),
+        ],
+        ids=[
+            "diurnal-nan-rate", "diurnal-inf-rate", "diurnal-nan-period",
+            "diurnal-nan-phase", "poisson-nan-rate", "poisson-inf-rate",
+            "bursty-inf-burst-rate", "bursty-nan-calm-rate",
+            "bursty-nan-calm-mean", "bursty-inf-burst-mean",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(SimulationError, match="finite"):
+            build()

@@ -124,6 +124,12 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             SoakConfig(standby_node=0, manager_node=0)
 
+    @pytest.mark.parametrize("field", ["horizon_s", "drain_period_s", "oracle_period_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_periods_rejected(self, field, value):
+        with pytest.raises(SimulationError, match="finite"):
+            SoakConfig(**{field: value})
+
     def test_default_chaos_is_composed(self):
         chaos = default_soak_chaos(crash_at=200.0)
         assert not chaos.is_null
