@@ -16,9 +16,11 @@ does:
    whose cost, not the LP's, is the max-hop blowup of Figs. 8/10 — is
    the same ``(Trmin, hops)`` and is named explicitly by the callers
    that time it);
-2. **LP solve** — by default the exact transportation solver
-   (:mod:`repro.lp.transportation`); ``scipy`` (HiGHS, the Gurobi
-   stand-in) and the from-scratch ``simplex`` are selectable.
+2. **LP solve** — one solver per program shape: the homogeneous
+   continuous program goes to the exact transportation solver
+   (:mod:`repro.lp.transportation`); heterogeneous coefficients or
+   whole-unit flows go to HiGHS (:func:`repro.lp.solve_scipy`, the
+   Gurobi stand-in) as an LP or MILP.
 
 Pairs with no path within ``max_hops`` get no shipping lane; if the
 remaining lanes cannot absorb all excess load, the solution status is
@@ -40,9 +42,7 @@ from repro.lp import (
     SolveStatus,
     TransportationProblem,
     lp_sum,
-    solve_branch_and_bound,
     solve_scipy,
-    solve_simplex,
     solve_transportation,
 )
 from repro.obs import get_registry, trace_span
@@ -79,7 +79,7 @@ class PlacementProblem:
     capacity_coefficients: Optional[np.ndarray] = None
     #: When ``True``, offload amounts are restricted to whole units
     #: (whole monitor agents rather than fractional capacity) — the
-    #: integral-ILP variant, solved by branch and bound.
+    #: integral-ILP variant, solved as a HiGHS MILP.
     integral: bool = False
 
     def __post_init__(self) -> None:
@@ -101,6 +101,9 @@ class PlacementProblem:
             raise PlacementError(
                 f"cd has shape {cd.shape}, expected ({len(self.candidates)},)"
             )
+        if not (np.isfinite(cs).all() and np.isfinite(cd).all()
+                and np.isfinite(data).all()):
+            raise PlacementError("cs, cd and data_mb must be finite")
         if (cs < 0).any() or (cd < 0).any() or (data < 0).any():
             raise PlacementError("cs, cd and data_mb must be non-negative")
         overlap = set(self.busy) & set(self.candidates)
@@ -116,6 +119,8 @@ class PlacementProblem:
                     f"capacity_coefficients shape {coeff.shape} must be "
                     f"({len(self.busy)}, {len(self.candidates)})"
                 )
+            if not np.isfinite(coeff).all():
+                raise PlacementError("capacity coefficients must be finite")
             if (coeff <= 0).any():
                 raise PlacementError("capacity coefficients must be positive")
         if self.integral:
@@ -185,20 +190,20 @@ class PlacementReport:
     trmin_seconds: float
     lp_seconds: float
     total_seconds: float
-    lp_backend: str
     path_engine: PathEngine
     max_hops: Optional[int]
     total_excess: float
     total_spare: float
     #: Shadow price of each candidate's spare capacity (candidate node
-    #: id -> dual of its 3a row), populated when the scipy backend
-    #: solved the LP: beta falls by |dual| per extra capacity point.
+    #: id -> dual of its 3a row), populated when HiGHS solved a
+    #: continuous LP (unit ``capacity_coefficients`` route a homogeneous
+    #: problem there): beta falls by |dual| per extra capacity point.
     capacity_duals: Dict[int, float] = field(default_factory=dict)
     #: Never set: the only reader is benchmarks/e2e/spans.py; deleted
     #: with that reader in the next [benchmark] PR.
     lp_warm_started: bool = False
-    #: Pivot count of the LP solve (MODI or simplex iterations); 0 for
-    #: scipy and trivial solves.
+    #: Pivot count of the LP solve (MODI pivots, or HiGHS iterations);
+    #: 0 for trivial solves.
     lp_iterations: int = 0
 
     @property
@@ -230,9 +235,6 @@ class PlacementEngine:
         DP with the problem's ``max_hops`` (same ``(Trmin, hops)`` as
         exhaustive enumeration, without its unbounded cost when the
         problem sets no ``max_hops``).
-    lp_backend:
-        ``"transportation"`` (default, exact network simplex),
-        ``"scipy"`` (HiGHS) or ``"simplex"`` (from-scratch tableau).
     with_routes:
         Materialize the chosen :class:`~repro.routing.routes.Path` per
         assignment (the controllable-route output). Slightly more work;
@@ -246,20 +248,13 @@ class PlacementEngine:
     def __init__(
         self,
         response_model: Optional[ResponseTimeModel] = None,
-        lp_backend: str = "transportation",
         with_routes: bool = True,
         trmin_engine: Optional[TrminEngine] = None,
         # Accepted and ignored: the only caller is benchmarks/e2e/workloads.py;
         # deleted with that call site in the next [benchmark] PR.
         workers: Optional[int] = None,
     ) -> None:
-        if lp_backend not in ("transportation", "scipy", "simplex"):
-            raise PlacementError(
-                f"unknown lp_backend {lp_backend!r}; expected "
-                "'transportation', 'scipy' or 'simplex'"
-            )
         self.response_model = response_model
-        self.lp_backend = lp_backend
         self.with_routes = with_routes
         self.trmin_engine = trmin_engine or TrminEngine()
 
@@ -276,25 +271,24 @@ class PlacementEngine:
             return model
         return ResponseTimeModel(engine=PathEngine.DP, max_hops=problem.max_hops)
 
+    @staticmethod
     def _solve_lp(
-        self,
         cost: np.ndarray,
         cs: np.ndarray,
         cd: np.ndarray,
         coeff: Optional[np.ndarray] = None,
         integral: bool = False,
     ) -> Tuple[SolveStatus, np.ndarray, float, Dict[int, float], int]:
-        """Dispatch the placement LP; returns (status, flow, beta, duals,
+        """Solve the placement LP; returns (status, flow, beta, duals,
         pivots).
 
-        The specialized transportation backend handles the paper's
-        homogeneous continuous case; heterogeneous coefficients or
-        integral variables force the general LP/MILP path (with the
-        ``transportation`` backend transparently upgraded to scipy).
+        The solver follows from the program alone: the paper's
+        homogeneous continuous case is a transportation problem and goes
+        to the transportation solver; heterogeneous coefficients or
+        integral variables go to HiGHS (``linprog`` or ``milp``).
         """
         m, n = cost.shape
-        general_needed = coeff is not None or integral
-        if self.lp_backend == "transportation" and not general_needed:
+        if coeff is None and not integral:
             result = solve_transportation(TransportationProblem(cs, cd, cost))
             return result.status, result.flow, result.objective, {}, result.iterations
         lp = LinearProgram("dust-placement")
@@ -324,18 +318,7 @@ class PlacementEngine:
         lp.set_objective(
             lp_sum(cost[i, j] * var for (i, j), var in variables.items())
         )
-        if integral:
-            # scipy dispatches to HiGHS MILP; the from-scratch route is
-            # branch-and-bound over the simplex (which warm-starts its
-            # own child relaxations internally).
-            if self.lp_backend in ("scipy", "transportation"):
-                solution = solve_scipy(lp)
-            else:
-                solution = solve_branch_and_bound(lp)
-        elif self.lp_backend in ("scipy", "transportation"):
-            solution = solve_scipy(lp)
-        else:
-            solution = solve_simplex(lp)
+        solution = solve_scipy(lp)
         flow = np.zeros((m, n))
         if solution.status.is_optimal:
             for (i, j), var in variables.items():
@@ -371,7 +354,6 @@ class PlacementEngine:
             "placement.solve",
             busy=len(problem.busy),
             candidates=len(problem.candidates),
-            backend=self.lp_backend,
         ):
             report = self._solve_impl(problem)
         registry = get_registry()
@@ -397,7 +379,6 @@ class PlacementEngine:
                 trmin_seconds=0.0,
                 lp_seconds=0.0,
                 total_seconds=time.perf_counter() - start,
-                lp_backend=self.lp_backend,
                 path_engine=model.engine,
                 max_hops=problem.max_hops,
                 total_excess=0.0,
@@ -467,7 +448,6 @@ class PlacementEngine:
             trmin_seconds=trmin_seconds,
             lp_seconds=lp_seconds,
             total_seconds=time.perf_counter() - start,
-            lp_backend=self.lp_backend,
             path_engine=model.engine,
             max_hops=problem.max_hops,
             total_excess=problem.total_excess,

@@ -548,7 +548,6 @@ class DistributedPlacementEngine:
                 sum(result.zone_seconds.values()) + result.coordinator_seconds
             ),
             total_seconds=time.perf_counter() - start,
-            lp_backend=self.engine.lp_backend,
             path_engine=model.engine,
             max_hops=problem.max_hops,
             total_excess=problem.total_excess,

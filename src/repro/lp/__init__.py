@@ -1,31 +1,26 @@
-"""LP/ILP substrate: modeling layer plus interchangeable solver backends.
+"""LP/ILP substrate: modeling layer plus one solver per program shape.
 
 This package replaces the Gurobi toolkit used by the paper's simulator:
 
 * :mod:`repro.lp.model` — algebraic model building (variables,
   expressions, constraints).
-* :mod:`repro.lp.simplex` — from-scratch two-phase dense simplex.
 * :mod:`repro.lp.transportation` — exact transportation-problem solver
-  (the placement LP's native structure).
-* :mod:`repro.lp.scipy_backend` — HiGHS via scipy.
-* :mod:`repro.lp.branch_and_bound` — exact MILP on top of the simplex.
+  for the paper's Eq. 3, whose native structure it is.
+* :mod:`repro.lp.scipy_backend` — HiGHS via scipy for every other
+  program: heterogeneous capacities, whole-unit (MILP) placement and
+  multi-resource placement. It also returns the duals.
+* :mod:`repro.lp.verify` — an independent feasibility and
+  weak-duality check of a returned solution.
 * :mod:`repro.lp.distributed` — zone-decomposed transportation solve
   with a thin price-exchange coordinator (see
   ``docs/distributed_solve.md``).
-
-Use :func:`solve` for backend dispatch by name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-from repro.errors import SolverError
-from repro.lp.branch_and_bound import solve_branch_and_bound
 from repro.lp.model import INF, Constraint, LinearProgram, LinExpr, Variable, lp_sum
 from repro.lp.result import Solution, SolveStatus
 from repro.lp.scipy_backend import solve_scipy
-from repro.lp.simplex import SimplexBasis, solve_simplex
 from repro.lp.verify import (
     Verification,
     check_feasibility,
@@ -61,7 +56,6 @@ __all__ = [
     "LinExpr",
     "LinearProgram",
     "PriceUpdate",
-    "SimplexBasis",
     "Solution",
     "SolveStatus",
     "TransportationBasis",
@@ -74,43 +68,10 @@ __all__ = [
     "check_feasibility",
     "duality_gap_bound",
     "verify_solution",
-    "available_backends",
     "extract_zone_subproblems",
     "lp_sum",
     "run_protocol",
-    "solve",
-    "solve_branch_and_bound",
     "solve_distributed",
     "solve_scipy",
-    "solve_simplex",
     "solve_transportation",
 ]
-
-_BACKENDS: Dict[str, Callable[[LinearProgram], Solution]] = {
-    "simplex": solve_simplex,
-    "scipy": solve_scipy,
-    "branch-and-bound": solve_branch_and_bound,
-}
-
-
-def available_backends() -> tuple:
-    """Names accepted by :func:`solve`'s ``backend`` argument."""
-    return tuple(sorted(_BACKENDS)) + ("auto",)
-
-
-def solve(program: LinearProgram, backend: str = "auto") -> Solution:
-    """Solve ``program`` with the named backend.
-
-    ``backend="auto"`` picks ``branch-and-bound`` when integer variables
-    are present and ``scipy`` (HiGHS) otherwise — mirroring how the
-    paper's simulator always delegated to Gurobi.
-    """
-    if backend == "auto":
-        backend = "branch-and-bound" if program.has_integer_variables else "scipy"
-    try:
-        fn = _BACKENDS[backend]
-    except KeyError:
-        raise SolverError(
-            f"unknown LP backend {backend!r}; expected one of {available_backends()}"
-        ) from None
-    return fn(program)

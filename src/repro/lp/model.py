@@ -4,8 +4,7 @@ This is the reproduction's substitute for the Gurobi Python API used by
 the paper's optimization simulator: variables, linear expressions built
 with operator overloading, ``<=``/``>=``/``==`` constraints, and a
 :class:`LinearProgram` container that lowers the model to dense numpy
-arrays for the backends in :mod:`repro.lp.simplex`,
-:mod:`repro.lp.transportation` and :mod:`repro.lp.scipy_backend`.
+arrays for :mod:`repro.lp.scipy_backend` (HiGHS).
 
 Example
 -------
@@ -135,8 +134,8 @@ class Variable:
     The paper's decision variable ``x_ij`` (amount of monitoring
     capacity offloaded from Busy node *i* to candidate *j*) is a
     continuous non-negative variable; integrality is supported so the
-    formulation can also be solved as a true ILP
-    (:mod:`repro.lp.branch_and_bound`).
+    formulation can also be solved as a true ILP (HiGHS MILP via
+    :mod:`repro.lp.scipy_backend`).
     """
 
     __slots__ = ("name", "lower", "upper", "is_integer", "index")
@@ -241,7 +240,7 @@ class Constraint:
 
 @dataclass
 class DenseForm:
-    """Dense matrix form of an LP, consumed by the numeric backends.
+    """Dense matrix form of an LP, consumed by the HiGHS backend.
 
     minimize ``c @ x`` subject to
     ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, ``lower <= x <= upper``.

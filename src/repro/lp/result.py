@@ -1,6 +1,8 @@
-"""Solution containers shared by every LP/ILP backend.
+"""Solution containers for the general LP/ILP path.
 
-A backend returns a :class:`Solution` whose :class:`SolveStatus` mirrors
+:func:`repro.lp.solve_scipy` returns a :class:`Solution`; the
+transportation solver reports the same :class:`SolveStatus` in its own
+:class:`~repro.lp.transportation.TransportationResult`. The status mirrors
 the vocabulary used by commercial solvers (Gurobi, CPLEX): the paper's
 "Infeasible Optimization rate" experiment (Fig. 7) counts
 ``SolveStatus.INFEASIBLE`` outcomes over randomized network states.
@@ -42,12 +44,11 @@ class Solution:
         Mapping from variable name to its value in the solution. Empty
         unless :attr:`status` is optimal.
     backend:
-        Name of the backend that produced this solution (``"simplex"``,
-        ``"transportation"``, ``"scipy"``, ``"branch-and-bound"``).
+        Name of the solver that produced this solution (``"scipy"``).
     iterations:
-        Backend-specific iteration count (simplex pivots, B&B nodes).
+        Solver iteration count (HiGHS simplex iterations; 0 for a MILP).
     solve_time:
-        Wall-clock seconds spent inside the backend.
+        Wall-clock seconds spent inside the solver.
     """
 
     status: SolveStatus
@@ -57,23 +58,10 @@ class Solution:
     iterations: int = 0
     solve_time: float = 0.0
     #: Dual values (shadow prices) keyed by constraint name, when the
-    #: backend provides them (currently the scipy/HiGHS backend for
-    #: continuous LPs). For a `<=` capacity row the dual is ≤ 0: the
-    #: objective decreases by |dual| per unit of extra capacity.
+    #: solver provides them (HiGHS for continuous LPs; none for a
+    #: MILP). For a `<=` capacity row the dual is ≤ 0: the objective
+    #: decreases by |dual| per unit of extra capacity.
     duals: Mapping[str, float] = field(default_factory=dict)
-    #: Backend-specific final basis: the transportation backend stores
-    #: its :class:`~repro.lp.transportation.TransportationBasis`, the
-    #: dense simplex the :class:`~repro.lp.simplex.SimplexBasis` that
-    #: branch-and-bound restarts child relaxations from. ``None`` when
-    #: the backend has none (non-optimal exit, scipy).
-    basis: object = None
-    #: Sum of simplex pivots across every relaxation a composite solver
-    #: ran (branch-and-bound reports the whole tree here); equals
-    #: :attr:`iterations` for single-solve backends that set it.
-    total_pivots: int = 0
-    #: True when the backend actually started from a supplied warm
-    #: basis; False when no hint was given or the hint was rejected.
-    warm_started: bool = False
 
     def __getitem__(self, name: str) -> float:
         """Convenience accessor: ``solution["x_0_1"]``."""

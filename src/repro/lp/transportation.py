@@ -33,9 +33,7 @@ solve also returns its final basis tree as a
 global tree.
 
 Complexity per MODI iteration is Θ(m·n) for pricing plus O(m+n) for the
-tree walk and O(depth) for the cycle pivot, far below the general dense
-simplex — this is one of the repo's ablation axes
-(``benchmarks/bench_ablation_lp.py``). The Vogel start sorts each row
+tree walk and O(depth) for the cycle pivot. The Vogel start sorts each row
 once (O(m·n log n)); after that a step costs O(m) scalar work, each of
 the at most m row crossings O(m·n + n log n) to re-rank the columns,
 and all pointer walks together O(m·n) — no step rescans the matrix.
@@ -45,12 +43,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.lp.result import Solution, SolveStatus
+from repro.lp.result import SolveStatus
 from repro.obs import get_registry, trace_span
 
 _EPS = 1e-9
@@ -125,31 +123,6 @@ class TransportationResult:
     solve_time: float
     #: Final basis tree when optimal.
     basis: Optional[TransportationBasis] = None
-
-    def to_solution(self, name_of: Optional[Sequence[Sequence[str]]] = None) -> Solution:
-        """Convert to the generic :class:`~repro.lp.result.Solution`.
-
-        ``name_of[i][j]`` supplies the variable name for lane (i, j);
-        defaults to ``x_{i}_{j}``. The final basis rides along in
-        ``Solution.basis``.
-        """
-        values: Dict[str, float] = {}
-        if self.status.is_optimal:
-            m, n = self.flow.shape
-            for i in range(m):
-                for j in range(n):
-                    name = name_of[i][j] if name_of is not None else f"x_{i}_{j}"
-                    values[name] = float(self.flow[i, j])
-        return Solution(
-            status=self.status,
-            objective=self.objective if self.status.is_optimal else float("nan"),
-            values=values,
-            backend="transportation",
-            iterations=self.iterations,
-            solve_time=self.solve_time,
-            basis=self.basis,
-            total_pivots=self.iterations,
-        )
 
 
 # -- initial basis: Vogel's approximation ------------------------------------------

@@ -1,7 +1,8 @@
 """Independent solution verification: feasibility and optimality
 certificates.
 
-Solvers can be wrong (ours are hand-rolled); verification is cheap.
+Solvers can be wrong (the transportation solver is hand-rolled);
+verification is cheap.
 This module checks a claimed :class:`~repro.lp.result.Solution` against
 its :class:`~repro.lp.model.LinearProgram` without re-solving:
 
@@ -13,8 +14,7 @@ its :class:`~repro.lp.model.LinearProgram` without re-solving:
   of optimal (0 ⇒ optimal);
 * :func:`verify_solution` — both, rolled into a verdict object.
 
-The placement engine's cross-backend equivalence tests use this to
-certify, not just compare, optima.
+The LP tests use this to certify, not just compare, HiGHS optima.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def dual_objective(program: LinearProgram, duals: Mapping[str, float]) -> float:
 
     Valid as a primal lower bound when the duals come from an optimal
     dual solution of the same program (what HiGHS returns). Variable
-    bound duals are not exposed by our backends, so programs whose
+    bound duals are not exposed by the solver, so programs whose
     optimum leans on finite variable bounds get a looser bound; callers
     see that as a positive gap, never a false certificate — unless every
     bounded variable sits at zero in the optimal basis.

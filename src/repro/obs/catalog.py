@@ -15,7 +15,7 @@ prefix     owner layer
 ========== ==========================================================
 trmin      route-pricing engine (:mod:`repro.routing.engine`)
 routing    path-enumeration kernel (:mod:`repro.routing.enumkernel`)
-lp         LP/ILP backends (:mod:`repro.lp`)
+lp         LP/ILP solvers (:mod:`repro.lp`)
 placement  Eq.-3 placement engine/session (:mod:`repro.core.placement`)
 heuristic  Algorithm-1 vectorized kernel (:mod:`repro.core.heuristic`)
 manager    DUST-Manager protocol loops (:mod:`repro.core.manager`)
@@ -68,29 +68,17 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Partial-path extensions dropped by the admissible lower bound"),
     ("counter", "routing.enum_bound_cutoffs", "count", "repro.routing.enumkernel",
      "Complete paths dropped by the pricing bound before the fold"),
-    # -- lp: solver backends --------------------------------------------------------
+    # -- lp: solvers --------------------------------------------------------------
     ("counter", "lp.transportation.solves", "count", "repro.lp.transportation",
      "Transportation-simplex solves"),
     ("counter", "lp.transportation.pivots", "count", "repro.lp.transportation",
      "MODI pivots across all transportation solves"),
     ("histogram", "lp.transportation.solve_seconds", "seconds",
      "repro.lp.transportation", "Wall time of one transportation solve"),
-    ("counter", "lp.simplex.solves", "count", "repro.lp.simplex",
-     "Two-phase simplex solves"),
-    ("counter", "lp.simplex.iterations", "count", "repro.lp.simplex",
-     "Simplex pivots across all solves"),
-    ("histogram", "lp.simplex.solve_seconds", "seconds", "repro.lp.simplex",
-     "Wall time of one simplex solve"),
     ("counter", "lp.scipy.solves", "count", "repro.lp.scipy_backend",
      "HiGHS solves dispatched through scipy"),
     ("histogram", "lp.scipy.solve_seconds", "seconds", "repro.lp.scipy_backend",
      "Wall time of one scipy/HiGHS solve"),
-    ("counter", "lp.bnb.solves", "count", "repro.lp.branch_and_bound",
-     "Branch-and-bound MILP solves"),
-    ("counter", "lp.bnb.nodes", "count", "repro.lp.branch_and_bound",
-     "Branch-and-bound tree nodes explored"),
-    ("histogram", "lp.bnb.solve_seconds", "seconds", "repro.lp.branch_and_bound",
-     "Wall time of one branch-and-bound solve"),
     # -- placement: Eq. 3 engine ----------------------------------------------------
     ("counter", "placement.solves", "count", "repro.core.placement",
      "PlacementEngine.solve calls"),

@@ -111,7 +111,7 @@ class TestSolve:
             cs=np.array([10.0]), cd=np.array([6.0, 20.0]),
             data_mb=np.array([10.0]),
         )
-        single_report = PlacementEngine(lp_backend="scipy").solve(single)
+        single_report = PlacementEngine().solve(single)
         assert multi_report.feasible and single_report.feasible
         assert multi_report.objective_beta * 10.0 == pytest.approx(
             single_report.objective_beta, rel=1e-6

@@ -12,6 +12,7 @@ from repro.core.nmdb import NMDB
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
+from repro.obs import get_registry
 from repro.routing import PathEngine, ResponseTimeModel
 from repro.topology import (
     CapacityModel,
@@ -21,6 +22,18 @@ from repro.topology import (
     build_fat_tree,
     build_line,
 )
+
+
+def on_solver(solver, problem):
+    """``problem`` in the shape that reaches ``solver``.
+
+    Unit capacity coefficients build the identical LP as the homogeneous
+    problem, but a problem with coefficients goes to HiGHS.
+    """
+    if solver == "transportation":
+        return problem
+    ones = np.ones((len(problem.busy), len(problem.candidates)))
+    return dataclasses.replace(problem, capacity_coefficients=ones)
 
 
 def simple_problem():
@@ -55,6 +68,23 @@ class TestProblemValidation:
                 topo, (0,), (1,), np.array([-1.0]), np.zeros(1), np.zeros(1)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["cs", "cd", "data_mb", "capacity_coefficients"]
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        """NaN compares False against every bound, so a sign check alone
+        lets it (and inf) through into the LP."""
+        kwargs = dict(
+            topology=build_line(3), busy=(0,), candidates=(1, 2),
+            cs=np.array([1.0]), cd=np.array([2.0, 2.0]), data_mb=np.array([1.0]),
+            capacity_coefficients=np.ones((1, 2)),
+        )
+        kwargs[field] = np.array(kwargs[field], dtype=float)
+        kwargs[field].flat[0] = bad
+        with pytest.raises(PlacementError, match="finite"):
+            PlacementProblem(**kwargs)
+
     def test_overlap_rejected(self):
         topo = build_line(3)
         with pytest.raises(PlacementError, match="both busy and candidate"):
@@ -76,17 +106,17 @@ class TestProblemValidation:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("backend", ["transportation", "scipy", "simplex"])
-    def test_supply_constraint_3b_met(self, backend):
-        problem = simple_problem()
-        report = PlacementEngine(lp_backend=backend).solve(problem)
+    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    def test_supply_constraint_3b_met(self, solver):
+        problem = on_solver(solver, simple_problem())
+        report = PlacementEngine().solve(problem)
         assert report.feasible
         assert report.total_offloaded == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("backend", ["transportation", "scipy", "simplex"])
-    def test_capacity_constraint_3a_respected(self, backend):
-        problem = simple_problem()
-        report = PlacementEngine(lp_backend=backend).solve(problem)
+    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    def test_capacity_constraint_3a_respected(self, solver):
+        problem = on_solver(solver, simple_problem())
+        report = PlacementEngine().solve(problem)
         to_1 = sum(a.amount_pct for a in report.assignments if a.candidate == 1)
         to_2 = sum(a.amount_pct for a in report.assignments if a.candidate == 2)
         assert to_1 <= 6.0 + 1e-9
@@ -170,10 +200,6 @@ class TestSolve:
         assert report.trmin_seconds >= 0
         assert report.lp_seconds >= 0
 
-    def test_invalid_backend(self):
-        with pytest.raises(PlacementError, match="unknown lp_backend"):
-            PlacementEngine(lp_backend="gurobi")
-
     def test_from_snapshot(self):
         topo = build_fat_tree(4)
         LinkUtilizationModel(0.2, 0.8, seed=0).apply(topo)
@@ -189,10 +215,10 @@ class TestSolve:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["transportation", "scipy", "simplex"])
-    def test_unreachable_busy_row_is_infeasible_on_every_backend(self, backend):
-        """A busy row with excess and no reachable candidate: the general
-        LP path must report INFEASIBLE like the transportation one."""
+    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    def test_unreachable_busy_row_is_infeasible_on_every_backend(self, solver):
+        """A busy row with excess and no reachable candidate: the HiGHS
+        path must report INFEASIBLE like the transportation one."""
         topo = Topology()
         for _ in range(4):
             topo.add_node()
@@ -208,8 +234,7 @@ class TestBackendEquivalence:
         )
         report = PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP),
-            lp_backend=backend,
-        ).solve(problem)
+        ).solve(on_solver(solver, problem))
         assert report.status is SolveStatus.INFEASIBLE
         assert np.isnan(report.objective_beta)
         assert report.assignments == ()
@@ -233,13 +258,13 @@ class TestBackendEquivalence:
             data_mb=np.full(len(roles.busy), 10.0),
             max_hops=6,
         )
+        engine = PlacementEngine(
+            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=6),
+            with_routes=False,
+        )
         reports = {
-            backend: PlacementEngine(
-                response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=6),
-                lp_backend=backend,
-                with_routes=False,
-            ).solve(problem)
-            for backend in ("transportation", "scipy", "simplex")
+            solver: engine.solve(on_solver(solver, problem))
+            for solver in ("transportation", "scipy")
         }
         statuses = {r.status for r in reports.values()}
         assert len(statuses) == 1, reports
@@ -249,6 +274,27 @@ class TestBackendEquivalence:
             # Duals certify the optimum via weak duality: every binding
             # candidate capacity has a non-positive shadow price.
             assert all(v <= 1e-9 for v in reports["scipy"].capacity_duals.values())
+
+
+class TestSolverDispatch:
+    @pytest.mark.parametrize(
+        "change, solver",
+        [
+            ({}, "transportation"),
+            ({"capacity_coefficients": np.array([[1.5, 1.0]])}, "scipy"),
+            ({"integral": True}, "scipy"),
+        ],
+        ids=["homogeneous", "heterogeneous", "integral"],
+    )
+    def test_problem_shape_picks_the_solver(self, change, solver):
+        """The homogeneous continuous Eq. 3 is a transportation problem;
+        every other shape is solved once by HiGHS."""
+        problem = dataclasses.replace(simple_problem(), **change)
+        counters = ("lp.transportation.solves", "lp.scipy.solves")
+        before = {name: get_registry().value(name) for name in counters}
+        assert PlacementEngine().solve(problem).feasible
+        deltas = {name: get_registry().value(name) - before[name] for name in counters}
+        assert deltas == {name: float(name == f"lp.{solver}.solves") for name in counters}
 
 
 def _fat_tree_problem(topology, policy, seed):

@@ -27,7 +27,7 @@ class TestHeterogeneousCoefficients:
             data_mb=np.array([5.0]),
             capacity_coefficients=np.array([[2.0, 1.0]]),
         )
-        report = PlacementEngine(lp_backend="scipy").solve(problem)
+        report = PlacementEngine().solve(problem)
         assert report.feasible
         flows = {a.candidate: a.amount_pct for a in report.assignments}
         # Destination 1 can host at most 4 source-points (8 / 2).
@@ -41,7 +41,7 @@ class TestHeterogeneousCoefficients:
             data_mb=np.array([5.0]),
             capacity_coefficients=np.array([[2.0, 2.0]]),  # 16/2 = 8 < 10
         )
-        report = PlacementEngine(lp_backend="scipy").solve(problem)
+        report = PlacementEngine().solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_unit_coefficients_match_homogeneous(self):
@@ -55,8 +55,8 @@ class TestHeterogeneousCoefficients:
             data_mb=np.array([5.0]),
             capacity_coefficients=np.ones((1, 2)),
         )
-        r_base = PlacementEngine(lp_backend="scipy").solve(base)
-        r_unit = PlacementEngine(lp_backend="scipy").solve(unit)
+        r_base = PlacementEngine().solve(base)
+        r_unit = PlacementEngine().solve(unit)
         assert r_base.objective_beta == pytest.approx(r_unit.objective_beta)
 
     def test_transportation_backend_transparently_upgraded(self):
@@ -66,7 +66,7 @@ class TestHeterogeneousCoefficients:
             data_mb=np.array([5.0]),
             capacity_coefficients=np.array([[1.5, 1.0]]),
         )
-        report = PlacementEngine(lp_backend="transportation").solve(problem)
+        report = PlacementEngine().solve(problem)
         assert report.feasible  # no crash, handled by the general path
 
     def test_shape_and_sign_validation(self):
@@ -100,14 +100,18 @@ class TestHeterogeneousCoefficients:
 
 
 class TestIntegralPlacement:
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_integral_flows_are_whole_units(self, backend):
+    @pytest.mark.parametrize(
+        "coefficients", [None, np.array([[1.0, 0.5]])],
+        ids=["scipy", "scipy-heterogeneous"],
+    )
+    def test_integral_flows_are_whole_units(self, coefficients):
         topo, busy, cands, cs, cd = star(cs=7.0, cd=(4.5, 5.5))
         problem = PlacementProblem(
             topology=topo, busy=busy, candidates=cands, cs=cs, cd=cd,
             data_mb=np.array([5.0]), integral=True,
+            capacity_coefficients=coefficients,
         )
-        report = PlacementEngine(lp_backend=backend).solve(problem)
+        report = PlacementEngine().solve(problem)
         assert report.feasible
         for a in report.assignments:
             assert a.amount_pct == pytest.approx(round(a.amount_pct))
@@ -120,7 +124,7 @@ class TestIntegralPlacement:
             topology=topo, busy=busy, candidates=cands, cs=cs, cd=cd,
             data_mb=np.array([5.0]), integral=True,
         )
-        report = PlacementEngine(lp_backend="scipy").solve(problem)
+        report = PlacementEngine().solve(problem)
         flows = {a.candidate: a.amount_pct for a in report.assignments}
         assert flows.get(1, 0.0) <= 4.0 + 1e-9
         assert flows.get(2, 0.0) <= 5.0 + 1e-9
@@ -132,14 +136,14 @@ class TestIntegralPlacement:
             topology=topo, busy=busy, candidates=cands, cs=cs, cd=cd,
             data_mb=np.array([5.0]), integral=True,
         )
-        report = PlacementEngine(lp_backend="scipy").solve(problem)
+        report = PlacementEngine().solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
         # The continuous relaxation, by contrast, is feasible.
         relaxed = PlacementProblem(
             topology=topo, busy=busy, candidates=cands, cs=cs, cd=cd,
             data_mb=np.array([5.0]),
         )
-        assert PlacementEngine(lp_backend="scipy").solve(relaxed).feasible
+        assert PlacementEngine().solve(relaxed).feasible
 
     def test_integral_requires_integer_excess(self):
         topo, busy, cands, cs, cd = star(cs=7.3)
@@ -156,8 +160,8 @@ class TestIntegralPlacement:
             topology=topo, busy=busy, candidates=cands, cs=cs, cd=cd,
             data_mb=np.array([5.0]),
         )
-        cont = PlacementEngine(lp_backend="scipy").solve(PlacementProblem(**kwargs))
-        integ = PlacementEngine(lp_backend="scipy").solve(
+        cont = PlacementEngine().solve(PlacementProblem(**kwargs))
+        integ = PlacementEngine().solve(
             PlacementProblem(**kwargs, integral=True)
         )
         assert integ.objective_beta >= cont.objective_beta - 1e-9

@@ -116,16 +116,6 @@ def test_nan_demand_rejected():
         )
 
 
-def test_to_solution_exposes_named_values():
-    problem = TransportationProblem(
-        supply=np.array([2.0]), demand=np.array([3.0]), cost=np.array([[1.5]])
-    )
-    solution = solve_transportation(problem).to_solution()
-    assert solution.status is SolveStatus.OPTIMAL
-    assert solution["x_0_0"] == pytest.approx(2.0)
-    assert solution.backend == "transportation"
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=7),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import LinearProgram, Solution, SolveStatus, lp_sum, solve_scipy, solve_simplex
+from repro.lp import LinearProgram, Solution, SolveStatus, lp_sum, solve_scipy
 from repro.lp.verify import (
     check_feasibility,
     dual_objective,
@@ -69,12 +69,14 @@ class TestDualityCertificate:
         assert verdict.certified_optimal, verdict
 
     def test_simplex_solution_feasible_but_uncertified(self):
-        """The from-scratch simplex returns no duals: feasibility holds
+        """A solution that carries values but no duals: feasibility holds
         but no optimality certificate is produced."""
         lp = transport_lp(
             np.array([5.0]), np.array([10.0]), np.array([[2.0]])
         )
-        solution = solve_simplex(lp)
+        solution = Solution(
+            status=SolveStatus.OPTIMAL, objective=10.0, values={"x_0_0": 5.0}
+        )
         verdict = verify_solution(lp, solution)
         assert verdict.feasible
         assert verdict.duality_gap is None

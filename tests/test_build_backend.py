@@ -55,7 +55,7 @@ class TestFullWheel:
             names = whl.namelist()
         assert "repro/__init__.py" in names
         assert "repro/core/placement.py" in names
-        assert "repro/lp/simplex.py" in names
+        assert "repro/lp/transportation.py" in names
         assert not any("__pycache__" in n or n.endswith(".pyc") for n in names)
 
     def test_metadata_declares_runtime_deps(self, tmp_path):
