@@ -8,7 +8,10 @@ control plane needs:
 
 * the primary persists a :class:`ManagerSnapshot` (NMDB records +
   offload ledger + keepalive watch set) into a :class:`SnapshotStore`
-  on every state update and heartbeats the standby;
+  and heartbeats the standby. Ledger rows and unconfirmed-Redirect
+  marks are durable before every Redirect and after every ledger
+  change; NMDB and keepalive state are durable as of the last
+  optimization tick, and the resync round refreshes the rest;
 * the :class:`StandbyManager` watches those heartbeats. After
   ``takeover_silence_s`` of silence it spins up a fresh
   :class:`~repro.core.manager.DUSTManager` **under the primary's node
@@ -48,7 +51,8 @@ from repro.topology.graph import Topology
 
 @dataclass(frozen=True)
 class ManagerSnapshot:
-    """One persisted manager state, written on every update."""
+    """One persisted manager state, written on every ledger change
+    (before any Redirect) and at every optimization tick."""
 
     version: int
     timestamp: float

@@ -23,10 +23,16 @@ Redirect / REP / Reclaim are retransmitted with exponential backoff
 until their application-level confirmation (Offload-ACK or Receipt)
 arrives, and destinations that exhaust the retry budget are quarantined
 out of the candidate set. With ``snapshot_store`` set the manager
-persists its state (NMDB + ledger + keepalive watch set) on every
-update, heartbeats a standby, and a recovered manager reconciles the
-restored snapshot against client ground truth in a resync round — see
+persists its state (NMDB + ledger + keepalive watch set) before every
+Redirect, after every ledger change and at the top of every
+optimization tick — a STAT alone persists nothing — heartbeats a
+standby, and a recovered manager reconciles the restored snapshot
+against client ground truth in a resync round — see
 :mod:`repro.core.failover`.
+
+STAT and Offload-capable reports with a non-finite or out-of-range
+field are dropped (counted in ``stats_rejected``); a reliable STAT is
+still confirmed with its Receipt so the client stops retransmitting.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from repro.obs import (
     trace_span,
 )
 from repro.core.thresholds import ThresholdPolicy
-from repro.errors import ProtocolError
+from repro.errors import MalformedReportError, ProtocolError
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import Message, MessageNetwork
@@ -106,6 +112,7 @@ class ManagerCounters:
     # -- reliability / transport (lossy-network hardening) ----------------
     duplicates_ignored: int = 0
     stale_stats_dropped: int = 0
+    stats_rejected: int = 0
     stale_acks_ignored: int = 0
     acks_reconfirmed: int = 0
     probes_sent: int = 0
@@ -295,6 +302,9 @@ class DUSTManager:
         def optimize_tick(engine: SimulationEngine) -> None:
             if self._crashed:
                 return
+            # NMDB and keepalive state are durable as of the last tick;
+            # ledger changes persist on their own, before any Redirect.
+            self._persist()
             if self.placement_frozen:
                 self.counters.rounds_frozen += 1
             else:
@@ -526,9 +536,12 @@ class DUSTManager:
             raise ProtocolError(f"manager cannot handle {payload.type.value!r}")
         self._dedup.remember(message.source, payload.msg_id, reply)
 
-    def _on_offload_capable(self, payload: OffloadCapable) -> Ack:
-        self.nmdb.register_capability(payload)
-        self._persist()
+    def _on_offload_capable(self, payload: OffloadCapable) -> Optional[Ack]:
+        try:
+            self.nmdb.register_capability(payload)
+        except MalformedReportError:
+            self.counters.stats_rejected += 1
+            return None
         self.counters.acks_sent += 1
         if self.on_admission is not None:
             self.on_admission(payload.node_id)
@@ -548,11 +561,14 @@ class DUSTManager:
         # On a reliable fabric an out-of-order STAT means a protocol bug
         # (strict mode raises); under loss/reordering it is expected —
         # the stale report is dropped, the newer state wins.
-        applied = self.nmdb.apply_stat(payload, strict=self.retry_policy is None)
+        try:
+            applied = self.nmdb.apply_stat(payload, strict=self.retry_policy is None)
+        except MalformedReportError:
+            self.counters.stats_rejected += 1
+            return receipt
         if not applied:
             self.counters.stale_stats_dropped += 1
             return receipt
-        self._persist()
         self._maybe_reclaim(payload)
         return receipt
 

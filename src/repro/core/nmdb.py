@@ -18,8 +18,10 @@ import numpy as np
 from repro.core.messages import OffloadCapable, Stat
 from repro.core.roles import NodeRole, RoleAssignment, classify_network
 from repro.core.thresholds import ThresholdPolicy
-from repro.errors import ProtocolError
+from repro.errors import MalformedReportError, ProtocolError
 from repro.topology.graph import Topology
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,13 @@ class NMDB:
 
     # -- ingestion -----------------------------------------------------------------
     def register_capability(self, msg: OffloadCapable) -> None:
-        """Apply an Offload-capable declaration."""
+        """Apply an Offload-capable declaration; a non-finite threshold
+        override raises :class:`~repro.errors.MalformedReportError`."""
+        for name, value in (("c_max", msg.c_max), ("co_max", msg.co_max)):
+            if value is not None and not -_INF < value < _INF:
+                raise MalformedReportError(
+                    f"Offload-capable from node {msg.node_id}: {name}={value!r}"
+                )
         rec = self._record(msg.node_id)
         self._records[msg.node_id] = replace(
             rec, capable=msg.capable, c_max=msg.c_max, co_max=msg.co_max
@@ -88,24 +96,48 @@ class NMDB:
     def apply_stat(self, msg: Stat, strict: bool = True) -> bool:
         """Apply a STAT report; returns ``True`` if it was applied.
 
-        Out-of-order reports raise in ``strict`` mode (a reliable fabric
-        should never reorder) and are silently dropped otherwise — under
-        loss/reordering the newest report simply wins.
+        A report with a non-finite or out-of-range field (``capacity_pct``
+        outside [0, 100], ``data_mb`` or ``num_agents`` negative or
+        non-finite, a non-finite ``timestamp``) raises
+        :class:`~repro.errors.MalformedReportError` whatever ``strict``
+        says. Out-of-order reports raise in ``strict`` mode (a reliable
+        fabric should never reorder) and are silently dropped otherwise
+        — under loss/reordering the newest report simply wins.
         """
+        capacity_pct = msg.capacity_pct
+        data_mb = msg.data_mb
+        num_agents = msg.num_agents
+        timestamp = msg.timestamp
+        # Chained comparisons are False for NaN, so each test also
+        # rejects a NaN field.
+        if not (
+            0.0 <= capacity_pct <= 100.0
+            and 0.0 <= data_mb < _INF
+            and 0 <= num_agents < _INF
+            and -_INF < timestamp < _INF
+        ):
+            raise MalformedReportError(
+                f"malformed STAT from node {msg.node_id}: "
+                f"capacity_pct={capacity_pct!r}, data_mb={data_mb!r}, "
+                f"num_agents={num_agents!r}, timestamp={timestamp!r}"
+            )
         rec = self._record(msg.node_id)
-        if msg.timestamp < rec.last_stat_time:
+        if timestamp < rec.last_stat_time:
             if strict:
                 raise ProtocolError(
                     f"out-of-order STAT from node {msg.node_id}: "
-                    f"{msg.timestamp} < {rec.last_stat_time}"
+                    f"{timestamp} < {rec.last_stat_time}"
                 )
             return False
-        self._records[msg.node_id] = replace(
-            rec,
-            capacity_pct=msg.capacity_pct,
-            data_mb=msg.data_mb,
-            num_agents=msg.num_agents,
-            last_stat_time=msg.timestamp,
+        self._records[msg.node_id] = NodeRecord(
+            msg.node_id,
+            rec.capable,
+            capacity_pct,
+            data_mb,
+            num_agents,
+            rec.c_max,
+            rec.co_max,
+            timestamp,
         )
         return True
 

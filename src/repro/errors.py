@@ -49,6 +49,11 @@ class ProtocolError(ReproError):
     """Raised when a DUST protocol message violates the expected workflow."""
 
 
+class MalformedReportError(ProtocolError):
+    """Raised when a STAT or Offload-capable report carries a non-finite
+    or out-of-range field value; the NMDB record is left unchanged."""
+
+
 class PlacementError(ReproError):
     """Raised when a placement request is malformed (e.g. unknown node)."""
 

@@ -60,6 +60,7 @@ MANAGER_COUNTERS_MIRROR: Dict[str, str] = {
         "reclaims_issued",
         "duplicates_ignored",
         "stale_stats_dropped",
+        "stats_rejected",
         "stale_acks_ignored",
         "acks_reconfirmed",
         "probes_sent",

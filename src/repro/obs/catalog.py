@@ -125,6 +125,8 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Duplicate control messages suppressed by the dedup cache"),
     ("counter", "manager.stale_stats_dropped", "count", "repro.core.manager",
      "Out-of-order STATs discarded under lossy delivery"),
+    ("counter", "manager.stats_rejected", "count", "repro.core.manager",
+     "STAT / Offload-capable reports dropped for a non-finite or out-of-range field"),
     ("counter", "manager.stale_acks_ignored", "count", "repro.core.manager",
      "Stale/raced Offload-ACKs ignored"),
     ("counter", "manager.acks_reconfirmed", "count", "repro.core.manager",

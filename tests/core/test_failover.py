@@ -12,17 +12,20 @@ from repro.core import (
     DUSTClient,
     DUSTManager,
     ManagerSnapshot,
+    NodeRecord,
     OffloadAck,
+    Redirect,
     RetryPolicy,
     SnapshotStore,
     StandbyManager,
+    Stat,
     ThresholdPolicy,
     assignment_signature,
     audit_system,
 )
 from repro.errors import SimulationError
 from repro.simulation import MessageNetwork, SimulationEngine
-from repro.simulation.network_sim import FaultConfig, FaultyNetwork
+from repro.simulation.network_sim import FaultConfig, FaultyNetwork, Message
 from repro.topology import LinkUtilizationModel, build_fat_tree
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
@@ -110,9 +113,10 @@ class TestSnapshotStore:
         assert SnapshotStore(path=path).version == 5
 
 
-def build_system(crash_at=None, run_to=900.0):
+def build_system(crash_at=None, run_to=900.0, before_run=None):
     """Fat-tree with a primary (node 0), a standby (node 1), and three
-    clients; returns everything after running to ``run_to``."""
+    clients; returns everything after running to ``run_to``.
+    ``before_run(manager, store)`` may instrument the primary first."""
     topology = build_fat_tree(4)
     LinkUtilizationModel(0.2, 0.7, seed=5).apply(topology)
     engine = SimulationEngine()
@@ -144,6 +148,8 @@ def build_system(crash_at=None, run_to=900.0):
         clients[node].start()
     if crash_at is not None:
         engine.schedule_at(crash_at, lambda engine: manager.crash())
+    if before_run is not None:
+        before_run(manager, store)
     engine.run_until(run_to)
     return manager, standby, clients, engine, store
 
@@ -168,6 +174,68 @@ class TestPersistence:
         manager, standby, clients, engine, store = build_system(run_to=100.0)
         assert standby.heartbeats_seen >= 9
         assert not standby.promoted
+
+
+class TestDurabilityContract:
+    """Ledger rows and unconfirmed-Redirect marks are durable before
+    every Redirect; NMDB and keepalive state are durable as of the last
+    optimization tick, not after every message."""
+
+    def test_redirect_leaves_only_after_its_row_is_durable(self):
+        checked = []
+
+        def spy(manager, store):
+            send = manager._send_ctrl
+
+            def send_ctrl(destination, payload, on_give_up=None):
+                if isinstance(payload, Redirect):
+                    snapshot = store.load()
+                    pair = (payload.source, payload.destination)
+                    assert pair in {(r.source, r.destination) for r in snapshot.ledger_rows}
+                    assert payload.source in snapshot.unconfirmed_sources
+                    checked.append(pair)
+                send(destination, payload, on_give_up=on_give_up)
+
+            manager._send_ctrl = send_ctrl
+
+        build_system(run_to=300.0, before_run=spy)
+        assert checked  # the scenario actually redirected
+
+    def test_applied_stat_persists_at_the_next_tick(self):
+        topology = build_fat_tree(4)
+        engine = SimulationEngine()
+        network = MessageNetwork(topology, engine)
+        store = SnapshotStore()
+        manager = DUSTManager(
+            node_id=0, topology=topology, engine=engine, network=network,
+            policy=POLICY, snapshot_store=store, optimization_period_s=60.0,
+        )
+        manager.start()
+        stat = Stat(node_id=9, capacity_pct=42.0, data_mb=3.0, num_agents=2,
+                    timestamp=5.0)
+        engine.run_until(5.0)
+        version = store.version
+        manager._receive(Message(source=9, destination=0, payload=stat,
+                                 sent_at=5.0, delivered_at=5.0))
+        assert manager.nmdb.record(9).capacity_pct == 42.0
+        assert store.version == version
+        engine.run_until(60.0)
+        assert store.version > version
+        assert store.load().records[9] == NodeRecord(
+            node_id=9, capacity_pct=42.0, data_mb=3.0, num_agents=2,
+            last_stat_time=5.0,
+        )
+
+    def test_saves_follow_rounds_and_ledger_changes_not_stats(self):
+        manager, standby, clients, engine, store = build_system(run_to=900.0)
+        c = manager.counters
+        ledger_changes = (
+            c.offloads_established + c.reclaims_issued
+            + c.destinations_failed + c.placements_reset
+        )
+        assert c.offloads_established > 0
+        assert store.saves <= c.optimization_rounds + 2 * ledger_changes + 1
+        assert store.saves < c.stats_received
 
 
 class TestSharedLedgerRows:
@@ -399,3 +467,8 @@ class TestTakeoverConsistencyProperty:
         )
         assert hosted_total == pytest.approx(ledger_total, abs=1e-6)
         assert offloaded_total == pytest.approx(ledger_total, abs=1e-6)
+        # The restored NMDB may lag the crash by one optimization tick;
+        # the resync round (and the STATs after it) must refresh it.
+        for node, client in clients.items():
+            if client.alive:
+                assert active.nmdb.record(node).last_stat_time >= standby.took_over_at
