@@ -6,15 +6,16 @@ pair sample at hop budgets 4 and 5 (3 and 4 with ``--smoke``):
 
 * kernel — ``ResponseTimeModel.resistance_matrix``, i.e. the
   :mod:`repro.routing.enumkernel` frontier expansion (one frontier for
-  all pairs of the call) + admissible lower-bound pruning feeding the
-  canonical fold (the one enumeration pricing route in ``src/``);
-* reference — a comparator built here from primitives that stay
-  public: the pure-Python ``iter_simple_paths_raw`` DFS stream of every
-  pair through the same canonical fold (``_fold_raw_paths``).
+  all pairs of the call) + admissible lower-bound pruning, picking each
+  pair's winner by the judge's fold rule (the one enumeration pricing
+  route in ``src/``);
+* reference — the pure-Python ``iter_simple_paths_raw`` DFS stream of
+  every pair through the judge's fold (``tests.oracles._fold_raw_paths``).
 
 A second point has the shape ``benchmarks/e2e``'s ``fig11_sweep_k8``
-actually prices: fat-tree(8) (k=4 with ``--smoke``), 18 x 22 pairs,
-hop 5, ``with_paths=False``.
+actually prices: fat-tree(8), 18 x 22 pairs, hop 5,
+``with_paths=False`` — at k=8 under ``--smoke`` too, so the smoke run
+checks bit-identity on the claimed shape (its reference costs ~1 s).
 
 Every timed configuration is compared **bit-for-bit** against the
 reference: ``np.array_equal`` on the resistance and hop matrices (no
@@ -49,9 +50,12 @@ from typing import List
 import numpy as np
 
 from repro.routing import Path, count_paths_kernel, iter_simple_paths_raw
-from repro.routing.response_time import PathEngine, ResponseTimeModel, _fold_raw_paths
+from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import LinkUtilizationModel
 from repro.topology.fattree import build_fat_tree
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+from tests.oracles import _fold_raw_paths  # noqa: E402
 
 
 def build_fixture(smoke: bool, seed: int):
@@ -78,9 +82,9 @@ def timed(fn, repeats: int) -> float:
     return best
 
 
-def build_fig11_fixture(smoke: bool, seed: int):
+def build_fig11_fixture(seed: int):
     """The busy x candidate shape of a ``fig11_sweep_k8`` unit."""
-    k = 4 if smoke else 8
+    k = 8
     topo = build_fat_tree(k)
     LinkUtilizationModel(0.2, 0.8, seed=seed).apply(topo)
     nodes = np.random.default_rng(seed).permutation(topo.num_nodes)
@@ -96,7 +100,7 @@ def price_kernel(topo, sources, destinations, max_hops, with_paths=True):
 
 
 def price_reference(topo, sources, destinations, max_hops, with_paths=True):
-    """Every pair's full DFS stream through the canonical fold."""
+    """Every pair's full DFS stream through the judge's fold."""
     weights = ResponseTimeModel(max_hops=max_hops).edge_weights(topo)
     R = np.full((len(sources), len(destinations)), np.inf)
     hops = np.full(R.shape, -1, dtype=np.int64)
@@ -171,7 +175,7 @@ def main(argv=None) -> int:
         )
         for h in hop_budgets
     ]
-    f_topo, f_k, f_sources, f_destinations = build_fig11_fixture(args.smoke, seed=0)
+    f_topo, f_k, f_sources, f_destinations = build_fig11_fixture(seed=0)
     fig11_point = measure_point(
         f_topo, f_sources, f_destinations, 5, False, repeats, "fig11 shape", failures
     )

@@ -30,6 +30,11 @@ left-fold along the same layer sequence, so ``best``/``hops`` match
 :func:`hop_constrained_shortest` bit for bit — the property suite
 asserts exact equality.
 
+The relaxation loop itself is one private generator, :func:`_relax`.
+:func:`matrix_hop_constrained` consumes it for ``best``/``hops`` (and
+parents); :func:`_hop_layers` consumes it for every layer of the
+planes, which the enumeration kernel's admissible bound reads.
+
 Predecessor planes are optional (``with_parents=True``): per layer the
 kernel recovers one witness lane per improved cell (the last lane
 achieving the new minimum, mirroring the per-source recovery's
@@ -43,7 +48,7 @@ guaranteed optimal and price-consistent, not identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +157,100 @@ def _degree_classes(
     return indices, edge_ids, classes
 
 
+def _gather_tables(
+    topology: Topology, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, ...]]]:
+    """``(indices, edge_ids, gather)``: the CSR wiring plus, per degree
+    class, ``(nodes_d, nbr_d, w_d, lane_table)`` — neighbor ids and lane
+    weights shaped ``(count, d)`` to match the class's lane table."""
+    indices, edge_ids, classes = _degree_classes(topology)
+    lane_w = weights[edge_ids]
+    gather = [
+        (nodes_d, indices[lane_table], lane_w[lane_table], lane_table)
+        for nodes_d, lane_table in classes
+    ]
+    return indices, edge_ids, gather
+
+
+def _relax(
+    gather: List[Tuple[np.ndarray, ...]],
+    prev: np.ndarray,
+    H: int,
+    witness: bool = False,
+) -> Iterator[Tuple[int, np.ndarray, List[tuple]]]:
+    """The degree-class relaxation: every matrix DP runs this one loop.
+
+    From the node-major layer-0 plane ``prev`` (``(n, B)``), yields
+    ``(h, plane, steps)`` for each layer ``h = 1..H`` that improves a
+    cell, and stops at the first layer that improves none (every later
+    layer would equal the last one yielded). ``plane`` is a fresh array
+    the loop never writes again. ``steps`` holds ``(nodes_d, improved,
+    lanes)`` per class with an improved cell: ``improved`` is the
+    class's ``(count, B)`` mask, and ``lanes`` is ``None`` unless
+    ``witness``, then ``(rows, cols, lane)`` — per improved cell the
+    last CSR lane achieving the new minimum (mirroring the per-source
+    recovery's later-writes-win; any witness achieves the min).
+    """
+    for h in range(1, H + 1):
+        new = prev.copy()
+        steps = []
+        for nodes_d, nbr_d, w_d, lane_table in gather:
+            cd, d = nbr_d.shape
+            # (cd, d, B): weight of reaching each class node through
+            # each of its lanes; min over the lane axis is the
+            # segmented CSR minimum, as one contiguous reduction.
+            cand = prev[nbr_d.ravel()].reshape(cd, d, -1) + w_d[:, :, None]
+            seg_min = cand.min(axis=1)
+            cur = prev[nodes_d]
+            upd = np.minimum(cur, seg_min)
+            improved = upd < cur
+            if not improved.any():
+                continue
+            new[nodes_d] = upd
+            lanes = None
+            if witness:
+                pos = np.arange(1, d + 1, dtype=np.int64)
+                win = np.where(cand <= upd[:, None, :], pos[None, :, None], 0).max(
+                    axis=1
+                )
+                rows, cols = np.nonzero(improved)
+                lanes = (rows, cols, lane_table[rows, win[rows, cols] - 1])
+            steps.append((nodes_d, improved, lanes))
+        if not steps:
+            return
+        yield h, new, steps
+        prev = new
+
+
+def _hop_layers(
+    topology: Topology,
+    sources: Sequence[int],
+    max_hops: Optional[int],
+    edge_weights: np.ndarray,
+) -> np.ndarray:
+    """Every layer of the relaxation from ``sources``, ``(S, H+1, n)``.
+
+    ``[a, h, v]`` is the minimum weight of a walk of at most ``h`` edges
+    between ``sources[a]`` and ``v``: the ``dist`` plane of
+    :func:`~repro.routing.shortest.hop_constrained_shortest` from each
+    source, bit for bit (same operand sets per layer), padded past
+    convergence with the last layer. On an edgeless graph every layer
+    is layer 0. The result is a transposed view of one node-major
+    ``(H+1, n, S)`` stack.
+    """
+    weights, H = _validate(topology, max_hops, edge_weights)
+    src = np.array([int(s) for s in sources], dtype=np.int64)
+    layers = np.full((H + 1, topology.num_nodes, src.size), np.inf)
+    layers[0, src, np.arange(src.size)] = 0.0
+    last = 0
+    if topology.num_edges and src.size:
+        _, _, gather = _gather_tables(topology, weights)
+        for last, plane, _ in _relax(gather, layers[0], H):
+            layers[last] = plane
+    layers[last + 1 :] = layers[last]
+    return layers.transpose(2, 0, 1)
+
+
 def matrix_hop_constrained(
     topology: Topology,
     sources: Sequence[int],
@@ -204,15 +303,8 @@ def matrix_hop_constrained(
             return _export([dist.copy()], [minus_one], [minus_one.copy()])
         return _export(None, None, None)
 
-    indices, edge_ids, classes = _degree_classes(topology)
+    indices, edge_ids, gather = _gather_tables(topology, weights)
     lanes = indices.size  # == 2 * num_edges (both directions)
-    lane_w = weights[edge_ids]
-    # Per-class gather tables: neighbor ids and lane weights, shaped
-    # (count, d) to match the lane tables.
-    gather = [
-        (nodes_d, indices[lane_table], lane_w[lane_table], lane_table)
-        for nodes_d, lane_table in classes
-    ]
 
     if with_parents:
         col_blocks = [np.arange(S)]
@@ -234,46 +326,18 @@ def matrix_hop_constrained(
     for cols in col_blocks:
         prev = dist[:, cols] if len(col_blocks) > 1 else dist
         block_hops = hops[:, cols] if len(col_blocks) > 1 else hops
-        for h in range(1, H + 1):
-            new = prev.copy()
-            improved_any = False
-            for nodes_d, nbr_d, w_d, lane_table in gather:
-                cd, d = nbr_d.shape
-                # (cd, d, B): weight of reaching each class node through
-                # each of its lanes; min over the lane axis is the
-                # segmented CSR minimum, as one contiguous reduction.
-                cand = prev[nbr_d.ravel()].reshape(cd, d, -1) + w_d[:, :, None]
-                seg_min = cand.min(axis=1)
-                cur = prev[nodes_d]
-                upd = np.minimum(cur, seg_min)
-                cls_improved = upd < cur
-                if not cls_improved.any():
-                    continue
-                improved_any = True
-                new[nodes_d] = upd
-                block_hops[nodes_d] = np.where(
-                    cls_improved, h, block_hops[nodes_d]
-                )
-                if with_parents:
-                    # Witness per improved cell: the last lane achieving
-                    # the new minimum (mirrors the per-source recovery's
-                    # later-writes-win; any witness achieves the min).
-                    if len(parent_node) <= h:
-                        parent_node.append(np.full((n, S), -1, dtype=np.int64))
-                        parent_edge.append(np.full((n, S), -1, dtype=np.int64))
-                    pos = np.arange(1, d + 1, dtype=np.int64)
-                    win = np.where(
-                        cand <= upd[:, None, :], pos[None, :, None], 0
-                    ).max(axis=1)
-                    rows, bcols = np.nonzero(cls_improved)
-                    lane = lane_table[rows, win[rows, bcols] - 1]
+        for h, plane, steps in _relax(gather, prev, H, witness=with_parents):
+            if with_parents:
+                layer_dist.append(plane)
+                parent_node.append(np.full((n, S), -1, dtype=np.int64))
+                parent_edge.append(np.full((n, S), -1, dtype=np.int64))
+            for nodes_d, improved, witness in steps:
+                block_hops[nodes_d] = np.where(improved, h, block_hops[nodes_d])
+                if witness is not None:
+                    rows, bcols, lane = witness
                     parent_node[h][nodes_d[rows], bcols] = indices[lane]
                     parent_edge[h][nodes_d[rows], bcols] = edge_ids[lane]
-            if not improved_any:
-                break
-            if with_parents:
-                layer_dist.append(new.copy())
-            prev = new
+            prev = plane
         if len(col_blocks) > 1:
             dist[:, cols] = prev
             hops[:, cols] = block_hops

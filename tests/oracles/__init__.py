@@ -4,12 +4,15 @@
 Algorithm-1 pipeline and one Vogel start; the implementations they
 replaced live on here, composed from primitives that stay public, so
 the suites compare ``==`` / ``array_equal`` against them instead of
-against a runtime-selectable second engine. The soak's per-arrival
-event scheduling lives in :mod:`tests.oracles.soak`.
+against a runtime-selectable second engine. The enumeration judge,
+:func:`_fold_raw_paths`, lives only here: the kernel applies its rule
+to pruned survivors, and :func:`enum_best_route` applies it to the full
+DFS stream. The soak's per-arrival event scheduling lives in
+:mod:`tests.oracles.soak`.
 """
 
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +27,74 @@ from repro.routing import (
     iter_simple_paths_raw,
 )
 from repro.routing.matrix import matrix_hop_constrained
-from repro.routing.response_time import _fold_raw_paths
-from repro.routing.routes import Path
+from repro.routing.routes import _TIE_TOL, Path
 from repro.topology.links import BandwidthConvention
 
 _TOL = 1e-9
+
+#: Paths priced per ``reduceat`` call of :func:`_fold_raw_paths`.
+_PRICE_BATCH = 512
+
+RawPath = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _fold_raw_paths(
+    stream: Iterable[RawPath], edge_weights: np.ndarray
+) -> Tuple[float, int, Optional[RawPath]]:
+    """The judge: a sequential fold over a DFS-ordered raw path stream.
+
+    Returns ``(resistance, hops, (nodes, edges))`` — or
+    ``(inf, -1, None)`` on an empty stream. Paths are priced in
+    batches: the edge ids of up to ``_PRICE_BATCH`` paths are
+    concatenated and summed with one fancy-index + ``np.add.reduceat``;
+    only candidates within ``_TIE_TOL`` of the running minimum are then
+    examined in DFS order, keeping the serial scan's
+    resistance-then-fewer-hops tie-break. The enumeration kernel
+    (:func:`repro.routing.enumkernel.best_routes_matrix`) applies this
+    rule to its pruned survivors and is held ``==`` to it.
+    """
+    best_res = np.inf
+    best_hops = -1
+    best_raw: Optional[RawPath] = None
+    buf_edges: List[Tuple[int, ...]] = []
+    buf_raw: List[RawPath] = []
+
+    def _flush() -> None:
+        nonlocal best_res, best_hops, best_raw
+        if not buf_edges:
+            return
+        count = len(buf_edges)
+        lens = np.fromiter(map(len, buf_edges), dtype=np.int64, count=count)
+        flat = np.fromiter(
+            (e for edges in buf_edges for e in edges),
+            dtype=np.int64,
+            count=int(lens.sum()),
+        )
+        starts = np.zeros(count, dtype=np.int64)
+        np.cumsum(lens[:-1], out=starts[1:])
+        res = np.add.reduceat(edge_weights[flat], starts)
+        # Only paths at or below the running minimum (+ tie tolerance)
+        # can change the outcome; visit those few in DFS order.
+        cut = min(float(res.min()), best_res) + _TIE_TOL
+        for idx in np.flatnonzero(res <= cut):
+            r = float(res[idx])
+            h = int(lens[idx])
+            if r < best_res - _TIE_TOL or (
+                abs(r - best_res) <= _TIE_TOL and h < best_hops
+            ):
+                best_res, best_hops, best_raw = r, h, buf_raw[idx]
+        buf_edges.clear()
+        buf_raw.clear()
+
+    for nodes, edges in stream:
+        if not edges:  # zero-hop path: source == destination
+            return 0.0, 0, (nodes, edges)
+        buf_edges.append(edges)
+        buf_raw.append((nodes, edges))
+        if len(buf_edges) >= _PRICE_BATCH:
+            _flush()
+    _flush()
+    return best_res, best_hops, best_raw
 
 
 def enum_best_route(topology, source, destination, max_hops, edge_weights):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError, TopologyError
 from repro.obs import get_registry
 from repro.routing import count_paths, enumerate_paths, enumkernel, iter_simple_paths_raw
-from repro.routing.enumkernel import count_paths_kernel, pruned_candidates
+from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.response_time import PathEngine, ResponseTimeModel, _best_enum_route
 from repro.topology import (
     BandwidthConvention,
@@ -236,6 +236,24 @@ class TestBatchedMatrixIdentity:
             for h in (0, 1, 3, 4, 5):
                 _assert_matrix_identical(topo, sources, destinations, h)
 
+    @pytest.mark.parametrize("max_hops", [6, 7])
+    def test_pairs_past_one_fold_batch(self, max_hops):
+        """Near-zero weights cut no complete path, so every simple path
+        within the budget survives: 224 to 7 720 per pair here, several
+        fold batches for most, all through the same winner loop."""
+        topo = build_fat_tree(8)
+        sources, destinations = [0, 5], [1, 17, 63]
+        weights = np.full(topo.num_edges, 1e-13)
+        survivors = [
+            count_paths_kernel(topo, s, d, max_hops) for s in sources for d in destinations
+        ]
+        assert max(survivors) > enumkernel._FOLD_BATCH == oracles._PRICE_BATCH
+        cutoffs = get_registry().counter("routing.enum_bound_cutoffs")
+        before = cutoffs.value
+        with _fixed_weights(weights):
+            _assert_matrix_identical(topo, sources, destinations, max_hops)
+        assert cutoffs.value == before
+
     def test_overlap_and_duplicate_node_ids(self):
         topo = build_fat_tree(4)
         LinkUtilizationModel(0.2, 0.8, seed=3).apply(topo)
@@ -333,7 +351,7 @@ class TestBatchedCounters:
         def per_pair():
             for s in sources:
                 for d in destinations:
-                    pruned_candidates(topo, s, d, 5, weights)
+                    _best_enum_route(topo, s, d, 5, weights)
 
         batched = self._delta(
             self.TOTALS, lambda: model.resistance_matrix(topo, sources, destinations)
@@ -363,7 +381,7 @@ class TestDegenerateCorners:
         topo = build_fat_tree(4)
         weights = _weights(topo)
         for h in (None, 0, 1, 5):
-            assert pruned_candidates(topo, 3, 3, h, weights) == [((3,), ())]
+            assert _best_enum_route(topo, 3, 3, h, weights) == (0.0, 0, ((3,), ()))
             assert count_paths_kernel(topo, 3, 3, h) == 1
             _assert_pair_identical(topo, 3, 3, h, weights)
 
@@ -379,7 +397,7 @@ class TestDegenerateCorners:
         topo = disconnected_topology()
         weights = _weights(topo)
         assert count_paths_kernel(topo, 0, 3, None) == 0
-        assert pruned_candidates(topo, 0, 3, None, weights) == []
+        assert _best_enum_route(topo, 0, 3, None, weights) == (math.inf, -1, None)
         _assert_pair_identical(topo, 0, 3, None, weights)
 
     def test_unreachable_within_budget(self):
@@ -396,7 +414,7 @@ class TestDegenerateCorners:
         with pytest.raises(RoutingError):
             count_paths_kernel(topo, 0, 1, -1)
         with pytest.raises(RoutingError):
-            pruned_candidates(topo, 0, 1, -2, _weights(topo))
+            _best_enum_route(topo, 0, 1, -2, _weights(topo))
 
     def test_nonpositive_weights_rejected(self):
         """No fallback engine: the bound DP rejects them like the dp
@@ -410,18 +428,21 @@ class TestDegenerateCorners:
 
 class TestSurvivorStream:
     def test_survivors_are_dfs_prefix_consistent(self):
-        """Survivors appear in DFS order and include the oracle's
-        winner."""
-        topo = build_fat_tree(4)
-        LinkUtilizationModel(0.3, 0.7, seed=11).apply(topo)
+        """The kernel folds its survivors in DFS order: on a uniform
+        mesh every shortest path ties, and the one-pair call must return
+        the first of them in the full DFS stream — the judge's winner —
+        priced by ``reduceat`` over its edges."""
+        topo = build_fat_tree(4)  # untouched links: uniform weights
         weights = _weights(topo)
-        s, d = 0, topo.num_nodes - 1
-        survivors = pruned_candidates(topo, s, d, 5, weights)
+        s, d = 16, 9  # eight 4-hop paths
+        res, nh, winner = _best_enum_route(topo, s, d, 5, weights)
         all_paths = list(iter_simple_paths_raw(topo, s, d, 5))
-        positions = {p: i for i, p in enumerate(all_paths)}
-        idx = [positions[p] for p in survivors]
-        assert idx == sorted(idx)  # DFS order preserved
-        assert oracles.enum_best_route(topo, s, d, 5, weights)[2] in survivors
+        shortest = min(len(edges) for _, edges in all_paths)
+        first = next(p for p in all_paths if len(p[1]) == shortest)
+        assert sum(len(p[1]) == shortest for p in all_paths) > 1  # real ties
+        assert (nh, winner) == (shortest, first)
+        assert res == np.add.reduceat(weights[list(winner[1])], [0])[0]
+        assert (res, nh, winner) == oracles.enum_best_route(topo, s, d, 5, weights)
 
     def test_enumerate_paths_limit_is_dfs_prefix(self):
         topo = build_fat_tree(4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.routing import Path, PathEngine, ResponseTimeModel
+from repro.routing.routes import _TIE_TOL
 from repro.topology import (
     BandwidthConvention,
     Link,
@@ -14,6 +15,7 @@ from repro.topology import (
     Topology,
     build_fat_tree,
     build_random_connected,
+    build_ring,
 )
 
 
@@ -168,3 +170,63 @@ class TestMatrices:
         ).resistance_matrix(topo, src, dst)
         np.testing.assert_allclose(R_e, R_d, rtol=1e-9)
         np.testing.assert_array_equal(H_e, H_d)
+
+
+class TestSummationOrder:
+    """The engines' summation orders, pinned: enumeration ``R`` is
+    ``np.add.reduceat`` over the winner's edges, which NumPy evaluates
+    as ``w0 + (w1 + ...)``; DP ``R`` is the left fold ``(w0 + w1) + ...``
+    along its walked route. They differ in the last bits on many pairs,
+    so the check between engines is the margin the enumeration prune
+    relies on, not equality."""
+
+    MAX_HOPS = 5
+
+    @staticmethod
+    def _left_fold(weights, edges):
+        total = 0.0
+        for e in edges:
+            total += float(weights[e])
+        return total
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_enum_reduceat_dp_left_fold_within_the_prune_margin(self, k, seed):
+        topo = build_fat_tree(k)
+        LinkUtilizationModel(0.1, 0.9, seed=seed).apply(topo)
+        n, H = topo.num_nodes, self.MAX_HOPS
+        sources, destinations = list(range(0, n, 3)), list(range(n))
+        enum = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=H)
+        dp = ResponseTimeModel(engine=PathEngine.DP, max_hops=H)
+        w = enum.edge_weights(topo)
+        R_e, H_e, paths_e = enum.resistance_matrix(topo, sources, destinations, True)
+        R_d, _, paths_d = dp.resistance_matrix(topo, sources, destinations, True)
+        assert np.array_equal(np.isfinite(R_e), np.isfinite(R_d))
+        differ = 0
+        for a, s in enumerate(sources):
+            for b, d in enumerate(destinations):
+                if s == d or not np.isfinite(R_e[a, b]):
+                    continue
+                edges_e = paths_e[(s, d)].edges
+                assert len(edges_e) == H_e[a, b] <= H
+                assert R_e[a, b] == np.add.reduceat(w[list(edges_e)], [0])[0]
+                assert R_e[a, b] == w[edges_e[0]] + self._left_fold(w, edges_e[1:])
+                assert R_d[a, b] == self._left_fold(w, paths_d[(s, d)].edges)
+                margin = (H + 1) * _TIE_TOL + 64 * np.finfo(float).eps * (H + 1) * R_d[a, b]
+                assert abs(R_e[a, b] - R_d[a, b]) <= margin
+                differ += R_e[a, b] != R_d[a, b]
+        assert differ > 0  # the orders really differ: equality is not the contract
+
+    def test_dp_best_route_prices_its_route_as_the_dp_does(self):
+        """A long dp route (past the Python-accumulation cutoff) is
+        priced by the same left fold as the DP's ``R``."""
+        topo = build_ring(24)
+        LinkUtilizationModel(0.1, 0.9, seed=4).apply(topo)
+        dp = ResponseTimeModel(engine=PathEngine.DP)
+        w = dp.edge_weights(topo)
+        for destination in range(9, 16):
+            choice = dp.best_route(topo, 0, destination)
+            R, _, _ = dp.resistance_matrix(topo, [0], [destination])
+            assert choice.num_hops >= 9
+            assert choice.response_time_s == R[0, 0]
+            assert R[0, 0] == self._left_fold(w, choice.path.edges)
