@@ -59,14 +59,8 @@ from repro.core.multiresource import (
     MultiResourceReport,
     solve_multiresource,
 )
-from repro.core.nms import (
-    MonitoringRequest,
-    NetworkMonitorService,
-    TriggerEvent,
-    default_catalog,
-)
 from repro.core.nmdb import NMDB, NetworkSnapshot, NodeRecord
-from repro.core.offload import ActiveOffload, OffloadLedger, OffloadPlan
+from repro.core.offload import ActiveOffload, OffloadLedger
 from repro.core.placement import (
     PlacementAssignment,
     PlacementEngine,
@@ -115,14 +109,10 @@ __all__ = [
     "ManagerHeartbeat",
     "ManagerSnapshot",
     "MessageType",
-    "MonitoringRequest",
     "MultiResourceProblem",
     "MultiResourceReport",
     "DEFAULT_RESOURCES",
     "solve_multiresource",
-    "NetworkMonitorService",
-    "TriggerEvent",
-    "default_catalog",
     "NMDB",
     "NetworkSnapshot",
     "NodeRecord",
@@ -130,7 +120,6 @@ __all__ = [
     "OffloadAck",
     "OffloadCapable",
     "OffloadLedger",
-    "OffloadPlan",
     "OffloadRequest",
     "PlacementAssignment",
     "PlacementEngine",

@@ -1,88 +1,17 @@
-"""Offload plans and the manager's active-offload ledger.
+"""The manager's active-offload ledger.
 
-A :class:`PlacementReport` (or heuristic report) describes *what should
-move*; :class:`OffloadPlan` turns it into capacity deltas under the
-paper's homogeneity assumption (one percentage point released at the
-source costs one point at the destination), and :class:`OffloadLedger`
-tracks the live state so reclaim and replica substitution operate on
-ground truth.
+:class:`OffloadLedger` tracks the live (source → destination) offloads
+so reclaim and replica substitution operate on ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.core.placement import PlacementAssignment
 from repro.errors import PlacementError
 
 _TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class OffloadPlan:
-    """A set of accepted assignments ready to apply."""
-
-    assignments: Tuple[PlacementAssignment, ...]
-
-    @property
-    def total_amount(self) -> float:
-        return float(sum(a.amount_pct for a in self.assignments))
-
-    @property
-    def sources(self) -> List[int]:
-        return sorted({a.busy for a in self.assignments})
-
-    @property
-    def destinations(self) -> List[int]:
-        return sorted({a.candidate for a in self.assignments})
-
-    def apply_to_capacities(self, capacities: Sequence[float]) -> np.ndarray:
-        """Post-offload utilized capacities: sources drop by their
-        offloaded amount, destinations rise (homogeneity assumption)."""
-        caps = np.asarray(capacities, dtype=float).copy()
-        for a in self.assignments:
-            caps[a.busy] -= a.amount_pct
-            caps[a.candidate] += a.amount_pct
-        return caps
-
-    def rollback_from_capacities(self, capacities: Sequence[float]) -> np.ndarray:
-        """Inverse of :meth:`apply_to_capacities`."""
-        caps = np.asarray(capacities, dtype=float).copy()
-        for a in self.assignments:
-            caps[a.busy] += a.amount_pct
-            caps[a.candidate] -= a.amount_pct
-        return caps
-
-    def validate_against(
-        self,
-        capacities: Sequence[float],
-        c_max: float,
-        co_max: float,
-    ) -> None:
-        """Check the plan respects the paper's constraints for the given
-        pre-offload state: no destination exceeds ``CO_max`` afterwards
-        (3a/3d) and no source offloads more than its excess (3c)."""
-        caps = np.asarray(capacities, dtype=float)
-        by_source: Dict[int, float] = {}
-        by_dest: Dict[int, float] = {}
-        for a in self.assignments:
-            by_source[a.busy] = by_source.get(a.busy, 0.0) + a.amount_pct
-            by_dest[a.candidate] = by_dest.get(a.candidate, 0.0) + a.amount_pct
-        for src, amount in by_source.items():
-            excess = caps[src] - c_max
-            if amount > excess + 1e-6:
-                raise PlacementError(
-                    f"source {src} offloads {amount:.3f} > its excess {excess:.3f}"
-                )
-        for dst, amount in by_dest.items():
-            if caps[dst] + amount > co_max + 1e-6:
-                raise PlacementError(
-                    f"destination {dst} would reach {caps[dst] + amount:.3f}% "
-                    f"> CO_max {co_max}%"
-                )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ This package replaces the Gurobi toolkit used by the paper's simulator:
 * :mod:`repro.lp.scipy_backend` — HiGHS via scipy for every other
   program: heterogeneous capacities, whole-unit (MILP) placement and
   multi-resource placement. It also returns the duals.
-* :mod:`repro.lp.verify` — an independent feasibility and
-  weak-duality check of a returned solution.
 * :mod:`repro.lp.distributed` — zone-decomposed transportation solve
   with a thin price-exchange coordinator (see
   ``docs/distributed_solve.md``).
@@ -21,12 +19,6 @@ from __future__ import annotations
 from repro.lp.model import INF, Constraint, LinearProgram, LinExpr, Variable, lp_sum
 from repro.lp.result import Solution, SolveStatus
 from repro.lp.scipy_backend import solve_scipy
-from repro.lp.verify import (
-    Verification,
-    check_feasibility,
-    duality_gap_bound,
-    verify_solution,
-)
 from repro.lp.transportation import (
     TransportationBasis,
     TransportationProblem,
@@ -62,12 +54,8 @@ __all__ = [
     "TransportationProblem",
     "TransportationResult",
     "Variable",
-    "Verification",
     "ZoneProfile",
     "ZoneWorker",
-    "check_feasibility",
-    "duality_gap_bound",
-    "verify_solution",
     "extract_zone_subproblems",
     "lp_sum",
     "run_protocol",

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from repro.routing.engine import EngineStats, TrminEngine
 from repro.routing.enumkernel import count_paths_kernel
-from repro.routing.kshortest import k_shortest_paths, path_cost
 from repro.routing.paths import (
-    count_paths,
     enumerate_paths,
     iter_simple_paths,
     iter_simple_paths_raw,
 )
-from repro.routing.reroute import MaintainedRoute, RerouteDecision, RouteMaintainer
 from repro.routing.response_time import PathEngine, ResponseTimeModel, TrminEntry
 from repro.routing.routes import Path, RouteChoice
 from repro.routing.shortest import (
@@ -23,18 +20,12 @@ from repro.routing.shortest import (
 __all__ = [
     "EngineStats",
     "HopConstrainedResult",
-    "k_shortest_paths",
-    "MaintainedRoute",
-    "RerouteDecision",
-    "RouteMaintainer",
-    "path_cost",
     "Path",
     "PathEngine",
     "ResponseTimeModel",
     "RouteChoice",
     "TrminEngine",
     "TrminEntry",
-    "count_paths",
     "count_paths_kernel",
     "enumerate_paths",
     "hop_constrained_shortest",

@@ -97,7 +97,7 @@ Three properties make that exact:
   exactly.
 
 The kernel is the only route behind ``PathEngine.ENUMERATION`` and
-:func:`repro.routing.paths.count_paths`; the pure-Python DFS
+:func:`count_paths_kernel`; the pure-Python DFS
 (:func:`repro.routing.paths.iter_simple_paths_raw`) stays as public
 enumeration API and as the oracle the test suite compares against.
 Counter totals are kept as plain local ints in the hot loop and

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingError
-from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.routes import Path
 from repro.topology.graph import Topology
 
@@ -125,18 +124,3 @@ def enumerate_paths(
         return out
     return list(iter_simple_paths(topology, source, destination, max_hops))
 
-
-def count_paths(
-    topology: Topology,
-    source: int,
-    destination: int,
-    max_hops: Optional[int] = None,
-) -> int:
-    """Number of hop-bounded simple paths (drives the complexity plots).
-
-    Counting is exhaustive by definition: the frontier-expansion kernel
-    applies only the simple-path and hop-budget constraints — never the
-    pricing bound — so the count equals the length of
-    :func:`iter_simple_paths_raw`'s stream.
-    """
-    return count_paths_kernel(topology, source, destination, max_hops)

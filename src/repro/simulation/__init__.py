@@ -27,7 +27,6 @@ from repro.simulation.profiles import (
     SpikeProfile,
 )
 from repro.simulation.random import rng_from, spawn_seeds
-from repro.simulation.traffic import GravityTrafficMatrix
 
 # The chaos and soak harnesses compose this package with repro.core,
 # whose modules import repro.simulation.engine — so their names are
@@ -82,7 +81,6 @@ __all__ = [
     "FailureInjector",
     "FaultConfig",
     "FaultyNetwork",
-    "GravityTrafficMatrix",
     "IngressGate",
     "LinkFailureEvent",
     "Message",

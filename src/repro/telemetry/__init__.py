@@ -8,8 +8,6 @@ from repro.telemetry.agents import (
     MonitorAgentSpec,
     paper_agent_specs,
 )
-from repro.telemetry.anomaly import AnomalyEvent, EwmaDetector, RateOfChangeDetector, scan_series
-from repro.telemetry.collector import FederatedPoint, TimeSeriesFederation
 from repro.telemetry.database import StateDatabase, TableStats
 from repro.telemetry.device import (
     EXPORT_BYTES_PER_UPDATE,
@@ -25,7 +23,6 @@ from repro.telemetry.device import (
 from repro.telemetry.tsdb import (
     BYTES_PER_SAMPLE,
     Series,
-    ThresholdRule,
     TimeSeriesDatabase,
     series_key,
 )
@@ -37,18 +34,13 @@ from repro.telemetry.workload import (
 )
 
 __all__ = [
-    "AnomalyEvent",
     "BYTES_PER_SAMPLE",
-    "EwmaDetector",
-    "RateOfChangeDetector",
-    "scan_series",
     "BurstModel",
     "DEFAULT_TABLE_RATES",
     "DeviceProfile",
     "DeviceWorkloadDriver",
     "EXPORT_BYTES_PER_UPDATE",
     "ExportStub",
-    "FederatedPoint",
     "IntervalSample",
     "MonitorAgent",
     "MonitorAgentSpec",
@@ -61,9 +53,7 @@ __all__ = [
     "StateDatabase",
     "TableStats",
     "TelemetryShipment",
-    "ThresholdRule",
     "TimeSeriesDatabase",
-    "TimeSeriesFederation",
     "UpdateRateProfile",
     "paper_agent_specs",
     "series_key",

@@ -33,7 +33,7 @@ class MonitorAgentSpec:
         StateDatabase tables the agent subscribes to.
     cpu_ms_per_update:
         CPU milliseconds charged per processed table update — analytics
-        work (parsing, feature extraction, anomaly scoring).
+        work (parsing, feature extraction, fault scoring).
     cpu_ms_per_interval:
         Fixed CPU milliseconds per collection interval (bookkeeping,
         rule evaluation) even with zero updates.
@@ -100,7 +100,7 @@ def paper_agent_specs() -> List[MonitorAgentSpec]:
            emits=("psu_status", "asic_drops")),
         mk("fault-finder", ("system_logs", "interface_counters", "asic_stats"),
            cpu_ms_per_update=0.28, cpu_ms_per_interval=150.0, memory_mb=158.0,
-           emits=("fault_score", "anomaly_count")),
+           emits=("fault_score", "fault_count")),
     ]
 
 

@@ -1,17 +1,15 @@
 """Time-series database with fixed-capacity ring buffers.
 
-The DUST architecture stores agent metrics and rules in a per-node
-"Time Series Database (TSDB)" and aggregates them network-wide through
-a "Time-Series Federation" component (Fig. 2). This module implements
-the per-node store: numpy ring buffers per series (bounded memory, the
-property that makes the monitoring footprint predictable — the ~1.2 GiB
-of Fig. 6), range queries, bucketed downsampling, and threshold rules.
+The DUST architecture stores agent metrics in a per-node "Time Series
+Database (TSDB)" (Fig. 2). This module implements that store: numpy
+ring buffers per series (bounded memory, the property that makes the
+monitoring footprint predictable — the ~1.2 GiB of Fig. 6), range
+queries and bucketed downsampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -103,35 +101,8 @@ _AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
 }
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """A stored rule: fire when ``aggregate(metric over window) cmp bound``.
-
-    The paper's Monitor Agents store "metrics and rules" in the TSDB;
-    rules are how a node detects e.g. its own Busy condition locally.
-    """
-
-    name: str
-    series: str
-    window_s: float
-    aggregate: str  # key into _AGGREGATORS
-    comparison: str  # ">" or "<"
-    bound: float
-
-    def __post_init__(self) -> None:
-        if self.aggregate not in _AGGREGATORS:
-            raise TelemetryError(
-                f"unknown aggregate {self.aggregate!r}; "
-                f"expected one of {sorted(_AGGREGATORS)}"
-            )
-        if self.comparison not in (">", "<"):
-            raise TelemetryError(f"comparison must be '>' or '<', got {self.comparison!r}")
-        if self.window_s <= 0:
-            raise TelemetryError(f"rule window must be positive, got {self.window_s}")
-
-
 class TimeSeriesDatabase:
-    """Per-node TSDB: named ring-buffer series plus threshold rules."""
+    """Per-node TSDB: named ring-buffer series."""
 
     def __init__(self, name: str = "tsdb", default_capacity: int = 4096) -> None:
         if default_capacity < 1:
@@ -139,7 +110,6 @@ class TimeSeriesDatabase:
         self.name = name
         self.default_capacity = default_capacity
         self._series: Dict[str, Series] = {}
-        self._rules: Dict[str, ThresholdRule] = {}
 
     # -- series management ---------------------------------------------------------
     def create_series(
@@ -244,37 +214,6 @@ class TimeSeriesDatabase:
         out_t = uniq.astype(float) * bucket_s
         out_v = np.array([fn(values[buckets == b]) for b in uniq])
         return out_t, out_v
-
-    # -- rules --------------------------------------------------------------------------
-    def add_rule(self, rule: ThresholdRule) -> None:
-        if rule.name in self._rules:
-            raise TelemetryError(f"duplicate rule {rule.name!r}")
-        self._rules[rule.name] = rule
-
-    def remove_rule(self, name: str) -> None:
-        if name not in self._rules:
-            raise TelemetryError(f"unknown rule {name!r}")
-        del self._rules[name]
-
-    @property
-    def rules(self) -> Tuple[ThresholdRule, ...]:
-        return tuple(self._rules.values())
-
-    def evaluate_rules(self, now: float) -> List[str]:
-        """Names of rules firing at time ``now`` (empty series never fires)."""
-        fired: List[str] = []
-        for rule in self._rules.values():
-            if rule.series not in self._series:
-                continue
-            times, values = self._series[rule.series].range(now - rule.window_s, now)
-            if values.size == 0:
-                continue
-            agg = _AGGREGATORS[rule.aggregate](values)
-            if (rule.comparison == ">" and agg > rule.bound) or (
-                rule.comparison == "<" and agg < rule.bound
-            ):
-                fired.append(rule.name)
-        return fired
 
     # -- accounting ------------------------------------------------------------------------
     def memory_bytes(self) -> int:

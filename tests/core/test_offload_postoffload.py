@@ -1,4 +1,4 @@
-"""Tests for offload plans/ledger and the post-offload machinery."""
+"""Tests for the offload ledger and the post-offload machinery."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.core import (
     ActiveOffload,
     KeepaliveTracker,
     OffloadLedger,
-    OffloadPlan,
-    PlacementAssignment,
     QoSClass,
     ReplicaSelector,
     StrictPriorityQueue,
@@ -17,50 +15,6 @@ from repro.core import (
 from repro.errors import PlacementError, ProtocolError
 from repro.routing import PathEngine, ResponseTimeModel
 from repro.topology import Link, LinkUtilizationModel, Topology, build_fat_tree
-
-
-def make_assignment(busy=0, candidate=1, amount=5.0):
-    return PlacementAssignment(
-        busy=busy, candidate=candidate, amount_pct=amount,
-        response_time_s=0.01, hops=1, route=None,
-    )
-
-
-class TestOffloadPlan:
-    def test_apply_moves_capacity(self):
-        plan = OffloadPlan(assignments=(make_assignment(0, 1, 5.0),))
-        caps = plan.apply_to_capacities([90.0, 30.0])
-        np.testing.assert_allclose(caps, [85.0, 35.0])
-
-    def test_rollback_inverts(self):
-        plan = OffloadPlan(assignments=(make_assignment(0, 1, 5.0),))
-        caps = [90.0, 30.0]
-        after = plan.apply_to_capacities(caps)
-        back = plan.rollback_from_capacities(after)
-        np.testing.assert_allclose(back, caps)
-
-    def test_sources_destinations_totals(self):
-        plan = OffloadPlan(assignments=(
-            make_assignment(0, 1, 5.0), make_assignment(0, 2, 3.0),
-            make_assignment(4, 2, 1.0),
-        ))
-        assert plan.sources == [0, 4]
-        assert plan.destinations == [1, 2]
-        assert plan.total_amount == pytest.approx(9.0)
-
-    def test_validate_against_catches_overload(self):
-        plan = OffloadPlan(assignments=(make_assignment(0, 1, 25.0),))
-        with pytest.raises(PlacementError, match="CO_max"):
-            plan.validate_against([95.0, 40.0], c_max=70.0, co_max=50.0)
-
-    def test_validate_against_catches_excess_overdraw(self):
-        plan = OffloadPlan(assignments=(make_assignment(0, 1, 25.0),))
-        with pytest.raises(PlacementError, match="excess"):
-            plan.validate_against([90.0, 10.0], c_max=80.0, co_max=50.0)
-
-    def test_valid_plan_passes(self):
-        plan = OffloadPlan(assignments=(make_assignment(0, 1, 10.0),))
-        plan.validate_against([90.0, 30.0], c_max=80.0, co_max=50.0)
 
 
 class TestLedger:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp import LinearProgram, Solution, SolveStatus, lp_sum, solve_scipy
-from repro.lp.verify import (
+from tests.oracles.lp_verify import (
     check_feasibility,
     dual_objective,
     duality_gap_bound,

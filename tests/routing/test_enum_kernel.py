@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.obs import get_registry
-from repro.routing import count_paths, enumerate_paths, enumkernel, iter_simple_paths_raw
+from repro.routing import enumerate_paths, enumkernel, iter_simple_paths_raw
 from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.response_time import PathEngine, ResponseTimeModel, _best_enum_route
 from repro.topology import (
@@ -87,7 +87,7 @@ class TestCountIdentity:
         topo = build_fat_tree(4)
         reg = get_registry()
         before = reg.counter("routing.enum_kernel_calls").value
-        count = count_paths(topo, 0, topo.num_nodes - 1, 4)
+        count = count_paths_kernel(topo, 0, topo.num_nodes - 1, 4)
         assert reg.counter("routing.enum_kernel_calls").value == before + 1
         assert count == _ref_count(topo, 0, topo.num_nodes - 1, 4)
 

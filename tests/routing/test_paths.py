@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
-from repro.routing import Path, count_paths, enumerate_paths, iter_simple_paths
+from repro.routing import Path, count_paths_kernel, enumerate_paths, iter_simple_paths
 from repro.topology import Topology, build_fat_tree, build_random_connected, build_ring
 
 
@@ -45,9 +45,9 @@ class TestEnumeration:
 
     def test_hop_bound_prunes(self):
         topo = build_ring(6)
-        assert count_paths(topo, 0, 3, max_hops=2) == 0
-        assert count_paths(topo, 0, 3, max_hops=3) == 2
-        assert count_paths(topo, 0, 1, max_hops=1) == 1
+        assert count_paths_kernel(topo, 0, 3, max_hops=2) == 0
+        assert count_paths_kernel(topo, 0, 3, max_hops=3) == 2
+        assert count_paths_kernel(topo, 0, 1, max_hops=1) == 1
 
     def test_source_equals_destination(self):
         topo = build_ring(4)
@@ -57,14 +57,14 @@ class TestEnumeration:
 
     def test_max_hops_zero(self):
         topo = build_ring(4)
-        assert count_paths(topo, 0, 1, max_hops=0) == 0
-        assert count_paths(topo, 0, 0, max_hops=0) == 1
+        assert count_paths_kernel(topo, 0, 1, max_hops=0) == 0
+        assert count_paths_kernel(topo, 0, 0, max_hops=0) == 1
 
     def test_disconnected_pair_yields_nothing(self):
         topo = Topology()
         a = topo.add_node()
         b = topo.add_node()
-        assert count_paths(topo, a, b) == 0
+        assert count_paths_kernel(topo, a, b) == 0
 
     def test_limit_caps_enumeration(self):
         topo = build_fat_tree(4)
@@ -92,7 +92,7 @@ class TestEnumeration:
     def test_fat_tree_path_growth(self):
         """The exponential growth driving Figs. 8/10."""
         topo = build_fat_tree(4)
-        counts = [count_paths(topo, 8, 19, max_hops=h) for h in (4, 6, 8)]
+        counts = [count_paths_kernel(topo, 8, 19, max_hops=h) for h in (4, 6, 8)]
         assert counts[0] < counts[1] < counts[2]
 
 

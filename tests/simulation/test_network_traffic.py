@@ -1,17 +1,16 @@
-"""Tests for the message network, traffic matrix and RNG helpers."""
+"""Tests for the message network and RNG helpers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import (
-    GravityTrafficMatrix,
     MessageNetwork,
     SimulationEngine,
     rng_from,
     spawn_seeds,
 )
-from repro.topology import Link, Topology, build_fat_tree, build_line
+from repro.topology import Link, Topology
 
 
 def line_network(n=3, latency_ms=1.0):
@@ -93,42 +92,6 @@ class TestMessageNetwork:
         engine.run()
         assert count == 2
         assert sorted(hits) == [0, 2]
-
-
-class TestGravityTraffic:
-    def test_apply_sets_utilizations(self):
-        topo = build_fat_tree(4)
-        traffic = GravityTrafficMatrix(total_demand_mbps=200_000.0, seed=0)
-        carried = traffic.apply(topo)
-        assert carried.shape == (topo.num_edges,)
-        utils = np.array([l.utilization for l in topo.links])
-        assert (utils >= 0).all() and (utils <= 0.95).all()
-        assert utils.max() > 0  # something was routed
-
-    def test_demands_exclude_self_pairs(self):
-        traffic = GravityTrafficMatrix(total_demand_mbps=100.0, seed=1)
-        demands = traffic.sample_demands(5, 200)
-        assert all(s != d for s, d, _ in demands)
-
-    def test_total_demand_preserved(self):
-        traffic = GravityTrafficMatrix(total_demand_mbps=1000.0, seed=2)
-        demands = traffic.sample_demands(10, 50)
-        assert sum(v for _, _, v in demands) == pytest.approx(1000.0)
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            GravityTrafficMatrix(total_demand_mbps=-1.0)
-        with pytest.raises(SimulationError):
-            GravityTrafficMatrix(total_demand_mbps=1.0, max_util=0.0)
-        with pytest.raises(SimulationError):
-            GravityTrafficMatrix(total_demand_mbps=1.0).sample_demands(1, 10)
-
-    def test_line_topology_middle_edge_busiest(self):
-        topo = build_line(5)
-        traffic = GravityTrafficMatrix(total_demand_mbps=10_000.0, seed=3)
-        carried = traffic.apply(topo, num_pairs=200)
-        # Middle edges carry strictly more than the average end edge.
-        assert carried[1:3].mean() >= carried[[0, 3]].mean()
 
 
 class TestSeedHelpers:

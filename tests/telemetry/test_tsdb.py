@@ -9,7 +9,6 @@ from repro.errors import TelemetryError
 from repro.telemetry import (
     BYTES_PER_SAMPLE,
     Series,
-    ThresholdRule,
     TimeSeriesDatabase,
     series_key,
 )
@@ -171,63 +170,3 @@ class TestTimeSeriesDatabase:
         for t in range(7):
             tsdb.append("cpu", float(t), 1.0)
         assert tsdb.total_samples() == 7
-
-
-class TestRules:
-    def make_tsdb(self):
-        tsdb = TimeSeriesDatabase()
-        for t in range(10):
-            tsdb.append("cpu_pct", float(t), 50.0 + t * 5)  # 50..95
-        return tsdb
-
-    def test_rule_fires_above_bound(self):
-        tsdb = self.make_tsdb()
-        tsdb.add_rule(ThresholdRule("busy", "cpu_pct", window_s=3.0, aggregate="mean",
-                                    comparison=">", bound=80.0))
-        assert tsdb.evaluate_rules(now=9.0) == ["busy"]
-
-    def test_rule_quiet_below_bound(self):
-        tsdb = self.make_tsdb()
-        tsdb.add_rule(ThresholdRule("busy", "cpu_pct", window_s=3.0, aggregate="mean",
-                                    comparison=">", bound=99.0))
-        assert tsdb.evaluate_rules(now=9.0) == []
-
-    def test_less_than_rule(self):
-        tsdb = self.make_tsdb()
-        tsdb.add_rule(ThresholdRule("idle", "cpu_pct", window_s=2.0, aggregate="min",
-                                    comparison="<", bound=60.0))
-        assert tsdb.evaluate_rules(now=1.0) == ["idle"]
-
-    def test_rule_on_missing_series_is_silent(self):
-        tsdb = TimeSeriesDatabase()
-        tsdb.add_rule(ThresholdRule("r", "nope", window_s=1.0, aggregate="mean",
-                                    comparison=">", bound=0.0))
-        assert tsdb.evaluate_rules(now=0.0) == []
-
-    def test_duplicate_rule_rejected(self):
-        tsdb = TimeSeriesDatabase()
-        rule = ThresholdRule("r", "cpu", window_s=1.0, aggregate="mean",
-                             comparison=">", bound=0.0)
-        tsdb.add_rule(rule)
-        with pytest.raises(TelemetryError, match="duplicate"):
-            tsdb.add_rule(rule)
-
-    def test_remove_rule(self):
-        tsdb = TimeSeriesDatabase()
-        tsdb.add_rule(ThresholdRule("r", "cpu", window_s=1.0, aggregate="mean",
-                                    comparison=">", bound=0.0))
-        tsdb.remove_rule("r")
-        assert tsdb.rules == ()
-        with pytest.raises(TelemetryError):
-            tsdb.remove_rule("r")
-
-    def test_rule_validation(self):
-        with pytest.raises(TelemetryError):
-            ThresholdRule("r", "cpu", window_s=0.0, aggregate="mean",
-                          comparison=">", bound=0.0)
-        with pytest.raises(TelemetryError):
-            ThresholdRule("r", "cpu", window_s=1.0, aggregate="nope",
-                          comparison=">", bound=0.0)
-        with pytest.raises(TelemetryError):
-            ThresholdRule("r", "cpu", window_s=1.0, aggregate="mean",
-                          comparison=">=", bound=0.0)

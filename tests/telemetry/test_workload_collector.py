@@ -1,4 +1,4 @@
-"""Tests for the workload driver and the TSDB federation."""
+"""Tests for the device workload driver."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.telemetry import (
     DeviceProfile,
     DeviceWorkloadDriver,
     NetworkDevice,
-    TimeSeriesDatabase,
-    TimeSeriesFederation,
     UpdateRateProfile,
 )
 
@@ -108,71 +106,3 @@ class TestDeviceWorkloadDriver:
     def test_invalid_intensity(self):
         with pytest.raises(TelemetryError):
             DeviceWorkloadDriver(device(), intensity=-1.0)
-
-
-class TestFederation:
-    def build(self):
-        fed = TimeSeriesFederation()
-        a, b = TimeSeriesDatabase("a"), TimeSeriesDatabase("b")
-        for t in range(3):
-            a.append("cpu", float(t), 10.0 + t)
-            b.append("cpu", float(t) + 0.5, 20.0 + t)
-        fed.register("node-a", a)
-        fed.register("node-b", b)
-        return fed
-
-    def test_query_merges_time_ordered(self):
-        fed = self.build()
-        points = fed.query("cpu")
-        assert len(points) == 6
-        times = [p.timestamp for p in points]
-        assert times == sorted(times)
-
-    def test_latest_by_member(self):
-        fed = self.build()
-        latest = fed.latest_by_member("cpu")
-        assert latest == {"node-a": 12.0, "node-b": 22.0}
-
-    def test_aggregate_across(self):
-        fed = self.build()
-        assert fed.aggregate_across("cpu", "max") == 22.0
-        assert fed.aggregate_across("cpu", "count") == 6.0
-        assert np.isnan(fed.aggregate_across("missing"))
-
-    def test_federated_downsample_mean(self):
-        fed = self.build()
-        times, values = fed.federated_downsample("cpu", bucket_s=1.0)
-        assert times.size == 3
-        # Bucket 0 holds a@0 (10) and b@0.5 (20).
-        assert values[0] == pytest.approx(15.0)
-
-    def test_duplicate_member_rejected(self):
-        fed = TimeSeriesFederation()
-        fed.register("x", TimeSeriesDatabase())
-        with pytest.raises(TelemetryError, match="already registered"):
-            fed.register("x", TimeSeriesDatabase())
-
-    def test_unregister(self):
-        fed = TimeSeriesFederation()
-        fed.register("x", TimeSeriesDatabase())
-        fed.unregister("x")
-        assert fed.members == ()
-        with pytest.raises(TelemetryError):
-            fed.unregister("x")
-
-    def test_member_lookup(self):
-        fed = TimeSeriesFederation()
-        tsdb = TimeSeriesDatabase()
-        fed.register("x", tsdb)
-        assert fed.member("x") is tsdb
-        with pytest.raises(TelemetryError):
-            fed.member("y")
-
-    def test_tagged_queries_respect_tags(self):
-        fed = TimeSeriesFederation()
-        tsdb = TimeSeriesDatabase()
-        tsdb.append("cpu", 0.0, 1.0, tags={"src": "a"})
-        tsdb.append("cpu", 0.0, 2.0, tags={"src": "b"})
-        fed.register("n", tsdb)
-        points = fed.query("cpu", tags={"src": "a"})
-        assert [p.value for p in points] == [1.0]

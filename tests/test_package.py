@@ -10,6 +10,7 @@ SUBPACKAGES = (
     "repro.core",
     "repro.experiments",
     "repro.lp",
+    "repro.obs",
     "repro.routing",
     "repro.simulation",
     "repro.telemetry",
