@@ -57,16 +57,6 @@ class NetworkSnapshot:
     def candidates(self) -> List[int]:
         return self.roles.candidates
 
-    def excess_loads(self) -> np.ndarray:
-        """``Cs_i`` for each busy node, ordered like :attr:`busy`."""
-        return np.array([self.policy.excess_load(self.capacities[i]) for i in self.busy])
-
-    def spare_capacities(self) -> np.ndarray:
-        """``Cd_j`` for each candidate, ordered like :attr:`candidates`."""
-        return np.array(
-            [self.policy.spare_capacity(self.capacities[j]) for j in self.candidates]
-        )
-
 
 class NMDB:
     """Mutable manager-side store fed by Offload-capable and STAT
@@ -181,13 +171,10 @@ class NMDB:
     def num_nodes(self) -> int:
         return self.topology.num_nodes
 
-    def stale_nodes(self, now: float, max_age_s: float) -> List[int]:
-        """Nodes whose last STAT is older than ``max_age_s``."""
-        return [
-            nid
-            for nid, rec in self._records.items()
-            if now - rec.last_stat_time > max_age_s
-        ]
+    def last_stat_times(self) -> np.ndarray:
+        """Time of each node's newest STAT, by node id (``-inf`` for a
+        node that never reported)."""
+        return np.array([self._records[n].last_stat_time for n in range(self.num_nodes)])
 
     def export_records(self) -> Dict[int, NodeRecord]:
         """Copy of the record table (records are frozen, safe to share)

@@ -28,10 +28,12 @@ than drop, which drives the ladder to FREEZE).
 Re-placement itself stays **incremental**: each round places only the
 excess that is busy *now*, on top of the offloads already in the
 ledger; it never re-places from scratch. A periodic **drift watchdog**
-keeps that honest: it solves a from-scratch oracle placement from
-client ground truth (the ledger undone; the same stateless
-:meth:`~repro.core.placement.PlacementEngine.solve` the manager
-calls), compares per-source relief
+keeps that honest: it plans a from-scratch round from the active
+manager's view with the ledger undone
+(:func:`~repro.core.placement.plan_round`, ``"from-scratch"`` mode),
+solves it on the manager's own stateless
+:meth:`~repro.core.placement.PlacementEngine.solve`, compares
+per-source relief
 (:func:`~repro.core.metrics.relief_divergence`), and past
 ``drift_bound`` forces reconvergence via
 :meth:`~repro.core.manager.DUSTManager.reset_placement`.
@@ -58,11 +60,10 @@ from repro.core.heuristic import solve_heuristic
 from repro.core.manager import DUSTManager, ManagerCounters
 from repro.core.messages import RetryPolicy
 from repro.core.metrics import relief_by_source, relief_divergence
-from repro.core.placement import PlacementEngine, PlacementProblem
+from repro.core.placement import plan_round
 from repro.core.thresholds import ThresholdPolicy
 from repro.errors import SimulationError
 from repro.obs import CLIENT_MIRROR, get_registry, mirror_counters, trace_span
-from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.simulation.chaos import QoSAuditResult, production_loss_audit
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import FaultConfig, FaultyNetwork
@@ -75,8 +76,6 @@ from repro.simulation.profiles import (
 )
 from repro.topology.fattree import build_fat_tree
 from repro.topology.links import LinkUtilizationModel
-
-_TOL = 1e-9
 
 
 class QoSTier(enum.IntEnum):
@@ -373,11 +372,6 @@ class _SoakDriver:
         self.admissions = 0
         self.evictions = 0
         self._rng = np.random.default_rng(config.seed)
-        # From-scratch oracle: the manager's solve on the ledger-undone
-        # instance.
-        self._oracle_engine = PlacementEngine(
-            response_model=ResponseTimeModel(engine=PathEngine.DP)
-        )
 
         store = SnapshotStore()
         self.manager = DUSTManager(
@@ -581,57 +575,17 @@ class _SoakDriver:
 
     # -- drift watchdog --------------------------------------------------------
     def _oracle_relief(self) -> Dict[int, float]:
-        """From-scratch oracle: what relief each source *should* get.
-
-        Solves a fresh placement from the manager's own view — NMDB
-        capacities with the ledger's offloads mentally torn down
-        (``base = reported − offloaded + hosted`` inverted) — so the
-        comparison isolates drift of the *incrementally maintained*
-        placement from monitoring staleness, which hits oracle and
-        incumbent alike.
-        """
+        """From-scratch oracle: the relief each source *should* get, solved
+        from the active manager's own view with its ledger torn down, so
+        drift of the incrementally kept placement is measured apart from
+        monitoring staleness, which hits oracle and incumbent alike."""
         mgr = self.active()
-        now = self.engine.now
-        policy = self.config.policy
-        snapshot = mgr.nmdb.snapshot(now)
-        stale = set(mgr.nmdb.stale_nodes(now, mgr.stale_after_s))
-        offloaded: Dict[int, float] = {}
-        hosted: Dict[int, float] = {}
-        for row in mgr.ledger.active:
-            offloaded[row.source] = offloaded.get(row.source, 0.0) + row.amount_pct
-            hosted[row.destination] = hosted.get(row.destination, 0.0) + row.amount_pct
-        reserved = {self.config.manager_node, self.config.standby_node}
-        busy: List[int] = []
-        candidates: List[int] = []
-        base = np.zeros(self.topology.num_nodes)
-        for node in range(self.topology.num_nodes):
-            if node in reserved or node in stale or not snapshot.participating[node]:
-                continue
-            base[node] = (
-                snapshot.capacities[node]
-                + offloaded.get(node, 0.0)
-                - hosted.get(node, 0.0)
-            )
-            if policy.excess_load(base[node]) > _TOL:
-                busy.append(node)
-            elif policy.spare_capacity(base[node]) > _TOL:
-                candidates.append(node)
-        if not busy:
+        problem = plan_round(mgr.round_view(), self.config.policy, "from-scratch").problem
+        if problem is None:
             return {}
-        problem = PlacementProblem(
-            topology=self.topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(base[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(base[c]) for c in candidates]),
-            data_mb=snapshot.data_mb[busy],
-        )
-        report = self._oracle_engine.solve(problem)
-        assignments = report.assignments
-        if not report.feasible:
-            assignments = solve_heuristic(problem).assignments
+        report = mgr.placement_engine.solve(problem)
         relief: Dict[int, float] = {}
-        for a in assignments:
+        for a in report.assignments if report.feasible else solve_heuristic(problem).assignments:
             relief[a.busy] = relief.get(a.busy, 0.0) + a.amount_pct
         return relief
 

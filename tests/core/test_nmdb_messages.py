@@ -96,13 +96,6 @@ class TestNMDBIngestion:
         with pytest.raises(ProtocolError):
             nmdb.bulk_set_capacities(np.array([1.0]))
 
-    def test_stale_nodes(self, nmdb):
-        nmdb.apply_stat(Stat(node_id=0, capacity_pct=1.0, data_mb=1.0,
-                             num_agents=1, timestamp=180.0))
-        stale = nmdb.stale_nodes(now=200.0, max_age_s=50.0)
-        assert 0 not in stale  # reported 20s ago, within the 50s window
-        assert set(stale) == {1, 2, 3}  # never reported
-
 
 class TestSnapshot:
     def test_snapshot_roles_and_arrays(self, nmdb):
@@ -112,8 +105,6 @@ class TestSnapshot:
         assert snapshot.busy == [0, 3]
         assert snapshot.candidates == [1]
         assert snapshot.timestamp == 7.0
-        np.testing.assert_allclose(snapshot.excess_loads(), [10.0, 15.0])
-        np.testing.assert_allclose(snapshot.spare_capacities(), [20.0])
 
     def test_snapshot_respects_participation(self, nmdb):
         nmdb.register_capability(

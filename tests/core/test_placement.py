@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PlacementEngine, PlacementProblem, ThresholdPolicy, classify_network
-from repro.core.nmdb import NMDB
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
@@ -199,19 +198,6 @@ class TestSolve:
         assert report.total_seconds > 0
         assert report.trmin_seconds >= 0
         assert report.lp_seconds >= 0
-
-    def test_from_snapshot(self):
-        topo = build_fat_tree(4)
-        LinkUtilizationModel(0.2, 0.8, seed=0).apply(topo)
-        policy = ThresholdPolicy()
-        nmdb = NMDB(topo, policy)
-        caps = CapacityModel(x_min=10.0, seed=1).sample(topo.num_nodes)
-        nmdb.bulk_set_capacities(caps, np.full(topo.num_nodes, 10.0))
-        snapshot = nmdb.snapshot()
-        problem = PlacementProblem.from_snapshot(topo, snapshot, max_hops=6)
-        assert list(problem.busy) == snapshot.busy
-        report = PlacementEngine().solve(problem)
-        assert report.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
 
 
 class TestBackendEquivalence:
