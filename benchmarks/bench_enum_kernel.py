@@ -9,8 +9,9 @@ pair sample at hop budgets 4 and 5 (3 and 4 with ``--smoke``):
   all pairs of the call) + admissible lower-bound pruning, picking each
   pair's winner by the judge's fold rule (the one enumeration pricing
   route in ``src/``);
-* reference — the pure-Python ``iter_simple_paths_raw`` DFS stream of
-  every pair through the judge's fold (``tests.oracles._fold_raw_paths``).
+* reference — the pure-Python ``tests.oracles.iter_simple_paths_raw``
+  DFS stream of every pair through the judge's fold
+  (``tests.oracles._fold_raw_paths``).
 
 A second point has the shape ``benchmarks/e2e``'s ``fig11_sweep_k8``
 actually prices: fat-tree(8), 18 x 22 pairs, hop 5,
@@ -49,13 +50,13 @@ from typing import List
 
 import numpy as np
 
-from repro.routing import Path, count_paths_kernel, iter_simple_paths_raw
+from repro.routing import Path, count_paths_kernel
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import LinkUtilizationModel
 from repro.topology.fattree import build_fat_tree
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-from tests.oracles import _fold_raw_paths  # noqa: E402
+from tests.oracles import _fold_raw_paths, iter_simple_paths_raw  # noqa: E402
 
 
 def build_fixture(smoke: bool, seed: int):

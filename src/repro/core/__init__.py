@@ -44,8 +44,6 @@ from repro.core.metrics import (
     hfr_pct,
     infeasible_rate_pct,
     mean_hops,
-    merge_partial_relief,
-    merge_signatures,
     message_overhead_pct,
     placement_divergence,
     recovery_time_s,
@@ -80,11 +78,9 @@ from repro.core.zoning import (
     Zone,
     ZonedPlacementEngine,
     ZonedPlacementReport,
-    partition_bfs,
     partition_by_pod,
     validate_partition,
     zone_boundaries,
-    zone_relief_views,
 )
 from repro.core.roles import NodeRole, RoleAssignment, classify_network, classify_node
 from repro.core.thresholds import RECOMMENDED_K_IO, ThresholdPolicy
@@ -145,8 +141,6 @@ __all__ = [
     "ZonedPlacementEngine",
     "ZonedPlacementReport",
     "zone_boundaries",
-    "zone_relief_views",
-    "partition_bfs",
     "partition_by_pod",
     "validate_partition",
     "StrictPriorityQueue",
@@ -162,8 +156,6 @@ __all__ = [
     "hfr_pct",
     "infeasible_rate_pct",
     "mean_hops",
-    "merge_partial_relief",
-    "merge_signatures",
     "message_overhead_pct",
     "placement_divergence",
     "recovery_time_s",

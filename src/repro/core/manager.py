@@ -200,18 +200,17 @@ class DUSTManager:
         self.solve_mode = solve_mode
         self.distributed_engine = None
         if solve_mode == "distributed":
-            from repro.core.zoning import (
-                DistributedPlacementEngine,
-                partition_bfs,
-                partition_by_pod,
-            )
+            from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
             from repro.errors import TopologyError
 
             if zones is None:
                 try:
                     zones = partition_by_pod(topology)
-                except TopologyError:
-                    zones = partition_bfs(topology)
+                except TopologyError as exc:
+                    raise TopologyError(
+                        f"{exc}; pass zones= to run solve_mode='distributed' "
+                        "on a fabric without pods"
+                    ) from None
             self.distributed_engine = DistributedPlacementEngine(
                 zones=zones, engine=self.placement_engine
             )

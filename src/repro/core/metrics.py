@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -145,37 +145,6 @@ def assignment_signature(
     )
 
 
-def merge_signatures(
-    signatures: Iterable[AssignmentSignature], *, amount_decimals: int = 6
-) -> AssignmentSignature:
-    """Merge per-zone partial assignment signatures into a global one.
-
-    Amounts for the same (source, destination) pair are summed across
-    the partial views, so zone managers that each report only their own
-    rows compose into exactly the signature a single manager holding
-    the whole ledger would produce.
-    """
-    totals: Dict[tuple, float] = {}
-    for signature in signatures:
-        for src, dst, amount in signature:
-            key = (int(src), int(dst))
-            totals[key] = totals.get(key, 0.0) + float(amount)
-    return tuple(
-        (src, dst, round(amount, amount_decimals))
-        for (src, dst), amount in sorted(totals.items())
-    )
-
-
-def _as_signature(view) -> AssignmentSignature:
-    view = tuple(view)
-    if not view:
-        return ()
-    first = view[0]
-    if len(first) == 3 and not isinstance(first[0], (tuple, list)):
-        return view  # already a single (source, dest, amount) signature
-    return merge_signatures(view)
-
-
 def placement_divergence(
     reference: AssignmentSignature, observed: AssignmentSignature
 ) -> float:
@@ -187,13 +156,9 @@ def placement_divergence(
     reference load sits where the reference put it (extra, misplaced
     load can push the value above 1). With an empty reference, any
     observed load counts as full divergence.
-
-    Either side may be one signature or an iterable of per-zone partial
-    signatures (merged with :func:`merge_signatures` first), so
-    distributed and single-manager runs score identically.
     """
-    ref = {(s, d): a for s, d, a in _as_signature(reference)}
-    obs = {(s, d): a for s, d, a in _as_signature(observed)}
+    ref = {(s, d): a for s, d, a in reference}
+    obs = {(s, d): a for s, d, a in observed}
     total_ref = sum(ref.values())
     mismatch = sum(
         abs(ref.get(key, 0.0) - obs.get(key, 0.0)) for key in set(ref) | set(obs)
@@ -245,34 +210,9 @@ def relief_by_source(offloads: Iterable) -> Dict[int, float]:
     return totals
 
 
-ReliefView = Union[Mapping[int, float], Iterable[Mapping[int, float]]]
-
-
-def merge_partial_relief(views: Iterable[Mapping[int, float]]) -> Dict[int, float]:
-    """Combine per-zone partial relief views into one global view.
-
-    A distributed solve reports relief zone by zone; a source whose
-    offloads land in several zones (or whose zone re-splits mid-run)
-    appears in more than one partial view. Amounts for the same source
-    are therefore *summed*, never overwritten — merging the per-zone
-    views of one placement always reproduces the single-manager view
-    of the same placement.
-    """
-    totals: Dict[int, float] = {}
-    for view in views:
-        for src, amount in view.items():
-            key = int(src)
-            totals[key] = totals.get(key, 0.0) + float(amount)
-    return totals
-
-
-def _as_relief_view(view: ReliefView) -> Mapping[int, float]:
-    if isinstance(view, Mapping):
-        return view
-    return merge_partial_relief(view)
-
-
-def relief_divergence(reference: ReliefView, observed: ReliefView) -> float:
+def relief_divergence(
+    reference: Mapping[int, float], observed: Mapping[int, float]
+) -> float:
     """Fraction of reference relief mis-delivered, per source.
 
     Symmetric difference of per-source relief amounts normalised by the
@@ -280,19 +220,11 @@ def relief_divergence(reference: ReliefView, observed: ReliefView) -> float:
     relief the oracle would grant it, 1.0 when none does. An empty
     reference (oracle sees no overload) scores 0 only if the observed
     placement is also empty.
-
-    Either side may be a single ``{source: amount}`` mapping (one
-    manager's view) **or** an iterable of per-zone partial mappings —
-    partial views are merged with :func:`merge_partial_relief` first,
-    so the drift watchdog and a distributed solve score identically
-    regardless of how the view was sliced.
     """
-    ref = _as_relief_view(reference)
-    obs = _as_relief_view(observed)
-    total_ref = sum(ref.values())
+    total_ref = sum(reference.values())
     mismatch = sum(
-        abs(ref.get(k, 0.0) - obs.get(k, 0.0))
-        for k in set(ref) | set(obs)
+        abs(reference.get(k, 0.0) - observed.get(k, 0.0))
+        for k in set(reference) | set(observed)
     )
     if total_ref <= _TOL:
         return 0.0 if mismatch <= _TOL else 1.0

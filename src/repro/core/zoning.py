@@ -6,9 +6,7 @@ approach has an acceptable optimization cost of 0.8 seconds for a
 max-hop value of 7"*. This module implements that zoned deployment:
 
 * :func:`partition_by_pod` — natural fat-tree zoning (a pod plus a
-  share of the core layer);
-* :func:`partition_bfs` — topology-agnostic balanced BFS zoning with a
-  node budget, for fabrics without pod structure;
+  share of the core layer); other fabrics pass their own zones;
 * :class:`ZonedPlacementEngine` — runs an independent Eq. 3 placement
   *inside each zone* and reports the per-zone and aggregate outcome,
   including the load that could not be placed inside its own zone
@@ -74,7 +72,7 @@ def partition_by_pod(topology: Topology) -> List[Zone]:
         else:
             raise TopologyError(
                 f"node {node.node_id} has no pod annotation and is not a core "
-                "switch; use partition_bfs for unstructured topologies"
+                "switch; pod zoning needs a fat-tree"
             )
     if not pods:
         raise TopologyError("topology has no pod annotations")
@@ -84,40 +82,6 @@ def partition_by_pod(topology: Topology) -> List[Zone]:
         members = sorted(pods[pod])
         members += [c for j, c in enumerate(core) if j % len(pod_ids) == idx]
         zones.append(Zone(zone_id=idx, nodes=tuple(sorted(members))))
-    return zones
-
-
-def partition_bfs(topology: Topology, max_zone_nodes: int = 80) -> List[Zone]:
-    """Balanced BFS zoning: grow zones from unvisited seeds until each
-    holds at most ``max_zone_nodes`` nodes.
-
-    Deterministic (seeds are lowest unvisited node ids) and total —
-    every node lands in exactly one zone.
-    """
-    if max_zone_nodes < 1:
-        raise PlacementError(f"max_zone_nodes must be >= 1, got {max_zone_nodes}")
-    n = topology.num_nodes
-    assigned = np.full(n, -1, dtype=int)
-    zones: List[Zone] = []
-    for seed in range(n):
-        if assigned[seed] != -1:
-            continue
-        zone_id = len(zones)
-        members: List[int] = []
-        queue = [seed]
-        assigned[seed] = zone_id
-        while queue and len(members) < max_zone_nodes:
-            node = queue.pop(0)
-            members.append(node)
-            for nbr in topology.neighbors(node):
-                if assigned[nbr] == -1 and len(members) + len(queue) < max_zone_nodes:
-                    assigned[nbr] = zone_id
-                    queue.append(nbr)
-        # Anything still queued beyond the budget returns to the pool.
-        for node in queue:
-            if node not in members:
-                assigned[node] = -1
-        zones.append(Zone(zone_id=zone_id, nodes=tuple(sorted(members))))
     return zones
 
 
@@ -157,47 +121,6 @@ def zone_boundaries(
         ]
         boundaries[zone.zone_id] = tuple(sorted(edge_nodes))
     return boundaries
-
-
-def zone_relief_views(
-    zones: Sequence[Zone], assignments: Sequence["PlacementAssignment"]
-) -> List[Dict[int, float]]:
-    """Split one placement's relief into per-zone partial views.
-
-    Each view maps ``busy source -> relieved amount_pct`` for the
-    sources owned by that zone. Merging the views with
-    :func:`~repro.core.metrics.merge_partial_relief` reproduces the
-    single-manager ``relief_by_source`` reading exactly, which is what
-    lets the soak drift watchdog score a distributed placement with the
-    same :func:`~repro.core.metrics.relief_divergence` it uses for a
-    centralized one.
-
-    Parameters
-    ----------
-    zones : sequence of Zone
-        The zone partition the solve ran under.
-    assignments : sequence of PlacementAssignment
-        The placement's flows (e.g. ``report.assignments``).
-
-    Returns
-    -------
-    list of dict of int to float
-        One ``{source: amount}`` view per zone, in ``zones`` order.
-        Sources outside every zone raise
-        :class:`~repro.errors.PlacementError`.
-    """
-    owner: Dict[int, int] = {}
-    for index, zone in enumerate(zones):
-        for node in zone.nodes:
-            owner[node] = index
-    views: List[Dict[int, float]] = [{} for _ in zones]
-    for assignment in assignments:
-        source = int(assignment.busy)
-        if source not in owner:
-            raise PlacementError(f"assignment source {source} belongs to no zone")
-        view = views[owner[source]]
-        view[source] = view.get(source, 0.0) + float(assignment.amount_pct)
-    return views
 
 
 def validate_partition(topology: Topology, zones: Sequence[Zone]) -> None:

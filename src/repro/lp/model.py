@@ -11,18 +11,18 @@ Example
 >>> lp = LinearProgram("demo")
 >>> x = lp.add_variable("x", lower=0.0)
 >>> y = lp.add_variable("y", lower=0.0)
->>> lp.add_constraint(x + 2 * y <= 14, name="cap")
->>> lp.add_constraint(3 * x - y >= 0)
->>> lp.set_objective(-x - y)  # maximize x + y
->>> lp.num_variables, lp.num_constraints
-(2, 2)
+>>> _ = lp.add_constraint(x + 2 * y <= 14, name="cap")
+>>> _ = lp.add_constraint(3 * x >= y)
+>>> lp.set_objective(-x + -1 * y)  # maximize x + y
+>>> lp.num_variables
+2
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,15 +77,6 @@ class LinExpr:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union["LinExpr", "Variable", Number]) -> "LinExpr":
-        return self.copy()._add_inplace(other, -1.0)
-
-    def __rsub__(self, other: Union["LinExpr", "Variable", Number]) -> "LinExpr":
-        return (-self).__add__(other)
-
-    def __neg__(self) -> "LinExpr":
-        return self * -1.0
-
     def __mul__(self, factor: Number) -> "LinExpr":
         if not isinstance(factor, (int, float)):
             return NotImplemented
@@ -95,9 +86,6 @@ class LinExpr:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, factor: Number) -> "LinExpr":
-        return self * (1.0 / factor)
 
     # -- comparisons build constraints ------------------------------------------
     def __le__(self, rhs: Union["LinExpr", "Variable", Number]) -> "Constraint":
@@ -112,20 +100,6 @@ class LinExpr:
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
-
-    # -- evaluation --------------------------------------------------------------
-    def evaluate(self, assignment: Mapping[str, float]) -> float:
-        """Value of the expression under ``{variable name: value}``."""
-        total = self.constant
-        for var, coef in self.terms.items():
-            total += coef * assignment.get(var.name, 0.0)
-        return total
-
-    def __repr__(self) -> str:
-        parts = [f"{coef:+g}*{var.name}" for var, coef in self.terms.items()]
-        if self.constant or not parts:
-            parts.append(f"{self.constant:+g}")
-        return " ".join(parts)
 
 
 class Variable:
@@ -165,12 +139,6 @@ class Variable:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._expr() - other
-
-    def __rsub__(self, other):
-        return (-self._expr()) + other
-
     def __neg__(self):
         return self._expr() * -1.0
 
@@ -178,9 +146,6 @@ class Variable:
         return self._expr() * factor
 
     __rmul__ = __mul__
-
-    def __truediv__(self, factor):
-        return self._expr() / factor
 
     def __le__(self, rhs):
         return self._expr() <= rhs
@@ -195,10 +160,6 @@ class Variable:
 
     def __hash__(self) -> int:
         return id(self)
-
-    def __repr__(self) -> str:
-        kind = "int" if self.is_integer else "cont"
-        return f"Variable({self.name!r}, [{self.lower}, {self.upper}], {kind})"
 
 
 @dataclass
@@ -227,15 +188,6 @@ class Constraint:
         rhs_value = -expr.constant
         expr.constant = 0.0
         return Constraint(expr=expr, sense=sense, rhs=rhs_value)
-
-    def violation(self, assignment: Mapping[str, float]) -> float:
-        """Amount by which ``assignment`` violates the constraint (≥ 0)."""
-        lhs = self.expr.evaluate(assignment)
-        if self.sense == "<=":
-            return max(0.0, lhs - self.rhs)
-        if self.sense == ">=":
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
 
 @dataclass
@@ -317,10 +269,6 @@ class LinearProgram:
 
     # -- introspection ------------------------------------------------------------
     @property
-    def variables(self) -> Tuple[Variable, ...]:
-        return tuple(self._variables)
-
-    @property
     def constraints(self) -> Tuple[Constraint, ...]:
         return tuple(self._constraints)
 
@@ -333,22 +281,8 @@ class LinearProgram:
         return len(self._variables)
 
     @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
-
-    @property
     def has_integer_variables(self) -> bool:
         return any(v.is_integer for v in self._variables)
-
-    def variable(self, name: str) -> Variable:
-        """Look up a registered variable by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SolverError(f"unknown variable {name!r}") from None
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._variables)
 
     # -- lowering -------------------------------------------------------------------
     def to_dense(self) -> DenseForm:
@@ -388,24 +322,6 @@ class LinearProgram:
             upper=np.array([v.upper for v in self._variables]),
             integrality=np.array([v.is_integer for v in self._variables], dtype=bool),
             variable_names=[v.name for v in self._variables],
-        )
-
-    def evaluate_objective(self, assignment: Mapping[str, float]) -> float:
-        """Objective value of an assignment ``{name: value}``."""
-        return self._objective.evaluate(assignment)
-
-    def is_feasible(self, assignment: Mapping[str, float], tol: float = 1e-7) -> bool:
-        """Check constraints *and* bounds under ``assignment``."""
-        for var in self._variables:
-            val = assignment.get(var.name, 0.0)
-            if val < var.lower - tol or val > var.upper + tol:
-                return False
-        return all(con.violation(assignment) <= tol for con in self._constraints)
-
-    def __repr__(self) -> str:
-        return (
-            f"LinearProgram({self.name!r}, vars={self.num_variables}, "
-            f"cons={self.num_constraints})"
         )
 
 

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 from repro.routing.engine import EngineStats, TrminEngine
 from repro.routing.enumkernel import count_paths_kernel
-from repro.routing.paths import (
-    enumerate_paths,
-    iter_simple_paths,
-    iter_simple_paths_raw,
-)
 from repro.routing.response_time import PathEngine, ResponseTimeModel, TrminEntry
 from repro.routing.routes import Path, RouteChoice
 from repro.routing.shortest import (
@@ -27,9 +22,6 @@ __all__ = [
     "TrminEngine",
     "TrminEntry",
     "count_paths_kernel",
-    "enumerate_paths",
     "hop_constrained_shortest",
-    "iter_simple_paths",
-    "iter_simple_paths_raw",
     "shortest_path",
 ]

@@ -1,8 +1,9 @@
 """Vectorized frontier-expansion path-enumeration kernel.
 
-The faithful route engine (:mod:`repro.routing.paths`) walks a
-pure-Python DFS — one ``next()`` call per incident edge, one tuple per
-path. This module replaces that hot loop with a breadth-layered
+The faithful route engine walks a pure-Python DFS — one ``next()``
+call per incident edge, one tuple per path (the form kept as the test
+oracle, ``tests.oracles.iter_simple_paths_raw``). This module replaces
+that hot loop with a breadth-layered
 *frontier expansion*: every partial path of depth ``L`` is one row of a
 small set of parallel arrays —
 
@@ -97,9 +98,8 @@ Three properties make that exact:
   exactly.
 
 The kernel is the only route behind ``PathEngine.ENUMERATION`` and
-:func:`count_paths_kernel`; the pure-Python DFS
-(:func:`repro.routing.paths.iter_simple_paths_raw`) stays as public
-enumeration API and as the oracle the test suite compares against.
+:func:`count_paths_kernel`; the pure-Python DFS lives in
+``tests/oracles`` as the oracle the test suite compares against.
 Counter totals are kept as plain local ints in the hot loop and
 mirrored into the metrics registry once per frontier, per the repo's
 hot-loop observability convention.
@@ -254,7 +254,7 @@ def count_paths_kernel(
     Exhaustive by construction — the expansion applies only the simple
     path (visited-bitset) and hop-budget constraints, exactly the two
     the reference DFS applies; no weights and no bound ever enter, so
-    the count equals ``sum(1 for _ in iter_simple_paths_raw(...))``.
+    the count equals the reference DFS's.
     """
     limit = _validate(topology, (source, destination), max_hops)
     if source == destination:

@@ -9,8 +9,8 @@ tie-breaks equal response times by fewer hops).
 
 Two engines are provided, selected by :class:`PathEngine`:
 
-* ``ENUMERATION`` — faithful exhaustive hop-bounded enumeration
-  (:mod:`repro.routing.paths`), the source of the paper's measured
+* ``ENUMERATION`` — exhaustive hop-bounded enumeration
+  (:mod:`repro.routing.enumkernel`), the source of the paper's measured
   ILP-time blowup with max-hop (Figs. 8/10);
 * ``DP`` — layered Bellman–Ford (:mod:`repro.routing.shortest`),
   polynomial and exactly equivalent in optimum value.
@@ -25,7 +25,7 @@ All matrix pricing goes through two canonical primitives:
   expansion for every pair of the call, pruning provably
   non-influential paths with an admissible lower bound, then picking
   each pair's winner among its DFS-ordered survivors by the judge's
-  fold rule. :func:`_best_enum_route` is the one-pair form.
+  fold rule.
 
 Summation order is part of the contract, and the two engines differ:
 
@@ -52,56 +52,9 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.routing import enumkernel
 from repro.routing.matrix import MatrixDPResult, matrix_hop_constrained
-from repro.routing.routes import _TIE_TOL, Path, RouteChoice
-from repro.routing.shortest import hop_constrained_shortest
+from repro.routing.routes import Path
 from repro.topology.graph import Topology
 from repro.topology.links import BandwidthConvention
-
-#: Below this many edges a plain Python accumulation beats the numpy
-#: fancy-index round trip (list alloc + gather + reduction dispatch).
-_NUMPY_SUM_MIN_EDGES = 8
-
-
-def _path_resistance(path: "Path", edge_weights: np.ndarray) -> float:
-    """Sum of per-edge weights (``1/Lu_e``) along ``path``, as a left
-    fold from the first edge in both branches (``np.add.accumulate`` is
-    sequential) — the order the DP accumulates, so a dp route prices at
-    exactly the DP's ``R``."""
-    edges = path.edges
-    n = len(edges)
-    if n == 0:
-        return 0.0
-    if n < _NUMPY_SUM_MIN_EDGES:
-        total = 0.0
-        for e in edges:
-            total += edge_weights[e]
-        return float(total)
-    idx = np.fromiter(edges, dtype=np.int64, count=n)
-    return float(np.add.accumulate(edge_weights[idx])[-1])
-
-
-def _best_enum_route(
-    topology: Topology,
-    source: int,
-    destination: int,
-    max_hops: Optional[int],
-    edge_weights: np.ndarray,
-) -> Tuple[float, int, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Best hop-bounded route by exhaustive enumeration.
-
-    Returns ``(resistance, hops, (nodes, edges))`` — or
-    ``(inf, -1, None)`` when the destination is unreachable within the
-    hop budget: the one-pair call of
-    :func:`repro.routing.enumkernel.best_routes_matrix`, bit-identical
-    to folding the full DFS stream. Edge weights must be strictly
-    positive (the bound DP raises :class:`RoutingError` otherwise,
-    exactly as the dp engine does).
-    """
-    R, hops, winners = enumkernel.best_routes_matrix(
-        topology, [source], [destination], max_hops, edge_weights
-    )
-    return float(R[0, 0]), int(hops[0, 0]), winners.get((0, 0))
-
 
 class _DPRoutes(Mapping):
     """Read-only ``(source, destination) -> Path`` view over a matrix
@@ -220,33 +173,6 @@ class ResponseTimeModel:
     def edge_weights(self, topology: Topology) -> np.ndarray:
         """Per-edge resistance ``1 / Lu_e``."""
         return 1.0 / topology.effective_bandwidths(self.convention)
-
-    # -- single pair ------------------------------------------------------------
-    def best_route(
-        self, topology: Topology, source: int, destination: int
-    ) -> Optional[RouteChoice]:
-        """Optimal route for a unit data volume; ``None`` if unreachable.
-
-        ``response_time_s`` in the returned choice is the *resistance*
-        (i.e. response time of 1 Mb); scale by ``D_i`` for real volumes.
-        """
-        weights = self.edge_weights(topology)
-        if self.engine is PathEngine.DP:
-            result = hop_constrained_shortest(topology, source, self.max_hops, weights)
-            path = result.path_to(destination)
-            if path is None:
-                return None
-            return RouteChoice(
-                path=path, response_time_s=_path_resistance(path, weights)
-            )
-        res, _, raw = _best_enum_route(
-            topology, source, destination, self.max_hops, weights
-        )
-        if raw is None:
-            return None
-        return RouteChoice(
-            path=Path(nodes=raw[0], edges=raw[1]), response_time_s=res
-        )
 
     # -- pairwise matrices --------------------------------------------------------
     def resistance_matrix(

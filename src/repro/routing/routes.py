@@ -64,21 +64,6 @@ class Path:
         object.__setattr__(path, "edges", (edge_id,))
         return path
 
-    @classmethod
-    def trusted(cls, nodes: Tuple[int, ...], edges: Tuple[int, ...]) -> "Path":
-        """Build a path from invariant-holding tuples, skipping validation.
-
-        For producers that guarantee simplicity structurally — the DFS
-        enumerator's visited array and the frontier kernel's visited
-        bitsets make revisits impossible — so bulk materialization
-        (``enumerate_paths`` under a ``limit`` cap) skips the per-path
-        set build of ``__post_init__``.
-        """
-        path = object.__new__(cls)
-        object.__setattr__(path, "nodes", nodes)
-        object.__setattr__(path, "edges", edges)
-        return path
-
     @property
     def source(self) -> int:
         return self.nodes[0]

@@ -11,7 +11,7 @@ The layered relaxation is vectorized over the whole edge set with
 ``np.minimum.at`` (scatter-min), i.e. each layer costs O(E) numpy work
 instead of a Python loop per edge: this is the polynomial engine that
 the ablation bench compares against the faithful exponential
-enumeration in :mod:`repro.routing.paths`.
+enumeration in :mod:`repro.routing.enumkernel`.
 
 With positive weights an optimal hop-bounded *walk* is always simple,
 so the DP's optimum equals the enumeration's optimum — the test suite

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.simulation.failures import FailureEvent, FailureInjector, LinkFailureEvent
 from repro.simulation.distributed import (
     AssignmentAck,
     NetworkedDistributedSolve,
@@ -21,10 +20,7 @@ from repro.simulation.profiles import (
     ArrivalProcess,
     BurstyArrivals,
     DiurnalArrivals,
-    DiurnalProfile,
     PoissonArrivals,
-    RandomWalkProfile,
-    SpikeProfile,
 )
 from repro.simulation.random import rng_from, spawn_seeds
 
@@ -76,20 +72,15 @@ __all__ = [
     "ChaosRunResult",
     "ChaosScenario",
     "DiurnalArrivals",
-    "DiurnalProfile",
-    "FailureEvent",
-    "FailureInjector",
     "FaultConfig",
     "FaultyNetwork",
     "IngressGate",
-    "LinkFailureEvent",
     "Message",
     "MessageNetwork",
     "NetworkedDistributedSolve",
     "PoissonArrivals",
     "ProfileRequest",
     "QoSTier",
-    "RandomWalkProfile",
     "ScenarioComparison",
     "ScheduledEvent",
     "SimulationEngine",
@@ -97,7 +88,6 @@ __all__ = [
     "SoakConfig",
     "SoakEvent",
     "SoakResult",
-    "SpikeProfile",
     "StreamSpec",
     "default_scenario",
     "default_soak_chaos",

@@ -1,18 +1,18 @@
-"""Deterministic chaos harness: message faults × node churn × failover.
+"""Deterministic chaos harness: message faults × manager failover.
 
 Composes the pieces this package already has — a :class:`FaultyNetwork`
-fault model, :class:`FailureInjector` node/link churn, the hardened
-manager/client protocol, and manager failover — into seeded, replayable
-scenarios. A :class:`ChaosScenario` fully determines a run: same
-scenario + same seed ⇒ identical fault event log, identical checkpoint
-signatures, identical final ledger (the determinism test relies on
-this, so no wall-clock or global randomness may enter here).
+fault model, the hardened manager/client protocol, and manager
+failover — into seeded, replayable scenarios. A :class:`ChaosScenario`
+fully determines a run: same scenario + same seed ⇒ identical fault
+event log, identical checkpoint signatures, identical final ledger (the
+determinism test relies on this, so no wall-clock or global randomness
+may enter here).
 
 The harness answers three questions the unit layers cannot:
 
 * **convergence** — does a lossy run end at the same placement as the
   fault-free run of the same scenario (``evaluate_scenario``)?
-* **recovery** — after a disruption (manager crash, churn burst), how
+* **recovery** — after a disruption (a manager crash), how
   long until the ledger matches the reference again, for good?
 * **cost** — how many extra control messages did the faults and the
   retransmission machinery cost, and did monitoring traffic ever
@@ -43,7 +43,6 @@ from repro.core.thresholds import ThresholdPolicy
 from repro.errors import SimulationError
 from repro.obs import CLIENT_MIRROR, get_registry, mirror_counters, trace_span
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.failures import FailureEvent, FailureInjector, LinkFailureEvent
 from repro.simulation.network_sim import FaultConfig, FaultLogEntry, FaultyNetwork
 from repro.topology.fattree import build_fat_tree
 from repro.topology.graph import Topology
@@ -64,8 +63,6 @@ class ChaosScenario:
     cool_capacity_range: Tuple[float, float] = (15.0, 42.0)
     faults: FaultConfig = field(default_factory=FaultConfig)
     manager_crash_at: Optional[float] = None
-    node_events: Tuple[FailureEvent, ...] = ()
-    link_events: Tuple[LinkFailureEvent, ...] = ()
     checkpoint_period_s: float = 120.0
     retry_policy: Optional[RetryPolicy] = field(
         default_factory=lambda: RetryPolicy(base_timeout_s=2.0, max_retries=5)
@@ -100,20 +97,13 @@ class ChaosScenario:
             self,
             faults=FaultConfig(),
             manager_crash_at=None,
-            node_events=(),
-            link_events=(),
         )
 
     @property
     def disruption_time(self) -> float:
-        """Earliest disruptive instant (for recovery-time accounting):
-        the manager crash when there is one, else the first scheduled
-        churn event, else t=0 (faults act from the start)."""
-        times = [e.time for e in self.node_events]
-        times += [e.time for e in self.link_events]
-        if self.manager_crash_at is not None:
-            times.append(self.manager_crash_at)
-        return min(times) if times else 0.0
+        """Disruptive instant for recovery-time accounting: the manager
+        crash when there is one, else t=0 (faults act from the start)."""
+        return self.manager_crash_at if self.manager_crash_at is not None else 0.0
 
 
 def default_scenario(seed: int = 0) -> ChaosScenario:
@@ -317,11 +307,6 @@ def _run_scenario_impl(scenario: ChaosScenario) -> ChaosRunResult:
         )
         client.start()
         clients[node] = client
-    injector = FailureInjector(engine, clients, topology=topology)
-    if scenario.node_events:
-        injector.schedule(scenario.node_events)
-    if scenario.link_events:
-        injector.schedule_links(scenario.link_events)
     if scenario.manager_crash_at is not None:
         engine.schedule_at(
             scenario.manager_crash_at,

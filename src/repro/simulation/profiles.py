@@ -1,12 +1,4 @@
-"""Time-varying node load profiles and open-loop arrival processes.
-
-DUST is "a dynamic traffic-aware solution that periodically monitors
-the in-device computational load". These callables plug into
-``DUSTClient.base_capacity`` to drive realistic load dynamics:
-
-* :class:`DiurnalProfile` — sinusoidal day/night cycle plus noise;
-* :class:`SpikeProfile` — flat base with scheduled overload windows;
-* :class:`RandomWalkProfile` — mean-reverting (AR(1)) wander.
+"""Open-loop arrival processes.
 
 The arrival processes drive the soak engine's *open-loop* event
 streams (the environment emits events at its own pace, regardless of
@@ -27,16 +19,10 @@ simulations using them stay reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -44,112 +30,6 @@ def _require_positive(what: str, value: float) -> None:
     rate stalls thinning, an infinite one emits zero gaps forever."""
     if not (value > 0.0 and math.isfinite(value)):
         raise SimulationError(f"{what} must be positive and finite, got {value}")
-
-
-@dataclass
-class DiurnalProfile:
-    """``base + amplitude * sin(2π (t - phase)/period)`` plus noise.
-
-    Noise is drawn deterministically per time bucket so repeated
-    evaluations at the same ``t`` agree.
-    """
-
-    base_pct: float = 50.0
-    amplitude_pct: float = 25.0
-    period_s: float = 86_400.0
-    phase_s: float = 0.0
-    noise_pct: float = 2.0
-    seed: int = 0
-    floor_pct: float = 0.0
-    ceil_pct: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise SimulationError("period must be positive")
-        if self.amplitude_pct < 0 or self.noise_pct < 0:
-            raise SimulationError("amplitude and noise must be non-negative")
-
-    def __call__(self, t: float) -> float:
-        wave = self.base_pct + self.amplitude_pct * math.sin(
-            2.0 * math.pi * (t - self.phase_s) / self.period_s
-        )
-        if self.noise_pct > 0:
-            bucket = int(t // 60.0)  # per-minute noise, stable within a minute
-            rng = np.random.default_rng((self.seed, bucket))
-            wave += float(rng.normal(0.0, self.noise_pct))
-        return _clamp(wave, self.floor_pct, self.ceil_pct)
-
-
-@dataclass
-class SpikeProfile:
-    """Flat base with rectangular overload windows.
-
-    ``windows`` are ``(start_s, end_s, level_pct)`` triples; overlapping
-    windows take the maximum level.
-    """
-
-    base_pct: float = 30.0
-    windows: Sequence[Tuple[float, float, float]] = ()
-
-    def __post_init__(self) -> None:
-        for start, end, level in self.windows:
-            if end <= start:
-                raise SimulationError(f"window ({start}, {end}) is empty")
-            if not 0.0 <= level <= 100.0:
-                raise SimulationError(f"window level {level} out of [0, 100]")
-
-    def __call__(self, t: float) -> float:
-        level = self.base_pct
-        for start, end, spike_level in self.windows:
-            if start <= t < end:
-                level = max(level, spike_level)
-        return _clamp(level, 0.0, 100.0)
-
-
-@dataclass
-class RandomWalkProfile:
-    """Mean-reverting AR(1) sampled on a fixed step grid.
-
-    ``x_{k+1} = x_k + reversion (mean - x_k) + N(0, sigma)``, evaluated
-    by walking deterministically from 0 to the bucket containing ``t``
-    (cached incrementally, so sequential evaluation is O(1) per step).
-    """
-
-    mean_pct: float = 45.0
-    sigma_pct: float = 3.0
-    reversion: float = 0.1
-    step_s: float = 60.0
-    seed: int = 0
-    floor_pct: float = 0.0
-    ceil_pct: float = 100.0
-    _cache: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.step_s <= 0:
-            raise SimulationError("step must be positive")
-        if not 0.0 < self.reversion <= 1.0:
-            raise SimulationError("reversion must be in (0, 1]")
-        if self.sigma_pct < 0:
-            raise SimulationError("sigma must be non-negative")
-        self._cache.append(self.mean_pct)
-        self._rng = np.random.default_rng(self.seed)
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise SimulationError("profiles are defined for t >= 0")
-        bucket = int(t // self.step_s)
-        while len(self._cache) <= bucket:
-            last = self._cache[-1]
-            step = self.reversion * (self.mean_pct - last) + float(
-                self._rng.normal(0.0, self.sigma_pct)
-            )
-            self._cache.append(_clamp(last + step, self.floor_pct, self.ceil_pct))
-        return self._cache[bucket]
-
-
-# ---------------------------------------------------------------------------
-# Open-loop arrival processes (soak event streams)
-# ---------------------------------------------------------------------------
 
 
 class ArrivalProcess:

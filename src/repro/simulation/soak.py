@@ -593,23 +593,7 @@ class _SoakDriver:
         registry = get_registry()
         registry.counter("soak.oracle_solves").inc()
         oracle = self._oracle_relief()
-        mgr = self.active()
-        if mgr.distributed_engine is not None:
-            # Distributed mode: score the per-zone partial views the zone
-            # managers report; relief_divergence merges them, so a split
-            # view can never read differently from the global ledger.
-            observed = [
-                relief_by_source(
-                    row
-                    for row in mgr.ledger.active
-                    if row.source in zone_members
-                )
-                for zone_members in (
-                    frozenset(z.nodes) for z in mgr.distributed_engine.zones
-                )
-            ]
-        else:
-            observed = relief_by_source(mgr.ledger.active)
+        observed = relief_by_source(self.active().ledger.active)
         drift = relief_divergence(oracle, observed)
         self.drift_samples.append((self.engine.now, drift))
         registry.gauge("soak.oracle_drift").set(drift)

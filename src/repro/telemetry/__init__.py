@@ -8,7 +8,7 @@ from repro.telemetry.agents import (
     MonitorAgentSpec,
     paper_agent_specs,
 )
-from repro.telemetry.database import StateDatabase, TableStats
+from repro.telemetry.database import StateDatabase
 from repro.telemetry.device import (
     EXPORT_BYTES_PER_UPDATE,
     STUB_CPU_MS_PER_UPDATE,
@@ -51,7 +51,6 @@ __all__ = [
     "STUB_MEMORY_MB",
     "Series",
     "StateDatabase",
-    "TableStats",
     "TelemetryShipment",
     "TimeSeriesDatabase",
     "UpdateRateProfile",

@@ -114,7 +114,7 @@ class MonitorAgent:
     The agent counts updates on its subscribed tables; the owning
     device converts counted work into CPU time via the spec's
     coefficients at each collection interval (this keeps the hot path —
-    DB writes — allocation-free).
+    update notification — allocation-free).
     """
 
     def __init__(
@@ -140,7 +140,6 @@ class MonitorAgent:
             raise TelemetryError(f"agent {self.spec.name!r} is already attached")
         for table in self.spec.tables:
             self.database.ensure_table(table)
-            self.database.subscribe(table, self._on_update)
             self.database.subscribe_bulk(table, self._on_bulk)
         self._attached = True
 
@@ -149,7 +148,6 @@ class MonitorAgent:
         if not self._attached:
             return
         for table in self.spec.tables:
-            self.database.unsubscribe(table, self._on_update)
             self.database.unsubscribe_bulk(table, self._on_bulk)
         self._attached = False
 
@@ -158,9 +156,6 @@ class MonitorAgent:
         return self._attached
 
     # -- data path ----------------------------------------------------------------
-    def _on_update(self, table: str, key: str, row: Mapping[str, object]) -> None:
-        self._pending_updates += 1
-
     def _on_bulk(self, table: str, count: int) -> None:
         self._pending_updates += count
 

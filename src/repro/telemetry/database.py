@@ -4,133 +4,53 @@ The paper's monitor agents "continuously monitor updates within
 specific database (DB) tables on network devices" (Section III-A); the
 reference platform is a database-driven network OS (AOS-CX style).
 :class:`StateDatabase` reproduces the interaction pattern that matters
-for the resource model: tables of keyed rows, subscriber callbacks
-fired per committed update, and per-table update counters that the
-device cost model converts into CPU time.
+for the resource model: named tables whose update counts reach the
+subscribed agents, which the device cost model converts into CPU time.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Set
 
 from repro.errors import TelemetryError
 
-#: Signature of a table subscriber: (table, row_key, new_row) -> None.
-Subscriber = Callable[[str, str, Mapping[str, Any]], None]
-
 #: Signature of a bulk subscriber: (table, update_count) -> None. Bulk
-#: notifications exist so synthetic workload drivers can account for
-#: thousands of updates per interval in O(1) instead of O(count) —
-#: agents only *count* updates, so the aggregate is lossless for them.
+#: notifications let synthetic workload drivers account for thousands
+#: of updates per interval in O(1) instead of O(count) — agents only
+#: *count* updates, so the aggregate is lossless for them.
 BulkSubscriber = Callable[[str, int], None]
 
 
-@dataclass
-class TableStats:
-    """Mutable per-table counters consumed by the device cost model."""
-
-    updates_total: int = 0
-    updates_since_mark: int = 0
-
-    def mark(self) -> int:
-        """Return updates since the previous mark and reset the window."""
-        count = self.updates_since_mark
-        self.updates_since_mark = 0
-        return count
-
-
 class StateDatabase:
-    """Keyed-row tables with synchronous subscriber notification.
+    """Named tables with synchronous update-count notification.
 
-    Rows are plain dicts keyed by a string primary key. Writes are
-    committed immediately; every committed write increments the table's
-    update counters and invokes subscribers in registration order.
-    Subscribers must not write back into the database during
-    notification (no re-entrancy) — the paper's agents only *read*
-    state and emit time-series points.
+    Every recorded update batch invokes the table's subscribers in
+    registration order.
     """
 
     def __init__(self, name: str = "statedb") -> None:
         self.name = name
-        self._tables: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        self._subscribers: Dict[str, List[Subscriber]] = defaultdict(list)
+        self._tables: Set[str] = set()
         self._bulk_subscribers: Dict[str, List[BulkSubscriber]] = defaultdict(list)
-        self._stats: Dict[str, TableStats] = {}
-        self._notifying = False
 
     # -- schema ------------------------------------------------------------------
     def create_table(self, table: str) -> None:
         """Create an empty table; idempotent re-creation is an error."""
         if table in self._tables:
             raise TelemetryError(f"table {table!r} already exists in {self.name!r}")
-        self._tables[table] = {}
-        self._stats[table] = TableStats()
+        self._tables.add(table)
 
     def ensure_table(self, table: str) -> None:
         """Create ``table`` unless it already exists."""
         if table not in self._tables:
             self.create_table(table)
 
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(self._tables)
-
-    def _table(self, table: str) -> Dict[str, Dict[str, Any]]:
-        try:
-            return self._tables[table]
-        except KeyError:
-            raise TelemetryError(f"unknown table {table!r} in {self.name!r}") from None
-
-    # -- reads --------------------------------------------------------------------
-    def get(self, table: str, key: str) -> Optional[Dict[str, Any]]:
-        """Row by key, or ``None``."""
-        return self._table(table).get(key)
-
-    def rows(self, table: str) -> Dict[str, Dict[str, Any]]:
-        """Shallow copy of the whole table."""
-        return dict(self._table(table))
-
-    def row_count(self, table: str) -> int:
-        return len(self._table(table))
+    def _check_table(self, table: str) -> None:
+        if table not in self._tables:
+            raise TelemetryError(f"unknown table {table!r} in {self.name!r}")
 
     # -- writes -------------------------------------------------------------------
-    def upsert(self, table: str, key: str, row: Mapping[str, Any]) -> None:
-        """Insert or replace a row, notifying subscribers."""
-        if self._notifying:
-            raise TelemetryError(
-                "re-entrant write during subscriber notification is not allowed"
-            )
-        tbl = self._table(table)
-        tbl[key] = dict(row)
-        stats = self._stats[table]
-        stats.updates_total += 1
-        stats.updates_since_mark += 1
-        self._notifying = True
-        try:
-            for callback in self._subscribers.get(table, ()):
-                callback(table, key, tbl[key])
-        finally:
-            self._notifying = False
-
-    def update_fields(self, table: str, key: str, **fields: Any) -> None:
-        """Merge fields into an existing row (must exist)."""
-        tbl = self._table(table)
-        if key not in tbl:
-            raise TelemetryError(f"row {key!r} not found in table {table!r}")
-        merged = dict(tbl[key])
-        merged.update(fields)
-        self.upsert(table, key, merged)
-
-    def bulk_upsert(self, table: str, rows: Iterable[Tuple[str, Mapping[str, Any]]]) -> int:
-        """Upsert many rows; returns the number written."""
-        count = 0
-        for key, row in rows:
-            self.upsert(table, key, row)
-            count += 1
-        return count
-
     def record_synthetic_updates(self, table: str, count: int) -> None:
         """Account ``count`` updates to ``table`` without materializing
         rows. Used by workload drivers to model high-rate churn (e.g.
@@ -140,21 +60,14 @@ class StateDatabase:
             raise TelemetryError(f"update count must be non-negative, got {count}")
         if count == 0:
             return
-        self._table(table)  # validate
-        stats = self._stats[table]
-        stats.updates_total += count
-        stats.updates_since_mark += count
-        self._notifying = True
-        try:
-            for callback in self._bulk_subscribers.get(table, ()):
-                callback(table, count)
-        finally:
-            self._notifying = False
+        self._check_table(table)
+        for callback in self._bulk_subscribers.get(table, ()):
+            callback(table, count)
 
     # -- subscriptions ---------------------------------------------------------------
     def subscribe_bulk(self, table: str, callback: BulkSubscriber) -> None:
         """Register an aggregate-count subscriber for ``table``."""
-        self._table(table)  # validate
+        self._check_table(table)
         self._bulk_subscribers[table].append(callback)
 
     def unsubscribe_bulk(self, table: str, callback: BulkSubscriber) -> None:
@@ -163,29 +76,3 @@ class StateDatabase:
             self._bulk_subscribers[table].remove(callback)
         except ValueError:
             pass
-
-    def subscribe(self, table: str, callback: Subscriber) -> None:
-        """Register ``callback`` for committed writes to ``table``."""
-        self._table(table)  # validate
-        self._subscribers[table].append(callback)
-
-    def unsubscribe(self, table: str, callback: Subscriber) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        try:
-            self._subscribers[table].remove(callback)
-        except ValueError:
-            pass
-
-    def subscriber_count(self, table: str) -> int:
-        return len(self._subscribers.get(table, ()))
-
-    # -- stats ----------------------------------------------------------------------
-    def stats(self, table: str) -> TableStats:
-        try:
-            return self._stats[table]
-        except KeyError:
-            raise TelemetryError(f"unknown table {table!r} in {self.name!r}") from None
-
-    def drain_update_counts(self) -> Dict[str, int]:
-        """Per-table updates since the last drain (and reset windows)."""
-        return {table: stats.mark() for table, stats in self._stats.items()}

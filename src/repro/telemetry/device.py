@@ -22,7 +22,7 @@ the same per-update cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import TelemetryError
 from repro.telemetry.agents import MonitorAgent, MonitorAgentSpec
@@ -95,18 +95,13 @@ class ExportStub:
         self._pending = 0
         for table in spec.tables:
             database.ensure_table(table)
-            database.subscribe(table, self._on_update)
             database.subscribe_bulk(table, self._on_bulk)
-
-    def _on_update(self, table: str, key: str, row: Mapping[str, object]) -> None:
-        self._pending += 1
 
     def _on_bulk(self, table: str, count: int) -> None:
         self._pending += count
 
     def detach(self) -> None:
         for table in self.spec.tables:
-            self.database.unsubscribe(table, self._on_update)
             self.database.unsubscribe_bulk(table, self._on_bulk)
 
     def drain(self, source: str, now: float) -> Tuple[float, TelemetryShipment]:

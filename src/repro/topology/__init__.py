@@ -1,4 +1,4 @@
-"""Network topology substrate: graphs, generators, links, capacities."""
+"""Network topology substrate: graphs, the fat-tree builder, links, capacities."""
 
 from __future__ import annotations
 
@@ -13,14 +13,6 @@ from repro.topology.fattree import (
     fat_tree_cache_info,
     fat_tree_edge_count,
     fat_tree_node_count,
-)
-from repro.topology.generators import (
-    build_grid,
-    build_leaf_spine,
-    build_line,
-    build_random_connected,
-    build_ring,
-    build_star,
 )
 from repro.topology.graph import CSRAdjacency, Node, NodeKind, Topology, TopologyArrays
 from repro.topology.links import (
@@ -47,12 +39,6 @@ __all__ = [
     "Topology",
     "build_fat_tree",
     "build_fat_tree_with_layout",
-    "build_grid",
-    "build_leaf_spine",
-    "build_line",
-    "build_random_connected",
-    "build_ring",
-    "build_star",
     "effective_bandwidths",
     "fat_tree_arrays",
     "fat_tree_cache_clear",

@@ -3,11 +3,8 @@
 A thin, explicit undirected multigraph-free graph: integer node ids,
 node metadata (kind/name/pod), one :class:`~repro.topology.links.Link`
 per edge, adjacency lists, and vectorized accessors for the routing
-layer. ``networkx`` interop is provided for generators and for users
-who want to bring their own graphs, but the hot paths (path
-enumeration, hop-constrained shortest path) run on plain arrays and
-adjacency lists — per the HPC guide, the heavy lifting stays out of
-generic-object traversal.
+layer. The hot paths (path enumeration, hop-constrained shortest path)
+run on plain arrays and adjacency lists, not generic-object traversal.
 """
 
 from __future__ import annotations
@@ -594,79 +591,4 @@ class Topology:
             arrays.capacity_mbps.astype(float, copy=True),
             arrays.utilization.astype(float, copy=True),
         )
-        return topo
-
-    # -- structure checks --------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """BFS connectivity check (empty graph counts as connected)."""
-        if self.num_nodes == 0:
-            return True
-        seen = np.zeros(self.num_nodes, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.num_nodes
-
-    def validate(self) -> None:
-        """Raise :class:`TopologyError` unless the topology is usable for
-        placement (non-empty and connected)."""
-        if self.num_nodes == 0:
-            raise TopologyError("topology has no nodes")
-        if not self.is_connected():
-            raise TopologyError(f"topology {self.name!r} is not connected")
-
-    # -- networkx interop ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as ``networkx.Graph`` with link attributes on edges."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        for node in self._nodes:
-            g.add_node(node.node_id, name=node.name, kind=node.kind.value, pod=node.pod)
-        for edge_id, (u, v) in enumerate(self._endpoints):
-            link = self._links[edge_id]
-            g.add_edge(
-                u,
-                v,
-                capacity_mbps=link.capacity_mbps,
-                utilization=link.utilization,
-                latency_ms=link.latency_ms,
-            )
-        return g
-
-    @classmethod
-    def from_networkx(cls, graph, name: Optional[str] = None) -> "Topology":
-        """Import a ``networkx.Graph``; node labels may be arbitrary
-        hashables and are relabeled densely (original label kept in
-        ``Node.attrs["label"]``)."""
-        topo = cls(name=name or str(graph.name or "from-networkx"))
-        mapping = {}
-        for label in graph.nodes:
-            data = graph.nodes[label]
-            kind = data.get("kind")
-            mapping[label] = topo.add_node(
-                name=str(data.get("name", label)),
-                kind=NodeKind(kind) if isinstance(kind, str) else NodeKind.SWITCH,
-                pod=data.get("pod"),
-                label=label,
-            )
-        for u, v, data in graph.edges(data=True):
-            if u == v:
-                continue  # drop self-loops silently on import
-            topo.add_edge(
-                mapping[u],
-                mapping[v],
-                Link(
-                    capacity_mbps=float(data.get("capacity_mbps", 10_000.0)),
-                    utilization=float(data.get("utilization", 0.0)),
-                    latency_ms=float(data.get("latency_ms", 0.05)),
-                ),
-            )
         return topo

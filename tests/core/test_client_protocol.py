@@ -15,7 +15,7 @@ from repro.core import (
 from repro.errors import ProtocolError
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
-from repro.topology import build_line
+from tests.topologies import build_line
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 

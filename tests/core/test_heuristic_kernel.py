@@ -21,14 +21,9 @@ from repro.core import (
 from repro.errors import PlacementError
 from repro.obs import get_registry
 from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
-from repro.topology import (
-    CapacityModel,
-    LinkUtilizationModel,
-    build_fat_tree,
-    build_line,
-    build_star,
-)
+from repro.topology import CapacityModel, LinkUtilizationModel, build_fat_tree
 from tests.oracles import solve_heuristic_reference
+from tests.topologies import build_line, build_star
 
 #: 70 seeds per fat-tree size -> 210 random instances, the ISSUE's
 #: >= 200-instance floor for the bit-identity property.

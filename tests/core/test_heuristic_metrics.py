@@ -27,9 +27,8 @@ from repro.topology import (
     LinkUtilizationModel,
     Topology,
     build_fat_tree,
-    build_line,
-    build_star,
 )
+from tests.topologies import build_line, build_star
 
 
 def star_problem(cs=10.0, neighbor_cd=(6.0, 20.0)):

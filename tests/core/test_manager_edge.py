@@ -12,7 +12,8 @@ from repro.core import (
 from repro.errors import ProtocolError
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
-from repro.topology import LinkUtilizationModel, build_fat_tree, build_line
+from repro.topology import LinkUtilizationModel, build_fat_tree
+from tests.topologies import build_line
 
 
 def make_manager(topology=None, **kwargs):

@@ -6,7 +6,7 @@ import pytest
 from repro.core import MultiResourceProblem, solve_multiresource
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
-from repro.topology import Link, Topology, build_star
+from tests.topologies import build_star
 
 
 def star_problem(demands, spares, resources=("cpu_pct", "memory_pct")):

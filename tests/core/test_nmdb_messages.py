@@ -18,7 +18,7 @@ from repro.core import (
     ThresholdPolicy,
 )
 from repro.errors import ProtocolError
-from repro.topology import build_fat_tree, build_line
+from tests.topologies import build_line
 
 
 @pytest.fixture

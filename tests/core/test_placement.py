@@ -19,8 +19,8 @@ from repro.topology import (
     LinkUtilizationModel,
     Topology,
     build_fat_tree,
-    build_line,
 )
+from tests.topologies import build_line
 
 
 def on_solver(solver, problem):

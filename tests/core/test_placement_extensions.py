@@ -7,7 +7,7 @@ import pytest
 from repro.core import PlacementEngine, PlacementProblem
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
-from repro.topology import Link, Topology, build_line, build_star
+from tests.topologies import build_star
 
 
 def star(cs=10.0, cd=(8.0, 8.0)):

@@ -19,7 +19,8 @@ from repro.core import (
 from repro.errors import ProtocolError
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
-from repro.topology import LinkUtilizationModel, build_fat_tree, build_line
+from repro.topology import LinkUtilizationModel, build_fat_tree
+from tests.topologies import build_line
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 FAST_RETRY = RetryPolicy(base_timeout_s=1.0, backoff=2.0, max_timeout_s=4.0, max_retries=2)

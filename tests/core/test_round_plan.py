@@ -12,8 +12,9 @@ from repro.core.nmdb import NMDB
 from repro.core.placement import Exclusion, RoundView, plan_round
 from repro.errors import PlacementError
 from repro.lp import SolveStatus
-from repro.topology import CapacityModel, LinkUtilizationModel, build_fat_tree, build_line
+from repro.topology import CapacityModel, LinkUtilizationModel, build_fat_tree
 from tests.core.test_manager_client import build_system
+from tests.topologies import build_line
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 NOW = 100.0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import PlacementEngine, PlacementProblem
 from repro.lp import LinearProgram, lp_sum, solve_scipy
-from repro.topology import build_star
+from tests.topologies import build_star
 
 
 def star_problem(capacity_coefficients=None):

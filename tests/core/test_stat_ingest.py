@@ -26,7 +26,8 @@ from repro.errors import MalformedReportError, ProtocolError
 from repro.obs import get_registry
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
-from repro.topology import build_fat_tree, build_line
+from repro.topology import build_fat_tree
+from tests.topologies import build_line
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 NAN, INF = math.nan, math.inf

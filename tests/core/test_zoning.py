@@ -4,24 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DUSTManager,
     PlacementEngine,
     ThresholdPolicy,
     Zone,
     ZonedPlacementEngine,
     classify_network,
-    partition_bfs,
     partition_by_pod,
     validate_partition,
 )
 from repro.errors import PlacementError, TopologyError
 from repro.routing import PathEngine, ResponseTimeModel
-from repro.topology import (
-    CapacityModel,
-    LinkUtilizationModel,
-    build_fat_tree,
-    build_line,
-    build_random_connected,
-)
+from repro.simulation import MessageNetwork, SimulationEngine
+from repro.topology import CapacityModel, LinkUtilizationModel, build_fat_tree
+from tests.topologies import build_line
 
 
 class TestPartitioning:
@@ -37,23 +33,6 @@ class TestPartitioning:
         topo = build_line(5)
         with pytest.raises(TopologyError):
             partition_by_pod(topo)
-
-    def test_bfs_partition_respects_budget(self):
-        topo = build_fat_tree(8)  # 80 nodes
-        zones = partition_bfs(topo, max_zone_nodes=20)
-        validate_partition(topo, zones)
-        assert all(len(z) <= 20 for z in zones)
-        assert sum(len(z) for z in zones) == 80
-
-    def test_bfs_partition_deterministic(self):
-        topo = build_random_connected(40, 0.1, seed=2)
-        a = partition_bfs(topo, 10)
-        b = partition_bfs(topo, 10)
-        assert [z.nodes for z in a] == [z.nodes for z in b]
-
-    def test_bfs_budget_validation(self):
-        with pytest.raises(PlacementError):
-            partition_bfs(build_line(3), 0)
 
     def test_validate_partition_catches_overlap(self):
         topo = build_line(3)
@@ -220,3 +199,27 @@ class TestHeuristicRelief:
         assert report.heuristic_relief_per_zone == {}
         assert report.unplaced_per_zone[0] == pytest.approx(20.0)
         assert report.assignments() == []
+
+
+class TestDistributedManagerZones:
+    def test_non_fat_tree_needs_explicit_zones(self):
+        """The manager's distributed mode zones a fat-tree by pod; any
+        other fabric has to pass its zones."""
+        topology = build_line(4)
+
+        def manager(**kwargs):
+            engine = SimulationEngine()
+            return DUSTManager(
+                node_id=0,
+                topology=topology,
+                engine=engine,
+                network=MessageNetwork(topology, engine),
+                policy=ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0),
+                solve_mode="distributed",
+                **kwargs,
+            )
+
+        with pytest.raises(TopologyError, match="pass zones="):
+            manager()
+        zones = [Zone(0, (0, 1)), Zone(1, (2, 3))]
+        assert manager(zones=zones).distributed_engine.zones == zones

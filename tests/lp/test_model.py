@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.lp.model import INF, Constraint, LinearProgram, LinExpr, Variable, lp_sum
+from repro.lp.model import Constraint, LinearProgram, Variable, lp_sum
+from tests.oracles.lp_verify import evaluate, violation
 
 
 class TestLinExpr:
@@ -30,30 +31,6 @@ class TestLinExpr:
         x = lp.add_variable("x")
         assert (2 * x).terms[x] == (x * 2).terms[x]
 
-    def test_subtraction_and_negation(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        y = lp.add_variable("y")
-        expr = x - 2 * y
-        assert expr.terms[x] == 1.0
-        assert expr.terms[y] == -2.0
-        neg = -expr
-        assert neg.terms[x] == -1.0
-        assert neg.terms[y] == 2.0
-
-    def test_rsub_constant_minus_variable(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        expr = 5 - x
-        assert expr.constant == 5.0
-        assert expr.terms[x] == -1.0
-
-    def test_division(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        expr = (4 * x) / 2
-        assert expr.terms[x] == pytest.approx(2.0)
-
     def test_repeated_variable_coefficients_accumulate(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
@@ -70,13 +47,13 @@ class TestLinExpr:
         lp = LinearProgram()
         x = lp.add_variable("x")
         y = lp.add_variable("y")
-        expr = 2 * x - y + 1
-        assert expr.evaluate({"x": 3.0, "y": 4.0}) == pytest.approx(3.0)
+        expr = 2 * x + -1 * y + 1
+        assert evaluate(expr, {"x": 3.0, "y": 4.0}) == pytest.approx(3.0)
 
     def test_evaluate_missing_variable_defaults_zero(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
-        assert (x + 1).evaluate({}) == pytest.approx(1.0)
+        assert evaluate(x + 1, {}) == pytest.approx(1.0)
 
 
 class TestConstraint:
@@ -106,7 +83,7 @@ class TestConstraint:
         lp = LinearProgram()
         x = lp.add_variable("x")
         y = lp.add_variable("y")
-        con = x + 2 <= y - 1
+        con = x + 2 <= y + -1
         # x - y <= -3
         assert con.rhs == pytest.approx(-3.0)
         assert con.expr.terms[x] == 1.0
@@ -116,10 +93,10 @@ class TestConstraint:
         lp = LinearProgram()
         x = lp.add_variable("x")
         le = x <= 3
-        assert le.violation({"x": 5.0}) == pytest.approx(2.0)
-        assert le.violation({"x": 2.0}) == 0.0
+        assert violation(le, {"x": 5.0}) == pytest.approx(2.0)
+        assert violation(le, {"x": 2.0}) == 0.0
         eq = x == 3
-        assert eq.violation({"x": 5.0}) == pytest.approx(2.0)
+        assert violation(eq, {"x": 5.0}) == pytest.approx(2.0)
 
 
 class TestVariable:
@@ -132,14 +109,6 @@ class TestVariable:
         lp.add_variable("x")
         with pytest.raises(SolverError, match="duplicate"):
             lp.add_variable("x")
-
-    def test_lookup(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x")
-        assert lp.variable("x") is x
-        with pytest.raises(SolverError):
-            lp.variable("nope")
-
 
 class TestLinearProgram:
     def test_constraint_foreign_variable_rejected(self):
@@ -160,7 +129,7 @@ class TestLinearProgram:
         x = lp.add_variable("x", upper=10.0)
         y = lp.add_variable("y")
         lp.add_constraint(x + y <= 4)
-        lp.add_constraint(x - y >= 1)
+        lp.add_constraint(x + -1 * y >= 1)
         lp.add_constraint(x + 2 * y == 3)
         lp.set_objective(x + y)
         dense = lp.to_dense()
@@ -178,26 +147,11 @@ class TestLinearProgram:
         assert dense.A_ub[0, 0] == -1.0
         assert dense.b_ub[0] == -2.0
 
-    def test_is_feasible_checks_bounds_and_constraints(self):
-        lp = LinearProgram()
-        x = lp.add_variable("x", lower=0.0, upper=5.0)
-        lp.add_constraint(x <= 4)
-        assert lp.is_feasible({"x": 3.0})
-        assert not lp.is_feasible({"x": 4.5})
-        assert not lp.is_feasible({"x": -1.0})
-
     def test_evaluate_objective_with_constant(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.set_objective(2 * x + 7)
-        assert lp.evaluate_objective({"x": 1.5}) == pytest.approx(10.0)
-
-    def test_iteration_and_counts(self):
-        lp = LinearProgram()
-        names = [lp.add_variable(f"v{i}").name for i in range(4)]
-        assert [v.name for v in lp] == names
-        assert lp.num_variables == 4
-        assert lp.num_constraints == 0
+        assert evaluate(lp.objective, {"x": 1.5}) == pytest.approx(10.0)
 
     def test_has_integer_variables(self):
         lp = LinearProgram()

@@ -12,23 +12,19 @@ DFS stream. The soak's per-arrival event scheduling lives in
 certificate in :mod:`tests.oracles.lp_verify`.
 """
 
+import itertools
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.heuristic import HeuristicReport
 from repro.core.placement import PlacementAssignment, PlacementProblem
-from repro.errors import PlacementError, SolverError
+from repro.errors import PlacementError, RoutingError, SolverError
 from repro.lp.transportation import _EPS
-from repro.routing import (
-    PathEngine,
-    ResponseTimeModel,
-    hop_constrained_shortest,
-    iter_simple_paths_raw,
-)
+from repro.routing import PathEngine, ResponseTimeModel, hop_constrained_shortest
 from repro.routing.matrix import matrix_hop_constrained
-from repro.routing.routes import _TIE_TOL, Path
+from repro.routing.routes import _TIE_TOL, Path, RouteChoice
 from repro.topology.links import BandwidthConvention
 
 _TOL = 1e-9
@@ -37,6 +33,71 @@ _TOL = 1e-9
 _PRICE_BATCH = 512
 
 RawPath = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def iter_simple_paths_raw(
+    topology, source: int, destination: int, max_hops: Optional[int] = None
+) -> Iterator[RawPath]:
+    """Every simple path from ``source`` to ``destination`` with at most
+    ``max_hops`` edges (unbounded when ``None``), as raw ``(nodes,
+    edges)`` tuples in DFS order — the exhaustive enumeration the
+    paper's optimizer "accounts for all feasible paths" with.
+
+    Iterative DFS over ``topology.incident()`` with an explicit stack;
+    ``source == destination`` yields the trivial zero-hop path.
+    """
+    topology.node(source)
+    topology.node(destination)
+    if max_hops is not None and max_hops < 0:
+        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
+    if source == destination:
+        yield (source,), ()
+        return
+    if max_hops == 0:
+        return
+
+    limit = max_hops if max_hops is not None else topology.num_nodes - 1
+    node_stack: List[int] = [source]
+    edge_stack: List[int] = []
+    on_path = [False] * topology.num_nodes
+    on_path[source] = True
+    # Per-depth iterator over incident (neighbor, edge) pairs.
+    iter_stack: List[Iterator] = [iter(topology.incident(source))]
+
+    while iter_stack:
+        try:
+            nbr, edge_id = next(iter_stack[-1])
+        except StopIteration:
+            iter_stack.pop()
+            on_path[node_stack.pop()] = False
+            if edge_stack:
+                edge_stack.pop()
+            continue
+        if on_path[nbr]:
+            continue
+        if nbr == destination:
+            yield tuple(node_stack) + (destination,), tuple(edge_stack) + (edge_id,)
+            continue
+        if len(edge_stack) + 1 >= limit:
+            continue  # extending through nbr could never reach in budget
+        node_stack.append(nbr)
+        edge_stack.append(edge_id)
+        on_path[nbr] = True
+        iter_stack.append(iter(topology.incident(nbr)))
+
+
+def iter_simple_paths(topology, source, destination, max_hops=None) -> Iterator[Path]:
+    """:func:`iter_simple_paths_raw` as validated :class:`Path` objects."""
+    for nodes, edges in iter_simple_paths_raw(topology, source, destination, max_hops):
+        yield Path(nodes=nodes, edges=edges)
+
+
+def enumerate_paths(topology, source, destination, max_hops=None, limit=None) -> List[Path]:
+    """The first ``limit`` paths (all when ``None``) of
+    :func:`iter_simple_paths`, in DFS order."""
+    return list(
+        itertools.islice(iter_simple_paths(topology, source, destination, max_hops), limit)
+    )
 
 
 def _fold_raw_paths(
@@ -104,6 +165,50 @@ def enum_best_route(topology, source, destination, max_hops, edge_weights):
     return _fold_raw_paths(
         iter_simple_paths_raw(topology, source, destination, max_hops), edge_weights
     )
+
+
+def best_route(model, topology, source, destination) -> Optional[RouteChoice]:
+    """One pair's optimal route for a unit data volume, or ``None``.
+
+    ``response_time_s`` is the resistance ``sum 1/Lu_e``: the DFS fold
+    of :func:`enum_best_route` for an enumeration model, and for a dp
+    model the left fold along :func:`hop_constrained_shortest`'s route —
+    the order the DP accumulates its ``R``.
+    """
+    weights = model.edge_weights(topology)
+    if model.engine is PathEngine.DP:
+        path = hop_constrained_shortest(
+            topology, source, model.max_hops, weights
+        ).path_to(destination)
+        if path is None:
+            return None
+        total = 0.0
+        for e in path.edges:
+            total += weights[e]
+        return RouteChoice(path=path, response_time_s=float(total))
+    res, _, raw = enum_best_route(topology, source, destination, model.max_hops, weights)
+    if raw is None:
+        return None
+    return RouteChoice(path=Path(nodes=raw[0], edges=raw[1]), response_time_s=res)
+
+
+def to_networkx(topology):
+    """``topology`` as a ``networkx.Graph`` (node ids kept, link state
+    on the edges) for comparisons against networkx's algorithms."""
+    import networkx as nx
+
+    g = nx.Graph(name=topology.name)
+    g.add_nodes_from(range(topology.num_nodes))
+    for edge_id, (u, v) in enumerate(topology.edges):
+        link = topology.link(edge_id)
+        g.add_edge(
+            u,
+            v,
+            capacity_mbps=link.capacity_mbps,
+            utilization=link.utilization,
+            latency_ms=link.latency_ms,
+        )
+    return g
 
 
 def dp_matrix(topology, sources, max_hops, edge_weights):

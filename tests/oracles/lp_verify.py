@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
-from repro.lp.model import LinearProgram
+from repro.lp.model import Constraint, LinearProgram, LinExpr
 from repro.lp.result import Solution
 
 
@@ -43,24 +43,45 @@ class Verification:
         return self.feasible
 
 
+def evaluate(expr: LinExpr, values: Mapping[str, float]) -> float:
+    """Value of ``expr`` under ``{variable name: value}`` (missing = 0)."""
+    total = expr.constant
+    for var, coef in expr.terms.items():
+        total += coef * values.get(var.name, 0.0)
+    return total
+
+
+def violation(con: Constraint, values: Mapping[str, float]) -> float:
+    """Amount by which ``values`` violate ``con`` (≥ 0)."""
+    lhs = evaluate(con.expr, values)
+    if con.sense == "<=":
+        return max(0.0, lhs - con.rhs)
+    if con.sense == ">=":
+        return max(0.0, con.rhs - lhs)
+    return abs(lhs - con.rhs)
+
+
 def check_feasibility(
     program: LinearProgram, values: Mapping[str, float], tol: float = 1e-6
 ) -> List[str]:
     """Human-readable list of bound/constraint violations (empty = ok)."""
     violations: List[str] = []
-    for var in program.variables:
-        value = values.get(var.name, 0.0)
-        if value < var.lower - tol:
-            violations.append(f"{var.name} = {value:.6g} below lower bound {var.lower}")
-        if value > var.upper + tol:
-            violations.append(f"{var.name} = {value:.6g} above upper bound {var.upper}")
-        if var.is_integer and abs(value - round(value)) > tol:
-            violations.append(f"{var.name} = {value:.6g} is not integral")
+    dense = program.to_dense()
+    for name, lower, upper, integral in zip(
+        dense.variable_names, dense.lower, dense.upper, dense.integrality
+    ):
+        value = values.get(name, 0.0)
+        if value < lower - tol:
+            violations.append(f"{name} = {value:.6g} below lower bound {float(lower)}")
+        if value > upper + tol:
+            violations.append(f"{name} = {value:.6g} above upper bound {float(upper)}")
+        if integral and abs(value - round(value)) > tol:
+            violations.append(f"{name} = {value:.6g} is not integral")
     for con in program.constraints:
-        violation = con.violation(values)
-        if violation > tol:
+        amount = violation(con, values)
+        if amount > tol:
             violations.append(
-                f"constraint {con.name or '?'} violated by {violation:.6g}"
+                f"constraint {con.name or '?'} violated by {amount:.6g}"
             )
     return violations
 
@@ -94,7 +115,7 @@ def duality_gap_bound(
     """
     if not solution.duals:
         return None
-    primal = program.evaluate_objective(dict(solution.values))
+    primal = evaluate(program.objective, dict(solution.values))
     dual = dual_objective(program, solution.duals)
     return float(primal - dual)
 

@@ -20,22 +20,29 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.obs import get_registry
-from repro.routing import enumerate_paths, enumkernel, iter_simple_paths_raw
+from repro.routing import enumkernel
 from repro.routing.enumkernel import count_paths_kernel
-from repro.routing.response_time import PathEngine, ResponseTimeModel, _best_enum_route
+from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import (
     BandwidthConvention,
     Link,
     LinkUtilizationModel,
     Topology,
     build_fat_tree,
-    build_random_connected,
 )
 from tests import oracles
+from tests.oracles import enumerate_paths, iter_simple_paths_raw
+from tests.topologies import build_random_connected
 
 
 def _weights(topo):
     return 1.0 / topo.effective_bandwidths(BandwidthConvention.AVAILABLE)
+
+
+def _best_enum_route(topo, s, d, h, weights):
+    """The kernel's one-pair call: ``(resistance, hops, (nodes, edges))``."""
+    R, hops, winners = enumkernel.best_routes_matrix(topo, [s], [d], h, weights)
+    return float(R[0, 0]), int(hops[0, 0]), winners.get((0, 0))
 
 
 def _ref_count(topo, s, d, h):
@@ -449,7 +456,3 @@ class TestSurvivorStream:
         full = enumerate_paths(topo, 0, topo.num_nodes - 1, 5)
         capped = enumerate_paths(topo, 0, topo.num_nodes - 1, 5, limit=7)
         assert capped == full[:7]
-        # Trusted construction still yields structurally valid paths.
-        for p in capped:
-            assert len(p.edges) == len(p.nodes) - 1
-            assert len(set(p.nodes)) == len(p.nodes)

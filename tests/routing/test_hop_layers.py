@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.routing import hop_constrained_shortest
 from repro.routing.matrix import _hop_layers
-from repro.topology import Link, Topology, build_fat_tree, build_random_connected
+from repro.topology import Link, Topology, build_fat_tree
+from tests.topologies import build_random_connected
 
 
 def _assert_planes_pinned(topology, destinations, max_hops, weights):

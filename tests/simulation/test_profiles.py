@@ -1,107 +1,12 @@
-"""Tests for the time-varying load profiles."""
+"""Tests for time-varying client load and the soak's arrival processes."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    DiurnalProfile,
-    PoissonArrivals,
-    RandomWalkProfile,
-    SpikeProfile,
-)
-
-
-class TestDiurnal:
-    def test_peaks_and_troughs(self):
-        profile = DiurnalProfile(
-            base_pct=50.0, amplitude_pct=20.0, period_s=86_400.0, noise_pct=0.0
-        )
-        quarter = 86_400.0 / 4.0
-        assert profile(quarter) == pytest.approx(70.0)
-        assert profile(3 * quarter) == pytest.approx(30.0)
-        assert profile(0.0) == pytest.approx(50.0)
-
-    def test_deterministic_with_noise(self):
-        a = DiurnalProfile(noise_pct=5.0, seed=3)
-        b = DiurnalProfile(noise_pct=5.0, seed=3)
-        for t in (0.0, 123.0, 4567.0):
-            assert a(t) == b(t)
-
-    def test_noise_stable_within_minute_bucket(self):
-        # Amplitude 0 isolates the noise term: same bucket, same draw.
-        profile = DiurnalProfile(amplitude_pct=0.0, noise_pct=5.0, seed=1)
-        assert profile(60.0) == profile(119.0)
-        assert profile(60.0) != profile(121.0)  # next bucket, fresh draw
-
-    def test_clamped(self):
-        profile = DiurnalProfile(base_pct=95.0, amplitude_pct=50.0, noise_pct=0.0)
-        values = [profile(t) for t in np.linspace(0, 86_400, 48)]
-        assert max(values) <= 100.0
-        assert min(values) >= 0.0
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            DiurnalProfile(period_s=0.0)
-        with pytest.raises(SimulationError):
-            DiurnalProfile(amplitude_pct=-1.0)
-
-
-class TestSpike:
-    def test_windows_apply(self):
-        profile = SpikeProfile(base_pct=30.0, windows=((100.0, 200.0, 90.0),))
-        assert profile(50.0) == 30.0
-        assert profile(150.0) == 90.0
-        assert profile(200.0) == 30.0  # half-open interval
-
-    def test_overlapping_windows_take_max(self):
-        profile = SpikeProfile(
-            base_pct=20.0,
-            windows=((0.0, 100.0, 60.0), (50.0, 150.0, 80.0)),
-        )
-        assert profile(75.0) == 80.0
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            SpikeProfile(windows=((10.0, 10.0, 50.0),))
-        with pytest.raises(SimulationError):
-            SpikeProfile(windows=((0.0, 1.0, 150.0),))
-
-
-class TestRandomWalk:
-    def test_deterministic_and_monotone_cache(self):
-        a = RandomWalkProfile(seed=5)
-        b = RandomWalkProfile(seed=5)
-        ts = [0.0, 60.0, 600.0, 6000.0]
-        assert [a(t) for t in ts] == [b(t) for t in ts]
-        # Re-evaluating earlier times returns cached values.
-        assert a(60.0) == b(60.0)
-
-    def test_out_of_order_evaluation_consistent(self):
-        a = RandomWalkProfile(seed=9)
-        late = a(6000.0)
-        early = a(600.0)
-        b = RandomWalkProfile(seed=9)
-        assert b(600.0) == early
-        assert b(6000.0) == late
-
-    def test_mean_reversion_keeps_walk_near_mean(self):
-        profile = RandomWalkProfile(mean_pct=45.0, sigma_pct=3.0, reversion=0.2, seed=0)
-        values = [profile(t * 60.0) for t in range(2000)]
-        assert 30.0 < np.mean(values) < 60.0
-        assert min(values) >= 0.0 and max(values) <= 100.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            RandomWalkProfile()( -1.0 )
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RandomWalkProfile(step_s=0.0)
-        with pytest.raises(SimulationError):
-            RandomWalkProfile(reversion=0.0)
+from repro.simulation import BurstyArrivals, DiurnalArrivals, PoissonArrivals
 
 
 class TestProfilesDriveClients:
@@ -123,9 +28,9 @@ class TestProfilesDriveClients:
         )
         manager.start()
         # Node 5 follows a 1-hour "day": peaks at 90%, troughs at 30%.
-        profile = DiurnalProfile(
-            base_pct=60.0, amplitude_pct=30.0, period_s=3600.0, noise_pct=0.0
-        )
+        def profile(t):
+            return 60.0 + 30.0 * math.sin(2.0 * math.pi * t / 3600.0)
+
         clients = {}
         for node in range(1, topology.num_nodes):
             clients[node] = DUSTClient(

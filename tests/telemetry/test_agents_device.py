@@ -59,7 +59,7 @@ class TestMonitorAgent:
         tsdb = TimeSeriesDatabase()
         agent = MonitorAgent(small_spec(), db, tsdb)
         agent.attach()
-        db.upsert("t1", "k", {})
+        db.record_synthetic_updates("t1", 1)
         db.record_synthetic_updates("t1", 99)
         assert agent.pending_updates == 100
         cpu_s = agent.run_interval(now=60.0)
@@ -74,7 +74,10 @@ class TestMonitorAgent:
         agent = MonitorAgent(small_spec(), db, tsdb, tags={"device": "d1"})
         agent.attach()
         agent.run_interval(now=1.0)
-        assert tsdb.has_series("metric_a", {"device": "d1"})
+        written = tsdb.memory_bytes()
+        assert written > 0
+        tsdb.create_series("metric_a", {"device": "d1"})  # already exists
+        assert tsdb.memory_bytes() == written
 
     def test_detach_stops_counting(self):
         db = StateDatabase()

@@ -8,16 +8,60 @@ bounds respected, distributed state consistent for alive endpoints.
 This is the failure-injection coverage the unit tests cannot provide.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from repro.core import DUSTClient, DUSTManager, ThresholdPolicy, audit_system
-from repro.simulation import FailureInjector, MessageNetwork, SimulationEngine
+from repro.simulation import MessageNetwork, SimulationEngine
 from repro.topology import LinkUtilizationModel, build_fat_tree
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 HOT = (5, 9, 14)
 HORIZON = 7200.0
+
+
+class ChurnEvent(NamedTuple):
+    time: float
+    node_id: int
+    kind: str  # "crash" or "recover"
+
+
+def schedule_churn(engine, clients, nodes, horizon_s, mtbf_s, mttr_s, seed):
+    """Independent exponential crash/repair per node up to ``horizon_s``.
+
+    Up-times are drawn with mean ``mtbf_s`` and down-times with mean
+    ``mttr_s``; every transition is scheduled on ``engine`` and skipped
+    when the client is already in the target state. Returns the
+    generated events in time order.
+    """
+    rng = np.random.default_rng(seed)
+    events = []
+    for node in nodes:
+        t, up = engine.now, True
+        while True:
+            t += float(rng.exponential(mtbf_s if up else mttr_s))
+            if t >= horizon_s:
+                break
+            events.append(ChurnEvent(t, node, "crash" if up else "recover"))
+            up = not up
+    events.sort(key=lambda e: (e.time, e.node_id))
+
+    def apply(event):
+        client = clients[event.node_id]
+        if event.kind == "crash" and client.alive:
+            client.fail()
+        elif event.kind == "recover" and not client.alive:
+            client.recover()
+
+    for event in events:
+        engine.schedule_at(
+            event.time,
+            lambda _engine, ev=event: apply(ev),
+            label=f"{event.kind}-{event.node_id}",
+        )
+    return events
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -47,14 +91,15 @@ def chaos_run(request):
 
     # Crash/repair churn on the cool nodes (hot sources stay up so the
     # need for offloading persists throughout).
-    injector = FailureInjector(engine, clients)
     churn_nodes = [n for n in clients if n not in HOT]
-    events = injector.schedule_exponential(
+    events = schedule_churn(
+        engine,
+        clients,
+        churn_nodes,
         horizon_s=HORIZON - 600.0,  # leave a settle window at the end
         mtbf_s=1800.0,
         mttr_s=300.0,
         seed=seed + 100,
-        nodes=churn_nodes,
     )
 
     checkpoint_violations = []

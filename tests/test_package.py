@@ -1,6 +1,9 @@
 """Public API surface tests."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,19 @@ def test_subpackage_all_resolves(name):
     assert hasattr(module, "__all__") and module.__all__
     for symbol in module.__all__:
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+
+def test_import_does_not_load_networkx():
+    """networkx is a test-only oracle dependency: importing the package
+    and every subpackage must not load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        f"import repro, sys; import {', '.join(SUBPACKAGES)}; "
+        "assert 'networkx' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_top_level_all_resolves():

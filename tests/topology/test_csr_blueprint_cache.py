@@ -10,11 +10,11 @@ from repro.topology import (
     Topology,
     build_fat_tree,
     build_fat_tree_with_layout,
-    build_random_connected,
     fat_tree_arrays,
     fat_tree_cache_clear,
     fat_tree_cache_info,
 )
+from tests.topologies import build_random_connected
 
 
 def _counter(name: str) -> float:

@@ -1,35 +1,17 @@
-"""Tests for the auxiliary topology generators."""
+"""Tests for the non-fat-tree fixture topologies in :mod:`tests.topologies`."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.topology import (
-    build_grid,
-    build_leaf_spine,
+from tests.topologies import (
     build_line,
     build_random_connected,
     build_ring,
     build_star,
+    is_connected,
 )
-
-
-class TestLeafSpine:
-    def test_counts(self):
-        topo = build_leaf_spine(4, 8)
-        assert topo.num_nodes == 12
-        assert topo.num_edges == 32
-
-    def test_full_bipartite(self):
-        topo = build_leaf_spine(2, 3)
-        for spine in range(2):
-            for leaf in range(2, 5):
-                assert topo.has_edge(spine, leaf)
-
-    def test_invalid_sizes(self):
-        with pytest.raises(TopologyError):
-            build_leaf_spine(0, 3)
 
 
 class TestRingLineStar:
@@ -54,25 +36,11 @@ class TestRingLineStar:
         assert all(topo.degree(n) == 1 for n in range(1, 8))
 
 
-class TestGrid:
-    def test_grid_counts(self):
-        topo = build_grid(3, 4)
-        assert topo.num_nodes == 12
-        assert topo.num_edges == 3 * 3 + 2 * 4  # horizontal + vertical
-
-    def test_grid_connected(self):
-        assert build_grid(5, 5).is_connected()
-
-    def test_degenerate_grid_rejected(self):
-        with pytest.raises(TopologyError):
-            build_grid(1, 1)
-
-
 class TestRandomConnected:
     def test_always_connected(self):
         for seed in range(5):
             topo = build_random_connected(30, edge_probability=0.02, seed=seed)
-            assert topo.is_connected()
+            assert is_connected(topo)
 
     def test_deterministic_for_seed(self):
         a = build_random_connected(20, 0.2, seed=7)
@@ -95,6 +63,6 @@ class TestRandomConnected:
     )
     def test_property_connected_and_simple(self, n, seed):
         topo = build_random_connected(n, edge_probability=0.1, seed=seed)
-        assert topo.is_connected()
+        assert is_connected(topo)
         # No duplicate edges by construction: endpoint set size == edge count.
         assert len(set(topo.edges)) == topo.num_edges

@@ -13,9 +13,9 @@ from repro.topology import (
     CapacityModel,
     Link,
     LinkUtilizationModel,
-    build_ring,
     effective_bandwidths,
 )
+from tests.topologies import build_ring
 
 
 class TestLink:
