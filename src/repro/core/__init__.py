@@ -58,7 +58,7 @@ from repro.core.multiresource import (
     solve_multiresource,
 )
 from repro.core.nmdb import NMDB, NetworkSnapshot, NodeRecord
-from repro.core.offload import ActiveOffload, OffloadLedger
+from repro.core.offload import ActiveOffload, OffloadLedger, RowState
 from repro.core.placement import (
     PlacementAssignment,
     PlacementEngine,
@@ -132,6 +132,7 @@ __all__ = [
     "Resync",
     "RetryPolicy",
     "RoleAssignment",
+    "RowState",
     "SnapshotStore",
     "StandbyManager",
     "Stat",

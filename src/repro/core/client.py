@@ -18,14 +18,19 @@ The utilized capacity it reports is ``base(t) − offloaded + hosted``
 (the homogeneity assumption), where ``base`` is a constant or a
 callable of virtual time supplied by the experiment.
 
-Lossy-network hardening: every handler is idempotent — a
-:class:`~repro.core.messages.DedupCache` suppresses duplicated or
-retransmitted messages and replays the original response instead of
-re-running the state transition. With ``retry_policy`` set the
-announcement is retransmitted until ACKed (give-up reverts to local
-telemetry and re-announces later) and Redirect/Reclaim are confirmed
-with **Receipt** messages so the manager can gate its own
-retransmissions. With ``retry_policy=None`` (the default) the wire
+Lossy-network hardening: a :class:`~repro.core.messages.DedupCache`
+suppresses a duplicate of a message this client already handled (same
+sender, same ``msg_id``) and replays the original response instead of
+re-running the state transition. That is the only protection: the
+handlers apply deltas, not values — a Redirect adds to
+``offloaded_to``, a Reclaim subtracts, and a re-sent Offload-Request (a
+new ``msg_id``) adds to ``hosted`` again — so a re-issued message is
+applied twice and a reordered Redirect/Reclaim pair out of order
+(ROADMAP 15). With ``retry_policy`` set the announcement is
+retransmitted until ACKed (give-up reverts to local telemetry and
+re-announces later) and Redirect/Reclaim are confirmed with **Receipt**
+messages so the manager can gate its own retransmissions. With
+``retry_policy=None`` (the default) the wire
 behaviour is byte-identical to the pre-hardening client.
 """
 

@@ -8,9 +8,9 @@ control plane needs:
 
 * the primary persists a :class:`ManagerSnapshot` (NMDB records +
   offload ledger + keepalive watch set) into a :class:`SnapshotStore`
-  and heartbeats the standby. Ledger rows and unconfirmed-Redirect
-  marks are durable before every Redirect and after every ledger
-  change; NMDB and keepalive state are durable as of the last
+  and heartbeats the standby. Ledger rows — whose state marks a
+  source still owing its Redirect Receipt — are durable before every
+  Redirect and after every ledger change; NMDB and keepalive state are durable as of the last
   optimization tick, and the resync round refreshes the rest;
 * the :class:`StandbyManager` watches those heartbeats. After
   ``takeover_silence_s`` of silence it spins up a fresh
@@ -59,9 +59,6 @@ class ManagerSnapshot:
     records: Dict[int, NodeRecord]
     ledger_rows: Tuple[ActiveOffload, ...]
     keepalive_watch: Dict[int, float]
-    #: Sources whose Redirect Receipt was still outstanding at persist
-    #: time; a promoted manager must not trust their ledger rows.
-    unconfirmed_sources: Tuple[int, ...] = ()
 
 
 #: Magic + format version framing the on-disk snapshot record.

@@ -9,26 +9,30 @@ implementation runs three loops on the discrete-event engine:
   Update-Interval Time), STAT → NMDB, Offload-ACK → ledger + Redirect,
   Keepalive → tracker;
 * **optimization rounds** — periodically snapshot the NMDB, build the
-  Eq. 3 placement problem, solve it with the configured
-  :class:`~repro.core.placement.PlacementEngine` (optionally falling
-  back to Algorithm 1 when the ILP is infeasible), and send
+  Eq. 3 placement problem, solve it with the
+  :class:`~repro.core.placement.PlacementEngine` (falling back to
+  Algorithm 1 when the ILP is infeasible), and send
   Offload-Requests along the chosen controllable routes;
 * **keepalive sweeps** — expired destinations are evicted and their
   workloads re-homed onto replicas via REP, or returned to their
   sources via Reclaim when no replica fits.
 
-Lossy-network hardening (opt-in via ``retry_policy``): every handler
-dedups by ``(sender, msg_id)`` with a reply cache, Offload-Request /
-Redirect / REP / Reclaim are retransmitted with exponential backoff
-until their application-level confirmation (Offload-ACK or Receipt)
-arrives, and destinations that exhaust the retry budget are quarantined
-out of the candidate set. With ``snapshot_store`` set the manager
-persists its state (NMDB + ledger + keepalive watch set) before every
-Redirect, after every ledger change and at the top of every
-optimization tick — a STAT alone persists nothing — heartbeats a
-standby, and a recovered manager reconciles the restored snapshot
-against client ground truth in a resync round — see
-:mod:`repro.core.failover`.
+Every handler dedups by ``(sender, msg_id)`` with a reply cache,
+whatever the configuration. Lossy-network hardening (opt-in via
+``retry_policy``): Offload-Request / Redirect / REP / Reclaim are
+retransmitted with exponential backoff until their application-level
+confirmation (Offload-ACK or Receipt) arrives, and destinations that
+exhaust the retry budget are quarantined out of the candidate set.
+With ``snapshot_store`` set the manager persists its state (NMDB +
+ledger + keepalive watch set) before every Redirect, after every ledger
+change and at the top of every optimization tick — a STAT alone
+persists nothing — heartbeats a standby, and a recovered manager
+reconciles the restored snapshot against client ground truth in a
+resync round — see :mod:`repro.core.failover`.
+
+Each offload's lifecycle lives in the ledger's row state
+(:mod:`repro.core.offload`, ``docs/offload_protocol.md``); the manager
+applies its transitions and sends what they return.
 
 STAT and Offload-capable reports with a non-finite or out-of-range
 field are dropped (counted in ``stats_rejected``); a reliable STAT is
@@ -39,43 +43,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.heuristic import solve_heuristic
 from repro.core.messages import (
-    Ack,
-    ControlMessage,
-    DedupCache,
-    Keepalive,
-    ManagerHeartbeat,
-    OffloadAck,
-    OffloadCapable,
-    OffloadRequest,
-    Receipt,
-    Reclaim,
-    Redirect,
-    ReliableSender,
-    Rep,
-    Resync,
-    RetryPolicy,
-    Stat,
+    Ack, ControlMessage, DedupCache, Keepalive, ManagerHeartbeat, OffloadAck, OffloadCapable,
+    OffloadRequest, Receipt, Reclaim, Redirect, ReliableSender, Rep, Resync, RetryPolicy, Stat,
 )
 from repro.core.nmdb import NMDB, NetworkSnapshot
-from repro.core.offload import ActiveOffload, OffloadLedger
+from repro.core.offload import AckOutcome, OffloadLedger, Send
 from repro.core.placement import (
-    PlacementAssignment,
-    PlacementEngine,
-    PlacementReport,
-    RoundView,
-    plan_round,
+    PlacementAssignment, PlacementEngine, PlacementReport, RoundView, plan_round,
 )
 from repro.core.postoffload import KeepaliveTracker, ReplicaSelector
-from repro.obs import (
-    MANAGER_COUNTERS_MIRROR,
-    get_registry,
-    mirror_counters,
-    trace_span,
-)
+from repro.obs import MANAGER_COUNTERS_MIRROR, get_registry, mirror_counters, trace_span
 from repro.core.thresholds import ThresholdPolicy
 from repro.errors import MalformedReportError, ProtocolError
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -83,13 +64,22 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import Message, MessageNetwork
 from repro.topology.graph import Topology
 
-_TOL = 1e-9
-
-#: Minimum spacing between corrective Reclaims for one
-#: (source, destination) pair — comfortably past the retry budget's
-#: give-up horizon, so a repair either landed or was abandoned before
-#: the next attempt can double-subtract a hosting.
-_RECLAIM_COOLDOWN_S = 60.0
+#: A source whose report plus its offloaded load sits this far below
+#: ``C_max`` takes the load back (hysteresis against flapping).
+RECLAIM_HYSTERESIS_PCT = 5.0
+#: How long a destination that exhausted a retry budget sits out placement.
+QUARANTINE_S = 300.0
+#: How long after a takeover resync reports may rebuild or repair rows.
+RESYNC_WINDOW_S = 120.0
+#: Counter each Offload-ACK outcome bumps (corrective Reclaims count in
+#: ``orphans_reclaimed`` when one is actually sent).
+_ACK_COUNTERS = {
+    AckOutcome.ESTABLISH: "offloads_established",
+    AckOutcome.REJECTED: "offloads_rejected",
+    AckOutcome.ADOPT: "resync_recovered",
+    AckOutcome.RECONFIRM: "acks_reconfirmed",
+    AckOutcome.STALE: "stale_acks_ignored",
+}
 
 
 @dataclass
@@ -135,18 +125,12 @@ class ManagerCounters:
     network_duplicates_delivered: int = 0
 
 
-@dataclass(frozen=True)
-class _PendingRequest:
-    source: int
-    destination: int
-    amount_pct: float
-    route: Tuple[int, ...]
-    via_replica: bool = False
-    created_at: float = 0.0
-
-
 class DUSTManager:
-    """Cloud-based coordination point of a DUST deployment."""
+    """Cloud-based coordination point of a DUST deployment.
+
+    An I/O shell around :class:`~repro.core.offload.OffloadLedger`: it
+    receives a message, applies the ledger transition, persists, sends
+    what the transition returned and arms the retry timers."""
 
     def __init__(
         self,
@@ -155,24 +139,17 @@ class DUSTManager:
         engine: SimulationEngine,
         network: MessageNetwork,
         policy: ThresholdPolicy,
-        placement_engine: Optional[PlacementEngine] = None,
         update_interval_s: float = 60.0,
         optimization_period_s: float = 60.0,
         keepalive_timeout_s: float = 30.0,
         max_hops: Optional[int] = None,
-        heuristic_fallback: bool = True,
-        reclaim_hysteresis_pct: float = 5.0,
         # Accepted and ignored: the only caller is benchmarks/e2e/workloads.py;
         # deleted with that call site in the next [benchmark] PR.
         workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        quarantine_s: float = 300.0,
-        probe_grace_s: Optional[float] = None,
         snapshot_store: Optional["object"] = None,
         standby_node: Optional[int] = None,
         heartbeat_period_s: float = 10.0,
-        resync_window_s: float = 120.0,
-        dedup_capacity: int = 4096,
         dedup_ttl_s: Optional[float] = None,
         transport_seed: int = 0,
         on_admission: Optional[Callable[[int], None]] = None,
@@ -186,18 +163,14 @@ class DUSTManager:
         self.network = network
         self.policy = policy
         self.nmdb = NMDB(topology, policy)
-        self.placement_engine = placement_engine or PlacementEngine(
-            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops),
-        )
+        self.placement_engine = PlacementEngine(
+            response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops))
         # Alternative solve mode: decompose each round's Eq. 3 solve
         # across zone managers (repro.lp.distributed). Same optimum as
         # the centralized engine — the zones split the pricing work.
         if solve_mode not in ("centralized", "distributed"):
             raise ProtocolError(
-                f"unknown solve_mode {solve_mode!r}; expected "
-                "'centralized' or 'distributed'"
-            )
-        self.solve_mode = solve_mode
+                f"unknown solve_mode {solve_mode!r}; expected 'centralized' or 'distributed'")
         self.distributed_engine = None
         if solve_mode == "distributed":
             from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
@@ -207,58 +180,38 @@ class DUSTManager:
                 try:
                     zones = partition_by_pod(topology)
                 except TopologyError as exc:
-                    raise TopologyError(
-                        f"{exc}; pass zones= to run solve_mode='distributed' "
-                        "on a fabric without pods"
-                    ) from None
-            self.distributed_engine = DistributedPlacementEngine(
-                zones=zones, engine=self.placement_engine
-            )
+                    raise TopologyError(f"{exc}; pass zones= to run solve_mode='distributed' "
+                                        "on a fabric without pods") from None
+            self.distributed_engine = DistributedPlacementEngine(zones, self.placement_engine)
         self.update_interval_s = update_interval_s
         self.optimization_period_s = optimization_period_s
         self.keepalive_timeout_s = keepalive_timeout_s
         self.max_hops = max_hops
-        self.heuristic_fallback = heuristic_fallback
-        self.reclaim_hysteresis_pct = reclaim_hysteresis_pct
         #: A node whose last STAT is older than this is treated as gone.
         self.stale_after_s = 2.5 * update_interval_s
-        self.retry_policy = retry_policy
-        self.quarantine_s = quarantine_s
         # Keepalive silence triggers a reliable probe, not an eviction;
         # the grace covers the probe's full retry budget plus one more
         # keepalive period before the destination is written off.
-        if probe_grace_s is None:
-            if retry_policy is not None:
-                probe_grace_s = keepalive_timeout_s + sum(
-                    retry_policy.timeout_for(a)
-                    for a in range(retry_policy.max_retries + 1)
-                )
-            else:
-                probe_grace_s = keepalive_timeout_s
-        self.probe_grace_s = probe_grace_s
+        self.probe_grace_s = keepalive_timeout_s + sum(
+            retry_policy.timeout_for(a) for a in range(retry_policy.max_retries + 1)
+        ) if retry_policy is not None else keepalive_timeout_s
         self.snapshot_store = snapshot_store
         self.standby_node = standby_node
         self.heartbeat_period_s = heartbeat_period_s
-        self.resync_window_s = resync_window_s
 
-        self.ledger = OffloadLedger()
+        self.ledger = OffloadLedger(reliable=retry_policy is not None)
         self.keepalives = KeepaliveTracker(keepalive_timeout_s)
         self.replica_selector = ReplicaSelector(
-            ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops)
-        )
+            ResponseTimeModel(engine=PathEngine.DP, max_hops=max_hops))
         self.counters = ManagerCounters()
         self.placement_history: List[PlacementReport] = []
-        self._pending: Dict[Tuple[int, int], _PendingRequest] = {}
         self._started = False
         self._crashed = False
-        self._dedup = DedupCache(
-            capacity=dedup_capacity, ttl_s=dedup_ttl_s, clock=lambda: engine.now
-        )
-        self._reliable: Optional[ReliableSender] = (
-            ReliableSender(network, engine, node_id, retry_policy, seed=transport_seed)
-            if retry_policy is not None
-            else None
-        )
+        # Every handler dedups by (sender, msg_id) and replays its reply.
+        self._dedup = DedupCache(ttl_s=dedup_ttl_s, clock=lambda: engine.now)
+        self._reliable: Optional[ReliableSender] = None
+        if retry_policy is not None:
+            self._reliable = ReliableSender(network, engine, node_id, retry_policy, transport_seed)
         #: Churn hooks for long-running drivers (the soak control plane
         #: observes admission/eviction without poking counters).
         self.on_admission = on_admission
@@ -269,18 +222,6 @@ class DUSTManager:
         #: re-reads ``optimization_period_s`` on every tick.
         self.placement_frozen = False
         self._quarantined: Dict[int, float] = {}  # node -> quarantined until
-        # Redirect msg_id -> source, while the client's Receipt is
-        # outstanding; confirmation times gate re-placing that source.
-        self._unconfirmed_redirects: Dict[int, int] = {}
-        self._redirect_confirmed_at: Dict[int, float] = {}
-        # (source, destination) rows deliberately unwound at takeover
-        # because the source never confirmed the predecessor's Redirect;
-        # a destination's resync report must not resurrect them.
-        self._unwound_offloads: Set[Tuple[int, int]] = set()
-        # (source, destination) -> time of the last corrective Reclaim;
-        # repeated repair attempts within the cooldown are dropped so a
-        # raced pair of re-reports cannot double-subtract a hosting.
-        self._corrective_reclaim_at: Dict[Tuple[int, int], float] = {}
         self._probes: Dict[int, float] = {}  # destination -> grace deadline
         self._probe_failed: Set[int] = set()
         self._resync_until = float("-inf")
@@ -308,26 +249,17 @@ class DUSTManager:
                 self.counters.rounds_frozen += 1
             else:
                 self.run_optimization_round()
-            engine.schedule_after(
-                self.optimization_period_s, optimize_tick, "manager-optimize"
-            )
+            engine.schedule_after(self.optimization_period_s, optimize_tick, "manager-optimize")
 
-        self.engine.schedule_after(
-            self.optimization_period_s, optimize_tick, "manager-optimize"
-        )
+        self.engine.schedule_after(self.optimization_period_s, optimize_tick, "manager-optimize")
         self.engine.schedule_periodic(
-            self.keepalive_timeout_s / 2.0,
-            lambda engine: self.run_keepalive_sweep(),
-            label="manager-keepalive-sweep",
-            condition=lambda: not self._crashed,
+            self.keepalive_timeout_s / 2.0, lambda engine: self.run_keepalive_sweep(),
+            label="manager-keepalive-sweep", condition=lambda: not self._crashed,
         )
         if self.standby_node is not None:
             self.engine.schedule_periodic(
-                self.heartbeat_period_s,
-                lambda engine: self._send_heartbeat(),
-                label="manager-heartbeat",
-                first_delay=0.0,
-                condition=lambda: not self._crashed,
+                self.heartbeat_period_s, lambda engine: self._send_heartbeat(),
+                label="manager-heartbeat", first_delay=0.0, condition=lambda: not self._crashed,
             )
 
     @property
@@ -348,38 +280,37 @@ class DUSTManager:
             self._reliable.cancel_all()
 
     def _send_heartbeat(self) -> None:
-        self.network.send(
-            self.node_id,
-            self.standby_node,
-            ManagerHeartbeat(
-                manager_node=self.node_id,
-                snapshot_version=self._snapshot_version,
-                timestamp=self.engine.now,
-            ),
-        )
+        beat = ManagerHeartbeat(self.node_id, self._snapshot_version, self.engine.now)
+        self.network.send(self.node_id, self.standby_node, beat)
 
     # -- reliable transport helpers -----------------------------------------------------
-    def _send_ctrl(self, destination: int, payload: ControlMessage, on_give_up=None) -> None:
-        """Send a control message, ACK-gated when hardening is on."""
-        if self._reliable is not None:
-            self._reliable.send(destination, payload, on_give_up=on_give_up)
-        else:
-            self.network.send(self.node_id, destination, payload)
+    #: Give-up hook per reliably sent message type (a Resync sent this
+    #: way is a keepalive probe; a Reclaim has none).
+    _GIVE_UP = {
+        OffloadRequest: "_on_request_give_up",
+        Rep: "_on_request_give_up",
+        Redirect: "_on_redirect_give_up",
+        Resync: "_on_probe_give_up",
+    }
 
-    def _reclaim_row(self, offload: ActiveOffload) -> None:
-        """Tell both endpoints of a torn-down ledger row, destination
-        first, each with its own Reclaim: the reliable sender drops a
-        second send of one ``msg_id`` as already in flight."""
-        for endpoint in (offload.destination, offload.source):
-            reclaim = Reclaim(offload.source, offload.destination, offload.amount_pct)
-            self._send_ctrl(endpoint, reclaim)
+    def _send_ctrl(self, destination: int, payload: ControlMessage) -> None:
+        """Send a control message, ACK-gated when hardening is on."""
+        if self._reliable is None:
+            self.network.send(self.node_id, destination, payload)
+            return
+        hook = self._GIVE_UP.get(type(payload))
+        self._reliable.send(destination, payload, on_give_up=hook and getattr(self, hook))
+
+    def _send(self, sends: List[Send]) -> None:
+        for destination, payload in sends:
+            self._send_ctrl(destination, payload)
 
     def _clear_probe(self, node: int) -> None:
         self._probes.pop(node, None)
         self._probe_failed.discard(node)
 
     def _quarantine(self, node: int) -> None:
-        self._quarantined[node] = self.engine.now + self.quarantine_s
+        self._quarantined[node] = self.engine.now + QUARANTINE_S
         self.counters.destinations_quarantined += 1
 
     def quarantined_nodes(self) -> Set[int]:
@@ -397,9 +328,7 @@ class DUSTManager:
             self.counters.retransmissions = self._reliable.retransmissions
             self.counters.sends_gave_up = self._reliable.gave_up
         self.counters.network_messages_dropped = self.network.messages_dropped
-        self.counters.network_duplicates_delivered = getattr(
-            self.network, "duplicates_injected", 0
-        )
+        self.counters.network_duplicates_delivered = getattr(self.network, "duplicates_injected", 0)
         return self.counters
 
     # -- state persistence / failover ----------------------------------------------------
@@ -414,20 +343,18 @@ class DUSTManager:
         """Current durable state as a
         :class:`~repro.core.failover.ManagerSnapshot`.
 
-        ``ledger_rows`` is the ledger's own tuple of frozen
-        :class:`~repro.core.offload.ActiveOffload` rows: shared, not
-        copied, since no row is ever mutated in place."""
+        ``ledger_rows`` is the ledger's :attr:`~OffloadLedger.durable`
+        rows — shared, not copied, since no row is ever mutated in
+        place. A REDIRECTING row, or a CLOSED one still owing its
+        Receipt, marks its source unconfirmed."""
         from repro.core.failover import ManagerSnapshot
 
         return ManagerSnapshot(
             version=self._snapshot_version,
             timestamp=self.engine.now,
             records=self.nmdb.export_records(),
-            ledger_rows=self.ledger.active,
+            ledger_rows=self.ledger.durable,
             keepalive_watch=self.keepalives.export(),
-            unconfirmed_sources=tuple(
-                sorted(set(self._unconfirmed_redirects.values()))
-            ),
         )
 
     def restore_snapshot(self, snapshot) -> None:
@@ -437,43 +364,30 @@ class DUSTManager:
         timeout to re-heartbeat instead of being mass-evicted for
         silence that happened while no manager was listening.
 
-        Ledger rows whose source never confirmed the predecessor's
-        Redirect are *unwound*, not adopted: the source may never have
-        applied the offload (the Redirect died with the primary), so
-        keeping the row would park hosting capacity on the destination
-        for load the source still carries. Reclaim goes to both ends —
-        a source that never applied it treats the take-back as a no-op,
-        one whose Receipt was lost in flight rolls the mapping back —
-        and the next optimization round re-places the excess cleanly.
+        Rows of a source that never confirmed the predecessor's Redirect
+        are *unwound*, not adopted (:meth:`OffloadLedger.restore`): the
+        source may never have applied the offload, so keeping the row
+        would park hosting capacity on the destination for load the
+        source still carries. The next optimization round re-places the
+        excess cleanly.
         """
         self._snapshot_version = snapshot.version
         self.nmdb.load_records(snapshot.records)
-        unconfirmed = set(getattr(snapshot, "unconfirmed_sources", ()))
-        for row in snapshot.ledger_rows:
-            self.ledger.add(row)
+        sends = self.ledger.restore(snapshot.ledger_rows, self.engine.now)
+        self.counters.redirects_unwound += len(sends) // 2  # two Reclaims per row
         for node in snapshot.keepalive_watch:
             self.keepalives.record(node, self.engine.now)
-        for source in sorted(unconfirmed):
-            for offload in self.ledger.reclaim(source):
-                self.counters.redirects_unwound += 1
-                self._unwound_offloads.add((offload.source, offload.destination))
-                self._corrective_reclaim_at[
-                    (offload.source, offload.destination)
-                ] = self.engine.now
-                self._reclaim_row(offload)
-        if unconfirmed:
+        self._send(sends)
+        if any(row.redirect_id is not None for row in snapshot.ledger_rows):
             self._persist()
 
     def begin_resync(self) -> int:
         """Open the post-failover reconciliation window and ask every
         client for ground truth; returns the number of Resync messages
         sent."""
-        self._resync_until = self.engine.now + self.resync_window_s
+        self._resync_until = self.engine.now + RESYNC_WINDOW_S
         self.counters.resync_rounds += 1
-        return self.network.broadcast(
-            self.node_id,
-            Resync(manager_node=self.node_id, timestamp=self.engine.now),
-        )
+        return self.network.broadcast(self.node_id, Resync(self.node_id, self.engine.now))
 
     # -- message plane ------------------------------------------------------------------
     def _receive(self, message: Message) -> None:
@@ -505,18 +419,11 @@ class DUSTManager:
             # re-report; the resync reply paths reconcile or reclaim.
             known = {o.source for o in self.ledger.hosted_by(payload.node_id)}
             if any(s not in known for s in payload.hosted_sources):
-                self.network.send(
-                    self.node_id,
-                    payload.node_id,
-                    Resync(manager_node=self.node_id, timestamp=self.engine.now),
-                )
+                resync = Resync(self.node_id, self.engine.now)
+                self.network.send(self.node_id, payload.node_id, resync)
         elif isinstance(payload, Receipt) and self._reliable is not None:
             self._reliable.acknowledge(payload.acked_msg_id)
-            confirmed_source = self._unconfirmed_redirects.pop(
-                payload.acked_msg_id, None
-            )
-            if confirmed_source is not None:
-                self._redirect_confirmed_at[confirmed_source] = self.engine.now
+            if self.ledger.confirm(payload.acked_msg_id, self.engine.now):
                 # Persist the confirmation: a successor must not unwind
                 # a row whose source provably applied its Redirect.
                 self._persist()
@@ -554,7 +461,7 @@ class DUSTManager:
         # (strict mode raises); under loss/reordering it is expected —
         # the stale report is dropped, the newer state wins.
         try:
-            applied = self.nmdb.apply_stat(payload, strict=self.retry_policy is None)
+            applied = self.nmdb.apply_stat(payload, strict=self._reliable is None)
         except MalformedReportError:
             self.counters.stats_rejected += 1
             return receipt
@@ -565,6 +472,8 @@ class DUSTManager:
         return receipt
 
     def _on_offload_ack(self, ack: OffloadAck) -> Optional[Receipt]:
+        """Apply :meth:`OffloadLedger.on_ack`; the outcome picks the
+        counter and the keepalive bookkeeping."""
         if self._reliable is not None:
             self._reliable.acknowledge(ack.request_id)
         receipt: Optional[Receipt] = None
@@ -574,157 +483,30 @@ class DUSTManager:
             # stops the destination's sender.
             receipt = Receipt(node_id=self.node_id, acked_msg_id=ack.msg_id)
             self.network.send(self.node_id, ack.destination, receipt)
-        pending = self._pending.pop((ack.source, ack.destination), None)
-        if pending is None:
-            self._on_unmatched_ack(ack)
-            return receipt
-        if not ack.accepted:
-            self.counters.offloads_rejected += 1
-            return receipt
-        self.counters.offloads_established += 1
-        self._unwound_offloads.discard((pending.source, pending.destination))
-        self.ledger.add(
-            ActiveOffload(
-                source=pending.source,
-                destination=pending.destination,
-                amount_pct=pending.amount_pct,
-                route=pending.route,
-                established_at=self.engine.now,
-                via_replica=pending.via_replica,
-            )
-        )
-        # The source is redirected for fresh offloads *and* for replica
-        # substitutions — in the latter case its stale mapping to the
-        # failed destination was already cancelled during the sweep.
-        redirect = Redirect(
-            source=pending.source,
-            destination=pending.destination,
-            amount_pct=pending.amount_pct,
-            route=pending.route,
-        )
-        if self._reliable is not None:
-            # Until the source's Receipt lands its capacity reports
-            # still include the redirected load — track the window so
-            # optimization rounds don't re-place the same excess, and a
-            # successor restoring the snapshot knows this row's source
-            # side is unproven. Registered *before* the persist so the
-            # two invariants travel together: every snapshot holding
-            # the row either holds its pending-confirmation mark or
-            # postdates the source's Receipt.
-            self._unconfirmed_redirects[redirect.msg_id] = pending.source
-        self._persist()
-        self.keepalives.watch(pending.destination, self.engine.now)
-        self._send_ctrl(pending.source, redirect, on_give_up=self._on_redirect_give_up)
+        now = self.engine.now
+        outcome, sends = self.ledger.on_ack(ack, now, in_resync=now <= self._resync_until)
+        counter = _ACK_COUNTERS.get(outcome)
+        if counter is not None:
+            setattr(self.counters, counter, getattr(self.counters, counter) + 1)
+        if outcome in (AckOutcome.ESTABLISH, AckOutcome.ADOPT):
+            self._persist()  # the row is durable before its Redirect leaves
+        elif sends:
+            self.counters.orphans_reclaimed += 1
+        if outcome in (AckOutcome.ESTABLISH, AckOutcome.ADOPT, AckOutcome.SURPLUS):
+            self.keepalives.watch(ack.destination, now)
+        elif outcome is AckOutcome.RECONFIRM:
+            # Proof of life, not an orphan.
+            self.keepalives.record(ack.destination, now)
+            self._clear_probe(ack.destination)
+        self._send(sends)
         return receipt
-
-    def _on_unmatched_ack(self, ack: OffloadAck) -> None:
-        """An Offload-ACK with no pending request.
-
-        Three legitimate lossy-fabric causes: a resync re-confirmation
-        after failover (rebuild the ledger row the snapshot missed), an
-        acceptance that arrived after the retry budget gave up (the
-        destination hosts an orphan — reclaim it), or a stale/raced
-        duplicate (ignore). On a reliable fabric it is a protocol bug.
-        """
-        in_resync = self.engine.now <= self._resync_until
-        if in_resync and ack.accepted and ack.amount_pct > _TOL:
-            if (ack.source, ack.destination) in self._unwound_offloads:
-                # The destination's resync report raced the takeover
-                # unwind Reclaim — repeat the take-back rather than
-                # resurrect a row the source may never have applied.
-                self._corrective_reclaim(ack.source, ack.destination, ack.amount_pct)
-                return
-            known = self.ledger.pair_amount(ack.source, ack.destination)
-            if known > _TOL:
-                excess = ack.amount_pct - known
-                if excess > _TOL:
-                    # The destination hosts more for this source than
-                    # the books say: the surplus was established but
-                    # never persisted, so its source was never
-                    # redirected — take back the destination's share.
-                    self._corrective_reclaim(ack.source, ack.destination, excess)
-            else:
-                self.ledger.add(
-                    ActiveOffload(
-                        source=ack.source,
-                        destination=ack.destination,
-                        amount_pct=ack.amount_pct,
-                        route=(ack.source, ack.destination),
-                        established_at=self.engine.now,
-                    )
-                )
-                self.counters.resync_recovered += 1
-                # The destination's hosting proves only its own side.
-                # The predecessor persisted every row *before* sending
-                # its Redirect, so a row missing from the snapshot
-                # means the source was never redirected — complete the
-                # handshake now, or the source keeps carrying load the
-                # destination also hosts.
-                redirect = Redirect(
-                    source=ack.source,
-                    destination=ack.destination,
-                    amount_pct=ack.amount_pct,
-                    route=(ack.source, ack.destination),
-                )
-                if self._reliable is not None:
-                    self._unconfirmed_redirects[redirect.msg_id] = ack.source
-                self._persist()
-                self._send_ctrl(
-                    ack.source, redirect, on_give_up=self._on_redirect_give_up
-                )
-            self.keepalives.watch(ack.destination, self.engine.now)
-            return
-        if self.retry_policy is None:
-            raise ProtocolError(
-                f"unexpected Offload-ACK for {ack.source}->{ack.destination}"
-            )
-        if ack.accepted and ack.amount_pct > _TOL:
-            known = self.ledger.pair_amount(ack.source, ack.destination)
-            if known > _TOL:
-                # Re-confirmation of a row that is still live (e.g. the
-                # destination answered a keepalive probe's Resync):
-                # proof of life, not an orphan — but a hosting larger
-                # than the books means an unpersisted surplus is hiding
-                # inside the aggregate; take back the difference.
-                excess = ack.amount_pct - known
-                if excess > _TOL:
-                    self._corrective_reclaim(ack.source, ack.destination, excess)
-                self.counters.acks_reconfirmed += 1
-                self.keepalives.record(ack.destination, self.engine.now)
-                self._clear_probe(ack.destination)
-                return
-            # The give-up already wrote this destination off; undo the
-            # orphaned hosting so client and ledger re-converge.
-            self._corrective_reclaim(ack.source, ack.destination, ack.amount_pct)
-            return
-        self.counters.stale_acks_ignored += 1
-
-    def _corrective_reclaim(
-        self, source: int, destination: int, amount_pct: float
-    ) -> None:
-        """Undo an orphaned (or surplus) hosting, at most once per
-        cooldown per pair: Reclaim *subtracts*, so a raced duplicate of
-        a partial repair would eat into a legitimate hosting."""
-        key = (source, destination)
-        last = self._corrective_reclaim_at.get(key)
-        if last is not None and self.engine.now - last < _RECLAIM_COOLDOWN_S:
-            return
-        self._corrective_reclaim_at[key] = self.engine.now
-        self.counters.orphans_reclaimed += 1
-        self._send_ctrl(
-            destination,
-            Reclaim(source=source, destination=destination, amount_pct=amount_pct),
-        )
 
     # -- give-up (retry budget exhausted) hooks ---------------------------------------
     def _on_request_give_up(self, destination: int, payload: ControlMessage) -> None:
-        """Offload-Request / REP never confirmed: free the pending slot
+        """Offload-Request / REP never confirmed: free the REQUESTED row
         and quarantine the unreachable destination out of the candidate
         set before the next placement round."""
-        if isinstance(payload, OffloadRequest):
-            self._pending.pop((payload.source, payload.destination), None)
-        elif isinstance(payload, Rep):
-            self._pending.pop((payload.source, payload.replica), None)
+        self.ledger.give_up_request(payload.source, destination)
         self._quarantine(destination)
 
     def _on_probe_give_up(self, destination: int, payload: ControlMessage) -> None:
@@ -737,20 +519,9 @@ class DUSTManager:
     def _on_redirect_give_up(self, destination: int, payload: ControlMessage) -> None:
         """A source never confirmed its Redirect — it is unreachable
         (likely crashed). Its ledger rows are reclaimed so hosting
-        capacity is not parked for a ghost.
-
-        The take-back also goes to the source itself: "never confirmed"
-        may mean the *Receipts* were the unlucky messages, leaving a
-        live source that applied every Redirect it was written off for.
-        A dead source never sees the message; one that never applied
-        treats the roll-back as a no-op."""
+        capacity is not parked for a ghost (:meth:`OffloadLedger.abandon`)."""
         self.counters.sources_abandoned += 1
-        self._unconfirmed_redirects.pop(payload.msg_id, None)
-        for offload in self.ledger.reclaim(destination):
-            self._corrective_reclaim_at[
-                (offload.source, offload.destination)
-            ] = self.engine.now
-            self._reclaim_row(offload)
+        self._send(self.ledger.abandon(payload.msg_id, destination, self.engine.now))
         self._persist()
 
     # -- optimization rounds ----------------------------------------------------------------
@@ -776,19 +547,8 @@ class DUSTManager:
 
     def round_view(self) -> RoundView:
         """What this manager knows right now, as
-        :func:`~repro.core.placement.plan_round` reads it."""
-        fresh_after: Dict[int, float] = {}
-        offloaded: Dict[int, float] = {}
-        hosted: Dict[int, float] = {}
-        for row in self.ledger.active:
-            offloaded[row.source] = offloaded.get(row.source, 0.0) + row.amount_pct
-            hosted[row.destination] = hosted.get(row.destination, 0.0) + row.amount_pct
-            for endpoint in (row.source, row.destination):
-                fresh_after[endpoint] = max(
-                    fresh_after.get(endpoint, float("-inf")), row.established_at
-                )
-        for source, confirmed_at in self._redirect_confirmed_at.items():
-            fresh_after[source] = max(fresh_after.get(source, float("-inf")), confirmed_at)
+        :func:`~repro.core.placement.plan_round` reads it; the offload
+        fields come off the ledger's row states."""
         now = self.engine.now
         return RoundView(
             topology=self.topology,
@@ -799,23 +559,18 @@ class DUSTManager:
             manager_node=self.node_id,
             max_hops=self.max_hops,
             quarantined=frozenset(self.quarantined_nodes()),
-            in_flight=frozenset(self._pending),
-            unconfirmed=frozenset(self._unconfirmed_redirects.values()),
-            fresh_after=fresh_after,
-            offloaded=offloaded,
-            hosted=hosted,
+            **self.ledger.round_state(),
         )
 
     def _run_optimization_round_impl(self) -> Optional[PlacementReport]:
         self.counters.optimization_rounds += 1
         self.refresh_transport_counters()
-        # Expire pending requests whose request or reply was lost (e.g.
-        # the endpoint died in flight) so their nodes are not excluded
-        # from placement forever. (With the reliable sender active the
+        # Expire requests whose request or reply was lost (e.g. the
+        # endpoint died in flight) so their nodes are not excluded from
+        # placement forever. (With the reliable sender active the
         # give-up hook usually clears them first.)
-        deadline = self.engine.now - 2.0 * self.optimization_period_s
-        for key in [k for k, p in self._pending.items() if p.created_at < deadline]:
-            del self._pending[key]
+        now = self.engine.now
+        self.ledger.prune(now, self.nmdb.last_stat_times(), now - 2.0 * self.optimization_period_s)
         view = self.round_view()
         problem = plan_round(view, self.policy, "incremental").problem
         if problem is None:
@@ -825,8 +580,6 @@ class DUSTManager:
         assignments = report.assignments
         if not report.feasible:
             self.counters.infeasible_rounds += 1
-            if not self.heuristic_fallback:
-                return report
             # Partial relief beats none: Algorithm 1 places whatever
             # fits one hop away even when Eq. 3 has no full solution.
             self.counters.heuristic_fallbacks += 1
@@ -838,32 +591,15 @@ class DUSTManager:
     def _request_offload(
         self, assignment: PlacementAssignment, snapshot: NetworkSnapshot
     ) -> None:
-        """Send one assignment's Offload-Request and hold its pending slot."""
-        route = (
-            tuple(assignment.route.nodes)
-            if assignment.route is not None
-            else (assignment.busy, assignment.candidate)
-        )
-        request = OffloadRequest(
-            destination=assignment.candidate,
-            source=assignment.busy,
-            amount_pct=assignment.amount_pct,
-            data_mb=float(
-                snapshot.data_mb[assignment.busy]
-                * assignment.amount_pct
-                / max(self.policy.excess_load(snapshot.capacities[assignment.busy]), 1e-9)
-            ),
-            route=route,
-        )
-        self._pending[(assignment.busy, assignment.candidate)] = _PendingRequest(
-            source=assignment.busy,
-            destination=assignment.candidate,
-            amount_pct=assignment.amount_pct,
-            route=route,
-            created_at=self.engine.now,
-        )
+        """Send one assignment's Offload-Request (a REQUESTED row)."""
+        source, destination = assignment.busy, assignment.candidate
+        amount = assignment.amount_pct
+        route = (source, destination) if assignment.route is None else tuple(assignment.route.nodes)
+        excess = max(self.policy.excess_load(snapshot.capacities[source]), 1e-9)
+        data_mb = float(snapshot.data_mb[source] * amount / excess)
         self.counters.offload_requests_sent += 1
-        self._send_ctrl(assignment.candidate, request, on_give_up=self._on_request_give_up)
+        now = self.engine.now
+        self._send(self.ledger.request(source, destination, amount, route, now, data_mb))
 
     # -- keepalive sweeps --------------------------------------------------------------------
     def run_keepalive_sweep(self) -> List[int]:
@@ -876,11 +612,7 @@ class DUSTManager:
 
     def _run_keepalive_sweep_impl(self) -> List[int]:
         now = self.engine.now
-        expired = [
-            node
-            for node in self.keepalives.expired(now)
-            if self.ledger.hosted_by(node)
-        ]
+        expired = [node for node in self.keepalives.expired(now) if self.ledger.hosted_by(node)]
         if self._reliable is None:
             failed = expired
         else:
@@ -898,11 +630,7 @@ class DUSTManager:
                 elif node not in self._probes:
                     self._probes[node] = now + self.probe_grace_s
                     self.counters.probes_sent += 1
-                    self._send_ctrl(
-                        node,
-                        Resync(manager_node=self.node_id, timestamp=now),
-                        on_give_up=self._on_probe_give_up,
-                    )
+                    self._send_ctrl(node, Resync(manager_node=self.node_id, timestamp=now))
         if not failed:
             return []
         view = self.round_view()
@@ -912,77 +640,29 @@ class DUSTManager:
             self.counters.destinations_failed += 1
             if self.on_eviction is not None:
                 self.on_eviction(dest)
-            # Aggregate per source: the ledger may hold several rows for
-            # one (source, dest) pair, and re-homing them separately
-            # would duplicate REPs to the same replica.
-            evicted_by_source: Dict[int, float] = {}
-            for row in self.ledger.evict_destination(dest):
-                evicted_by_source[row.source] = (
-                    evicted_by_source.get(row.source, 0.0) + row.amount_pct
-                )
-            evicted = [
-                ActiveOffload(
-                    source=source,
-                    destination=dest,
-                    amount_pct=amount,
-                    route=(source, dest),
-                    established_at=self.engine.now,
-                )
-                for source, amount in sorted(evicted_by_source.items())
-            ]
+            evicted = self.ledger.evict(dest)
             self.keepalives.forget(dest)
             self._clear_probe(dest)
             self._persist()
-            for offload in evicted:
+            for source, amount, reclaim in evicted:
                 # Cancel the source's mapping to the dead destination up
-                # front; a replica Redirect (or nothing, if the load
-                # returns home) follows below.
-                self._send_ctrl(
-                    offload.source,
-                    Reclaim(
-                        source=offload.source,
-                        destination=dest,
-                        amount_pct=offload.amount_pct,
-                    ),
-                )
+                # front; a replica REP (or nothing, if the load returns
+                # home) follows.
+                self._send([reclaim])
                 replica = self.replica_selector.select(
-                    self.topology,
-                    source=offload.source,
-                    amount_pct=offload.amount_pct,
-                    data_mb=float(snapshot.data_mb[offload.source]),
-                    capacities=snapshot.capacities,
-                    policy=self.policy,
-                    exclude=[dest, self.node_id, *stale, *view.quarantined],
+                    self.topology, source=source, amount_pct=amount,
+                    data_mb=float(snapshot.data_mb[source]), capacities=snapshot.capacities,
+                    policy=self.policy, exclude=[dest, self.node_id, *stale, *view.quarantined],
                 )
                 if replica is None:
-                    # No replica fits: the up-front Reclaim already
-                    # returned the workload home.
                     self.counters.workloads_returned += 1
                     continue
                 self.counters.replicas_installed += 1
-                route = (offload.source, replica)
-                self._pending[(offload.source, replica)] = _PendingRequest(
-                    source=offload.source,
-                    destination=replica,
-                    amount_pct=offload.amount_pct,
-                    route=route,
-                    via_replica=True,
-                    created_at=self.engine.now,
-                )
-                self._send_ctrl(
-                    replica,
-                    Rep(
-                        replica=replica,
-                        failed_destination=dest,
-                        source=offload.source,
-                        amount_pct=offload.amount_pct,
-                        route=route,
-                    ),
-                    on_give_up=self._on_request_give_up,
-                )
+                route = (source, replica)
+                self._send(self.ledger.request(source, replica, amount, route, now, failed=dest))
         return failed
 
-    # -- forced reconvergence ---------------------------------------------------------------
+    # -- the two ROADMAP 2(a) sites: one Reclaim object sent to both ends ----------------
     def reset_placement(self) -> int:
         """Tear the current placement down and re-place from scratch.
 
@@ -994,7 +674,7 @@ class DUSTManager:
         returns the number of ledger rows torn down.
         """
         rows = 0
-        for source in list(self.ledger.sources):
+        for source in self.ledger.sources:
             for offload in self.ledger.reclaim(source):
                 rows += 1
                 # One Reclaim, two sends: a retry policy drops the second (ROADMAP 2(a)).
@@ -1005,18 +685,18 @@ class DUSTManager:
         self._persist()
         return rows
 
-    # -- reclaim --------------------------------------------------------------------------------
     def _maybe_reclaim(self, stat: Stat) -> None:
         """If a source has recovered enough headroom to absorb its own
         offloaded load, return it (hysteresis avoids flapping)."""
         offloaded = self.ledger.offloaded_amount(stat.node_id)
         if offloaded <= 0:
             return
-        if stat.capacity_pct + offloaded <= self.policy.c_max - self.reclaim_hysteresis_pct:
+        if stat.capacity_pct + offloaded <= self.policy.c_max - RECLAIM_HYSTERESIS_PCT:
             for offload in self.ledger.reclaim(stat.node_id):
                 self.counters.reclaims_issued += 1
-                # Same one-message defect as in reset_placement.
+                # Same one-message defect as in reset_placement (ROADMAP 2(a)).
                 reclaim = Reclaim(offload.source, offload.destination, offload.amount_pct)
                 self._send_ctrl(offload.destination, reclaim)
                 self._send_ctrl(offload.source, reclaim)
             self._persist()
+

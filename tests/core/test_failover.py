@@ -16,6 +16,7 @@ from repro.core import (
     OffloadAck,
     Redirect,
     RetryPolicy,
+    RowState,
     SnapshotStore,
     StandbyManager,
     Stat,
@@ -23,6 +24,7 @@ from repro.core import (
     assignment_signature,
     audit_system,
 )
+from repro.core import manager as manager_module
 from repro.errors import SimulationError
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import FaultConfig, FaultyNetwork, Message
@@ -187,14 +189,19 @@ class TestDurabilityContract:
         def spy(manager, store):
             send = manager._send_ctrl
 
-            def send_ctrl(destination, payload, on_give_up=None):
+            def send_ctrl(destination, payload):
                 if isinstance(payload, Redirect):
+                    # The durable row is REDIRECTING and owes this very
+                    # Redirect's Receipt: a successor would unwind it.
                     snapshot = store.load()
                     pair = (payload.source, payload.destination)
-                    assert pair in {(r.source, r.destination) for r in snapshot.ledger_rows}
-                    assert payload.source in snapshot.unconfirmed_sources
+                    assert any(
+                        r.pair == pair and r.state is RowState.REDIRECTING
+                        and r.redirect_id == payload.msg_id
+                        for r in snapshot.ledger_rows
+                    )
                     checked.append(pair)
-                send(destination, payload, on_give_up=on_give_up)
+                send(destination, payload)
 
             manager._send_ctrl = send_ctrl
 
@@ -262,7 +269,7 @@ class TestSharedLedgerRows:
         disk = SnapshotStore(path=tmp_path / "manager.snap")
         disk.save(manager.export_snapshot())
         loaded = SnapshotStore(path=tmp_path / "manager.snap").load()
-        assert loaded.unconfirmed_sources == ()
+        assert all(r.state is RowState.CONFIRMED for r in loaded.ledger_rows)
         assert loaded.ledger_rows == manager.ledger.active
         fresh_engine = SimulationEngine()
         successor = DUSTManager(
@@ -270,7 +277,10 @@ class TestSharedLedgerRows:
             network=MessageNetwork(manager.topology, fresh_engine), policy=POLICY,
         )
         successor.restore_snapshot(loaded)
-        assert successor.ledger.active == manager.ledger.active
+        # Same offloads; the predecessor's Receipt times stay behind.
+        assert successor.ledger.active == tuple(
+            dataclasses.replace(r, confirmed_at=None) for r in manager.ledger.active
+        )
 
 
 class TestTakeover:
@@ -347,15 +357,16 @@ class TestTakeover:
 
 
 class TestResync:
-    def test_resync_rebuilds_rows_missing_from_snapshot(self):
+    def test_resync_rebuilds_rows_missing_from_snapshot(self, monkeypatch):
         """A client's resync re-confirmation restores a ledger row the
         snapshot never saw (persisted state lagged the crash)."""
+        monkeypatch.setattr(manager_module, "RESYNC_WINDOW_S", 60.0)
         topology = build_fat_tree(4)
         engine = SimulationEngine()
         network = MessageNetwork(topology, engine)
         manager = DUSTManager(
             node_id=0, topology=topology, engine=engine, network=network,
-            policy=POLICY, retry_policy=RETRY, resync_window_s=60.0,
+            policy=POLICY, retry_policy=RETRY,
         )
         manager.start()
         manager.begin_resync()
@@ -377,13 +388,14 @@ class TestResync:
         assert manager.counters.resync_recovered == 1
         assert len(manager.ledger.active) == 1
 
-    def test_resync_window_closes(self):
+    def test_resync_window_closes(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "RESYNC_WINDOW_S", 60.0)
         topology = build_fat_tree(4)
         engine = SimulationEngine()
         network = MessageNetwork(topology, engine)
         manager = DUSTManager(
             node_id=0, topology=topology, engine=engine, network=network,
-            policy=POLICY, retry_policy=RETRY, resync_window_s=60.0,
+            policy=POLICY, retry_policy=RETRY,
         )
         manager.start()
         manager.begin_resync()

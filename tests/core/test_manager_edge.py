@@ -54,7 +54,7 @@ class TestLifecycle:
 
 
 class TestHeuristicFallback:
-    def build_starved_system(self, heuristic_fallback):
+    def build_starved_system(self):
         """A line where the ILP is infeasible (total spare < excess) but
         the one-hop heuristic can still place *something*."""
         topology = build_line(3)
@@ -66,7 +66,6 @@ class TestHeuristicFallback:
             node_id=0, topology=topology, engine=engine, network=network,
             policy=ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0),
             update_interval_s=30.0, optimization_period_s=60.0,
-            heuristic_fallback=heuristic_fallback,
         )
         manager.start()
         clients = {}
@@ -81,18 +80,12 @@ class TestHeuristicFallback:
         return manager, clients
 
     def test_fallback_places_partial_load(self):
-        manager, clients = self.build_starved_system(heuristic_fallback=True)
+        manager, clients = self.build_starved_system()
         assert manager.counters.infeasible_rounds >= 1
         assert manager.counters.heuristic_fallbacks >= 1
         # Partial relief: the candidate filled to CO_max.
         assert clients[2].hosted_amount == pytest.approx(5.0)
         assert clients[1].offloaded_amount == pytest.approx(5.0)
-
-    def test_no_fallback_leaves_load_in_place(self):
-        manager, clients = self.build_starved_system(heuristic_fallback=False)
-        assert manager.counters.infeasible_rounds >= 1
-        assert manager.counters.heuristic_fallbacks == 0
-        assert clients[2].hosted_amount == 0.0
 
 
 class TestStaleExclusion:

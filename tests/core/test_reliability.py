@@ -16,6 +16,7 @@ from repro.core import (
     Stat,
     ThresholdPolicy,
 )
+from repro.core import manager as manager_module
 from repro.errors import ProtocolError
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
@@ -365,8 +366,9 @@ class TestManagerHardening:
             deliver(manager, 5, Stat(node_id=5, capacity_pct=99.0, data_mb=1.0,
                                      num_agents=3, timestamp=5.0))
 
-    def test_give_up_quarantines_destination(self):
-        manager, engine, _ = make_manager(retry_policy=FAST_RETRY, quarantine_s=100.0)
+    def test_give_up_quarantines_destination(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "QUARANTINE_S", 100.0)
+        manager, engine, _ = make_manager(retry_policy=FAST_RETRY)
         manager.start()
         req = OffloadRequest(destination=7, source=5, amount_pct=10.0,
                              data_mb=5.0, route=(5, 7))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OffloadCapable, PlacementEngine, Stat, ThresholdPolicy
+from repro.core import OffloadCapable, PlacementEngine, RowState, Stat, ThresholdPolicy
 from repro.core.nmdb import NMDB
 from repro.core.placement import Exclusion, RoundView, plan_round
 from repro.errors import PlacementError
@@ -222,7 +222,12 @@ class TestRoundView:
         view = manager.round_view()
         assert view.now == engine.now and view.manager_node == manager.node_id
         np.testing.assert_array_equal(view.last_stat, manager.nmdb.last_stat_times())
-        assert view.in_flight == frozenset(manager._pending)
+        assert view.in_flight == frozenset(
+            row.pair for row in manager.ledger.rows if row.state is RowState.REQUESTED
+        )
+        assert view.unconfirmed == frozenset(
+            row.source for row in manager.ledger.rows if row.redirect_id is not None
+        )
         for node in {row.source for row in rows}:
             assert view.offloaded[node] == pytest.approx(manager.ledger.offloaded_amount(node))
         for node in {row.destination for row in rows}:

@@ -64,8 +64,23 @@ class TestFullWheel:
             metadata = whl.read("repro-1.0.0.dist-info/METADATA").decode()
         for dep in ("numpy", "scipy"):
             assert f"Requires-Dist: {dep}" in metadata
-        # networkx is a test-only oracle dependency (the dev extra).
-        assert "Requires-Dist: networkx" not in metadata
+        # networkx is a test-only oracle dependency: only the dev extra
+        # requires it.
+        networkx = [l for l in metadata.splitlines() if l.startswith("Requires-Dist: networkx")]
+        assert networkx and all(l.endswith('; extra == "dev"') for l in networkx)
+
+    def test_extras_match_pyproject(self, tmp_path):
+        """CI installs ``.[dev]``, so the backend must publish the same
+        extra pyproject.toml declares."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert {k: tuple(v) for k, v in project["optional-dependencies"].items()} == backend.EXTRAS
+        name = backend.build_wheel(str(tmp_path))
+        with zipfile.ZipFile(tmp_path / name) as whl:
+            metadata = whl.read("repro-1.0.0.dist-info/METADATA").decode()
+        assert "Provides-Extra: dev" in metadata
+        assert 'Requires-Dist: pytest-timeout>=2.0; extra == "dev"' in metadata
 
 
 class TestSdist:

@@ -145,7 +145,7 @@ def test_chaos_hot_nodes_still_served(chaos_run):
             assert (
                 manager.counters.infeasible_rounds > 0
                 or manager.counters.offloads_rejected > 0
-                or len(manager._pending) > 0
+                or manager.round_view().in_flight
             )
 
 
