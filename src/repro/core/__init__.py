@@ -80,7 +80,6 @@ from repro.core.zoning import (
     ZonedPlacementReport,
     partition_by_pod,
     validate_partition,
-    zone_boundaries,
 )
 from repro.core.roles import NodeRole, RoleAssignment, classify_network, classify_node
 from repro.core.thresholds import RECOMMENDED_K_IO, ThresholdPolicy
@@ -141,7 +140,6 @@ __all__ = [
     "Zone",
     "ZonedPlacementEngine",
     "ZonedPlacementReport",
-    "zone_boundaries",
     "partition_by_pod",
     "validate_partition",
     "StrictPriorityQueue",

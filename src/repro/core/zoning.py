@@ -85,44 +85,6 @@ def partition_by_pod(topology: Topology) -> List[Zone]:
     return zones
 
 
-def zone_boundaries(
-    topology: Topology, zones: Sequence[Zone]
-) -> Dict[int, Tuple[int, ...]]:
-    """Boundary node sets: per zone, the members with an edge out.
-
-    A node is on its zone's boundary when at least one topology
-    neighbor belongs to a different zone — these are the nodes whose
-    offload lanes the distributed solve's price exchange actually has
-    to negotiate (interior lanes are settled by the zone's local
-    presolve).
-
-    Parameters
-    ----------
-    topology : Topology
-        The fabric the zones partition.
-    zones : sequence of Zone
-        A valid partition (see :func:`validate_partition`).
-
-    Returns
-    -------
-    dict of int to tuple of int
-        ``zone_id -> sorted boundary node ids``.
-    """
-    owner: Dict[int, int] = {}
-    for zone in zones:
-        for node in zone.nodes:
-            owner[node] = zone.zone_id
-    boundaries: Dict[int, Tuple[int, ...]] = {}
-    for zone in zones:
-        edge_nodes = [
-            node
-            for node in zone.nodes
-            if any(owner.get(nbr) != zone.zone_id for nbr in topology.neighbors(node))
-        ]
-        boundaries[zone.zone_id] = tuple(sorted(edge_nodes))
-    return boundaries
-
-
 def validate_partition(topology: Topology, zones: Sequence[Zone]) -> None:
     """Every node in exactly one zone."""
     seen: Dict[int, int] = {}
@@ -293,7 +255,7 @@ class DistributedPlacementReport(PlacementReport):
     zones : int
         Participating zone managers.
     rounds : int
-        Price-exchange epochs until termination.
+        Price-exchange rounds until termination.
     pivots : int
         Coordinator pivots across all rounds.
     dsolve_messages : int
@@ -305,11 +267,8 @@ class DistributedPlacementReport(PlacementReport):
     zone_seconds : dict of int to float
         Per-zone wall time (Trmin pricing + presolve + lane pricing).
     critical_path_seconds : float
-        Modeled parallel wall-clock — coordinator time plus the
-        slowest zone, the same reading as
-        :attr:`ZonedPlacementReport.max_zone_seconds`.
-    boundary_sizes : dict of int to int
-        Per-zone boundary-node counts (see :func:`zone_boundaries`).
+        Coordinator time plus the slowest zone (see the field's
+        comment).
     """
 
     zones: int = 0
@@ -321,8 +280,9 @@ class DistributedPlacementReport(PlacementReport):
     presolve_warm_hits: int = 0
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
+    # Read only by benchmarks/e2e/spans.py; deleted with that reader in
+    # the next [benchmark] PR.
     critical_path_seconds: float = 0.0
-    boundary_sizes: Dict[int, int] = field(default_factory=dict)
 
 
 class DistributedPlacementEngine:
@@ -456,10 +416,6 @@ class DistributedPlacementEngine:
             + result.zone_seconds.get(z.zone_id, 0.0)
             for z in self.zones
         }
-        boundary_sizes = {
-            zone_id: len(nodes)
-            for zone_id, nodes in zone_boundaries(problem.topology, self.zones).items()
-        }
         return DistributedPlacementReport(
             status=result.status,
             objective_beta=(
@@ -484,5 +440,4 @@ class DistributedPlacementEngine:
             zone_seconds=zone_totals,
             critical_path_seconds=result.coordinator_seconds
             + (max(zone_totals.values()) if zone_totals else 0.0),
-            boundary_sizes=boundary_sizes,
         )

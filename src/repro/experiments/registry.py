@@ -107,7 +107,7 @@ _register(ExperimentEntry(
 _register(ExperimentEntry(
     "distributed",
     "Distributed placement solve vs centralized LP (extra)",
-    extra_distributed.run, {"ks": (16,)},
+    extra_distributed.run, {"ks": (8, 16)},
 ))
 
 #: Paper figures, in publication order (the `all` target).

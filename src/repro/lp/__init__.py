@@ -28,14 +28,9 @@ from repro.lp.transportation import (
 from repro.lp.distributed import (
     DistributedCoordinator,
     DistributedSolveResult,
-    FlowAssignment,
-    LaneBids,
-    PriceUpdate,
     ZoneProfile,
     ZoneWorker,
-    extract_zone_subproblems,
     run_protocol,
-    solve_distributed,
 )
 
 __all__ = [
@@ -43,11 +38,8 @@ __all__ = [
     "Constraint",
     "DistributedCoordinator",
     "DistributedSolveResult",
-    "FlowAssignment",
-    "LaneBids",
     "LinExpr",
     "LinearProgram",
-    "PriceUpdate",
     "Solution",
     "SolveStatus",
     "TransportationBasis",
@@ -56,10 +48,8 @@ __all__ = [
     "Variable",
     "ZoneProfile",
     "ZoneWorker",
-    "extract_zone_subproblems",
     "lp_sum",
     "run_protocol",
-    "solve_distributed",
     "solve_scipy",
     "solve_transportation",
 ]

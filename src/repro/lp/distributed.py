@@ -1,32 +1,32 @@
 """Distributed transportation solve: zone subproblems + a thin price coordinator.
 
-DUST's zones (:mod:`repro.core.zoning`) already fan route pricing out,
-but a single manager still owns the whole placement LP — ROADMAP open
-item 1. This module decomposes the Eq. 3 transportation solve across
-*zone managers* in the spirit of the distributed transportation simplex
-(Coutinho et al.) and ADMM-style consensus price exchange:
+DUST's zones (:mod:`repro.core.zoning`) already fan route pricing out;
+this module also splits the Eq. 3 transportation solve across *zone
+managers*, in the spirit of the distributed transportation simplex
+(Coutinho et al.):
 
 * each **zone** owns its busy rows (their supplies and full cost rows,
   i.e. the Trmin pricing work, which dominates wall-clock) and its
   candidate columns (their capacities). It solves its *local*
   subproblem — its busy rows against its own candidates — exactly,
   from the cost rows it holds, and afterwards only ever *prices* its
-  rows against broadcast duals;
+  rows against the coordinator's duals;
 * a **thin coordinator** owns no cost matrix — just the global basis
   tree (``m + n + 1`` cells), the flows that tree carries, and the dual
-  prices it implies. Per iteration it broadcasts boundary duals
-  ``(u, v)``, collects each zone's most-violated lanes as *bids*,
-  applies the winning pivots locally, and repeats until no zone bids
-  and the coordinator finds no pivot of its own (exact optimum).
+  prices it implies. Each round it hands the duals ``(u, v)`` to every
+  zone, collects each zone's most-violated lanes as *bids*, applies the
+  winning pivots, and repeats until no zone bids and the coordinator
+  finds no pivot of its own (exact optimum).
 
-The coordination loop is exactly a transportation simplex with
-distributed candidate-list pricing, so the converged objective equals
-the centralized :func:`repro.lp.transportation.solve_transportation`
-optimum — not approximately, but as the same LP optimum reached by a
-different pivot order. Both solvers share one tree core: the
-coordinator prices with :meth:`_BasisTree.potentials` and pivots with
-:meth:`_BasisTree.pivot`, the same calls the centralized loop makes,
-and stops on the same reduced-cost test.
+:func:`run_protocol` runs that loop in one process. It is exactly a
+transportation simplex with candidate-list pricing split across zones,
+so the converged objective equals the centralized
+:func:`repro.lp.transportation.solve_transportation` optimum — not
+approximately, but as the same LP optimum reached by a different pivot
+order. Both solvers share one tree core: the coordinator prices with
+:meth:`_BasisTree.potentials` and pivots with :meth:`_BasisTree.pivot`,
+the same calls the centralized loop makes, and stops on the same
+reduced-cost test.
 
 Balanced coordinates: the real ``m × n`` problem gains a *dummy supply
 row* ``m`` (absorbing spare capacity at zero cost) and an *artificial
@@ -34,17 +34,8 @@ column* ``n`` (absorbing unplaceable load at Big-M cost), both owned by
 the coordinator — this guarantees a valid starting tree even before any
 zone reports, and makes infeasibility show up as artificial flow, the
 same post-hoc detection the centralized solver applies to forbidden
-lanes.
-
-Message schemas (:class:`ZoneProfile`, :class:`PriceUpdate`,
-:class:`LaneBids`, :class:`FlowAssignment`) are frozen dataclasses with
-explicit epochs, so the protocol is idempotent under duplication, loss
-and reordering — the networked driver in
-:mod:`repro.simulation.distributed` runs these rounds over a
-:class:`~repro.simulation.network_sim.FaultyNetwork` and message loss
-degrades to retransmissions and extra rounds, never to a wrong answer.
-The full protocol specification, state machine and a worked k=4
-example live in ``docs/distributed_solve.md``.
+lanes. The protocol and a worked k=4 example live in
+``docs/distributed_solve.md``.
 """
 
 from __future__ import annotations
@@ -66,34 +57,28 @@ from repro.lp.transportation import (
     _UnionFind,
     solve_transportation,
 )
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry
 
 __all__ = [
     "DistributedSolveResult",
-    "FlowAssignment",
-    "LaneBids",
-    "PriceUpdate",
     "ZoneProfile",
     "ZoneWorker",
     "DistributedCoordinator",
-    "extract_zone_subproblems",
-    "finish_solve",
     "run_protocol",
-    "solve_distributed",
 ]
 
 #: Flow on a forbidden lane / the artificial column above this means
 #: the real problem is infeasible (mirrors the centralized check).
 _FLOW_TOL = 1e-6
-#: Most-violated lanes a zone bids per epoch.
+#: Most-violated lanes a zone bids per round.
 _BLOCK_BIDS = 16
-#: Bounded-time guards: a solve still running after this many epochs
+#: Bounded-time guards: a solve still running after this many rounds
 #: or pivots ends ``ITERATION_LIMIT``.
 _MAX_ROUNDS = 10_000
 _MAX_PIVOTS = 100_000
 
 
-# -- protocol messages -------------------------------------------------------------
+# -- zone report -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -133,78 +118,6 @@ class ZoneProfile:
     basis_cells: Tuple[Tuple[int, int, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class PriceUpdate:
-    """Coordinator → zone: boundary duals for one pricing epoch.
-
-    Parameters
-    ----------
-    epoch : int
-        Monotonic round number; a zone answers each epoch at most once
-        and the coordinator discards bids from stale epochs, which
-        makes the exchange idempotent under duplication and reordering.
-    u : tuple of float
-        Supply potentials for the *receiving zone's* rows only (the
-        update is tailored per zone; rows are in the zone's
-        ``profile.rows`` order).
-    v : tuple of float
-        Capacity potentials for all real columns, in global order.
-    big_m : float
-        Global cost for forbidden (no-route) lanes, shared by every
-        zone so reduced costs are comparable.
-    """
-
-    epoch: int
-    u: Tuple[float, ...]
-    v: Tuple[float, ...]
-    big_m: float
-
-
-@dataclass(frozen=True)
-class LaneBids:
-    """Zone → coordinator: the zone's most-violated lanes for an epoch.
-
-    Parameters
-    ----------
-    zone_id, epoch : int
-        Echo of the :class:`PriceUpdate` being answered.
-    bids : tuple of (int, int, float, bool)
-        Up to 16 cells ``(row, col, cost, forbidden)`` whose reduced
-        cost ``c_ij - u_i - v_j`` is negative beyond tolerance, most
-        negative first. Empty when the zone's rows are fully priced
-        out — the zone votes "converged".
-    """
-
-    zone_id: int
-    epoch: int
-    bids: Tuple[Tuple[int, int, float, bool], ...] = ()
-
-
-@dataclass(frozen=True)
-class FlowAssignment:
-    """Coordinator → zone: the zone's rows of the converged global flow.
-
-    Parameters
-    ----------
-    zone_id, epoch : int
-        Addressee and the terminal epoch.
-    status : SolveStatus
-        Terminal status of the global solve.
-    flows : tuple of (int, int, float)
-        ``(row, col, amount)`` for every positive flow leaving one of
-        the zone's busy rows (global coordinates; empty when the solve
-        did not end optimal).
-    objective : float
-        Global objective (``nan`` when not optimal).
-    """
-
-    zone_id: int
-    epoch: int
-    status: SolveStatus
-    flows: Tuple[Tuple[int, int, float], ...] = ()
-    objective: float = float("nan")
-
-
 # -- results -----------------------------------------------------------------------
 
 
@@ -217,32 +130,28 @@ class DistributedSolveResult:
     status : SolveStatus
         ``OPTIMAL`` (converged: no lane prices below zero),
         ``INFEASIBLE`` (load left on artificial/forbidden lanes) or
-        ``ITERATION_LIMIT`` (round/pivot budget or deadline exhausted).
+        ``ITERATION_LIMIT`` (round/pivot budget exhausted).
     flow : numpy.ndarray
         ``(m, n)`` optimal flow in the original coordinates (zeros
         when not optimal).
     objective : float
         Global objective; matches the centralized solver's optimum.
     rounds : int
-        Price-exchange epochs run.
+        Price-exchange rounds run.
     pivots : int
         Coordinator pivots applied across all rounds.
     bids_received : int
-        Lane bids accepted from zones (stale ones excluded).
+        Lane bids received from zones.
     zone_count : int
         Number of participating zones.
     messages : int
-        Protocol messages exchanged (profiles + updates + bids +
-        assignments) by the in-process driver; the networked driver
-        reports its own (larger, loss-inflated) count.
+        Zone↔coordinator exchanges the protocol stands for: per zone a
+        profile, a duals/bids pair per round and a final assignment,
+        ``zone_count × (2 + 2·rounds)``.
     coordinator_seconds : float
         Wall time spent in coordinator-side merge/pivot work.
     zone_seconds : dict of int to float
         Wall time per zone (presolve + all pricing calls).
-    critical_path_seconds : float
-        Modeled parallel wall-clock: coordinator time plus the slowest
-        zone — zones price concurrently in a real deployment, the same
-        reading as ``ZonedPlacementReport.max_zone_seconds``.
     """
 
     status: SolveStatus
@@ -255,7 +164,6 @@ class DistributedSolveResult:
     messages: int
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
-    critical_path_seconds: float = 0.0
 
     @property
     def feasible(self) -> bool:
@@ -318,8 +226,6 @@ class ZoneWorker:
         if self.capacities.shape != (len(self.cols),):
             raise SolverError(f"zone {zone_id}: capacities shape mismatch")
         self.seconds = 0.0
-        self.final_flows: Tuple[Tuple[int, int, float], ...] = ()
-        self.final_status: Optional[SolveStatus] = None
 
     # -- phase 1: local presolve ---------------------------------------------------
     def _local_presolve(self) -> Tuple[Tuple[int, int, float], ...]:
@@ -370,30 +276,31 @@ class ZoneWorker:
         return profile
 
     # -- iteration: pricing ----------------------------------------------------------
-    def price(self, update: PriceUpdate) -> LaneBids:
-        """Price this zone's rows against broadcast duals; bid violations.
+    def price(
+        self, u: np.ndarray, v: np.ndarray, big_m: float
+    ) -> Tuple[Tuple[int, int, float, bool], ...]:
+        """Price this zone's rows against the coordinator's duals.
 
         Parameters
         ----------
-        update : PriceUpdate
-            The epoch's duals — ``u`` tailored to this zone's rows,
-            ``v`` global.
+        u : numpy.ndarray
+            Supply potentials of this zone's rows, in ``rows`` order.
+        v : numpy.ndarray
+            Capacity potentials of all ``n`` real columns.
+        big_m : float
+            Global cost of a forbidden lane, shared by every zone so
+            reduced costs are comparable.
 
         Returns
         -------
-        LaneBids
-            Up to 16 most-violated lanes. Re-pricing the same epoch
-            returns an identical answer (pure function of the update),
-            which is what makes retransmission safe.
+        tuple of (int, int, float, bool)
+            Up to 16 bids ``(row, col, cost, forbidden)`` whose reduced
+            cost ``c_ij - u_i - v_j`` is negative beyond tolerance, most
+            negative first; empty when the zone's rows are priced out.
         """
         start = time.perf_counter()
-        m_z = len(self.rows)
-        if m_z == 0:
-            return LaneBids(zone_id=self.zone_id, epoch=update.epoch)
-        u = np.asarray(update.u, dtype=float)
-        v = np.asarray(update.v, dtype=float)
         forbidden = ~np.isfinite(self.cost_rows)
-        cost = np.where(forbidden, update.big_m, self.cost_rows)
+        cost = np.where(forbidden, big_m, self.cost_rows)
         reduced = cost - u[:, None] - v[None, :]
         violating = reduced < -_OPT_TOL * (1.0 + np.abs(cost))
         bids: List[Tuple[int, int, float, bool]] = []
@@ -407,12 +314,7 @@ class ZoneWorker:
                     (self.rows[a], int(b), float(cost[a, b]), bool(forbidden[a, b]))
                 )
         self.seconds += time.perf_counter() - start
-        return LaneBids(zone_id=self.zone_id, epoch=update.epoch, bids=tuple(bids))
-
-    def accept(self, assignment: FlowAssignment) -> None:
-        """Record the final flows for this zone's rows (idempotent)."""
-        self.final_flows = assignment.flows
-        self.final_status = assignment.status
+        return tuple(bids)
 
 
 # -- coordinator -------------------------------------------------------------------
@@ -478,18 +380,19 @@ class DistributedCoordinator:
     artificial column ``n`` are coordinator-owned, so it can price its
     own rows/columns without any zone traffic.
 
-    Each epoch, zones bid up to 16 lanes and the coordinator applies
-    every still-improving one. The solve ends ``OPTIMAL`` (or
-    ``INFEASIBLE``) on the first epoch with no zone bid and no
-    coordinator pivot, or ``ITERATION_LIMIT`` after 10 000 epochs or
-    100 000 pivots.
+    Each round, zones bid up to 16 lanes each against :meth:`duals`
+    and :meth:`step` applies every still-improving one. The solve ends
+    ``OPTIMAL`` (or ``INFEASIBLE``) on the first round with no zone bid
+    and no coordinator pivot, or ``ITERATION_LIMIT`` after 10 000
+    rounds or 100 000 pivots.
 
     Attributes
     ----------
-    epoch : int
-        Current epoch (``-1`` before the first :meth:`price_updates`).
     rounds, pivots, bids_received : int
-        Epochs opened, pivots applied and bids accepted so far.
+        Rounds stepped, pivots applied and bids received so far.
+    big_m : float
+        Cost of a forbidden lane, shared with every zone's pricing
+        (set by :meth:`initialize` unless the solve ends there).
     seconds : float
         Wall time spent in coordinator work.
     converged : bool
@@ -498,14 +401,12 @@ class DistributedCoordinator:
 
     def __init__(self) -> None:
         self._profiles: Dict[int, ZoneProfile] = {}
-        self.epoch = -1
         self.rounds = 0
         self.pivots = 0
         self.bids_received = 0
         self.seconds = 0.0
         self.converged = False
         self.status: Optional[SolveStatus] = None
-        self._epoch_bids: Dict[int, LaneBids] = {}
         self._tree: Optional[_BasisTree] = None
         self._flow: Dict[Tuple[int, int], float] = {}
         self._cost: Dict[Tuple[int, int], float] = {}
@@ -516,7 +417,7 @@ class DistributedCoordinator:
 
     # -- setup ---------------------------------------------------------------------
     def register(self, profile: ZoneProfile) -> None:
-        """Accept one zone's :class:`ZoneProfile` (idempotent per zone)."""
+        """Accept one zone's :class:`ZoneProfile` (one per zone id)."""
         self._profiles[profile.zone_id] = profile
 
     def initialize(self) -> None:
@@ -630,73 +531,49 @@ class DistributedCoordinator:
         self._u, self._v = u, v
 
     # -- iteration -----------------------------------------------------------------
-    def price_updates(self) -> Dict[int, PriceUpdate]:
-        """Open the next epoch: tailored :class:`PriceUpdate` per zone."""
-        start = time.perf_counter()
-        self.epoch += 1
-        self.rounds += 1
-        self._epoch_bids = {}
-        u, v = self._u, self._v
-        updates = {
-            p.zone_id: PriceUpdate(
-                epoch=self.epoch,
-                u=tuple(float(u[i]) for i in p.rows),
-                v=tuple(float(x) for x in v[: self.n]),
-                big_m=self.big_m,
-            )
-            for p in self._profiles.values()
-        }
-        self.seconds += time.perf_counter() - start
-        return updates
-
-    def submit(self, bids: LaneBids) -> bool:
-        """Accept one zone's bids; stale or duplicate epochs are dropped.
+    def duals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The current potentials the zones price against.
 
         Returns
         -------
-        bool
-            True when the bids were accepted for the current epoch.
+        (numpy.ndarray, numpy.ndarray)
+            ``u`` over every row (a zone reads its own rows) and ``v``
+            over the ``n`` real columns.
         """
-        if bids.epoch != self.epoch or bids.zone_id in self._epoch_bids:
-            return False
-        self._epoch_bids[bids.zone_id] = bids
-        self.bids_received += len(bids.bids)
-        return True
+        return self._u, self._v[: self.n]
 
-    @property
-    def epoch_complete(self) -> bool:
-        """All zones answered the current epoch."""
-        return len(self._epoch_bids) == len(self._profiles)
-
-    def step(self) -> bool:
-        """Close the epoch: apply pivots, then test for termination.
+    def step(self, bids: Sequence[Tuple[int, int, float, bool]]) -> bool:
+        """Close one round: apply pivots, then test for termination.
 
         Every bid cell is re-checked against the *current* duals before
         entering (cells go stale as earlier pivots shift prices), and
         the coordinator scans its own dummy-row / artificial-column
         lanes the same way. Termination is decided here.
 
+        Parameters
+        ----------
+        bids : sequence of (int, int, float, bool)
+            Every zone's :meth:`ZoneWorker.price` answer to the current
+            :meth:`duals`, concatenated in zone-id order.
+
         Returns
         -------
         bool
-            True while iteration must continue (another epoch is
+            True while iteration must continue (another round is
             needed); False once converged or out of budget.
         """
         if self.converged:
             return False
-        if not self.epoch_complete:
-            raise SolverError("step() before every zone answered the epoch")
         start = time.perf_counter()
-        bids = sorted(self._epoch_bids.values(), key=lambda b: b.zone_id)
-        zone_improving = any(b.bids for b in bids)
+        self.rounds += 1
+        self.bids_received += len(bids)
         candidates: List[Tuple[int, int]] = []
-        for b in bids:
-            for i, j, cost, forbidden in b.bids:
-                cell = (int(i), int(j))
-                self._cost[cell] = float(cost)
-                if forbidden:
-                    self._forbidden.add(cell)
-                candidates.append(cell)
+        for i, j, cost, forbidden in bids:
+            cell = (int(i), int(j))
+            self._cost[cell] = float(cost)
+            if forbidden:
+                self._forbidden.add(cell)
+            candidates.append(cell)
 
         applied = 0
         while self.pivots < _MAX_PIVOTS:
@@ -706,7 +583,7 @@ class DistributedCoordinator:
             self._pivot(*cell)
             applied += 1
 
-        if not zone_improving and applied == 0:
+        if not bids and applied == 0:
             self.converged = True
             self.status = self._terminal_status()
         elif self.rounds >= _MAX_ROUNDS or self.pivots >= _MAX_PIVOTS:
@@ -771,49 +648,17 @@ class DistributedCoordinator:
         _, clean = self._objective()
         return SolveStatus.OPTIMAL if clean else SolveStatus.INFEASIBLE
 
-    # -- drain ---------------------------------------------------------------------
-    def assignments(self) -> Dict[int, FlowAssignment]:
-        """Terminal :class:`FlowAssignment` per zone (idempotent)."""
-        if not self.converged:
-            raise SolverError("assignments() before convergence")
-        status = self.status
-        objective, _ = self._objective()
-        if status is not SolveStatus.OPTIMAL:
-            objective = float("nan")
-        per_zone: Dict[int, List[Tuple[int, int, float]]] = {
-            z: [] for z in self._profiles
-        }
-        if status is SolveStatus.OPTIMAL and self._tree is not None:
-            owner = {}
-            for p in self._profiles.values():
-                for r in p.rows:
-                    owner[r] = p.zone_id
-            for (i, j), amount in self._flow.items():
-                if i < self.m and j < self.n and amount > _FLOW_TOL:
-                    per_zone[owner[i]].append((i, j, float(amount)))
-        return {
-            z: FlowAssignment(
-                zone_id=z,
-                epoch=self.epoch,
-                status=status,
-                flows=tuple(sorted(per_zone[z])),
-                objective=objective,
-            )
-            for z in self._profiles
-        }
-
     def result(self) -> Tuple[SolveStatus, np.ndarray, float]:
         """(status, dense real flow, objective) of the converged solve."""
         if not self.converged:
             raise SolverError("result() before convergence")
         status = self.status
-        flow = np.zeros((getattr(self, "m", 0), getattr(self, "n", 0)))
+        flow = np.zeros((self.m, self.n))
         objective = float("nan")
         if status is SolveStatus.OPTIMAL:
-            if self._tree is not None:
-                for (i, j), amount in self._flow.items():
-                    if i < self.m and j < self.n and amount > _FLOW_TOL:
-                        flow[i, j] = amount
+            for (i, j), amount in self._flow.items():
+                if i < self.m and j < self.n and amount > _FLOW_TOL:
+                    flow[i, j] = amount
             objective, _ = self._objective()
         return status, flow, objective
 
@@ -821,114 +666,22 @@ class DistributedCoordinator:
 # -- drivers -----------------------------------------------------------------------
 
 
-def extract_zone_subproblems(
-    problem: TransportationProblem,
-    zone_rows: Sequence[Sequence[int]],
-    zone_cols: Sequence[Sequence[int]],
-) -> List[ZoneWorker]:
-    """Slice a global instance into per-zone :class:`ZoneWorker` objects.
-
-    Parameters
-    ----------
-    problem : TransportationProblem
-        The global instance (``inf`` marks forbidden lanes).
-    zone_rows : sequence of sequences of int
-        ``zone_rows[z]`` — global row indices owned by zone ``z``.
-        Must partition ``0..m-1``.
-    zone_cols : sequence of sequences of int
-        ``zone_cols[z]`` — global column indices owned by zone ``z``.
-        Must partition ``0..n-1``. Same length as ``zone_rows``.
-
-    Returns
-    -------
-    list of ZoneWorker
-        One worker per zone, each holding its full-width cost rows.
-    """
-    if len(zone_rows) != len(zone_cols):
-        raise SolverError("zone_rows and zone_cols must have the same length")
-    workers: List[ZoneWorker] = []
-    for z, (rows, cols) in enumerate(zip(zone_rows, zone_cols)):
-        rows = [int(r) for r in rows]
-        cols = [int(c) for c in cols]
-        workers.append(
-            ZoneWorker(
-                zone_id=z,
-                rows=rows,
-                cols=cols,
-                cost_rows=problem.cost[rows, :],
-                supplies=problem.supply[rows],
-                capacities=problem.demand[cols],
-            )
-        )
-    return workers
-
-
-def solve_distributed(
-    problem: TransportationProblem,
-    zone_rows: Sequence[Sequence[int]],
-    zone_cols: Sequence[Sequence[int]],
-) -> DistributedSolveResult:
-    """Solve a transportation instance with the distributed protocol.
-
-    In-process driver: zones and coordinator run in one process with
-    direct calls (the networked, fault-tolerant driver lives in
-    :mod:`repro.simulation.distributed`). The converged objective
-    equals :func:`~repro.lp.transportation.solve_transportation` on the
-    same instance — the decomposition changes who does the work, not
-    the optimum.
-
-    Parameters
-    ----------
-    problem : TransportationProblem
-        Global instance with equality supplies and capacity demands.
-    zone_rows, zone_cols : sequence of sequences of int
-        Row/column ownership per zone (partitions of ``0..m-1`` /
-        ``0..n-1``; see :func:`extract_zone_subproblems`).
-
-    Returns
-    -------
-    DistributedSolveResult
-        Converged status/flow/objective plus protocol statistics
-        (rounds, pivots, per-zone seconds). Also reports into the
-        ``dsolve.*`` metrics.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.lp import TransportationProblem
-    >>> from repro.lp.distributed import solve_distributed
-    >>> problem = TransportationProblem(
-    ...     supply=np.array([4.0, 2.0]),
-    ...     demand=np.array([5.0, 5.0]),
-    ...     cost=np.array([[1.0, 3.0], [2.0, 1.0]]),
-    ... )
-    >>> result = solve_distributed(problem, [[0], [1]], [[0], [1]])
-    >>> result.status.name, round(result.objective, 6)
-    ('OPTIMAL', 6.0)
-    """
-    with trace_span(
-        "dsolve.solve",
-        rows=problem.num_sources,
-        cols=problem.num_destinations,
-        zones=len(zone_rows),
-    ):
-        return run_protocol(extract_zone_subproblems(problem, zone_rows, zone_cols))
-
-
 def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
-    """Run the full protocol over pre-built zone workers, in-process.
+    """Run the distributed solve over pre-built zone workers, in-process.
 
-    The loop :func:`solve_distributed` delegates to, exposed for
-    callers that build their own :class:`ZoneWorker` objects (the core
-    layer builds them from the Trmin rows each zone priced). Every
-    worker presolves its local block here, through
-    :meth:`ZoneWorker.profile`. Publishes the ``dsolve.*`` metrics.
+    Every worker presolves its local block (:meth:`ZoneWorker.profile`)
+    and the coordinator merges the profiles into one basis. Each round
+    then hands the coordinator's duals to every zone's
+    :meth:`ZoneWorker.price` in zone-id order and the concatenated bids
+    to :meth:`DistributedCoordinator.step`, until it converges or runs
+    out of budget. Publishes the ``dsolve.*`` metrics.
 
     Parameters
     ----------
     workers : sequence of ZoneWorker
         One worker per zone; together they must own partitions of the
-        global rows and columns.
+        global rows and columns (the core layer builds them from the
+        Trmin rows each zone priced).
 
     Returns
     -------
@@ -936,63 +689,20 @@ def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
         Converged status/flow/objective plus protocol statistics.
     """
     coordinator = DistributedCoordinator()
-    messages = 0
     for worker in workers:
         coordinator.register(worker.profile())
-        messages += 1
     coordinator.initialize()
-    by_id = {w.zone_id: w for w in workers}
+    zones = sorted(workers, key=lambda w: w.zone_id)
     while not coordinator.converged:
-        updates = coordinator.price_updates()
-        messages += len(updates)
-        for zone_id, update in updates.items():
-            coordinator.submit(by_id[zone_id].price(update))
-            messages += 1
-        if not coordinator.step():
-            break
-    for zone_id, assignment in coordinator.assignments().items():
-        by_id[zone_id].accept(assignment)
-        messages += 1
-    return finish_solve(coordinator, workers, messages)
-
-
-def finish_solve(
-    coordinator: DistributedCoordinator,
-    workers: Sequence[ZoneWorker],
-    messages: int,
-    gave_up: bool = False,
-) -> DistributedSolveResult:
-    """Publish one solve's ``dsolve.*`` metrics and build its result.
-
-    Shared by the in-process and networked drivers.
-
-    Parameters
-    ----------
-    coordinator : DistributedCoordinator
-        The solve's coordinator, converged unless ``gave_up``.
-    workers : sequence of ZoneWorker
-        The solve's zones (their pricing seconds are reported).
-    messages : int
-        Protocol messages the driver exchanged.
-    gave_up : bool
-        The solve was abandoned before convergence (the networked
-        driver's ``deadline_s``): report ``ITERATION_LIMIT`` with a
-        zero flow.
-
-    Returns
-    -------
-    DistributedSolveResult
-    """
-    if gave_up:
-        m = sum(len(w.rows) for w in workers)
-        n = max((w.cost_rows.shape[1] for w in workers), default=0)
-        status, flow, objective = (
-            SolveStatus.ITERATION_LIMIT, np.zeros((m, n)), float("nan")
-        )
-    else:
-        status, flow, objective = coordinator.result()
+        u, v = coordinator.duals()
+        bids = [
+            bid
+            for worker in zones
+            for bid in worker.price(u[list(worker.rows)], v, coordinator.big_m)
+        ]
+        coordinator.step(bids)
+    status, flow, objective = coordinator.result()
     zone_seconds = {w.zone_id: w.seconds for w in workers}
-    slowest = max(zone_seconds.values()) if zone_seconds else 0.0
     registry = get_registry()
     registry.counter("dsolve.solves").inc()
     registry.counter("dsolve.rounds").inc(coordinator.rounds)
@@ -1009,8 +719,7 @@ def finish_solve(
         pivots=coordinator.pivots,
         bids_received=coordinator.bids_received,
         zone_count=len(workers),
-        messages=messages,
+        messages=len(workers) * (2 + 2 * coordinator.rounds),
         coordinator_seconds=coordinator.seconds,
         zone_seconds=zone_seconds,
-        critical_path_seconds=coordinator.seconds + slowest,
     )

@@ -25,8 +25,7 @@ transport  reliable-delivery layer (:mod:`repro.core.messages`)
 failover   snapshot/standby machinery (:mod:`repro.core.failover`)
 chaos      chaos harness (:mod:`repro.simulation.chaos`)
 soak       soak harness + degradation ladder (:mod:`repro.simulation.soak`)
-dsolve     distributed placement solve (:mod:`repro.lp.distributed` +
-           :mod:`repro.simulation.distributed`)
+dsolve     distributed placement solve (:mod:`repro.lp.distributed`)
 topology   CSR adjacency cache (:mod:`repro.topology.graph`)
 ========== ==========================================================
 
@@ -244,20 +243,13 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "dsolve.solves", "count", "repro.lp.distributed",
      "Distributed zone/coordinator solves completed"),
     ("counter", "dsolve.rounds", "count", "repro.lp.distributed",
-     "Price-exchange epochs across all distributed solves"),
+     "Price-exchange rounds across all distributed solves"),
     ("counter", "dsolve.pivots", "count", "repro.lp.distributed",
      "Coordinator basis pivots across all distributed solves"),
     ("counter", "dsolve.bids", "count", "repro.lp.distributed",
      "Lane bids received from zone managers"),
     ("histogram", "dsolve.solve_seconds", "seconds", "repro.lp.distributed",
      "Summed zone + coordinator wall time of one distributed solve"),
-    ("counter", "dsolve.messages", "count", "repro.simulation.distributed",
-     "Protocol messages sent by the networked coordinator"),
-    ("counter", "dsolve.retransmissions", "count", "repro.simulation.distributed",
-     "Timed-out protocol requests re-sent by the networked coordinator"),
-    ("histogram", "dsolve.round_trip_seconds", "seconds",
-     "repro.simulation.distributed",
-     "Simulated time from epoch broadcast to last zone bid"),
     # -- topology: CSR adjacency cache ----------------------------------------------
     ("counter", "topology.csr_cache_hits", "count", "repro.topology.graph",
      "csr_adjacency calls answered by the version-keyed cache"),

@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-from repro.simulation.distributed import (
-    AssignmentAck,
-    NetworkedDistributedSolve,
-    ProfileRequest,
-    solve_over_network,
-)
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import ScheduledEvent
 from repro.simulation.network_sim import (
@@ -67,7 +61,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ArrivalProcess",
-    "AssignmentAck",
     "BurstyArrivals",
     "ChaosRunResult",
     "ChaosScenario",
@@ -77,9 +70,7 @@ __all__ = [
     "IngressGate",
     "Message",
     "MessageNetwork",
-    "NetworkedDistributedSolve",
     "PoissonArrivals",
-    "ProfileRequest",
     "QoSTier",
     "ScenarioComparison",
     "ScheduledEvent",
@@ -95,6 +86,5 @@ __all__ = [
     "rng_from",
     "run_scenario",
     "run_soak",
-    "solve_over_network",
     "spawn_seeds",
 ]

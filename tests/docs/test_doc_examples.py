@@ -77,8 +77,8 @@ class TestMetricCatalogSync:
         assert not undocumented, f"registered but undocumented: {undocumented}"
 
     def test_dsolve_owners_exist_and_are_documented(self):
-        # The dsolve.* rows name two owner modules; both must be
-        # importable and the public API they export must carry
+        # The dsolve.* rows name one owner module; it must be
+        # importable and the public API it exports must carry
         # NumPy-style docstrings (the distributed solve is spec'd in
         # docs/distributed_solve.md, so its API is doc-mandatory).
         import importlib
@@ -90,10 +90,7 @@ class TestMetricCatalogSync:
             for match in re.finditer(r"\| `(repro\.[a-z_.]+)` \|", section.group(1))
         }
         dsolve_owners = {o for o in owners if "distributed" in o}
-        assert dsolve_owners == {
-            "repro.lp.distributed",
-            "repro.simulation.distributed",
-        }, dsolve_owners
+        assert dsolve_owners == {"repro.lp.distributed"}, dsolve_owners
         for owner in sorted(dsolve_owners):
             module = importlib.import_module(owner)
             for name in module.__all__:

@@ -95,3 +95,18 @@ class TestSoakStudy:
         assert chaos["manager_took_over_at"] is not None
         assert chaos["final_drift"] <= 0.5
         assert "observability" in artifact
+
+
+class TestDistributedStudy:
+    def test_quick_points_are_exact_and_measured(self, tmp_path):
+        import json
+
+        path = tmp_path / "dsolve.json"
+        result = run_experiment("distributed", quick=True, json_path=str(path))
+        artifact = json.loads(path.read_text())
+        points = artifact["points"]
+        assert [p["k"] for p in points] == [8, 16] == [row[0] for row in result.rows]
+        for point in points:
+            assert point["distributed_s"] > 0.0
+            assert point["status"] == point["centralized_status"]
+            assert point["objective_rel_diff"] <= 1e-6

@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.lp import solve_distributed, solve_transportation, transportation
+from repro.lp import solve_transportation, transportation
 from tests.lp.test_distributed import _random_problem, _random_zones, _tie_problem
 from tests.oracles import vogel_basis
+from tests.oracles.dsolve import solve_distributed
 
 #: A forbidden lane as the solver prices it: a large finite cost.
 BIG_M = 4.0e7

@@ -8,8 +8,10 @@ against a runtime-selectable second engine. The enumeration judge,
 :func:`_fold_raw_paths`, lives only here: the kernel applies its rule
 to pruned survivors, and :func:`enum_best_route` applies it to the full
 DFS stream. The soak's per-arrival event scheduling lives in
-:mod:`tests.oracles.soak`, and the LP feasibility / weak-duality
-certificate in :mod:`tests.oracles.lp_verify`.
+:mod:`tests.oracles.soak`, the LP feasibility / weak-duality
+certificate in :mod:`tests.oracles.lp_verify`, and the helper that
+slices a transportation instance into distributed-solve zones in
+:mod:`tests.oracles.dsolve`.
 """
 
 import itertools
