@@ -95,7 +95,7 @@ class _LazyAssignments(Sequence):
             out = []
             for busy_node, b, take, cost, hops, handle in self._records:
                 candidate = candidates[b]
-                # Trusted fast construction (cf. Link.trusted): same
+                # Trusted fast construction, skipping validation: same
                 # field values and ordering as a PlacementAssignment(...)
                 # call.
                 assignment = new(PlacementAssignment)

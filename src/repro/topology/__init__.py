@@ -20,7 +20,6 @@ from repro.topology.links import (
     BandwidthConvention,
     Link,
     LinkUtilizationModel,
-    effective_bandwidths,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "Topology",
     "build_fat_tree",
     "build_fat_tree_with_layout",
-    "effective_bandwidths",
     "fat_tree_arrays",
     "fat_tree_cache_clear",
     "fat_tree_cache_info",

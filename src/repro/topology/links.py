@@ -22,6 +22,7 @@ Either way the value feeds Eq. 1 as the denominator.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -42,9 +43,50 @@ class BandwidthConvention(enum.Enum):
     UTILIZED_LITERAL = "utilized-literal"
 
 
+#: Per field: the test a legal value passes (it takes a scalar or a
+#: per-edge array; NaN fails every comparison) and what it requires.
+_LINK_STATE_RULES = (
+    ("capacity", lambda v: (v > 0.0) & (v < math.inf), "finite and positive"),
+    ("utilization", lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]"),
+    ("latency", lambda v: (v >= 0.0) & (v < math.inf), "finite and non-negative"),
+)
+
+
+def validate_link_state(
+    capacity_mbps=None, utilization=None, latency_ms=None
+) -> None:
+    """The one link-state validator: every writer of link state calls it.
+
+    Each argument is a scalar or a per-edge array (``None`` skips it).
+    Capacity must be finite and positive, utilization in ``[0, 1]`` and
+    latency finite and non-negative; raises :class:`TopologyError`
+    naming the first offending value otherwise.
+    """
+    for (name, test, requirement), values in zip(
+        _LINK_STATE_RULES, (capacity_mbps, utilization, latency_ms)
+    ):
+        if values is None:
+            continue
+        ok = test(values)
+        if isinstance(ok, np.ndarray):
+            if not ok.all():
+                bad = np.asarray(values)[~ok].flat[0]
+                raise TopologyError(f"link {name} must be {requirement}, got {bad}")
+        elif not ok:
+            raise TopologyError(f"link {name} must be {requirement}, got {values}")
+
+
 @dataclass
 class Link:
     """A physical link between two nodes.
+
+    A ``Link`` built directly holds its own values; it is what
+    :meth:`~repro.topology.graph.Topology.add_edge` copies into the
+    topology's per-edge arrays. The links a topology hands out
+    (``link()``, ``links``, ``link_between()``) are views bound to
+    ``(topology, edge_id)``: reading a field reads the arrays, and
+    writing capacity or utilization goes through the topology's
+    validated setters, so the write bumps its ``version``.
 
     Attributes
     ----------
@@ -63,24 +105,7 @@ class Link:
     latency_ms: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.capacity_mbps <= 0:
-            raise TopologyError(f"link capacity must be positive, got {self.capacity_mbps}")
-        if not 0.0 <= self.utilization <= 1.0:
-            raise TopologyError(f"link utilization must be in [0, 1], got {self.utilization}")
-        if self.latency_ms < 0:
-            raise TopologyError(f"link latency must be non-negative, got {self.latency_ms}")
-
-    @classmethod
-    def trusted(
-        cls, capacity_mbps: float, utilization: float, latency_ms: float
-    ) -> "Link":
-        """Construct without re-validating — for bulk materialization
-        from arrays that were exported from an already-valid topology."""
-        link = object.__new__(cls)
-        link.capacity_mbps = capacity_mbps
-        link.utilization = utilization
-        link.latency_ms = latency_ms
-        return link
+        validate_link_state(self.capacity_mbps, self.utilization, self.latency_ms)
 
     @property
     def available_mbps(self) -> float:
@@ -138,9 +163,3 @@ class LinkUtilizationModel:
             for link, value in zip(topology.links, values):
                 link.utilization = float(value)
 
-
-def effective_bandwidths(
-    links, convention: BandwidthConvention = BandwidthConvention.AVAILABLE
-) -> np.ndarray:
-    """Vector of ``Lu_e`` for an iterable of links (vectorized helper)."""
-    return np.array([link.effective_mbps(convention) for link in links])

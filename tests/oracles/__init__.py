@@ -11,7 +11,8 @@ DFS stream. The soak's per-arrival event scheduling lives in
 :mod:`tests.oracles.soak`, the LP feasibility / weak-duality
 certificate in :mod:`tests.oracles.lp_verify`, and the helper that
 slices a transportation instance into distributed-solve zones in
-:mod:`tests.oracles.dsolve`.
+:mod:`tests.oracles.dsolve`. :func:`effective_bandwidths` is the
+per-link ``Lu_e`` loop the topology's array expression replaced.
 """
 
 import itertools
@@ -192,6 +193,16 @@ def best_route(model, topology, source, destination) -> Optional[RouteChoice]:
     if raw is None:
         return None
     return RouteChoice(path=Path(nodes=raw[0], edges=raw[1]), response_time_s=res)
+
+
+def effective_bandwidths(
+    links, convention: BandwidthConvention = BandwidthConvention.AVAILABLE
+) -> np.ndarray:
+    """The per-edge ``Lu_e`` vector one :class:`~repro.topology.links.Link`
+    at a time — what ``Topology.effective_bandwidths`` computed before
+    link state lived in arrays. ``links`` is any iterable of links (a
+    topology's ``links``, or standalone ones)."""
+    return np.array([link.effective_mbps(convention) for link in links], dtype=float)
 
 
 def to_networkx(topology):

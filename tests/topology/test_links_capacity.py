@@ -13,8 +13,8 @@ from repro.topology import (
     CapacityModel,
     Link,
     LinkUtilizationModel,
-    effective_bandwidths,
 )
+from tests.oracles import effective_bandwidths
 from tests.topologies import build_ring
 
 
