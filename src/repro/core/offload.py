@@ -163,11 +163,15 @@ class OffloadLedger:
         self._active: List[ActiveOffload] = []
         #: REQUESTED rows and CLOSED / UNWOUND tombstones.
         self._other: List[ActiveOffload] = []
+        #: Per source with an active row, its active rows' amounts in
+        #: ``_active`` order (kept by ``add`` and ``_close``).
+        self._offloaded: Dict[int, List[float]] = {}
 
     def add(self, offload: ActiveOffload) -> None:
         if offload.amount_pct <= _TOL:
             raise PlacementError("refusing to track a zero-amount offload")
         self._active.append(offload)
+        self._offloaded.setdefault(offload.source, []).append(offload.amount_pct)
 
     # -- queries (active rows) ----------------------------------------------------
     @property
@@ -194,7 +198,10 @@ class OffloadLedger:
         return float(sum(o.amount_pct for o in self.hosted_by(destination)))
 
     def offloaded_amount(self, source: int) -> float:
-        return float(sum(o.amount_pct for o in self._active if o.source == source))
+        """Total active amount offloaded from ``source``, summed in row
+        order; 0 at once for a source with no active row."""
+        amounts = self._offloaded.get(source)
+        return float(sum(amounts)) if amounts is not None else 0.0
 
     def pair_amount(self, source: int, destination: int) -> float:
         """Total booked amount for one ``source -> destination`` pair."""
@@ -412,6 +419,12 @@ class OffloadLedger:
         closed = [row for row in self._active if match(row)]
         if closed:
             self._active = [row for row in self._active if not match(row)]
+            for source in {row.source for row in closed}:
+                amounts = [row.amount_pct for row in self._active if row.source == source]
+                if amounts:
+                    self._offloaded[source] = amounts
+                else:
+                    del self._offloaded[source]
             self._other += [
                 replace(row, state=_next(row.state, trigger), reclaimed_at=now) for row in closed
             ]

@@ -20,7 +20,8 @@ At rest — nothing in flight or awaiting retransmission, and no hosting a
 keepalive would still repair — the five ``audit_system`` checks must
 hold (ledger ≡ client truth, no ghost hosting, ``CO_max``, load
 conservation), and no transition may raise (``TRANSITIONS`` rejects an
-illegal move). States merge on a canonical fingerprint with message ids
+illegal move). In every state the ledger's per-source index must agree
+with a full scan of its active rows. States merge on a canonical fingerprint with message ids
 renumbered by age; deliveries that change nothing tracked (a STAT that
 cannot trigger a reclaim, a Resync to a source, a Receipt nobody awaits)
 happen at once.
@@ -337,6 +338,8 @@ def explore(load_falls, max_faults):
     while queue:
         blob = queue.popleft()
         world = pickle.loads(blob)
+        for problem in _index_problems(world.manager.ledger):
+            found.setdefault("ledger index", (world.trace, problem))
         if world.at_rest():
             for problem in audit_system(world.manager, world.clients).violations:
                 found.setdefault(_kind(problem), (world.trace, problem))
@@ -357,6 +360,21 @@ def explore(load_falls, max_faults):
                 seen[key] = nxt.faults
                 queue.append(_dumps(nxt))
     return len(seen), found
+
+
+def _index_problems(ledger):
+    """The ledger's per-source index of active rows against a full scan:
+    ``offloaded_amount`` equal bit for bit, and no entry for a source
+    without an active row."""
+    problems = []
+    for node in CLIENTS:
+        scan = float(sum(r.amount_pct for r in ledger.active if r.source == node))
+        if ledger.offloaded_amount(node) != scan:
+            problems.append(f"offloaded_amount({node}) = {ledger.offloaded_amount(node)!r}, "
+                            f"scan = {scan!r}")
+    if set(ledger._offloaded) != set(ledger.sources):
+        problems.append(f"indexed sources {sorted(ledger._offloaded)} != {ledger.sources}")
+    return problems
 
 
 def _kind(problem):
