@@ -317,6 +317,10 @@ class RetryPolicy:
         return min(self.base_timeout_s * self.backoff**attempt, self.max_timeout_s)
 
 
+#: Fetched once: once a cache is full, every ``remember`` evicts.
+_LRU_EVICTIONS = get_registry().counter("transport.dedup_lru_evictions")
+
+
 class DedupCache:
     """Bounded (sender, msg_id) duplicate filter with a reply cache.
 
@@ -359,12 +363,7 @@ class DedupCache:
             OrderedDict()
         )
 
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
-
     def _expire(self, now: float) -> None:
-        if self.ttl_s is None:
-            return
         cutoff = now - self.ttl_s
         expired = 0
         while self._seen:
@@ -378,31 +377,41 @@ class DedupCache:
             get_registry().counter("transport.dedup_ttl_expirations").inc(expired)
 
     def check(self, sender: int, msg_id: int) -> Tuple[bool, Optional["ControlMessage"]]:
-        now = self._now()
-        self._expire(now)
+        # Touch times are only read by the TTL sweep: without a TTL the
+        # clock is never read and every entry keeps time 0.0.
+        now = 0.0
+        if self.ttl_s is not None:
+            now = self._clock()
+            self._expire(now)
         key = (sender, msg_id)
         entry = self._seen.get(key)
-        if entry is not None:
+        if entry is None:
+            return False, None
+        if self.ttl_s is not None:
             self._seen[key] = (entry[0], now)
-            self._seen.move_to_end(key)
-            return True, entry[0]
-        return False, None
+        self._seen.move_to_end(key)
+        return True, entry[0]
 
     def remember(
         self, sender: int, msg_id: int, reply: Optional["ControlMessage"] = None
     ) -> None:
-        now = self._now()
-        self._expire(now)
+        now = 0.0
+        if self.ttl_s is not None:
+            now = self._clock()
+            self._expire(now)
+        seen = self._seen
         key = (sender, msg_id)
-        self._seen[key] = (reply, now)
-        self._seen.move_to_end(key)
-        evicted = 0
-        while len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-            evicted += 1
-        if evicted:
+        size = len(seen)
+        seen[key] = (reply, now)
+        if len(seen) == size:  # a known key: assignment kept its place
+            seen.move_to_end(key)
+        elif size >= self.capacity:
+            evicted = 0
+            while len(seen) > self.capacity:
+                seen.popitem(last=False)
+                evicted += 1
             self.lru_evictions += evicted
-            get_registry().counter("transport.dedup_lru_evictions").inc(evicted)
+            _LRU_EVICTIONS.inc(evicted)
 
     def clear(self) -> None:
         self._seen.clear()

@@ -19,6 +19,7 @@ same delivery order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,6 +58,8 @@ class MessageNetwork:
         self.engine = engine
         self._receivers: Dict[int, Receiver] = {}
         self._latency_cache: Optional[np.ndarray] = None
+        #: (source, destination) -> seconds, filled by latency_between.
+        self._pair_latency: Dict[Tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -108,10 +111,16 @@ class MessageNetwork:
         return self._latency_cache
 
     def latency_between(self, source: int, destination: int) -> float:
-        """Control-plane latency between two nodes in seconds."""
-        value = float(self._latencies()[source, destination])
-        if not np.isfinite(value):
-            raise SimulationError(f"nodes {source} and {destination} are disconnected")
+        """Control-plane latency between two nodes in seconds, memoized
+        per pair (the all-pairs matrix is only read on a pair's first
+        message)."""
+        key = (source, destination)
+        value = self._pair_latency.get(key)
+        if value is None:
+            value = float(self._latencies()[source, destination])
+            if not math.isfinite(value):
+                raise SimulationError(f"nodes {source} and {destination} are disconnected")
+            self._pair_latency[key] = value
         return value
 
     # -- sending ------------------------------------------------------------------------
@@ -120,10 +129,13 @@ class MessageNetwork:
 
         Sending to a node with no registered receiver (crashed or never
         started) silently drops the message, like a real network — the
-        drop is counted in :attr:`messages_dropped`.
+        drop is counted in :attr:`messages_dropped`. A destination that
+        is not a node raises :class:`~repro.errors.TopologyError`; only
+        the drop path checks, because :meth:`register` validated every
+        receiver.
         """
-        self.topology.node(destination)
         if destination not in self._receivers:
+            self.topology.node(destination)
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -153,7 +165,7 @@ class MessageNetwork:
                 )
             )
 
-        self.engine.schedule_after(delay, deliver, label=f"msg {source}->{destination}")
+        self.engine.schedule_after(delay, deliver, label="msg")
 
     def broadcast(self, source: int, payload: Any) -> int:
         """Send to every registered endpoint except ``source``; returns
@@ -288,13 +300,15 @@ class FaultyNetwork(MessageNetwork):
             # beyond the base counters.
             super().send(source, destination, payload)
             return
-        self.topology.node(destination)
+        registered = destination in self._receivers
+        if not registered:
+            self.topology.node(destination)
         if self._partition_blocks(source, destination):
             self.messages_dropped += 1
             self.partition_dropped += 1
             self._log("partition-drop", source, destination, payload)
             return
-        if destination not in self._receivers:
+        if not registered:
             self.messages_dropped += 1
             return
         self.messages_sent += 1

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.simulation import (
     MessageNetwork,
     SimulationEngine,
     rng_from,
     spawn_seeds,
 )
+from repro.simulation.network_sim import FaultConfig, FaultyNetwork
 from repro.topology import Link, Topology
 
 
@@ -92,6 +93,60 @@ class TestMessageNetwork:
         engine.run()
         assert count == 2
         assert sorted(hits) == [0, 2]
+
+
+#: Every ``send`` implementation: the plain fabric, a faulty one on its
+#: null-config fast path, and a faulty one on its fault pipeline.
+NETWORKS = {
+    "message": MessageNetwork,
+    "faulty-null": FaultyNetwork,
+    "faulty-jitter": lambda topo, engine: FaultyNetwork(
+        topo, engine, FaultConfig(jitter_s=1e-3), seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+class TestSendBoundaries:
+    """``send`` validates its destination only on the drop path (every
+    registered receiver is a node); a disconnected pair raises on every
+    send, not just the first (only connected pairs are memoized)."""
+
+    @staticmethod
+    def split_fabric(kind):
+        """Nodes 0 - 1 connected, node 2 isolated."""
+        topo = Topology()
+        a, b, c = topo.add_node(), topo.add_node(), topo.add_node()
+        topo.add_edge(a, b, Link(latency_ms=1.0))
+        engine = SimulationEngine()
+        return engine, NETWORKS[kind](topo, engine)
+
+    def test_nonexistent_node_raises(self, kind):
+        _, net = self.split_fabric(kind)
+        with pytest.raises(TopologyError):
+            net.send(0, 99, payload="x")
+        assert net.messages_dropped == 0 and net.messages_sent == 0
+
+    def test_valid_node_without_receiver_drops_and_counts(self, kind):
+        engine, net = self.split_fabric(kind)
+        net.send(0, 1, payload="x")
+        net.send(0, 2, payload="x")  # disconnected too, but dropped first
+        engine.run()
+        assert net.messages_dropped == 2
+        assert net.messages_sent == 0 and net.messages_delivered == 0
+
+    def test_disconnected_pair_raises(self, kind):
+        engine, net = self.split_fabric(kind)
+        received = []
+        net.register(1, received.append)
+        net.register(2, received.append)
+        net.send(0, 1, payload="x")
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="disconnected"):
+                net.send(0, 2, payload="x")
+        engine.run()
+        assert [m.destination for m in received] == [1]
+        assert 0.001 <= received[0].latency <= 0.002  # one hop, plus any jitter
 
 
 class TestSeedHelpers:
