@@ -35,17 +35,43 @@ def test_subpackage_all_resolves(name):
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
 
 
-def test_import_does_not_load_networkx():
-    """networkx is a test-only oracle dependency: importing the package
-    and every subpackage must not load it."""
+def _run_with_repro(code):
+    """Run ``code`` in a fresh interpreter that can import ``repro``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        f"import repro, sys; import {', '.join(SUBPACKAGES)}; "
-        "assert 'networkx' not in sys.modules"
-    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_does_not_load_networkx():
+    """networkx is a test-only oracle dependency and scipy.optimize is
+    only the HiGHS solver's: importing the package and every subpackage
+    must load neither."""
+    _run_with_repro(
+        f"import repro, sys; import {', '.join(SUBPACKAGES)}; "
+        "assert 'networkx' not in sys.modules; "
+        "assert 'scipy.optimize' not in sys.modules"
+    )
+
+
+def test_solve_scipy_imports_highs_on_first_call():
+    """After the plain package import, ``repro.lp.solve_scipy`` still
+    solves: max x + 2y s.t. x + y <= 4, 0 <= x, y <= 3 is (1, 3)."""
+    _run_with_repro(
+        "import sys, repro\n"
+        "from repro.lp import LinearProgram, lp_sum, solve_scipy\n"
+        "lp = LinearProgram()\n"
+        "x = lp.add_variable('x', upper=3.0)\n"
+        "y = lp.add_variable('y', upper=3.0)\n"
+        "lp.add_constraint(x + y <= 4.0)\n"
+        "lp.set_objective(lp_sum([x * -1.0, y * -2.0]))\n"
+        "solution = solve_scipy(lp)\n"
+        "assert solution.status.is_optimal, solution.status\n"
+        "assert abs(solution.objective + 7.0) < 1e-9, solution.objective\n"
+        "assert abs(solution.values['x'] - 1.0) < 1e-9, solution.values\n"
+        "assert abs(solution.values['y'] - 3.0) < 1e-9, solution.values\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
 
 
 def test_top_level_all_resolves():
