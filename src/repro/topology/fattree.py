@@ -174,8 +174,9 @@ def _build_fat_tree_uncached(
     edge: List[int] = []
     servers: List[int] = []
 
-    def new_link() -> Link:
-        return Link(capacity_mbps=capacity_mbps, utilization=0.0, latency_ms=latency_ms)
+    # add_edge copies a link's state into the topology's arrays, so one
+    # Link serves every edge.
+    link = Link(capacity_mbps=capacity_mbps, utilization=0.0, latency_ms=latency_ms)
 
     for pod in range(k):
         pod_agg = [
@@ -191,11 +192,11 @@ def _build_fat_tree_uncached(
         # Pod-internal complete bipartite agg <-> edge.
         for agg_node in pod_agg:
             for edge_node in pod_edge:
-                topo.add_edge(agg_node, edge_node, new_link())
+                topo.add_edge(agg_node, edge_node, link)
         # Core uplinks: agg switch a of the pod reaches core row a.
         for a, agg_node in enumerate(pod_agg):
             for j in range(half):
-                topo.add_edge(core[a * half + j], agg_node, new_link())
+                topo.add_edge(core[a * half + j], agg_node, link)
         if with_servers:
             for e, edge_node in enumerate(pod_edge):
                 for s in range(half):
@@ -203,7 +204,7 @@ def _build_fat_tree_uncached(
                         name=f"srv-{pod}-{e}-{s}", kind=NodeKind.SERVER, pod=pod
                     )
                     servers.append(server)
-                    topo.add_edge(edge_node, server, new_link())
+                    topo.add_edge(edge_node, server, link)
 
     layout = FatTreeLayout(k=k, core=core, aggregation=aggregation, edge=edge, servers=servers)
     return topo, layout
