@@ -338,11 +338,11 @@ def _sparse_tree_flows(
     for idx, (i, j) in enumerate(cells):
         adjacency[i].append(idx)
         adjacency[mb + j].append(idx)
-    degree = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=N)
-    remaining = np.concatenate([supply_b, demand_b]).astype(float)
-    done = np.zeros(len(cells), dtype=bool)
+    degree = [len(a) for a in adjacency]
+    remaining = supply_b.tolist() + demand_b.tolist()
+    done = [False] * len(cells)
     flow: Dict[Tuple[int, int], float] = {}
-    leaves = deque(int(x) for x in np.flatnonzero(degree == 1))
+    leaves = deque(x for x in range(N) if degree[x] == 1)
     while leaves:
         node = leaves.popleft()
         if degree[node] != 1:
@@ -362,10 +362,10 @@ def _sparse_tree_flows(
         degree[node] -= 1
         degree[other] -= 1
         if degree[other] == 1:
-            leaves.append(int(other))
-    if not done.all():
+            leaves.append(other)
+    if not all(done):
         return None
-    if (np.abs(remaining) > _FLOW_TOL).any():
+    if any(abs(r) > _FLOW_TOL for r in remaining):
         return None
     return flow
 
@@ -520,7 +520,8 @@ class DistributedCoordinator:
 
     # -- duals ---------------------------------------------------------------------
     def _refresh_potentials(self) -> None:
-        """Recompute ``u_i + v_j = c_ij`` over the tree (O(m + n))."""
+        """Re-derive ``u_i + v_j = c_ij`` for the nodes the last pivot
+        re-hung (all of them after :meth:`initialize`)."""
         u, v = self._tree.potentials(self._slot_cost)
         # Anchor on the dummy row's zero-cost outside option, so -v_j
         # reads as column j's capacity price. Reduced costs only see

@@ -17,13 +17,14 @@ transportation graphs. Pairs with no admissible route (hop-bounded path
 absent) are modeled with a Big-M cost and rejected post-hoc if they
 carry flow.
 
-The basis is a spanning tree of the bipartite supply/demand graph and
-is represented with flat index arrays (``parent``/``depth``/per-node
-basic cell) rather than per-iteration ``defaultdict`` BFS: reduced-cost
-pricing is one vectorized matrix expression over the whole cost matrix,
-and the pivot cycle is traced in O(tree depth) by walking parent
-pointers from the entering cell's endpoints to their lowest common
-ancestor.
+The basis is a spanning tree of the bipartite supply/demand graph,
+hung from row 0 and kept as flat lists (``parent``/``depth``/per-node
+basic cell plus an adjacency) that each pivot updates in place:
+reduced-cost pricing is one vectorized matrix expression over the whole
+cost matrix, the pivot cycle is traced in O(tree depth) by walking
+parent pointers from the entering cell's endpoints to their lowest
+common ancestor, and only the subtree the leaving cell cuts off is
+re-hung and re-priced.
 
 Every solve is a pure function of its instance: the start is always
 Vogel's, and nothing is carried from one call to the next. An optimal
@@ -32,18 +33,22 @@ solve also returns its final basis tree as a
 :mod:`repro.lp.distributed` reads its cells to seed the coordinator's
 global tree.
 
-Complexity per MODI iteration is Θ(m·n) for pricing plus O(m+n) for the
-tree walk and O(depth) for the cycle pivot. The Vogel start sorts each row
-once (O(m·n log n)); after that a step costs O(m) scalar work, each of
-the at most m row crossings O(m·n + n log n) to re-rank the columns,
-and all pointer walks together O(m·n) — no step rescans the matrix.
+Complexity per MODI iteration is Θ(m·n) for pricing, O(depth) for the
+cycle, and O(s) interpreted steps to re-hang the s nodes below the
+leaving cell and re-derive their potentials, plus one O(m+n) array
+copy of the potentials. Only the first iteration walks the whole tree;
+on fat-tree placement instances s averages about a quarter of m + n.
+The Vogel start sorts each row once (O(m·n log n)); after that a step
+costs O(m) scalar work, each of the at most m row crossings
+O(m·n + n log n) to re-rank the columns, and all pointer walks
+together O(m·n) — no step rescans the matrix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,21 +286,36 @@ class _BasisTree:
     """Spanning-tree basis over the bipartite supply/demand graph.
 
     Nodes are flat indices: row ``i`` is node ``i``, column ``j`` is
-    node ``mb + j``. The tree is kept as parallel index arrays
-    (``parent``, ``depth``, ``parent_cell``) refreshed with one O(m+n)
-    pass per pivot; the pivot cycle itself is traced in O(depth) by
-    climbing parent pointers. The centralized loop below and the
-    distributed coordinator (:mod:`repro.lp.distributed`) both price
-    with :meth:`potentials` and pivot with :meth:`pivot`.
+    node ``mb + j``. The tree hangs from row node 0 and is kept as
+    plain lists — ``parent``, ``depth``, ``pcell`` (the basis slot
+    linking a node to its parent) and a per-node ``{neighbour: slot}``
+    adjacency — built once by :meth:`refresh`. A pivot moves only the
+    subtree its leaving cell cuts off: :meth:`replace` re-hangs that
+    subtree from the entering cell's endpoint inside it, with one BFS
+    over the subtree, and :meth:`potentials` re-derives ``u`` / ``v``
+    only for the nodes re-hung since its last call. Everything else
+    keeps its path to the root, so its potential stands. The pivot
+    cycle is traced in O(depth) by climbing parent pointers. The
+    centralized loop below and the distributed coordinator
+    (:mod:`repro.lp.distributed`) both price with :meth:`potentials`
+    and pivot with :meth:`pivot`.
     """
 
-    __slots__ = ("mb", "n", "bi", "bj", "slot", "parent", "depth", "pcell", "order")
+    __slots__ = (
+        "mb", "n", "bi", "bj", "slot", "parent", "depth", "pcell", "adj",
+        "_pot", "_stale",
+    )
 
     def __init__(self, cells: Sequence[Tuple[int, int]], mb: int, n: int) -> None:
         if len(cells) != mb + n - 1:
             raise SolverError(
                 f"basis has {len(cells)} cells, expected {mb + n - 1}"
             )
+        for i, j in cells:
+            if not (0 <= i < mb and 0 <= j < n):
+                raise SolverError(
+                    f"basis cell {(i, j)} outside the {mb} x {n} balanced instance"
+                )
         self.mb = mb
         self.n = n
         self.bi = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
@@ -303,82 +323,81 @@ class _BasisTree:
         self.slot = {cell: k for k, cell in enumerate(cells)}
         if len(self.slot) != len(cells):
             raise SolverError("duplicate cells in transportation basis")
-        N = mb + n
-        self.parent = np.empty(N, dtype=np.int64)
-        self.depth = np.empty(N, dtype=np.int64)
-        self.pcell = np.empty(N, dtype=np.int64)  # basis slot linking to parent
-        self.order = np.empty(N, dtype=np.int64)  # BFS visit order (parents first)
 
     def refresh(self) -> None:
-        """Rebuild parent/depth arrays from the current cell set (one
-        O(m+n) BFS from row node 0)."""
-        mb, n = self.mb, self.n
-        N = mb + n
-        adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(N)]
-        for k in range(len(self.bi)):
-            i, j = int(self.bi[k]), mb + int(self.bj[k])
-            adjacency[i].append((j, k))
-            adjacency[j].append((i, k))
-        parent, depth, pcell, order = self.parent, self.depth, self.pcell, self.order
-        parent.fill(-2)  # -2 = unvisited, -1 = root
+        """Build the rooted tree from the current cell set (one O(m+n)
+        BFS from row node 0); every potential is stale afterwards."""
+        mb = self.mb
+        N = mb + self.n
+        adj: List[Dict[int, int]] = [{} for _ in range(N)]
+        for (i, j), k in self.slot.items():
+            adj[i][mb + j] = k
+            adj[mb + j][i] = k
+        parent = [-2] * N  # -2 = unvisited, -1 = root
+        depth = [0] * N
+        pcell = [-1] * N
         parent[0] = -1
-        depth[0] = 0
-        pcell[0] = -1
-        order[0] = 0
-        head, tail = 0, 1
-        while head < tail:
-            node = int(order[head])
-            head += 1
-            for nxt, k in adjacency[node]:
+        order = [0]
+        for node in order:  # grows while it is walked: a BFS queue
+            for nxt, k in adj[node].items():
                 if parent[nxt] == -2:
                     parent[nxt] = node
                     depth[nxt] = depth[node] + 1
                     pcell[nxt] = k
-                    order[tail] = nxt
-                    tail += 1
-        if tail != N:
+                    order.append(nxt)
+        if len(order) != N:
             raise SolverError("transportation basis is not a spanning tree")
+        self.adj, self.parent, self.depth, self.pcell = adj, parent, depth, pcell
+        self._pot = [0.0] * N  # u over row nodes, v over column nodes
+        self._stale = [order[1:]]  # re-hung node lists, each parents first
 
     def potentials(self, slot_cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve ``u_i + v_j = c_ij`` over the tree in visit order, from
-        ``slot_cost[k]`` — the cost of the cell in basis slot ``k``."""
+        """Solve ``u_i + v_j = c_ij`` from ``slot_cost[k]`` — the cost of
+        the cell in basis slot ``k``; a slot's cost may change only when
+        its cell does.
+
+        Only nodes re-hung since the last call are re-derived, each as
+        one subtraction from its parent's potential — the same bits as a
+        whole-tree pass. Each pivot's batch lists its nodes parents
+        first, and batches run in pivot order: a node whose parent a
+        later pivot re-hung was re-hung with it, so it is re-derived
+        after its parent again. Returns fresh arrays the caller may
+        modify.
+        """
+        pot, parent, pcell = self._pot, self.parent, self.pcell
+        cost = slot_cost.tolist()
+        for batch in self._stale:
+            for node in batch:
+                pot[node] = cost[pcell[node]] - pot[parent[node]]
+        self._stale = []
         mb = self.mb
-        u = np.empty(mb)
-        v = np.empty(self.n)
-        u[0] = 0.0
-        bi, bj, pcell = self.bi, self.bj, self.pcell
-        for node in self.order[1:]:
-            k = pcell[node]
-            i, j = int(bi[k]), int(bj[k])
-            if node < mb:  # row node hangs off its column parent
-                u[i] = slot_cost[k] - v[j]
-            else:
-                v[j] = slot_cost[k] - u[i]
-        return u, v
+        return np.array(pot[:mb]), np.array(pot[mb:])
 
     def cycle(self, ei: int, ej: int) -> List[Tuple[int, int]]:
         """Cells of the unique cycle closed by entering cell ``(ei, ej)``,
         in adjacency order starting at the entering cell (even positions
         gain flow, odd positions lose it). O(tree depth)."""
         mb = self.mb
-        parent, depth, pcell = self.parent, self.depth, self.pcell
+        parent, depth = self.parent, self.depth
         a, b = ei, mb + ej
-        side_a: List[int] = []  # basis slots from row endpoint up
-        side_b: List[int] = []  # basis slots from column endpoint up
+        side_a: List[int] = []  # nodes climbed from the row endpoint
+        side_b: List[int] = []  # nodes climbed from the column endpoint
         while depth[a] > depth[b]:
-            side_a.append(int(pcell[a]))
-            a = int(parent[a])
+            side_a.append(a)
+            a = parent[a]
         while depth[b] > depth[a]:
-            side_b.append(int(pcell[b]))
-            b = int(parent[b])
+            side_b.append(b)
+            b = parent[b]
         while a != b:
-            side_a.append(int(pcell[a]))
-            a = int(parent[a])
-            side_b.append(int(pcell[b]))
-            b = int(parent[b])
-        bi, bj = self.bi, self.bj
-        path = [(int(bi[k]), int(bj[k])) for k in side_b]
-        path.extend((int(bi[k]), int(bj[k])) for k in reversed(side_a))
+            side_a.append(a)
+            a = parent[a]
+            side_b.append(b)
+            b = parent[b]
+        # The cell linking node x to its parent.
+        path = [
+            (x, parent[x] - mb) if x < mb else (parent[x], x - mb)
+            for x in side_b + side_a[::-1]
+        ]
         return [(ei, ej)] + path
 
     def pivot(self, ei: int, ej: int, flow) -> Tuple[int, int]:
@@ -404,13 +423,53 @@ class _BasisTree:
         return leaving
 
     def replace(self, leaving: Tuple[int, int], entering: Tuple[int, int]) -> None:
+        """Swap basic cell ``leaving`` for ``entering`` in its slot.
+
+        Removing ``leaving`` cuts the subtree below it off the root; the
+        entering cell has exactly one endpoint in that subtree, which
+        becomes the subtree's new top, and one BFS over the subtree
+        re-hangs the rest beneath it. O(depth + subtree size).
+        """
+        mb = self.mb
+        parent, depth, pcell, adj = self.parent, self.depth, self.pcell, self.adj
+        a, b = leaving[0], mb + leaving[1]
+        cut = a if parent[a] == b else b  # top of the subtree cut off
+        top, under = entering[0], mb + entering[1]
+
+        def below_cut(x: int) -> bool:
+            while depth[x] > depth[cut]:
+                x = parent[x]
+            return x == cut
+
+        inside = below_cut(top)
+        if inside == below_cut(under):
+            raise SolverError(
+                f"entering cell {entering} does not close a cycle through {leaving}"
+            )
+        if not inside:
+            top, under = under, top
         k = self.slot.pop(leaving)
         self.slot[entering] = k
         self.bi[k], self.bj[k] = entering
-        self.refresh()
+        del adj[a][b], adj[b][a]
+        adj[top][under] = k
+        adj[under][top] = k
+        parent[top] = under
+        depth[top] = depth[under] + 1
+        pcell[top] = k
+        moved = [top]
+        for node in moved:  # grows while it is walked: a BFS queue
+            up, down = parent[node], depth[node] + 1
+            for nxt, s in adj[node].items():
+                if nxt != up:
+                    parent[nxt] = node
+                    depth[nxt] = down
+                    pcell[nxt] = s
+                    moved.append(nxt)
+        self._stale.append(moved)
 
     def cells(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(zip(self.bi.tolist(), self.bj.tolist())))
+        return tuple(sorted(self.slot))
 
 
 # -- solver ------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs import FAULTY_NETWORK_MIRROR, NETWORK_MIRROR, mirror_counters
-from repro.routing.shortest import hop_constrained_shortest
 from repro.simulation.engine import SimulationEngine
 from repro.topology.graph import Topology
 
@@ -103,10 +102,25 @@ class MessageNetwork:
             )
             # Zero-latency links still need positive weights for the DP.
             weights = np.maximum(weights, 1e-9)
+            # hop_constrained_shortest's relaxation, one row per source:
+            # with no hop limit it fills three (n, n) planes per source,
+            # and that heap churn made peak RSS swing by megabytes from
+            # run to run. Same operands per layer, so the same bits.
+            us, vs = self.topology.edge_endpoint_arrays()
+            cand_from = np.concatenate([us, vs])
+            cand_to = np.concatenate([vs, us])
+            cand_w = np.concatenate([weights, weights])
             cache = np.full((n, n), np.inf)
             for src in range(n):
-                result = hop_constrained_shortest(self.topology, src, None, weights)
-                cache[src] = result.best
+                prev = cache[src]
+                prev[src] = 0.0
+                while True:
+                    new = prev.copy()
+                    np.minimum.at(new, cand_to, prev[cand_from] + cand_w)
+                    if not (new < prev).any():
+                        break
+                    prev = new
+                cache[src] = prev
             self._latency_cache = cache
         return self._latency_cache
 

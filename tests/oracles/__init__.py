@@ -9,9 +9,11 @@ against a runtime-selectable second engine. The enumeration judge,
 to pruned survivors, and :func:`enum_best_route` applies it to the full
 DFS stream. The soak's per-arrival event scheduling lives in
 :mod:`tests.oracles.soak`, the LP feasibility / weak-duality
-certificate in :mod:`tests.oracles.lp_verify`, and the helper that
+certificate in :mod:`tests.oracles.lp_verify`, the helper that
 slices a transportation instance into distributed-solve zones in
-:mod:`tests.oracles.dsolve`. :func:`effective_bandwidths` is the
+:mod:`tests.oracles.dsolve`, and the transportation basis tree that
+rebuilds itself and all its potentials on every pivot in
+:mod:`tests.oracles.basis_tree`. :func:`effective_bandwidths` is the
 per-link ``Lu_e`` loop the topology's array expression replaced.
 """
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, TopologyError
+from repro.routing import hop_constrained_shortest
 from repro.simulation import (
     MessageNetwork,
     SimulationEngine,
@@ -76,6 +77,28 @@ class TestMessageNetwork:
         engine = SimulationEngine()
         net = MessageNetwork(topo, engine)
         assert net.latency_between(a, c) == pytest.approx(0.002)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_latencies_equal_the_unbounded_hop_dp(self, seed):
+        # Random latencies (zero included) on a random connected graph:
+        # every pair's latency is bit-equal to the best weight of
+        # hop_constrained_shortest with no hop limit.
+        rng = np.random.default_rng(seed)
+        topo = Topology()
+        nodes = [topo.add_node() for _ in range(14)]
+        for v in range(1, len(nodes)):
+            u = int(rng.integers(v))
+            latency = float(rng.choice([0.0, 0.5, 1.3]))
+            topo.add_edge(nodes[u], nodes[v], Link(latency_ms=latency))
+        for _ in range(12):
+            u, v = (int(x) for x in rng.choice(len(nodes), 2, replace=False))
+            if not topo.has_edge(u, v):
+                topo.add_edge(u, v, Link(latency_ms=float(rng.uniform(0.0, 2.0))))
+        net = MessageNetwork(topo, SimulationEngine())
+        weights = np.maximum([link.latency_ms / 1000.0 for link in topo.links], 1e-9)
+        for src in nodes:
+            best = hop_constrained_shortest(topo, src, None, weights).best
+            assert [net.latency_between(src, dst) for dst in nodes] == best.tolist()
 
     def test_disconnected_raises(self):
         topo = Topology()
