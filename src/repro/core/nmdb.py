@@ -92,7 +92,10 @@ class NMDB:
         :class:`~repro.errors.MalformedReportError` whatever ``strict``
         says. Out-of-order reports raise in ``strict`` mode (a reliable
         fabric should never reorder) and are silently dropped otherwise
-        — under loss/reordering the newest report simply wins.
+        — under loss/reordering the newest report simply wins. A copy of
+        the applied report (same timestamp, every field equal) says
+        nothing new and is dropped in either mode, so a duplicated STAT
+        is a no-op without a dedup cache.
         """
         capacity_pct = msg.capacity_pct
         data_mb = msg.data_mb
@@ -112,13 +115,20 @@ class NMDB:
                 f"num_agents={num_agents!r}, timestamp={timestamp!r}"
             )
         rec = self._record(msg.node_id)
-        if timestamp < rec.last_stat_time:
-            if strict:
-                raise ProtocolError(
-                    f"out-of-order STAT from node {msg.node_id}: "
-                    f"{timestamp} < {rec.last_stat_time}"
-                )
-            return False
+        last = rec.last_stat_time
+        if timestamp <= last:
+            if timestamp < last:
+                if strict:
+                    raise ProtocolError(
+                        f"out-of-order STAT from node {msg.node_id}: {timestamp} < {last}"
+                    )
+                return False
+            if (
+                capacity_pct == rec.capacity_pct
+                and data_mb == rec.data_mb
+                and num_agents == rec.num_agents
+            ):
+                return False
         self._records[msg.node_id] = NodeRecord(
             msg.node_id,
             rec.capable,

@@ -81,6 +81,16 @@ class TestNMDBIngestion:
             nmdb.apply_stat(Stat(node_id=1, capacity_pct=60.0, data_mb=1.0,
                                  num_agents=1, timestamp=5.0))
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_copy_of_the_applied_stat_is_not_applied_again(self, nmdb, strict):
+        stat = Stat(node_id=1, capacity_pct=66.0, data_mb=1.0, num_agents=1, timestamp=10.0)
+        assert nmdb.apply_stat(stat, strict=strict) is True
+        assert nmdb.apply_stat(stat, strict=strict) is False
+        # Same instant, new content: a report, not a copy.
+        assert nmdb.apply_stat(Stat(node_id=1, capacity_pct=60.0, data_mb=1.0,
+                                    num_agents=1, timestamp=10.0), strict=strict) is True
+        assert nmdb.record(1).capacity_pct == 60.0
+
     def test_unknown_node_rejected(self, nmdb):
         with pytest.raises(ProtocolError, match="unknown node"):
             nmdb.apply_stat(Stat(node_id=99, capacity_pct=1.0, data_mb=1.0,
