@@ -17,8 +17,10 @@ implementation runs three loops on the discrete-event engine:
   workloads re-homed onto replicas via REP, or returned to their
   sources via Reclaim when no replica fits.
 
-Every handler dedups by ``(sender, msg_id)`` with a reply cache,
-whatever the configuration. Lossy-network hardening (opt-in via
+Every handler dedups by ``(sender, msg_id)`` with a reply cache, except
+for a periodic STAT on a manager with a retry policy: that report is
+absolute and timestamped, and the NMDB drops a stale one or a copy of
+the applied one by itself. Lossy-network hardening (opt-in via
 ``retry_policy``): Offload-Request / Redirect / REP / Reclaim are
 retransmitted with exponential backoff until their application-level
 confirmation (Offload-ACK or Receipt) arrives, and destinations that
@@ -207,7 +209,8 @@ class DUSTManager:
         self.placement_history: List[PlacementReport] = []
         self._started = False
         self._crashed = False
-        # Every handler dedups by (sender, msg_id) and replays its reply.
+        # Handlers dedup by (sender, msg_id) and replay their reply; a
+        # periodic STAT skips this when a retry policy is set (_receive).
         self._dedup = DedupCache(ttl_s=dedup_ttl_s, clock=lambda: engine.now)
         self._reliable: Optional[ReliableSender] = None
         if retry_policy is not None:
@@ -396,6 +399,13 @@ class DUSTManager:
         payload = message.payload
         if not isinstance(payload, ControlMessage):
             raise ProtocolError("manager received non-DUST payload")
+        if self._reliable is not None and isinstance(payload, Stat) and not payload.reliable:
+            # A periodic STAT is an absolute, timestamped report and the
+            # lenient NMDB drops a stale one or a copy of the applied
+            # one, so it needs no dedup entry (strict mode would raise
+            # on a copy that lands after a newer report).
+            self._on_stat(payload)
+            return
         duplicate, cached_reply = self._dedup.check(message.source, payload.msg_id)
         if duplicate:
             self.counters.duplicates_ignored += 1

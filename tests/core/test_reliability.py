@@ -10,6 +10,7 @@ from repro.core import (
     OffloadAck,
     OffloadCapable,
     OffloadRequest,
+    Reclaim,
     Rep,
     ReliableSender,
     RetryPolicy,
@@ -17,8 +18,9 @@ from repro.core import (
     ThresholdPolicy,
 )
 from repro.core import manager as manager_module
+from repro.core.offload import ActiveOffload
 from repro.errors import ProtocolError
-from repro.simulation import MessageNetwork, SimulationEngine
+from repro.simulation import FaultConfig, FaultyNetwork, MessageNetwork, SimulationEngine
 from repro.simulation.network_sim import Message
 from repro.topology import LinkUtilizationModel, build_fat_tree
 from tests.topologies import build_line
@@ -357,6 +359,28 @@ class TestManagerHardening:
         # The newer report's capacity survived.
         assert manager.nmdb.export_records()[5].capacity_pct == 50.0
 
+    def test_copy_of_an_applied_stat_reacts_once(self):
+        """A periodic STAT skips the dedup cache on a hardened manager, so
+        a copy must be a no-op by content: between the two deliveries the
+        ledger gained an offload that the report's headroom would reclaim."""
+        manager, _, network = make_manager(retry_policy=FAST_RETRY)
+        manager.start()
+        sent = []
+        send = network.send
+        network.send = lambda src, dst, payload: (sent.append(payload), send(src, dst, payload))
+        stat = Stat(node_id=5, capacity_pct=20.0, data_mb=1.0, num_agents=3, timestamp=10.0)
+        deliver(manager, 5, stat)
+        manager.ledger.add(ActiveOffload(source=5, destination=7, amount_pct=30.0,
+                                         route=(5, 7), established_at=10.0))
+        assert manager.nmdb.apply_stat(stat, strict=False) is False
+        manager._on_stat(stat)
+        deliver(manager, 5, stat)
+        assert manager.counters.stats_received == 3
+        assert manager.counters.stale_stats_dropped == 2
+        assert manager.counters.reclaims_issued == 0
+        assert not any(isinstance(p, Reclaim) for p in sent)
+        assert len(manager._dedup) == 0  # a periodic STAT leaves no entry
+
     def test_stale_stat_raises_on_reliable_fabric(self):
         manager, _, _ = make_manager()
         manager.start()
@@ -365,6 +389,45 @@ class TestManagerHardening:
         with pytest.raises(ProtocolError, match="out-of-order STAT"):
             deliver(manager, 5, Stat(node_id=5, capacity_pct=99.0, data_mb=1.0,
                                      num_agents=3, timestamp=5.0))
+
+    def test_strict_manager_ignores_a_duplicated_stat_landing_late(self):
+        """Without a retry policy the NMDB raises on an out-of-order STAT,
+        so only the dedup cache keeps a duplicate that lands after a
+        newer report from being one. Every message is duplicated and
+        some copies are delayed past the next period; at this seed no
+        STAT has *both* copies delayed, which would be a real reorder."""
+        topology = build_fat_tree(4)
+        engine = SimulationEngine()
+        network = FaultyNetwork(
+            topology, engine,
+            FaultConfig(duplicate_probability=1.0, reorder_probability=0.1,
+                        reorder_extra_s=1.5),
+            seed=0,
+        )
+        manager = DUSTManager(
+            node_id=0, topology=topology, engine=engine, network=network,
+            policy=POLICY, update_interval_s=1.0, optimization_period_s=1000.0,
+        )
+        late, newest = [], {}
+        receive = manager._receive
+
+        def spy(message):
+            stat = message.payload
+            if isinstance(stat, Stat):
+                if stat.timestamp < newest.get(stat.node_id, float("-inf")):
+                    late.append(stat.msg_id)
+                newest[stat.node_id] = max(newest.get(stat.node_id, stat.timestamp),
+                                           stat.timestamp)
+            receive(message)
+
+        manager._receive = spy
+        manager.start()
+        DUSTClient(node_id=5, engine=engine, network=network, manager_node=0,
+                   policy=POLICY).start()
+        engine.run_until(20.0)  # must not raise ProtocolError
+        assert late  # the case under test happened
+        assert manager.counters.stale_stats_dropped == 0
+        assert manager.counters.duplicates_ignored >= len(late)
 
     def test_give_up_quarantines_destination(self, monkeypatch):
         monkeypatch.setattr(manager_module, "QUARANTINE_S", 100.0)
