@@ -62,8 +62,13 @@ class SimulationEngine:
     ) -> ScheduledEvent:
         """Schedule ``handler`` every ``period`` seconds until
         ``condition()`` (checked before each firing) returns ``False``.
-        Returns the first occurrence's event (cancel it to stop the
-        chain before it starts)."""
+
+        The chain is one :class:`ScheduledEvent` that re-arms itself:
+        after each firing it goes back on the heap at ``now + period``
+        with the next sequence number, taken after ``handler`` ran (the
+        order a fresh ``schedule_after`` there would give). The returned
+        handle is the chain's: cancel it to stop the chain at any point.
+        """
         if not period > 0:  # also rejects NaN
             raise SimulationError(f"period must be positive, got {period}")
 
@@ -71,10 +76,18 @@ class SimulationEngine:
             if condition is not None and not condition():
                 return
             handler(engine)
-            engine.schedule_after(period, tick, label)
+            if event.cancelled:
+                return
+            time = engine._now + period
+            sequence = engine._sequence
+            engine._sequence = sequence + 1
+            event.time = time
+            event.sequence = sequence
+            heapq.heappush(engine._heap, (time, sequence, event))
 
         delay = period if first_delay is None else first_delay
-        return self.schedule_after(delay, tick, label)
+        event = self.schedule_after(delay, tick, label)
+        return event
 
     # -- execution ------------------------------------------------------------------
     def step(self) -> bool:

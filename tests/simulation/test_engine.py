@@ -127,6 +127,83 @@ class TestPeriodic:
         with pytest.raises(SimulationError):
             engine.schedule_periodic(0.0, lambda e: None)
 
+    def test_cancelling_the_handle_mid_chain_stops_it(self):
+        engine = SimulationEngine()
+        ticks = []
+        handle = engine.schedule_periodic(10.0, lambda e: ticks.append(e.now))
+        engine.run_until(25.0)
+        handle.cancel()
+        engine.run_until(100.0)
+        assert ticks == [10.0, 20.0]
+        assert engine.pending_events == 0
+
+    def test_a_handler_may_cancel_its_own_chain(self):
+        engine = SimulationEngine()
+        ticks = []
+
+        def tick(e):
+            ticks.append(e.now)
+            if len(ticks) == 2:
+                handle.cancel()
+
+        handle = engine.schedule_periodic(5.0, tick, first_delay=0.0)
+        engine.run_until(100.0)
+        assert ticks == [0.0, 5.0]
+        assert engine._heap == []
+
+    def test_one_event_object_per_chain(self):
+        engine = SimulationEngine()
+        handle = engine.schedule_periodic(1.0, lambda e: None)
+        for end in (1.5, 2.5, 3.5):
+            engine.run_until(end)
+            assert [entry[2] for entry in engine._heap] == [handle]
+        assert handle.time == 4.0
+
+    def test_firing_order_matches_a_closure_chain(self):
+        """The re-armed chain fires in exactly the order the old chain —
+        a fresh ``schedule_after`` after each firing — gave, with
+        one-shot events and follow-ups landing on the same instants."""
+
+        def closure_chain(engine, period, handler, label, first_delay, condition):
+            def tick(e):
+                if condition is not None and not condition():
+                    return
+                handler(e)
+                e.schedule_after(period, tick, label)
+
+            engine.schedule_after(period if first_delay is None else first_delay, tick, label)
+
+        def run(periodic):
+            rng = random.Random(7)
+            engine = SimulationEngine()
+            fired = []
+
+            def note(tag):
+                def handler(e):
+                    fired.append((e.now, tag))
+                    if rng.random() < 0.3:  # a follow-up on a shared instant
+                        e.schedule_after(float(rng.choice((0, 1, 2, 3))),
+                                         lambda e2: fired.append((e2.now, tag + "'")))
+                return handler
+
+            for i, (period, first) in enumerate([(1.0, None), (2.0, 0.0), (3.0, 1.0), (1.0, 0.0)]):
+                count = [0]
+
+                def limited(e, i=i, count=count):
+                    count[0] += 1
+                    note(f"p{i}")(e)
+
+                periodic(engine, period, limited, f"p{i}", first,
+                         (lambda count=count: count[0] < 9) if i == 2 else None)
+            for j in range(40):
+                engine.schedule_at(float(rng.randrange(0, 20)), note(f"o{j}"))
+            engine.run_until(20.0)
+            return fired
+
+        new = run(lambda engine, *args: engine.schedule_periodic(*args))
+        assert new == run(closure_chain)
+        assert len(new) > 100
+
 
 NAN = float("nan")
 
