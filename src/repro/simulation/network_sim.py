@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -34,9 +36,9 @@ from repro.topology.graph import Topology
 Receiver = Callable[["Message"], None]
 
 
-@dataclass(frozen=True)
-class Message:
-    """A delivered control-plane message."""
+class Message(NamedTuple):
+    """A delivered control-plane message (immutable; built positionally
+    on the delivery path)."""
 
     source: int
     destination: int
@@ -161,7 +163,8 @@ class MessageNetwork:
         self, source: int, destination: int, payload: Any, delay: float
     ) -> None:
         """Shared delivery machinery: one queued in-flight copy."""
-        sent_at = self.engine.now
+        engine = self.engine
+        sent_at = engine.now
 
         def deliver(engine: SimulationEngine) -> None:
             receiver = self._receivers.get(destination)
@@ -169,17 +172,10 @@ class MessageNetwork:
                 self.messages_dropped += 1
                 return  # endpoint left the network while in flight
             self.messages_delivered += 1
-            receiver(
-                Message(
-                    source=source,
-                    destination=destination,
-                    payload=payload,
-                    sent_at=sent_at,
-                    delivered_at=engine.now,
-                )
-            )
+            receiver(Message(source, destination, payload, sent_at, engine.now))
 
-        self.engine.schedule_after(delay, deliver, label="msg")
+        # ``schedule_after``'s own sum: the same operands, so the same time.
+        engine.schedule_at(sent_at + delay, deliver, "msg")
 
     def broadcast(self, source: int, payload: Any) -> int:
         """Send to every registered endpoint except ``source``; returns
