@@ -137,11 +137,12 @@ class DUSTClient:
     def current_capacity(self, now: float) -> float:
         """Reported ``C_j``: base − offloaded + hosted, clamped to
         [x_min, 100]."""
-        cap = (
-            self.base_capacity(now)
-            - sum(self.offloaded_to.values())
-            + sum(h.amount_pct for h in self.hosted.values())
-        )
+        cap = self.base_capacity(now)
+        # An empty sum is 0 and ``x - 0 + 0 == x``: skipping it is exact.
+        if self.offloaded_to:
+            cap -= sum(self.offloaded_to.values())
+        if self.hosted:
+            cap += sum(h.amount_pct for h in self.hosted.values())
         return float(min(100.0, max(self.policy.x_min, cap)))
 
     @property
