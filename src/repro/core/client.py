@@ -59,6 +59,7 @@ from repro.core.messages import (
 from repro.core.thresholds import ThresholdPolicy
 from repro.errors import ProtocolError
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.events import ScheduledEvent
 from repro.simulation.network_sim import Message, MessageNetwork
 
 CapacityFn = Union[float, Callable[[float], float]]
@@ -126,6 +127,9 @@ class DUSTClient:
         )
         self._announce_msg_id: Optional[int] = None
         self._stat_confirmed = False  # manager receipted an admission STAT
+        #: The STAT chain's handle; ``fail`` cancels it, so a client that
+        #: recovers within one interval does not run two chains.
+        self._stat_chain: Optional[ScheduledEvent] = None
 
     # -- capacity model -----------------------------------------------------------
     def base_capacity(self, now: float) -> float:
@@ -196,6 +200,9 @@ class DUSTClient:
         failure-recovery experiments to trigger replica substitution."""
         self.alive = False
         self.network.unregister(self.node_id)
+        if self._stat_chain is not None:
+            self._stat_chain.cancel()
+            self._stat_chain = None
         if self._reliable is not None:
             self._reliable.cancel_all()
 
@@ -262,7 +269,7 @@ class DUSTClient:
         first_start = self.update_interval_s is None
         self.update_interval_s = ack.update_interval_s
         if first_start:
-            self.engine.schedule_periodic(
+            self._stat_chain = self.engine.schedule_periodic(
                 ack.update_interval_s,
                 lambda engine: self._send_stat(),
                 label=f"stat-{self.node_id}",

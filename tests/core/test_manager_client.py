@@ -144,6 +144,29 @@ class TestFailureRecovery:
                 assert host.hosted_amount >= offload.amount_pct - 1e-9
 
 
+    def test_recovery_within_one_interval_runs_one_stat_chain(self):
+        """``recover`` resets the update interval, so the new ACK starts a
+        chain; the old one used to keep ticking beside it because it only
+        stopped on a tick that found the client dead."""
+        topology = build_fat_tree(4)
+        engine = SimulationEngine()
+        network = MessageNetwork(topology, engine)
+        DUSTManager(
+            node_id=0, topology=topology, engine=engine, network=network, policy=POLICY,
+            update_interval_s=10.0, optimization_period_s=1000.0,
+        ).start()
+        client = DUSTClient(node_id=5, engine=engine, network=network, manager_node=0,
+                            policy=POLICY)
+        client.start()
+        engine.run_until(35.0)
+        client.fail()
+        engine.run_until(36.0)
+        client.recover()
+        before = client.stats_sent
+        engine.run_until(100.0)
+        assert client.stats_sent - before == 7  # t ≈ 36, 46, …, 96
+        assert sum(event.label == "stat-5" for _, _, event in engine._heap) == 1
+
 class TestReclaim:
     @staticmethod
     def check_reclaimed(retry_policy):
