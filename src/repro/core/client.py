@@ -7,7 +7,8 @@ follows Section III-B:
 
 1. announce itself with **Offload-capable**;
 2. on **ACK**, start the periodic **STAT** loop at the manager-assigned
-   Update-Interval Time;
+   Update-Interval Time (one re-armed engine event, cancelled by
+   :meth:`DUSTClient.fail`);
 3. as a *destination*: accept **Offload-Request** / **REP** when the
    projected utilization stays at/below ``CO_max``, then heartbeat with
    **Keepalive**;
@@ -19,9 +20,12 @@ The utilized capacity it reports is ``base(t) − offloaded + hosted``
 callable of virtual time supplied by the experiment.
 
 Lossy-network hardening: a :class:`~repro.core.messages.DedupCache`
-suppresses a duplicate of a message this client already handled (same
-sender, same ``msg_id``) and replays the original response instead of
-re-running the state transition. That is the only protection: the
+suppresses a duplicate of a message this client receives and has
+already handled (same sender, same ``msg_id``) and replays the original
+response instead of re-running the state transition. (A manager with
+a retry policy does not dedup the periodic STATs this client sends:
+they are absolute, timestamped reports, and its NMDB drops a copy by
+content.) The cache is the client's only protection: its
 handlers apply deltas, not values — a Redirect adds to
 ``offloaded_to``, a Reclaim subtracts, and a re-sent Offload-Request (a
 new ``msg_id``) adds to ``hosted`` again — so a re-issued message is

@@ -24,8 +24,10 @@ layer the lossy-network mode needs (the paper assumes a stable fabric):
 * :class:`RetryPolicy` / :class:`ReliableSender` — ACK-gated
   retransmission with exponential backoff and a retry budget;
 * :class:`DedupCache` — bounded per-sender duplicate suppression with a
-  reply cache, making every handler idempotent under duplication and
-  retransmission.
+  reply cache, making a handler idempotent under duplication and
+  retransmission. A hardened manager does not run a periodic STAT
+  through it: the report is absolute and timestamped, and the NMDB
+  drops one older than, or a copy of, the applied report by content.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ class Stat(ControlMessage):
     every report until the manager confirms one with a Receipt, so a
     lossy fabric cannot keep a node out of the candidate set. Steady-
     state reports leave it False — they are naturally redundant, the
-    next period supersedes a lost one.
+    next period supersedes a lost one. A manager with a retry policy
+    does not dedup them by ``msg_id``: the NMDB drops a copy of the
+    applied report, or an older one, by its timestamp and fields.
     """
 
     node_id: int

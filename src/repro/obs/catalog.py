@@ -8,6 +8,10 @@ as a table, and the tier-1 docs tests fail when the two drift apart in
 either direction (documented-but-unregistered or
 registered-but-undocumented).
 
+A description that starts "Fault-only" marks a metric whose writer sits
+on a fault or overload path that no shipped experiment, example or
+benchmark run reaches, so a reader of its zero knows it is expected.
+
 Naming convention: ``<layer>.<event>`` with the layer prefixes
 
 ========== ==========================================================
@@ -117,15 +121,19 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "manager.replicas_installed", "count", "repro.core.manager",
      "Failed destinations re-homed onto replicas via REP"),
     ("counter", "manager.workloads_returned", "count", "repro.core.manager",
-     "Evicted workloads returned to their sources (no replica fit)"),
+     "Fault-only, 0 on every shipped run: evicted workloads returned to their sources (no "
+     "replica fit)"),
     ("counter", "manager.reclaims_issued", "count", "repro.core.manager",
      "Reclaim messages issued after source recovery"),
     ("counter", "manager.duplicates_ignored", "count", "repro.core.manager",
-     "Duplicate control messages suppressed by the dedup cache"),
+     "Duplicate control messages suppressed by the dedup cache (with a retry policy a "
+     "periodic STAT skips the cache; its copies count as stale_stats_dropped)"),
     ("counter", "manager.stale_stats_dropped", "count", "repro.core.manager",
-     "Out-of-order STATs discarded under lossy delivery"),
+     "STATs older than, or a copy of, the applied report, discarded under lossy delivery "
+     "(includes duplicated periodic STATs)"),
     ("counter", "manager.stats_rejected", "count", "repro.core.manager",
-     "STAT / Offload-capable reports dropped for a non-finite or out-of-range field"),
+     "Fault-only, 0 on every shipped run: STAT / Offload-capable reports dropped for a "
+     "non-finite or out-of-range field"),
     ("counter", "manager.stale_acks_ignored", "count", "repro.core.manager",
      "Stale/raced Offload-ACKs ignored"),
     ("counter", "manager.acks_reconfirmed", "count", "repro.core.manager",
@@ -143,11 +151,13 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "manager.resync_recovered", "count", "repro.core.manager",
      "Ledger rows rebuilt from resync re-confirmations"),
     ("counter", "manager.redirects_unwound", "count", "repro.core.manager",
-     "Takeover-restored ledger rows reclaimed: source never confirmed the Redirect"),
+     "Fault-only, 0 on every shipped run: takeover-restored ledger rows reclaimed, source "
+     "never confirmed the Redirect"),
     ("counter", "manager.snapshots_persisted", "count", "repro.core.manager",
      "Manager state snapshots written to stable storage"),
     ("counter", "manager.rounds_frozen", "count", "repro.core.manager",
-     "Optimization rounds skipped while the degradation ladder froze placement"),
+     "Fault-only, 0 on every shipped run: optimization rounds skipped while the degradation "
+     "ladder froze placement"),
     ("counter", "manager.placements_reset", "count", "repro.core.manager",
      "Forced from-scratch reconvergences (drift watchdog resets)"),
     ("histogram", "manager.optimization_round_seconds", "seconds",
@@ -194,11 +204,11 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "failover.takeovers", "count", "repro.core.failover",
      "Successful standby promotions"),
     ("counter", "failover.takeover_aborts", "count", "repro.core.failover",
-     "Takeovers aborted by the split-brain guard"),
+     "Fault-only, 0 on every shipped run: takeovers aborted by the split-brain guard"),
     ("counter", "failover.snapshot_saves", "count", "repro.core.failover",
      "Snapshots accepted by the stable store"),
     ("counter", "failover.snapshot_load_failures", "count", "repro.core.failover",
-     "Torn or corrupted on-disk snapshots rejected on load"),
+     "Fault-only, 0 on every shipped run: torn or corrupted on-disk snapshots rejected on load"),
     # -- chaos: scenario harness ----------------------------------------------------
     ("counter", "chaos.runs", "count", "repro.simulation.chaos",
      "Chaos scenarios executed (faulty and reference runs)"),

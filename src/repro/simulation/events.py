@@ -10,6 +10,8 @@ Handler = Callable[["object"], None]
 
 class ScheduledEvent:
     """One scheduled handler call; the handle ``schedule_*`` returns.
+    A :meth:`~repro.simulation.engine.SimulationEngine.schedule_periodic`
+    chain is one event that goes back on the heap after each firing.
 
     The engine's heap holds ``(time, sequence, event)`` tuples, so
     ordering is the C tuple comparison on ``(time, sequence)``.
