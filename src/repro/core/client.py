@@ -206,7 +206,6 @@ class DUSTClient:
         self.network.unregister(self.node_id)
         if self._stat_chain is not None:
             self._stat_chain.cancel()
-            self._stat_chain = None
         if self._reliable is not None:
             self._reliable.cancel_all()
 

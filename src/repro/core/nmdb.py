@@ -115,20 +115,20 @@ class NMDB:
                 f"num_agents={num_agents!r}, timestamp={timestamp!r}"
             )
         rec = self._record(msg.node_id)
-        last = rec.last_stat_time
-        if timestamp <= last:
-            if timestamp < last:
-                if strict:
-                    raise ProtocolError(
-                        f"out-of-order STAT from node {msg.node_id}: {timestamp} < {last}"
-                    )
-                return False
-            if (
-                capacity_pct == rec.capacity_pct
-                and data_mb == rec.data_mb
-                and num_agents == rec.num_agents
-            ):
-                return False
+        if timestamp < rec.last_stat_time:
+            if strict:
+                raise ProtocolError(
+                    f"out-of-order STAT from node {msg.node_id}: "
+                    f"{timestamp} < {rec.last_stat_time}"
+                )
+            return False
+        if (
+            timestamp == rec.last_stat_time
+            and capacity_pct == rec.capacity_pct
+            and data_mb == rec.data_mb
+            and num_agents == rec.num_agents
+        ):
+            return False  # a copy of the applied report
         self._records[msg.node_id] = NodeRecord(
             msg.node_id,
             rec.capable,

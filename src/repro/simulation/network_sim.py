@@ -163,8 +163,7 @@ class MessageNetwork:
         self, source: int, destination: int, payload: Any, delay: float
     ) -> None:
         """Shared delivery machinery: one queued in-flight copy."""
-        engine = self.engine
-        sent_at = engine.now
+        sent_at = self.engine.now
 
         def deliver(engine: SimulationEngine) -> None:
             receiver = self._receivers.get(destination)
@@ -175,7 +174,7 @@ class MessageNetwork:
             receiver(Message(source, destination, payload, sent_at, engine.now))
 
         # ``schedule_after``'s own sum: the same operands, so the same time.
-        engine.schedule_at(sent_at + delay, deliver, "msg")
+        self.engine.schedule_at(sent_at + delay, deliver, "msg")
 
     def broadcast(self, source: int, payload: Any) -> int:
         """Send to every registered endpoint except ``source``; returns
