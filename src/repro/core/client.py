@@ -116,7 +116,6 @@ class DUSTClient:
         self.hosted: Dict[int, HostedWorkload] = {}
         self.offloaded_to: Dict[int, float] = {}  # destination -> amount
         self.alive = True
-        self._keepalive_running = False
         self.stats_sent = 0
         self.keepalives_sent = 0
         self.requests_rejected = 0
@@ -134,6 +133,9 @@ class DUSTClient:
         #: The STAT chain's handle; ``fail`` cancels it, so a client that
         #: recovers within one interval does not run two chains.
         self._stat_chain: Optional[ScheduledEvent] = None
+        #: The keepalive loop's handle while it runs; ``fail`` cancels it
+        #: for the same reason.
+        self._keepalive_loop: Optional[ScheduledEvent] = None
 
     # -- capacity model -----------------------------------------------------------
     def base_capacity(self, now: float) -> float:
@@ -206,6 +208,9 @@ class DUSTClient:
         self.network.unregister(self.node_id)
         if self._stat_chain is not None:
             self._stat_chain.cancel()
+        if self._keepalive_loop is not None:
+            self._keepalive_loop.cancel()
+            self._keepalive_loop = None
         if self._reliable is not None:
             self._reliable.cancel_all()
 
@@ -218,7 +223,6 @@ class DUSTClient:
         self.hosted.clear()
         self.offloaded_to.clear()
         self.update_interval_s = None
-        self._keepalive_running = False
         self._stat_confirmed = False
         self._dedup.clear()
         self.alive = True
@@ -425,14 +429,16 @@ class DUSTClient:
 
     # -- keepalive loop ------------------------------------------------------------------
     def _ensure_keepalive_loop(self) -> None:
-        if self._keepalive_running:
+        if self._keepalive_loop is not None:
             return
-        self._keepalive_running = True
+
+        def hosting() -> bool:
+            if self.alive and self.hosted:
+                return True
+            self._keepalive_loop = None
+            return False
 
         def beat(engine: SimulationEngine) -> None:
-            if not self.alive or not self.hosted:
-                self._keepalive_running = False
-                return
             self.keepalives_sent += 1
             self.network.send(
                 self.node_id,
@@ -443,6 +449,11 @@ class DUSTClient:
                     timestamp=engine.now,
                 ),
             )
-            engine.schedule_after(self.keepalive_period_s, beat, f"ka-{self.node_id}")
 
-        self.engine.schedule_after(0.0, beat, f"ka-{self.node_id}")
+        self._keepalive_loop = self.engine.schedule_periodic(
+            self.keepalive_period_s,
+            beat,
+            label=f"ka-{self.node_id}",
+            first_delay=0.0,
+            condition=hosting,
+        )

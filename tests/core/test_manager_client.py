@@ -167,6 +167,29 @@ class TestFailureRecovery:
         assert client.stats_sent - before == 7  # t ≈ 36, 46, …, 96
         assert sum(event.label == "stat-5" for _, _, event in engine._heap) == 1
 
+    def test_recovery_within_one_period_runs_one_keepalive_loop(self):
+        """``recover`` used to clear the loop's running flag without
+        stopping it, so hosting again started a second loop beside the
+        old one, which had not yet found the client dead."""
+        topology = build_fat_tree(4)
+        engine = SimulationEngine()
+        network = MessageNetwork(topology, engine)
+        client = DUSTClient(node_id=5, engine=engine, network=network, manager_node=0,
+                            policy=POLICY, keepalive_period_s=10.0)
+        client.start()
+        engine.run_until(30.0)
+        client._accept_hosting(7, 5.0, 1.0, via_replica=False)
+        engine.run_until(35.0)
+        client.fail()
+        engine.run_until(36.0)
+        client.recover()
+        engine.run_until(37.0)
+        client._accept_hosting(7, 5.0, 1.0, via_replica=False)
+        before = client.keepalives_sent
+        engine.run_until(100.0)
+        assert client.keepalives_sent - before == 7  # t = 37, 47, …, 97
+        assert sum(event.label == "ka-5" for _, _, event in engine._heap) == 1
+
 class TestReclaim:
     @staticmethod
     def check_reclaimed(retry_policy):
