@@ -18,6 +18,16 @@ actually prices: fat-tree(8), 18 x 22 pairs, hop 5,
 ``with_paths=False`` — at k=8 under ``--smoke`` too, so the smoke run
 checks bit-identity on the claimed shape (its reference costs ~1 s).
 
+A split point prices a uniform-cost fat-tree(8) call (every
+equal-cost path survives) with the kernel's live-row cap patched down
+to ``SPLIT_CAP``, so its pairs split between many frontiers mid-flight,
+and holds it bit-for-bit to the reference too (``--smoke`` included).
+
+A tie-heavy point records memory: fat-tree(16) with uniform links,
+70 x 90 pairs, hop 5, kernel only, run in a fresh subprocess that
+reports its best-of-N seconds and ``peak_rss_mb`` (the process's
+maximum resident set, imports included).
+
 Every timed configuration is compared **bit-for-bit** against the
 reference: ``np.array_equal`` on the resistance and hop matrices (no
 tolerances) and equality of every materialized optimal path. Path
@@ -44,13 +54,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from typing import List
 
 import numpy as np
 
-from repro.routing import Path, count_paths_kernel
+from repro.obs import get_registry
+from repro.routing import Path, count_paths_kernel, enumkernel
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import LinkUtilizationModel
 from repro.topology.fattree import build_fat_tree
@@ -93,6 +105,66 @@ def build_fig11_fixture(seed: int):
     sources = [int(i) for i in nodes[:n_src]]
     destinations = [int(i) for i in nodes[n_src : n_src + 22]]
     return topo, k, sources, destinations
+
+
+#: Live-row cap of the split point: small enough that the uniform-cost
+#: call splits down to frontiers of one or two pairs.
+SPLIT_CAP = 4
+
+
+def build_split_fixture():
+    """A uniform-cost fat-tree(8) call: every equal-cost path survives."""
+    topo = build_fat_tree(8)
+    n = topo.num_nodes
+    sources = [int(i) for i in np.linspace(0, n - 1, 6).astype(int)]
+    destinations = [int(i) for i in np.linspace(1, n - 2, 8).astype(int)]
+    return topo, sources, destinations
+
+
+#: Child of the tie-heavy point: a fresh interpreter importing only what
+#: the kernel call needs, so its peak RSS is the call's plus the imports.
+_TIE_HEAVY_CHILD = """
+import json, resource, sys, time
+import numpy as np
+from repro.routing.response_time import PathEngine, ResponseTimeModel
+from repro.topology.fattree import build_fat_tree
+
+repeats = int(sys.argv[1])
+topo = build_fat_tree(16)
+n = topo.num_nodes
+sources = [int(i) for i in np.linspace(0, n - 1, 70).astype(int)]
+destinations = [int(i) for i in np.linspace(1, n - 2, 90).astype(int)]
+model = ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=5)
+best = float("inf")
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    model.resistance_matrix(topo, sources, destinations, with_paths=False)
+    best = min(best, time.perf_counter() - t0)
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"kernel_s": best, "peak_rss_mb": peak_kib / 1024.0}))
+"""
+
+
+def tie_heavy_point(repeats: int):
+    """Time and peak RSS of the tie-heavy k=16 call, in a fresh process."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _TIE_HEAVY_CHILD, str(repeats)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    point = json.loads(child.stdout)
+    point.update(
+        topology="fat-tree k=16", costs="uniform", shape=[70, 90], max_hops=5,
+        with_paths=False, repeats=repeats,
+    )
+    return point
 
 
 def price_kernel(topo, sources, destinations, max_hops, with_paths=True):
@@ -183,6 +255,28 @@ def main(argv=None) -> int:
     fig11_point["topology"] = f"fat-tree k={f_k}"
     fig11_point["shape"] = [len(f_sources), len(f_destinations)]
 
+    s_topo, s_sources, s_destinations = build_split_fixture()
+    frontiers = get_registry().counter("routing.enum_kernel_calls")
+    row_cap = enumkernel._FRONTIER_ROWS
+    enumkernel._FRONTIER_ROWS = SPLIT_CAP
+    try:
+        split_point = measure_point(
+            s_topo, s_sources, s_destinations, 5, True, 1, "split frontiers", failures
+        )
+        calls_before = frontiers.value
+        price_kernel(s_topo, s_sources, s_destinations, 5)
+        split_point["frontiers_per_call"] = int(frontiers.value - calls_before)
+    finally:
+        enumkernel._FRONTIER_ROWS = row_cap
+    split_point.update(
+        topology="fat-tree k=8", costs="uniform", frontier_rows_cap=SPLIT_CAP,
+        shape=[len(s_sources), len(s_destinations)],
+    )
+    if split_point["frontiers_per_call"] <= 1:
+        failures.append("split frontiers: the call did not split")
+
+    tie_point = tie_heavy_point(repeats)
+
     # Exhaustive count parity on a pair sample at the largest budget.
     count_hops = hop_budgets[-1]
     count_checks = 0
@@ -217,11 +311,15 @@ def main(argv=None) -> int:
         },
         "points": points,
         "fig11_shape_point": fig11_point,
+        "split_point": split_point,
+        "tie_heavy_point": tie_point,
         "count_checks": count_checks,
         "gate_hop": gate_point["max_hops"],
         "speedup_at_gate": gate_point["speedup"],
         "min_speedup_gate": args.min_speedup if gated else None,
-        "bit_identical": all(p["bit_identical"] for p in points + [fig11_point]),
+        "bit_identical": all(
+            p["bit_identical"] for p in points + [fig11_point, split_point]
+        ),
         "passed": not failures,
     }
     if failures:

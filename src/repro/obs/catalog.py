@@ -64,7 +64,7 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     # -- routing: frontier-expansion enumeration kernel -----------------------------
     ("counter", "routing.enum_kernel_calls", "count", "repro.routing.enumkernel",
      "Frontier-expansion kernel invocations: one per counted pair, one per "
-     "block of priced pairs sharing a frontier"),
+     "folded pricing frontier (one per call unless its live rows split it)"),
     ("counter", "routing.enum_frontier_rows", "count", "repro.routing.enumkernel",
      "Partial-path rows expanded across all kernel depth layers"),
     ("counter", "routing.enum_pruned_rows", "count", "repro.routing.enumkernel",

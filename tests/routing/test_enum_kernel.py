@@ -56,6 +56,14 @@ def _assert_pair_identical(topo, s, d, h, weights):
     )
 
 
+def _counter_deltas(names, fn):
+    """How much each registry counter in ``names`` rose during ``fn()``."""
+    reg = get_registry()
+    before = [reg.counter(name).value for name in names]
+    fn()
+    return [reg.counter(name).value - b for name, b in zip(names, before)]
+
+
 def disconnected_topology():
     """Two components: {0, 1} and {2, 3}."""
     topo = Topology()
@@ -309,23 +317,59 @@ class TestBatchedMatrixIdentity:
                 _enum_model(4).resistance_matrix(topo, [0, 1], [n - 1])
 
     def test_block_boundaries_cannot_change_a_result(self, monkeypatch):
-        """Pairs never interact, so how many share a frontier is
-        invisible — on a tie-heavy call where every equal-cost path
-        survives into the fold."""
-        topo = build_fat_tree(8)  # untouched links: uniform weights
+        """Pairs never interact, so how a call's pairs split between
+        frontiers is invisible — in the results and in the row totals —
+        on a tie-heavy call (untouched links: uniform weights, every
+        equal-cost path survives into the fold) and on a pruned one."""
         sources = list(range(0, 80, 9))
         destinations = list(range(2, 80, 7))
         model = _enum_model(5)
-        results = []
-        for block in (1, 7, 10**9):
-            monkeypatch.setattr(enumkernel, "_PAIR_BLOCK", block)
-            results.append(
-                model.resistance_matrix(topo, sources, destinations, with_paths=True)
-            )
-        for R, hops, paths in results[1:]:
-            assert np.array_equal(R, results[0][0])
-            assert np.array_equal(hops, results[0][1])
-            assert paths == results[0][2]
+        for utilization_seed in (None, 3):
+            topo = build_fat_tree(8)
+            if utilization_seed is not None:
+                LinkUtilizationModel(0.2, 0.8, seed=utilization_seed).apply(topo)
+            runs = {}
+            for cap in (1, 7, 64, 10**9):
+                monkeypatch.setattr(enumkernel, "_FRONTIER_ROWS", cap)
+                out = []
+                counts = _counter_deltas(
+                    ("routing.enum_kernel_calls", *TestBatchedCounters.TOTALS),
+                    lambda: out.append(
+                        model.resistance_matrix(
+                            topo, sources, destinations, with_paths=True
+                        )
+                    ),
+                )
+                runs[cap] = out[0], counts
+            (R0, hops0, paths0), counts0 = runs[10**9]
+            assert counts0[0] == 1
+            for cap in (1, 7, 64):
+                (R, hops, paths), counts = runs[cap]
+                assert np.array_equal(R, R0)
+                assert np.array_equal(hops, hops0)
+                assert paths == paths0
+                assert counts[1:] == counts0[1:]
+                assert counts[0] > 1  # the call split mid-flight
+
+    def test_a_split_frontier_enters_no_hop_above_the_cap(self, monkeypatch):
+        """Only a frontier down to one pair may carry more live rows
+        (frontier rows plus survivors) into a hop than the cap."""
+        cap = 16
+        monkeypatch.setattr(enumkernel, "_FRONTIER_ROWS", cap)
+        hop = enumkernel._PairPricing.hop
+        entered = []
+
+        def guarded(pricing, frontier, hops_left):
+            held = [frontier.pair, *(p for p, _ in frontier.done)]
+            entered.append((sum(p.size for p in held), np.unique(np.concatenate(held)).size))
+            return hop(pricing, frontier, hops_left)
+
+        monkeypatch.setattr(enumkernel._PairPricing, "hop", guarded)
+        topo = build_fat_tree(8)  # uniform weights: many survivors per pair
+        _enum_model(5).resistance_matrix(topo, list(range(0, 80, 9)), list(range(2, 80, 7)))
+        assert all(rows <= cap or pairs == 1 for rows, pairs in entered)
+        assert any(pairs == 1 and rows > cap for rows, pairs in entered)
+        assert any(pairs > 1 for _, pairs in entered)
 
 
 class TestBatchedCounters:
@@ -337,13 +381,6 @@ class TestBatchedCounters:
         "routing.enum_pruned_rows",
         "routing.enum_bound_cutoffs",
     )
-
-    @staticmethod
-    def _delta(names, fn):
-        reg = get_registry()
-        before = [reg.counter(name).value for name in names]
-        fn()
-        return [reg.counter(name).value - b for name, b in zip(names, before)]
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_totals_equal_the_per_pair_sums(self, k):
@@ -360,27 +397,25 @@ class TestBatchedCounters:
                 for d in destinations:
                     _best_enum_route(topo, s, d, 5, weights)
 
-        batched = self._delta(
+        batched = _counter_deltas(
             self.TOTALS, lambda: model.resistance_matrix(topo, sources, destinations)
         )
-        assert batched == self._delta(self.TOTALS, per_pair)
+        assert batched == _counter_deltas(self.TOTALS, per_pair)
         assert batched[0] > 0 and batched[1] > 0
 
-    def test_kernel_calls_count_pair_blocks_not_pairs(self):
-        """Structural guard: an 18 x 22 call is a handful of frontiers,
-        not one per pair."""
+    def test_an_18_by_22_hop5_call_is_one_frontier(self):
+        """Structural guard: the pairs of a pruned call share one
+        frontier, not one per pair or per block of pairs."""
         topo = build_fat_tree(8)
         LinkUtilizationModel(0.2, 0.8, seed=5).apply(topo)
         sources = list(range(0, 72, 4))
         destinations = list(range(1, 80, 3))[:22]
         assert (len(sources), len(destinations)) == (18, 22)
-        nontrivial = sum(s != d for s in sources for d in destinations)
-        (calls,) = self._delta(
+        (calls,) = _counter_deltas(
             ["routing.enum_kernel_calls"],
             lambda: _enum_model(5).resistance_matrix(topo, sources, destinations),
         )
-        assert calls == math.ceil(nontrivial / enumkernel._PAIR_BLOCK)
-        assert calls < 18
+        assert calls == 1
 
 
 class TestDegenerateCorners:
