@@ -51,12 +51,6 @@ from repro.core.metrics import (
     relief_divergence,
     summarize_categories,
 )
-from repro.core.multiresource import (
-    DEFAULT_RESOURCES,
-    MultiResourceProblem,
-    MultiResourceReport,
-    solve_multiresource,
-)
 from repro.core.nmdb import NMDB, NetworkSnapshot, NodeRecord
 from repro.core.offload import ActiveOffload, OffloadLedger, RowState
 from repro.core.placement import (
@@ -104,10 +98,6 @@ __all__ = [
     "ManagerHeartbeat",
     "ManagerSnapshot",
     "MessageType",
-    "MultiResourceProblem",
-    "MultiResourceReport",
-    "DEFAULT_RESOURCES",
-    "solve_multiresource",
     "NMDB",
     "NetworkSnapshot",
     "NodeRecord",

@@ -16,11 +16,10 @@ does:
    whose cost, not the LP's, is the max-hop blowup of Figs. 8/10 — is
    the same ``(Trmin, hops)`` and is named explicitly by the callers
    that time it);
-2. **LP solve** — one solver per program shape: the homogeneous
-   continuous program goes to the exact transportation solver
-   (:mod:`repro.lp.transportation`); heterogeneous coefficients or
-   whole-unit flows go to HiGHS (:func:`repro.lp.solve_scipy`, the
-   Gurobi stand-in) as an LP or MILP.
+2. **LP solve** — Eq. 3 is a continuous transportation problem, solved
+   exactly by the transportation simplex
+   (:mod:`repro.lp.transportation`), which also returns its duals: the
+   shadow price of every candidate's spare capacity.
 
 Pairs with no path within ``max_hops`` get no shipping lane; if the
 remaining lanes cannot absorb all excess load, the solution status is
@@ -40,14 +39,7 @@ from repro.core.nmdb import NetworkSnapshot
 from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.errors import PlacementError
-from repro.lp import (
-    LinearProgram,
-    SolveStatus,
-    TransportationProblem,
-    lp_sum,
-    solve_scipy,
-    solve_transportation,
-)
+from repro.lp import SolveStatus, TransportationProblem, solve_transportation
 from repro.obs import get_registry, trace_span
 from repro.routing.engine import TrminEngine
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -75,15 +67,6 @@ class PlacementProblem:
     cd: np.ndarray
     data_mb: np.ndarray
     max_hops: Optional[int] = None
-    #: Heterogeneity coefficients ``h_ij``: one percentage point
-    #: released at busy node ``i`` consumes ``h_ij`` points at candidate
-    #: ``j`` (the paper's "coefficient factor relating two endpoint
-    #: platform capacities"). ``None`` means homogeneous (all ones).
-    capacity_coefficients: Optional[np.ndarray] = None
-    #: When ``True``, offload amounts are restricted to whole units
-    #: (whole monitor agents rather than fractional capacity) — the
-    #: integral-ILP variant, solved as a HiGHS MILP.
-    integral: bool = False
 
     def __post_init__(self) -> None:
         cs = np.asarray(self.cs, dtype=float)
@@ -114,31 +97,8 @@ class PlacementProblem:
             raise PlacementError(
                 f"nodes {sorted(overlap)} appear as both busy and candidate"
             )
-        if self.capacity_coefficients is not None:
-            coeff = np.asarray(self.capacity_coefficients, dtype=float)
-            object.__setattr__(self, "capacity_coefficients", coeff)
-            if coeff.shape != (len(self.busy), len(self.candidates)):
-                raise PlacementError(
-                    f"capacity_coefficients shape {coeff.shape} must be "
-                    f"({len(self.busy)}, {len(self.candidates)})"
-                )
-            if not np.isfinite(coeff).all():
-                raise PlacementError("capacity coefficients must be finite")
-            if (coeff <= 0).any():
-                raise PlacementError("capacity coefficients must be positive")
-        if self.integral:
-            if not np.allclose(cs, np.round(cs)):
-                raise PlacementError(
-                    "integral placement requires integer excess loads "
-                    "(whole monitor-agent units)"
-                )
         for node in (*self.busy, *self.candidates):
             self.topology.node(node)  # validates existence
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when the paper's 1:1 capacity-transfer assumption holds."""
-        return self.capacity_coefficients is None
 
     @property
     def total_excess(self) -> float:
@@ -318,15 +278,14 @@ class PlacementReport:
     total_excess: float
     total_spare: float
     #: Shadow price of each candidate's spare capacity (candidate node
-    #: id -> dual of its 3a row), populated when HiGHS solved a
-    #: continuous LP (unit ``capacity_coefficients`` route a homogeneous
-    #: problem there): beta falls by |dual| per extra capacity point.
+    #: id -> dual ``v_j <= 0`` of its 3a row) on every optimal solve,
+    #: empty otherwise: beta falls by |dual| per extra capacity point.
     capacity_duals: Dict[int, float] = field(default_factory=dict)
     #: Never set: the only reader is benchmarks/e2e/spans.py; deleted
     #: with that reader in the next [benchmark] PR.
     lp_warm_started: bool = False
-    #: Pivot count of the LP solve (MODI pivots, or HiGHS iterations);
-    #: 0 for trivial solves.
+    #: Pivot count of the LP solve (MODI pivots, or the distributed
+    #: coordinator's); 0 for trivial solves.
     lp_iterations: int = 0
 
     @property
@@ -396,62 +355,12 @@ class PlacementEngine:
 
     @staticmethod
     def _solve_lp(
-        cost: np.ndarray,
-        cs: np.ndarray,
-        cd: np.ndarray,
-        coeff: Optional[np.ndarray] = None,
-        integral: bool = False,
-    ) -> Tuple[SolveStatus, np.ndarray, float, Dict[int, float], int]:
-        """Solve the placement LP; returns (status, flow, beta, duals,
-        pivots).
-
-        The solver follows from the program alone: the paper's
-        homogeneous continuous case is a transportation problem and goes
-        to the transportation solver; heterogeneous coefficients or
-        integral variables go to HiGHS (``linprog`` or ``milp``).
-        """
-        m, n = cost.shape
-        if coeff is None and not integral:
-            result = solve_transportation(TransportationProblem(cs, cd, cost))
-            return result.status, result.flow, result.objective, {}, result.iterations
-        lp = LinearProgram("dust-placement")
-        variables: Dict[Tuple[int, int], object] = {}
-        for i in range(m):
-            for j in range(n):
-                if np.isfinite(cost[i, j]):
-                    variables[(i, j)] = lp.add_variable(
-                        f"x_{i}_{j}", is_integer=integral
-                    )
-        for i in range(m):
-            row = [variables[(i, j)] for j in range(n) if (i, j) in variables]
-            if not row:
-                if cs[i] > _FLOW_TOL:
-                    empty = np.zeros((m, n))
-                    return SolveStatus.INFEASIBLE, empty, float("nan"), {}, 0
-                continue
-            lp.add_constraint(lp_sum(row) == float(cs[i]), name=f"supply_{i}")
-        for j in range(n):
-            col = [
-                (1.0 if coeff is None else float(coeff[i, j])) * variables[(i, j)]
-                for i in range(m)
-                if (i, j) in variables
-            ]
-            if col:
-                lp.add_constraint(lp_sum(col) <= float(cd[j]), name=f"capacity_{j}")
-        lp.set_objective(
-            lp_sum(cost[i, j] * var for (i, j), var in variables.items())
-        )
-        solution = solve_scipy(lp)
-        flow = np.zeros((m, n))
-        if solution.status.is_optimal:
-            for (i, j), var in variables.items():
-                flow[i, j] = solution.value(f"x_{i}_{j}")
-        duals = {
-            int(name.split("_", 1)[1]): value
-            for name, value in solution.duals.items()
-            if name.startswith("capacity_")
-        }
-        return solution.status, flow, solution.objective, duals, solution.iterations
+        cost: np.ndarray, cs: np.ndarray, cd: np.ndarray
+    ) -> Tuple[SolveStatus, np.ndarray, float, Optional[np.ndarray], int]:
+        """Solve the placement LP; returns (status, flow, beta, capacity
+        duals ``v`` or ``None``, pivots)."""
+        result = solve_transportation(TransportationProblem(cs, cd, cost))
+        return result.status, result.flow, result.objective, result.v, result.iterations
 
     # -- public API ---------------------------------------------------------------------
     def solve(self, problem: PlacementProblem) -> PlacementReport:
@@ -494,7 +403,8 @@ class PlacementEngine:
         m, n = len(problem.busy), len(problem.candidates)
 
         if m == 0:
-            # No busy node: trivially optimal, nothing to place.
+            # No busy node: trivially optimal, nothing to place, and
+            # spare capacity is worth nothing.
             return PlacementReport(
                 status=SolveStatus.OPTIMAL,
                 objective_beta=0.0,
@@ -506,6 +416,7 @@ class PlacementEngine:
                 max_hops=problem.max_hops,
                 total_excess=0.0,
                 total_spare=problem.total_spare,
+                capacity_duals=dict.fromkeys(problem.candidates, 0.0),
             )
 
         t0 = time.perf_counter()
@@ -526,7 +437,7 @@ class PlacementEngine:
         trmin_seconds = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        duals_by_index: Dict[int, float] = {}
+        duals = None
         pivots = 0
         with trace_span("placement.lp"):
             if n == 0:
@@ -536,12 +447,8 @@ class PlacementEngine:
                     float("nan"),
                 )
             else:
-                status, flow, beta, duals_by_index, pivots = self._solve_lp(
-                    trmin,
-                    problem.cs,
-                    problem.cd,
-                    coeff=problem.capacity_coefficients,
-                    integral=problem.integral,
+                status, flow, beta, duals, pivots = self._solve_lp(
+                    trmin, problem.cs, problem.cd
                 )
         lp_seconds = time.perf_counter() - t1
 
@@ -575,10 +482,9 @@ class PlacementEngine:
             max_hops=problem.max_hops,
             total_excess=problem.total_excess,
             total_spare=problem.total_spare,
-            capacity_duals={
-                int(problem.candidates[j]): float(v)
-                for j, v in duals_by_index.items()
-            },
+            capacity_duals=(
+                {} if duals is None else dict(zip(problem.candidates, duals.tolist()))
+            ),
             lp_iterations=pivots,
         )
 

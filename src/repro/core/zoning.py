@@ -327,9 +327,7 @@ class DistributedPlacementEngine:
         Parameters
         ----------
         problem : PlacementProblem
-            Same contract as :meth:`PlacementEngine.solve`. Must be
-            continuous and homogeneous — the distributed protocol
-            speaks the transportation form (the paper's Eq. 3 case).
+            Same contract as :meth:`PlacementEngine.solve`.
 
         Returns
         -------
@@ -338,12 +336,6 @@ class DistributedPlacementEngine:
             centralized solve) plus protocol statistics. Routes are not
             attached; pair with the response model to materialize them.
         """
-        if problem.integral or problem.capacity_coefficients is not None:
-            raise PlacementError(
-                "distributed placement requires the continuous homogeneous "
-                "(transportation) form; integral or heterogeneous problems "
-                "must use the centralized engine"
-            )
         validate_partition(problem.topology, self.zones)
         start = time.perf_counter()
         model = self.engine._model_for(problem)
@@ -431,6 +423,10 @@ class DistributedPlacementEngine:
             max_hops=problem.max_hops,
             total_excess=problem.total_excess,
             total_spare=problem.total_spare,
+            capacity_duals=(
+                {} if result.v is None
+                else dict(zip(problem.candidates, result.v.tolist()))
+            ),
             lp_iterations=result.pivots,
             zones=len(self.zones),
             rounds=result.rounds,

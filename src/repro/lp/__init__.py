@@ -1,24 +1,22 @@
-"""LP/ILP substrate: modeling layer plus one solver per program shape.
+"""The Eq.-3 solvers: one transportation simplex, centralized or split
+across zones, both returning their duals.
 
-This package replaces the Gurobi toolkit used by the paper's simulator:
+This package replaces the Gurobi toolkit used by the paper's simulator.
+Eq. 3 is a continuous transportation problem, so it needs no general LP
+layer:
 
-* :mod:`repro.lp.model` — algebraic model building (variables,
-  expressions, constraints).
 * :mod:`repro.lp.transportation` — exact transportation-problem solver
-  for the paper's Eq. 3, whose native structure it is.
-* :mod:`repro.lp.scipy_backend` — HiGHS via scipy for every other
-  program: heterogeneous capacities, whole-unit (MILP) placement and
-  multi-resource placement. It also returns the duals.
-* :mod:`repro.lp.distributed` — zone-decomposed transportation solve
-  with a thin price-exchange coordinator (see
-  ``docs/distributed_solve.md``).
+  (Vogel start + MODI pivots). An optimal result carries the duals
+  ``u`` / ``v``; ``v`` is each destination's capacity shadow price.
+* :mod:`repro.lp.distributed` — the same simplex with its pricing split
+  across zone managers and a thin price-exchange coordinator (see
+  ``docs/distributed_solve.md``); its result carries the coordinator's
+  final duals.
 """
 
 from __future__ import annotations
 
-from repro.lp.model import INF, Constraint, LinearProgram, LinExpr, Variable, lp_sum
-from repro.lp.result import Solution, SolveStatus
-from repro.lp.scipy_backend import solve_scipy
+from repro.lp.result import SolveStatus
 from repro.lp.transportation import (
     TransportationBasis,
     TransportationProblem,
@@ -34,22 +32,14 @@ from repro.lp.distributed import (
 )
 
 __all__ = [
-    "INF",
-    "Constraint",
     "DistributedCoordinator",
     "DistributedSolveResult",
-    "LinExpr",
-    "LinearProgram",
-    "Solution",
     "SolveStatus",
     "TransportationBasis",
     "TransportationProblem",
     "TransportationResult",
-    "Variable",
     "ZoneProfile",
     "ZoneWorker",
-    "lp_sum",
     "run_protocol",
-    "solve_scipy",
     "solve_transportation",
 ]

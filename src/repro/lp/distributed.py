@@ -54,6 +54,7 @@ from repro.lp.transportation import (
     _OPT_TOL,
     TransportationProblem,
     _BasisTree,
+    _check_instance,
     _UnionFind,
     solve_transportation,
 )
@@ -152,6 +153,11 @@ class DistributedSolveResult:
         Wall time spent in coordinator-side merge/pivot work.
     zone_seconds : dict of int to float
         Wall time per zone (presolve + all pricing calls).
+    u, v : numpy.ndarray or None
+        The coordinator's final duals over the ``m`` real rows and
+        ``n`` real columns when optimal (``None`` otherwise), anchored
+        on the dummy row: the same certificate as
+        :class:`~repro.lp.transportation.TransportationResult`'s.
     """
 
     status: SolveStatus
@@ -164,6 +170,8 @@ class DistributedSolveResult:
     messages: int
     coordinator_seconds: float = 0.0
     zone_seconds: Dict[int, float] = field(default_factory=dict)
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> bool:
@@ -225,6 +233,7 @@ class ZoneWorker:
             raise SolverError(f"zone {zone_id}: supplies shape mismatch")
         if self.capacities.shape != (len(self.cols),):
             raise SolverError(f"zone {zone_id}: capacities shape mismatch")
+        _check_instance(self.supplies, self.capacities, self.cost_rows)
         self.seconds = 0.0
 
     # -- phase 1: local presolve ---------------------------------------------------
@@ -451,7 +460,10 @@ class DistributedCoordinator:
         total_s, total_d = float(self.supply.sum()), float(self.demand.sum())
 
         if m == 0 or total_s <= _EPS:
+            # Nothing to ship. Zero duals: free capacity is worth
+            # nothing, and u = 0 is feasible for non-negative costs.
             self.converged, self.status = True, SolveStatus.OPTIMAL
+            self._u, self._v = np.zeros(m + 1), np.zeros(n + 1)
             self.seconds += time.perf_counter() - start
             return
         if n == 0 or total_s > total_d + _EPS:
@@ -703,6 +715,10 @@ def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
         ]
         coordinator.step(bids)
     status, flow, objective = coordinator.result()
+    u = v = None
+    if status is SolveStatus.OPTIMAL:
+        u, v = coordinator.duals()
+        u = u[: coordinator.m]
     zone_seconds = {w.zone_id: w.seconds for w in workers}
     registry = get_registry()
     registry.counter("dsolve.solves").inc()
@@ -723,4 +739,6 @@ def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
         messages=len(workers) * (2 + 2 * coordinator.rounds),
         coordinator_seconds=coordinator.seconds,
         zone_seconds=zone_seconds,
+        u=u,
+        v=v,
     )

@@ -29,9 +29,9 @@ re-hung and re-priced.
 Every solve is a pure function of its instance: the start is always
 Vogel's, and nothing is carried from one call to the next. An optimal
 solve also returns its final basis tree as a
-:class:`TransportationBasis`; the zone presolve of
-:mod:`repro.lp.distributed` reads its cells to seed the coordinator's
-global tree.
+:class:`TransportationBasis`, whose cells the zone presolve of
+:mod:`repro.lp.distributed` reads to seed the coordinator's global
+tree, and the tree's potentials as the optimal duals ``u`` / ``v``.
 
 Complexity per MODI iteration is Θ(m·n) for pricing, O(depth) for the
 cycle, and O(s) interpreted steps to re-hang the s nodes below the
@@ -59,6 +59,20 @@ from repro.obs import get_registry, trace_span
 _EPS = 1e-9
 #: Relative optimality tolerance on reduced costs.
 _OPT_TOL = 1e-7
+
+
+def _check_instance(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> None:
+    """Reject what no solve can read: a negative or non-finite supply or
+    capacity, and a NaN or ``-inf`` cost (only ``+inf`` marks a
+    forbidden lane). Both solvers' entry points call it: a
+    :class:`TransportationProblem` and a
+    :class:`~repro.lp.distributed.ZoneWorker`."""
+    # Comparisons are False for NaN, so each test rejects it too.
+    for values in (supply, demand):
+        if not ((values >= -_EPS) & (values < np.inf)).all():
+            raise SolverError("supplies and capacities must be finite and non-negative")
+    if not (cost > -np.inf).all():
+        raise SolverError("costs must not be NaN or -inf; +inf marks a forbidden lane")
 
 
 @dataclass(frozen=True)
@@ -91,9 +105,7 @@ class TransportationProblem:
                 f"cost shape {cost.shape} does not match "
                 f"{supply.size} supplies x {demand.size} demands"
             )
-        # Written as `>=` so that NaN, which compares False, is rejected too.
-        if not ((supply >= -_EPS).all() and (demand >= -_EPS).all()):
-            raise SolverError("supplies and demands must be non-negative numbers")
+        _check_instance(supply, demand, cost)
 
     @property
     def num_sources(self) -> int:
@@ -119,7 +131,15 @@ class TransportationBasis:
 
 @dataclass(frozen=True)
 class TransportationResult:
-    """Optimal flow for a :class:`TransportationProblem`."""
+    """Optimal flow for a :class:`TransportationProblem`.
+
+    ``u`` (one per source) and ``v`` (one per destination) are an
+    optimal dual when the solve is optimal, ``None`` otherwise:
+    ``c_ij - u_i - v_j >= 0`` on every finite lane, ``= 0`` on every
+    basic one, ``v <= 0`` and ``supply @ u + demand @ v`` is the
+    objective. ``-v_j`` is what one more unit of capacity at ``j``
+    saves (HiGHS's sign for a ``<=`` row).
+    """
 
     status: SolveStatus
     flow: np.ndarray  # (m, n); zeros when not optimal
@@ -128,6 +148,8 @@ class TransportationResult:
     solve_time: float
     #: Final basis tree when optimal.
     basis: Optional[TransportationBasis] = None
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
 
 # -- initial basis: Vogel's approximation ------------------------------------------
@@ -526,13 +548,17 @@ def _solve_transportation_impl(
     total_supply = float(supply.sum())
     total_demand = float(demand.sum())
     if m == 0 or total_supply <= _EPS:
-        # Nothing to ship: trivially optimal zero flow.
+        # Nothing to ship: trivially optimal zero flow. Free capacity is
+        # worth nothing, and u_i = min(0, cheapest lane) is feasible.
+        cheapest = problem.cost.min(axis=1, initial=np.inf)
         return TransportationResult(
             status=SolveStatus.OPTIMAL,
             flow=np.zeros((m, n)),
             objective=0.0,
             iterations=0,
             solve_time=time.perf_counter() - start,
+            u=np.minimum(cheapest, 0.0),
+            v=np.zeros(n),
         )
     if n == 0 or total_supply > total_demand + _EPS:
         return TransportationResult(
@@ -603,6 +629,12 @@ def _solve_transportation_impl(
             solve_time=solve_time,
         )
 
+    # The potentials of the final basis are the duals, up to a shift
+    # u + t, v - t that no reduced cost sees. Anchor on the dummy row's
+    # zero-cost outside option (u = 0 there, as the distributed
+    # coordinator does); without one the shift only moves the dual
+    # objective by t times the (zero) imbalance, so take max(v) = 0.
+    shift = u[m] if slack > _EPS else -v.max()
     real_flow = np.maximum(flow_mat[:m], 0.0)
     objective = float((problem.cost[~forbidden] * real_flow[~forbidden]).sum())
     return TransportationResult(
@@ -612,4 +644,6 @@ def _solve_transportation_impl(
         iterations=pivots,
         solve_time=solve_time,
         basis=basis,
+        u=u[:m] - shift,
+        v=v + shift,
     )

@@ -78,10 +78,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "MODI pivots across all transportation solves"),
     ("histogram", "lp.transportation.solve_seconds", "seconds",
      "repro.lp.transportation", "Wall time of one transportation solve"),
-    ("counter", "lp.scipy.solves", "count", "repro.lp.scipy_backend",
-     "HiGHS solves dispatched through scipy"),
-    ("histogram", "lp.scipy.solve_seconds", "seconds", "repro.lp.scipy_backend",
-     "Wall time of one scipy/HiGHS solve"),
     # -- placement: Eq. 3 engine ----------------------------------------------------
     ("counter", "placement.solves", "count", "repro.core.placement",
      "PlacementEngine.solve calls"),

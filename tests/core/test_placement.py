@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PlacementEngine, PlacementProblem, ThresholdPolicy, classify_network
-from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
+from repro.core.zoning import DistributedPlacementEngine, Zone, partition_by_pod
 from repro.errors import PlacementError
-from repro.lp import SolveStatus
-from repro.obs import get_registry
+from repro.lp import SolveStatus, TransportationProblem
 from repro.routing import PathEngine, ResponseTimeModel
 from repro.topology import (
     CapacityModel,
@@ -20,19 +19,27 @@ from repro.topology import (
     Topology,
     build_fat_tree,
 )
+from tests.oracles.highs import highs_status_objective
 from tests.topologies import build_line
 
 
-def on_solver(solver, problem):
-    """``problem`` in the shape that reaches ``solver``.
-
-    Unit capacity coefficients build the identical LP as the homogeneous
-    problem, but a problem with coefficients goes to HiGHS.
-    """
+def engine_for(solver, problem):
+    """A placement engine on ``solver``: the centralized transportation
+    simplex, or the distributed one with every node in one zone."""
     if solver == "transportation":
-        return problem
-    ones = np.ones((len(problem.busy), len(problem.candidates)))
-    return dataclasses.replace(problem, capacity_coefficients=ones)
+        return PlacementEngine()
+    nodes = tuple(range(problem.topology.num_nodes))
+    return DistributedPlacementEngine(zones=[Zone(0, nodes)])
+
+
+def oracle_on_trmin(engine, problem):
+    """HiGHS's (status, beta) on the Trmin matrix ``engine`` prices for
+    ``problem``, or ``None`` without scipy."""
+    trmin, _, _ = engine.trmin_engine.trmin_matrix(
+        problem.topology, list(problem.busy), list(problem.candidates),
+        problem.data_mb, with_paths=False, model=engine._model_for(problem),
+    )
+    return highs_status_objective(TransportationProblem(problem.cs, problem.cd, trmin))
 
 
 def simple_problem():
@@ -68,16 +75,13 @@ class TestProblemValidation:
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize(
-        "field", ["cs", "cd", "data_mb", "capacity_coefficients"]
-    )
+    @pytest.mark.parametrize("field", ["cs", "cd", "data_mb"])
     def test_non_finite_values_rejected(self, field, bad):
         """NaN compares False against every bound, so a sign check alone
         lets it (and inf) through into the LP."""
         kwargs = dict(
             topology=build_line(3), busy=(0,), candidates=(1, 2),
             cs=np.array([1.0]), cd=np.array([2.0, 2.0]), data_mb=np.array([1.0]),
-            capacity_coefficients=np.ones((1, 2)),
         )
         kwargs[field] = np.array(kwargs[field], dtype=float)
         kwargs[field].flat[0] = bad
@@ -105,17 +109,17 @@ class TestProblemValidation:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    @pytest.mark.parametrize("solver", ["transportation", "distributed"])
     def test_supply_constraint_3b_met(self, solver):
-        problem = on_solver(solver, simple_problem())
-        report = PlacementEngine().solve(problem)
+        problem = simple_problem()
+        report = engine_for(solver, problem).solve(problem)
         assert report.feasible
         assert report.total_offloaded == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    @pytest.mark.parametrize("solver", ["transportation", "distributed"])
     def test_capacity_constraint_3a_respected(self, solver):
-        problem = on_solver(solver, simple_problem())
-        report = PlacementEngine().solve(problem)
+        problem = simple_problem()
+        report = engine_for(solver, problem).solve(problem)
         to_1 = sum(a.amount_pct for a in report.assignments if a.candidate == 1)
         to_2 = sum(a.amount_pct for a in report.assignments if a.candidate == 2)
         assert to_1 <= 6.0 + 1e-9
@@ -201,10 +205,10 @@ class TestSolve:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("solver", ["transportation", "scipy"])
+    @pytest.mark.parametrize("solver", ["transportation", "distributed"])
     def test_unreachable_busy_row_is_infeasible_on_every_backend(self, solver):
-        """A busy row with excess and no reachable candidate: the HiGHS
-        path must report INFEASIBLE like the transportation one."""
+        """A busy row with excess and no reachable candidate is
+        INFEASIBLE on both solvers, as HiGHS finds on the same Trmin."""
         topo = Topology()
         for _ in range(4):
             topo.add_node()
@@ -218,16 +222,19 @@ class TestBackendEquivalence:
             cd=np.array([10.0]),
             data_mb=np.array([1.0]),
         )
-        report = PlacementEngine(
-            response_model=ResponseTimeModel(engine=PathEngine.DP),
-        ).solve(on_solver(solver, problem))
+        report = engine_for(solver, problem).solve(problem)
         assert report.status is SolveStatus.INFEASIBLE
         assert np.isnan(report.objective_beta)
         assert report.assignments == ()
+        assert report.capacity_duals == {}
+        oracle = oracle_on_trmin(PlacementEngine(), problem)
+        if oracle is not None:
+            assert oracle[0] is SolveStatus.INFEASIBLE
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2000))
     def test_property_backends_agree_on_random_states(self, seed):
+        pytest.importorskip("scipy.optimize")
         topo = build_fat_tree(4)
         LinkUtilizationModel(0.1, 0.9, seed=seed).apply(topo)
         policy = ThresholdPolicy(c_max=75.0, co_max=50.0, x_min=10.0)
@@ -248,39 +255,14 @@ class TestBackendEquivalence:
             response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=6),
             with_routes=False,
         )
-        reports = {
-            solver: engine.solve(on_solver(solver, problem))
-            for solver in ("transportation", "scipy")
-        }
-        statuses = {r.status for r in reports.values()}
-        assert len(statuses) == 1, reports
-        if reports["scipy"].feasible:
-            betas = [r.objective_beta for r in reports.values()]
-            assert max(betas) - min(betas) < 1e-6
-            # Duals certify the optimum via weak duality: every binding
-            # candidate capacity has a non-positive shadow price.
-            assert all(v <= 1e-9 for v in reports["scipy"].capacity_duals.values())
-
-
-class TestSolverDispatch:
-    @pytest.mark.parametrize(
-        "change, solver",
-        [
-            ({}, "transportation"),
-            ({"capacity_coefficients": np.array([[1.5, 1.0]])}, "scipy"),
-            ({"integral": True}, "scipy"),
-        ],
-        ids=["homogeneous", "heterogeneous", "integral"],
-    )
-    def test_problem_shape_picks_the_solver(self, change, solver):
-        """The homogeneous continuous Eq. 3 is a transportation problem;
-        every other shape is solved once by HiGHS."""
-        problem = dataclasses.replace(simple_problem(), **change)
-        counters = ("lp.transportation.solves", "lp.scipy.solves")
-        before = {name: get_registry().value(name) for name in counters}
-        assert PlacementEngine().solve(problem).feasible
-        deltas = {name: get_registry().value(name) - before[name] for name in counters}
-        assert deltas == {name: float(name == f"lp.{solver}.solves") for name in counters}
+        report = engine.solve(problem)
+        status, beta = oracle_on_trmin(engine, problem)
+        assert report.status is status
+        if report.feasible:
+            assert abs(report.objective_beta - beta) < 1e-6
+            # Every candidate has a non-positive capacity shadow price.
+            assert set(report.capacity_duals) == set(problem.candidates)
+            assert all(v <= 1e-9 for v in report.capacity_duals.values())
 
 
 def _fat_tree_problem(topology, policy, seed):

@@ -21,12 +21,13 @@ from repro.core.zoning import (
     partition_by_pod,
 )
 from repro.core.metrics import relief_by_source, relief_divergence
-from repro.errors import PlacementError, SolverError
+from repro.errors import SolverError
 from repro.experiments.common import IterationSampler
-from repro.lp import SolveStatus, TransportationProblem, solve_transportation
+from repro.lp import SolveStatus, TransportationProblem, ZoneWorker, solve_transportation
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 from tests.oracles.dsolve import solve_distributed
+from tests.oracles.highs import highs_status_objective
 
 OBJ_TOL = 1e-6
 
@@ -62,34 +63,6 @@ def _tie_problem(rng: np.random.Generator):
     return TransportationProblem(supply, demand, cost)
 
 
-def _highs_status_objective(problem: TransportationProblem):
-    """(status, objective) from HiGHS, or ``None`` without scipy."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        return None
-    m, n = problem.cost.shape
-    lanes = [(i, j) for i in range(m) for j in range(n)
-             if np.isfinite(problem.cost[i, j])]
-    a_eq = np.zeros((m, len(lanes)))
-    a_ub = np.zeros((n, len(lanes)))
-    for k, (i, j) in enumerate(lanes):
-        a_eq[i, k] = 1.0
-        a_ub[j, k] = 1.0
-    if not lanes:
-        feasible = problem.supply.sum() <= 1e-9
-        return (SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE), 0.0
-    res = linprog(
-        [problem.cost[i, j] for i, j in lanes],
-        A_ub=a_ub, b_ub=problem.demand, A_eq=a_eq, b_eq=problem.supply,
-        bounds=(0, None), method="highs",
-    )
-    if res.status == 2:
-        return SolveStatus.INFEASIBLE, float("nan")
-    assert res.status == 0, res.message
-    return SolveStatus.OPTIMAL, float(res.fun)
-
-
 def _random_zones(rng: np.random.Generator, m: int, n: int, max_zones: int = 5):
     """A random partition of rows and columns into 1..max_zones zones."""
     zones = int(rng.integers(1, max_zones + 1))
@@ -113,9 +86,14 @@ class TestConvergenceCorpus:
         reference = solve_transportation(problem)
         result = solve_distributed(problem, zone_rows, zone_cols)
         assert result.status == reference.status, seed
+        highs = highs_status_objective(problem)
+        if highs is not None:
+            assert highs[0] == reference.status, seed
         if reference.status is SolveStatus.OPTIMAL:
             scale = max(1.0, abs(reference.objective))
             assert abs(result.objective - reference.objective) <= OBJ_TOL * scale
+            if highs is not None:
+                assert abs(highs[1] - reference.objective) <= OBJ_TOL * scale
             # The flows must satisfy the constraints they claim to.
             flow = result.flow
             np.testing.assert_allclose(
@@ -144,7 +122,7 @@ class TestTieCorpus:
         reference = solve_transportation(problem)
         result = solve_distributed(problem, zone_rows, zone_cols)
         assert result.status == reference.status, seed
-        highs = _highs_status_objective(problem)
+        highs = highs_status_objective(problem)
         if highs is not None:
             assert highs[0] == reference.status, seed
         if reference.status is not SolveStatus.OPTIMAL:
@@ -217,21 +195,6 @@ class TestTopologyLevel:
             <= 1e-6
         )
 
-    def test_rejects_integral_problems(self):
-        topology = build_fat_tree(4)
-        zones = partition_by_pod(topology)
-        problem = PlacementProblem(
-            topology=topology,
-            busy=(0,),
-            candidates=(5,),
-            cs=np.array([4.0]),
-            cd=np.array([10.0]),
-            data_mb=np.array([10.0]),
-            integral=True,
-        )
-        with pytest.raises(PlacementError):
-            DistributedPlacementEngine(zones=zones).solve(problem)
-
 
 class TestEdgeCases:
     def test_infeasible_matches_centralized(self):
@@ -266,6 +229,27 @@ class TestEdgeCases:
         result = solve_distributed(problem, [[0], []], [[0], [1]])
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(1.0 * 2.0 + 4.0 * 1.0)
+
+    @pytest.mark.parametrize(
+        "supplies, capacities, cost_rows",
+        [
+            ([-3.0], [5.0, 5.0], [[1.0, 2.0]]),
+            ([np.inf], [5.0, 5.0], [[1.0, 2.0]]),
+            ([3.0], [np.nan, 5.0], [[1.0, 2.0]]),
+            ([3.0], [5.0, 5.0], [[np.nan, 2.0]]),
+            ([3.0], [5.0, 5.0], [[-np.inf, 2.0]]),
+        ],
+        ids=["negative-supply", "inf-supply", "nan-capacity", "nan-cost", "minus-inf-cost"],
+    )
+    def test_worker_rejects_what_the_centralized_solver_rejects(
+        self, supplies, capacities, cost_rows
+    ):
+        """A zone used to read a negative supply as zero load and a NaN
+        or -inf cost as a forbidden lane, and solve on to OPTIMAL."""
+        with pytest.raises(SolverError):
+            TransportationProblem(supplies, capacities, cost_rows)
+        with pytest.raises(SolverError):
+            ZoneWorker(0, [0], [0, 1], cost_rows, supplies, capacities)
 
     def test_invalid_partition_rejected(self):
         problem = TransportationProblem(

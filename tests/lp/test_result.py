@@ -1,22 +1,10 @@
-"""Tests for the Solution container."""
+"""Tests for the solve status."""
 
-import math
-
-from repro.lp import Solution, SolveStatus
+from repro.lp import SolveStatus
 
 
-class TestSolution:
-    def test_getitem_and_value(self):
-        sol = Solution(status=SolveStatus.OPTIMAL, objective=1.0, values={"x": 2.0})
-        assert sol["x"] == 2.0
-        assert sol.value("x") == 2.0
-        assert sol.value("missing", default=7.0) == 7.0
-
-    def test_default_objective_is_nan(self):
-        sol = Solution(status=SolveStatus.INFEASIBLE)
-        assert math.isnan(sol.objective)
-
+class TestSolveStatus:
     def test_status_is_optimal_property(self):
         assert SolveStatus.OPTIMAL.is_optimal
         assert not SolveStatus.INFEASIBLE.is_optimal
-        assert not SolveStatus.UNBOUNDED.is_optimal
+        assert not SolveStatus.ITERATION_LIMIT.is_optimal

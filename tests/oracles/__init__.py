@@ -8,8 +8,8 @@ against a runtime-selectable second engine. The enumeration judge,
 :func:`_fold_raw_paths`, lives only here: the kernel applies its rule
 to pruned survivors, and :func:`enum_best_route` applies it to the full
 DFS stream. The soak's per-arrival event scheduling lives in
-:mod:`tests.oracles.soak`, the LP feasibility / weak-duality
-certificate in :mod:`tests.oracles.lp_verify`, the helper that
+:mod:`tests.oracles.soak`, the HiGHS LP parity oracle in
+:mod:`tests.oracles.highs`, the helper that
 slices a transportation instance into distributed-solve zones in
 :mod:`tests.oracles.dsolve`, and the transportation basis tree that
 rebuilds itself and all its potentials on every pivot in

@@ -62,12 +62,12 @@ class TestFullWheel:
         name = backend.build_wheel(str(tmp_path))
         with zipfile.ZipFile(tmp_path / name) as whl:
             metadata = whl.read("repro-1.0.0.dist-info/METADATA").decode()
-        for dep in ("numpy", "scipy"):
-            assert f"Requires-Dist: {dep}" in metadata
-        # networkx is a test-only oracle dependency: only the dev extra
-        # requires it.
-        networkx = [l for l in metadata.splitlines() if l.startswith("Requires-Dist: networkx")]
-        assert networkx and all(l.endswith('; extra == "dev"') for l in networkx)
+        assert "Requires-Dist: numpy" in metadata
+        # networkx and scipy are test-only oracle dependencies: only the
+        # dev extra requires them.
+        for dep in ("networkx", "scipy"):
+            lines = [l for l in metadata.splitlines() if l.startswith(f"Requires-Dist: {dep}")]
+            assert lines and all(l.endswith('; extra == "dev"') for l in lines), dep
 
     def test_extras_match_pyproject(self, tmp_path):
         """CI installs ``.[dev]``, so the backend must publish the same

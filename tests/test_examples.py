@@ -20,7 +20,6 @@ def test_example_inventory():
         "heuristic_vs_ilp.py",
         "zoned_deployment.py",
         "qos_congestion.py",
-        "multiresource_placement.py",
     }
     assert expected <= set(ALL_EXAMPLES)
 

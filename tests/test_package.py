@@ -44,33 +44,39 @@ def _run_with_repro(code):
 
 
 def test_import_does_not_load_networkx():
-    """networkx is a test-only oracle dependency and scipy.optimize is
-    only the HiGHS solver's: importing the package and every subpackage
-    must load neither."""
+    """networkx and scipy are test-only oracle dependencies: importing
+    the package and every subpackage must load neither."""
     _run_with_repro(
         f"import repro, sys; import {', '.join(SUBPACKAGES)}; "
         "assert 'networkx' not in sys.modules; "
-        "assert 'scipy.optimize' not in sys.modules"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
     )
 
 
-def test_solve_scipy_imports_highs_on_first_call():
-    """After the plain package import, ``repro.lp.solve_scipy`` still
-    solves: max x + 2y s.t. x + y <= 4, 0 <= x, y <= 3 is (1, 3)."""
+def test_placement_solves_with_scipy_unimportable():
+    """scipy is not a runtime dependency: with every scipy import
+    failing, the package imports and a placement solve returns its
+    optimum and its capacity duals."""
     _run_with_repro(
-        "import sys, repro\n"
-        "from repro.lp import LinearProgram, lp_sum, solve_scipy\n"
-        "lp = LinearProgram()\n"
-        "x = lp.add_variable('x', upper=3.0)\n"
-        "y = lp.add_variable('y', upper=3.0)\n"
-        "lp.add_constraint(x + y <= 4.0)\n"
-        "lp.set_objective(lp_sum([x * -1.0, y * -2.0]))\n"
-        "solution = solve_scipy(lp)\n"
-        "assert solution.status.is_optimal, solution.status\n"
-        "assert abs(solution.objective + 7.0) < 1e-9, solution.objective\n"
-        "assert abs(solution.values['x'] - 1.0) < 1e-9, solution.values\n"
-        "assert abs(solution.values['y'] - 3.0) < 1e-9, solution.values\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import numpy as np\n"
+        f"import repro, {', '.join(SUBPACKAGES)}\n"
+        "from repro.core import PlacementEngine, PlacementProblem\n"
+        "topology = repro.build_fat_tree(4)\n"
+        "problem = PlacementProblem(\n"
+        "    topology=topology, busy=(0, 1), candidates=(2, 3, 4),\n"
+        "    cs=np.array([5.0, 3.0]), cd=np.array([4.0, 4.0, 4.0]),\n"
+        "    data_mb=np.array([10.0, 10.0]),\n"
+        ")\n"
+        "report = PlacementEngine().solve(problem)\n"
+        "assert report.feasible, report.status\n"
+        "assert sorted(report.capacity_duals) == [2, 3, 4], report.capacity_duals\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
 
 
