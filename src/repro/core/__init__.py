@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.core.audit import AuditReport, audit_system
 from repro.core.client import DUSTClient, HostedWorkload
-from repro.core.degradation import DegradationLadder, DegradationLevel, LadderConfig
 from repro.core.failover import ManagerSnapshot, SnapshotStore, StandbyManager
 from repro.core.heuristic import (
     HeuristicReport,
@@ -87,9 +86,6 @@ __all__ = [
     "DUSTClient",
     "DUSTManager",
     "DedupCache",
-    "DegradationLadder",
-    "DegradationLevel",
-    "LadderConfig",
     "HeuristicReport",
     "HostedWorkload",
     "Keepalive",

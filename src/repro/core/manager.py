@@ -115,8 +115,6 @@ class ManagerCounters:
     resync_recovered: int = 0
     redirects_unwound: int = 0
     snapshots_persisted: int = 0
-    # -- degradation ladder (soak control plane) ---------------------------
-    rounds_frozen: int = 0
     placements_reset: int = 0
     # Mirrored from the reliable sender / network by
     # :meth:`DUSTManager.refresh_transport_counters` so reports see one
@@ -219,11 +217,6 @@ class DUSTManager:
         #: observes admission/eviction without poking counters).
         self.on_admission = on_admission
         self.on_eviction = on_eviction
-        #: Degradation-ladder controls: a frozen manager skips its
-        #: optimization rounds (serving the stale placement) and the
-        #: round period may be widened mid-run — the optimize loop
-        #: re-reads ``optimization_period_s`` on every tick.
-        self.placement_frozen = False
         self._quarantined: Dict[int, float] = {}  # node -> quarantined until
         self._probes: Dict[int, float] = {}  # destination -> grace deadline
         self._probe_failed: Set[int] = set()
@@ -238,23 +231,16 @@ class DUSTManager:
         self._started = True
         self.network.register(self.node_id, self._receive)
 
-        # Self-rescheduling optimize loop (not schedule_periodic): the
-        # degradation ladder may widen ``optimization_period_s`` or set
-        # ``placement_frozen`` mid-run, and each tick must honour the
-        # current values.
         def optimize_tick(engine: SimulationEngine) -> None:
-            if self._crashed:
-                return
             # NMDB and keepalive state are durable as of the last tick;
             # ledger changes persist on their own, before any Redirect.
             self._persist()
-            if self.placement_frozen:
-                self.counters.rounds_frozen += 1
-            else:
-                self.run_optimization_round()
-            engine.schedule_after(self.optimization_period_s, optimize_tick, "manager-optimize")
+            self.run_optimization_round()
 
-        self.engine.schedule_after(self.optimization_period_s, optimize_tick, "manager-optimize")
+        self.engine.schedule_periodic(
+            self.optimization_period_s, optimize_tick,
+            label="manager-optimize", condition=lambda: not self._crashed,
+        )
         self.engine.schedule_periodic(
             self.keepalive_timeout_s / 2.0, lambda engine: self.run_keepalive_sweep(),
             label="manager-keepalive-sweep", condition=lambda: not self._crashed,

@@ -71,7 +71,6 @@ MANAGER_COUNTERS_MIRROR: Dict[str, str] = {
         "resync_recovered",
         "redirects_unwound",
         "snapshots_persisted",
-        "rounds_frozen",
         "placements_reset",
     )
 }

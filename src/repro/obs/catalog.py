@@ -9,7 +9,7 @@ either direction (documented-but-unregistered or
 registered-but-undocumented).
 
 A description that starts "Fault-only" marks a metric whose writer sits
-on a fault or overload path that no shipped experiment, example or
+on a fault path that no shipped experiment, example or
 benchmark run reaches, so a reader of its zero knows it is expected.
 
 Naming convention: ``<layer>.<event>`` with the layer prefixes
@@ -28,7 +28,7 @@ network    message fabric (:mod:`repro.simulation.network_sim`)
 transport  reliable-delivery layer (:mod:`repro.core.messages`)
 failover   snapshot/standby machinery (:mod:`repro.core.failover`)
 chaos      chaos harness (:mod:`repro.simulation.chaos`)
-soak       soak harness + degradation ladder (:mod:`repro.simulation.soak`)
+soak       soak harness (:mod:`repro.simulation.soak`)
 dsolve     distributed placement solve (:mod:`repro.lp.distributed`)
 topology   CSR adjacency cache (:mod:`repro.topology.graph`)
 ========== ==========================================================
@@ -151,9 +151,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "never confirmed the Redirect"),
     ("counter", "manager.snapshots_persisted", "count", "repro.core.manager",
      "Manager state snapshots written to stable storage"),
-    ("counter", "manager.rounds_frozen", "count", "repro.core.manager",
-     "Fault-only, 0 on every shipped run: optimization rounds skipped while the degradation "
-     "ladder froze placement"),
     ("counter", "manager.placements_reset", "count", "repro.core.manager",
      "Forced from-scratch reconvergences (drift watchdog resets)"),
     ("histogram", "manager.optimization_round_seconds", "seconds",
@@ -218,21 +215,11 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "soak.events_generated", "count", "repro.simulation.soak",
      "Events emitted by the open-loop arrival streams"),
     ("counter", "soak.events_applied", "count", "repro.simulation.soak",
-     "Events drained from the ingress gate and applied"),
-    ("counter", "soak.events_rejected", "count", "repro.simulation.soak",
-     "Events dropped by the full ingress gate (backpressure)"),
-    ("counter", "soak.events_shed", "count", "repro.simulation.soak",
-     "Low-tier events shed by the degradation ladder"),
+     "Events applied at their apply tick (every generated event)"),
     ("counter", "soak.admissions", "count", "repro.simulation.soak",
      "Client admissions observed via the manager's admission hook"),
     ("counter", "soak.evictions", "count", "repro.simulation.soak",
      "Destination evictions observed via the manager's eviction hook"),
-    ("counter", "soak.ladder_transitions", "count", "repro.core.degradation",
-     "Degradation-ladder level changes"),
-    ("gauge", "soak.ladder_level", "level", "repro.core.degradation",
-     "Current degradation-ladder level (0=NORMAL .. 3=FREEZE)"),
-    ("gauge", "soak.ingress_depth", "events", "repro.simulation.soak",
-     "Ingress-gate queue depth after the latest drain tick"),
     ("counter", "soak.oracle_solves", "count", "repro.simulation.soak",
      "Drift-watchdog from-scratch oracle solves"),
     ("gauge", "soak.oracle_drift", "fraction", "repro.simulation.soak",

@@ -34,11 +34,8 @@ _CHAOS_EXPORTS = frozenset(
 
 _SOAK_EXPORTS = frozenset(
     {
-        "IngressGate",
-        "QoSTier",
         "SoakChaos",
         "SoakConfig",
-        "SoakEvent",
         "SoakResult",
         "StreamSpec",
         "default_soak_chaos",
@@ -67,17 +64,14 @@ __all__ = [
     "DiurnalArrivals",
     "FaultConfig",
     "FaultyNetwork",
-    "IngressGate",
     "Message",
     "MessageNetwork",
     "PoissonArrivals",
-    "QoSTier",
     "ScenarioComparison",
     "ScheduledEvent",
     "SimulationEngine",
     "SoakChaos",
     "SoakConfig",
-    "SoakEvent",
     "SoakResult",
     "StreamSpec",
     "default_scenario",

@@ -4,7 +4,7 @@ Where :mod:`repro.simulation.chaos` answers "does one disrupted run
 converge back to the fault-free placement?", the soak harness answers
 the operational question behind ROADMAP item "streaming online control
 plane": *does the manager survive hours of open-loop traffic without
-falling over, and degrade gracefully when it cannot keep up?*
+falling over?*
 
 The driver feeds three **open-loop** event streams (arrival processes
 from :mod:`repro.simulation.profiles` — the environment emits at its
@@ -16,14 +16,11 @@ own pace whether or not the control plane keeps up) into the manager:
 * **admission/eviction churn** — devices crash out of and re-announce
   into the deployment.
 
-Events pass through a bounded **ingress gate** with strict QoS tiers
-(PRODUCTION > STANDARD > BACKGROUND). Overload engages a
-:class:`~repro.core.degradation.DegradationLadder`: first BACKGROUND
-re-placements are shed, then the re-solve interval widens, finally
-placement freezes and the stale assignment keeps serving. PRODUCTION
-events are *never* shed or rejected — when the gate is full they evict
-the lowest-tier queued event instead (and overflow the bound rather
-than drop, which drives the ladder to FREEZE).
+Every arrival is applied, in arrival order, at the first apply tick
+(every ``drain_period_s``) at or after it; its latency is the wait for
+that tick. Nothing is queued, shed or rejected, and the manager
+re-solves Eq. 3 on its fixed ``optimization_period_s``, as the paper's
+DUST-Manager does.
 
 Re-placement itself stays **incremental**: each round places only the
 excess that is busy *now*, on top of the offloads already in the
@@ -45,16 +42,14 @@ recovered by the standby — all while the event streams keep flowing.
 
 from __future__ import annotations
 
-import enum
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.client import DUSTClient
-from repro.core.degradation import DegradationLadder, DegradationLevel, LadderConfig
 from repro.core.failover import SnapshotStore, StandbyManager
 from repro.core.heuristic import solve_heuristic
 from repro.core.manager import DUSTManager, ManagerCounters
@@ -76,25 +71,6 @@ from repro.simulation.profiles import (
 )
 from repro.topology.fattree import build_fat_tree
 from repro.topology.links import LinkUtilizationModel
-
-
-class QoSTier(enum.IntEnum):
-    """Event tiers, in shedding order (lowest shed first)."""
-
-    BACKGROUND = 0
-    STANDARD = 1
-    PRODUCTION = 2
-
-
-@dataclass(frozen=True)
-class SoakEvent:
-    """One control-plane event emitted by an arrival stream."""
-
-    time: float
-    kind: str  # "load" | "offload" | "churn"
-    node: int
-    value: float
-    tier: QoSTier
 
 
 @dataclass(frozen=True)
@@ -191,11 +167,8 @@ class SoakConfig:
     churn_stream: StreamSpec = field(
         default_factory=lambda: StreamSpec("bursty", 0.05, burst_rate_per_s=0.5)
     )
-    # -- backpressure gate + degradation ladder -----------------------------
-    ingress_capacity: int = 512
+    #: Apply cadence: each tick applies every arrival since the last one.
     drain_period_s: float = 1.0
-    drain_batch: int = 256
-    ladder: LadderConfig = field(default_factory=LadderConfig)
     # -- drift watchdog -----------------------------------------------------
     oracle_period_s: float = 60.0
     drift_bound: float = 0.5
@@ -226,8 +199,6 @@ class SoakConfig:
 
     def __post_init__(self) -> None:
         _require_positive("soak horizon", self.horizon_s)
-        if self.ingress_capacity < 1 or self.drain_batch < 1:
-            raise SimulationError("gate capacity and drain batch must be >= 1")
         _require_positive("drain period", self.drain_period_s)
         _require_positive("oracle period", self.oracle_period_s)
         if not 0.0 < self.drift_bound:
@@ -241,66 +212,6 @@ class SoakConfig:
                 raise SimulationError("manager crash must fall inside the horizon")
 
 
-class IngressGate:
-    """Bounded, QoS-tiered admission queue in front of the control plane.
-
-    Admission policy, in order: (1) when the ladder is shedding,
-    BACKGROUND events are dropped outright; (2) a full gate rejects
-    STANDARD/BACKGROUND arrivals (drop-tail); (3) PRODUCTION arrivals
-    are *always* admitted — a full gate evicts its oldest lowest-tier
-    queued event to make room, and when only PRODUCTION remains the
-    queue overflows its bound instead of dropping (fill > 1 then pushes
-    the ladder to FREEZE). Every decision is counted per tier.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._queue: Deque[SoakEvent] = deque()
-        self.admitted: Dict[QoSTier, int] = {t: 0 for t in QoSTier}
-        self.rejected: Dict[QoSTier, int] = {t: 0 for t in QoSTier}
-        self.shed: Dict[QoSTier, int] = {t: 0 for t in QoSTier}
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def fill(self) -> float:
-        return len(self._queue) / self.capacity
-
-    def admit(self, event: SoakEvent, shedding: bool) -> bool:
-        if shedding and event.tier == QoSTier.BACKGROUND:
-            self.shed[event.tier] += 1
-            get_registry().counter("soak.events_shed").inc()
-            return False
-        if len(self._queue) >= self.capacity:
-            if event.tier != QoSTier.PRODUCTION:
-                self.rejected[event.tier] += 1
-                get_registry().counter("soak.events_rejected").inc()
-                return False
-            victim_idx = None
-            lowest = QoSTier.PRODUCTION
-            for idx, queued in enumerate(self._queue):
-                if queued.tier < lowest:
-                    lowest, victim_idx = queued.tier, idx
-                    if lowest == QoSTier.BACKGROUND:
-                        break
-            if victim_idx is not None:
-                victim = self._queue[victim_idx]
-                del self._queue[victim_idx]
-                self.rejected[victim.tier] += 1
-                get_registry().counter("soak.events_rejected").inc()
-            # else: all-PRODUCTION queue — overflow the bound, never drop.
-        self._queue.append(event)
-        self.admitted[event.tier] += 1
-        return True
-
-    def drain(self, limit: int) -> List[SoakEvent]:
-        batch: List[SoakEvent] = []
-        while self._queue and len(batch) < limit:
-            batch.append(self._queue.popleft())
-        return batch
-
-
 @dataclass
 class SoakResult:
     """Everything a soak run produced, acceptance metrics first."""
@@ -308,16 +219,11 @@ class SoakResult:
     config: SoakConfig
     events_generated: int
     events_applied: int
-    applied_by_tier: Dict[QoSTier, int]
-    rejected_by_tier: Dict[QoSTier, int]
-    shed_by_tier: Dict[QoSTier, int]
     wall_seconds: float
     events_per_min: float
     latency_p50_s: float
     latency_p95_s: float
     latency_p99_s: float
-    ladder_max_level: DegradationLevel
-    ladder_transitions: Tuple[tuple, ...]
     drift_samples: Tuple[Tuple[float, float], ...]
     final_drift: float
     watchdog_resets: int
@@ -330,19 +236,17 @@ class SoakResult:
     clients: Dict[int, DUSTClient] = field(repr=False)
     engine: SimulationEngine = field(repr=False)
     network: FaultyNetwork = field(repr=False)
-    gate: IngressGate = field(repr=False)
 
-    @property
-    def production_losses(self) -> int:
-        """PRODUCTION-tier events shed or rejected (acceptance: zero)."""
-        return (
-            self.rejected_by_tier[QoSTier.PRODUCTION]
-            + self.shed_by_tier[QoSTier.PRODUCTION]
-        )
+    # Constant: the only reader is benchmarks/e2e/workloads.py; they go
+    # with that reader in the next [benchmark] PR.
+    ladder_max_level = 0
+    rejected_by_tier = MappingProxyType({})
+    shed_by_tier = MappingProxyType({})
+    production_losses = 0
 
 
 class _SoakDriver:
-    """Run-scoped state machine wiring streams → gate → control plane."""
+    """Run-scoped state machine wiring streams → control plane."""
 
     def __init__(self, config: SoakConfig) -> None:
         self.config = config
@@ -353,18 +257,16 @@ class _SoakDriver:
         self.network = FaultyNetwork(
             self.topology, self.engine, faults=faults, seed=config.seed
         )
-        self.gate = IngressGate(config.ingress_capacity)
-        self.ladder = DegradationLadder(config.ladder)
         self.loads: Dict[int, float] = {}
         self.clients: Dict[int, DUSTClient] = {}
         self.events_generated = 0
         # ``MetricsRegistry.reset()`` keeps instruments, so the handle
         # stays live for the whole run.
         self._generated_counter = get_registry().counter("soak.events_generated")
+        self._applied_counter = get_registry().counter("soak.events_applied")
         #: One ``[next_time, salt, kind, process]`` head per open-loop
         #: stream that has an arrival left before the horizon.
         self._heads: List[list] = []
-        self.applied_by_tier: Dict[QoSTier, int] = {t: 0 for t in QoSTier}
         self.latencies: List[float] = []
         self.drift_samples: List[Tuple[float, float]] = []
         self.watchdog_resets = 0
@@ -434,7 +336,7 @@ class _SoakDriver:
             )
             client.start()
             self.clients[node] = client
-        self._targets = tuple((node, self._tier_of(node)) for node in sorted(self.clients))
+        self._targets = tuple(sorted(self.clients))
         # ``(low, high - low)`` per event kind: ``low + (high - low) *
         # random()`` is numpy's ``uniform(low, high)`` bit for bit, at a
         # third of the call cost.
@@ -461,24 +363,7 @@ class _SoakDriver:
             return self.standby.manager
         return self.manager
 
-    # -- event generation (open loop) ----------------------------------------
-    def _tier_of(self, node: int) -> QoSTier:
-        # Fixed per-node tiers (node id mod 4): 1/4 of the fleet is
-        # PRODUCTION, 1/2 STANDARD, 1/4 BACKGROUND.
-        bucket = node % 4
-        if bucket == 0:
-            return QoSTier.PRODUCTION
-        if bucket == 3:
-            return QoSTier.BACKGROUND
-        return QoSTier.STANDARD
-
-    def _make_event(self, kind: str, now: float) -> SoakEvent:
-        rng = self._rng
-        node, tier = self._targets[rng.integers(len(self._targets))]
-        draw = self._value_draws[kind]
-        value = 0.0 if draw is None else draw[0] + draw[1] * rng.random()
-        return SoakEvent(time=now, kind=kind, node=node, value=value, tier=tier)
-
+    # -- arrival streams (open loop) -------------------------------------------
     def _streams(self) -> List[Tuple[int, str, ArrivalProcess]]:
         """``(salt, kind, process)`` for the three open-loop streams."""
         config = self.config
@@ -501,77 +386,60 @@ class _SoakDriver:
             if first < horizon:
                 self._heads.append([first, salt, kind, process])
 
-    def _admit_arrivals(self, until: float) -> None:
-        """Admit every arrival at or before ``until`` to the gate, in
-        time order, each stamped with its own arrival time.
+    def _apply_arrivals(self, until: float) -> None:
+        """Draw and apply every arrival at or before ``until``, in time
+        order; each waited ``now - arrival`` for this tick.
 
-        The streams are open loop and an arrival only writes the gate
-        queue, the gate's per-tier counters, the driver ``_rng`` and
-        ``events_generated``. Between arrivals only :meth:`_drain_tick`
-        reads the gate or moves the ladder, and it calls this first. So
-        admitting a tick's arrivals when the tick fires gives the same
-        gate contents, shed/reject decisions and ``_rng`` draw order as
-        one engine event per arrival, and the engine carries only
-        control-plane events. The one divergence is an arrival whose
-        float time exactly equals a drain tick or another stream's
-        arrival (probability ~2⁻⁵² per tick): here it is admitted before
-        that tick, and equal-time arrivals go in stream order.
+        A draw touches only the driver ``_rng`` and applying touches only
+        ``loads`` and one client, so drawing and applying each arrival in
+        turn gives the same draws, engine sequence numbers and loads as
+        drawing the tick's arrivals first, or as one engine event per
+        arrival that draws it for the tick to apply; the engine carries
+        only control-plane events. The one divergence is an arrival whose
+        float time exactly equals a tick or another stream's arrival
+        (probability ~2⁻⁵² per tick): here it is applied at that tick,
+        and equal-time arrivals go in stream order.
         """
         heads = self._heads
         horizon = self.config.horizon_s
-        admit = self.gate.admit
-        make = self._make_event
-        shedding = self.ladder.shedding_low_tier
-        admitted = 0
+        rng = self._rng
+        targets = self._targets
+        draws = self._value_draws
+        apply = self._apply
+        applied = 0
         while heads:
             head = min(heads)
-            now = head[0]
-            if now > until:
+            at = head[0]
+            if at > until:
                 break
-            admit(make(head[2], now), shedding)
-            admitted += 1
+            kind = head[2]
+            node = targets[rng.integers(len(targets))]
+            draw = draws[kind]
+            apply(kind, node, 0.0 if draw is None else draw[0] + draw[1] * rng.random(), at)
+            applied += 1
             nxt = head[3].next_arrival()
             if nxt < horizon:
                 head[0] = nxt
             else:
                 heads.remove(head)
-        if admitted:
-            self.events_generated += admitted
-            self._generated_counter.inc(admitted)
+        if applied:
+            self.events_generated += applied
+            self._generated_counter.inc(applied)
+            self._applied_counter.inc(applied)
 
-    # -- event application (drain loop) ---------------------------------------
-    def _apply(self, event: SoakEvent) -> None:
-        if event.kind == "load":
+    def _apply(self, kind: str, node: int, value: float, at: float) -> None:
+        if kind == "load":
             low, high = self.config.load_range
-            self.loads[event.node] = min(
-                high, max(low, self.loads[event.node] + event.value)
-            )
-        elif event.kind == "offload":
-            self.loads[event.node] = event.value
+            self.loads[node] = min(high, max(low, self.loads[node] + value))
+        elif kind == "offload":
+            self.loads[node] = value
         else:  # churn
-            client = self.clients[event.node]
+            client = self.clients[node]
             if client.alive:
                 client.fail()
             else:
                 client.recover()
-        self.applied_by_tier[event.tier] += 1
-        self.latencies.append(self.engine.now - event.time)
-
-    def _drain_tick(self) -> None:
-        self._admit_arrivals(self.engine.now)
-        registry = get_registry()
-        batch = self.gate.drain(self.config.drain_batch)
-        for event in batch:
-            self._apply(event)
-        if batch:
-            registry.counter("soak.events_applied").inc(len(batch))
-        registry.gauge("soak.ingress_depth").set(len(self.gate))
-        level = self.ladder.update(self.gate.fill, self.engine.now)
-        mgr = self.active()
-        mgr.placement_frozen = level >= DegradationLevel.FREEZE
-        mgr.optimization_period_s = self.ladder.resolve_period(
-            self.config.optimization_period_s
-        )
+        self.latencies.append(self.engine.now - at)
 
     # -- drift watchdog --------------------------------------------------------
     def _oracle_relief(self) -> Dict[int, float]:
@@ -601,7 +469,7 @@ class _SoakDriver:
             self._drift_strikes = 0
             return
         self._drift_strikes += 1
-        if self._drift_strikes >= self.config.watchdog_strikes and not self.ladder.frozen:
+        if self._drift_strikes >= self.config.watchdog_strikes:
             self._drift_strikes = 0
             self.watchdog_resets += 1
             registry.counter("soak.watchdog_resets").inc()
@@ -639,7 +507,9 @@ class _SoakDriver:
         config = self.config
         self._start_streams()
         self.engine.schedule_periodic(
-            config.drain_period_s, lambda _e: self._drain_tick(), label="soak-drain"
+            config.drain_period_s,
+            lambda engine: self._apply_arrivals(engine.now),
+            label="soak-drain",
         )
         self.engine.schedule_periodic(
             config.oracle_period_s,
@@ -650,14 +520,9 @@ class _SoakDriver:
 
         wall_start = time.perf_counter()
         self.engine.run_until(config.horizon_s)
-        # Arrivals after the last drain tick (a drain period that does not
+        # Arrivals after the last tick (a drain period that does not
         # divide the horizon).
-        self._admit_arrivals(config.horizon_s)
-        # Flush whatever the gate still holds so every admitted event is
-        # applied before the final audit.
-        while len(self.gate):
-            for event in self.gate.drain(config.drain_batch):
-                self._apply(event)
+        self._apply_arrivals(config.horizon_s)
         wall = time.perf_counter() - wall_start
 
         current = self.active()
@@ -666,7 +531,7 @@ class _SoakDriver:
         # Closing drift sample: did the run end reconverged?
         self._watchdog_tick()
 
-        events_applied = sum(self.applied_by_tier.values())
+        events_applied = len(self.latencies)
         per_min = events_applied / wall * 60.0 if wall > 0 else 0.0
         registry = get_registry()
         registry.gauge("soak.events_per_min").set(per_min)
@@ -685,16 +550,11 @@ class _SoakDriver:
             config=config,
             events_generated=self.events_generated,
             events_applied=events_applied,
-            applied_by_tier=dict(self.applied_by_tier),
-            rejected_by_tier=dict(self.gate.rejected),
-            shed_by_tier=dict(self.gate.shed),
             wall_seconds=wall,
             events_per_min=per_min,
             latency_p50_s=float(p50),
             latency_p95_s=float(p95),
             latency_p99_s=float(p99),
-            ladder_max_level=self.ladder.max_level,
-            ladder_transitions=tuple(self.ladder.transitions),
             drift_samples=tuple(self.drift_samples),
             final_drift=final_drift,
             watchdog_resets=self.watchdog_resets,
@@ -706,7 +566,6 @@ class _SoakDriver:
             clients=self.clients,
             engine=self.engine,
             network=self.network,
-            gate=self.gate,
         )
 
 

@@ -1,14 +1,15 @@
 """The soak event core as one engine event per arrival, drawn with numpy
 ``uniform``.
 
-``repro.simulation.soak`` admits a drain tick's arrivals when the tick
-fires and draws ``low + (high - low) * random()``; the classes here keep
-the per-arrival scheduling (a self-rescheduling ``fire`` closure per
-stream) and the ``Generator.uniform`` calls that replaced, so the suites
-hold the trajectory and the draws ``==`` to them.
+``repro.simulation.soak`` draws and applies a tick's arrivals when the
+tick fires and draws ``low + (high - low) * random()``; the classes here
+keep the per-arrival scheduling (a self-rescheduling ``fire`` closure per
+stream that draws its arrival onto a pending list the tick applies) and
+the ``Generator.uniform`` calls that replaced, so the suites hold the
+trajectory and the draws ``==`` to them.
 """
 
-from typing import Any
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -17,17 +18,19 @@ from repro.obs import get_registry
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import FaultyNetwork
 from repro.simulation.profiles import ArrivalProcess, DiurnalArrivals
-from repro.simulation.soak import SoakConfig, SoakEvent, SoakResult, _SoakDriver
+from repro.simulation.soak import SoakConfig, SoakResult, _SoakDriver
 
 
 class PerArrivalSoakDriver(_SoakDriver):
-    """Every arrival is its own engine event, admitted when it fires."""
+    """Every arrival is its own engine event that draws it; the tick
+    applies what was drawn since the last one."""
 
     def __init__(self, config: SoakConfig) -> None:
         super().__init__(config)
         self._churnable = np.array(sorted(self.clients))
+        self._pending: List[Tuple[str, int, float, float]] = []
 
-    def _make_event(self, kind: str, now: float) -> SoakEvent:
+    def _draw(self, kind: str) -> Tuple[int, float]:
         node = int(self._churnable[self._rng.integers(len(self._churnable))])
         low, high = self.config.load_range
         if kind == "load":
@@ -39,12 +42,17 @@ class PerArrivalSoakDriver(_SoakDriver):
             )
         else:
             value = 0.0
-        return SoakEvent(time=now, kind=kind, node=node, value=value, tier=self._tier_of(node))
+        return node, value
 
     def _start_streams(self) -> None:
-        # Leaves the drain tick's heads empty, so it admits nothing itself.
+        # Leaves the tick's heads empty, so it draws nothing itself.
         for _salt, kind, process in self._streams():
             self._schedule_stream(kind, process)
+
+    def _apply_arrivals(self, until: float) -> None:
+        pending, self._pending = self._pending, []
+        for entry in pending:
+            self._apply(*entry)
 
     def _schedule_stream(self, kind: str, process: ArrivalProcess) -> None:
         horizon = self.config.horizon_s
@@ -52,8 +60,7 @@ class PerArrivalSoakDriver(_SoakDriver):
         def fire(engine: SimulationEngine, k: str = kind, p: ArrivalProcess = process) -> None:
             self.events_generated += 1
             get_registry().counter("soak.events_generated").inc()
-            event = self._make_event(k, engine.now)
-            self.gate.admit(event, shedding=self.ladder.shedding_low_tier)
+            self._pending.append((k, *self._draw(k), engine.now))
             nxt = p.next_arrival()
             if nxt < horizon:
                 engine.schedule_at(nxt, fire, label=f"soak-{k}")

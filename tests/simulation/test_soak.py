@@ -1,4 +1,4 @@
-"""Soak driver: backpressure gate, degradation ladder, drift watchdog,
+"""Soak driver: arrival streams applied at their tick, drift watchdog,
 and the composed-chaos acceptance scenario.
 
 The calm and chaos soak runs are module-scoped fixtures — each is one
@@ -9,17 +9,13 @@ import dataclasses
 
 import pytest
 
-from repro.core import DegradationLevel
 from repro.errors import SimulationError
 from repro.simulation import (
     BurstyArrivals,
     DiurnalArrivals,
-    IngressGate,
     PoissonArrivals,
-    QoSTier,
     SoakChaos,
     SoakConfig,
-    SoakEvent,
     StreamSpec,
     default_soak_chaos,
     run_soak,
@@ -28,63 +24,6 @@ from repro.simulation import (
 #: The acceptance floor from the issue: 1e5 simulated events per wall
 #: minute. Measured headroom on one CI core is ~30x.
 THROUGHPUT_FLOOR_PER_MIN = 1e5
-
-
-def ev(tier, kind="load", node=5, t=0.0, value=1.0):
-    return SoakEvent(time=t, kind=kind, node=node, value=value, tier=tier)
-
-
-class TestIngressGate:
-    def test_admits_until_capacity_then_drops_tail(self):
-        gate = IngressGate(capacity=2)
-        assert gate.admit(ev(QoSTier.STANDARD), shedding=False)
-        assert gate.admit(ev(QoSTier.STANDARD), shedding=False)
-        assert not gate.admit(ev(QoSTier.STANDARD), shedding=False)
-        assert len(gate) == 2
-        assert gate.fill == 1.0
-        assert gate.rejected[QoSTier.STANDARD] == 1
-
-    def test_shedding_drops_background_even_when_empty(self):
-        gate = IngressGate(capacity=8)
-        assert not gate.admit(ev(QoSTier.BACKGROUND), shedding=True)
-        assert gate.admit(ev(QoSTier.STANDARD), shedding=True)
-        assert gate.admit(ev(QoSTier.PRODUCTION), shedding=True)
-        assert gate.shed[QoSTier.BACKGROUND] == 1
-        assert gate.shed[QoSTier.STANDARD] == 0
-
-    def test_not_shedding_admits_background(self):
-        gate = IngressGate(capacity=8)
-        assert gate.admit(ev(QoSTier.BACKGROUND), shedding=False)
-        assert gate.shed[QoSTier.BACKGROUND] == 0
-
-    def test_production_evicts_oldest_lowest_tier_when_full(self):
-        gate = IngressGate(capacity=3)
-        first_bg = ev(QoSTier.BACKGROUND, node=1)
-        gate.admit(ev(QoSTier.STANDARD, node=0), shedding=False)
-        gate.admit(first_bg, shedding=False)
-        gate.admit(ev(QoSTier.BACKGROUND, node=2), shedding=False)
-        assert gate.admit(ev(QoSTier.PRODUCTION, node=3), shedding=False)
-        assert len(gate) == 3  # bound held: a victim made room
-        assert gate.rejected[QoSTier.BACKGROUND] == 1
-        drained = gate.drain(10)
-        assert first_bg not in drained  # the oldest lowest-tier went
-        assert [e.tier for e in drained].count(QoSTier.PRODUCTION) == 1
-
-    def test_all_production_queue_overflows_instead_of_dropping(self):
-        gate = IngressGate(capacity=2)
-        for node in range(3):
-            assert gate.admit(ev(QoSTier.PRODUCTION, node=node), shedding=False)
-        assert len(gate) == 3
-        assert gate.fill > 1.0
-        assert gate.rejected[QoSTier.PRODUCTION] == 0
-
-    def test_drain_is_fifo_and_bounded(self):
-        gate = IngressGate(capacity=8)
-        for node in range(5):
-            gate.admit(ev(QoSTier.STANDARD, node=node), shedding=False)
-        batch = gate.drain(3)
-        assert [e.node for e in batch] == [0, 1, 2]
-        assert len(gate) == 2
 
 
 class TestStreamSpec:
@@ -118,7 +57,7 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             SoakConfig(horizon_s=0.0)
         with pytest.raises(SimulationError):
-            SoakConfig(ingress_capacity=0)
+            SoakConfig(drain_period_s=0.0)
         with pytest.raises(SimulationError):
             SoakConfig(watchdog_strikes=0)
         with pytest.raises(SimulationError):
@@ -157,18 +96,10 @@ class TestCalmSoak:
         assert calm_run.events_per_min >= THROUGHPUT_FLOOR_PER_MIN
 
     def test_no_production_loss(self, calm_run):
-        assert calm_run.production_losses == 0
         assert calm_run.qos.production_loss_mb == pytest.approx(0.0)
 
     def test_all_generated_events_accounted_for(self, calm_run):
-        gate = calm_run.gate
-        accounted = (
-            calm_run.events_applied
-            + sum(gate.rejected.values())
-            + sum(gate.shed.values())
-            + len(gate)
-        )
-        assert accounted == calm_run.events_generated
+        assert calm_run.events_applied == calm_run.events_generated
 
     def test_control_plane_actually_worked(self, calm_run):
         assert calm_run.counters.optimization_rounds > 0
@@ -194,9 +125,7 @@ class TestDeterminism:
         # Wall-clock-derived numbers differ; simulated ones must not.
         assert a.events_generated == b.events_generated
         assert a.events_applied == b.events_applied
-        assert a.applied_by_tier == b.applied_by_tier
         assert a.drift_samples == b.drift_samples
-        assert a.ladder_transitions == b.ladder_transitions
         assert a.watchdog_resets == b.watchdog_resets
 
     def test_different_seed_different_stream(self):
@@ -205,10 +134,10 @@ class TestDeterminism:
         assert a.events_generated != b.events_generated
 
 
-class TestDegradationUnderOverload:
-    def test_tiny_gate_forces_ladder_up_without_production_loss(self):
-        """A burst far beyond drain capacity walks the ladder up; the
-        gate sheds/rejects only the lower tiers while it lasts."""
+class TestBurstLoad:
+    def test_every_arrival_applied_within_its_tick(self):
+        """A 400/s burst on the default config: hundreds of arrivals per
+        tick, and each is applied at the first tick after it arrives."""
         result = run_soak(SoakConfig(
             seed=0,
             horizon_s=120.0,
@@ -216,16 +145,9 @@ class TestDegradationUnderOverload:
                 "bursty", 40.0, burst_rate_per_s=400.0,
                 mean_calm_s=10.0, mean_burst_s=30.0,
             ),
-            ingress_capacity=64,
-            drain_batch=16,
         ))
-        assert result.ladder_max_level >= DegradationLevel.SHED_LOW
-        assert result.ladder_transitions  # trajectory was recorded
-        shed_or_rejected = (
-            sum(result.shed_by_tier.values()) + sum(result.rejected_by_tier.values())
-        )
-        assert shed_or_rejected > 0
-        assert result.production_losses == 0
+        assert result.events_applied == result.events_generated
+        assert result.latency_p99_s < result.config.drain_period_s
 
 
 class TestComposedChaos:
@@ -241,7 +163,6 @@ class TestComposedChaos:
         assert chaos_run.final_drift <= chaos_run.config.drift_bound
 
     def test_zero_production_class_loss(self, chaos_run):
-        assert chaos_run.production_losses == 0
         assert chaos_run.qos.production_loss_mb == pytest.approx(0.0)
 
     def test_traffic_sustained_through_chaos(self, chaos_run):
