@@ -24,19 +24,6 @@ class SolverError(ReproError):
     """Raised when an LP/ILP backend fails for a non-status reason."""
 
 
-class InfeasibleProblemError(SolverError):
-    """Raised when a caller demands a solution to an infeasible program.
-
-    Solvers normally *report* infeasibility through
-    :class:`repro.lp.result.SolveStatus`; this exception is reserved for
-    APIs documented to raise instead (``require_optimal=True`` paths).
-    """
-
-
-class UnboundedProblemError(SolverError):
-    """Raised when the objective is unbounded below on the feasible set."""
-
-
 class TelemetryError(ReproError):
     """Raised for telemetry substrate misuse (unknown agent, table, ...)."""
 

@@ -104,11 +104,6 @@ def test_exception_hierarchy():
     ):
         assert issubclass(exc, ReproError)
 
-    from repro.errors import InfeasibleProblemError, UnboundedProblemError
-
-    assert issubclass(InfeasibleProblemError, SolverError)
-    assert issubclass(UnboundedProblemError, SolverError)
-
 
 def test_headline_workflow_via_top_level_imports_only():
     """The README quickstart works using only `repro` top-level names."""
