@@ -9,8 +9,8 @@ either direction (documented-but-unregistered or
 registered-but-undocumented).
 
 A description that starts "Fault-only" marks a metric whose writer sits
-on a fault path that no shipped experiment, example or
-benchmark run reaches, so a reader of its zero knows it is expected.
+on a fault path that no shipped experiment, example or benchmark run
+reaches, so a reader of its zero knows it is expected.
 
 Naming convention: ``<layer>.<event>`` with the layer prefixes
 
