@@ -319,8 +319,11 @@ class PlacementEngine:
         problem sets no ``max_hops``).
     with_routes:
         Materialize the chosen :class:`~repro.routing.routes.Path` per
-        assignment (the controllable-route output). Slightly more work;
-        disable for pure timing studies.
+        assignment (the controllable-route output). With a dp model a
+        route is walked only for the chosen pairs; with an enumeration
+        model the pricing call builds a ``Path`` for every reachable
+        pair, not only for the chosen ones. Disable for pure timing
+        studies: then no route is built at all.
     trmin_engine:
         Route-pricing engine the Trmin matrix is computed through
         (the one pricing pipeline plus its span and metrics). ``None``

@@ -106,6 +106,16 @@ Three properties make that exact:
   property suite) compare equal bit for bit and are reproduced
   exactly.
 
+Only contested pairs run the rule's sequential loop. A pair whose
+survivors put exactly one path within ``_TIE_TOL`` of their batch
+minimum is uncontested: the rule's first step accepts that path (it
+is at or below the batch cut and finite), and nothing else of the pair
+is visited, so it is taken as the winner by array indexing. A pair
+past one ``_FOLD_BATCH`` is always contested, since every batch visits
+its own minimum. Winner routes are built only when the caller asks for
+paths; without them the call returns the same ``R`` and ``hops`` and
+an empty mapping, as the DP engine does.
+
 The kernel is the only route behind ``PathEngine.ENUMERATION`` and
 :func:`count_paths_kernel`; the pure-Python DFS lives in
 ``tests/oracles`` as the oracle the test suite compares against.
@@ -327,6 +337,7 @@ def best_routes_matrix(
     destinations: Sequence[int],
     max_hops: Optional[int],
     edge_weights: np.ndarray,
+    with_paths: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[int, int], RawPath]]:
     """Best hop-bounded route of every ``(sources[a], destinations[b])`` pair.
 
@@ -336,6 +347,8 @@ def best_routes_matrix(
     ``winners[(a, b)]`` its raw ``(nodes, edges)`` for every reachable
     pair (the zero-hop path when ``sources[a] == destinations[b]``) —
     the triple the judge's fold returns from the full DFS stream.
+    Without ``with_paths`` no route is built and ``winners`` is empty;
+    ``R`` and ``hops`` are the same either way.
     """
     src = np.array([int(s) for s in sources], dtype=np.int64)
     dst = np.array([int(d) for d in destinations], dtype=np.int64)
@@ -343,9 +356,11 @@ def best_routes_matrix(
     same = src[:, None] == dst[None, :]
     R = np.where(same, 0.0, np.inf)
     hops = np.where(same, 0, -1).astype(np.int64)
-    winners: Dict[Tuple[int, int], RawPath] = {
-        (int(a), int(b)): ((int(src[a]),), ()) for a, b in zip(*np.nonzero(same))
-    }
+    winners: Dict[Tuple[int, int], RawPath] = (
+        {(int(a), int(b)): ((int(src[a]),), ()) for a, b in zip(*np.nonzero(same))}
+        if with_paths
+        else {}
+    )
     a_idx, b_idx = np.nonzero(~same)
     if limit == 0 or a_idx.size == 0:
         return R, hops, winners
@@ -371,12 +386,13 @@ def best_routes_matrix(
 
     pricing = _PairPricing(
         _ClassMap(topology), weights, planes, limit,
-        src[a_idx], dst[b_idx], plane_of, threshold,
+        src[a_idx], dst[b_idx], plane_of, threshold, with_paths,
     )
     for p, res, nh, raw in pricing.winners():
         R[a_idx[p], b_idx[p]] = res
         hops[a_idx[p], b_idx[p]] = nh
-        winners.update(zip(zip(a_idx[p].tolist(), b_idx[p].tolist()), raw))
+        if with_paths:
+            winners.update(zip(zip(a_idx[p].tolist(), b_idx[p].tolist()), raw))
     _flush_counters(
         pricing.frontiers, pricing.frontier_rows, pricing.pruned_rows,
         pricing.bound_cutoffs,
@@ -443,7 +459,8 @@ class _PairPricing:
 
     Pair ``p`` runs ``sources[p] -> dests[p]`` against its own bound
     plane ``planes[plane_of[p]]`` and ``threshold[p]``; pair ids index
-    these call-wide arrays in every frontier. The counters are call
+    these call-wide arrays in every frontier. Winner routes are built
+    only ``with_paths``. The counters are call
     totals: ``frontiers`` finished and folded, and the row counts of
     ``routing.enum_frontier_rows`` / ``enum_pruned_rows`` /
     ``enum_bound_cutoffs``.
@@ -459,6 +476,7 @@ class _PairPricing:
         dests: np.ndarray,
         plane_of: np.ndarray,
         threshold: np.ndarray,
+        with_paths: bool,
     ) -> None:
         self.cmap = cmap
         self.weights = weights
@@ -468,14 +486,16 @@ class _PairPricing:
         self.dests = dests
         self.plane_of = plane_of
         self.threshold = threshold
+        self.with_paths = with_paths
         self.frontiers = self.frontier_rows = self.pruned_rows = self.bound_cutoffs = 0
 
     def winners(
         self,
-    ) -> Iterator[Tuple[np.ndarray, List[float], List[int], List[RawPath]]]:
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, List[RawPath]]]:
         """``(p, resistance, hops, winner)`` per finished frontier, as
-        parallel sequences with one entry per pair; pair ids ascend
-        across and within frontiers."""
+        parallel sequences with one entry per pair (``winner`` empty
+        without ``with_paths``); pair ids ascend across and within
+        frontiers."""
         ends = self.sources
         visited = np.zeros((ends.size, (self.planes.shape[2] + 63) // 64), dtype=np.uint64)
         visited[np.arange(ends.size), ends >> 6] = np.uint64(1) << (
@@ -508,7 +528,10 @@ class _PairPricing:
                 continue
             self.frontiers += 1
             if frontier.done:
-                yield _fold_block(self.weights, self.limit, self.sources, frontier.done)
+                yield _fold_block(
+                    self.weights, self.limit, self.sources, frontier.done,
+                    self.with_paths,
+                )
 
     def hop(self, frontier: _Frontier, hops_left: int) -> bool:
         """Extend every row of ``frontier`` by one hop, in place, leaving
@@ -577,11 +600,14 @@ def _fold_block(
     limit: int,
     sources: np.ndarray,
     done: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, List[float], List[int], List[RawPath]]:
+    with_paths: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[RawPath]]:
     """Every pair's winner among a frontier's complete survivors.
 
     Applies the judge's fold rule (the module docstring) to each pair's
     survivors in DFS order, pricing all of them with one ``reduceat``.
+    Returns ``(pair ids, resistances, hops, raw routes)`` in ascending
+    pair id; the routes only ``with_paths``.
     """
     owner = np.concatenate([d_pair for d_pair, _ in done])
     # (node, edge, lane) per hop, -1-padded to the hop budget.
@@ -614,16 +640,26 @@ def _fold_block(
     batch_min = np.minimum.reduceat(price, np.flatnonzero(batch_head))
     visit = np.flatnonzero(price <= batch_min[batch] + _TIE_TOL)
 
+    # A pair visited once is uncontested: the rule's first step accepts
+    # that path (r <= batch min + _TIE_TOL, r < inf - _TIE_TOL). Every
+    # batch visits its own minimum, so a pair past one batch is contested.
+    visitor = owner[visit]
+    new_pair = np.r_[True, visitor[1:] != visitor[:-1]]
+    alone = new_pair & np.r_[new_pair[1:], True]
+    single = visit[alone]
+    single = single[price[single] < np.inf - _TIE_TOL]
+
     # pair -> (resistance, hops, sorted index) of its running best.
     best: Dict[int, Tuple[float, int, int]] = {}
+    contested = visit[~alone]
     batch_min = batch_min.tolist()
     cur_batch, cut = -1, np.inf
     for i, p, g, r, h in zip(
-        visit.tolist(),
-        owner[visit].tolist(),
-        batch[visit].tolist(),
-        price[visit].tolist(),
-        depth[visit].tolist(),
+        contested.tolist(),
+        owner[contested].tolist(),
+        batch[contested].tolist(),
+        price[contested].tolist(),
+        depth[contested].tolist(),
     ):
         r_best, h_best, _ = best.get(p, (np.inf, -1, -1))
         if g != cur_batch:
@@ -634,16 +670,22 @@ def _fold_block(
         ):
             best[p] = (r, h, i)
 
-    pair_ids = np.fromiter(best, dtype=np.int64, count=len(best))
-    best_res, best_hops, best_idx = map(list, zip(*best.values()))
-    win = pad[order[best_idx]]
+    won = np.concatenate(
+        [single, np.fromiter((i for _, _, i in best.values()), np.int64, len(best))]
+    )
+    # Pair ids are unique here, and ascend along the sorted survivors.
+    won.sort()
+    pair_ids, best_hops = owner[won], depth[won]
+    if not with_paths:
+        return pair_ids, price[won], best_hops, []
+    win = pad[order[won]]
     raw = [
         ((s, *nodes[:h]), tuple(edges[:h]))
         for s, h, nodes, edges in zip(
             sources[pair_ids].tolist(),
-            best_hops,
+            best_hops.tolist(),
             win[:, :, 0].tolist(),
             win[:, :, 1].tolist(),
         )
     ]
-    return pair_ids, best_res, best_hops, raw
+    return pair_ids, price[won], best_hops, raw

@@ -189,11 +189,12 @@ class ResponseTimeModel:
         (``inf`` when unreachable within ``max_hops``), ``hops[a, b]``
         the chosen route's hop count (``-1`` unreachable), and
         ``paths`` maps every reachable (source, destination) node-id
-        pair to an optimal :class:`Path` when ``with_paths`` (empty
-        otherwise). For a dp model ``paths`` is a read-only mapping
-        that walks a route from the DP's predecessor planes only when
-        it is looked up; the enumeration kernel already holds every
-        winner, so it returns a plain dict.
+        pair to an optimal :class:`Path` when ``with_paths``. Without
+        it both engines build no route and return an empty mapping.
+        For a dp model ``paths`` is a read-only mapping that walks a
+        route from the DP's predecessor planes only when it is looked
+        up; the enumeration kernel builds every reachable pair's winner
+        in the call, so it returns a plain dict.
         """
         weights = self.edge_weights(topology)
         if self.engine is PathEngine.DP:
@@ -203,14 +204,13 @@ class ResponseTimeModel:
 
         # One kernel call expands every pair and picks each winner.
         R, hops, winners = enumkernel.best_routes_matrix(
-            topology, sources, destinations, self.max_hops, weights
+            topology, sources, destinations, self.max_hops, weights, with_paths
         )
         paths: Dict[Tuple[int, int], Path] = {}
-        if with_paths:
-            for (a, b), (nodes, edges) in winners.items():
-                paths[(int(sources[a]), int(destinations[b]))] = Path(
-                    nodes=nodes, edges=edges
-                )
+        for (a, b), (nodes, edges) in winners.items():
+            paths[(int(sources[a]), int(destinations[b]))] = Path(
+                nodes=nodes, edges=edges
+            )
         return R, hops, paths
 
     def trmin_matrix(
@@ -232,13 +232,16 @@ class ResponseTimeModel:
 
 
 def validate_data_volumes(data_mb: Sequence[float], num_sources: int) -> np.ndarray:
-    """Shared Eq.-2 input validation: one non-negative ``D_i`` per source."""
+    """Shared Eq.-2 input validation: one finite, non-negative ``D_i``
+    per source."""
     data = np.asarray(data_mb, dtype=float)
     if data.shape != (num_sources,):
         raise RoutingError(
             f"need one data volume per source: got {data.shape} for "
             f"{num_sources} sources"
         )
+    if not np.isfinite(data).all():
+        raise RoutingError("data volumes must be finite")
     if (data < 0).any():
         raise RoutingError("data volumes must be non-negative")
     return data

@@ -23,6 +23,7 @@ from repro.obs import get_registry
 from repro.routing import enumkernel
 from repro.routing.enumkernel import count_paths_kernel
 from repro.routing.response_time import PathEngine, ResponseTimeModel
+from repro.routing.routes import _TIE_TOL
 from repro.topology import (
     BandwidthConvention,
     Link,
@@ -41,7 +42,7 @@ def _weights(topo):
 
 def _best_enum_route(topo, s, d, h, weights):
     """The kernel's one-pair call: ``(resistance, hops, (nodes, edges))``."""
-    R, hops, winners = enumkernel.best_routes_matrix(topo, [s], [d], h, weights)
+    R, hops, winners = enumkernel.best_routes_matrix(topo, [s], [d], h, weights, True)
     return float(R[0, 0]), int(hops[0, 0]), winners.get((0, 0))
 
 
@@ -197,21 +198,20 @@ def _fixed_weights(weights):
 
 
 def _assert_matrix_identical(topo, sources, destinations, max_hops):
-    """One batched call == the oracle's per-pair exhaustive fold, and
-    ``with_paths`` does not change ``(R, hops)``."""
+    """One batched call == the oracle's per-pair exhaustive fold, with
+    ``with_paths`` and without: ``(R, hops)`` either way, the winning
+    paths when asked for and an empty mapping otherwise."""
     model = _enum_model(max_hops)
-    R, hops, paths = model.resistance_matrix(
-        topo, sources, destinations, with_paths=True
-    )
     R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
         model, topo, sources, destinations
     )
-    assert np.array_equal(R, R_ref)
-    assert np.array_equal(hops, hops_ref)
-    assert paths == paths_ref
-    R_np, hops_np, no_paths = model.resistance_matrix(topo, sources, destinations)
-    assert np.array_equal(R_np, R) and np.array_equal(hops_np, hops)
-    assert no_paths == {}
+    for with_paths in (False, True):
+        R, hops, paths = model.resistance_matrix(
+            topo, sources, destinations, with_paths=with_paths
+        )
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(hops, hops_ref)
+        assert paths == (paths_ref if with_paths else {})
     return R, hops, paths
 
 
@@ -268,6 +268,45 @@ class TestBatchedMatrixIdentity:
         with _fixed_weights(weights):
             _assert_matrix_identical(topo, sources, destinations, max_hops)
         assert cutoffs.value == before
+
+    def test_contested_and_uncontested_pairs_in_one_call(self):
+        """Uniform-cost pods plus one random-cost link: some pairs have
+        a single path within ``_TIE_TOL`` of their minimum, others
+        several. Each gets the judge's winner, and the winners come out
+        in ascending pair order."""
+        topo = build_fat_tree(8)  # untouched links: uniform weights
+        edge = int(np.random.default_rng(11).integers(topo.num_edges))
+        topo.set_utilization(edge, 0.63)
+        weights = _weights(topo)
+        sources = list(range(0, 80, 7))
+        destinations = list(range(3, 80, 5))
+        judged = {
+            (a, b): oracles.enum_best_route(topo, s, d, 4, weights)
+            for a, s in enumerate(sources)
+            for b, d in enumerate(destinations)
+            if s != d
+        }
+        near_min = []
+        for a, b in judged:
+            stream = list(iter_simple_paths_raw(topo, sources[a], destinations[b], 4))
+            prices = np.array([sum(weights[e] for e in edges) for _, edges in stream])
+            near_min.append(int(np.count_nonzero(prices <= prices.min() + _TIE_TOL)))
+        assert 1 in near_min and max(near_min) > 1  # both kinds present
+        R, hops, winners = enumkernel.best_routes_matrix(
+            topo, sources, destinations, 4, weights, True
+        )
+        routed = [p for p in winners if p in judged]  # zero-hop pairs come first
+        assert routed == sorted(judged)
+        assert {p: winners[p] for p in routed} == {
+            p: raw for p, (_, _, raw) in judged.items()
+        }
+        for (a, b), (res, nh, _) in judged.items():
+            assert (R[a, b], hops[a, b]) == (res, nh)
+        R_np, hops_np, none = enumkernel.best_routes_matrix(
+            topo, sources, destinations, 4, weights, False
+        )
+        assert np.array_equal(R_np, R) and np.array_equal(hops_np, hops)
+        assert none == {}
 
     def test_overlap_and_duplicate_node_ids(self):
         topo = build_fat_tree(4)
@@ -328,28 +367,31 @@ class TestBatchedMatrixIdentity:
             topo = build_fat_tree(8)
             if utilization_seed is not None:
                 LinkUtilizationModel(0.2, 0.8, seed=utilization_seed).apply(topo)
-            runs = {}
-            for cap in (1, 7, 64, 10**9):
-                monkeypatch.setattr(enumkernel, "_FRONTIER_ROWS", cap)
-                out = []
-                counts = _counter_deltas(
-                    ("routing.enum_kernel_calls", *TestBatchedCounters.TOTALS),
-                    lambda: out.append(
-                        model.resistance_matrix(
-                            topo, sources, destinations, with_paths=True
-                        )
-                    ),
-                )
-                runs[cap] = out[0], counts
-            (R0, hops0, paths0), counts0 = runs[10**9]
-            assert counts0[0] == 1
-            for cap in (1, 7, 64):
-                (R, hops, paths), counts = runs[cap]
-                assert np.array_equal(R, R0)
-                assert np.array_equal(hops, hops0)
-                assert paths == paths0
-                assert counts[1:] == counts0[1:]
-                assert counts[0] > 1  # the call split mid-flight
+            R_ref, hops_ref, paths_ref = oracles.resistance_matrix(
+                model, topo, sources, destinations
+            )
+            for with_paths in (False, True):
+                runs = {}
+                for cap in (1, 7, 64, 10**9):
+                    monkeypatch.setattr(enumkernel, "_FRONTIER_ROWS", cap)
+                    out = []
+                    counts = _counter_deltas(
+                        ("routing.enum_kernel_calls", *TestBatchedCounters.TOTALS),
+                        lambda: out.append(
+                            model.resistance_matrix(
+                                topo, sources, destinations, with_paths=with_paths
+                            )
+                        ),
+                    )
+                    runs[cap] = out[0], counts
+                counts0 = runs[10**9][1]
+                assert counts0[0] == 1
+                for cap, ((R, hops, paths), counts) in runs.items():
+                    assert np.array_equal(R, R_ref)
+                    assert np.array_equal(hops, hops_ref)
+                    assert paths == (paths_ref if with_paths else {})
+                    assert counts[1:] == counts0[1:]
+                    assert cap == 10**9 or counts[0] > 1  # split mid-flight
 
     def test_a_split_frontier_enters_no_hop_above_the_cap(self, monkeypatch):
         """Only a frontier down to one pair may carry more live rows

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
-from repro.routing import Path, PathEngine, ResponseTimeModel
+from repro.routing import Path, PathEngine, ResponseTimeModel, TrminEngine
 from repro.routing.routes import _TIE_TOL
 from repro.topology import (
     BandwidthConvention,
@@ -139,6 +139,17 @@ class TestMatrices:
             model.trmin_matrix(topo, [0], [2], [1.0, 2.0])
         with pytest.raises(RoutingError, match="non-negative"):
             model.trmin_matrix(topo, [0], [2], [-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_volume_rejected(self, bad):
+        """NaN compares False against 0, so a sign check alone let it
+        through to a NaN Trmin row; inf gave NaN on a zero-resistance
+        pair. Both Eq. 2 entry points refuse them."""
+        topo = build_fat_tree(4)
+        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
+        for trmin_matrix in (model.trmin_matrix, TrminEngine(model).trmin_matrix):
+            with pytest.raises(RoutingError, match="finite"):
+                trmin_matrix(topo, [1, 2], [1, 5], [bad, 1.0])
 
     def test_convention_changes_weights(self):
         topo = two_path_topology()
