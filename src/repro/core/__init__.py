@@ -40,8 +40,6 @@ from repro.core.metrics import (
     assignment_signature,
     categorize_iteration,
     fit_power_law,
-    hfr_pct,
-    infeasible_rate_pct,
     mean_hops,
     message_overhead_pct,
     placement_divergence,
@@ -74,7 +72,7 @@ from repro.core.zoning import (
     partition_by_pod,
     validate_partition,
 )
-from repro.core.roles import NodeRole, RoleAssignment, classify_network, classify_node
+from repro.core.roles import NodeRole, RoleAssignment, classify_network
 from repro.core.thresholds import RECOMMENDED_K_IO, ThresholdPolicy
 
 __all__ = [
@@ -136,10 +134,7 @@ __all__ = [
     "assignment_signature",
     "categorize_iteration",
     "classify_network",
-    "classify_node",
     "fit_power_law",
-    "hfr_pct",
-    "infeasible_rate_pct",
     "mean_hops",
     "message_overhead_pct",
     "placement_divergence",

@@ -1,11 +1,11 @@
-"""Evaluation metrics: HFR, io-rate, Fig. 9 success categories.
+"""Evaluation metrics: Fig. 9 success categories, hops, divergence.
 
-These are the quantities the paper's evaluation section reports:
+HFR (Eq. 4) is :attr:`HeuristicReport.hfr_pct
+<repro.core.heuristic.HeuristicReport.hfr_pct>` and the Infeasible
+Optimization rate is Fig. 7's own count
+(:func:`repro.experiments.fig7_infeasible_rate.io_rate_for_policy`).
+This module adds the other quantities the evaluation reports:
 
-* **HFR** (Eq. 4) — fraction of required offload the one-hop heuristic
-  could not place;
-* **Infeasible Optimization (io) rate** (Fig. 7) — fraction of random
-  network states whose Eq. 3 program is infeasible;
 * **success categories** (Fig. 9) — per-iteration comparison of the
   heuristic against the ILP: *full* (heuristic placed everything),
   *zero* (heuristic placed nothing while the ILP succeeded), *partial*
@@ -22,27 +22,8 @@ import numpy as np
 
 from repro.core.heuristic import HeuristicReport
 from repro.core.placement import PlacementReport
-from repro.lp.result import SolveStatus
 
 _TOL = 1e-9
-
-
-def hfr_pct(failed: Sequence[float], required: Sequence[float]) -> float:
-    """Eq. 4 from raw per-busy-node amounts (0 when nothing required)."""
-    req = float(np.sum(np.asarray(required, dtype=float)))
-    if req <= _TOL:
-        return 0.0
-    fail = float(np.sum(np.asarray(failed, dtype=float)))
-    return 100.0 * fail / req
-
-
-def infeasible_rate_pct(statuses: Iterable[SolveStatus]) -> float:
-    """Share of solves that ended INFEASIBLE, in percent."""
-    statuses = list(statuses)
-    if not statuses:
-        return 0.0
-    infeasible = sum(1 for s in statuses if s is SolveStatus.INFEASIBLE)
-    return 100.0 * infeasible / len(statuses)
 
 
 class SuccessCategory(enum.Enum):

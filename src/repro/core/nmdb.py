@@ -141,31 +141,6 @@ class NMDB:
         )
         return True
 
-    def set_capacity(self, node_id: int, capacity_pct: float) -> None:
-        """Direct capacity write (used by simulators that bypass the
-        message plane)."""
-        rec = self._record(node_id)
-        self._records[node_id] = replace(rec, capacity_pct=capacity_pct)
-
-    def bulk_set_capacities(self, capacities: np.ndarray, data_mb: Optional[np.ndarray] = None) -> None:
-        """Set every node's capacity (and optionally D_i) at once."""
-        caps = np.asarray(capacities, dtype=float)
-        if caps.size != self.topology.num_nodes:
-            raise ProtocolError(
-                f"expected {self.topology.num_nodes} capacities, got {caps.size}"
-            )
-        if data_mb is not None:
-            data = np.asarray(data_mb, dtype=float)
-            if data.shape != caps.shape:
-                raise ProtocolError("data_mb shape must match capacities")
-        for node_id in range(caps.size):
-            rec = self._record(node_id)
-            self._records[node_id] = replace(
-                rec,
-                capacity_pct=float(caps[node_id]),
-                data_mb=float(data[node_id]) if data_mb is not None else rec.data_mb,
-            )
-
     # -- reads -----------------------------------------------------------------------
     def _record(self, node_id: int) -> NodeRecord:
         try:

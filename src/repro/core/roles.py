@@ -36,19 +36,6 @@ class NodeRole(enum.Enum):
     NONE_OFFLOADING = "none-offloading"
 
 
-def classify_node(
-    capacity_pct: float, policy: ThresholdPolicy, participating: bool = True
-) -> NodeRole:
-    """Role of a single node under ``policy``."""
-    if not participating:
-        return NodeRole.NONE_OFFLOADING
-    if policy.is_busy(capacity_pct):
-        return NodeRole.BUSY
-    if policy.is_candidate(capacity_pct):
-        return NodeRole.OFFLOAD_CANDIDATE
-    return NodeRole.NEUTRAL
-
-
 @dataclass(frozen=True)
 class RoleAssignment:
     """Roles for a whole network state."""
@@ -101,8 +88,8 @@ def classify_network(
                 f"participation mask shape {part.shape} does not match "
                 f"capacities shape {caps.shape}"
             )
-    # Vectorized classify_node with the same precedence: opted-out
-    # first, then busy (>= C_max), then candidate (<= CO_max).
+    # Precedence: opted-out first, then busy (>= C_max), then
+    # candidate (<= CO_max).
     codes = np.where(
         ~part,
         3,

@@ -57,10 +57,6 @@ class ThresholdPolicy:
             )
 
     # -- classification -----------------------------------------------------------
-    def is_busy(self, capacity_pct: float) -> bool:
-        """Busy iff utilized capacity ≥ ``C_max``."""
-        return capacity_pct >= self.c_max
-
     def is_candidate(self, capacity_pct: float) -> bool:
         """Offload-candidate iff utilized capacity ≤ ``CO_max``."""
         return capacity_pct <= self.co_max
@@ -93,10 +89,6 @@ class ThresholdPolicy:
         if self.delta_b == 0.0:
             return float("inf")
         return self.delta_o / self.delta_b
-
-    def satisfies_k_io(self, k_io: float = RECOMMENDED_K_IO) -> bool:
-        """Whether this policy meets the paper's Δ_io ≥ K_io guidance."""
-        return self.delta_io >= k_io
 
     @classmethod
     def with_delta_io(

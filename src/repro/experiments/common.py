@@ -8,7 +8,6 @@ by side.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -104,13 +103,6 @@ class IterationSampler:
                 self.util_low, self.util_high, seed=seeds[2 * it + 1]
             ).apply(self.topology)
             yield it, cap_model.sample(self.topology.num_nodes)
-
-
-def timed(fn: Callable[[], object]) -> Tuple[object, float]:
-    """Run ``fn`` returning (result, elapsed_seconds)."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
 
 
 def run_sharded_sweep(

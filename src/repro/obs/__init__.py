@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics registry, tracer, profiling.
+"""Unified observability layer: metrics registry, tracer, JSON bundle.
 
 ``repro.obs`` is the one place every layer of this codebase reports
 into. It is stdlib-only (importable from anywhere without cycles) and
@@ -16,13 +16,12 @@ Three cooperating pieces:
   is declared in :mod:`repro.obs.catalog` and documented (and
   CI-checked) in ``docs/observability.md``.
 * **Tracer** (:mod:`repro.obs.tracer`) — span-based timeline recorder
-  with Chrome-trace and JSON-lines exporters; one placement round
-  (Trmin pricing → LP solve → message exchange → convergence) renders
-  as a single nested timeline.
-* **Profiling hooks** (:mod:`repro.obs.profiling`) — opt-in
-  ``perf_counter_ns`` block sampling, per-span ``tracemalloc``
-  allocation deltas, and :func:`observability_artifact`, the bundle
-  embedded in ``--json`` artifacts.
+  with a Chrome-trace exporter; one placement round (Trmin pricing →
+  LP solve → message exchange → convergence) renders as a single
+  nested timeline.
+* **JSON bundle** (:mod:`repro.obs.profiling`) —
+  :func:`observability_artifact`, the metrics snapshot, span summary
+  and process profile embedded in ``--json`` artifacts.
 
 Examples
 --------
@@ -59,13 +58,7 @@ from repro.obs.catalog import (
     normalize_counter_keys,
     register_catalog,
 )
-from repro.obs.profiling import (
-    disable_profiling,
-    enable_profiling,
-    observability_artifact,
-    profile_snapshot,
-    time_block,
-)
+from repro.obs.profiling import observability_artifact, profile_snapshot
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -96,10 +89,7 @@ __all__ = [
     "get_tracer",
     "trace_span",
     "trace_event",
-    # profiling
-    "enable_profiling",
-    "disable_profiling",
-    "time_block",
+    # JSON bundle
     "profile_snapshot",
     "observability_artifact",
     # catalog

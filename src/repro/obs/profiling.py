@@ -1,81 +1,26 @@
-"""Cheap, opt-in profiling hooks riding on the tracer and registry.
+"""The JSON bundle the ``--json`` artifacts embed.
 
-Everything here is stdlib-only and off by default:
-
-* :func:`enable_profiling` turns on ``tracemalloc`` and per-span
-  allocation deltas (see :class:`~repro.obs.tracer.SpanRecord`);
-* :func:`time_block` samples a code block with ``perf_counter_ns`` into
-  a named histogram — the granular timing hook bench scripts use;
 * :func:`profile_snapshot` captures point-in-time process numbers
-  (tracemalloc current/peak, ``ru_maxrss``);
+  (peak RSS and the span clock);
 * :func:`observability_artifact` bundles the metrics snapshot, the
   tracer summary and the profile snapshot into one JSON-safe dict —
-  the ``"observability"`` section the bench scripts and the
-  ``resilience`` experiment embed in their ``--json`` artifacts.
-
-Examples
---------
->>> from repro.obs import time_block, get_registry
->>> with time_block("docs.timed_block"):
-...     _ = sum(range(100))
->>> get_registry().get("docs.timed_block").count >= 1
-True
+  the ``"observability"`` section the ``resilience``, ``soak`` and
+  ``distributed`` experiments embed in their ``--json`` artifacts.
 """
 
 from __future__ import annotations
 
-import contextlib
+import sys
 import time
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.obs.registry import get_registry
 from repro.obs.tracer import get_tracer
 
 __all__ = [
-    "enable_profiling",
-    "disable_profiling",
-    "time_block",
     "profile_snapshot",
     "observability_artifact",
 ]
-
-
-def enable_profiling() -> None:
-    """Start ``tracemalloc`` and record per-span allocation deltas.
-
-    Idempotent. Costs real time (tracemalloc hooks every allocation) —
-    this is the explicitly-opt-in deep mode, never a default.
-    """
-    get_tracer().enable(profile_allocations=True)
-
-
-def disable_profiling() -> None:
-    """Stop allocation profiling (tracing itself stays enabled)."""
-    import tracemalloc
-
-    tracer = get_tracer()
-    tracer.profile_allocations = False
-    if tracemalloc.is_tracing():
-        tracemalloc.stop()
-
-
-@contextlib.contextmanager
-def time_block(metric_name: str, owner: str = "") -> Iterator[None]:
-    """Time a block with ``perf_counter_ns`` into histogram
-    ``metric_name`` (unit: seconds).
-
-    Unlike :func:`~repro.obs.tracer.trace_span` this always records —
-    it is the sampling hook for code that wants numbers even with the
-    tracer off (bench loops, experiment phases).
-    """
-    histogram = get_registry().histogram(
-        metric_name, unit="seconds", owner=owner or "repro.obs.profiling"
-    )
-    start = time.perf_counter_ns()
-    try:
-        yield
-    finally:
-        histogram.observe((time.perf_counter_ns() - start) / 1e9)
 
 
 def profile_snapshot() -> Dict[str, Optional[float]]:
@@ -84,29 +29,20 @@ def profile_snapshot() -> Dict[str, Optional[float]]:
     Returns
     -------
     dict
-        ``tracemalloc_current_kb`` / ``tracemalloc_peak_kb`` (``None``
-        while tracemalloc is off), ``ru_maxrss_kb`` (peak RSS; ``None``
-        on platforms without :mod:`resource`), and
-        ``perf_counter_ns`` (the monotonic clock the spans use).
+        ``ru_maxrss_kb`` (peak RSS; ``None`` on platforms without
+        :mod:`resource`) and ``perf_counter_ns`` (the monotonic clock
+        the spans use).
     """
-    import tracemalloc
-
-    current_kb = peak_kb = None
-    if tracemalloc.is_tracing():
-        current, peak = tracemalloc.get_traced_memory()
-        current_kb, peak_kb = current / 1024.0, peak / 1024.0
     maxrss_kb: Optional[float] = None
     try:
         import resource
 
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports KiB, macOS bytes; normalize to KiB.
-        maxrss_kb = maxrss / 1024.0 if maxrss > 1 << 30 else float(maxrss)
-    except Exception:  # pragma: no cover - non-POSIX platforms
+        # macOS reports bytes, Linux and the BSDs KiB; normalize to KiB.
+        maxrss_kb = maxrss / 1024.0 if sys.platform == "darwin" else float(maxrss)
+    except ImportError:  # pragma: no cover - non-POSIX platforms
         pass
     return {
-        "tracemalloc_current_kb": current_kb,
-        "tracemalloc_peak_kb": peak_kb,
         "ru_maxrss_kb": maxrss_kb,
         "perf_counter_ns": float(time.perf_counter_ns()),
     }
@@ -128,8 +64,9 @@ def observability_artifact() -> Dict[str, object]:
 
     Sections: ``metrics`` (registry snapshot), ``spans`` (tracer
     per-name summary — empty with tracing off) and ``profile``
-    (:func:`profile_snapshot`). Experiments and bench scripts embed
-    this under the ``"observability"`` key of their JSON artifacts.
+    (:func:`profile_snapshot`). The resilience, soak and distributed
+    experiments embed this under the ``"observability"`` key of their
+    JSON artifacts.
     """
     return {
         "metrics": _json_safe(get_registry().snapshot()),

@@ -64,15 +64,6 @@ class _Instrument:
         self.description = description
         self._lock = lock
 
-    def describe(self) -> Dict[str, str]:
-        """Static metadata for the metric catalog."""
-        return {
-            "kind": self.kind,
-            "unit": self.unit,
-            "owner": self.owner,
-            "description": self.description,
-        }
-
 
 class Counter(_Instrument):
     """Monotonically non-decreasing count.
@@ -295,11 +286,6 @@ class MetricsRegistry:
         if metric is None:
             raise MetricError(f"unknown metric {name!r}")
         return metric.value
-
-    def describe(self) -> Dict[str, Dict[str, str]]:
-        """Catalog view: name -> {kind, unit, owner, description}."""
-        with self._lock:
-            return {name: m.describe() for name, m in sorted(self._metrics.items())}
 
     # -- snapshots & merging --------------------------------------------------
     def snapshot(self) -> Dict[str, object]:

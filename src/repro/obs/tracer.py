@@ -16,17 +16,9 @@ cost is nanoseconds per call — see ``BENCH_obs.json``). Enable it with
 the experiment CLI's ``--trace`` flag.
 
 Completed spans land in a bounded ring buffer (oldest evicted first)
-and can be exported two ways:
-
-* :meth:`Tracer.export_chrome_trace` — the Chrome/Perfetto
-  ``traceEvents`` JSON format (open in ``chrome://tracing`` or
-  https://ui.perfetto.dev);
-* :meth:`Tracer.export_jsonl` — one JSON object per line, for ad-hoc
-  analysis.
-
-With allocation profiling enabled (:func:`repro.obs.enable_profiling`)
-each span additionally records the net ``tracemalloc`` delta across its
-body.
+and :meth:`Tracer.export_chrome_trace` writes them in the
+Chrome/Perfetto ``traceEvents`` JSON format (open in
+``chrome://tracing`` or https://ui.perfetto.dev).
 
 Examples
 --------
@@ -47,7 +39,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -80,9 +72,9 @@ class SpanRecord:
     phase :
         ``"X"`` for a complete span, ``"i"`` for an instant event —
         mirrors the Chrome-trace phase field.
-    alloc_net_bytes :
-        Net ``tracemalloc`` delta over the span body, or ``None`` when
-        allocation profiling was off.
+    pid :
+        Process that recorded the span when it was merged in from a
+        pool worker (:meth:`Tracer.merge`); 0 for this process.
     """
 
     name: str
@@ -92,7 +84,7 @@ class SpanRecord:
     thread_id: int
     tags: Tuple[Tuple[str, object], ...] = ()
     phase: str = "X"
-    alloc_net_bytes: Optional[int] = None
+    pid: int = 0
 
 
 class _NoopSpan:
@@ -116,7 +108,7 @@ _NOOP_SPAN = _NoopSpan()
 class _LiveSpan:
     """Context manager recording one span into the tracer."""
 
-    __slots__ = ("_tracer", "_name", "_tags", "_start_ns", "_depth", "_alloc0")
+    __slots__ = ("_tracer", "_name", "_tags", "_start_ns", "_depth")
 
     def __init__(self, tracer: "Tracer", name: str, tags: Dict[str, object]) -> None:
         self._tracer = tracer
@@ -124,7 +116,6 @@ class _LiveSpan:
         self._tags = tags
         self._start_ns = 0
         self._depth = 0
-        self._alloc0: Optional[int] = None
 
     def tag(self, **tags: object) -> None:
         """Attach tags discovered mid-span (e.g. the solve status)."""
@@ -134,11 +125,6 @@ class _LiveSpan:
         local = self._tracer._local
         self._depth = getattr(local, "depth", 0)
         local.depth = self._depth + 1
-        if self._tracer.profile_allocations:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                self._alloc0 = tracemalloc.get_traced_memory()[0]
         self._start_ns = time.perf_counter_ns()
         return self
 
@@ -146,12 +132,6 @@ class _LiveSpan:
         end_ns = time.perf_counter_ns()
         tracer = self._tracer
         tracer._local.depth = self._depth
-        alloc: Optional[int] = None
-        if self._alloc0 is not None:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                alloc = tracemalloc.get_traced_memory()[0] - self._alloc0
         tracer._record(
             SpanRecord(
                 name=self._name,
@@ -160,7 +140,6 @@ class _LiveSpan:
                 depth=self._depth,
                 thread_id=threading.get_ident(),
                 tags=tuple(self._tags.items()),
-                alloc_net_bytes=alloc,
             )
         )
         return False
@@ -191,7 +170,6 @@ class Tracer:
             env = os.environ.get("REPRO_TRACE", "")
             enabled = bool(env) and env != "0"
         self.enabled = bool(enabled)
-        self.profile_allocations = False
         self._records: Deque[SpanRecord] = deque(maxlen=max_records)
         self._local = threading.local()
 
@@ -222,19 +200,17 @@ class Tracer:
         self._records.append(record)
 
     # -- state ----------------------------------------------------------------
-    def enable(self, profile_allocations: bool = False) -> None:
-        """Start recording (optionally with per-span alloc deltas)."""
+    def enable(self) -> None:
+        """Start recording."""
         self.enabled = True
-        if profile_allocations:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            self.profile_allocations = True
 
     def disable(self) -> None:
         """Stop recording; the buffer is kept for export."""
         self.enabled = False
+
+    def merge(self, records: List[SpanRecord], pid: int) -> None:
+        """Append spans that process ``pid`` (a pool worker) recorded."""
+        self._records.extend(replace(r, pid=pid) for r in records)
 
     def clear(self) -> None:
         """Drop every buffered record."""
@@ -249,18 +225,16 @@ class Tracer:
 
     # -- analysis -------------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-name aggregate: count, total/mean/max seconds, allocs."""
+        """Per-name aggregate: count, total/mean/max seconds."""
         out: Dict[str, Dict[str, float]] = {}
         for record in self._records:
             entry = out.setdefault(
                 record.name,
-                {"count": 0, "total_s": 0.0, "max_s": 0.0, "alloc_net_bytes": 0},
+                {"count": 0, "total_s": 0.0, "max_s": 0.0},
             )
             entry["count"] += 1
             entry["total_s"] += record.duration_ns / 1e9
             entry["max_s"] = max(entry["max_s"], record.duration_ns / 1e9)
-            if record.alloc_net_bytes is not None:
-                entry["alloc_net_bytes"] += record.alloc_net_bytes
         for entry in out.values():
             entry["mean_s"] = entry["total_s"] / entry["count"] if entry["count"] else 0.0
         return out
@@ -275,22 +249,20 @@ class Tracer:
         """
         records = list(self._records)
         t0 = min((r.start_ns for r in records), default=0)
+        own_pid = os.getpid()
         events = []
         for r in records:
             event: Dict[str, object] = {
                 "name": r.name,
                 "ph": r.phase,
                 "ts": (r.start_ns - t0) / 1000.0,
-                "pid": os.getpid(),
+                "pid": r.pid or own_pid,
                 "tid": r.thread_id,
             }
             if r.phase == "X":
                 event["dur"] = r.duration_ns / 1000.0
-            args = dict(r.tags)
-            if r.alloc_net_bytes is not None:
-                args["alloc_net_bytes"] = r.alloc_net_bytes
-            if args:
-                event["args"] = args
+            if r.tags:
+                event["args"] = dict(r.tags)
             if r.phase == "i":
                 event["s"] = "t"  # thread-scoped instant marker
             events.append(event)
@@ -303,28 +275,6 @@ class Tracer:
             json.dump(document, handle)
             handle.write("\n")
         return len(document["traceEvents"])  # type: ignore[arg-type]
-
-    def export_jsonl(self, path: str) -> int:
-        """Write one JSON object per record; returns the record count."""
-        records = list(self._records)
-        with open(path, "w", encoding="utf-8") as handle:
-            for r in records:
-                handle.write(
-                    json.dumps(
-                        {
-                            "name": r.name,
-                            "start_ns": r.start_ns,
-                            "duration_ns": r.duration_ns,
-                            "depth": r.depth,
-                            "thread_id": r.thread_id,
-                            "phase": r.phase,
-                            "tags": dict(r.tags),
-                            "alloc_net_bytes": r.alloc_net_bytes,
-                        }
-                    )
-                    + "\n"
-                )
-        return len(records)
 
 
 _TRACER = Tracer()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import time
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -84,15 +85,18 @@ def make_executor(workers: int) -> Executor:
 
 
 def _call_with_metrics(args):
-    """Worker-side shim: run one task and capture the registry delta it
-    produced, so the parent can fold worker metrics back in."""
+    """Worker-side shim: run one task and capture the registry delta and
+    the span records it produced, so the parent can fold both back in."""
     fn, payload = args
-    from repro.obs import get_registry
+    from repro.obs import get_registry, get_tracer
 
     registry = get_registry()
+    tracer = get_tracer()
     baseline = registry.snapshot()
+    start_ns = time.perf_counter_ns()
     result = fn(payload)
-    return result, registry.collect_delta(baseline)
+    spans = [r for r in tracer.records() if r.start_ns >= start_ns] if tracer.enabled else []
+    return result, registry.collect_delta(baseline), spans
 
 
 def map_with_pool_retry(
@@ -112,12 +116,13 @@ def map_with_pool_retry(
     fallback, which is always correct, just slower.
 
     With ``collect_metrics=True`` each task also snapshots the worker's
-    :mod:`repro.obs` registry before/after and ships the delta home;
-    the parent merges deltas whose pid differs from its own. (The pid
-    guard matters: when :func:`make_executor` silently degrades to
-    threads, the "workers" share the parent registry and their
-    increments already landed — merging the delta again would double
-    count.)
+    :mod:`repro.obs` registry before/after and ships the delta home,
+    with the spans the task recorded while tracing is on; the parent
+    merges deltas and spans whose pid differs from its own, the spans
+    tagged with the worker's pid. (The pid guard matters: when
+    :func:`make_executor` silently degrades to threads, the "workers"
+    share the parent registry and tracer and their increments and spans
+    already landed — merging them again would double count.)
     """
     if collect_metrics:
         call: Callable = _call_with_metrics
@@ -130,14 +135,16 @@ def map_with_pool_retry(
                 results = list(pool.map(call, items))
             if not collect_metrics:
                 return results
-            from repro.obs import get_registry
+            from repro.obs import get_registry, get_tracer
 
             registry = get_registry()
+            tracer = get_tracer()
             own_pid = os.getpid()
             unpacked: List[T] = []
-            for result, delta in results:
+            for result, delta, spans in results:
                 if delta.get("pid") != own_pid:
                     registry.merge_delta(delta)
+                    tracer.merge(spans, pid=delta["pid"])
                 unpacked.append(result)
             return unpacked
         except BrokenExecutor:

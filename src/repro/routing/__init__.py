@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.routing.engine import EngineStats, TrminEngine
 from repro.routing.enumkernel import count_paths_kernel
-from repro.routing.response_time import PathEngine, ResponseTimeModel, TrminEntry
+from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.routing.routes import Path, RouteChoice
 from repro.routing.shortest import (
     HopConstrainedResult,
@@ -20,7 +20,6 @@ __all__ = [
     "ResponseTimeModel",
     "RouteChoice",
     "TrminEngine",
-    "TrminEntry",
     "count_paths_kernel",
     "hop_constrained_shortest",
     "shortest_path",

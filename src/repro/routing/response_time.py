@@ -138,19 +138,6 @@ class PathEngine(enum.Enum):
     DP = "dp"
 
 
-@dataclass(frozen=True)
-class TrminEntry:
-    """Best route between one (source, destination) pair."""
-
-    resistance: float  # sum of 1/Lu_e along the chosen path (s/Mb)
-    hops: int
-    path: Optional[Path]  # None when paths were not materialized
-
-    @property
-    def reachable(self) -> bool:
-        return np.isfinite(self.resistance)
-
-
 @dataclass
 class ResponseTimeModel:
     """Configuration bundle for Trmin computation.
@@ -213,27 +200,11 @@ class ResponseTimeModel:
             )
         return R, hops, paths
 
-    def trmin_matrix(
-        self,
-        topology: Topology,
-        sources: Sequence[int],
-        destinations: Sequence[int],
-        data_mb: Sequence[float],
-        with_paths: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, Mapping[Tuple[int, int], Path]]:
-        """Eq. 2 as a matrix: ``T[a, b] = D_a * R[a, b]`` seconds.
-
-        ``data_mb[a]`` is the monitoring data volume ``D_i`` of
-        ``sources[a]``.
-        """
-        data = validate_data_volumes(data_mb, len(sources))
-        R, hops, paths = self.resistance_matrix(topology, sources, destinations, with_paths)
-        return scale_by_data_volume(data, R), hops, paths
-
 
 def validate_data_volumes(data_mb: Sequence[float], num_sources: int) -> np.ndarray:
-    """Shared Eq.-2 input validation: one finite, non-negative ``D_i``
-    per source."""
+    """Eq.-2 input validation for :meth:`TrminEngine.trmin_matrix
+    <repro.routing.engine.TrminEngine.trmin_matrix>`: one finite,
+    non-negative ``D_i`` per source."""
     data = np.asarray(data_mb, dtype=float)
     if data.shape != (num_sources,):
         raise RoutingError(

@@ -91,12 +91,6 @@ class Path:
         lus = edge_bandwidths_mbps[list(self.edges)]
         return float(data_mb * np.sum(1.0 / lus))
 
-    def inverse_bandwidth_sum(self, edge_bandwidths_mbps: np.ndarray) -> float:
-        """``sum_e 1/Lu_e`` — the data-independent path "resistance"."""
-        if not self.edges:
-            return 0.0
-        return float(np.sum(1.0 / edge_bandwidths_mbps[list(self.edges)]))
-
     def __len__(self) -> int:
         return len(self.nodes)
 

@@ -90,19 +90,6 @@ class SimulationEngine:
         return event
 
     # -- execution ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process one event; returns ``False`` when the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now = time
-            self.events_processed += 1
-            event.handler(self)
-            return True
-        return False
-
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with ``time <= end_time``; advances the clock to
         ``end_time`` afterwards. Returns the number of events processed."""
@@ -133,15 +120,6 @@ class SimulationEngine:
             self._running = False
         if not heap or heap[0][0] > end_time:
             self._now = end_time
-        return processed
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``max_events``)."""
-        processed = 0
-        while self.step():
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
         return processed
 
     @property

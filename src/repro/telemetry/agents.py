@@ -151,10 +151,6 @@ class MonitorAgent:
             self.database.unsubscribe_bulk(table, self._on_bulk)
         self._attached = False
 
-    @property
-    def attached(self) -> bool:
-        return self._attached
-
     # -- data path ----------------------------------------------------------------
     def _on_bulk(self, table: str, count: int) -> None:
         self._pending_updates += count

@@ -100,10 +100,6 @@ class ExportStub:
     def _on_bulk(self, table: str, count: int) -> None:
         self._pending += count
 
-    def detach(self) -> None:
-        for table in self.spec.tables:
-            self.database.unsubscribe_bulk(table, self._on_bulk)
-
     def drain(self, source: str, now: float) -> Tuple[float, TelemetryShipment]:
         """Collect the window's updates: returns (cpu_seconds, shipment)."""
         updates = self._pending
@@ -193,16 +189,6 @@ class NetworkDevice:
         self._stubs[name] = ExportStub(agent.spec, self.database)
         return agent.spec
 
-    def reclaim_agent(self, name: str) -> None:
-        """Undo an offload: remove the stub and re-install the agent
-        locally (the Busy node "reclaims its local resources")."""
-        try:
-            stub = self._stubs.pop(name)
-        except KeyError:
-            raise TelemetryError(f"agent {name!r} is not offloaded from {self.profile.name!r}") from None
-        stub.detach()
-        self.install_agent(stub.spec)
-
     def host_remote_agent(self, spec: MonitorAgentSpec, source_device: str) -> RemoteAgentRuntime:
         """Become the offload destination for ``source_device``'s agent."""
         key = (source_device, spec.name)
@@ -213,15 +199,6 @@ class NetworkDevice:
         runtime = RemoteAgentRuntime(spec, source_device, self.tsdb)
         self._remote[key] = runtime
         return runtime
-
-    def evict_remote_agent(self, spec_name: str, source_device: str) -> None:
-        """Stop hosting a remote agent (e.g. REP replica replacement)."""
-        try:
-            del self._remote[(source_device, spec_name)]
-        except KeyError:
-            raise TelemetryError(
-                f"not hosting {spec_name!r} for {source_device!r} on {self.profile.name!r}"
-            ) from None
 
     # -- introspection ---------------------------------------------------------------
     @property

@@ -7,7 +7,6 @@ from repro.testbed.aruba8325 import (
     ARUBA_8325_BASE_MEMORY_MB,
     aruba_8325_profile,
     build_dut,
-    dpu_profile,
     offload_server_profile,
 )
 from repro.testbed.qos_run import (
@@ -41,7 +40,6 @@ __all__ = [
     "aruba_8325_profile",
     "build_dut",
     "compare_local_vs_offloaded",
-    "dpu_profile",
     "offload_server_profile",
     "run_monitoring",
 ]

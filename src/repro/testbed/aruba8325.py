@@ -42,17 +42,6 @@ def offload_server_profile(name: str = "offload-server") -> DeviceProfile:
     )
 
 
-def dpu_profile(name: str = "dpu") -> DeviceProfile:
-    """A SmartNIC DPU profile — fewer cores, dedicated to services."""
-    return DeviceProfile(
-        name=name,
-        cores=16,
-        memory_gb=32.0,
-        base_cpu_pct=8.0,
-        base_memory_mb=2048.0,
-    )
-
-
 def build_dut(name: str = "aruba-8325") -> NetworkDevice:
     """An 8325 with the paper's full agent set installed locally."""
     device = NetworkDevice(aruba_8325_profile(name))

@@ -8,7 +8,6 @@ from repro.topology.fattree import (
     FatTreeLayout,
     build_fat_tree,
     build_fat_tree_with_layout,
-    fat_tree_arrays,
     fat_tree_cache_clear,
     fat_tree_cache_info,
     fat_tree_edge_count,
@@ -38,7 +37,6 @@ __all__ = [
     "Topology",
     "build_fat_tree",
     "build_fat_tree_with_layout",
-    "fat_tree_arrays",
     "fat_tree_cache_clear",
     "fat_tree_cache_info",
     "fat_tree_edge_count",

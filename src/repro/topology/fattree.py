@@ -109,22 +109,6 @@ def build_fat_tree_with_layout(
     )
 
 
-def fat_tree_arrays(
-    k: int,
-    capacity_mbps: float = 10_000.0,
-    latency_ms: float = 0.05,
-    with_servers: bool = False,
-    name: str = "",
-) -> TopologyArrays:
-    """The cached array blueprint of a fat-tree, without materializing
-    a :class:`Topology` — the snapshot every :func:`build_fat_tree`
-    call materializes from."""
-    arrays, _ = _fat_tree_blueprint(
-        k, float(capacity_mbps), float(latency_ms), bool(with_servers), str(name)
-    )
-    return arrays
-
-
 def fat_tree_cache_info():
     """``functools.lru_cache`` statistics of the blueprint memo."""
     return _fat_tree_blueprint.cache_info()

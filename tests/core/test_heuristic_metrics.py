@@ -13,14 +13,12 @@ from repro.core import (
     categorize_iteration,
     classify_network,
     fit_power_law,
-    hfr_pct,
-    infeasible_rate_pct,
     mean_hops,
     solve_heuristic,
     summarize_categories,
 )
+from repro.core.heuristic import HeuristicReport
 from repro.errors import PlacementError
-from repro.lp import SolveStatus
 from repro.topology import (
     CapacityModel,
     Link,
@@ -168,7 +166,6 @@ class TestHfrEdgeCases:
 
     def test_no_busy_nodes_reports_zero(self):
         # Nothing required -> HFR is 0 by definition, not 0/0.
-        assert hfr_pct([], []) == 0.0
         topo = build_star(2)
         for link in topo.links:
             link.utilization = 0.5
@@ -187,7 +184,6 @@ class TestHfrEdgeCases:
 
     def test_zero_total_capacity_reports_exactly_100(self):
         # Every percent of required load fails -> HFR is exactly 100.
-        assert hfr_pct([4.0, 4.0], [4.0, 4.0]) == 100.0
         report = solve_heuristic(star_problem(neighbor_cd=(0.0, 0.0)))
         assert report.hfr_pct == 100.0
         assert report.total_offloaded == 0.0
@@ -195,7 +191,6 @@ class TestHfrEdgeCases:
     def test_hfr_is_nan_free_on_zero_denominators(self):
         # All-zero required (busy nodes present but nothing to move)
         # must short-circuit before the division.
-        assert hfr_pct([0.0, 0.0], [0.0, 0.0]) == 0.0
         report = solve_heuristic(star_problem(cs=0.0))
         for value in (
             report.hfr_pct,
@@ -209,14 +204,13 @@ class TestHfrEdgeCases:
 
 class TestMetrics:
     def test_hfr_pct(self):
-        assert hfr_pct([2.0, 0.0], [4.0, 4.0]) == pytest.approx(25.0)
-        assert hfr_pct([], []) == 0.0
-        assert hfr_pct([0.0], [0.0]) == 0.0
+        def report(offloaded, failed):
+            return HeuristicReport((), offloaded, failed, total_seconds=0.0, hop_radius=1)
 
-    def test_infeasible_rate(self):
-        statuses = [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
-        assert infeasible_rate_pct(statuses) == pytest.approx(100.0 / 3.0)
-        assert infeasible_rate_pct([]) == 0.0
+        # Eq. 4: 2 of the 8 required percent failed.
+        assert report({1: 2.0, 2: 4.0}, {1: 2.0, 2: 0.0}).hfr_pct == pytest.approx(25.0)
+        assert report({}, {}).hfr_pct == 0.0
+        assert report({1: 0.0}, {1: 0.0}).hfr_pct == 0.0
 
     def test_categorize_full(self):
         heuristic = solve_heuristic(star_problem())

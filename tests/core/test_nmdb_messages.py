@@ -1,6 +1,5 @@
 """Tests for the NMDB and the protocol message types."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -96,21 +95,17 @@ class TestNMDBIngestion:
             nmdb.apply_stat(Stat(node_id=99, capacity_pct=1.0, data_mb=1.0,
                                  num_agents=1, timestamp=0.0))
 
-    def test_bulk_set_capacities(self, nmdb):
-        nmdb.bulk_set_capacities(np.array([90.0, 30.0, 60.0, 20.0]),
-                                 np.array([1.0, 2.0, 3.0, 4.0]))
-        assert nmdb.record(0).capacity_pct == 90.0
-        assert nmdb.record(3).data_mb == 4.0
 
-    def test_bulk_shape_validated(self, nmdb):
-        with pytest.raises(ProtocolError):
-            nmdb.bulk_set_capacities(np.array([1.0]))
+def report(nmdb, capacities, timestamp=0.0):
+    """One STAT per node with these capacities."""
+    for node, capacity in enumerate(capacities):
+        nmdb.apply_stat(Stat(node_id=node, capacity_pct=capacity, data_mb=10.0,
+                             num_agents=1, timestamp=timestamp))
 
 
 class TestSnapshot:
     def test_snapshot_roles_and_arrays(self, nmdb):
-        nmdb.bulk_set_capacities(np.array([90.0, 30.0, 60.0, 95.0]),
-                                 np.full(4, 10.0))
+        report(nmdb, [90.0, 30.0, 60.0, 95.0])
         snapshot = nmdb.snapshot(now=7.0)
         assert snapshot.busy == [0, 3]
         assert snapshot.candidates == [1]
@@ -120,13 +115,14 @@ class TestSnapshot:
         nmdb.register_capability(
             OffloadCapable(node_id=0, capable=False, c_max=80.0, co_max=50.0)
         )
-        nmdb.bulk_set_capacities(np.array([90.0, 30.0, 60.0, 95.0]))
+        report(nmdb, [90.0, 30.0, 60.0, 95.0])
         snapshot = nmdb.snapshot()
         assert snapshot.busy == [3]
         assert 0 in snapshot.roles.opted_out
 
     def test_snapshot_is_consistent_copy(self, nmdb):
-        nmdb.bulk_set_capacities(np.array([90.0, 30.0, 60.0, 95.0]))
+        report(nmdb, [90.0, 30.0, 60.0, 95.0])
         snapshot = nmdb.snapshot()
-        nmdb.set_capacity(0, 10.0)
+        report(nmdb, [10.0], timestamp=1.0)
+        assert nmdb.record(0).capacity_pct == 10.0
         assert snapshot.capacities[0] == 90.0  # snapshot unaffected

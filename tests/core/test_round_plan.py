@@ -38,7 +38,10 @@ def make_view(
         nmdb.register_capability(
             OffloadCapable(node_id=node, capable=capable, c_max=80.0, co_max=50.0)
         )
-    nmdb.bulk_set_capacities(np.array(loads, dtype=float), np.arange(1.0, len(loads) + 1))
+    for node, load in enumerate(loads):
+        nmdb.apply_stat(
+            Stat(node_id=node, capacity_pct=load, data_mb=node + 1.0, num_agents=0, timestamp=NOW)
+        )
     view = dict(
         topology=topology,
         snapshot=nmdb.snapshot(NOW),

@@ -10,7 +10,6 @@ from repro.core import (
     RECOMMENDED_K_IO,
     ThresholdPolicy,
     classify_network,
-    classify_node,
 )
 from repro.errors import CapacityError
 
@@ -23,10 +22,11 @@ class TestThresholdPolicy:
 
     def test_busy_and_candidate_classification(self):
         policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-        assert policy.is_busy(80.0)  # boundary: >= C_max
-        assert policy.is_busy(95.0)
-        assert not policy.is_busy(79.9)
-        assert policy.is_candidate(50.0)  # boundary: <= CO_max
+        # Boundaries: busy is >= C_max, candidate is <= CO_max.
+        roles = classify_network([80.0, 95.0, 79.9, 50.0, 50.1], policy)
+        assert roles.busy == [0, 1]
+        assert roles.candidates == [3]
+        assert policy.is_candidate(50.0)
         assert not policy.is_candidate(50.1)
 
     def test_excess_load_eq_3c(self):
@@ -44,7 +44,7 @@ class TestThresholdPolicy:
         assert policy.delta_o == pytest.approx(40.0)
         assert policy.delta_b == pytest.approx(20.0)
         assert policy.delta_io == pytest.approx(2.0)
-        assert policy.satisfies_k_io(RECOMMENDED_K_IO)
+        assert policy.delta_io >= RECOMMENDED_K_IO
 
     def test_delta_io_infinite_when_cmax_100(self):
         policy = ThresholdPolicy(c_max=100.0, co_max=50.0, x_min=10.0)
@@ -87,19 +87,20 @@ class TestThresholdPolicy:
             return
         policy = ThresholdPolicy(c_max=hi, co_max=lo, x_min=min(x_min, lo))
         for cap in np.linspace(policy.x_min, 100.0, 23):
-            assert not (policy.is_busy(cap) and policy.is_candidate(cap))
+            assert not (cap >= policy.c_max and policy.is_candidate(cap))
 
 
 class TestRoles:
     policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 
     def test_classify_node(self):
-        assert classify_node(90.0, self.policy) is NodeRole.BUSY
-        assert classify_node(40.0, self.policy) is NodeRole.OFFLOAD_CANDIDATE
-        assert classify_node(65.0, self.policy) is NodeRole.NEUTRAL
-        assert classify_node(90.0, self.policy, participating=False) is (
-            NodeRole.NONE_OFFLOADING
-        )
+        def role(capacity, participating=True):
+            return classify_network([capacity], self.policy, [participating]).roles[0]
+
+        assert role(90.0) is NodeRole.BUSY
+        assert role(40.0) is NodeRole.OFFLOAD_CANDIDATE
+        assert role(65.0) is NodeRole.NEUTRAL
+        assert role(90.0, participating=False) is NodeRole.NONE_OFFLOADING
 
     def test_classify_network_sets(self):
         caps = [90.0, 40.0, 65.0, 85.0, 20.0]

@@ -104,7 +104,7 @@ class TestMatrices:
         topo = two_path_topology()
         model = ResponseTimeModel(engine=PathEngine.DP)
         R, _, _ = model.resistance_matrix(topo, [0], [2])
-        T, _, _ = model.trmin_matrix(topo, [0], [2], [25.0])
+        T, _, _ = TrminEngine(model).trmin_matrix(topo, [0], [2], [25.0])
         assert T[0, 0] == pytest.approx(25.0 * R[0, 0])
 
     def test_same_node_pair_zero(self):
@@ -134,22 +134,21 @@ class TestMatrices:
 
     def test_data_shape_validated(self):
         topo = two_path_topology()
-        model = ResponseTimeModel(engine=PathEngine.DP)
+        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP))
         with pytest.raises(RoutingError, match="one data volume per source"):
-            model.trmin_matrix(topo, [0], [2], [1.0, 2.0])
+            engine.trmin_matrix(topo, [0], [2], [1.0, 2.0])
         with pytest.raises(RoutingError, match="non-negative"):
-            model.trmin_matrix(topo, [0], [2], [-1.0])
+            engine.trmin_matrix(topo, [0], [2], [-1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_volume_rejected(self, bad):
         """NaN compares False against 0, so a sign check alone let it
         through to a NaN Trmin row; inf gave NaN on a zero-resistance
-        pair. Both Eq. 2 entry points refuse them."""
+        pair. The Eq. 2 entry point refuses them."""
         topo = build_fat_tree(4)
-        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        for trmin_matrix in (model.trmin_matrix, TrminEngine(model).trmin_matrix):
-            with pytest.raises(RoutingError, match="finite"):
-                trmin_matrix(topo, [1, 2], [1, 5], [bad, 1.0])
+        engine = TrminEngine(ResponseTimeModel(engine=PathEngine.DP, max_hops=4))
+        with pytest.raises(RoutingError, match="finite"):
+            engine.trmin_matrix(topo, [1, 2], [1, 5], [bad, 1.0])
 
     def test_convention_changes_weights(self):
         topo = two_path_topology()

@@ -341,13 +341,12 @@ class TestEngineMechanics:
         # 0 * inf is NaN; downstream, inf (not NaN) marks a forbidden lane.
         topo = build_fat_tree(4)
         neighbour = topo.neighbors(4)[0]
-        model = ResponseTimeModel(engine=path_engine, max_hops=1)
-        for pricer in (TrminEngine(model), model):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                T, hops, _ = pricer.trmin_matrix(topo, [4], [neighbour, 19], [0.0])
-            assert T.tolist() == [[0.0, np.inf]]
-            assert hops.tolist() == [[1, -1]]
+        engine = TrminEngine(ResponseTimeModel(engine=path_engine, max_hops=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T, hops, _ = engine.trmin_matrix(topo, [4], [neighbour, 19], [0.0])
+        assert T.tolist() == [[0.0, np.inf]]
+        assert hops.tolist() == [[1, -1]]
 
     def test_pickled_engine_still_prices(self):
         # Zone fan-out ships engines to pool workers.

@@ -15,7 +15,7 @@ class TestScheduling:
         engine.schedule_at(3.0, lambda e: fired.append("c"))
         engine.schedule_at(1.0, lambda e: fired.append("a"))
         engine.schedule_at(2.0, lambda e: fired.append("b"))
-        engine.run()
+        engine.run_until(100.0)
         assert fired == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self):
@@ -23,14 +23,14 @@ class TestScheduling:
         fired = []
         for tag in "abc":
             engine.schedule_at(5.0, lambda e, t=tag: fired.append(t))
-        engine.run()
+        engine.run_until(100.0)
         assert fired == ["a", "b", "c"]
 
     def test_schedule_after_is_relative(self):
         engine = SimulationEngine(start_time=10.0)
         times = []
         engine.schedule_after(2.5, lambda e: times.append(e.now))
-        engine.run()
+        engine.run_until(100.0)
         assert times == [12.5]
 
     def test_past_scheduling_rejected(self):
@@ -45,7 +45,7 @@ class TestScheduling:
         fired = []
         event = engine.schedule_at(1.0, lambda e: fired.append(1))
         event.cancel()
-        engine.run()
+        engine.run_until(100.0)
         assert fired == []
 
     def test_handlers_can_schedule_followups(self):
@@ -57,7 +57,7 @@ class TestScheduling:
             e.schedule_after(1.0, lambda e2: fired.append(e2.now))
 
         engine.schedule_at(1.0, first)
-        engine.run()
+        engine.run_until(100.0)
         assert fired == [1.0, 2.0]
 
 
@@ -94,7 +94,7 @@ class TestRunUntil:
         engine = SimulationEngine()
         for t in range(5):
             engine.schedule_at(float(t), lambda e: None)
-        engine.run()
+        engine.run_until(100.0)
         assert engine.events_processed == 5
 
 
@@ -244,8 +244,8 @@ _OFFSETS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
 
 def _drive_random_schedule(seed):
     """Random schedule with ties, cancellations and handlers that
-    schedule at ``now``, driven by a random mix of ``step`` / ``run`` /
-    ``run_until(max_events=)``. A model of the pending set checks every
+    schedule at ``now``, driven by a random mix of one-event, bounded
+    and horizon ``run_until`` calls. A model of the pending set checks every
     firing against the minimum ``(time, insertion)`` of what is left."""
     rng = random.Random(seed)
     engine = SimulationEngine()
@@ -283,7 +283,8 @@ def _drive_random_schedule(seed):
     while pending:
         roll = rng.random()
         if roll < 0.3:
-            assert engine.step()
+            due = min(time for time, _ in pending.values())
+            assert engine.run_until(due, max_events=1) == 1
         elif roll < 0.8:
             end = engine.now + rng.choice(_OFFSETS)
             limit = rng.choice((None, 1, 2, 5))
@@ -294,11 +295,11 @@ def _drive_random_schedule(seed):
             else:
                 assert processed <= limit
         else:
-            engine.run(max_events=rng.choice((None, 1, 3)))
+            engine.run_until(engine.now + 20.0, max_events=rng.choice((None, 1, 3)))
         if rng.random() < 0.2:
             cancel_one()
         assert engine.pending_events == len(pending)
-    assert not engine.step()
+    assert engine.run_until(engine.now + 20.0) == 0
     live = [ident for time, ident in sorted(scheduled) if ident not in cancelled]
     assert fired == live
 

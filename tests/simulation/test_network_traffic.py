@@ -31,7 +31,7 @@ class TestMessageNetwork:
         net.register(2, lambda m: received.append(m))
         net.register(0, lambda m: None)
         net.send(0, 2, payload="hello")
-        engine.run()
+        engine.run_until(10.0)
         assert len(received) == 1
         msg = received[0]
         assert msg.payload == "hello"
@@ -63,7 +63,7 @@ class TestMessageNetwork:
         net.register(2, lambda m: received.append(m))
         net.send(0, 2, payload="x")
         net.unregister(2)
-        engine.run()
+        engine.run_until(10.0)
         assert received == []
         assert net.messages_sent == 1
         assert net.messages_delivered == 0
@@ -113,7 +113,7 @@ class TestMessageNetwork:
         for node in range(3):
             net.register(node, lambda m, n=node: hits.append(n))
         count = net.broadcast(1, payload="b")
-        engine.run()
+        engine.run_until(10.0)
         assert count == 2
         assert sorted(hits) == [0, 2]
 
@@ -154,7 +154,7 @@ class TestSendBoundaries:
         engine, net = self.split_fabric(kind)
         net.send(0, 1, payload="x")
         net.send(0, 2, payload="x")  # disconnected too, but dropped first
-        engine.run()
+        engine.run_until(10.0)
         assert net.messages_dropped == 2
         assert net.messages_sent == 0 and net.messages_delivered == 0
 
@@ -167,7 +167,7 @@ class TestSendBoundaries:
         for _ in range(2):
             with pytest.raises(SimulationError, match="disconnected"):
                 net.send(0, 2, payload="x")
-        engine.run()
+        engine.run_until(10.0)
         assert [m.destination for m in received] == [1]
         assert 0.001 <= received[0].latency <= 0.002  # one hop, plus any jitter
 

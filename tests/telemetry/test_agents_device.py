@@ -123,22 +123,12 @@ class TestDeviceLifecycle:
         with pytest.raises(TelemetryError, match="not running locally"):
             dev.offload_agent("ghost")
 
-    def test_reclaim_restores_local(self):
-        dev = NetworkDevice(small_profile())
-        dev.install_agent(small_spec())
-        dev.offload_agent("agent")
-        dev.reclaim_agent("agent")
-        assert dev.local_agents == ("agent",)
-        assert dev.offloaded_agents == ()
-
-    def test_host_and_evict_remote(self):
+    def test_host_remote_once_per_source(self):
         dev = NetworkDevice(small_profile())
         dev.host_remote_agent(small_spec(), "src")
         assert dev.remote_agents == (("src", "agent"),)
         with pytest.raises(TelemetryError, match="already hosting"):
             dev.host_remote_agent(small_spec(), "src")
-        dev.evict_remote_agent("agent", "src")
-        assert dev.remote_agents == ()
 
 
 class TestShipmentFlow:

@@ -89,3 +89,32 @@ class TestBrokenPool:
 
         payloads = [{"x": i, "parent": os.getpid()} for i in range(3)]
         assert run_sharded_sweep(_die_in_worker, payloads, workers=2) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("pool", ["process", "thread"])
+def test_traced_sweep_on_two_workers_records_the_serial_spans(monkeypatch, pool):
+    """Spans recorded on pool workers come home with their results; on
+    the thread fallback they landed in the shared tracer already and
+    are not merged twice."""
+    from collections import Counter
+
+    from repro.experiments import fig11_scalability
+    from repro.obs import get_tracer
+
+    if pool == "thread":
+        monkeypatch.setattr(parallel, "make_executor", lambda w: ThreadPoolExecutor(max_workers=w))
+    scales = ((4, 2, True, None), (8, 1, False, None))
+    tracer = get_tracer()
+    tracer.enable()
+    try:
+        spans = []
+        for workers in (1, 2):
+            tracer.clear()
+            fig11_scalability.run(scales=scales, workers=workers)
+            spans.append(Counter(r.name for r in tracer.records()))
+    finally:
+        tracer.disable()
+        tracer.clear()
+    serial, sharded = spans
+    assert serial["placement.solve"] > 0
+    assert sharded == serial

@@ -10,7 +10,6 @@ from repro.topology import (
     Topology,
     build_fat_tree,
     build_fat_tree_with_layout,
-    fat_tree_arrays,
     fat_tree_cache_clear,
     fat_tree_cache_info,
 )
@@ -152,12 +151,3 @@ class TestFatTreeBlueprintLRU:
         _, layout_b = build_fat_tree_with_layout(4)
         layout_a.core.append(-1)
         assert -1 not in layout_b.core
-
-    def test_fat_tree_arrays_matches_built_topology(self):
-        arrays = fat_tree_arrays(8)
-        topo = build_fat_tree(8)
-        assert arrays.num_nodes == topo.num_nodes
-        assert len(arrays.us) == topo.num_edges
-        rebuilt = Topology.from_arrays(arrays)
-        for v in range(topo.num_nodes):
-            assert rebuilt.incident(v) == topo.incident(v)
