@@ -41,7 +41,7 @@ behaviour is byte-identical to the pre-hardening client.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.messages import (
     Ack,

@@ -36,7 +36,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.messages import ControlMessage, ManagerHeartbeat
 from repro.core.nmdb import NodeRecord

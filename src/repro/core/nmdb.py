@@ -10,13 +10,13 @@ variables)". The optimization engine reads a consistent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.messages import OffloadCapable, Stat
-from repro.core.roles import NodeRole, RoleAssignment, classify_network
+from repro.core.roles import RoleAssignment, classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.errors import MalformedReportError, ProtocolError
 from repro.topology.graph import Topology

@@ -8,10 +8,8 @@ by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.simulation.random import spawn_seeds
 from repro.topology.capacity import CapacityModel

@@ -10,7 +10,6 @@ not sensitive to the choice.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 

@@ -11,9 +11,6 @@ series (downsampled) plus the summary statistics.
 from __future__ import annotations
 
 import time
-from typing import Optional
-
-import numpy as np
 
 from repro.experiments.common import ExperimentResult
 from repro.testbed.monitoring_run import run_monitoring

@@ -23,10 +23,10 @@ transportation simplex with candidate-list pricing split across zones,
 so the converged objective equals the centralized
 :func:`repro.lp.transportation.solve_transportation` optimum — not
 approximately, but as the same LP optimum reached by a different pivot
-order. Both solvers share one tree core: the coordinator prices with
-:meth:`_BasisTree.potentials` and pivots with :meth:`_BasisTree.pivot`,
-the same calls the centralized loop makes, and stops on the same
-reduced-cost test.
+order. Both solvers share one tree core and one pricing rule: zones bid
+the lanes that pass the centralized improving-lane test, and the
+coordinator enters the centralized solver's choice among the bids and
+its own lanes, then pivots with the same :meth:`_BasisTree.pivot`.
 
 Balanced coordinates: the real ``m × n`` problem gains a *dummy supply
 row* ``m`` (absorbing spare capacity at zero cost) and an *artificial
@@ -51,10 +51,14 @@ from repro.errors import SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.transportation import (
     _EPS,
-    _OPT_TOL,
+    _FLOW_TOL,
+    _MAX_PIVOTS,
     TransportationProblem,
     _BasisTree,
+    _best_entering,
+    _big_m,
     _check_instance,
+    _improving,
     _UnionFind,
     solve_transportation,
 )
@@ -68,15 +72,11 @@ __all__ = [
     "run_protocol",
 ]
 
-#: Flow on a forbidden lane / the artificial column above this means
-#: the real problem is infeasible (mirrors the centralized check).
-_FLOW_TOL = 1e-6
 #: Most-violated lanes a zone bids per round.
 _BLOCK_BIDS = 16
-#: Bounded-time guards: a solve still running after this many rounds
-#: or pivots ends ``ITERATION_LIMIT``.
+#: A solve still running after this many rounds (or the centralized
+#: solver's pivot cap) ends ``ITERATION_LIMIT``.
 _MAX_ROUNDS = 10_000
-_MAX_PIVOTS = 100_000
 
 
 # -- zone report -------------------------------------------------------------------
@@ -156,7 +156,8 @@ class DistributedSolveResult:
     u, v : numpy.ndarray or None
         The coordinator's final duals over the ``m`` real rows and
         ``n`` real columns when optimal (``None`` otherwise), anchored
-        on the dummy row: the same certificate as
+        on the dummy row (with nothing to ship, each row's ``u`` comes
+        from its zone): the same certificate as
         :class:`~repro.lp.transportation.TransportationResult`'s.
     """
 
@@ -288,30 +289,19 @@ class ZoneWorker:
     def price(
         self, u: np.ndarray, v: np.ndarray, big_m: float
     ) -> Tuple[Tuple[int, int, float, bool], ...]:
-        """Price this zone's rows against the coordinator's duals.
+        """Price this zone's rows against the coordinator's duals: ``u``
+        over its rows (``rows`` order), ``v`` over all ``n`` real columns,
+        and ``big_m``, the cost of a forbidden lane shared by every zone.
 
-        Parameters
-        ----------
-        u : numpy.ndarray
-            Supply potentials of this zone's rows, in ``rows`` order.
-        v : numpy.ndarray
-            Capacity potentials of all ``n`` real columns.
-        big_m : float
-            Global cost of a forbidden lane, shared by every zone so
-            reduced costs are comparable.
-
-        Returns
-        -------
-        tuple of (int, int, float, bool)
-            Up to 16 bids ``(row, col, cost, forbidden)`` whose reduced
-            cost ``c_ij - u_i - v_j`` is negative beyond tolerance, most
-            negative first; empty when the zone's rows are priced out.
+        Returns up to 16 bids ``(row, col, cost, forbidden)`` that pass
+        the centralized improving-lane test, most negative first; none
+        once the zone's rows are priced out.
         """
         start = time.perf_counter()
         forbidden = ~np.isfinite(self.cost_rows)
         cost = np.where(forbidden, big_m, self.cost_rows)
         reduced = cost - u[:, None] - v[None, :]
-        violating = reduced < -_OPT_TOL * (1.0 + np.abs(cost))
+        violating = _improving(reduced, cost)
         bids: List[Tuple[int, int, float, bool]] = []
         if violating.any():
             flat = np.flatnonzero(violating.ravel())
@@ -460,8 +450,8 @@ class DistributedCoordinator:
         total_s, total_d = float(self.supply.sum()), float(self.demand.sum())
 
         if m == 0 or total_s <= _EPS:
-            # Nothing to ship. Zero duals: free capacity is worth
-            # nothing, and u = 0 is feasible for non-negative costs.
+            # Nothing to ship: free capacity is worth nothing (v = 0), and
+            # run_protocol takes each row's u from the zone that owns it.
             self.converged, self.status = True, SolveStatus.OPTIMAL
             self._u, self._v = np.zeros(m + 1), np.zeros(n + 1)
             self.seconds += time.perf_counter() - start
@@ -472,9 +462,16 @@ class DistributedCoordinator:
             return
 
         base = max((p.max_finite_cost for p in profiles), default=1.0)
-        self.big_m = (abs(base) + 1.0) * max(m, n) * 1e6
-        self.art_cost = self.big_m
+        self.big_m = _big_m(base, m, n)
         self.mb, self.nb = m + 1, n + 1
+        # Own lanes (row, col, cost), priced after the bids: the dummy row,
+        # the artificial column, then the cost-0 (dummy, artificial) corner
+        # that lets the dummy absorb load stranded on the Big-M column.
+        self._own = np.array([
+            np.r_[np.full(n, m), np.arange(m), m],
+            np.r_[np.arange(n), np.full(m, n), n],
+            np.r_[np.zeros(n), np.full(m, self.big_m), 0.0],
+        ])
         self.supply_b = np.concatenate([self.supply, [total_d]])
         self.demand_b = np.concatenate([self.demand, [total_s]])
 
@@ -527,7 +524,7 @@ class DistributedCoordinator:
         if i == self.m:
             return 0.0
         if j == self.n:
-            return self.art_cost
+            return self.big_m
         return self._cost[(i, j)]
 
     # -- duals ---------------------------------------------------------------------
@@ -545,23 +542,18 @@ class DistributedCoordinator:
 
     # -- iteration -----------------------------------------------------------------
     def duals(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The current potentials the zones price against.
-
-        Returns
-        -------
-        (numpy.ndarray, numpy.ndarray)
-            ``u`` over every row (a zone reads its own rows) and ``v``
-            over the ``n`` real columns.
-        """
+        """The current potentials the zones price against: ``u`` over
+        every row (a zone reads its own rows), ``v`` over the ``n`` real
+        columns."""
         return self._u, self._v[: self.n]
 
     def step(self, bids: Sequence[Tuple[int, int, float, bool]]) -> bool:
         """Close one round: apply pivots, then test for termination.
 
-        Every bid cell is re-checked against the *current* duals before
-        entering (cells go stale as earlier pivots shift prices), and
-        the coordinator scans its own dummy-row / artificial-column
-        lanes the same way. Termination is decided here.
+        Before every pivot the bids and the coordinator's own lanes are
+        priced against the *current* duals (earlier pivots shift prices)
+        and the centralized rule picks the entering lane. Termination is
+        decided here.
 
         Parameters
         ----------
@@ -580,20 +572,27 @@ class DistributedCoordinator:
         start = time.perf_counter()
         self.rounds += 1
         self.bids_received += len(bids)
-        candidates: List[Tuple[int, int]] = []
         for i, j, cost, forbidden in bids:
             cell = (int(i), int(j))
             self._cost[cell] = float(cost)
             if forbidden:
                 self._forbidden.add(cell)
-            candidates.append(cell)
+        bid = np.array([b[:3] for b in bids], dtype=float).reshape(-1, 3)
+        lanes = np.concatenate([bid.T, self._own], axis=1)
+        lane_i, lane_j = lanes[:2].astype(np.int64)
+        lane_cost = lanes[2]
 
         applied = 0
         while self.pivots < _MAX_PIVOTS:
-            cell = self._best_entering(candidates)
-            if cell is None:
+            reduced = lane_cost - self._u[lane_i] - self._v[lane_j]
+            k = _best_entering(reduced, lane_cost)
+            # A basic lane prices 0 but for rounding: pin it and choose again.
+            while k >= 0 and (int(lane_i[k]), int(lane_j[k])) in self._tree.slot:
+                reduced[k] = 0.0
+                k = _best_entering(reduced, lane_cost)
+            if k < 0:
                 break
-            self._pivot(*cell)
+            self._pivot(int(lane_i[k]), int(lane_j[k]))
             applied += 1
 
         if not bids and applied == 0:
@@ -604,36 +603,6 @@ class DistributedCoordinator:
             self.status = SolveStatus.ITERATION_LIMIT
         self.seconds += time.perf_counter() - start
         return not self.converged
-
-    def _best_entering(self, candidates: List[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
-        u, v = self._u, self._v
-        best_cell, best_red = None, 0.0
-        for cell in candidates:
-            if cell in self._tree.slot:
-                continue
-            c = self._cost[cell]
-            red = c - u[cell[0]] - v[cell[1]]
-            if red < -_OPT_TOL * (1.0 + abs(c)) and red < best_red:
-                best_cell, best_red = cell, red
-        # Coordinator-owned lanes: dummy row (cost 0) and artificial column.
-        dummy_red = -u[self.m] - v[: self.n]
-        j = int(np.argmin(dummy_red))
-        if dummy_red[j] < -_OPT_TOL and dummy_red[j] < best_red:
-            if (self.m, j) not in self._tree.slot:
-                best_cell, best_red = (self.m, j), float(dummy_red[j])
-        art_red = self.art_cost - u[: self.m] - v[self.n]
-        i = int(np.argmin(art_red))
-        if art_red[i] < -_OPT_TOL * (1.0 + self.art_cost) and art_red[i] < best_red:
-            if (i, self.n) not in self._tree.slot:
-                best_cell, best_red = (i, self.n), float(art_red[i])
-        # (dummy, artificial): cost-0 escape hatch that lets the dummy
-        # absorb artificial flow — without it the solve can stall at a
-        # fake optimum with load stranded on the Big-M column.
-        corner_red = -u[self.m] - v[self.n]
-        if corner_red < -_OPT_TOL and corner_red < best_red:
-            if (self.m, self.n) not in self._tree.slot:
-                best_cell, best_red = (self.m, self.n), float(corner_red)
-        return best_cell
 
     def _pivot(self, ei: int, ej: int) -> None:
         self._flow[(ei, ej)] = 0.0
@@ -718,7 +687,11 @@ def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
     u = v = None
     if status is SolveStatus.OPTIMAL:
         u, v = coordinator.duals()
-        u = u[: coordinator.m]
+        u = u[: coordinator.m].copy()
+        if not coordinator.rounds:  # nothing shipped: u as the centralized solver's
+            for worker in workers:
+                cheapest = worker.cost_rows.min(axis=1, initial=np.inf)
+                u[list(worker.rows)] = np.minimum(cheapest, 0.0)
     zone_seconds = {w.zone_id: w.seconds for w in workers}
     registry = get_registry()
     registry.counter("dsolve.solves").inc()

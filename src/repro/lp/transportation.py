@@ -17,6 +17,10 @@ transportation graphs. Pairs with no admissible route (hop-bounded path
 absent) are modeled with a Big-M cost and rejected post-hoc if they
 carry flow.
 
+Both Eq.-3 solvers share the rules written here once: the improving-lane
+test, the entering choice, the Big-M cost, the pivot cap and the
+forbidden-flow tolerance.
+
 The basis is a spanning tree of the bipartite supply/demand graph,
 hung from row 0 and kept as flat lists (``parent``/``depth``/per-node
 basic cell plus an adjacency) that each pivot updates in place:
@@ -59,6 +63,37 @@ from repro.obs import get_registry, trace_span
 _EPS = 1e-9
 #: Relative optimality tolerance on reduced costs.
 _OPT_TOL = 1e-7
+#: Flow above this on a forbidden lane means the real problem is infeasible.
+_FLOW_TOL = 1e-6
+#: A solve still pivoting after this many pivots ends ``ITERATION_LIMIT``.
+_MAX_PIVOTS = 100_000
+
+
+def _big_m(max_finite_cost: float, m: int, n: int) -> float:
+    """Cost of a forbidden lane, far above any mix of real lanes."""
+    return (abs(max_finite_cost) + 1.0) * max(m, n) * 1e6
+
+
+def _improving(reduced, cost):
+    """The one improving-lane test: ``reduced < −_OPT_TOL·(1 + |cost|)``,
+    judged against the lane's own cost (scalars or arrays)."""
+    return reduced < -_OPT_TOL * (1.0 + np.abs(cost))
+
+
+def _best_entering(reduced: np.ndarray, cost: np.ndarray) -> int:
+    """The first most-negative lane among those that improve, or -1.
+
+    One entry per lane, basic lanes pinned to 0: the centralized loop's
+    balanced matrix in row-major order, or the coordinator's bids in
+    zone-id order, then its dummy row, artificial column and corner.
+    """
+    k = int(np.argmin(reduced))
+    if not _improving(reduced[k], cost[k]):  # e.g. a Big-M lane: filter, then pick
+        improving = _improving(reduced, cost)
+        if not improving.any():
+            return -1
+        k = int(np.argmin(np.where(improving, reduced, np.inf)))
+    return k
 
 
 def _check_instance(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> None:
@@ -497,36 +532,19 @@ class _BasisTree:
 # -- solver ------------------------------------------------------------------------
 
 
-def solve_transportation(
-    problem: TransportationProblem,
-    max_iter: int = 100_000,
-    big_m: Optional[float] = None,
-) -> TransportationResult:
+def solve_transportation(problem: TransportationProblem) -> TransportationResult:
     """Solve to optimality with a Vogel start + MODI pivots.
 
-    Parameters
-    ----------
-    problem : TransportationProblem
-        Instance with equality supplies and ``<=`` demand capacities.
-    max_iter : int, optional
-        Safety bound on MODI pivots.
-    big_m : float, optional
-        Cost used for forbidden (infinite-cost) lanes; auto-scaled from
-        the finite costs when omitted.
-
-    Returns
-    -------
-    TransportationResult
-        Optimal flow, objective, pivot count and solve time. Each solve
-        also reports into the ``lp.transportation.*`` metrics and (when
-        tracing is on) records an ``lp.transportation.solve`` span.
+    Returns the optimal flow, objective, pivot count and solve time.
+    Each solve also reports into the ``lp.transportation.*`` metrics and
+    (when tracing is on) records an ``lp.transportation.solve`` span.
     """
     with trace_span(
         "lp.transportation.solve",
         rows=problem.num_sources,
         cols=problem.num_destinations,
     ):
-        result = _solve_transportation_impl(problem, max_iter, big_m)
+        result = _solve_transportation_impl(problem)
     registry = get_registry()
     registry.counter("lp.transportation.solves").inc()
     if result.iterations:
@@ -535,11 +553,7 @@ def solve_transportation(
     return result
 
 
-def _solve_transportation_impl(
-    problem: TransportationProblem,
-    max_iter: int = 100_000,
-    big_m: Optional[float] = None,
-) -> TransportationResult:
+def _solve_transportation_impl(problem: TransportationProblem) -> TransportationResult:
     start = time.perf_counter()
     supply = problem.supply
     demand = problem.demand
@@ -571,11 +585,8 @@ def _solve_transportation_impl(
 
     cost = problem.cost.copy()
     forbidden = ~np.isfinite(cost)
-    if big_m is None:
-        finite = cost[~forbidden]
-        base = float(finite.max()) if finite.size else 1.0
-        big_m = (abs(base) + 1.0) * max(m, n) * 1e6
-    cost[forbidden] = big_m
+    finite = cost[~forbidden]
+    cost[forbidden] = _big_m(float(finite.max()) if finite.size else 1.0, m, n)
 
     # Balance with a dummy supply row absorbing spare destination capacity.
     slack = total_demand - total_supply
@@ -600,11 +611,10 @@ def _solve_transportation_impl(
         # Basic cells price to 0 by construction; pin them so numerical
         # noise cannot re-select one as entering.
         reduced[tree.bi, tree.bj] = 0.0
-        entering_flat = int(np.argmin(reduced))
-        ei, ej = divmod(entering_flat, n)
-        if reduced[ei, ej] >= -_OPT_TOL * (1.0 + abs(cost_b[ei, ej])):
+        entering = _best_entering(reduced.ravel(), cost_b.ravel())
+        if entering < 0:
             break  # optimal
-        if pivots >= max_iter:
+        if pivots >= _MAX_PIVOTS:
             return TransportationResult(
                 status=SolveStatus.ITERATION_LIMIT,
                 flow=np.zeros((m, n)),
@@ -613,14 +623,14 @@ def _solve_transportation_impl(
                 solve_time=time.perf_counter() - start,
             )
 
-        tree.pivot(ei, ej, flow_mat)
+        tree.pivot(*divmod(entering, n), flow_mat)
         pivots += 1
 
     solve_time = time.perf_counter() - start
     basis = TransportationBasis(shape=(m, n), dummy=slack > _EPS, cells=tree.cells())
 
     # Any flow on a forbidden lane means the real problem is infeasible.
-    if (flow_mat[forbidden_b] > 1e-6).any():
+    if (flow_mat[forbidden_b] > _FLOW_TOL).any():
         return TransportationResult(
             status=SolveStatus.INFEASIBLE,
             flow=np.zeros((m, n)),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 __all__ = [
     "Counter",

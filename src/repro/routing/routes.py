@@ -10,7 +10,7 @@ a vector of per-edge effective bandwidths (Eq. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

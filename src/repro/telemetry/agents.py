@@ -13,8 +13,8 @@ charges CPU per processed update, and emits points into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 from repro.errors import TelemetryError
 from repro.telemetry.database import StateDatabase

@@ -21,7 +21,7 @@ the same per-update cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import TelemetryError

@@ -17,7 +17,7 @@ offer alone, no matter how much monitoring data is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -7,7 +7,6 @@ at/below CO_max, and the distributed state audits clean.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

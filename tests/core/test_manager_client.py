@@ -1,6 +1,5 @@
 """Integration tests: DUST-Manager + DUST-Clients on the event engine."""
 
-import numpy as np
 import pytest
 
 from repro.core import DUSTClient, DUSTManager, RetryPolicy, ThresholdPolicy

@@ -1,6 +1,5 @@
 """Manager edge cases: fallback, double start, unexpected messages."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.errors import PlacementError, ProtocolError
 from repro.routing import PathEngine, ResponseTimeModel
-from repro.topology import Link, LinkUtilizationModel, Topology, build_fat_tree
+from repro.topology import LinkUtilizationModel, build_fat_tree
 
 
 class TestLedger:

@@ -1,6 +1,5 @@
 """Tests for the experiment harness (quick-sized regenerations)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError

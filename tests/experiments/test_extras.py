@@ -1,6 +1,5 @@
 """Tests for the beyond-the-paper extra experiments."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.registry import (

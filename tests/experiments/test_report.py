@@ -1,9 +1,5 @@
 """Tests for the markdown report writer and CLI --output."""
 
-from pathlib import Path
-
-import pytest
-
 from repro.experiments.common import ExperimentResult
 from repro.experiments.report import result_to_markdown, write_report
 

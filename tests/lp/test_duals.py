@@ -115,15 +115,17 @@ def test_certificate_holds_with_a_forbidden_lane_in_the_basis():
 
 
 def test_zero_supply_duals_are_feasible():
-    problem = TransportationProblem(
-        np.zeros(2), np.array([4.0, 1.0]), np.array([[1.0, -2.0], [np.inf, 3.0]])
-    )
-    for result in (
-        solve_transportation(problem),
-        solve_distributed(problem, [[0, 1]], [[0, 1]]),
+    for capacity, cost, zones in (
+        ([4.0, 1.0], [[1.0, -2.0], [np.inf, 3.0]], [[0, 1]]),
+        ([3.0, 4.0], [[-2.0, 1.0], [5.0, -1.0]], [[0], [1]]),
     ):
-        assert np.array_equal(result.v, np.zeros(2))
-    assert_certificate(problem, solve_transportation(problem), [])
+        problem = TransportationProblem(np.zeros(2), np.array(capacity), np.array(cost))
+        for result in (
+            solve_transportation(problem),
+            solve_distributed(problem, zones, zones),
+        ):
+            assert np.array_equal(result.v, np.zeros(2))
+            assert_certificate(problem, result, [])
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])

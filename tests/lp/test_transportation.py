@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.lp import SolveStatus, TransportationProblem, solve_transportation
+from repro.lp.transportation import _best_entering
+from tests.oracles.dsolve import solve_distributed
 from tests.oracles.highs import highs_status_objective
 
 
@@ -80,6 +82,43 @@ def test_exact_balance_no_dummy():
     assert result.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(result.flow.sum(axis=0), problem.demand, atol=1e-9)
     assert result.objective == pytest.approx(4.0 * 1 + 1.0 * 9 + 5.0 * 1)
+
+
+def test_a_big_m_lane_inside_its_tolerance_does_not_end_the_solve():
+    # Row 1 ships nothing and every lane of it is forbidden: one of its
+    # Big-M lanes becomes the first most-negative lane while a real lane
+    # still improves. Stopping there left 9.0; the optimum is 7.0.
+    inf = np.inf
+    problem = TransportationProblem(
+        supply=np.array([1.0, 0.0, 3.0]),
+        demand=np.array([4.0, 3.0, 2.0]),
+        cost=np.array([[inf, 1.0, 2.0], [inf, inf, inf], [2.0, inf, 3.0]]),
+    )
+    assert solve_transportation(problem).objective == 7.0
+    assert solve_distributed(problem, [[0, 1, 2]], [[0, 1, 2]]).objective == 7.0
+
+
+BIG_M = 1e6
+
+
+@pytest.mark.parametrize(
+    "reduced, cost, entering",
+    [
+        # The most negative lane is a Big-M lane inside its tolerance
+        # (floor ≈ -0.1); the later real lane improves and enters.
+        ([-0.05, 0.0, -0.01], [BIG_M, 2.0, 1.0], 2),
+        # Two lanes tie at the most negative value: the first enters.
+        ([0.0, -2.0, -1.0, -2.0], [1.0, 1.0, 1.0, 1.0], 1),
+        # Basic lanes (pinned to 0) and lanes inside tolerance: none enters.
+        ([0.0, -1e-8, 0.5, -0.05], [1.0, 1.0, 1.0, BIG_M], -1),
+        # The coordinator's order: a bid, a dummy-row lane, an
+        # artificial-column lane and the corner, all equal: the bid wins.
+        ([-5.0, -5.0, -5.0, -5.0], [2.0, 0.0, BIG_M, 0.0], 0),
+        ([0.0, -5.0, -5.0, -5.0], [2.0, 0.0, BIG_M, 0.0], 1),
+    ],
+)
+def test_entering_lane(reduced, cost, entering):
+    assert _best_entering(np.array(reduced), np.array(cost)) == entering
 
 
 def test_shape_mismatch_rejected():

@@ -1,6 +1,5 @@
 """Tests for monitor agents and the device resource model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TelemetryError

@@ -1,7 +1,6 @@
 """Every example script must run end-to-end (they are executable docs)."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

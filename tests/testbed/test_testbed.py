@@ -1,6 +1,5 @@
 """Tests for the hardware-testbed emulation (Figs. 1/5/6 substrate)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TelemetryError

@@ -1,6 +1,5 @@
 """Tests for the Topology graph type."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TopologyError
