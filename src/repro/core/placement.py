@@ -457,22 +457,25 @@ class PlacementEngine:
 
         assignments: List[PlacementAssignment] = []
         if status.is_optimal:
-            for a in range(m):
-                for b in range(n):
-                    amount = float(flow[a, b])
-                    if amount <= _FLOW_TOL:
-                        continue
-                    src, dst = problem.busy[a], problem.candidates[b]
-                    assignments.append(
-                        PlacementAssignment(
-                            busy=src,
-                            candidate=dst,
-                            amount_pct=amount,
-                            response_time_s=float(trmin[a, b]),
-                            hops=int(hops[a, b]),
-                            route=paths.get((src, dst)),
-                        )
+            rows, cols = np.nonzero(flow > _FLOW_TOL)  # row-major order
+            for a, b, amount, seconds, hop in zip(
+                rows.tolist(),
+                cols.tolist(),
+                flow[rows, cols].tolist(),
+                trmin[rows, cols].tolist(),
+                hops[rows, cols].tolist(),
+            ):
+                src, dst = problem.busy[a], problem.candidates[b]
+                assignments.append(
+                    PlacementAssignment(
+                        busy=src,
+                        candidate=dst,
+                        amount_pct=amount,
+                        response_time_s=seconds,
+                        hops=hop,
+                        route=paths.get((src, dst)),
                     )
+                )
 
         return PlacementReport(
             status=status,

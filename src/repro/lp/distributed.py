@@ -98,10 +98,10 @@ class ZoneProfile:
         ``s_i`` per entry of ``rows`` (same order).
     capacities : tuple of float
         ``d_j`` per entry of ``cols`` (same order).
-    max_finite_cost : float
-        Largest finite cost in the zone's rows; the coordinator derives
-        the global Big-M from the max over zones. ``0.0`` for a zone
-        with no finite lane.
+    max_abs_cost : float
+        Largest ``|c_ij|`` over the finite lanes of the zone's rows; the
+        coordinator derives the global Big-M from the max over zones.
+        ``0.0`` for a zone with no finite lane.
     basis_cells : tuple of (int, int, float)
         Spanning-tree cells ``(row, col, cost)`` of the zone's local
         presolve, in *global* coordinates (local dummy
@@ -115,7 +115,7 @@ class ZoneProfile:
     cols: Tuple[int, ...]
     supplies: Tuple[float, ...]
     capacities: Tuple[float, ...]
-    max_finite_cost: float
+    max_abs_cost: float
     basis_cells: Tuple[Tuple[int, int, float], ...] = ()
 
 
@@ -279,7 +279,7 @@ class ZoneWorker:
             cols=self.cols,
             supplies=tuple(float(s) for s in self.supplies),
             capacities=tuple(float(d) for d in self.capacities),
-            max_finite_cost=float(finite.max()) if finite.size else 0.0,
+            max_abs_cost=float(np.abs(finite).max()) if finite.size else 0.0,
             basis_cells=cells,
         )
         self.seconds += time.perf_counter() - start
@@ -461,7 +461,7 @@ class DistributedCoordinator:
             self.seconds += time.perf_counter() - start
             return
 
-        base = max((p.max_finite_cost for p in profiles), default=1.0)
+        base = max((p.max_abs_cost for p in profiles), default=1.0)
         self.big_m = _big_m(base, m, n)
         self.mb, self.nb = m + 1, n + 1
         # Own lanes (row, col, cost), priced after the bids: the dummy row,

@@ -14,8 +14,8 @@ approximation (far fewer pivots than the north-west corner it
 replaced), and optimality is reached with MODI (u/v multiplier)
 iterations — the network-simplex specialization for bipartite
 transportation graphs. Pairs with no admissible route (hop-bounded path
-absent) are modeled with a Big-M cost and rejected post-hoc if they
-carry flow.
+absent) are modeled with a Big-M cost, scaled by the largest |c_ij| over
+the finite lanes, and rejected post-hoc if they carry flow.
 
 Both Eq.-3 solvers share the rules written here once: the improving-lane
 test, the entering choice, the Big-M cost, the pivot cap and the
@@ -37,19 +37,24 @@ solve also returns its final basis tree as a
 :mod:`repro.lp.distributed` reads to seed the coordinator's global
 tree, and the tree's potentials as the optimal duals ``u`` / ``v``.
 
-Complexity per MODI iteration is Θ(m·n) for pricing, O(depth) for the
-cycle, and O(s) interpreted steps to re-hang the s nodes below the
-leaving cell and re-derive their potentials, plus one O(m+n) array
-copy of the potentials. Only the first iteration walks the whole tree;
+Complexity per MODI iteration is Θ(m·n) for pricing (two vectorized
+subtractions into one preallocated buffer, then the basic cells pinned
+to 0), O(depth) for the cycle, and O(s) interpreted steps to re-hang
+the s nodes below the leaving cell and re-derive their potentials,
+plus one O(m+n) array copy of the potentials. Pivots move flow on a
+dict of the m + n − 1 basic cells; the dense flow matrix is built once,
+after the last pivot. Only the first iteration walks the whole tree;
 on fat-tree placement instances s averages about a quarter of m + n.
-The Vogel start sorts each row once (O(m·n log n)); after that a step
-costs O(m) scalar work, each of the at most m row crossings
-O(m·n + n log n) to re-rank the columns, and all pointer walks
-together O(m·n) — no step rescans the matrix.
+The Vogel start sorts every row and every column once
+(O(m·n·log(m + n))); after that a step costs O(log(m + n)) heap work
+plus its crossing, which re-keys only the lines whose two cheapest
+entries included the line crossed out, and all pointer walks together
+are O(m·n) — no step rescans a line or the matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,9 +74,10 @@ _FLOW_TOL = 1e-6
 _MAX_PIVOTS = 100_000
 
 
-def _big_m(max_finite_cost: float, m: int, n: int) -> float:
-    """Cost of a forbidden lane, far above any mix of real lanes."""
-    return (abs(max_finite_cost) + 1.0) * max(m, n) * 1e6
+def _big_m(max_abs_cost: float, m: int, n: int) -> float:
+    """Cost of a forbidden lane, far above any mix of real lanes:
+    ``max_abs_cost`` is the largest ``|c_ij|`` over the finite lanes."""
+    return (max_abs_cost + 1.0) * max(m, n) * 1e6
 
 
 def _improving(reduced, cost):
@@ -87,12 +93,12 @@ def _best_entering(reduced: np.ndarray, cost: np.ndarray) -> int:
     balanced matrix in row-major order, or the coordinator's bids in
     zone-id order, then its dummy row, artificial column and corner.
     """
-    k = int(np.argmin(reduced))
+    k = int(reduced.argmin())
     if not _improving(reduced[k], cost[k]):  # e.g. a Big-M lane: filter, then pick
         improving = _improving(reduced, cost)
         if not improving.any():
             return -1
-        k = int(np.argmin(np.where(improving, reduced, np.inf)))
+        k = int(np.where(improving, reduced, np.inf).argmin())
     return k
 
 
@@ -192,8 +198,11 @@ class TransportationResult:
 
 def _vogel_basis(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
-) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+) -> Dict[Tuple[int, int], float]:
     """Vogel initial BFS on a *balanced* instance with finite costs.
+
+    Returns the basic cells, in the order they were committed, each
+    mapped to the flow it carries.
 
     Classic crossing-out scheme: each step commits the cheapest cell of
     the line (row or column) with the largest regret (gap between its
@@ -204,12 +213,14 @@ def _vogel_basis(
     (row) a row's (column's) regret is its one cost.
 
     Regrets are kept, not recomputed: a line's regret changes only when
-    a line crossing it is crossed out. Each row is sorted once (stably,
-    so its first active entry is the lowest-index cheapest); ``p1`` and
-    ``p2`` point at its two cheapest active columns and only move
-    forward. Column regrets span at most ``m`` entries and change only
-    when a row is crossed out, so they are recomputed then and ranked
-    once, and a pointer walks that ranking past crossed-out columns.
+    a line crossing it is crossed out. Every row and every column is
+    sorted once (stably, so its first active entry is the lowest-index
+    cheapest); two pointers per line point at its two cheapest active
+    entries and only move forward. Each line keeps a watch list of the
+    crossing lines whose pointers sit on it, so crossing a line out
+    touches only its watchers. Both "largest regret" choices are lazy
+    heaps keyed ``(-regret, index)``: an entry whose line is crossed
+    out or whose regret has moved on is dropped when it reaches the top.
 
     The crossing rule never removes the last row or column, so until
     one row (of several) or one column (of several) is left every
@@ -219,57 +230,82 @@ def _vogel_basis(
     """
     m, n = cost.shape
     s, d = supply.tolist(), demand.tolist()
-    flow = np.zeros((m, n))
-    cells: List[Tuple[int, int]] = []
+    flow: Dict[Tuple[int, int], float] = {}
 
     def commit(i: int, j: int) -> None:
         moved = min(s[i], d[j])
-        flow[i, j] = moved
-        cells.append((i, j))
+        flow[(i, j)] = moved
         s[i] -= moved
         d[j] -= moved
 
-    order = np.argsort(cost, axis=1, kind="stable")
-    rank = order.argsort(axis=1)  # rank[r][c]: position of column c in order[r]
-    ranked = np.take_along_axis(cost, order, axis=1).tolist()
-    order, rank = order.tolist(), rank.tolist()
-    p1, p2 = [0] * m, [1] * m
+    def sort_lines(matrix: np.ndarray) -> Tuple[List[List[int]], List[List[float]]]:
+        order = np.argsort(matrix, axis=1, kind="stable")
+        return order.tolist(), np.sort(matrix, axis=1).tolist()
+
+    # Rows over columns and columns over rows; `first`/`second` point
+    # into a line's sorted entries, `watch[x]` lists the crossing lines
+    # whose pointers sit on line x.
+    row_order, row_ranked = sort_lines(cost)
+    col_order, col_ranked = sort_lines(cost.T)
+    row_first, row_second = [0] * m, [1] * m
+    col_first, col_second = [0] * n, [1] * n
     row_active, col_active = [True] * m, [True] * n
+    row_watch: List[List[int]] = [[] for _ in range(m)]
+    col_watch: List[List[int]] = [[] for _ in range(n)]
+    for r in range(m):
+        for c in row_order[r][:2]:
+            col_watch[c].append(r)
+    for c in range(n):
+        for r in col_order[c][:2]:
+            row_watch[r].append(c)
 
-    def row_regret(r: int) -> float:
-        if n == 1:
-            return ranked[r][0]
-        if p2[r] == n:  # forced: one column left, the tail takes over
-            return np.inf
-        return ranked[r][p2[r]] - ranked[r][p1[r]]
+    def cross_out(x, watch, alive, order, ranked, first, second, active, keys, heap, k):
+        """Line ``x`` of one family is crossed out (``alive[x]`` is
+        already False): move the pointers of every active crossing line
+        ``y`` watching it past it, and re-key ``y``. A regret that did
+        not change keeps its heap entry."""
+        for y in watch[x]:
+            if not active[y]:
+                continue
+            if order[y][first[y]] == x:
+                first[y] = second[y]
+            b = second[y] + 1
+            while b < k and not alive[order[y][b]]:
+                b += 1
+            second[y] = b
+            if b < k:
+                watch[order[y][b]].append(y)
+                key = ranked[y][b] - ranked[y][first[y]]
+            else:
+                key = np.inf  # forced: one entry left, the tail takes over
+            if key != keys[y]:
+                keys[y] = key
+                heapq.heappush(heap, (-key, y))
 
-    cols = cost.T.copy()  # (n, m); inf marks crossed-out rows
-
-    def rank_columns() -> Tuple[List[float], List[int], List[int]]:
-        """Column regrets, columns by regret (descending, lowest index
-        first on ties) and each column's cheapest active row."""
-        if m == 1:
-            regret = cols[:, 0]
-        else:
-            two = np.partition(cols, 1, axis=1)
-            regret = two[:, 1] - two[:, 0]
-        by_regret = np.argsort(-regret, kind="stable")
-        return regret.tolist(), by_regret.tolist(), cols.argmin(axis=1).tolist()
-
-    row_key = [row_regret(r) for r in range(m)]
-    col_key, by_regret, col_best = rank_columns()
-    top = 0  # by_regret[top] is the active column with the largest regret
+    # A line's regret: the gap between its two cheapest entries, or the
+    # one entry of a single-entry line.
+    row_key = [x[0] if n == 1 else x[1] - x[0] for x in row_ranked]
+    col_key = [x[0] if m == 1 else x[1] - x[0] for x in col_ranked]
+    row_heap = [(-key, r) for r, key in enumerate(row_key)]
+    col_heap = [(-key, c) for c, key in enumerate(col_key)]
+    heapq.heapify(row_heap)
+    heapq.heapify(col_heap)
     rows_left, cols_left = m, n
     steps = m + n - 1
-    while len(cells) < steps and not (rows_left == 1 < m or cols_left == 1 < n):
-        while not col_active[by_regret[top]]:
-            top += 1
-        bc = by_regret[top]
-        br = max(range(m), key=row_key.__getitem__)
+    while len(flow) < steps and not (rows_left == 1 < m or cols_left == 1 < n):
+        # The top entry of each heap that is still current.
+        key, br = row_heap[0]
+        while not row_active[br] or -key != row_key[br]:
+            heapq.heappop(row_heap)
+            key, br = row_heap[0]
+        key, bc = col_heap[0]
+        while not col_active[bc] or -key != col_key[bc]:
+            heapq.heappop(col_heap)
+            key, bc = col_heap[0]
         if row_key[br] >= col_key[bc]:
-            i, j = br, order[br][p1[br]]
+            i, j = br, row_order[br][row_first[br]]
         else:
-            i, j = col_best[bc], bc
+            i, j = col_order[bc][col_first[bc]], bc
         commit(i, j)
         # Cross out exactly one line; `min` returns one operand bit-exact
         # so at least one side reaches 0.0 exactly. The last row survives
@@ -281,34 +317,24 @@ def _vogel_basis(
         if cross_row:
             rows_left -= 1
             row_active[i] = False
-            row_key[i] = -np.inf
-            cols[:, i] = np.inf
-            col_key, by_regret, col_best = rank_columns()
-            top = 0
-            continue
-        cols_left -= 1
-        col_active[j] = False
-        for r in range(m):
-            q = rank[r][j]
-            if row_active[r] and q <= p2[r]:  # j was one of r's two cheapest
-                if q == p1[r]:
-                    p1[r] = p2[r]
-                b = p2[r] + 1
-                while b < n and not col_active[order[r][b]]:
-                    b += 1
-                p2[r] = b
-                row_key[r] = row_regret(r)
+            cross_out(i, row_watch, row_active, col_order, col_ranked, col_first,
+                      col_second, col_active, col_key, col_heap, m)
+        else:
+            cols_left -= 1
+            col_active[j] = False
+            cross_out(j, col_watch, col_active, row_order, row_ranked, row_first,
+                      row_second, row_active, row_key, row_heap, n)
     # Tail. With one row left (m > 1) every active column is forced and
     # outranks the row's finite regret, so the lowest-index column is
     # taken and crossed out; with one column left (n > 1) every active
     # row is forced and rows win ties, so the lowest-index row is taken
     # and crossed out. Either way the rest is the active cells in order.
+    live = [j for j in range(n) if col_active[j]]
     for i in range(m):
         if row_active[i]:
-            for j in range(n):
-                if col_active[j]:
-                    commit(i, j)
-    return flow, cells
+            for j in live:
+                commit(i, j)
+    return flow
 
 
 # -- the basis tree ---------------------------------------------------------------
@@ -418,8 +444,8 @@ class _BasisTree:
         whole-tree pass. Each pivot's batch lists its nodes parents
         first, and batches run in pivot order: a node whose parent a
         later pivot re-hung was re-hung with it, so it is re-derived
-        after its parent again. Returns fresh arrays the caller may
-        modify.
+        after its parent again. Returns two views of one fresh array,
+        which the caller may modify.
         """
         pot, parent, pcell = self._pot, self.parent, self.pcell
         cost = slot_cost.tolist()
@@ -427,8 +453,8 @@ class _BasisTree:
             for node in batch:
                 pot[node] = cost[pcell[node]] - pot[parent[node]]
         self._stale = []
-        mb = self.mb
-        return np.array(pot[:mb]), np.array(pot[mb:])
+        both = np.array(pot)
+        return both[: self.mb], both[self.mb :]
 
     def cycle(self, ei: int, ej: int) -> List[Tuple[int, int]]:
         """Cells of the unique cycle closed by entering cell ``(ei, ej)``,
@@ -526,7 +552,9 @@ class _BasisTree:
         self._stale.append(moved)
 
     def cells(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.slot))
+        """The basic cells in ``(row, col)`` order."""
+        flat = np.sort(self.bi * self.n + self.bj)  # row-major = (row, col) order
+        return tuple(zip(*(part.tolist() for part in np.divmod(flat, self.n))))
 
 
 # -- solver ------------------------------------------------------------------------
@@ -586,7 +614,7 @@ def _solve_transportation_impl(problem: TransportationProblem) -> Transportation
     cost = problem.cost.copy()
     forbidden = ~np.isfinite(cost)
     finite = cost[~forbidden]
-    cost[forbidden] = _big_m(float(finite.max()) if finite.size else 1.0, m, n)
+    cost[forbidden] = _big_m(float(np.abs(finite).max()) if finite.size else 1.0, m, n)
 
     # Balance with a dummy supply row absorbing spare destination capacity.
     slack = total_demand - total_supply
@@ -600,18 +628,26 @@ def _solve_transportation_impl(problem: TransportationProblem) -> Transportation
         forbidden_b = forbidden
     mb = supply_b.size
 
-    flow_mat, cells = _vogel_basis(supply_b, demand, cost_b)
-    tree = _BasisTree(cells, mb, n)
+    flow = _vogel_basis(supply_b, demand, cost_b)  # basic cell -> flow
+    tree = _BasisTree(list(flow), mb, n)
     tree.refresh()
+    # Per basis slot: the cell's cost and its row-major index, updated
+    # at the entering slot after each pivot.
+    slot_cost = cost_b[tree.bi, tree.bj]
+    slot_flat = tree.bi * n + tree.bj
+    cost_flat = cost_b.ravel()
+    reduced = np.empty((mb, n))
+    reduced_flat = reduced.ravel()
 
     pivots = 0
     while True:
-        u, v = tree.potentials(cost_b[tree.bi, tree.bj])
-        reduced = cost_b - u[:, None] - v[None, :]
+        u, v = tree.potentials(slot_cost)
+        np.subtract(cost_b, u[:, None], out=reduced)
+        np.subtract(reduced, v, out=reduced)
         # Basic cells price to 0 by construction; pin them so numerical
         # noise cannot re-select one as entering.
-        reduced[tree.bi, tree.bj] = 0.0
-        entering = _best_entering(reduced.ravel(), cost_b.ravel())
+        reduced_flat[slot_flat] = 0.0
+        entering = _best_entering(reduced_flat, cost_flat)
         if entering < 0:
             break  # optimal
         if pivots >= _MAX_PIVOTS:
@@ -623,11 +659,19 @@ def _solve_transportation_impl(problem: TransportationProblem) -> Transportation
                 solve_time=time.perf_counter() - start,
             )
 
-        tree.pivot(*divmod(entering, n), flow_mat)
+        cell = divmod(entering, n)
+        flow[cell] = 0.0
+        del flow[tree.pivot(*cell, flow)]
+        k = tree.slot[cell]
+        slot_cost[k] = cost_flat[entering]
+        slot_flat[k] = entering
         pivots += 1
 
     solve_time = time.perf_counter() - start
-    basis = TransportationBasis(shape=(m, n), dummy=slack > _EPS, cells=tree.cells())
+    cells = tree.cells()
+    basis = TransportationBasis(shape=(m, n), dummy=slack > _EPS, cells=cells)
+    flow_mat = np.zeros((mb, n))
+    flow_mat.ravel()[np.sort(slot_flat)] = [flow[cell] for cell in cells]
 
     # Any flow on a forbidden lane means the real problem is infeasible.
     if (flow_mat[forbidden_b] > _FLOW_TOL).any():

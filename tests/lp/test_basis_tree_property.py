@@ -50,7 +50,11 @@ def _slot_cells(tree):
 )
 def test_pivots_match_a_fresh_tree(m, n, seed, ties, picks):
     supply, demand, cost = _balanced_instance(np.random.default_rng(seed), m, n, ties)
-    flow, cells = _vogel_basis(supply, demand, cost)
+    start = _vogel_basis(supply, demand, cost)
+    cells = list(start)
+    flow = np.zeros((m, n))
+    for cell, amount in start.items():
+        flow[cell] = amount
     tree = _BasisTree(cells, m, n)
     lazy = _BasisTree(cells, m, n)
     oracle = RebuildBasisTree(cells, m, n)

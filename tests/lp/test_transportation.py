@@ -98,6 +98,28 @@ def test_a_big_m_lane_inside_its_tolerance_does_not_end_the_solve():
     assert solve_distributed(problem, [[0, 1, 2]], [[0, 1, 2]]).objective == 7.0
 
 
+def test_big_m_is_scaled_by_the_largest_absolute_cost():
+    # The only feasible flow is row 0 -> column 0, row 1 -> column 1.
+    # A Big-M scaled by the largest cost (0 here) priced the forbidden
+    # lane at 2e6, so routing row 0 through it "saved" 1e13 against the
+    # -1e13 lane and both solvers reported INFEASIBLE.
+    problem = TransportationProblem(
+        supply=np.array([1.0, 1.0]),
+        demand=np.array([1.0, 1.0]),
+        cost=np.array([[0.0, np.inf], [-1e13, 0.0]]),
+    )
+    highs = highs_status_objective(problem)
+    if highs is not None:
+        assert highs == (SolveStatus.OPTIMAL, 0.0)
+    for result in (
+        solve_transportation(problem),
+        solve_distributed(problem, [[0, 1]], [[0, 1]]),
+    ):
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == 0.0
+        assert np.array_equal(result.flow, np.eye(2))
+
+
 BIG_M = 1e6
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.lp import solve_transportation, transportation
 from tests.lp.test_distributed import _random_problem, _random_zones, _tie_problem
-from tests.oracles import vogel_basis
+from tests.oracles import vogel_basis, vogel_start
 from tests.oracles.dsolve import solve_distributed
 
 #: A forbidden lane as the solver prices it: a large finite cost.
@@ -23,11 +23,14 @@ BIG_M = 4.0e7
 
 
 def _assert_same_start(supply, demand, cost):
-    flow, cells = transportation._vogel_basis(supply, demand, cost)
+    start = transportation._vogel_basis(supply, demand, cost)
     ref_flow, ref_cells = vogel_basis(supply, demand, cost)
-    assert cells == ref_cells
+    assert list(start) == ref_cells
+    flow = np.zeros(cost.shape)
+    for cell, amount in start.items():
+        flow[cell] = amount
     assert np.array_equal(flow, ref_flow)
-    assert len(cells) == supply.size + demand.size - 1
+    assert len(start) == supply.size + demand.size - 1
 
 
 def _balanced(rng, supply, demand, cost, dummy):
@@ -70,7 +73,63 @@ def _churn_instance(rng, m, n):
     return _balanced(rng, supply, demand, cost, dummy=True)
 
 
+def _fig11_instance(rng):
+    """Shaped like a ``fig11_sweep_k8`` LP: 18-20 busy rows with excess
+    loads, 21-23 candidates with spare capacity, a few distinct Trmin
+    values (fat-tree symmetry makes many routes cost the same), and the
+    zero dummy row taking the spare capacity."""
+    m, n = int(rng.integers(18, 21)), int(rng.integers(21, 24))
+    supply = rng.uniform(1.0, 10.0, m)
+    demand = rng.uniform(5.0, 25.0, n)
+    values = rng.uniform(1e-3, 5e-3, int(rng.integers(3, 7)))
+    cost = rng.choice(values, (m, n))
+    return _balanced(rng, supply, demand, cost, dummy=True)
+
+
+#: Hand-built starts that pin the tie rules of the two regret heaps:
+#: (supply, demand, cost) per case.
+TIE_CASES = {
+    # Row regrets 0, 0; every column's regret is 8: column 0 is taken.
+    "columns-tie-at-the-top": (
+        [2.0, 2.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 9.0, 9.0], [9.0, 9.0, 1.0, 1.0]],
+    ),
+    # Every row's regret is 8, column regrets 0, 0: row 0 is taken.
+    "rows-tie-at-the-top": (
+        [1.0, 1.0, 1.0, 1.0], [2.0, 2.0], [[1.0, 9.0], [1.0, 9.0], [9.0, 1.0], [9.0, 1.0]],
+    ),
+    # Row 0 and column 1 both have regret 3 and different cheapest
+    # cells, (0, 0) and (1, 1): the row wins.
+    "row-ties-the-top-column": ([1.0, 2.0], [2.0, 1.0], [[1.0, 4.0], [2.0, 1.0]]),
+    # Row 2's regret goes 2 -> 1 -> 2 as columns 0 and 3 are crossed
+    # out: its first heap entry is stale in between, then current again.
+    "regret-returns-to-an-earlier-value": (
+        [3.0, 2.0, 6.0],
+        [3.0, 3.0, 4.0, 1.0],
+        [[5.0, 1.0, 4.0, 1.0], [6.0, 4.0, 5.0, 8.0], [1.0, 6.0, 4.0, 3.0]],
+    ),
+    # Rows 0 and 1 are crossed out first; with one row left every
+    # active column is forced (+inf regret).
+    "forced-columns": (
+        [1.0, 1.0, 4.0], [2.0, 2.0, 2.0], [[1.0, 9.0, 9.0], [9.0, 1.0, 9.0], [5.0, 5.0, 5.0]],
+    ),
+    # Columns 0 and 1 are crossed out first; with one column left every
+    # active row is forced.
+    "forced-rows": (
+        [2.0, 2.0, 2.0], [1.0, 1.0, 4.0], [[1.0, 9.0, 5.0], [9.0, 1.0, 5.0], [9.0, 9.0, 5.0]],
+    ),
+}
+
+
 class TestSameStart:
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_tie_rules(self, case):
+        _assert_same_start(*(np.array(x) for x in TIE_CASES[case]))
+
+    def test_fig11_shaped(self):
+        rng = np.random.default_rng(28_500)
+        for _ in range(40):
+            _assert_same_start(*_fig11_instance(rng))
+
     @pytest.mark.parametrize("dummy", [True, False])
     def test_tie_corpus(self, dummy):
         rng = np.random.default_rng(28_000 + dummy)
@@ -136,7 +195,7 @@ class TestWholeSolveTwin:
     def test_centralized(self, corpus, monkeypatch):
         problems = _corpus(corpus)
         kept = [solve_transportation(p) for p in problems]
-        monkeypatch.setattr(transportation, "_vogel_basis", vogel_basis)
+        monkeypatch.setattr(transportation, "_vogel_basis", vogel_start)
         for problem, result in zip(problems, kept):
             _same_result(result, solve_transportation(problem))
 
@@ -149,7 +208,7 @@ class TestWholeSolveTwin:
             for p in problems
         ]
         kept = [solve_distributed(p, *z) for p, z in zip(problems, zones)]
-        monkeypatch.setattr(transportation, "_vogel_basis", vogel_basis)
+        monkeypatch.setattr(transportation, "_vogel_basis", vogel_start)
         for problem, zone, result in zip(problems, zones, kept):
             twin = solve_distributed(problem, *zone)
             assert twin.status == result.status

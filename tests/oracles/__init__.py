@@ -453,3 +453,13 @@ def vogel_basis(
                 row_active[i] = False
                 work[i, :] = np.inf
     return flow, cells
+
+
+def vogel_start(
+    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
+) -> Dict[Tuple[int, int], float]:
+    """:func:`vogel_basis` in the start's return format: each cell, in
+    commit order, mapped to the flow it carries. Every cell is committed
+    once, so its dense entry is the amount it was given."""
+    flow, cells = vogel_basis(supply, demand, cost)
+    return {cell: float(flow[cell]) for cell in cells}
