@@ -104,7 +104,7 @@ class DUSTClient:
         self.network = network
         self.manager_node = manager_node
         self.policy = policy
-        self._base_capacity = base_capacity
+        self.base_load = base_capacity
         self.data_mb = data_mb
         self.num_agents = num_agents
         self.capable = capable
@@ -138,11 +138,22 @@ class DUSTClient:
         self._keepalive_loop: Optional[ScheduledEvent] = None
 
     # -- capacity model -----------------------------------------------------------
+    @property
+    def base_load(self) -> CapacityFn:
+        """The intrinsic capacity model: a constant or a callable of
+        virtual time. Assigning one decides once which it is."""
+        return self._base_load
+
+    @base_load.setter
+    def base_load(self, value: CapacityFn) -> None:
+        fn = value if callable(value) else None
+        self._base_load, self._base_fn = value, fn
+        self._base_value = float(value) if fn is None else None
+
     def base_capacity(self, now: float) -> float:
         """Intrinsic (pre-DUST) utilized capacity at virtual time."""
-        if callable(self._base_capacity):
-            return float(self._base_capacity(now))
-        return float(self._base_capacity)
+        fn = self._base_fn
+        return self._base_value if fn is None else float(fn(now))
 
     def current_capacity(self, now: float) -> float:
         """Reported ``C_j``: base − offloaded + hosted, clamped to
@@ -233,8 +244,13 @@ class DUSTClient:
         if not self.alive:
             return
         payload = message.payload
-        if not isinstance(payload, ControlMessage):
-            raise ProtocolError(f"client {self.node_id} received non-DUST payload")
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            if not isinstance(payload, ControlMessage):
+                raise ProtocolError(f"client {self.node_id} received non-DUST payload")
+            raise ProtocolError(
+                f"client {self.node_id} cannot handle {payload.type.value!r}"
+            )
         duplicate, cached_reply = self._dedup.check(message.source, payload.msg_id)
         if duplicate:
             # Idempotent replay: re-elicit the original answer (so a
@@ -244,27 +260,7 @@ class DUSTClient:
             if cached_reply is not None:
                 self.network.send(self.node_id, message.source, cached_reply)
             return
-        reply: Optional[ControlMessage] = None
-        if isinstance(payload, Ack):
-            self._on_ack(payload)
-        elif isinstance(payload, OffloadRequest):
-            reply = self._on_offload_request(payload)
-        elif isinstance(payload, Rep):
-            reply = self._on_rep(payload)
-        elif isinstance(payload, Redirect):
-            reply = self._on_redirect(payload)
-        elif isinstance(payload, Reclaim):
-            reply = self._on_reclaim(payload)
-        elif isinstance(payload, Resync):
-            reply = self._on_resync(payload)
-        elif isinstance(payload, Receipt) and self._reliable is not None:
-            self._reliable.acknowledge(payload.acked_msg_id)
-            self._stat_confirmed = True
-        else:
-            raise ProtocolError(
-                f"client {self.node_id} cannot handle {payload.type.value!r}"
-            )
-        self._dedup.remember(message.source, payload.msg_id, reply)
+        self._dedup.remember(message.source, payload.msg_id, handler(self, payload))
 
     def _on_ack(self, ack: Ack) -> None:
         if ack.node_id != self.node_id:
@@ -278,22 +274,21 @@ class DUSTClient:
         if first_start:
             self._stat_chain = self.engine.schedule_periodic(
                 ack.update_interval_s,
-                lambda engine: self._send_stat(),
+                self._send_stat,
                 label=f"stat-{self.node_id}",
                 first_delay=0.0,
                 condition=lambda: self.alive,
             )
 
-    def _send_stat(self) -> None:
+    def _send_stat(self, _engine: Optional[SimulationEngine] = None) -> None:
+        """Report ``C_j`` now; also the STAT chain's handler, which the
+        engine calls with itself."""
         self.stats_sent += 1
         unconfirmed = self._reliable is not None and not self._stat_confirmed
+        now = self.engine.now
         stat = Stat(
-            node_id=self.node_id,
-            capacity_pct=self.current_capacity(self.engine.now),
-            data_mb=self.data_mb,
-            num_agents=self.num_agents,
-            timestamp=self.engine.now,
-            reliable=unconfirmed,
+            self.node_id, self.current_capacity(now), self.data_mb, self.num_agents, now,
+            unconfirmed,
         )
         if unconfirmed:
             # Admission STAT: retransmit until the manager's Receipt
@@ -426,6 +421,22 @@ class DUSTClient:
                 ),
             )
         return self._receipt_for(resync)
+
+    def _on_receipt(self, receipt: Receipt) -> None:
+        if self._reliable is None:
+            raise ProtocolError(
+                f"client {self.node_id} cannot handle {receipt.type.value!r}"
+            )
+        self._reliable.acknowledge(receipt.acked_msg_id)
+        self._stat_confirmed = True
+
+    #: Message type -> handler; a handler returns the reply the dedup
+    #: cache replays to a duplicate.
+    _HANDLERS = {
+        Ack: _on_ack, OffloadRequest: _on_offload_request, Rep: _on_rep,
+        Redirect: _on_redirect, Reclaim: _on_reclaim, Resync: _on_resync,
+        Receipt: _on_receipt,
+    }
 
     # -- keepalive loop ------------------------------------------------------------------
     def _ensure_keepalive_loop(self) -> None:

@@ -383,53 +383,26 @@ class DUSTManager:
         if self._crashed:
             return
         payload = message.payload
-        if not isinstance(payload, ControlMessage):
-            raise ProtocolError("manager received non-DUST payload")
-        if self._reliable is not None and isinstance(payload, Stat) and not payload.reliable:
+        kind = type(payload)
+        if kind is Stat and self._reliable is not None and not payload.reliable:
             # A periodic STAT is an absolute, timestamped report and the
             # lenient NMDB drops a stale one or a copy of the applied
             # one, so it needs no dedup entry (strict mode would raise
             # on a copy that lands after a newer report).
             self._on_stat(payload)
             return
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            if not isinstance(payload, ControlMessage):
+                raise ProtocolError("manager received non-DUST payload")
+            raise ProtocolError(f"manager cannot handle {payload.type.value!r}")
         duplicate, cached_reply = self._dedup.check(message.source, payload.msg_id)
         if duplicate:
             self.counters.duplicates_ignored += 1
             if cached_reply is not None:
                 self.network.send(self.node_id, message.source, cached_reply)
             return
-        reply: Optional[ControlMessage] = None
-        if isinstance(payload, OffloadCapable):
-            reply = self._on_offload_capable(payload)
-        elif isinstance(payload, Stat):
-            reply = self._on_stat(payload)
-        elif isinstance(payload, OffloadAck):
-            reply = self._on_offload_ack(payload)
-        elif isinstance(payload, Keepalive):
-            self.counters.keepalives_received += 1
-            self.keepalives.record(payload.node_id, payload.timestamp)
-            self._clear_probe(payload.node_id)
-            # A heartbeat naming a source this ledger cannot account
-            # for means the destination carries an orphaned hosting
-            # (e.g. its resync report never arrived). Ask for a full
-            # re-report; the resync reply paths reconcile or reclaim.
-            known = {o.source for o in self.ledger.hosted_by(payload.node_id)}
-            if any(s not in known for s in payload.hosted_sources):
-                resync = Resync(self.node_id, self.engine.now)
-                self.network.send(self.node_id, payload.node_id, resync)
-        elif isinstance(payload, Receipt) and self._reliable is not None:
-            self._reliable.acknowledge(payload.acked_msg_id)
-            if self.ledger.confirm(payload.acked_msg_id, self.engine.now):
-                # Persist the confirmation: a successor must not unwind
-                # a row whose source provably applied its Redirect.
-                self._persist()
-            if payload.node_id in self._probes or payload.node_id in self._probe_failed:
-                # Answer to a keepalive probe: the destination lives.
-                self.keepalives.record(payload.node_id, self.engine.now)
-                self._clear_probe(payload.node_id)
-        else:
-            raise ProtocolError(f"manager cannot handle {payload.type.value!r}")
-        self._dedup.remember(message.source, payload.msg_id, reply)
+        self._dedup.remember(message.source, payload.msg_id, handler(self, payload))
 
     def _on_offload_capable(self, payload: OffloadCapable) -> Optional[Ack]:
         try:
@@ -496,6 +469,39 @@ class DUSTManager:
             self._clear_probe(ack.destination)
         self._send(sends)
         return receipt
+
+    def _on_keepalive(self, payload: Keepalive) -> None:
+        self.counters.keepalives_received += 1
+        self.keepalives.record(payload.node_id, payload.timestamp)
+        self._clear_probe(payload.node_id)
+        # A heartbeat naming a source this ledger cannot account for
+        # means the destination carries an orphaned hosting (e.g. its
+        # resync report never arrived). Ask for a full re-report; the
+        # resync reply paths reconcile or reclaim.
+        known = {o.source for o in self.ledger.hosted_by(payload.node_id)}
+        if any(s not in known for s in payload.hosted_sources):
+            resync = Resync(self.node_id, self.engine.now)
+            self.network.send(self.node_id, payload.node_id, resync)
+
+    def _on_receipt(self, payload: Receipt) -> None:
+        if self._reliable is None:
+            raise ProtocolError(f"manager cannot handle {payload.type.value!r}")
+        self._reliable.acknowledge(payload.acked_msg_id)
+        if self.ledger.confirm(payload.acked_msg_id, self.engine.now):
+            # Persist the confirmation: a successor must not unwind a
+            # row whose source provably applied its Redirect.
+            self._persist()
+        if payload.node_id in self._probes or payload.node_id in self._probe_failed:
+            # Answer to a keepalive probe: the destination lives.
+            self.keepalives.record(payload.node_id, self.engine.now)
+            self._clear_probe(payload.node_id)
+
+    #: Message type -> handler; a handler returns the reply the dedup
+    #: cache replays to a duplicate.
+    _HANDLERS = {
+        OffloadCapable: _on_offload_capable, Stat: _on_stat, OffloadAck: _on_offload_ack,
+        Keepalive: _on_keepalive, Receipt: _on_receipt,
+    }
 
     # -- give-up (retry budget exhausted) hooks ---------------------------------------
     def _on_request_give_up(self, destination: int, payload: ControlMessage) -> None:

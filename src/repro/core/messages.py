@@ -28,14 +28,18 @@ layer the lossy-network mode needs (the paper assumes a stable fabric):
   retransmission. A hardened manager does not run a periodic STAT
   through it: the report is absolute and timestamped, and the NMDB
   drops one older than, or a copy of, the applied report by content.
+
+The message path: a message is one immutable record, one engine heap
+entry while in flight (:mod:`repro.simulation.network_sim`), and an
+applied STAT is one :class:`~repro.core.nmdb.NodeRecord`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, _tuplegetter  # namedtuple's field accessor
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import get_registry, trace_event
@@ -58,44 +62,72 @@ class MessageType(enum.Enum):
     RESYNC = "resync"
 
 
-@dataclass(frozen=True)
-class ControlMessage:
-    """Base class: every message carries a type tag and a unique id."""
-
-    msg_id: int = field(default_factory=lambda: next(_message_counter), init=False)
-
-    @property
-    def type(self) -> MessageType:  # pragma: no cover - overridden
-        raise NotImplementedError
+def _rebuild(cls: type, values: tuple) -> "ControlMessage":
+    # Pickle and copy: the stored fields, ``msg_id`` included; no id drawn.
+    return tuple.__new__(cls, values)
 
 
-@dataclass(frozen=True)
+class ControlMessage(tuple):
+    """Base class: an immutable record, ``msg_id`` first, then the
+    fields; the :class:`MessageType` tag is a class attribute.
+
+    A message type declares ``__slots__ = ()``, its ``type`` and its
+    fields as annotations (defaults last). Building one, positionally
+    or by keyword, draws ``msg_id`` once: one tuple, no per-field
+    ``object.__setattr__``. Fields read like attributes, cannot be
+    assigned, and compare and hash as the tuple does.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ("msg_id",)
+    type: MessageType
+    msg_id = _tuplegetter(0, "Unique id, drawn when the message is built.")
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        given = [name for name in names if name in cls.__dict__]  # fields with a default
+        if "__slots__" not in cls.__dict__ or given != list(names[len(names) - len(given):]):
+            raise TypeError(f"{cls.__name__}: declare __slots__ = () and defaults last")
+        defaults = tuple(cls.__dict__[name] for name in given) or None
+        for index, name in enumerate(names, 1):
+            setattr(cls, name, _tuplegetter(index, None))
+        cls._fields = ("msg_id", *names)
+        # ``collections.namedtuple``'s constructor, with the id drawn in front.
+        args = ", ".join(names)
+        namespace = {"_new": tuple.__new__, "_next_id": _message_counter.__next__}
+        new = eval(f"lambda _cls, {args}: _new(_cls, (_next_id(), {args}))", namespace)
+        new.__defaults__, new.__qualname__ = defaults, f"{cls.__name__}.__new__"
+        cls.__new__ = staticmethod(new)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
 class OffloadCapable(ControlMessage):
     """Client → Manager: participation declaration + thresholds."""
 
+    __slots__ = ()
+    type = MessageType.OFFLOAD_CAPABLE
     node_id: int
     capable: bool
     c_max: float
     co_max: float
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.OFFLOAD_CAPABLE
 
-
-@dataclass(frozen=True)
 class Ack(ControlMessage):
     """Manager → Client: admission + Update-Interval Time (seconds)."""
 
+    __slots__ = ()
+    type = MessageType.ACK
     node_id: int
     update_interval_s: float
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.ACK
 
-
-@dataclass(frozen=True)
 class Stat(ControlMessage):
     """Client → Manager: periodic resource report.
 
@@ -112,6 +144,8 @@ class Stat(ControlMessage):
     applied report, or an older one, by its timestamp and fields.
     """
 
+    __slots__ = ()
+    type = MessageType.STAT
     node_id: int
     capacity_pct: float
     data_mb: float
@@ -119,28 +153,20 @@ class Stat(ControlMessage):
     timestamp: float
     reliable: bool = False
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.STAT
 
-
-@dataclass(frozen=True)
 class OffloadRequest(ControlMessage):
     """Manager → destination: host ``amount_pct`` of ``source``'s
     monitoring load, reached over ``route`` (node-id tuple)."""
 
+    __slots__ = ()
+    type = MessageType.OFFLOAD_REQUEST
     destination: int
     source: int
     amount_pct: float
     data_mb: float
     route: Tuple[int, ...]
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.OFFLOAD_REQUEST
 
-
-@dataclass(frozen=True)
 class OffloadAck(ControlMessage):
     """Destination → Manager: accept/reject a hosting request.
 
@@ -151,6 +177,8 @@ class OffloadAck(ControlMessage):
     ledger row the snapshot missed).
     """
 
+    __slots__ = ()
+    type = MessageType.OFFLOAD_ACK
     destination: int
     source: int
     accepted: bool
@@ -158,71 +186,54 @@ class OffloadAck(ControlMessage):
     request_id: Optional[int] = None
     amount_pct: float = 0.0
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.OFFLOAD_ACK
 
-
-@dataclass(frozen=True)
 class Redirect(ControlMessage):
     """Manager → source (Busy node): redirect ``amount_pct`` of its
     monitoring workload to ``destination`` along ``route``."""
 
+    __slots__ = ()
+    type = MessageType.REDIRECT
     source: int
     destination: int
     amount_pct: float
     route: Tuple[int, ...]
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.REDIRECT
 
-
-@dataclass(frozen=True)
 class Keepalive(ControlMessage):
     """Destination → Manager: hosting heartbeat."""
 
+    __slots__ = ()
+    type = MessageType.KEEPALIVE
     node_id: int
     hosted_sources: Tuple[int, ...]
     timestamp: float
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.KEEPALIVE
 
-
-@dataclass(frozen=True)
 class Rep(ControlMessage):
     """Manager → replica node: take over a failed destination's hosted
     workload (the paper's REP message)."""
 
+    __slots__ = ()
+    type = MessageType.REP
     replica: int
     failed_destination: int
     source: int
     amount_pct: float
     route: Tuple[int, ...]
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.REP
 
-
-@dataclass(frozen=True)
 class Reclaim(ControlMessage):
     """Manager → destination: the source has spare capacity again and
     reclaims its workload ("a Busy node … reclaim its local resources
     when they become available")."""
 
+    __slots__ = ()
+    type = MessageType.RECLAIM
     source: int
     destination: int
     amount_pct: float
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.RECLAIM
 
-
-@dataclass(frozen=True)
 class Receipt(ControlMessage):
     """Client → Manager: delivery confirmation for a Redirect/Reclaim.
 
@@ -232,30 +243,24 @@ class Receipt(ControlMessage):
     ``msg_id``.
     """
 
+    __slots__ = ()
+    type = MessageType.RECEIPT
     node_id: int
     acked_msg_id: int
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.RECEIPT
 
-
-@dataclass(frozen=True)
 class ManagerHeartbeat(ControlMessage):
     """Primary manager → standby: liveness beacon carrying the latest
     persisted snapshot version (for observability; the snapshot itself
     lives in stable storage, not on the wire)."""
 
+    __slots__ = ()
+    type = MessageType.MANAGER_HEARTBEAT
     manager_node: int
     snapshot_version: int
     timestamp: float
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.MANAGER_HEARTBEAT
 
-
-@dataclass(frozen=True)
 class Resync(ControlMessage):
     """New primary → all clients after failover: report your state now.
 
@@ -264,12 +269,10 @@ class Resync(ControlMessage):
     the manager reconcile the restored snapshot against ground truth.
     """
 
+    __slots__ = ()
+    type = MessageType.RESYNC
     manager_node: int
     timestamp: float
-
-    @property
-    def type(self) -> MessageType:
-        return MessageType.RESYNC
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +528,7 @@ class ReliableSender:
         if key in self._outstanding:  # already in flight: keep its timer
             return
         self.network.send(self.node_id, destination, payload)
-        entry = _Outstanding(
-            destination=destination, payload=payload, attempt=0, timer=None,
-            on_give_up=on_give_up,
-        )
+        entry = _Outstanding(destination, payload, 0, None, on_give_up)
         self._outstanding[key] = entry
         self._arm(key, entry)
 
@@ -536,7 +536,7 @@ class ReliableSender:
         entry.timer = self.engine.schedule_after(
             self._timeout_for(entry),
             lambda engine, key=key: self._on_timeout(key),
-            label=f"retx-{self.node_id}-{key}",
+            label="retx",
         )
 
     def _on_timeout(self, key: int) -> None:

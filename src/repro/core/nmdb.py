@@ -10,8 +10,8 @@ variables)". The optimization engine reads a consistent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from repro.topology.graph import Topology
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """Latest known state of one client node."""
+class NodeRecord(NamedTuple):
+    """Latest known state of one client node (immutable; the NMDB
+    builds one positionally per applied STAT)."""
 
     node_id: int
     capable: bool = True
@@ -79,8 +79,8 @@ class NMDB:
                     f"Offload-capable from node {msg.node_id}: {name}={value!r}"
                 )
         rec = self._record(msg.node_id)
-        self._records[msg.node_id] = replace(
-            rec, capable=msg.capable, c_max=msg.c_max, co_max=msg.co_max
+        self._records[msg.node_id] = rec._replace(
+            capable=msg.capable, c_max=msg.c_max, co_max=msg.co_max
         )
 
     def apply_stat(self, msg: Stat, strict: bool = True) -> bool:

@@ -10,7 +10,7 @@ in scheduling order (see :class:`~repro.simulation.events.ScheduledEvent`).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulation.events import Handler, ScheduledEvent
@@ -21,9 +21,9 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: ``(time, sequence, event)`` entries: ``sequence`` is unique, so
-        #: tuple comparison never reaches the event.
-        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
+        #: ``(time, sequence, entry)`` tuples: ``sequence`` is unique, so
+        #: tuple comparison never reaches the entry (see :meth:`push`).
+        self._heap: List[Tuple[float, int, Any]] = []
         self._sequence = 0
         self._running = False
         self.events_processed = 0
@@ -40,11 +40,22 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time} before now ({self._now})"
             )
-        sequence = self._sequence
-        event = ScheduledEvent(time, sequence, handler, label)
-        self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time, sequence, event))
+        event = ScheduledEvent(time, self._sequence, handler, label)
+        self.push(time, event)
         return event
+
+    def push(self, time: float, entry: Any) -> None:
+        """Queue a ready-made heap entry at ``time`` under the next
+        sequence number, unchecked: the caller guarantees ``time >= now``.
+
+        ``entry`` is anything with ``cancelled``, ``label`` and
+        ``handler(engine)``; a message in flight is one such entry
+        (:mod:`repro.simulation.network_sim`), not a closure plus a
+        :class:`ScheduledEvent`.
+        """
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, entry))
 
     def schedule_after(self, delay: float, handler: Handler, label: str = "") -> ScheduledEvent:
         """Schedule ``handler(engine)`` after a relative delay ≥ 0."""

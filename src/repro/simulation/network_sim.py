@@ -51,6 +51,32 @@ class Message(NamedTuple):
         return self.delivered_at - self.sent_at
 
 
+class _Delivery:
+    """One message in flight: the engine heap entry that delivers it.
+
+    It takes the sequence number a scheduled event would, so delivery
+    order is the engine's ``(time, sequence)`` order; ``delivered_at``
+    is the heap time, which is the clock when it fires.
+    """
+
+    __slots__ = ("network", "message")
+    cancelled = False
+    label = "msg"
+
+    def __init__(self, network: "MessageNetwork", message: Message) -> None:
+        self.network = network
+        self.message = message
+
+    def handler(self, engine: SimulationEngine) -> None:
+        network = self.network
+        receiver = network._receivers.get(self.message.destination)
+        if receiver is None:
+            network.messages_dropped += 1
+            return  # endpoint left the network while in flight
+        network.messages_delivered += 1
+        receiver(self.message)
+
+
 class MessageNetwork:
     """Latency-faithful message delivery between topology nodes."""
 
@@ -162,19 +188,13 @@ class MessageNetwork:
     def _schedule_delivery(
         self, source: int, destination: int, payload: Any, delay: float
     ) -> None:
-        """Shared delivery machinery: one queued in-flight copy."""
-        sent_at = self.engine.now
-
-        def deliver(engine: SimulationEngine) -> None:
-            receiver = self._receivers.get(destination)
-            if receiver is None:
-                self.messages_dropped += 1
-                return  # endpoint left the network while in flight
-            self.messages_delivered += 1
-            receiver(Message(source, destination, payload, sent_at, engine.now))
-
+        """Shared delivery machinery: one queued in-flight copy, pushed
+        on the engine heap as its own entry (``delay`` is >= 0)."""
+        engine = self.engine
+        sent_at = engine.now
         # ``schedule_after``'s own sum: the same operands, so the same time.
-        self.engine.schedule_at(sent_at + delay, deliver, "msg")
+        time = sent_at + delay
+        engine.push(time, _Delivery(self, Message(source, destination, payload, sent_at, time)))
 
     def broadcast(self, source: int, payload: Any) -> int:
         """Send to every registered endpoint except ``source``; returns
@@ -268,7 +288,7 @@ class FaultyNetwork(MessageNetwork):
         super().__init__(topology, engine)
         self.faults = faults if faults is not None else FaultConfig()
         self._rng = np.random.default_rng(seed)
-        self._partitions: Tuple[FrozenSet[int], ...] = self.faults.partitions
+        self.set_partition(self.faults.partitions)
         self.faults_dropped = 0
         self.partition_dropped = 0
         self.duplicates_injected = 0
@@ -280,10 +300,12 @@ class FaultyNetwork(MessageNetwork):
     # -- partitions -------------------------------------------------------------
     def set_partition(self, groups: Sequence[Sequence[int]]) -> None:
         """Activate a partition mid-run (e.g. from a chaos scenario)."""
-        self._partitions = tuple(frozenset(g) for g in groups)
+        self._partitions: Tuple[FrozenSet[int], ...] = tuple(frozenset(g) for g in groups)
+        #: Nothing can alter a message's fate: ``send`` takes the plain path.
+        self._null = self.faults.is_null and not self._partitions
 
     def heal_partition(self) -> None:
-        self._partitions = ()
+        self.set_partition(())
 
     def _partition_blocks(self, source: int, destination: int) -> bool:
         if not self._partitions:
@@ -304,7 +326,7 @@ class FaultyNetwork(MessageNetwork):
         self.event_log.append((self.engine.now, kind, source, destination, detail))
 
     def send(self, source: int, destination: int, payload: Any) -> None:
-        if self.faults.is_null and not self._partitions:
+        if self._null:
             # Byte-identical fast path: no RNG draw, no logging overhead
             # beyond the base counters.
             super().send(source, destination, payload)

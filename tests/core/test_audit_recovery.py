@@ -32,7 +32,7 @@ class TestAuditClean:
     def test_audit_clean_after_reclaim(self):
         engine, manager, clients = build_system(hot_nodes=(5,))
         engine.run_until(300.0)
-        clients[5]._base_capacity = 30.0
+        clients[5].base_load = 30.0
         engine.run_until(900.0)
         assert audit_system(manager, clients)
 

@@ -142,7 +142,7 @@ class TestCapacityClamping:
 
     def test_callable_base_capacity(self):
         client, engine, _ = make_client(base=30.0)
-        client._base_capacity = lambda t: 20.0 + t / 100.0
+        client.base_load = lambda t: 20.0 + t / 100.0
         assert client.base_capacity(1000.0) == pytest.approx(30.0)
         assert client.current_capacity(0.0) == pytest.approx(20.0)
 

@@ -197,7 +197,7 @@ class TestReclaim:
         hot = clients[5]
         assert hot.offloaded_amount > 0
         # Load subsides far below C_max (hysteresis-safe).
-        hot._base_capacity = 40.0
+        hot.base_load = 40.0
         engine.run_until(900.0)
         assert manager.counters.reclaims_issued >= 1
         assert hot.offloaded_amount == 0.0

@@ -1,9 +1,13 @@
 """Tests for the NMDB and the protocol message types."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core import (
     Ack,
+    ControlMessage,
     Keepalive,
     MessageType,
     NMDB,
@@ -16,6 +20,7 @@ from repro.core import (
     Stat,
     ThresholdPolicy,
 )
+from repro.core.messages import ManagerHeartbeat, Receipt, Resync
 from repro.errors import ProtocolError
 from tests.topologies import build_line
 
@@ -54,6 +59,61 @@ class TestMessages:
         a = Ack(node_id=1, update_interval_s=60.0)
         b = Ack(node_id=1, update_interval_s=60.0)
         assert a.msg_id != b.msg_id
+
+
+#: One message of every type, by keyword: (class, fields, type tag).
+FAMILY = [
+    (OffloadCapable, dict(node_id=1, capable=True, c_max=80.0, co_max=50.0),
+     MessageType.OFFLOAD_CAPABLE),
+    (Ack, dict(node_id=1, update_interval_s=60.0), MessageType.ACK),
+    (Stat, dict(node_id=1, capacity_pct=50.0, data_mb=1.0, num_agents=3, timestamp=0.0,
+                reliable=True), MessageType.STAT),
+    (OffloadRequest, dict(destination=2, source=1, amount_pct=5.0, data_mb=1.0, route=(1, 2)),
+     MessageType.OFFLOAD_REQUEST),
+    (OffloadAck, dict(destination=2, source=1, accepted=True, reason="", request_id=7,
+                      amount_pct=0.0), MessageType.OFFLOAD_ACK),
+    (Redirect, dict(source=1, destination=2, amount_pct=5.0, route=(1, 2)),
+     MessageType.REDIRECT),
+    (Keepalive, dict(node_id=2, hosted_sources=(1,), timestamp=0.0), MessageType.KEEPALIVE),
+    (Rep, dict(replica=3, failed_destination=2, source=1, amount_pct=5.0, route=(1, 3)),
+     MessageType.REP),
+    (Reclaim, dict(source=1, destination=2, amount_pct=5.0), MessageType.RECLAIM),
+    (Receipt, dict(node_id=1, acked_msg_id=7), MessageType.RECEIPT),
+    (ManagerHeartbeat, dict(manager_node=0, snapshot_version=3, timestamp=1.0),
+     MessageType.MANAGER_HEARTBEAT),
+    (Resync, dict(manager_node=0, timestamp=1.0), MessageType.RESYNC),
+]
+
+
+class TestMessageFamily:
+    """Every message type is an immutable record whose ``msg_id`` is
+    drawn once, when it is built — never by a copy."""
+
+    def test_family_is_complete(self):
+        assert {tag for _, _, tag in FAMILY} == set(MessageType)
+
+    @pytest.mark.parametrize("cls, fields, tag", FAMILY, ids=[cls.__name__ for cls, _, _ in FAMILY])
+    def test_record_contract(self, cls, fields, tag):
+        positional = cls(*fields.values())
+        msg = cls(**fields)
+        assert isinstance(msg, ControlMessage) and msg.type is tag
+        assert {name: getattr(msg, name) for name in fields} == fields
+        assert tuple(msg) == (positional.msg_id + 1, *tuple(positional)[1:])
+        for name in ("msg_id", *fields):
+            with pytest.raises(AttributeError):
+                setattr(msg, name, None)
+        with pytest.raises(AttributeError):
+            msg.undeclared = 1
+        copies = [pickle.loads(pickle.dumps(msg, protocol)) for protocol in (2, 5)]
+        copies += [copy.deepcopy(msg), copy.copy(msg)]
+        for twin in copies:
+            assert type(twin) is cls and twin == msg and twin.msg_id == msg.msg_id
+        # No copy drew an id: the next message built takes the next one.
+        assert cls(**fields).msg_id == msg.msg_id + 1
+
+    def test_ids_strictly_increase(self):
+        ids = [cls(**fields).msg_id for cls, fields, _ in FAMILY * 2]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
 
 
 class TestNMDBIngestion:

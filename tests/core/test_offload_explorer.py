@@ -32,6 +32,7 @@ scopes pin each known hole's shortest trace, and a strict xfail replays
 each one.
 """
 
+import dataclasses
 import io
 import pickle
 import time
@@ -236,7 +237,7 @@ class World:
             self.manager.begin_resync()
             self.promoted = True
         else:  # load-falls
-            self.clients[2]._base_capacity = 40.0
+            self.clients[2].base_load = 40.0
             self.clients[2]._send_stat()
             self.fallen = True
         self.settle()
@@ -297,7 +298,7 @@ class World:
         def canon(value):
             if value is None:
                 return None
-            fields = dict(vars(value))
+            fields = declared_fields(value)
             for key in ("msg_id", "request_id", "acked_msg_id", "redirect_id"):
                 if key in fields:
                     fields[key] = rank.get(fields[key], -1)
@@ -321,12 +322,25 @@ class World:
             tuple(map(canon, self.manager.ledger.rows)), tuple(map(canon, self.durable())),
             endpoint(self.manager),
             tuple(
-                (c._base_capacity, tuple(sorted(c.offloaded_to.items())),
+                (c.base_load, tuple(sorted(c.offloaded_to.items())),
                  tuple(sorted((s, h.amount_pct) for s, h in c.hosted.items())), endpoint(c))
                 for c in self.clients.values()
             ),
             tuple(sorted(channels.items())),
         )
+
+
+def declared_fields(value):
+    """A message's or ledger row's declared fields by name. ``vars()``
+    would not do: a message keeps its fields in its tuple, not in a
+    ``__dict__``, so ``vars()`` raises, or reads ``{}`` on a record that
+    has an empty one — distinct states would merge and the search would
+    prune silently."""
+    if isinstance(value, tuple):  # a message record
+        names = value._fields
+    else:  # a ledger row
+        names = [f.name for f in dataclasses.fields(value)]
+    return {name: getattr(value, name) for name in names}
 
 
 def explore(load_falls, max_faults):
@@ -407,6 +421,15 @@ def test_two_faults_anywhere_find_only_the_known_kinds_of_violation():
 def test_known_holes_are_the_shortest_traces_of_the_small_scopes():
     traces = {trace for scope in SCOPES for trace, _ in explore(*scope)[1].values()}
     assert traces == {trace for _, trace in KNOWN_HOLES.values()}
+
+
+def test_fingerprint_tells_messages_one_field_apart():
+    worlds = [pickle.loads(_dumps(World())) for _ in range(2)]
+    for world, capacity in zip(worlds, (40.0, 41.0)):
+        world.fabric.send(2, 0, Stat(2, capacity, 10.0, 10, world.clock.now))
+    a, b = (world.fingerprint() for world in worlds)
+    assert a != b
+    assert a == pickle.loads(_dumps(worlds[0])).fingerprint()
 
 
 def test_fault_free_round_ends_audited_and_confirmed():

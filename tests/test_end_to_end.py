@@ -91,7 +91,7 @@ def scenario():
 
     # Phase 5: relief — hot nodes cool down.
     for node in HOT:
-        clients[node]._base_capacity = 35.0
+        clients[node].base_load = 35.0
     engine.run_until(2200.0)
     checkpoints["relieved"] = {
         "reclaims": manager.counters.reclaims_issued,

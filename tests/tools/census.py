@@ -91,19 +91,11 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
         "core/audit.py AuditReport.clean",
         "core/audit.py AuditReport.__bool__",
         "core/audit.py AuditReport.__repr__",
+        "core/client.py DUSTClient.base_load",
         "core/failover.py SnapshotStore.version",
         "core/failover.py StandbyManager.promoted",
         "core/heuristic.py _LazyAssignments.__len__",
         "core/heuristic.py _LazyAssignments.__getitem__",
-        "core/messages.py OffloadCapable.type",
-        "core/messages.py Ack.type",
-        "core/messages.py Stat.type",
-        "core/messages.py OffloadRequest.type",
-        "core/messages.py OffloadAck.type",
-        "core/messages.py Redirect.type",
-        "core/messages.py Keepalive.type",
-        "core/messages.py Rep.type",
-        "core/messages.py Reclaim.type",
         "core/messages.py DedupCache.__len__",
         "core/messages.py ReliableSender.pending",
         "core/nmdb.py NetworkSnapshot.busy",
@@ -184,15 +176,15 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
     "the experiment CLI's `table1` target": (
         "experiments/common.py notation_table",
     ),
-    "part of a protocol the language or a sibling class calls: the tag "
-    "every message class defines, tuple semantics of a lazy view (a "
+    "part of a protocol the language or a sibling class calls: pickle and "
+    "copy of a message record (the explorer and the message-family test "
+    "round-trip them), tuple semantics of a lazy view (a "
     "HeuristicReport's == and repr go through it), a repr, an abstract "
     "method, or the gauge/histogram half of the registry's "
     "value/merge/reset interface": (
-        "core/messages.py ControlMessage.type",
-        "core/messages.py Receipt.type",
-        "core/messages.py ManagerHeartbeat.type",
-        "core/messages.py Resync.type",
+        "core/messages.py _rebuild",
+        "core/messages.py ControlMessage.__reduce__",
+        "core/messages.py ControlMessage.__repr__",
         "core/heuristic.py _LazyAssignments.__eq__",
         "core/heuristic.py _LazyAssignments.__repr__",
         "obs/registry.py Gauge._merge",
