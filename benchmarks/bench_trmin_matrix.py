@@ -9,9 +9,16 @@ time for all-sources hop-constrained pricing:
   ``repro.routing.hop_constrained_shortest`` loop, the formulation the
   matrix kernel replaced in the pricing pipeline.
 
+It also times the kernel at the shape a churn round calls it with:
+``churn_points`` price 3 and 25 sources at ``max_hops = 4`` with
+parents on a fat-tree k=16 (k=8 with ``--smoke``), best-of-N over
+batches of calls, reported per call.
+
 Every timed matrix run is compared **bit-for-bit** (``np.array_equal``
 on the ``best`` and ``hops`` matrices, no tolerances) against the
-per-source loop; any disagreement makes the script exit non-zero. The
+per-source loop, and each churn point's parent planes against
+``tests.oracles.dp_witness_planes`` (the last CSR lane reaching each
+layer minimum); any disagreement makes the script exit non-zero. The
 full run additionally gates on the matrix kernel being at least
 ``--min-speedup`` (default 3x) faster than the per-source loop at
 k=16; ``--smoke`` records the ratio without gating, since a 20-node
@@ -19,6 +26,11 @@ instance is too small to amortize plane setup. Results land in
 ``BENCH_trmin_matrix.json`` — regenerate with::
 
     PYTHONPATH=src python benchmarks/bench_trmin_matrix.py
+
+To record a kernel change against its parent, run the script on the
+parent checkout with ``--output parent.json``, then on the change with
+``--compare parent.json``: every point then carries the parent's
+timing (``parent_*_s``) beside its own.
 
 Honest-numbers note: timings come from whatever box runs this; the
 recorded ``cpu_count`` and best-of-N protocol make cross-box numbers
@@ -43,12 +55,25 @@ from repro.routing.matrix import matrix_hop_constrained
 from repro.topology import LinkUtilizationModel
 from repro.topology.fattree import build_fat_tree
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+from tests.oracles import dp_witness_planes  # noqa: E402
+
+#: Source counts and hop budget of the churn-round points.
+CHURN_SOURCES = (3, 25)
+CHURN_MAX_HOPS = 4
+#: Kernel calls per timing sample at a churn point (one call is ~1 ms).
+CHURN_CALLS = 50
+
+
+def loaded_fat_tree(k: int, seed: int):
+    topo = build_fat_tree(k)
+    LinkUtilizationModel(0.2, 0.8, seed=seed).apply(topo)
+    return topo, 1.0 / topo.effective_bandwidths()
+
 
 def build_fixture(smoke: bool, seed: int):
     k = 4 if smoke else 16
-    topo = build_fat_tree(k)
-    LinkUtilizationModel(0.2, 0.8, seed=seed).apply(topo)
-    weights = 1.0 / topo.effective_bandwidths()
+    topo, weights = loaded_fat_tree(k, seed)
     max_hops = 6 if smoke else 8
     sources = list(range(topo.num_nodes))
     return topo, k, sources, max_hops, weights
@@ -73,6 +98,68 @@ def per_source_sweep(topo, sources, max_hops, weights):
     return np.vstack(rows), np.vstack(hop_rows)
 
 
+def churn_points(smoke: bool, seed: int, repeats: int, failures: List[str]):
+    """Time and check the kernel at the churn round's shape: a few
+    sources, ``max_hops = 4``, parents on."""
+    k = 8 if smoke else 16
+    topo, weights = loaded_fat_tree(k, seed)
+    rng = np.random.default_rng(seed)
+    points = []
+    for num_sources in CHURN_SOURCES:
+        sources = rng.choice(topo.num_nodes, size=num_sources, replace=False).tolist()
+        result = matrix_hop_constrained(
+            topo, sources, CHURN_MAX_HOPS, weights, with_parents=True
+        )
+        ref_best, ref_hops = per_source_sweep(topo, sources, CHURN_MAX_HOPS, weights)
+        planes = dp_witness_planes(topo, sources, CHURN_MAX_HOPS, weights)
+        kept = (result.layer_dist, result.parent_node, result.parent_edge)
+        identical = (
+            np.array_equal(result.best, ref_best)
+            and np.array_equal(result.hops, ref_hops)
+            and all(
+                len(got) == len(want) and all(map(np.array_equal, got, want))
+                for got, want in zip(kept, planes)
+            )
+        )
+        if not identical:
+            failures.append(
+                f"churn point S={num_sources} differs from the per-source DP "
+                "or the last-lane witness oracle"
+            )
+
+        def batch():
+            for _ in range(CHURN_CALLS):
+                matrix_hop_constrained(
+                    topo, sources, CHURN_MAX_HOPS, weights, with_parents=True
+                )
+
+        points.append(
+            {
+                "topology": f"fat-tree k={k}",
+                "sources": num_sources,
+                "max_hops": CHURN_MAX_HOPS,
+                "with_parents": True,
+                "calls_per_sample": CHURN_CALLS,
+                "matrix_with_parents_s": timed(batch, repeats) / CHURN_CALLS,
+                "bit_identical": identical,
+            }
+        )
+    return points
+
+
+def add_parent_timings(report: dict, parent: dict) -> None:
+    """Copy the parent run's timings beside this run's, per point."""
+    for key in ("matrix_s", "matrix_with_parents_s"):
+        report[f"parent_{key}"] = parent[key]
+    by_shape = {
+        (p["topology"], p["sources"]): p for p in parent.get("churn_points", [])
+    }
+    for point in report["churn_points"]:
+        before = by_shape.get((point["topology"], point["sources"]))
+        if before is not None:
+            point["parent_matrix_with_parents_s"] = before["matrix_with_parents_s"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -93,6 +180,12 @@ def main(argv=None) -> int:
             os.path.dirname(__file__), "..", "BENCH_trmin_matrix.json"
         ),
         help="where to write the JSON report",
+    )
+    parser.add_argument(
+        "--compare",
+        metavar="PARENT_JSON",
+        help="a report of this script run on the parent checkout; its "
+        "timings are recorded beside this run's",
     )
     args = parser.parse_args(argv)
     repeats = 1 if args.smoke else max(1, args.repeats)
@@ -121,6 +214,8 @@ def main(argv=None) -> int:
         repeats,
     )
 
+    churn = churn_points(args.smoke, seed=0, repeats=repeats, failures=failures)
+
     speedup = per_source_s / matrix_s if matrix_s else float("inf")
     gated = not args.smoke
     if gated and speedup < args.min_speedup:
@@ -146,9 +241,13 @@ def main(argv=None) -> int:
         "matrix_with_parents_s": with_parents_s,
         "speedup_vs_per_source": speedup,
         "min_speedup_gate": args.min_speedup if gated else None,
+        "churn_points": churn,
         "bit_identical": not any("differs" in f for f in failures),
         "passed": not failures,
     }
+    if args.compare:
+        with open(args.compare) as fh:
+            add_parent_timings(report, json.load(fh))
     if failures:
         report["failures"] = failures
 

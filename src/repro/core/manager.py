@@ -437,7 +437,8 @@ class DUSTManager:
         if not applied:
             self.counters.stale_stats_dropped += 1
             return receipt
-        self._maybe_reclaim(payload)
+        if self.ledger.has_active(payload.node_id):
+            self._maybe_reclaim(payload)
         return receipt
 
     def _on_offload_ack(self, ack: OffloadAck) -> Optional[Receipt]:
@@ -688,8 +689,9 @@ class DUSTManager:
         return rows
 
     def _maybe_reclaim(self, stat: Stat) -> None:
-        """If a source has recovered enough headroom to absorb its own
-        offloaded load, return it (hysteresis avoids flapping)."""
+        """If a source with an active row has recovered enough headroom
+        to absorb its own offloaded load, return it (hysteresis avoids
+        flapping)."""
         offloaded = self.ledger.offloaded_amount(stat.node_id)
         if offloaded <= 0:
             return

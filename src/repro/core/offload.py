@@ -197,6 +197,10 @@ class OffloadLedger:
     def hosted_amount(self, destination: int) -> float:
         return float(sum(o.amount_pct for o in self.hosted_by(destination)))
 
+    def has_active(self, source: int) -> bool:
+        """Whether ``source`` has an active (REDIRECTING or CONFIRMED) row."""
+        return source in self._offloaded
+
     def offloaded_amount(self, source: int) -> float:
         """Total active amount offloaded from ``source``, summed in row
         order; 0 at once for a source with no active row."""

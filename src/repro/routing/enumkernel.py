@@ -184,31 +184,31 @@ def _validate(
 
 
 class _ClassMap:
-    """Per-call degree-class expansion tables.
+    """Degree-class expansion tables, built once per wiring.
 
     Wraps :func:`repro.routing.matrix._degree_classes` with an inverse
     node -> (class, row) map so a frontier's end nodes can be expanded
-    class by class as dense ``(rows, d)`` lane-table gathers.
+    class by class as dense ``(rows, d)`` lane-table gathers. The tables
+    depend on the wiring alone, so :func:`_class_map` keeps one per
+    wiring with the topology.
     """
 
     __slots__ = ("children", "lane_edges", "lane_within", "class_of", "row_of")
 
     def __init__(self, topology: Topology) -> None:
-        indices, edge_ids, classes = _degree_classes(topology)
         n = topology.num_nodes
         self.class_of = np.full(n, -1, dtype=np.int64)
         self.row_of = np.zeros(n, dtype=np.int64)
         self.children: List[np.ndarray] = []
         self.lane_edges: List[np.ndarray] = []
         self.lane_within: List[np.ndarray] = []
-        for ci, (nodes_d, lane_table) in enumerate(classes):
-            self.class_of[nodes_d] = ci
-            self.row_of[nodes_d] = np.arange(nodes_d.size)
-            self.children.append(indices[lane_table])
-            self.lane_edges.append(edge_ids[lane_table])
-            self.lane_within.append(
-                np.arange(lane_table.shape[1], dtype=np.int64)
-            )
+        for ci, cls in enumerate(_degree_classes(topology)):
+            self.class_of[cls.nodes] = ci
+            self.row_of[cls.nodes] = np.arange(cls.nodes.size)
+            # Node-major (count, d): a frontier gathers whole rows.
+            self.children.append(np.ascontiguousarray(cls.nbr.T))
+            self.lane_edges.append(np.ascontiguousarray(cls.lane_edges.T))
+            self.lane_within.append(np.arange(cls.nbr.shape[0], dtype=np.int64))
 
     def expand(
         self, ends: np.ndarray
@@ -246,6 +246,11 @@ class _ClassMap:
             np.concatenate(parts_child),
             np.concatenate(parts_edge),
         )
+
+
+def _class_map(topology: Topology) -> _ClassMap:
+    """The topology's :class:`_ClassMap`, cached with its CSR wiring."""
+    return topology.csr_memo("enum_class_map", _ClassMap)
 
 
 def _seen_mask(visited: np.ndarray, row_idx: np.ndarray, child: np.ndarray):
@@ -287,7 +292,7 @@ def count_paths_kernel(
 
     n = topology.num_nodes
     words = (n + 63) // 64
-    cmap = _ClassMap(topology)
+    cmap = _class_map(topology)
 
     ends = np.array([source], dtype=np.int64)
     visited = np.zeros((1, words), dtype=np.uint64)
@@ -385,7 +390,7 @@ def best_routes_matrix(
     )
 
     pricing = _PairPricing(
-        _ClassMap(topology), weights, planes, limit,
+        _class_map(topology), weights, planes, limit,
         src[a_idx], dst[b_idx], plane_of, threshold, with_paths,
     )
     for p, res, nh, raw in pricing.winners():

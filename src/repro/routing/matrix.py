@@ -6,18 +6,27 @@ One hop-layered Bellman–Ford relaxation carries a whole
 row per :func:`~repro.routing.shortest.hop_constrained_shortest` call.
 A layer is a segmented min over each node's CSR lanes; rather than
 ``np.minimum.reduceat`` (whose generic segment loop profiles ~5×
-slower here), the segments are realized as dense *degree-class* blocks:
-CSR rows of equal degree ``d`` stack into a ``(count, d)`` lane table,
-so one layer per class is a contiguous row-gather
-``dist[nbr_table]`` (+ the lane weights) reshaped to
-``(count, d, S)`` and min-reduced along the lane axis — pure
-contiguous numpy kernels, no scatter, no per-segment loop. Fat-trees
-have ≤ 2 distinct degrees, so a layer is ~2 fused gather+reduce calls
-for *all* sources at once. The distance planes are kept
-node-major (``(n, S)``) precisely so those gathers copy whole rows
-(memcpy) instead of striding columns. The Python loop runs over
-layers (≤ hop budget, early exit at convergence) and degree classes,
-never over sources or edges.
+slower here), the segments are realized as dense *degree-class* blocks.
+CSR rows of equal degree ``d`` form one class, held **lane-major**:
+the class's neighbor ids and edge ids are ``(d, count)`` tables, row
+``j`` holding every class node's ``j``-th CSR lane. One layer per class
+is a row-gather ``np.take(dist, nbr, axis=0)`` reshaped to
+``(d, count, S)``, plus the lane weights, min-reduced over axis 0 —
+``d - 1`` elementwise minima of contiguous ``(count, S)`` slabs, so the
+reduction stays contiguous at every source count (a node-major
+``(count, d, S)`` block strides its lane axis, which costs ~20× at the
+3–30 sources a churn round prices). Fat-trees have ≤ 2 distinct
+degrees, so a layer is ~2 fused gather+reduce calls for *all* sources
+at once. The distance planes are node-major (``(n, S)``) so the gathers
+copy whole rows. The Python loop runs over layers (≤ hop budget, early
+exit at convergence) and degree classes, never over sources or edges.
+
+The class tables depend on the wiring alone, so they are built once per
+wiring and kept with it (:meth:`Topology.csr_memo
+<repro.topology.graph.Topology.csr_memo>`): they live as long as the
+topology and are rebuilt exactly when its CSR structure is, after a
+node or edge is added. A call only gathers its edge weights into the
+``(d, count)`` lane shape.
 
 Bit-identity with the per-source DP is by construction, not tolerance:
 for every ``(source, node)`` cell a layer takes the IEEE minimum over
@@ -36,19 +45,20 @@ parents); :func:`_hop_layers` consumes it for every layer of the
 planes, which the enumeration kernel's admissible bound reads.
 
 Predecessor planes are optional (``with_parents=True``): per layer the
-kernel recovers one witness lane per improved cell (the last lane
+kernel recovers one witness lane per improved cell — the last CSR lane
 achieving the new minimum, mirroring the per-source recovery's
-later-writes-win), and :meth:`MatrixDPResult.path_to` replays the
-per-source reconstruction walk over the stored planes. Witness
-*choice* among ties may differ from the per-source engine's (lane
-order differs from its candidate order), so materialized paths are
-guaranteed optimal and price-consistent, not identical.
+later-writes-win (``tests.oracles.dp_witness_planes`` pins it plane for
+plane) — and :meth:`MatrixDPResult.path_to` replays the per-source
+reconstruction walk over the stored planes. Witness *choice* among ties
+may differ from the per-source engine's (lane order differs from its
+candidate order), so materialized paths are guaranteed optimal and
+price-consistent, not identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,42 +144,51 @@ def _validate(
     return weights, int(max_hops)
 
 
-def _degree_classes(
-    topology: Topology,
-) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-    """CSR wiring regrouped into dense degree-class blocks.
+class _DegreeClass(NamedTuple):
+    """The ``count`` CSR rows of one degree ``d``, lane-major and
+    read-only: entry ``[j, r]`` of a table is lane ``j`` of node
+    ``nodes[r]``, in CSR order."""
 
-    Returns ``(indices, edge_ids, classes)`` where each class entry is
-    ``(nodes_d, lane_table)``: the node ids sharing degree ``d`` and
-    their ``(len(nodes_d), d)`` table of CSR lane offsets. Zero-degree
-    nodes form no class (their distance row can only hold the source's
-    own 0.0)."""
+    #: ``(count,)`` node ids.
+    nodes: np.ndarray
+    #: ``(d, count)`` neighbor ids.
+    nbr: np.ndarray
+    #: ``(d, count)`` edge ids.
+    lane_edges: np.ndarray
+
+
+def _build_degree_classes(topology: Topology) -> Tuple[_DegreeClass, ...]:
     indptr, indices, edge_ids = topology.csr_structure()
     degrees = np.diff(indptr)
-    classes: List[Tuple[np.ndarray, np.ndarray]] = []
+    classes = []
     for d in np.unique(degrees):
         d = int(d)
         if d == 0:
             continue
         nodes_d = np.flatnonzero(degrees == d)
-        lane_table = indptr[nodes_d][:, None] + np.arange(d)[None, :]
-        classes.append((nodes_d, lane_table))
-    return indices, edge_ids, classes
+        lanes = indptr[nodes_d][None, :] + np.arange(d)[:, None]
+        cls = _DegreeClass(nodes_d, indices[lanes], edge_ids[lanes])
+        for arr in cls:
+            arr.setflags(write=False)
+        classes.append(cls)
+    return tuple(classes)
+
+
+def _degree_classes(topology: Topology) -> Tuple[_DegreeClass, ...]:
+    """The CSR wiring regrouped into one :class:`_DegreeClass` per
+    distinct nonzero degree, cached with the wiring. Zero-degree nodes
+    form no class (their distance row can only hold the source's own
+    0.0)."""
+    return topology.csr_memo("degree_classes", _build_degree_classes)
 
 
 def _gather_tables(
     topology: Topology, weights: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, ...]]]:
-    """``(indices, edge_ids, gather)``: the CSR wiring plus, per degree
-    class, ``(nodes_d, nbr_d, w_d, lane_table)`` — neighbor ids and lane
-    weights shaped ``(count, d)`` to match the class's lane table."""
-    indices, edge_ids, classes = _degree_classes(topology)
-    lane_w = weights[edge_ids]
-    gather = [
-        (nodes_d, indices[lane_table], lane_w[lane_table], lane_table)
-        for nodes_d, lane_table in classes
-    ]
-    return indices, edge_ids, gather
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per degree class, ``(nodes, nbr, lane_edges, w)``: the cached
+    class tables and this call's lane weights ``w``, lane-major
+    ``(d, count)`` like ``nbr``."""
+    return [(*cls, weights[cls.lane_edges]) for cls in _degree_classes(topology)]
 
 
 def _relax(
@@ -184,38 +203,41 @@ def _relax(
     ``(h, plane, steps)`` for each layer ``h = 1..H`` that improves a
     cell, and stops at the first layer that improves none (every later
     layer would equal the last one yielded). ``plane`` is a fresh array
-    the loop never writes again. ``steps`` holds ``(nodes_d, improved,
-    lanes)`` per class with an improved cell: ``improved`` is the
-    class's ``(count, B)`` mask, and ``lanes`` is ``None`` unless
-    ``witness``, then ``(rows, cols, lane)`` — per improved cell the
-    last CSR lane achieving the new minimum (mirroring the per-source
-    recovery's later-writes-win; any witness achieves the min).
+    the loop never writes again. ``steps`` holds ``(nodes, improved,
+    parents)`` per class with an improved cell: ``improved`` is the
+    class's ``(count, B)`` mask, and ``parents`` is ``None`` unless
+    ``witness``, then ``(rows, cols, node, edge)`` — per improved cell
+    the neighbor and edge of the last CSR lane achieving the new minimum
+    (mirroring the per-source recovery's later-writes-win; any witness
+    achieves the min).
     """
     for h in range(1, H + 1):
         new = prev.copy()
         steps = []
-        for nodes_d, nbr_d, w_d, lane_table in gather:
-            cd, d = nbr_d.shape
-            # (cd, d, B): weight of reaching each class node through
-            # each of its lanes; min over the lane axis is the
-            # segmented CSR minimum, as one contiguous reduction.
-            cand = prev[nbr_d.ravel()].reshape(cd, d, -1) + w_d[:, :, None]
-            seg_min = cand.min(axis=1)
+        for nodes_d, nbr, lane_edges, w in gather:
+            d, count = nbr.shape
+            # (d, count, B): weight of reaching each class node through
+            # its j-th lane in slab j; the min over slabs is the
+            # segmented CSR minimum, reduced over contiguous slabs.
+            cand = np.take(prev, nbr.ravel(), axis=0).reshape(d, count, -1)
+            cand = cand + w[:, :, None]
+            seg_min = cand.min(axis=0)
             cur = prev[nodes_d]
             upd = np.minimum(cur, seg_min)
             improved = upd < cur
             if not improved.any():
                 continue
             new[nodes_d] = upd
-            lanes = None
+            parents = None
             if witness:
+                # Lane j's 1-based position where it reaches the minimum,
+                # else 0; the max over slabs is the last such lane.
                 pos = np.arange(1, d + 1, dtype=np.int64)
-                win = np.where(cand <= upd[:, None, :], pos[None, :, None], 0).max(
-                    axis=1
-                )
+                win = np.where(cand <= upd[None], pos[:, None, None], 0).max(axis=0)
                 rows, cols = np.nonzero(improved)
-                lanes = (rows, cols, lane_table[rows, win[rows, cols] - 1])
-            steps.append((nodes_d, improved, lanes))
+                lane = win[rows, cols] - 1
+                parents = (rows, cols, nbr[lane, rows], lane_edges[lane, rows])
+            steps.append((nodes_d, improved, parents))
         if not steps:
             return
         yield h, new, steps
@@ -244,7 +266,7 @@ def _hop_layers(
     layers[0, src, np.arange(src.size)] = 0.0
     last = 0
     if topology.num_edges and src.size:
-        _, _, gather = _gather_tables(topology, weights)
+        gather = _gather_tables(topology, weights)
         for last, plane, _ in _relax(gather, layers[0], H):
             layers[last] = plane
     layers[last + 1 :] = layers[last]
@@ -303,8 +325,8 @@ def matrix_hop_constrained(
             return _export([dist.copy()], [minus_one], [minus_one.copy()])
         return _export(None, None, None)
 
-    indices, edge_ids, gather = _gather_tables(topology, weights)
-    lanes = indices.size  # == 2 * num_edges (both directions)
+    gather = _gather_tables(topology, weights)
+    lanes = 2 * topology.num_edges  # CSR lanes run both directions
 
     if with_parents:
         col_blocks = [np.arange(S)]
@@ -331,12 +353,12 @@ def matrix_hop_constrained(
                 layer_dist.append(plane)
                 parent_node.append(np.full((n, S), -1, dtype=np.int64))
                 parent_edge.append(np.full((n, S), -1, dtype=np.int64))
-            for nodes_d, improved, witness in steps:
+            for nodes_d, improved, parents in steps:
                 block_hops[nodes_d] = np.where(improved, h, block_hops[nodes_d])
-                if witness is not None:
-                    rows, bcols, lane = witness
-                    parent_node[h][nodes_d[rows], bcols] = indices[lane]
-                    parent_edge[h][nodes_d[rows], bcols] = edge_ids[lane]
+                if parents is not None:
+                    rows, bcols, node, edge = parents
+                    parent_node[h][nodes_d[rows], bcols] = node
+                    parent_edge[h][nodes_d[rows], bcols] = edge
             prev = plane
         if len(col_blocks) > 1:
             dist[:, cols] = prev

@@ -63,20 +63,24 @@ class _DPRoutes(Mapping):
     caller that reports a handful of flows pays for a handful of routes.
 
     Keys are the pairs with a finite ``R`` entry; a source id listed
-    more than once resolves to its last index."""
+    more than once resolves to its last index. The id -> index maps are
+    built on the first lookup, so a call whose routes are never read
+    builds neither."""
 
     def __init__(
-        self, result: MatrixDPResult, destinations: Sequence[int], R: np.ndarray
+        self, result: MatrixDPResult, destinations: np.ndarray, R: np.ndarray
     ) -> None:
         self._result = result
-        self._sources = result.sources
-        self._destinations = tuple(int(d) for d in destinations)
+        self._destinations = destinations
         self._reachable = np.isfinite(R)
-        self._row = {s: a for a, s in enumerate(self._sources)}
-        self._col = {d: b for b, d in enumerate(self._destinations)}
+        self._row: Optional[Dict[int, int]] = None
+        self._col: Optional[Dict[int, int]] = None
 
     def _index(self, key) -> Optional[int]:
         """Source index of a reachable ``key``, else ``None``."""
+        if self._col is None:
+            self._row = {s: a for a, s in enumerate(self._result.sources)}
+            self._col = {d: b for b, d in enumerate(self._destinations.tolist())}
         try:
             source, destination = key
             a, b = self._row.get(source), self._col.get(destination)
@@ -96,9 +100,9 @@ class _DPRoutes(Mapping):
         return self._index(key) is not None
 
     def _keys(self) -> Dict[Tuple[int, int], None]:
+        sources, destinations = self._result.sources, self._destinations.tolist()
         return dict.fromkeys(
-            (self._sources[a], self._destinations[b])
-            for a, b in zip(*np.nonzero(self._reachable))
+            (sources[a], destinations[b]) for a, b in zip(*np.nonzero(self._reachable))
         )
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
@@ -128,7 +132,7 @@ def _dp_matrix(
     hops = result.hops[:, dest_arr]
     if not with_paths:
         return R, hops, {}
-    return R, hops, _DPRoutes(result, destinations, R)
+    return R, hops, _DPRoutes(result, dest_arr, R)
 
 
 class PathEngine(enum.Enum):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from repro.topology.links import (
     Link,
     validate_link_state,
 )
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,9 @@ class Topology:
             ]
         ] = None
         self._csr_cache: Dict[object, CSRAdjacency] = {}
+        # Kernel tables derived from the wiring alone (see csr_memo),
+        # held with the ``indptr`` array they were built from.
+        self._csr_memo: Optional[Tuple[np.ndarray, Dict[str, object]]] = None
         self._lu_cache: Dict[BandwidthConvention, Tuple[int, np.ndarray]] = {}
 
     @property
@@ -435,6 +440,22 @@ class Topology:
         costs — for kernels that bring their own edge-weight vector
         (e.g. the matrix Trmin DP)."""
         return self._ensure_csr_structure()
+
+    def csr_memo(self, key: str, build: Callable[["Topology"], _T]) -> _T:
+        """``build(self)``, memoized with the CSR wiring under ``key``.
+
+        For kernel tables that depend on the wiring alone (the routing
+        DP's degree classes): an entry lives as long as this topology and
+        is rebuilt exactly when :meth:`csr_structure` rebuilds, i.e. after
+        a node or edge is added. Link-state writes keep it.
+        """
+        indptr = self._ensure_csr_structure()[0]
+        if self._csr_memo is None or self._csr_memo[0] is not indptr:
+            self._csr_memo = (indptr, {})
+        memo = self._csr_memo[1]
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     def csr_adjacency(
         self, convention: BandwidthConvention = BandwidthConvention.AVAILABLE

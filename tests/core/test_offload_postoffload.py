@@ -36,6 +36,13 @@ class TestLedger:
         assert ledger.sources == [0, 4]
         assert len(ledger) == 3
 
+    def test_has_active_follows_the_active_rows(self):
+        ledger = self.make()
+        assert ledger.has_active(0) and ledger.has_active(4)
+        assert not ledger.has_active(1)  # a destination, not a source
+        ledger.reclaim(0)
+        assert not ledger.has_active(0) and ledger.has_active(4)
+
     def test_reclaim_removes_by_source(self):
         ledger = self.make()
         reclaimed = ledger.reclaim(0)

@@ -88,3 +88,28 @@ def test_periodic_stat_path_pays_for_a_report_only():
     assert len(cache) > 0
     assert not any(key in cache._seen for key in periodic)
     assert cache.lru_evictions == 0
+
+
+def test_reclaim_check_runs_only_for_sources_with_an_active_row():
+    """An applied STAT asks the ledger for the source's offloaded
+    amount only when the source has an active row; the run still
+    offloads and reclaims."""
+    engine, network, manager, clients, loads, rng = build_churn()
+    asked = []
+    offloaded_amount = manager.ledger.offloaded_amount
+
+    def spy(source):
+        asked.append((source, manager.ledger.has_active(source)))
+        return offloaded_amount(source)
+
+    manager.ledger.offloaded_amount = spy
+    engine.run_until(1.0)
+    for period in range(1, 5):
+        hot = rng.choice(sorted(clients), size=2, replace=False)
+        loads[hot] = rng.uniform(85.0, 95.0, size=2)
+        engine.run_until(period * PERIOD_S)
+        loads[hot] = rng.uniform(10.0, 20.0, size=2)  # recovered: reclaim
+    assert manager.counters.offloads_established > 0
+    assert manager.counters.reclaims_issued > 0
+    assert asked and all(active for _, active in asked)
+    assert len(asked) < manager.counters.stats_received

@@ -14,7 +14,9 @@ slices a transportation instance into distributed-solve zones in
 :mod:`tests.oracles.dsolve`, and the transportation basis tree that
 rebuilds itself and all its potentials on every pivot in
 :mod:`tests.oracles.basis_tree`. :func:`effective_bandwidths` is the
-per-link ``Lu_e`` loop the topology's array expression replaced.
+per-link ``Lu_e`` loop the topology's array expression replaced, and
+:func:`dp_witness_planes` relaxes the matrix DP's layers cell by cell to
+pin its tie witnesses.
 """
 
 import itertools
@@ -237,6 +239,48 @@ def dp_matrix(topology, sources, max_hops, edge_weights):
     best = np.array([r.best for r in results]).reshape(len(results), n)
     hops = np.array([r.best_hops() for r in results], dtype=np.int64)
     return best, hops.reshape(len(results), n)
+
+
+def dp_witness_planes(topology, sources, max_hops, edge_weights):
+    """The matrix DP's per-layer planes, relaxed cell by cell.
+
+    Layer ``h`` gives node ``v`` (for source ``a``) the minimum of its
+    carry and ``prev[u, a] + w_e`` over its lanes ``(u, e)`` in
+    ``topology.incident(v)`` order, which is the CSR lane order. When
+    that improves the cell, its witness is the *last* lane reaching the
+    new minimum; otherwise it has none (``-1``). Layers stop before the
+    first one that improves no cell. Returns ``(layer_dist, parent_node,
+    parent_edge)``, lists of node-major ``(n, S)`` planes shaped as
+    :class:`~repro.routing.matrix.MatrixDPResult` stores them."""
+    weights = np.asarray(edge_weights, dtype=float)
+    n, S = topology.num_nodes, len(sources)
+    H = n - 1 if max_hops is None else max_hops
+    prev = np.full((n, S), np.inf)
+    prev[[int(s) for s in sources], np.arange(S)] = 0.0
+    layer_dist = [prev]
+    parent_node = [np.full((n, S), -1, dtype=np.int64)]
+    parent_edge = [np.full((n, S), -1, dtype=np.int64)]
+    lanes = [topology.incident(v) for v in range(n)]
+    for _ in range(H if topology.num_edges else 0):
+        new = prev.copy()
+        node = np.full((n, S), -1, dtype=np.int64)
+        edge = np.full((n, S), -1, dtype=np.int64)
+        for v in range(n):
+            for a in range(S):
+                cands = [prev[u, a] + weights[e] for u, e in lanes[v]]
+                if not cands or min(cands) >= prev[v, a]:
+                    continue
+                low = min(cands)
+                last = max(j for j, c in enumerate(cands) if c == low)
+                new[v, a] = low
+                node[v, a], edge[v, a] = lanes[v][last]
+        if np.array_equal(new, prev):
+            break
+        layer_dist.append(new)
+        parent_node.append(node)
+        parent_edge.append(edge)
+        prev = new
+    return layer_dist, parent_node, parent_edge
 
 
 def dp_paths(topology, sources, destinations, max_hops, edge_weights):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.routing import hop_constrained_shortest
 from repro.routing.engine import TrminEngine
-from repro.routing.matrix import matrix_hop_constrained
+from repro.routing.matrix import _degree_classes, matrix_hop_constrained
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology import Topology
 from repro.topology.fattree import build_fat_tree
@@ -100,6 +100,86 @@ class TestBitIdentity:
         zero = matrix_hop_constrained(topo, [2], 0, w)
         assert zero.best[0, 2] == 0.0
         assert np.isinf(np.delete(zero.best[0], 2)).all()
+
+
+class TestWitnessPlanes:
+    """``parent_node``/``parent_edge`` pick, plane for plane, the last
+    CSR lane reaching each improved cell's layer minimum: a different
+    tie witness would silently change ``OffloadRequest.route``."""
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("weighting", ["uniform", "random"])
+    @pytest.mark.parametrize("num_sources", [1, 3, 25, "all"])
+    def test_parents_equal_the_last_lane_oracle(self, k, weighting, num_sources):
+        topo = build_fat_tree(k)
+        n = topo.num_nodes
+        rng = np.random.default_rng(k)
+        if weighting == "uniform":  # every equal-hop route ties
+            w = np.ones(topo.num_edges)
+        else:
+            w = rng.uniform(0.01, 2.0, topo.num_edges)
+        if num_sources == "all":
+            sources = list(range(n))
+        else:  # more sources than nodes repeats some
+            sources = rng.choice(n, size=num_sources, replace=num_sources > n).tolist()
+        result = _assert_bit_identical(topo, sources, 4, w, with_parents=True)
+        layer_dist, parent_node, parent_edge = oracles.dp_witness_planes(
+            topo, sources, 4, w
+        )
+        assert len(result.layer_dist) == len(layer_dist)
+        for h in range(len(layer_dist)):
+            assert np.array_equal(result.layer_dist[h], layer_dist[h])
+            assert np.array_equal(result.parent_node[h], parent_node[h])
+            assert np.array_equal(result.parent_edge[h], parent_edge[h])
+
+
+class TestDegreeClassCache:
+    """The degree-class tables are kept with the topology's CSR wiring."""
+
+    def _grow(self, topo):
+        new = topo.add_node()
+        topo.add_edge(new, 0)
+        topo.add_edge(new, topo.num_nodes // 2)
+        return topo
+
+    def test_growing_the_graph_rebuilds_the_tables(self):
+        topo = build_fat_tree(4)
+        rng = np.random.default_rng(5)
+        sources = [0, 3, 11]
+        matrix_hop_constrained(topo, sources, 4, rng.uniform(0.1, 2.0, topo.num_edges))
+        before = _degree_classes(topo)
+        self._grow(topo)
+        assert _degree_classes(topo) is not before
+        fresh = self._grow(build_fat_tree(4))
+        w = rng.uniform(0.1, 2.0, topo.num_edges)
+        grown = matrix_hop_constrained(topo, sources, 4, w, with_parents=True)
+        expected = matrix_hop_constrained(fresh, sources, 4, w, with_parents=True)
+        assert np.array_equal(grown.best, expected.best)
+        assert np.array_equal(grown.hops, expected.hops)
+        for planes, fresh_planes in (
+            (grown.parent_node, expected.parent_node),
+            (grown.parent_edge, expected.parent_edge),
+        ):
+            assert len(planes) == len(fresh_planes)
+            assert all(map(np.array_equal, planes, fresh_planes))
+        _assert_bit_identical(topo, sources, 4, w)
+
+    def test_link_state_writes_keep_the_tables(self):
+        topo = build_fat_tree(4)
+        tables = _degree_classes(topo)
+        topo.set_utilization(0, 0.5)
+        assert _degree_classes(topo) is tables
+
+    def test_topologies_never_share_tables(self):
+        small, large = build_fat_tree(4), build_fat_tree(8)
+        for topo in (small, large, small):
+            w = np.random.default_rng(topo.num_nodes).uniform(0.1, 2.0, topo.num_edges)
+            _assert_bit_identical(topo, [0, 1, topo.num_nodes - 1], 4, w)
+        classes = _degree_classes(small)
+        assert sum(cls.nbr.size for cls in classes) == 2 * small.num_edges
+        assert sum(cls.nodes.size for cls in classes) == small.num_nodes
+        assert _degree_classes(large) is not classes
+        assert _degree_classes(build_fat_tree(4)) is not classes
 
 
 class TestValidationParity:

@@ -79,6 +79,23 @@ class TestCSRAdjacency:
         assert len(after.indptr) == len(before.indptr) + 1
         assert len(after.indices) == len(before.indices) + 2
 
+    def test_memo_lives_with_the_wiring(self):
+        topo = build_fat_tree(4)
+        m = topo.num_edges
+        builds = []
+
+        def build(t):
+            builds.append(t.num_edges)
+            return object()
+
+        first = topo.csr_memo("probe", build)
+        topo.set_utilization(0, 0.5)
+        assert topo.csr_memo("probe", build) is first
+        assert build_fat_tree(4).csr_memo("probe", build) is not first
+        topo.add_edge(0, topo.add_node(name="extra"))
+        assert topo.csr_memo("probe", build) is not first
+        assert builds == [m, m, m + 1]
+
     def test_arrays_are_read_only(self):
         csr = build_fat_tree(4).csr_adjacency()
         for arr in (csr.indptr, csr.indices, csr.edge_ids, csr.edge_costs):
