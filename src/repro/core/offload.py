@@ -166,12 +166,16 @@ class OffloadLedger:
         #: Per source with an active row, its active rows' amounts in
         #: ``_active`` order (kept by ``add`` and ``_close``).
         self._offloaded: Dict[int, List[float]] = {}
+        #: Per destination with an active row, its active rows in
+        #: ``_active`` order (kept by ``add``, ``_settle`` and ``_close``).
+        self._hosted: Dict[int, List[ActiveOffload]] = {}
 
     def add(self, offload: ActiveOffload) -> None:
         if offload.amount_pct <= _TOL:
             raise PlacementError("refusing to track a zero-amount offload")
         self._active.append(offload)
         self._offloaded.setdefault(offload.source, []).append(offload.amount_pct)
+        self._hosted.setdefault(offload.destination, []).append(offload)
 
     # -- queries (active rows) ----------------------------------------------------
     @property
@@ -191,11 +195,11 @@ class OffloadLedger:
         return (*self._active, *(r for r in self._other if r.redirect_id is not None))
 
     def hosted_by(self, destination: int) -> List[ActiveOffload]:
-        """Offloads currently hosted on ``destination``."""
-        return [o for o in self._active if o.destination == destination]
+        """Offloads currently hosted on ``destination``, in row order."""
+        return list(self._hosted.get(destination, ()))
 
     def hosted_amount(self, destination: int) -> float:
-        return float(sum(o.amount_pct for o in self.hosted_by(destination)))
+        return float(sum(o.amount_pct for o in self._hosted.get(destination, ())))
 
     def has_active(self, source: int) -> bool:
         """Whether ``source`` has an active (REDIRECTING or CONFIRMED) row."""
@@ -414,6 +418,9 @@ class OffloadLedger:
                 if row.redirect_id == redirect_id:
                     state = _next(row.state, trigger)
                     rows[i] = replace(row, state=state, redirect_id=None, **fields)
+                    if rows is self._active:
+                        hosted = self._hosted[row.destination]
+                        hosted[next(k for k, o in enumerate(hosted) if o is row)] = rows[i]
                     return True
         return False
 
@@ -429,6 +436,12 @@ class OffloadLedger:
                     self._offloaded[source] = amounts
                 else:
                     del self._offloaded[source]
+            for destination in {row.destination for row in closed}:
+                hosted = [row for row in self._hosted[destination] if not match(row)]
+                if hosted:
+                    self._hosted[destination] = hosted
+                else:
+                    del self._hosted[destination]
             self._other += [
                 replace(row, state=_next(row.state, trigger), reclaimed_at=now) for row in closed
             ]

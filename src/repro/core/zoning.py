@@ -101,6 +101,17 @@ def validate_partition(topology: Topology, zones: Sequence[Zone]) -> None:
         raise PlacementError(f"nodes {sorted(missing)} belong to no zone")
 
 
+def _validate_once(topology: Topology, zones: Sequence[Zone]) -> None:
+    """:func:`validate_partition`, remembered per zoning with the
+    topology's wiring (:meth:`~repro.topology.graph.Topology.csr_memo`):
+    nodes are only ever added, and adding one rebuilds the memo."""
+    validated = topology.csr_memo("validated_zonings", lambda _: set())
+    zoning = tuple(zones)
+    if zoning not in validated:
+        validate_partition(topology, zoning)
+        validated.add(zoning)
+
+
 @dataclass(frozen=True)
 class ZonedPlacementReport:
     """Aggregate outcome of per-zone placement."""
@@ -263,9 +274,9 @@ class DistributedPlacementReport(PlacementReport):
     presolve_warm_hits : int
         Never set (see the field's comment).
     coordinator_seconds : float
-        Coordinator-side merge/pivot wall time.
+        Coordinator-side setup/pivot wall time.
     zone_seconds : dict of int to float
-        Per-zone wall time (Trmin pricing + presolve + lane pricing).
+        Per-zone wall time (Trmin pricing + profile + lane pricing).
     critical_path_seconds : float
         Coordinator time plus the slowest zone (see the field's
         comment).
@@ -292,10 +303,11 @@ class DistributedPlacementEngine:
     offloading and accepts the stranded-excess cost — this engine
     reaches the *global* optimum: each zone manager prices its own busy
     rows once (the Θ(m_z·n) Trmin + reduced-cost work, which dominates)
-    and presolves its local block from those same rows
+    and prices them against the duals
     (:class:`~repro.lp.distributed.ZoneWorker`), while the thin
-    coordinator from :mod:`repro.lp.distributed` merges the zone bases
-    and exchanges consensus prices until no zone can improve. The
+    coordinator from :mod:`repro.lp.distributed` starts from its
+    artificial basis and exchanges consensus prices until no zone can
+    improve. The
     returned objective equals the centralized
     :class:`~repro.core.placement.PlacementEngine` solve on the same
     problem (same LP optimum, different pivot order). Every solve is a
@@ -305,7 +317,7 @@ class DistributedPlacementEngine:
     ----------
     zones : sequence of Zone
         The zone partition (must cover the topology; see
-        :func:`validate_partition`).
+        :func:`validate_partition`, run once per topology wiring).
     engine : PlacementEngine, optional
         Supplies the Trmin engine and response model the zones price
         with. A route-less engine is built when omitted.
@@ -336,7 +348,7 @@ class DistributedPlacementEngine:
             centralized solve) plus protocol statistics. Routes are not
             attached; pair with the response model to materialize them.
         """
-        validate_partition(problem.topology, self.zones)
+        _validate_once(problem.topology, self.zones)
         start = time.perf_counter()
         model = self.engine._model_for(problem)
         m, n = len(problem.busy), len(problem.candidates)
@@ -352,8 +364,8 @@ class DistributedPlacementEngine:
         for j, c in enumerate(problem.candidates):
             cols_of[owner[c]].append(j)
 
-        # Phase 0 per zone: full-width Trmin rows. The worker presolves
-        # its local block from them inside run_protocol.
+        # Phase 0 per zone: full-width Trmin rows, priced inside
+        # run_protocol against the coordinator's duals.
         workers: List[ZoneWorker] = []
         trmin_seconds: Dict[int, float] = {}
         full_trmin = np.zeros((m, n))

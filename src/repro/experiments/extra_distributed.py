@@ -3,12 +3,11 @@
 The paper's Eq. 3 program is solved by one manager holding the whole
 network view. This study splits the same program across per-pod zone
 managers (see ``docs/distributed_solve.md``): each zone prices only its
-own busy rows and presolves its local block, and a thin coordinator
-exchanges duals until the global optimum is certified. On every point
-the distributed objective must match the centralized solve to float
-precision; beside it the study records both solves' measured wall time
-(``total_seconds``), one after the other in the same process on the
-same snapshot.
+own busy rows, and a thin coordinator exchanges duals until the global
+optimum is certified. On every point the distributed objective must
+match the centralized solve to float precision; beside it the study
+records both solves' measured wall time (``total_seconds``), one after
+the other in the same process on the same snapshot.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Distributed transportation solve: zone subproblems + a thin price coordinator.
+"""Distributed transportation solve: zone pricing + a thin price coordinator.
 
 DUST's zones (:mod:`repro.core.zoning`) already fan route pricing out;
 this module also splits the Eq. 3 transportation solve across *zone
@@ -7,14 +7,15 @@ managers*, in the spirit of the distributed transportation simplex
 
 * each **zone** owns its busy rows (their supplies and full cost rows,
   i.e. the Trmin pricing work, which dominates wall-clock) and its
-  candidate columns (their capacities). It solves its *local*
-  subproblem — its busy rows against its own candidates — exactly,
-  from the cost rows it holds, and afterwards only ever *prices* its
-  rows against the coordinator's duals;
+  candidate columns (their capacities). It reports its shape once and
+  afterwards only ever *prices* its rows against the coordinator's
+  duals;
 * a **thin coordinator** owns no cost matrix — just the global basis
   tree (``m + n + 1`` cells), the flows that tree carries, and the dual
-  prices it implies. Each round it hands the duals ``(u, v)`` to every
-  zone, collects each zone's most-violated lanes as *bids*, applies the
+  prices it implies. It starts from the artificial basis (every row on
+  the artificial column, the dummy row on every real column). Each
+  round it hands the duals ``(u, v)`` to every zone that owns a row,
+  collects each zone's most-violated lanes as *bids*, applies the
   winning pivots, and repeats until no zone bids and the coordinator
   finds no pivot of its own (exact optimum).
 
@@ -31,17 +32,16 @@ its own lanes, then pivots with the same :meth:`_BasisTree.pivot`.
 Balanced coordinates: the real ``m × n`` problem gains a *dummy supply
 row* ``m`` (absorbing spare capacity at zero cost) and an *artificial
 column* ``n`` (absorbing unplaceable load at Big-M cost), both owned by
-the coordinator — this guarantees a valid starting tree even before any
-zone reports, and makes infeasibility show up as artificial flow, the
-same post-hoc detection the centralized solver applies to forbidden
-lanes. The protocol and a worked k=4 example live in
+the coordinator — this gives a valid starting tree before any zone
+prices, and makes infeasibility show up as artificial flow, the same
+post-hoc detection the centralized solver applies to forbidden lanes.
+The protocol and a worked k=4 example live in
 ``docs/distributed_solve.md``.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,14 +53,11 @@ from repro.lp.transportation import (
     _EPS,
     _FLOW_TOL,
     _MAX_PIVOTS,
-    TransportationProblem,
     _BasisTree,
     _best_entering,
     _big_m,
     _check_instance,
     _improving,
-    _UnionFind,
-    solve_transportation,
 )
 from repro.obs import get_registry
 
@@ -84,7 +81,7 @@ _MAX_ROUNDS = 10_000
 
 @dataclass(frozen=True)
 class ZoneProfile:
-    """Phase-1 report: one zone's subproblem shape and local presolve.
+    """Phase-1 report: one zone's shape, supplies and capacities.
 
     Parameters
     ----------
@@ -102,12 +99,6 @@ class ZoneProfile:
         Largest ``|c_ij|`` over the finite lanes of the zone's rows; the
         coordinator derives the global Big-M from the max over zones.
         ``0.0`` for a zone with no finite lane.
-    basis_cells : tuple of (int, int, float)
-        Spanning-tree cells ``(row, col, cost)`` of the zone's local
-        presolve, in *global* coordinates (local dummy
-        rows dropped; ``inf`` costs mark forbidden lanes). The
-        coordinator merges these into the initial global basis so the
-        price iterations start near the local optima.
     """
 
     zone_id: int
@@ -116,7 +107,6 @@ class ZoneProfile:
     supplies: Tuple[float, ...]
     capacities: Tuple[float, ...]
     max_abs_cost: float
-    basis_cells: Tuple[Tuple[int, int, float], ...] = ()
 
 
 # -- results -----------------------------------------------------------------------
@@ -150,9 +140,9 @@ class DistributedSolveResult:
         profile, a duals/bids pair per round and a final assignment,
         ``zone_count × (2 + 2·rounds)``.
     coordinator_seconds : float
-        Wall time spent in coordinator-side merge/pivot work.
+        Wall time spent in coordinator-side setup/pivot work.
     zone_seconds : dict of int to float
-        Wall time per zone (presolve + all pricing calls).
+        Wall time per zone (profile + all pricing calls).
     u, v : numpy.ndarray or None
         The coordinator's final duals over the ``m`` real rows and
         ``n`` real columns when optimal (``None`` otherwise), anchored
@@ -189,9 +179,8 @@ class ZoneWorker:
     rows (every candidate column, so cross-zone lanes can be priced) —
     plus the capacities of the zone's own candidate columns. All the
     Θ(m_z·n) pricing work happens here; the coordinator never sees a
-    cost matrix. The worker keeps nothing from one solve to the next:
-    :meth:`profile` presolves the local block from ``cost_rows`` every
-    time it is called.
+    cost matrix. The worker keeps nothing from one solve to the next;
+    a zone that owns no row is never priced.
 
     Parameters
     ----------
@@ -237,41 +226,10 @@ class ZoneWorker:
         _check_instance(self.supplies, self.capacities, self.cost_rows)
         self.seconds = 0.0
 
-    # -- phase 1: local presolve ---------------------------------------------------
-    def _local_presolve(self) -> Tuple[Tuple[int, int, float], ...]:
-        """Solve the zone-local block (own rows × own cols) exactly and
-        return its basis cells in global coordinates.
-
-        A zone whose load exceeds its own spare capacity solves a
-        supply-clipped variant instead — the point of the presolve is a
-        good starting *tree*, and the global iterations restore the
-        full supplies immediately.
-        """
-        m_z, n_z = len(self.rows), len(self.cols)
-        if m_z == 0 or n_z == 0 or float(self.supplies.sum()) <= _EPS:
-            return ()
-        local_cost = self.cost_rows[:, list(self.cols)]
-        supplies = self.supplies
-        total_s, total_d = float(supplies.sum()), float(self.capacities.sum())
-        if total_s > total_d + _EPS:
-            if total_d <= _EPS:
-                return ()
-            supplies = supplies * (total_d / total_s) * (1.0 - 1e-12)
-        result = solve_transportation(
-            TransportationProblem(supplies, self.capacities, local_cost)
-        )
-        if result.basis is None:
-            return ()
-        return tuple(
-            (self.rows[i], self.cols[j], float(local_cost[i, j]))
-            for i, j in result.basis.cells
-            if i < m_z  # local dummy row — coordinator has its own
-        )
-
+    # -- phase 1: profile ------------------------------------------------------------
     def profile(self) -> ZoneProfile:
-        """Build the zone's :class:`ZoneProfile` (runs the presolve)."""
+        """Build the zone's :class:`ZoneProfile`."""
         start = time.perf_counter()
-        cells = self._local_presolve()
         finite = self.cost_rows[np.isfinite(self.cost_rows)]
         profile = ZoneProfile(
             zone_id=self.zone_id,
@@ -280,7 +238,6 @@ class ZoneWorker:
             supplies=tuple(float(s) for s in self.supplies),
             capacities=tuple(float(d) for d in self.capacities),
             max_abs_cost=float(np.abs(finite).max()) if finite.size else 0.0,
-            basis_cells=cells,
         )
         self.seconds += time.perf_counter() - start
         return profile
@@ -317,56 +274,6 @@ class ZoneWorker:
 
 
 # -- coordinator -------------------------------------------------------------------
-
-
-def _sparse_tree_flows(
-    cells: Sequence[Tuple[int, int]],
-    mb: int,
-    nb: int,
-    supply_b: np.ndarray,
-    demand_b: np.ndarray,
-) -> Optional[Dict[Tuple[int, int], float]]:
-    """Leaf-elimination flows of a spanning tree, without a dense matrix.
-
-    Returns ``None`` when the tree would need a negative flow (the
-    merged zone bases don't fit the global balance), in which case the
-    coordinator falls back to its trivial artificial basis.
-    """
-    N = mb + nb
-    adjacency: List[List[int]] = [[] for _ in range(N)]
-    for idx, (i, j) in enumerate(cells):
-        adjacency[i].append(idx)
-        adjacency[mb + j].append(idx)
-    degree = [len(a) for a in adjacency]
-    remaining = supply_b.tolist() + demand_b.tolist()
-    done = [False] * len(cells)
-    flow: Dict[Tuple[int, int], float] = {}
-    leaves = deque(x for x in range(N) if degree[x] == 1)
-    while leaves:
-        node = leaves.popleft()
-        if degree[node] != 1:
-            continue
-        edge = next((e for e in adjacency[node] if not done[e]), None)
-        if edge is None:
-            continue
-        i, j = cells[edge]
-        other = mb + j if node == i else i
-        amount = remaining[node]
-        if amount < -_FLOW_TOL:
-            return None
-        flow[(i, j)] = max(0.0, amount)
-        remaining[node] = 0.0
-        remaining[other] -= amount
-        done[edge] = True
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    if not all(done):
-        return None
-    if any(abs(r) > _FLOW_TOL for r in remaining):
-        return None
-    return flow
 
 
 class DistributedCoordinator:
@@ -423,10 +330,11 @@ class DistributedCoordinator:
         """Assemble the global balanced instance from registered profiles.
 
         Validates that rows and columns partition across zones, derives
-        the shared Big-M, merges the zones' presolve trees into the
-        initial global basis (completed with coordinator-owned dummy /
-        artificial cells), and computes the starting flows. Trivial and
-        up-front-infeasible instances short-circuit here.
+        the shared Big-M and starts from the artificial basis: row ``i``
+        ships ``s_i`` on the artificial column, the dummy row fills
+        every real column ``j`` with ``d_j``, and the ``(m, n)`` corner
+        carries 0. Trivial and up-front-infeasible instances
+        short-circuit here.
         """
         start = time.perf_counter()
         profiles = [self._profiles[z] for z in sorted(self._profiles)]
@@ -464,61 +372,23 @@ class DistributedCoordinator:
         base = max((p.max_abs_cost for p in profiles), default=1.0)
         self.big_m = _big_m(base, m, n)
         self.mb, self.nb = m + 1, n + 1
-        # Own lanes (row, col, cost), priced after the bids: the dummy row,
-        # the artificial column, then the cost-0 (dummy, artificial) corner
-        # that lets the dummy absorb load stranded on the Big-M column.
-        self._own = np.array([
-            np.r_[np.full(n, m), np.arange(m), m],
-            np.r_[np.arange(n), np.full(m, n), n],
-            np.r_[np.zeros(n), np.full(m, self.big_m), 0.0],
-        ])
-        self.supply_b = np.concatenate([self.supply, [total_d]])
-        self.demand_b = np.concatenate([self.demand, [total_s]])
-
-        # Merge zone presolve trees; complete with coordinator cells.
-        uf = _UnionFind(self.mb + self.nb)
-        cells: List[Tuple[int, int]] = []
-        for p in profiles:
-            for i, j, cost in p.basis_cells:
-                if 0 <= i < m and 0 <= j < n and uf.union(i, self.mb + j):
-                    cells.append((i, j))
-                    self._record_cost(i, j, cost)
-        for j in range(n):  # dummy row reaches every real column
-            if uf.union(m, self.mb + j):
-                cells.append((m, j))
-        for i in range(m):  # leftover rows hang off the artificial column
-            if uf.union(i, self.mb + n):
-                cells.append((i, n))
-        if uf.union(m, self.mb + n):
-            cells.append((m, n))
-        flow = None
-        if len(cells) == self.mb + self.nb - 1:
-            flow = _sparse_tree_flows(
-                cells, self.mb, self.nb, self.supply_b, self.demand_b
-            )
-        if flow is None:
-            # Trivial artificial basis — always feasible, costs known.
-            cells = [(i, n) for i in range(m)] + [(m, j) for j in range(n)]
-            cells.append((m, n))
-            flow = {(i, n): float(self.supply[i]) for i in range(m)}
-            flow.update({(m, j): float(self.demand[j]) for j in range(n)})
-            flow[(m, n)] = 0.0
-        self._flow = flow
+        # Artificial basis: rows on the artificial column, then the dummy
+        # row on every real column and on the cost-0 (dummy, artificial)
+        # corner that lets it absorb load stranded on the Big-M column.
+        bi = np.concatenate([np.arange(m), np.full(n + 1, m)])
+        bj = np.concatenate([np.full(m, n), np.arange(n + 1)])
+        self._slot_cost = np.concatenate([np.full(m, self.big_m), np.zeros(n + 1)])
+        cells = list(zip(bi.tolist(), bj.tolist()))
+        flows = np.concatenate([self.supply, self.demand, [0.0]])
+        self._flow = dict(zip(cells, flows.tolist()))
+        # The same lanes (row, col, cost) are the coordinator's own, priced
+        # after the bids: the dummy row, the artificial column, the corner.
+        lanes = np.array([bi, bj, self._slot_cost])
+        self._own = np.concatenate([lanes[:, m:-1], lanes[:, :m], lanes[:, -1:]], axis=1)
         self._tree = _BasisTree(cells, self.mb, self.nb)
         self._tree.refresh()
-        self._slot_cost = np.array(
-            [self._cell_cost(int(bi), int(bj))
-             for bi, bj in zip(self._tree.bi, self._tree.bj)]
-        )
         self._refresh_potentials()
         self.seconds += time.perf_counter() - start
-
-    def _record_cost(self, i: int, j: int, cost: float) -> None:
-        if np.isfinite(cost):
-            self._cost[(i, j)] = float(cost)
-        else:
-            self._cost[(i, j)] = self.big_m
-            self._forbidden.add((i, j))
 
     def _cell_cost(self, i: int, j: int) -> float:
         if i == self.m:
@@ -651,12 +521,14 @@ class DistributedCoordinator:
 def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
     """Run the distributed solve over pre-built zone workers, in-process.
 
-    Every worker presolves its local block (:meth:`ZoneWorker.profile`)
-    and the coordinator merges the profiles into one basis. Each round
-    then hands the coordinator's duals to every zone's
-    :meth:`ZoneWorker.price` in zone-id order and the concatenated bids
-    to :meth:`DistributedCoordinator.step`, until it converges or runs
-    out of budget. Publishes the ``dsolve.*`` metrics.
+    Every worker reports its :meth:`ZoneWorker.profile` and the
+    coordinator starts from its artificial basis. Each round then hands
+    the coordinator's duals to :meth:`ZoneWorker.price` of every zone
+    that owns a row, in zone-id order (a rowless zone has nothing to
+    bid), and the concatenated bids to
+    :meth:`DistributedCoordinator.step`, until it converges or runs out
+    of budget. Every zone still counts in ``messages``. Publishes the
+    ``dsolve.*`` metrics.
 
     Parameters
     ----------
@@ -674,12 +546,12 @@ def run_protocol(workers: Sequence[ZoneWorker]) -> DistributedSolveResult:
     for worker in workers:
         coordinator.register(worker.profile())
     coordinator.initialize()
-    zones = sorted(workers, key=lambda w: w.zone_id)
+    pricing = sorted((w for w in workers if w.rows), key=lambda w: w.zone_id)
     while not coordinator.converged:
         u, v = coordinator.duals()
         bids = [
             bid
-            for worker in zones
+            for worker in pricing
             for bid in worker.price(u[list(worker.rows)], v, coordinator.big_m)
         ]
         coordinator.step(bids)

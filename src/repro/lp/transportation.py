@@ -33,9 +33,8 @@ re-hung and re-priced.
 Every solve is a pure function of its instance: the start is always
 Vogel's, and nothing is carried from one call to the next. An optimal
 solve also returns its final basis tree as a
-:class:`TransportationBasis`, whose cells the zone presolve of
-:mod:`repro.lp.distributed` reads to seed the coordinator's global
-tree, and the tree's potentials as the optimal duals ``u`` / ``v``.
+:class:`TransportationBasis` and the tree's potentials as the optimal
+duals ``u`` / ``v``.
 
 Complexity per MODI iteration is Θ(m·n) for pricing (two vectorized
 subtractions into one preallocated buffer, then the basic cells pinned
@@ -338,31 +337,6 @@ def _vogel_basis(
 
 
 # -- the basis tree ---------------------------------------------------------------
-
-
-class _UnionFind:
-    """Disjoint sets over tree nodes — how the distributed coordinator
-    merges zone trees into one spanning tree without closing a cycle."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
 
 
 class _BasisTree:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     ActiveOffload,
     KeepaliveTracker,
+    OffloadAck,
     OffloadLedger,
     QoSClass,
     ReplicaSelector,
@@ -59,6 +60,46 @@ class TestLedger:
     def test_zero_amount_rejected(self):
         with pytest.raises(PlacementError):
             OffloadLedger().add(ActiveOffload(0, 1, 0.0, (0, 1), 0.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_destination_index_matches_a_scan(self, seed):
+        """``hosted_by`` / ``hosted_amount`` read a per-destination index;
+        after random add / activate / confirm / abandon / reclaim / evict
+        sequences it holds the scan's rows, in row order, and its sums."""
+        rng = np.random.default_rng(seed)
+        ledger = OffloadLedger(reliable=True)
+        owed = []  # (redirect_id, source) of activated rows
+        for step in range(300):
+            now = float(step)
+            source, destination = (int(x) for x in rng.choice(6, 2, replace=False))
+            amount = float(rng.uniform(0.5, 9.0))
+            op = int(rng.integers(0, 7))
+            if op == 0:
+                ledger.add(ActiveOffload(source, destination, amount,
+                                         (source, destination), now))
+            elif op == 1:
+                ledger.request(source, destination, amount, (source, destination), now)
+                _, sends = ledger.on_ack(
+                    OffloadAck(destination=destination, source=source, accepted=True),
+                    now, in_resync=False,
+                )
+                owed += [(redirect.msg_id, source) for _, redirect in sends]
+            elif op == 2 and owed:
+                ledger.confirm(owed.pop(int(rng.integers(len(owed))))[0], now)
+            elif op == 3 and owed:
+                ledger.abandon(*owed.pop(int(rng.integers(len(owed)))), now)
+            elif op == 4:
+                ledger.reclaim(source, now=now)
+            elif op == 5:
+                ledger.evict_destination(destination)
+            elif op == 6:
+                ledger.evict(destination)
+            for node in range(6):
+                scan = [row for row in ledger.active if row.destination == node]
+                hosted = ledger.hosted_by(node)
+                assert len(hosted) == len(scan)
+                assert all(a is b for a, b in zip(hosted, scan))
+                assert ledger.hosted_amount(node) == float(sum(r.amount_pct for r in scan))
 
 
 class TestStrictPriorityQueue:

@@ -101,8 +101,8 @@ class TestWithPathsIsForwarded:
             engine=PlacementEngine(response_model=model, with_routes=False),
         ).solve(make_problem(topology))
         assert report.feasible
-        # One pricing call per zone that owns a busy row: the presolve
-        # reads the rows the zone just priced, it does not re-price them.
+        # One Trmin pricing call per zone that owns a busy row; the
+        # protocol prices those same rows, it does not re-price routes.
         assert seen_with_paths == [False, False, False]
 
 

@@ -223,3 +223,55 @@ class TestDistributedManagerZones:
             manager()
         zones = [Zone(0, (0, 1)), Zone(1, (2, 3))]
         assert manager(zones=zones).distributed_engine.zones == zones
+
+
+class TestDistributedPartitionCheck:
+    """``DistributedPlacementEngine`` checks its zoning once per topology
+    wiring, not on every solve."""
+
+    def solve(self, topology, zones):
+        from repro.core import DistributedPlacementEngine, PlacementProblem
+
+        problem = PlacementProblem(
+            topology=topology, busy=(0,), candidates=(1, 2),
+            cs=np.array([5.0]), cd=np.array([4.0, 4.0]),
+            data_mb=np.array([1.0]), max_hops=3,
+        )
+        return DistributedPlacementEngine(zones=zones).solve(problem)
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        import repro.core.zoning as zoning
+
+        calls = []
+        check = zoning.validate_partition
+        monkeypatch.setattr(
+            zoning, "validate_partition",
+            lambda topology, zones: (calls.append(topology), check(topology, zones)),
+        )
+        return calls
+
+    def test_once_per_topology(self, checks):
+        topology = build_line(3)
+        zones = [Zone(0, (0, 1)), Zone(1, (2,))]
+        assert self.solve(topology, zones).feasible
+        assert self.solve(topology, zones).feasible
+        assert checks == [topology]
+        fresh = build_line(3)
+        assert self.solve(fresh, zones).feasible
+        assert checks == [topology, fresh]
+
+    def test_a_node_added_after_a_solve_still_needs_a_zone(self, checks):
+        topology = build_line(3)
+        zones = [Zone(0, (0, 1)), Zone(1, (2,))]
+        assert self.solve(topology, zones).feasible
+        topology.add_node()
+        with pytest.raises(PlacementError, match="belong to no zone"):
+            self.solve(topology, zones)
+        assert checks == [topology, topology]
+
+    def test_a_fresh_topology_is_checked_afresh(self):
+        zones = [Zone(0, (0, 1)), Zone(1, (2,))]
+        assert self.solve(build_line(3), zones).feasible
+        with pytest.raises(PlacementError, match="belong to no zone"):
+            self.solve(build_line(4), zones)

@@ -15,7 +15,7 @@ to every Python call, so read the shares as where to look, and measure
 a change with ``benchmarks/e2e/run.py``.
 
 pytest does not collect this file; ``tests/tools/test_profile_unit.py``
-runs it once at k = 4.
+runs it at k = 4 on ``lp_churn_k16`` and ``dist_churn_k16``.
 """
 
 from __future__ import annotations
