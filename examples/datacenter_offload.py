@@ -14,57 +14,33 @@ Run with::
 
 import numpy as np
 
-from repro import (
-    DUSTClient,
-    DUSTManager,
-    LinkUtilizationModel,
-    MessageNetwork,
-    SimulationEngine,
-    ThresholdPolicy,
-    build_fat_tree,
-)
+from repro import LinkUtilizationModel, build_fat_tree
+from repro.simulation import Wiring, build_deployment
 
 
 def main() -> None:
     topology = build_fat_tree(4)
     LinkUtilizationModel(low=0.2, high=0.7, seed=11).apply(topology)
-    policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-
-    engine = SimulationEngine()
-    network = MessageNetwork(topology, engine)
-
     # Node 0 doubles as the DUST-Manager host (a core switch here; in
     # production it is a cloud service).
-    manager = DUSTManager(
-        node_id=0,
-        topology=topology,
-        engine=engine,
-        network=network,
-        policy=policy,
+    wiring = Wiring(
+        standby_node=None,
+        retry_policy=None,
         update_interval_s=60.0,
         optimization_period_s=120.0,
         keepalive_timeout_s=45.0,
     )
-    manager.start()
+    policy = wiring.policy
 
     # Clients: three switches run hot, the rest are comfortable.
     rng = np.random.default_rng(5)
-    clients = {}
     hot_nodes = {5, 9, 14}
-    for node in range(1, topology.num_nodes):
-        base = 92.0 if node in hot_nodes else float(rng.uniform(15.0, 45.0))
-        client = DUSTClient(
-            node_id=node,
-            engine=engine,
-            network=network,
-            manager_node=0,
-            policy=policy,
-            base_capacity=base,
-            data_mb=10.0,
-            num_agents=10,
-        )
-        client.start()
-        clients[node] = client
+    capacities = {
+        node: 92.0 if node in hot_nodes else float(rng.uniform(15.0, 45.0))
+        for node in range(1, topology.num_nodes)
+    }
+    deployment = build_deployment(wiring, topology, capacities)
+    engine, manager, clients = deployment.engine, deployment.manager, deployment.clients
 
     # One simulated hour.
     engine.run_until(3600.0)

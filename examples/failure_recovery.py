@@ -13,51 +13,27 @@ Run with::
 
 import numpy as np
 
-from repro import (
-    DUSTClient,
-    DUSTManager,
-    LinkUtilizationModel,
-    MessageNetwork,
-    SimulationEngine,
-    ThresholdPolicy,
-    build_fat_tree,
-)
+from repro import LinkUtilizationModel, build_fat_tree
+from repro.simulation import Wiring, build_deployment
 
 
 def main() -> None:
     topology = build_fat_tree(4)
     LinkUtilizationModel(low=0.2, high=0.6, seed=2).apply(topology)
-    policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-
-    engine = SimulationEngine()
-    network = MessageNetwork(topology, engine)
-    manager = DUSTManager(
-        node_id=0,
-        topology=topology,
-        engine=engine,
-        network=network,
-        policy=policy,
+    wiring = Wiring(
+        standby_node=None,
+        retry_policy=None,
         update_interval_s=30.0,
         optimization_period_s=60.0,
         keepalive_timeout_s=30.0,
     )
-    manager.start()
-
     rng = np.random.default_rng(9)
-    clients = {}
-    for node in range(1, topology.num_nodes):
-        base = 95.0 if node == 6 else float(rng.uniform(15.0, 40.0))
-        client = DUSTClient(
-            node_id=node,
-            engine=engine,
-            network=network,
-            manager_node=0,
-            policy=policy,
-            base_capacity=base,
-            keepalive_period_s=10.0,
-        )
-        client.start()
-        clients[node] = client
+    capacities = {
+        node: 95.0 if node == 6 else float(rng.uniform(15.0, 40.0))
+        for node in range(1, topology.num_nodes)
+    }
+    deployment = build_deployment(wiring, topology, capacities)
+    engine, manager, clients = deployment.engine, deployment.manager, deployment.clients
 
     # Phase 1: let the offload establish.
     engine.run_until(300.0)

@@ -15,12 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.client import DUSTClient
-from repro.core.manager import DUSTManager
-from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.network_sim import MessageNetwork
+from repro.simulation.chaos import Wiring, build_deployment
 from repro.topology.fattree import build_fat_tree
 from repro.topology.links import LinkUtilizationModel
 
@@ -37,30 +33,22 @@ def overhead_for_interval(
     """(messages/node/minute, offloads established, mean detection s)."""
     topology = build_fat_tree(k)
     LinkUtilizationModel(0.2, 0.7, seed=seed).apply(topology)
-    policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-    engine = SimulationEngine()
-    network = MessageNetwork(topology, engine)
-    manager = DUSTManager(
-        node_id=0, topology=topology, engine=engine, network=network,
-        policy=policy,
+    wiring = Wiring(
+        seed=seed, pods=k, horizon_s=horizon_s, standby_node=None, retry_policy=None,
         update_interval_s=update_interval_s,
         optimization_period_s=max(update_interval_s, 60.0),
         keepalive_timeout_s=3.0 * update_interval_s,
+        keepalive_period_s=update_interval_s / 3.0,
     )
-    manager.start()
     rng = np.random.default_rng(seed)
-    clients = {}
-    for node in range(1, topology.num_nodes):
-        client = DUSTClient(
-            node_id=node, engine=engine, network=network, manager_node=0,
-            policy=policy,
-            base_capacity=92.0 if node in hot_nodes else float(rng.uniform(15, 40)),
-            keepalive_period_s=update_interval_s / 3.0,
-        )
-        client.start()
-        clients[node] = client
-    engine.run_until(horizon_s)
-    nodes = len(clients)
+    capacities = {
+        node: 92.0 if node in hot_nodes else float(rng.uniform(15, 40))
+        for node in range(1, topology.num_nodes)
+    }
+    deployment = build_deployment(wiring, topology, capacities)
+    manager, network = deployment.manager, deployment.network
+    deployment.engine.run_until(horizon_s)
+    nodes = len(capacities)
     minutes = horizon_s / 60.0
     per_node_per_min = network.messages_sent / nodes / minutes
     # Detection latency proxy: first offload establishes after roughly

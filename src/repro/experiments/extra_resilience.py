@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,10 +38,8 @@ def run(
     for seed in seeds:
         scenario = default_scenario(seed=seed)
         if horizon_s != scenario.horizon_s:
-            crash_at = horizon_s / 2.0
-            from dataclasses import replace
-
-            scenario = replace(scenario, horizon_s=horizon_s, manager_crash_at=crash_at)
+            chaos = replace(scenario.chaos, manager_crash_at=horizon_s / 2.0)
+            scenario = replace(scenario, horizon_s=horizon_s, chaos=chaos)
         comparison = evaluate_scenario(scenario)
         faulty = comparison.faulty
         counters = faulty.counters

@@ -18,14 +18,18 @@ from repro.simulation.profiles import (
 )
 from repro.simulation.random import rng_from, spawn_seeds
 
-# The chaos and soak harnesses compose this package with repro.core,
-# whose modules import repro.simulation.engine — so their names are
-# loaded lazily (PEP 562) to keep the import graph acyclic.
+# The deployment builder and the chaos and soak harnesses compose this
+# package with repro.core, whose modules import repro.simulation.engine
+# — so their names are loaded lazily (PEP 562) to keep the import graph
+# acyclic.
 _CHAOS_EXPORTS = frozenset(
     {
         "ChaosRunResult",
         "ChaosScenario",
+        "FaultSchedule",
         "ScenarioComparison",
+        "Wiring",
+        "build_deployment",
         "default_scenario",
         "evaluate_scenario",
         "run_scenario",
@@ -34,7 +38,6 @@ _CHAOS_EXPORTS = frozenset(
 
 _SOAK_EXPORTS = frozenset(
     {
-        "SoakChaos",
         "SoakConfig",
         "SoakResult",
         "StreamSpec",
@@ -63,6 +66,7 @@ __all__ = [
     "ChaosScenario",
     "DiurnalArrivals",
     "FaultConfig",
+    "FaultSchedule",
     "FaultyNetwork",
     "Message",
     "MessageNetwork",
@@ -70,10 +74,11 @@ __all__ = [
     "ScenarioComparison",
     "ScheduledEvent",
     "SimulationEngine",
-    "SoakChaos",
     "SoakConfig",
     "SoakResult",
     "StreamSpec",
+    "Wiring",
+    "build_deployment",
     "default_scenario",
     "default_soak_chaos",
     "evaluate_scenario",

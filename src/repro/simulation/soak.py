@@ -35,9 +35,12 @@ per-source relief
 ``drift_bound`` forces reconvergence via
 :meth:`~repro.core.manager.DUSTManager.reset_placement`.
 
-Chaos composes on top: a :class:`FaultConfig` (loss, duplication,
-reordering), a timed network partition, and a mid-soak manager crash
-recovered by the standby — all while the event streams keep flowing.
+Chaos composes on top: a :class:`~repro.simulation.chaos.FaultSchedule`
+(loss, duplication, reordering, a timed network partition and a
+mid-soak manager crash recovered by the standby) — all while the event
+streams keep flowing. The deployment itself comes from
+:func:`~repro.simulation.chaos.build_deployment`, the builder the
+resilience run uses.
 """
 
 from __future__ import annotations
@@ -50,16 +53,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.client import DUSTClient
-from repro.core.failover import SnapshotStore, StandbyManager
+from repro.core.failover import StandbyManager
 from repro.core.heuristic import solve_heuristic
 from repro.core.manager import DUSTManager, ManagerCounters
 from repro.core.messages import RetryPolicy
 from repro.core.metrics import relief_by_source, relief_divergence
 from repro.core.placement import plan_round
-from repro.core.thresholds import ThresholdPolicy
 from repro.errors import SimulationError
-from repro.obs import CLIENT_MIRROR, get_registry, mirror_counters, trace_span
-from repro.simulation.chaos import QoSAuditResult, production_loss_audit
+from repro.obs import get_registry, trace_span
+from repro.simulation.chaos import FaultSchedule, QoSAuditResult, Wiring, build_deployment
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import FaultConfig, FaultyNetwork
 from repro.simulation.profiles import (
@@ -108,37 +110,10 @@ class StreamSpec:
         raise SimulationError(f"unknown arrival kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SoakChaos:
-    """Composed chaos riding on top of the sustained traffic."""
-
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    partition_at: Optional[float] = None
-    partition_heal_at: Optional[float] = None
-    partition_groups: Tuple[Tuple[int, ...], ...] = ()
-    manager_crash_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.partition_at is None) != (not self.partition_groups):
-            raise SimulationError("partition_at and partition_groups go together")
-        if self.partition_at is not None:
-            heal = self.partition_heal_at
-            if heal is not None and heal <= self.partition_at:
-                raise SimulationError("partition must heal after it starts")
-
-    @property
-    def is_null(self) -> bool:
-        return (
-            self.faults.is_null
-            and self.partition_at is None
-            and self.manager_crash_at is None
-        )
-
-
-def default_soak_chaos(crash_at: float = 240.0) -> SoakChaos:
+def default_soak_chaos(crash_at: float = 240.0) -> FaultSchedule:
     """The acceptance composition: 20% loss + duplication/reordering,
     one 60 s partition isolating a pod, one mid-soak manager crash."""
-    return SoakChaos(
+    return FaultSchedule(
         faults=FaultConfig(
             drop_probability=0.20,
             duplicate_probability=0.05,
@@ -153,14 +128,15 @@ def default_soak_chaos(crash_at: float = 240.0) -> SoakChaos:
 
 
 @dataclass(frozen=True)
-class SoakConfig:
+class SoakConfig(Wiring):
     """One fully-specified soak run (a pure function of its fields)."""
 
-    seed: int = 0
-    pods: int = 4
     horizon_s: float = 600.0
-    manager_node: int = 0
-    standby_node: int = 1
+    retry_policy: Optional[RetryPolicy] = field(
+        default_factory=lambda: RetryPolicy(base_timeout_s=2.0, max_retries=5, jitter=0.5)
+    )
+    update_interval_s: float = 15.0
+    optimization_period_s: float = 30.0
     # -- arrival streams ----------------------------------------------------
     load_stream: StreamSpec = field(default_factory=lambda: StreamSpec("diurnal", 20.0))
     offload_stream: StreamSpec = field(default_factory=lambda: StreamSpec("poisson", 0.25))
@@ -177,19 +153,6 @@ class SoakConfig:
     #: seen by the oracle before the round that places it) does not
     #: trigger a full teardown.
     watchdog_strikes: int = 2
-    # -- chaos --------------------------------------------------------------
-    chaos: Optional[SoakChaos] = None
-    # -- control-plane wiring (mirrors ChaosScenario) -----------------------
-    policy: ThresholdPolicy = field(
-        default_factory=lambda: ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
-    )
-    retry_policy: Optional[RetryPolicy] = field(
-        default_factory=lambda: RetryPolicy(base_timeout_s=2.0, max_retries=5, jitter=0.5)
-    )
-    update_interval_s: float = 15.0
-    optimization_period_s: float = 30.0
-    keepalive_timeout_s: float = 45.0
-    keepalive_period_s: float = 10.0
     load_range: Tuple[float, float] = (10.0, 95.0)
     #: Half-width of one load event's random-walk step. Load events are
     #: *deltas*, not resamples: the stream can run at hundreds of
@@ -198,18 +161,13 @@ class SoakConfig:
     load_step_pct: float = 4.0
 
     def __post_init__(self) -> None:
-        _require_positive("soak horizon", self.horizon_s)
+        super().__post_init__()
         _require_positive("drain period", self.drain_period_s)
         _require_positive("oracle period", self.oracle_period_s)
         if not 0.0 < self.drift_bound:
             raise SimulationError("drift bound must be positive")
         if self.watchdog_strikes < 1:
             raise SimulationError("watchdog needs at least one strike")
-        if self.standby_node == self.manager_node:
-            raise SimulationError("standby and manager must be different nodes")
-        if self.chaos is not None and self.chaos.manager_crash_at is not None:
-            if not 0.0 < self.chaos.manager_crash_at < self.horizon_s:
-                raise SimulationError("manager crash must fall inside the horizon")
 
 
 @dataclass
@@ -250,15 +208,8 @@ class _SoakDriver:
 
     def __init__(self, config: SoakConfig) -> None:
         self.config = config
-        self.topology = build_fat_tree(config.pods)
-        LinkUtilizationModel(0.2, 0.7, seed=config.seed).apply(self.topology)
-        self.engine = SimulationEngine()
-        faults = config.chaos.faults if config.chaos is not None else FaultConfig()
-        self.network = FaultyNetwork(
-            self.topology, self.engine, faults=faults, seed=config.seed
-        )
-        self.loads: Dict[int, float] = {}
-        self.clients: Dict[int, DUSTClient] = {}
+        topology = build_fat_tree(config.pods)
+        LinkUtilizationModel(0.2, 0.7, seed=config.seed).apply(topology)
         self.events_generated = 0
         # ``MetricsRegistry.reset()`` keeps instruments, so the handle
         # stays live for the whole run.
@@ -271,71 +222,25 @@ class _SoakDriver:
         self.drift_samples: List[Tuple[float, float]] = []
         self.watchdog_resets = 0
         self._drift_strikes = 0
-        self.admissions = 0
-        self.evictions = 0
         self._rng = np.random.default_rng(config.seed)
-
-        store = SnapshotStore()
-        self.manager = DUSTManager(
-            node_id=config.manager_node,
-            topology=self.topology,
-            engine=self.engine,
-            network=self.network,
-            policy=config.policy,
-            update_interval_s=config.update_interval_s,
-            optimization_period_s=config.optimization_period_s,
-            keepalive_timeout_s=config.keepalive_timeout_s,
-            retry_policy=config.retry_policy,
-            snapshot_store=store,
-            standby_node=config.standby_node,
-            heartbeat_period_s=config.keepalive_period_s,
-            dedup_ttl_s=20.0 * config.update_interval_s,
-            transport_seed=config.seed,
-            on_admission=self._on_admission,
-            on_eviction=self._on_eviction,
-        )
-        self.manager.start()
-        self.standby = StandbyManager(
-            node_id=config.standby_node,
-            topology=self.topology,
-            engine=self.engine,
-            network=self.network,
-            policy=config.policy,
-            snapshot_store=store,
-            primary_node=config.manager_node,
-            takeover_silence_s=3.0 * config.keepalive_period_s,
-            check_period_s=config.keepalive_period_s,
-            manager_kwargs=dict(
-                update_interval_s=config.update_interval_s,
-                optimization_period_s=config.optimization_period_s,
-                keepalive_timeout_s=config.keepalive_timeout_s,
-                retry_policy=config.retry_policy,
-                dedup_ttl_s=20.0 * config.update_interval_s,
-                transport_seed=config.seed,
-                on_admission=self._on_admission,
-                on_eviction=self._on_eviction,
-            ),
-        )
-        self.standby.start()
 
         reserved = {config.manager_node, config.standby_node}
         low, high = config.load_range
-        for node in range(self.topology.num_nodes):
-            if node in reserved:
-                continue
-            self.loads[node] = float(self._rng.uniform(low, min(high, 60.0)))
-            client = DUSTClient(
-                node_id=node,
-                engine=self.engine,
-                network=self.network,
-                manager_node=config.manager_node,
-                policy=config.policy,
-                base_capacity=(lambda t, n=node: self.loads[n]),
-                keepalive_period_s=config.keepalive_period_s,
-                retry_policy=config.retry_policy,
-            )
-            client.start()
-            self.clients[node] = client
+        self.loads: Dict[int, float] = {
+            node: float(self._rng.uniform(low, min(high, 60.0)))
+            for node in range(topology.num_nodes)
+            if node not in reserved
+        }
+        self.deployment = build_deployment(
+            config,
+            topology,
+            {node: (lambda t, n=node: self.loads[n]) for node in self.loads},
+            on_admission=self._on_admission,
+            on_eviction=self._on_eviction,
+            dedup_ttl_s=20.0 * config.update_interval_s,
+        )
+        self.engine = self.deployment.engine
+        self.clients = self.deployment.clients
         self._targets = tuple(sorted(self.clients))
         # ``(low, high - low)`` per event kind: ``low + (high - low) *
         # random()`` is numpy's ``uniform(low, high)`` bit for bit, at a
@@ -351,17 +256,10 @@ class _SoakDriver:
 
     # -- manager hooks --------------------------------------------------------
     def _on_admission(self, node: int) -> None:
-        self.admissions += 1
         get_registry().counter("soak.admissions").inc()
 
     def _on_eviction(self, node: int) -> None:
-        self.evictions += 1
         get_registry().counter("soak.evictions").inc()
-
-    def active(self) -> DUSTManager:
-        if self.standby.manager is not None:
-            return self.standby.manager
-        return self.manager
 
     # -- arrival streams (open loop) -------------------------------------------
     def _streams(self) -> List[Tuple[int, str, ArrivalProcess]]:
@@ -447,7 +345,7 @@ class _SoakDriver:
         from the active manager's own view with its ledger torn down, so
         drift of the incrementally kept placement is measured apart from
         monitoring staleness, which hits oracle and incumbent alike."""
-        mgr = self.active()
+        mgr = self.deployment.active()
         problem = plan_round(mgr.round_view(), self.config.policy, "from-scratch").problem
         if problem is None:
             return {}
@@ -461,7 +359,7 @@ class _SoakDriver:
         registry = get_registry()
         registry.counter("soak.oracle_solves").inc()
         oracle = self._oracle_relief()
-        observed = relief_by_source(self.active().ledger.active)
+        observed = relief_by_source(self.deployment.active().ledger.active)
         drift = relief_divergence(oracle, observed)
         self.drift_samples.append((self.engine.now, drift))
         registry.gauge("soak.oracle_drift").set(drift)
@@ -473,34 +371,9 @@ class _SoakDriver:
             self._drift_strikes = 0
             self.watchdog_resets += 1
             registry.counter("soak.watchdog_resets").inc()
-            mgr = self.active()
+            mgr = self.deployment.active()
             mgr.reset_placement()
             mgr.run_optimization_round()
-
-    # -- chaos ----------------------------------------------------------------
-    def _schedule_chaos(self) -> None:
-        chaos = self.config.chaos
-        if chaos is None:
-            return
-        if chaos.partition_at is not None:
-            groups = chaos.partition_groups
-            self.engine.schedule_at(
-                chaos.partition_at,
-                lambda _e: self.network.set_partition(groups),
-                label="soak-partition",
-            )
-            if chaos.partition_heal_at is not None:
-                self.engine.schedule_at(
-                    chaos.partition_heal_at,
-                    lambda _e: self.network.heal_partition(),
-                    label="soak-partition-heal",
-                )
-        if chaos.manager_crash_at is not None:
-            self.engine.schedule_at(
-                chaos.manager_crash_at,
-                lambda _e: self.manager.crash() if self.manager.alive else None,
-                label="soak-manager-crash",
-            )
 
     # -- run ------------------------------------------------------------------
     def run(self) -> SoakResult:
@@ -516,7 +389,8 @@ class _SoakDriver:
             lambda _e: self._watchdog_tick(),
             label="soak-watchdog",
         )
-        self._schedule_chaos()
+        deployment = self.deployment
+        deployment.schedule(config.chaos)
 
         wall_start = time.perf_counter()
         self.engine.run_until(config.horizon_s)
@@ -525,9 +399,7 @@ class _SoakDriver:
         self._apply_arrivals(config.horizon_s)
         wall = time.perf_counter() - wall_start
 
-        current = self.active()
-        counters = current.refresh_transport_counters()
-        qos = production_loss_audit(current, self.topology, self.clients)
+        counters, qos = deployment.audit()
         # Closing drift sample: did the run end reconverged?
         self._watchdog_tick()
 
@@ -543,9 +415,7 @@ class _SoakDriver:
         else:
             p50 = p95 = p99 = float("nan")
         final_drift = self.drift_samples[-1][1] if self.drift_samples else 0.0
-        for client in self.clients.values():
-            mirror_counters(client, CLIENT_MIRROR)
-        self.network.publish_metrics()
+        deployment.publish_metrics()
         return SoakResult(
             config=config,
             events_generated=self.events_generated,
@@ -558,14 +428,14 @@ class _SoakDriver:
             drift_samples=tuple(self.drift_samples),
             final_drift=final_drift,
             watchdog_resets=self.watchdog_resets,
-            took_over_at=self.standby.took_over_at,
+            took_over_at=deployment.took_over_at,
             qos=qos,
             counters=counters,
-            manager=self.manager,
-            standby=self.standby,
+            manager=deployment.manager,
+            standby=deployment.standby,
             clients=self.clients,
             engine=self.engine,
-            network=self.network,
+            network=deployment.network,
         )
 
 
@@ -579,8 +449,7 @@ def run_soak(config: SoakConfig) -> SoakResult:
     ``soak.run`` span.
     """
     start = time.perf_counter()
-    chaotic = config.chaos is not None and not config.chaos.is_null
-    with trace_span("soak.run", seed=config.seed, chaotic=chaotic):
+    with trace_span("soak.run", seed=config.seed, chaotic=config.chaotic):
         result = _SoakDriver(config).run()
     registry = get_registry()
     registry.counter("soak.runs").inc()

@@ -12,9 +12,10 @@ import pytest
 from repro.errors import SimulationError
 from repro.simulation import (
     BurstyArrivals,
+    ChaosScenario,
     DiurnalArrivals,
+    FaultSchedule,
     PoissonArrivals,
-    SoakChaos,
     SoakConfig,
     StreamSpec,
     default_soak_chaos,
@@ -48,9 +49,9 @@ class TestConfigValidation:
 
     def test_partition_needs_groups(self):
         with pytest.raises(SimulationError):
-            SoakChaos(partition_at=10.0)
+            FaultSchedule(partition_at=10.0)
         with pytest.raises(SimulationError):
-            SoakChaos(partition_at=10.0, partition_heal_at=5.0,
+            FaultSchedule(partition_at=10.0, partition_heal_at=5.0,
                       partition_groups=((1, 2),))
 
     def test_basic_field_validation(self):
@@ -63,11 +64,19 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             SoakConfig(standby_node=0, manager_node=0)
 
-    @pytest.mark.parametrize("field", ["horizon_s", "drain_period_s", "oracle_period_s"])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            *(pytest.param(SoakConfig, f, id=f)
+              for f in ("horizon_s", "drain_period_s", "oracle_period_s")),
+            *(pytest.param(ChaosScenario, f, id=f"ChaosScenario-{f}")
+              for f in ("horizon_s", "checkpoint_period_s")),
+        ],
+    )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_periods_rejected(self, field, value):
+    def test_non_finite_periods_rejected(self, config, field, value):
         with pytest.raises(SimulationError, match="finite"):
-            SoakConfig(**{field: value})
+            config(**{field: value})
 
     def test_default_chaos_is_composed(self):
         chaos = default_soak_chaos(crash_at=200.0)

@@ -1,16 +1,21 @@
 """Chaos harness: lossy-run convergence, determinism, acceptance."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.simulation import (
     ChaosScenario,
     FaultConfig,
+    FaultSchedule,
     default_scenario,
     evaluate_scenario,
     run_scenario,
 )
+from repro.simulation.chaos import production_loss_audit
+from repro.topology.fattree import build_fat_tree
+from repro.topology.links import LinkUtilizationModel
 
 #: The satellite property: up to 20% drop plus duplication/reordering.
 LOSSY = FaultConfig(
@@ -26,7 +31,7 @@ def test_lossy_run_converges_to_reliable_ledger(seed):
     """Dropping up to 20% of control messages (with duplication and
     reordering) must still converge to the exact OffloadLedger the
     fault-free run produces from the same seed."""
-    scenario = ChaosScenario(seed=seed, horizon_s=1800.0, faults=LOSSY)
+    scenario = ChaosScenario(seed=seed, horizon_s=1800.0, chaos=FaultSchedule(faults=LOSSY))
     comparison = evaluate_scenario(scenario)
     assert comparison.converged
     assert comparison.divergence == 0.0
@@ -70,12 +75,12 @@ class TestDefaultScenarioAcceptance:
 
     def test_failover_happened_and_recovery_is_reported(self, comparison):
         faulty = comparison.faulty
-        crash_at = faulty.scenario.manager_crash_at
+        crash_at = faulty.scenario.chaos.manager_crash_at
         assert faulty.took_over_at is not None
         assert faulty.took_over_at > crash_at
         assert comparison.recovery_s is not None
-        promoted = faulty.active_manager()
-        assert promoted is not faulty.manager
+        promoted = faulty.standby.manager
+        assert promoted is not None and promoted is not faulty.manager
         assert promoted.counters.resync_rounds == 1
 
     def test_zero_production_loss(self, comparison):
@@ -115,19 +120,58 @@ class TestScenarioValidation:
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError, match="inside the horizon"):
-            ChaosScenario(horizon_s=100.0, manager_crash_at=200.0)
+            ChaosScenario(horizon_s=100.0, chaos=FaultSchedule(manager_crash_at=200.0))
 
     def test_crash_without_standby_rejected(self):
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError, match="needs a standby"):
-            ChaosScenario(standby_node=None, manager_crash_at=100.0)
+            ChaosScenario(standby_node=None, chaos=FaultSchedule(manager_crash_at=100.0))
 
     def test_reference_strips_all_disruptions(self):
         reference = default_scenario(seed=3).reference()
-        assert reference.faults.is_null
-        assert reference.manager_crash_at is None
+        assert reference.chaos is None
         assert reference.seed == 3  # same wiring, same seed
+
+
+class TestProductionLossAudit:
+    """A route hop the fabric has no link for is skipped; any other
+    error from the link lookup surfaces instead of shrinking the audit."""
+
+    @pytest.fixture()
+    def fabric(self):
+        topology = build_fat_tree(4)
+        LinkUtilizationModel(0.2, 0.7, seed=0).apply(topology)
+        us, vs = topology.edge_endpoint_arrays()
+        u, v = int(us[0]), int(vs[0])
+        w = next(
+            n for n in range(topology.num_nodes) if n not in (u, v) and not topology.has_edge(v, n)
+        )
+        return topology, (u, v, w)
+
+    @staticmethod
+    def audit(topology, route):
+        offload = SimpleNamespace(
+            source=route[0], destination=route[-1], route=route, amount_pct=40.0
+        )
+        manager = SimpleNamespace(ledger=SimpleNamespace(active=[offload]))
+        return production_loss_audit(manager, topology, clients={})
+
+    def test_elided_hop_audits_the_remaining_links(self, fabric):
+        topology, (u, v, w) = fabric
+        elided = self.audit(topology, (u, v, w))
+        assert elided.offloads_audited == 1
+        assert elided == self.audit(topology, (u, v))
+
+    def test_other_lookup_errors_propagate(self, fabric, monkeypatch):
+        topology, route = fabric
+
+        def broken(u, v):
+            raise RuntimeError("broken link view")
+
+        monkeypatch.setattr(topology, "link_between", broken)
+        with pytest.raises(RuntimeError, match="broken link view"):
+            self.audit(topology, route)
 
 
 def test_resilience_experiment_writes_artifact(tmp_path):

@@ -139,7 +139,6 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
         "routing/routes.py Path.num_hops",
         "routing/routes.py Path.relay_nodes",
         "routing/routes.py RouteChoice.num_hops",
-        "simulation/chaos.py ChaosRunResult.active_manager",
         "simulation/engine.py SimulationEngine.pending_events",
         "simulation/network_sim.py Message.latency",
         "simulation/profiles.py ArrivalProcess.take",
