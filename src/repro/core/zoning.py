@@ -101,15 +101,18 @@ def validate_partition(topology: Topology, zones: Sequence[Zone]) -> None:
         raise PlacementError(f"nodes {sorted(missing)} belong to no zone")
 
 
-def _validate_once(topology: Topology, zones: Sequence[Zone]) -> None:
-    """:func:`validate_partition`, remembered per zoning with the
-    topology's wiring (:meth:`~repro.topology.graph.Topology.csr_memo`):
-    nodes are only ever added, and adding one rebuilds the memo."""
-    validated = topology.csr_memo("validated_zonings", lambda _: set())
+def _zone_owner(topology: Topology, zones: Sequence[Zone]) -> Dict[int, int]:
+    """Node → zone id of a zoning :func:`validate_partition` accepts,
+    checked and built once per zoning with the topology's wiring
+    (:meth:`~repro.topology.graph.Topology.csr_memo`): nodes are only
+    ever added, and adding one rebuilds the memo."""
+    owners = topology.csr_memo("zone_owners", lambda _: {})
     zoning = tuple(zones)
-    if zoning not in validated:
+    owner = owners.get(zoning)
+    if owner is None:
         validate_partition(topology, zoning)
-        validated.add(zoning)
+        owner = owners[zoning] = {node: zone.zone_id for zone in zoning for node in zone.nodes}
+    return owner
 
 
 @dataclass(frozen=True)
@@ -317,7 +320,8 @@ class DistributedPlacementEngine:
     ----------
     zones : sequence of Zone
         The zone partition (must cover the topology; see
-        :func:`validate_partition`, run once per topology wiring).
+        :func:`validate_partition`, run once per topology wiring with
+        the node → zone map the solves share).
     engine : PlacementEngine, optional
         Supplies the Trmin engine and response model the zones price
         with. A route-less engine is built when omitted.
@@ -348,15 +352,11 @@ class DistributedPlacementEngine:
             centralized solve) plus protocol statistics. Routes are not
             attached; pair with the response model to materialize them.
         """
-        _validate_once(problem.topology, self.zones)
+        owner = _zone_owner(problem.topology, self.zones)
         start = time.perf_counter()
         model = self.engine._model_for(problem)
         m, n = len(problem.busy), len(problem.candidates)
 
-        owner: Dict[int, int] = {}
-        for zone in self.zones:
-            for node in zone.nodes:
-                owner[node] = zone.zone_id
         rows_of: Dict[int, List[int]] = {z.zone_id: [] for z in self.zones}
         cols_of: Dict[int, List[int]] = {z.zone_id: [] for z in self.zones}
         for i, b in enumerate(problem.busy):

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs import FAULTY_NETWORK_MIRROR, NETWORK_MIRROR, mirror_counters
+from repro.simulation.draws import BlockDraws
 from repro.simulation.engine import SimulationEngine
 from repro.topology.graph import Topology
 
@@ -270,7 +271,9 @@ FaultLogEntry = Tuple[float, str, int, int, str]
 class FaultyNetwork(MessageNetwork):
     """A :class:`MessageNetwork` whose fabric misbehaves on purpose.
 
-    Every probabilistic decision comes from one seeded generator, so a
+    Every probabilistic decision comes from one seeded
+    :class:`~repro.simulation.draws.BlockDraws` source (numpy's
+    ``random()`` stream of the seed, served from raw words), so a
     chaos run is a pure function of ``(scenario, seed)`` — the
     determinism test replays a scenario and asserts the event logs are
     identical. The fault pipeline per message: partition check → drop
@@ -287,7 +290,8 @@ class FaultyNetwork(MessageNetwork):
     ) -> None:
         super().__init__(topology, engine)
         self.faults = faults if faults is not None else FaultConfig()
-        self._rng = np.random.default_rng(seed)
+        #: The drop, jitter, reorder and duplicate lotteries.
+        self._rng = BlockDraws(seed)
         self.set_partition(self.faults.partitions)
         self.faults_dropped = 0
         self.partition_dropped = 0

@@ -62,6 +62,7 @@ from repro.core.placement import plan_round
 from repro.errors import SimulationError
 from repro.obs import get_registry, trace_span
 from repro.simulation.chaos import FaultSchedule, QoSAuditResult, Wiring, build_deployment
+from repro.simulation.draws import BlockDraws
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network_sim import FaultConfig, FaultyNetwork
 from repro.simulation.profiles import (
@@ -222,12 +223,17 @@ class _SoakDriver:
         self.drift_samples: List[Tuple[float, float]] = []
         self.watchdog_resets = 0
         self._drift_strikes = 0
-        self._rng = np.random.default_rng(config.seed)
+        #: The driver's draws: the initial loads, then each arrival's
+        #: node and value.
+        self._rng = BlockDraws(config.seed)
 
         reserved = {config.manager_node, config.standby_node}
         low, high = config.load_range
+        # ``low + (high - low) * random()`` is numpy's ``uniform(low,
+        # high)`` bit for bit.
+        initial_span = min(high, 60.0) - low
         self.loads: Dict[int, float] = {
-            node: float(self._rng.uniform(low, min(high, 60.0)))
+            node: low + initial_span * self._rng.random()
             for node in range(topology.num_nodes)
             if node not in reserved
         }
@@ -242,17 +248,13 @@ class _SoakDriver:
         self.engine = self.deployment.engine
         self.clients = self.deployment.clients
         self._targets = tuple(sorted(self.clients))
-        # ``(low, high - low)`` per event kind: ``low + (high - low) *
-        # random()`` is numpy's ``uniform(low, high)`` bit for bit, at a
-        # third of the call cost.
+        # ``(low, high - low)`` of each drawn value: a load event's step,
+        # and an explicit offload demand, which pushes the node past
+        # c_max. A churn event draws no value.
         step = config.load_step_pct
         offload_low = min(config.policy.c_max + 2.0, high)
-        self._value_draws: Dict[str, Optional[Tuple[float, float]]] = {
-            "load": (-step, step - (-step)),
-            # An explicit offload demand: push the node past c_max.
-            "offload": (offload_low, high - offload_low),
-            "churn": None,  # value unused
-        }
+        self._step_draw = (-step, step - (-step))
+        self._offload_draw = (offload_low, high - offload_low)
 
     # -- manager hooks --------------------------------------------------------
     def _on_admission(self, node: int) -> None:
@@ -288,56 +290,56 @@ class _SoakDriver:
         """Draw and apply every arrival at or before ``until``, in time
         order; each waited ``now - arrival`` for this tick.
 
-        A draw touches only the driver ``_rng`` and applying touches only
-        ``loads`` and one client, so drawing and applying each arrival in
-        turn gives the same draws, engine sequence numbers and loads as
-        drawing the tick's arrivals first, or as one engine event per
+        Each stream yields its arrivals up to ``until`` and stays one
+        arrival ahead; one sort of the ``(time, salt)`` pairs puts them
+        in time order. A draw touches only the driver ``_rng`` and
+        applying touches only ``loads`` and one client, so drawing and
+        applying the sorted arrivals in turn gives the same draws,
+        engine sequence numbers and loads as one engine event per
         arrival that draws it for the tick to apply; the engine carries
-        only control-plane events. The one divergence is an arrival whose
-        float time exactly equals a tick or another stream's arrival
-        (probability ~2⁻⁵² per tick): here it is applied at that tick,
-        and equal-time arrivals go in stream order.
+        only control-plane events. The one divergence is an arrival
+        whose float time exactly equals a tick or another stream's
+        arrival (probability ~2⁻⁵² per tick): here it is applied at that
+        tick, and equal-time arrivals go in stream order.
         """
-        heads = self._heads
         horizon = self.config.horizon_s
-        rng = self._rng
-        targets = self._targets
-        draws = self._value_draws
-        apply = self._apply
-        applied = 0
-        while heads:
-            head = min(heads)
-            at = head[0]
-            if at > until:
-                break
-            kind = head[2]
-            node = targets[rng.integers(len(targets))]
-            draw = draws[kind]
-            apply(kind, node, 0.0 if draw is None else draw[0] + draw[1] * rng.random(), at)
-            applied += 1
-            nxt = head[3].next_arrival()
-            if nxt < horizon:
-                head[0] = nxt
-            else:
-                heads.remove(head)
-        if applied:
-            self.events_generated += applied
-            self._generated_counter.inc(applied)
-            self._applied_counter.inc(applied)
+        due: List[Tuple[float, int, str]] = []
+        for head in self._heads:
+            at, salt, kind, process = head
+            while at <= until and at < horizon:
+                due.append((at, salt, kind))
+                at = process.next_arrival()
+            head[0] = at
+        if not due:
+            return
+        self._heads = [head for head in self._heads if head[0] < horizon]
+        due.sort()
 
-    def _apply(self, kind: str, node: int, value: float, at: float) -> None:
-        if kind == "load":
-            low, high = self.config.load_range
-            self.loads[node] = min(high, max(low, self.loads[node] + value))
-        elif kind == "offload":
-            self.loads[node] = value
-        else:  # churn
-            client = self.clients[node]
-            if client.alive:
-                client.fail()
-            else:
-                client.recover()
-        self.latencies.append(self.engine.now - at)
+        integers, random = self._rng.integers, self._rng.random
+        targets = self._targets
+        n_targets = len(targets)
+        loads = self.loads
+        low, high = self.config.load_range
+        step_low, step_span = self._step_draw
+        offload_low, offload_span = self._offload_draw
+        latencies = self.latencies
+        now = self.engine.now
+        for at, _salt, kind in due:
+            node = targets[integers(n_targets)]
+            if kind == "load":
+                loads[node] = min(high, max(low, loads[node] + (step_low + step_span * random())))
+            elif kind == "offload":
+                loads[node] = offload_low + offload_span * random()
+            else:  # churn
+                client = self.clients[node]
+                if client.alive:
+                    client.fail()
+                else:
+                    client.recover()
+            latencies.append(now - at)
+        self.events_generated += len(due)
+        self._generated_counter.inc(len(due))
+        self._applied_counter.inc(len(due))
 
     # -- drift watchdog --------------------------------------------------------
     def _oracle_relief(self) -> Dict[int, float]:

@@ -226,8 +226,8 @@ class TestDistributedManagerZones:
 
 
 class TestDistributedPartitionCheck:
-    """``DistributedPlacementEngine`` checks its zoning once per topology
-    wiring, not on every solve."""
+    """``DistributedPlacementEngine`` checks its zoning and builds its
+    node → zone map once per topology wiring, not on every solve."""
 
     def solve(self, topology, zones):
         from repro.core import DistributedPlacementEngine, PlacementProblem
@@ -260,6 +260,24 @@ class TestDistributedPartitionCheck:
         fresh = build_line(3)
         assert self.solve(fresh, zones).feasible
         assert checks == [topology, fresh]
+
+    def test_owner_map_built_once_per_topology(self, monkeypatch):
+        import repro.core.zoning as zoning
+
+        owners = []
+        build = zoning._zone_owner
+        monkeypatch.setattr(
+            zoning, "_zone_owner",
+            lambda topology, zones: owners.append(build(topology, zones)) or owners[-1],
+        )
+        topology = build_line(3)
+        zones = [Zone(0, (0, 1)), Zone(1, (2,))]
+        assert self.solve(topology, zones).feasible
+        assert self.solve(topology, zones).feasible
+        assert owners[0] == {0: 0, 1: 0, 2: 1}
+        assert owners[1] is owners[0]
+        assert self.solve(build_line(3), zones).feasible
+        assert owners[2] == owners[0] and owners[2] is not owners[0]
 
     def test_a_node_added_after_a_solve_still_needs_a_zone(self, checks):
         topology = build_line(3)

@@ -2,14 +2,15 @@
 ``uniform``.
 
 ``repro.simulation.soak`` draws and applies a tick's arrivals when the
-tick fires and draws ``low + (high - low) * random()``; the classes here
-keep the per-arrival scheduling (a self-rescheduling ``fire`` closure per
-stream that draws its arrival onto a pending list the tick applies) and
-the ``Generator.uniform`` calls that replaced, so the suites hold the
-trajectory and the draws ``==`` to them.
+tick fires and draws ``low + (high - low) * random()`` from raw PCG64
+words (``repro.simulation.draws.BlockDraws``); the classes here keep the
+per-arrival scheduling (a self-rescheduling ``fire`` closure per stream
+that draws its arrival onto a pending list the tick applies) and the
+``Generator.integers`` / ``Generator.uniform`` calls that replaced, so
+the suites hold the trajectory and the draws ``==`` to them.
 """
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,13 @@ class PerArrivalSoakDriver(_SoakDriver):
 
     def __init__(self, config: SoakConfig) -> None:
         super().__init__(config)
+        # The driver's own draws come from raw words; this one redraws
+        # the initial loads, and then every arrival, through numpy's
+        # ``Generator`` calls.
+        self._rng = np.random.default_rng(config.seed)
+        low, high = config.load_range
+        for node in self.loads:
+            self.loads[node] = float(self._rng.uniform(low, min(high, 60.0)))
         self._churnable = np.array(sorted(self.clients))
         self._pending: List[Tuple[str, int, float, float]] = []
 
@@ -53,6 +61,20 @@ class PerArrivalSoakDriver(_SoakDriver):
         pending, self._pending = self._pending, []
         for entry in pending:
             self._apply(*entry)
+
+    def _apply(self, kind: str, node: int, value: float, at: float) -> None:
+        if kind == "load":
+            low, high = self.config.load_range
+            self.loads[node] = min(high, max(low, self.loads[node] + value))
+        elif kind == "offload":
+            self.loads[node] = value
+        else:  # churn
+            client = self.clients[node]
+            if client.alive:
+                client.fail()
+            else:
+                client.recover()
+        self.latencies.append(self.engine.now - at)
 
     def _schedule_stream(self, kind: str, process: ArrivalProcess) -> None:
         horizon = self.config.horizon_s
@@ -88,15 +110,20 @@ class UniformDiurnalArrivals(DiurnalArrivals):
 
 
 class UniformJitterNetwork(FaultyNetwork):
-    """Delivery jitter drawn as ``uniform(0, jitter_s)``."""
+    """Delivery jitter drawn as ``uniform(0, jitter_s)`` from a numpy
+    ``Generator`` of the network's seed."""
+
+    def __init__(self, *args: Any, seed: Optional[int] = None, **kwargs: Any) -> None:
+        super().__init__(*args, seed=seed, **kwargs)
+        self._uniform_rng = np.random.default_rng(seed)
 
     def _extra_delay(self, source: int, destination: int, payload: Any) -> float:
         delay = 0.0
         if self.faults.jitter_s > 0.0:
-            delay += float(self._rng.uniform(0.0, self.faults.jitter_s))
+            delay += float(self._uniform_rng.uniform(0.0, self.faults.jitter_s))
         if (
             self.faults.reorder_probability > 0.0
-            and self._rng.random() < self.faults.reorder_probability
+            and self._uniform_rng.random() < self.faults.reorder_probability
         ):
             self.reordered += 1
             delay += self.faults.reorder_extra_s

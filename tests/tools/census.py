@@ -11,11 +11,12 @@ under ``src/repro`` to ``hits-<pid>.tsv``, one line each and
 line-buffered, so forked pool workers that leave through ``os._exit``
 and the benchmark's unit subprocesses are counted too.
 
-The report then walks ``src/repro`` with :mod:`ast` and matches each
-function on ``(file, first line, name)``: a decorated function's
-``co_firstlineno`` is its first decorator's line. A function that was
-never entered is one row, sized in lines from its first decorator to
-its last line; the functions nested in it are not rows of their own.
+The report walks ``src/repro`` as parsed with :mod:`ast` before the
+runs started and matches each function on ``(file, first line,
+name)``: a decorated function's ``co_firstlineno`` is its first
+decorator's line. A function that was never entered is one row, sized
+in lines from its first decorator to its last line; the functions
+nested in it are not rows of their own.
 Rows on :data:`ALLOWLIST` are kept on purpose and say why. The script
 prints the rest and exits 1 when there are any, and it names allowlist
 rows that no longer match a never-entered function.
@@ -316,12 +317,23 @@ def never_entered(tree: ast.AST, path: str, entered: Set[Key]) -> List[Row]:
     return rows
 
 
-def census(entered: Set[Key], package: Path = PACKAGE) -> List[Row]:
-    """Never-entered rows of every module under ``package``."""
+def snapshot(package: Path = PACKAGE) -> List[Tuple[str, ast.AST]]:
+    """``(file relative to src, parsed tree)`` of every module under
+    ``package``. Taken before the runs, so that a file edited while they
+    run is matched as the runs loaded it."""
+    return [
+        (
+            module.relative_to(package.parent).as_posix(),
+            ast.parse(module.read_text(encoding="utf-8"), filename=str(module)),
+        )
+        for module in sorted(package.rglob("*.py"))
+    ]
+
+
+def census(entered: Set[Key], modules: List[Tuple[str, ast.AST]]) -> List[Row]:
+    """Never-entered rows of every snapshotted module."""
     rows: List[Row] = []
-    for module in sorted(package.rglob("*.py")):
-        path = module.relative_to(package.parent).as_posix()
-        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+    for path, tree in modules:
         rows.extend(never_entered(tree, path, entered))
     return rows
 
@@ -357,8 +369,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory() as default_hits:
         hits_dir = (args.hits or Path(default_hits)).resolve()
         hits_dir.mkdir(parents=True, exist_ok=True)
+        modules = snapshot()
         failed = [] if args.no_run else drive(RUNS, hits_dir)
-        loose = report(census(read_hits(hits_dir)))
+        loose = report(census(read_hits(hits_dir), modules))
     for command in failed:
         print(f"run failed: {command}")
     return 1 if loose or failed else 0

@@ -94,6 +94,19 @@ def test_hits_outside_src_are_ignored(tmp_path):
     assert census.read_hits(tmp_path, src) == {(PATH, 4, "decorated"), (PATH, 9, "outer")}
 
 
+def test_a_module_edited_after_the_snapshot_reads_as_it_ran(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    module = package / "synthetic.py"
+    module.write_text(SOURCE)
+    modules = census.snapshot(package)
+    # The runs load the snapshotted text; then the file gains two lines.
+    module.write_text("import os\nimport sys\n" + SOURCE)
+    assert census.census(ALL, modules) == []
+    # Parsed afresh, every function has moved off the line it ran at.
+    assert len(census.census(ALL, census.snapshot(package))) == 4
+
+
 def test_report_counts_only_rows_outside_the_allowlist(capsys):
     found = rows(set())
     allowlist = {

@@ -1,6 +1,7 @@
 """The unit profiler (``tests/tools/profile_unit.py``) at k = 4, on the
-centralized and the distributed churn workloads."""
+centralized and the distributed churn workloads and on the soak."""
 
+from repro.simulation.network_sim import FaultyNetwork
 from tests.tools import profile_unit
 
 
@@ -24,3 +25,18 @@ def test_profiles_a_smoke_distributed_unit(capsys):
     names = [line.split()[-1] for line in out.splitlines()[3:]]
     # The distributed solve runs under the unit, through its own loop.
     assert any(name.endswith("(run_protocol)") for name in names)
+
+
+def test_profiles_a_smoke_soak_unit(capsys):
+    assert profile_unit.main(["--workload", "soak_chaos_k8", "--units", "1", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "soak_chaos_k8: 1 profiled units after 3 warm-up (seed 0, smoke)" in out
+    rows = {line.split()[-1]: line.split()[:3] for line in out.splitlines()[3:]}
+    (root,) = [row for name, row in rows.items()
+               if name.startswith("benchmarks/e2e/workloads.py:") and name.endswith("(unit)")]
+    assert root[0] == "100.0"
+    # The arrival tick and the faulty fabric's send run under the unit.
+    assert any(name.startswith("src/repro/simulation/soak.py:")
+               and name.endswith("(_apply_arrivals)") for name in rows)
+    send = FaultyNetwork.send.__code__
+    assert f"src/repro/simulation/network_sim.py:{send.co_firstlineno}(send)" in rows
