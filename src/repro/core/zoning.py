@@ -13,8 +13,9 @@ max-hop value of 7"*. This module implements that zoned deployment:
   (the zoning analogue of the heuristic's HFR).
 
 Zoning trades optimality (no inter-zone offloading) for per-zone solve
-times that stay within the paper's sub-second budget; the ablation
-bench ``benchmarks/bench_ablation_zoning.py`` quantifies the trade.
+times that stay within the paper's sub-second budget;
+``examples/zoned_deployment.py`` prints the trade (global vs zoned
+solve time and the stranded share).
 """
 
 from __future__ import annotations
@@ -122,20 +123,12 @@ class ZonedPlacementReport:
     zone_reports: Tuple[Tuple[Zone, PlacementReport], ...]
     unplaced_per_zone: Dict[int, float]  # excess stuck in an infeasible zone
     total_seconds: float
-    #: Algorithm-1 relief of infeasible zones (zone id -> HeuristicReport),
-    #: populated when the engine runs with ``heuristic_relief=True``; the
-    #: relieved amounts are already subtracted from ``unplaced_per_zone``.
-    heuristic_relief_per_zone: Dict[int, object] = field(default_factory=dict)
 
     @property
     def total_offloaded(self) -> float:
-        lp = float(
+        return float(
             sum(r.total_offloaded for _, r in self.zone_reports if r.feasible)
         )
-        relief = float(
-            sum(r.total_offloaded for r in self.heuristic_relief_per_zone.values())
-        )
-        return lp + relief
 
     @property
     def total_unplaced(self) -> float:
@@ -174,8 +167,6 @@ class ZonedPlacementReport:
         out: List[PlacementAssignment] = []
         for _, report in self.zone_reports:
             out.extend(report.assignments)
-        for relief in self.heuristic_relief_per_zone.values():
-            out.extend(relief.assignments)
         return out
 
 
@@ -186,15 +177,9 @@ class ZonedPlacementEngine:
         self,
         engine: Optional[PlacementEngine] = None,
         max_hops: Optional[int] = 7,
-        heuristic_relief: bool = False,
     ) -> None:
         self.engine = engine or PlacementEngine(with_routes=False)
         self.max_hops = max_hops
-        #: When True, an infeasible zone gets a second chance through
-        #: the vectorized Algorithm-1 kernel: partial one-hop relief
-        #: beats leaving the whole zone's excess stranded (the same
-        #: policy DUSTManager applies on infeasible rounds).
-        self.heuristic_relief = heuristic_relief
 
     def solve(
         self,
@@ -234,24 +219,14 @@ class ZonedPlacementEngine:
 
         zone_reports: List[Tuple[Zone, PlacementReport]] = []
         unplaced: Dict[int, float] = {}
-        relief_reports: Dict[int, object] = {}
         for zone, problem, report in zip(zones, problems, reports):
             zone_reports.append((zone, report))
             if not report.feasible:
-                stuck = float(problem.total_excess)
-                if self.heuristic_relief and problem.busy and problem.candidates:
-                    from repro.core.heuristic import solve_heuristic
-
-                    relief = solve_heuristic(problem)
-                    if relief.assignments:
-                        relief_reports[zone.zone_id] = relief
-                        stuck = max(0.0, stuck - relief.total_offloaded)
-                unplaced[zone.zone_id] = stuck
+                unplaced[zone.zone_id] = float(problem.total_excess)
         return ZonedPlacementReport(
             zone_reports=tuple(zone_reports),
             unplaced_per_zone=unplaced,
             total_seconds=time.perf_counter() - start,
-            heuristic_relief_per_zone=relief_reports,
         )
 
 

@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.experiments fig7 --quick
     python -m repro.experiments all
+    python -m repro.experiments scorecard --quick
     dust-experiments fig9 --iterations 200
 """
 
@@ -25,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         help="experiment id (fig1, fig6, fig7, fig8, fig9, fig10, fig11, fig12), "
-        "'all', or 'table1' for the notation glossary",
+        "'all', 'scorecard' for the paper-vs-ours verdicts, or 'table1' for "
+        "the notation glossary",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -39,10 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the master seed"
     )
     parser.add_argument(
-        "--output", type=str, default=None,
-        help="also write the results as a markdown report to this path",
-    )
-    parser.add_argument(
         "--json", type=str, default=None,
         help="write the regenerated results to this path as JSON "
         "(resilience and soak keep their richer metrics dumps)",
@@ -50,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker-pool size for the sharded sweeps (fig10/fig11/"
-        "fig12); default: REPRO_WORKERS or the CPU count",
+        "fig12, also inside scorecard); default: REPRO_WORKERS or the "
+        "CPU count",
     )
     parser.add_argument(
         "--trace", type=str, default=None,
@@ -106,9 +105,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for eid in ids:
         # Iteration overrides only apply to experiments that accept them.
         entry_overrides = dict(overrides)
-        if eid in ("fig10", "fig11", "fig12") and "iterations" in entry_overrides:
-            entry_overrides.pop("iterations")
-        if eid in ("fig10", "fig11", "fig12") and args.workers is not None:
+        sweeps = eid in ("fig10", "fig11", "fig12", "scorecard")
+        if sweeps:
+            entry_overrides.pop("iterations", None)
+        if sweeps and args.workers is not None:
             entry_overrides["workers"] = args.workers
         if eid not in ("resilience", "soak", "distributed"):
             entry_overrides.pop("json_path", None)
@@ -121,11 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # every other run gets the generic results dump.
         _write_results_json(results, args.json)
         print(f"json written to {args.json}")
-    if args.output:
-        from repro.experiments.report import write_report
-
-        write_report(results, args.output)
-        print(f"report written to {args.output}")
     if args.trace is not None:
         from repro.obs import get_tracer
 

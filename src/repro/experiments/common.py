@@ -2,8 +2,7 @@
 
 Every ``figN`` module exposes ``run(**params) -> ExperimentResult``; the
 result carries the regenerated rows/series plus the paper's reference
-values so EXPERIMENTS.md and the CLI can print paper-vs-measured side
-by side.
+values, which the CLI prints side by side and the scorecard judges.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Extra study: Eq. 1's bandwidth-convention ambiguity, quantified.
 
 The paper defines ``Lu`` as *utilized* bandwidth yet divides by it to
-get transfer time (see EXPERIMENTS.md note 3). This study runs the same
+get transfer time (see docs/experiments.md). This study runs the same
 randomized placement workload under both readings and compares the
 quantities the paper reports — showing which conclusions are and are
 not sensitive to the choice.

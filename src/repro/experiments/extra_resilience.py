@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.obs import normalize_counter_keys, observability_artifact
+from repro.obs import observability_artifact
 from repro.simulation.chaos import default_scenario, evaluate_scenario
 
 DEFAULT_SEEDS: Sequence[int] = (0, 1, 2)
@@ -44,20 +44,17 @@ def run(
         faulty = comparison.faulty
         counters = faulty.counters
         recovery = comparison.recovery_s
-        # One vocabulary everywhere: the per-run counter block uses the
-        # metric-catalog names (docs/observability.md), summing the
-        # manager's and the clients' retransmissions like the transport
-        # metric does.
-        run_counters = normalize_counter_keys(
-            {
-                "messages_sent": faulty.messages_sent,
-                "messages_dropped": faulty.messages_dropped,
-                "faults_dropped": faulty.faults_dropped,
-                "duplicates_injected": faulty.duplicates_injected,
-                "retransmissions": counters.retransmissions
-                + faulty.client_retransmissions,
-            }
-        )
+        # The per-run counter block uses the metric-catalog names
+        # (docs/observability.md), summing the manager's and the
+        # clients' retransmissions like the transport metric does.
+        run_counters = {
+            "network.messages_sent": faulty.messages_sent,
+            "network.messages_dropped": faulty.messages_dropped,
+            "network.faults_dropped": faulty.faults_dropped,
+            "network.duplicates_injected": faulty.duplicates_injected,
+            "transport.retransmissions": counters.retransmissions
+            + faulty.client_retransmissions,
+        }
         rows.append(
             (
                 seed,

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.obs import normalize_counter_keys, observability_artifact
+from repro.obs import observability_artifact
 from repro.simulation.soak import SoakConfig, default_soak_chaos, run_soak
 
 DEFAULT_SEEDS: Sequence[int] = (0, 1)
@@ -44,14 +44,12 @@ def _record(label: str, result) -> dict:
         "watchdog_resets": result.watchdog_resets,
         "production_loss_mb": result.qos.production_loss_mb,
         "manager_took_over_at": result.took_over_at,
-        "counters": normalize_counter_keys(
-            {
-                "offloads_established": counters.offloads_established,
-                "placements_reset": counters.placements_reset,
-                "retransmissions": counters.retransmissions,
-                "messages_dropped": result.network.messages_dropped,
-            }
-        ),
+        "counters": {
+            "offloads_established": counters.offloads_established,
+            "placements_reset": counters.placements_reset,
+            "transport.retransmissions": counters.retransmissions,
+            "network.messages_dropped": result.network.messages_dropped,
+        },
     }
 
 

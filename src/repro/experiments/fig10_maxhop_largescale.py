@@ -5,10 +5,8 @@ Paper: with a 300 s response-time threshold the recommended max-hop is
 fabric (Fig. 10b); raising 16-k's max-hop from 4 to 5 costs roughly a
 10x increase in average computation time.
 
-The same enumeration-driven measurement as Fig. 8, at scale. The
-default hop ranges keep the regeneration tractable on a laptop while
-still exposing the blow-up factor; pass larger ``hops_*`` to push
-further.
+The same enumeration-priced measurement as Fig. 8, at scale (nearly
+flat in max-hop; the scorecard's count row carries the 4 -> 5 jump).
 
 Beyond the paper's 16-k ceiling, a 32-k (1280-node) series runs on the
 DP path-engine — exhaustive enumeration is hopeless at that scale, but

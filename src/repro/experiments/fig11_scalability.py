@@ -38,6 +38,10 @@ DEFAULT_SCALES: Tuple[Tuple[int, int, bool, Optional[int]], ...] = (
 )
 
 
+#: Fig. 11's thresholds; :func:`scalability_point` says why ``CO_max = 35``.
+DEFAULT_POLICY = ThresholdPolicy(c_max=80.0, co_max=35.0, x_min=10.0)
+
+
 def scalability_point(
     k: int,
     iterations: int,
@@ -59,7 +63,7 @@ def scalability_point(
     ``seed``, so per-seed HFR values are identical whether this point
     runs inline or on a pool worker.
     """
-    policy = policy or ThresholdPolicy(c_max=80.0, co_max=35.0, x_min=10.0)
+    policy = policy or DEFAULT_POLICY
     topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     ilp_engine = PlacementEngine(
@@ -150,7 +154,7 @@ def run(
         ),
         observations=(
             f"HFR falls from {hfr_series[0]:.1f}% to {hfr_series[-1]:.1f}% "
-            f"(power-law exponent {exponent:.2f}); ILP time grows with size"
+            f"(power-law exponent {exponent:.2f})"
             if hfr_series
             else "no overloaded iterations sampled"
         ),

@@ -21,6 +21,7 @@ from repro.experiments import (
     fig10_maxhop_largescale,
     fig11_scalability,
     fig12_heuristic_scalability,
+    scorecard,
 )
 from repro.experiments.common import ExperimentResult
 
@@ -81,6 +82,10 @@ _register(ExperimentEntry(
 _register(ExperimentEntry(
     "fig12", "Heuristic execution time vs network size",
     fig12_heuristic_scalability.run, {"scales": ((4, 3), (8, 2), (16, 1), (64, 1))},
+))
+_register(ExperimentEntry(
+    "scorecard", "Paper scorecard: paper vs ours per claim, with a verdict",
+    scorecard.run, {"quick": True},
 ))
 # Extra (beyond-the-paper) studies — runnable by id, excluded from `all`
 # which regenerates exactly the paper's figures.

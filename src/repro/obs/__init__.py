@@ -51,13 +51,7 @@ from repro.obs.adapters import (
     NETWORK_MIRROR,
     mirror_counters,
 )
-from repro.obs.catalog import (
-    CATALOG,
-    COUNTER_ALIASES,
-    canonical_counter_name,
-    normalize_counter_keys,
-    register_catalog,
-)
+from repro.obs.catalog import CATALOG, register_catalog
 from repro.obs.profiling import observability_artifact, profile_snapshot
 from repro.obs.registry import (
     Counter,
@@ -94,9 +88,6 @@ __all__ = [
     "observability_artifact",
     # catalog
     "CATALOG",
-    "COUNTER_ALIASES",
-    "canonical_counter_name",
-    "normalize_counter_keys",
     "register_catalog",
     # adapters
     "mirror_counters",

@@ -32,25 +32,16 @@ soak       soak harness (:mod:`repro.simulation.soak`)
 dsolve     distributed placement solve (:mod:`repro.lp.distributed`)
 topology   CSR adjacency cache (:mod:`repro.topology.graph`)
 ========== ==========================================================
-
-:data:`COUNTER_ALIASES` maps the legacy, pre-catalog key spellings that
-reports and JSON artifacts used to emit (``retransmits``,
-``msgs_dropped``, ``dupes_injected``, …) onto catalog names;
-:func:`normalize_counter_keys` applies the mapping so every artifact
-speaks one vocabulary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Tuple
 
 from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "CATALOG",
-    "COUNTER_ALIASES",
-    "canonical_counter_name",
-    "normalize_counter_keys",
     "register_catalog",
 ]
 
@@ -249,55 +240,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
     ("counter", "topology.csr_cache_misses", "count", "repro.topology.graph",
      "csr_adjacency rebuilds after a topology version change"),
 ]
-
-#: Legacy / shorthand counter keys -> catalog names. Applied to report
-#: tables and ``--json`` artifacts so every consumer sees one spelling.
-COUNTER_ALIASES: Dict[str, str] = {
-    "retransmits": "transport.retransmissions",
-    "retransmissions": "transport.retransmissions",
-    "sends_gave_up": "transport.sends_gave_up",
-    "messages_sent": "network.messages_sent",
-    "msgs_sent": "network.messages_sent",
-    "messages_delivered": "network.messages_delivered",
-    "messages_dropped": "network.messages_dropped",
-    "msgs_dropped": "network.messages_dropped",
-    "faults_dropped": "network.faults_dropped",
-    "duplicates_injected": "network.duplicates_injected",
-    "dupes_injected": "network.duplicates_injected",
-    "duplicates_delivered": "network.duplicates_injected",
-    "partition_dropped": "network.partition_dropped",
-    "reordered": "network.reordered",
-    "snapshots_persisted": "manager.snapshots_persisted",
-    "probes_sent": "manager.probes_sent",
-}
-
-
-def canonical_counter_name(key: str) -> str:
-    """Catalog spelling of ``key`` (unmapped keys pass through)."""
-    return COUNTER_ALIASES.get(key, key)
-
-
-def normalize_counter_keys(counters: Mapping[str, float]) -> Dict[str, float]:
-    """Re-key a counter mapping onto catalog names.
-
-    Aliases that collapse onto the same canonical name are summed
-    (e.g. a mapping holding both ``retransmits`` and
-    ``client_retransmissions`` totals).
-
-    Examples
-    --------
-    >>> normalize_counter_keys({"retransmits": 3, "msgs_dropped": 2})
-    {'transport.retransmissions': 3, 'network.messages_dropped': 2}
-    """
-    out: Dict[str, float] = {}
-    for key, value in counters.items():
-        canonical = canonical_counter_name(key)
-        if canonical in out:
-            out[canonical] += value
-        else:
-            out[canonical] = value
-    return out
-
 
 def register_catalog(registry: MetricsRegistry = None) -> MetricsRegistry:
     """Register every catalog metric (idempotent); returns the registry."""

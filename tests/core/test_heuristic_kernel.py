@@ -283,6 +283,29 @@ class TestKernelDispatch:
             assert _histogram_count("heuristic.kernel.batch_size") == observed + 1
 
 
+class TestHopRadius:
+    def test_radius_monotonically_reduces_hfr(self):
+        """Widening Algorithm 1's one hop to radius r only adds lanes,
+        so the failure rate can only fall (or stay) as r grows."""
+        topo = build_fat_tree(8)
+        LinkUtilizationModel(0.2, 0.8, seed=3).apply(topo)
+        policy = ThresholdPolicy(c_max=80.0, co_max=35.0, x_min=10.0)
+        caps = CapacityModel(x_min=10.0, seed=4).sample(topo.num_nodes)
+        roles = classify_network(caps, policy)
+        assert roles.busy and roles.candidates
+        problem = PlacementProblem(
+            topology=topo,
+            busy=tuple(roles.busy),
+            candidates=tuple(roles.candidates),
+            cs=np.array([policy.excess_load(caps[b]) for b in roles.busy]),
+            cd=np.array([policy.spare_capacity(caps[c]) for c in roles.candidates]),
+            data_mb=np.full(len(roles.busy), 10.0),
+        )
+        hfrs = [solve_heuristic(problem, hop_radius=r).hfr_pct for r in (1, 2, 3, 4)]
+        assert all(a >= b - 1e-9 for a, b in zip(hfrs, hfrs[1:]))
+        assert hfrs[0] > hfrs[-1]
+
+
 def _histogram_count(name: str) -> float:
     metric = get_registry().snapshot()["metrics"].get(name)
     return metric["count"] if metric else 0.0

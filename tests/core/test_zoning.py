@@ -165,39 +165,25 @@ class TestZonedPlacement:
 
 
 class TestHeuristicRelief:
-    """Algorithm-1 relief of infeasible zones (heuristic_relief=True)."""
+    """An infeasible zone gets no relief: its whole excess is stranded."""
 
     def infeasible_zone_case(self):
         # One 2-node zone: busy node 0 needs 20% but its only candidate
-        # has 5% spare -> Eq. 3 is infeasible, the heuristic places 5.
+        # has 5% spare -> Eq. 3 is infeasible.
         topo = build_line(2)
         for link in topo.links:
             link.utilization = 0.2
         zones = [Zone(zone_id=0, nodes=(0, 1))]
         return topo, zones
 
-    def test_infeasible_zone_gets_partial_relief(self):
-        topo, zones = self.infeasible_zone_case()
-        report = ZonedPlacementEngine(heuristic_relief=True).solve(
-            topo, zones, [0], [1], [20.0], [5.0], [10.0]
-        )
-        assert not report.zone_reports[0][1].feasible
-        relief = report.heuristic_relief_per_zone[0]
-        assert relief.total_offloaded == pytest.approx(5.0)
-        # Relieved load no longer counts as unplaced...
-        assert report.unplaced_per_zone[0] == pytest.approx(15.0)
-        assert report.total_offloaded == pytest.approx(5.0)
-        # ...and its assignments surface in the aggregate view.
-        rows = report.assignments()
-        assert any(a.busy == 0 and a.candidate == 1 for a in rows)
-
     def test_relief_off_by_default(self):
         topo, zones = self.infeasible_zone_case()
         report = ZonedPlacementEngine().solve(
             topo, zones, [0], [1], [20.0], [5.0], [10.0]
         )
-        assert report.heuristic_relief_per_zone == {}
+        assert not report.zone_reports[0][1].feasible
         assert report.unplaced_per_zone[0] == pytest.approx(20.0)
+        assert report.total_offloaded == 0.0
         assert report.assignments() == []
 
 

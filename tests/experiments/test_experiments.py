@@ -85,6 +85,14 @@ class TestFig8:
         times = [row[1] for row in result.rows]
         assert times[0] < times[-1]
 
+    def test_path_count_grows_with_hops(self):
+        # The figure's seeded busy x candidate pairs span every switch
+        # layer, so an odd budget (3) adds paths too; deterministic.
+        from repro.experiments.scorecard import path_counts
+
+        counts = path_counts(4, (2, 3, 4, 6, 10, None), seed=0)
+        assert all(a < b for a, b in zip(counts, counts[1:])), counts
+
 
 class TestFig9:
     def test_categories_sum_to_hundred(self):

@@ -1,5 +1,5 @@
 """Adapter correctness: mirror maps match the real counter objects,
-mirroring never double-counts, aliases normalize, pool metrics merge."""
+mirroring never double-counts, pool metrics merge."""
 
 import dataclasses
 import os
@@ -13,10 +13,8 @@ from repro.obs import (
     FAULTY_NETWORK_MIRROR,
     MANAGER_COUNTERS_MIRROR,
     NETWORK_MIRROR,
-    canonical_counter_name,
     get_registry,
     mirror_counters,
-    normalize_counter_keys,
 )
 from repro.parallel import map_with_pool_retry
 
@@ -158,29 +156,6 @@ class TestMirrorUnderGarbageCollection:
             capture_output=True, text=True, timeout=60,
         )
         assert done.stdout.strip() == "3.0", done.stdout + done.stderr
-
-
-class TestAliasNormalization:
-    def test_known_aliases_map_to_catalog_names(self):
-        assert canonical_counter_name("retransmits") == "transport.retransmissions"
-        assert canonical_counter_name("msgs_dropped") == "network.messages_dropped"
-        assert (
-            canonical_counter_name("dupes_injected") == "network.duplicates_injected"
-        )
-
-    def test_unknown_keys_pass_through(self):
-        assert canonical_counter_name("production_loss_mb") == "production_loss_mb"
-
-    def test_colliding_aliases_are_summed(self):
-        out = normalize_counter_keys({"retransmits": 3, "retransmissions": 2})
-        assert out == {"transport.retransmissions": 5}
-
-    def test_every_alias_targets_a_registered_metric(self):
-        from repro.obs import COUNTER_ALIASES
-
-        reg = get_registry()
-        for target in COUNTER_ALIASES.values():
-            assert target in reg, target
 
 
 def _observe_in_worker(amount):

@@ -56,13 +56,13 @@ BENCH = [sys.executable, "benchmarks/e2e/run.py"]
 #: ``{out}`` is replaced by a scratch directory for written artifacts.
 RUNS: List[List[str]] = (
     [EXPERIMENTS + ["all", "--quick"]]
+    + [EXPERIMENTS + ["scorecard", "--quick", "--json", "{out}/scorecard.json"]]
     + [EXPERIMENTS + [x, "--quick", "--json", f"{{out}}/{x}.json"] for x in EXTRAS]
     + [[sys.executable, f"examples/{x}.py"] for x in EXAMPLES]
     + [BENCH + ["--smoke", "--seed", "0"], BENCH + ["--smoke", "--traced", "--seed", "0"]]
     + [BENCH + ["--workload", w, "--seed", "0", "--seconds", "2", "--traced"] for w in WORKLOADS]
     + [
-        EXPERIMENTS + [x, "--quick", "--trace", f"{{out}}/{x}.trace.json",
-                       "--output", f"{{out}}/{x}.md"]
+        EXPERIMENTS + [x, "--quick", "--trace", f"{{out}}/{x}.trace.json"]
         for x in ("fig7", "fig11", "resilience")
     ]
 )
@@ -75,12 +75,8 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
         "core/failover.py SnapshotStore.persist",
         "core/failover.py SnapshotStore._load_from_disk",
     ),
-    "ROADMAP 6(a)'s radius row would reach it": (
-        "core/heuristic.py _priced_lanes",
-    ),
     "leaves src/ with the enumeration engine (ROADMAP 20); tests and "
     "benchmarks/bench_*.py use it": (
-        "routing/enumkernel.py count_paths_kernel",
         "routing/shortest.py HopConstrainedResult.best",
         "routing/shortest.py HopConstrainedResult.best_hops",
         "routing/shortest.py HopConstrainedResult.path_to",
