@@ -31,11 +31,8 @@ import sys
 import time
 from typing import List
 
-import numpy as np
-
 from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import IterationSampler
 from repro.topology.fattree import build_fat_tree
@@ -51,18 +48,10 @@ def build_problem(k: int, seed: int) -> PlacementProblem:
     topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     for _, capacities in sampler.states(1):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy)
+        if not problem.busy or not problem.candidates:
             raise RuntimeError(f"seed {seed} produced a degenerate state")
-        return PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-        )
+        return problem
     raise RuntimeError("sampler yielded no states")
 
 

@@ -30,10 +30,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import IterationSampler
 from repro.obs import MetricsRegistry, get_tracer, trace_span
@@ -162,24 +159,13 @@ def placement_solve_workload(smoke: bool) -> Callable[[], object]:
     topo = build_fat_tree(k)
     sampler = IterationSampler(topo, x_min=policy.x_min, seed=0)
     for _, capacities in sampler.states(200):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if len(busy) < 2 or len(candidates) < 4:
+        problem = PlacementProblem.from_loads(topo, capacities, policy)
+        if len(problem.busy) < 2 or len(problem.candidates) < 4:
             continue
-        cs = np.array([policy.excess_load(capacities[b]) for b in busy])
-        cd = np.array([policy.spare_capacity(capacities[c]) for c in candidates])
-        if cs.sum() <= cd.sum():
+        if problem.cs.sum() <= problem.cd.sum():
             break
     else:
         raise RuntimeError("no feasible busy/candidate split sampled")
-    problem = PlacementProblem(
-        topology=topo,
-        busy=tuple(busy),
-        candidates=tuple(candidates),
-        cs=cs,
-        cd=cd,
-        data_mb=np.full(len(busy), 10.0),
-    )
     engine = PlacementEngine(
         response_model=ResponseTimeModel(engine=PathEngine.DP, max_hops=None),
         with_routes=False,

@@ -13,7 +13,7 @@ Run with::
 import numpy as np
 
 from repro import PlacementEngine, ThresholdPolicy, build_fat_tree, solve_heuristic
-from repro.core import PlacementProblem, classify_network
+from repro.core import PlacementProblem
 from repro.experiments.common import IterationSampler, render_table
 from repro.routing import PathEngine, ResponseTimeModel
 
@@ -29,18 +29,9 @@ def study(k: int, iterations: int, seed: int = 0):
     )
     ilp_times, heur_times, hfrs, gaps = [], [], [], []
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        if not roles.busy or not roles.candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
+        if not problem.busy or not problem.candidates:
             continue
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(roles.busy),
-            candidates=tuple(roles.candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in roles.busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in roles.candidates]),
-            data_mb=np.full(len(roles.busy), 10.0),
-            max_hops=max_hops,
-        )
         report = ilp.solve(problem)
         heuristic = solve_heuristic(problem)
         ilp_times.append(report.total_seconds)

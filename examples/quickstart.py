@@ -11,8 +11,6 @@ Run with::
     python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import (
     CapacityModel,
     LinkUtilizationModel,
@@ -21,7 +19,7 @@ from repro import (
     build_fat_tree,
     solve_heuristic,
 )
-from repro.core import PlacementProblem, classify_network
+from repro.core import PlacementProblem
 from repro.routing import PathEngine, ResponseTimeModel
 
 
@@ -32,29 +30,19 @@ def main() -> None:
     LinkUtilizationModel(low=0.2, high=0.8, seed=7).apply(topology)
     print(f"topology: {topology}")
 
-    # 2. Utilized node capacities and the threshold policy.
+    # 2. Utilized node capacities and the threshold policy, assembled
+    #    into the Eq. 3 placement problem (D_i: 10 Mb of monitoring data
+    #    per busy node).
     policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
     capacities = CapacityModel(x_min=policy.x_min, seed=3).sample(topology.num_nodes)
-    roles = classify_network(capacities, policy)
-    print(f"busy nodes (V_b): {roles.busy}")
-    print(f"offload candidates (V_o): {roles.candidates}")
+    problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=8)
+    print(f"busy nodes (V_b): {list(problem.busy)}")
+    print(f"offload candidates (V_o): {list(problem.candidates)}")
     print(f"delta_io = {policy.delta_io:.2f} (paper recommends >= 2)")
-
-    # 3. Assemble the Eq. 3 placement problem.
-    busy, candidates = roles.busy, roles.candidates
-    problem = PlacementProblem(
-        topology=topology,
-        busy=tuple(busy),
-        candidates=tuple(candidates),
-        cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-        cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-        data_mb=np.full(len(busy), 10.0),  # D_i: 10 Mb of monitoring data each
-        max_hops=8,
-    )
     print(f"total excess Cs = {problem.total_excess:.1f} pts, "
           f"total spare Cd = {problem.total_spare:.1f} pts")
 
-    # 4. Optimal placement with the faithful path-enumeration engine.
+    # 3. Optimal placement with the faithful path-enumeration engine.
     engine = PlacementEngine(
         response_model=ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=8)
     )
@@ -66,7 +54,7 @@ def main() -> None:
         print(f"  offload {a.amount_pct:5.2f} pts: node {a.busy} -> node {a.candidate} "
               f"via {route} ({a.hops} hops, Trmin {a.response_time_s*1e3:.2f} ms)")
 
-    # 5. The one-hop heuristic for comparison.
+    # 4. The one-hop heuristic for comparison.
     heuristic = solve_heuristic(problem)
     print(f"\nheuristic (Algorithm 1): offloaded {heuristic.total_offloaded:.2f} pts, "
           f"HFR = {heuristic.hfr_pct:.1f}%")

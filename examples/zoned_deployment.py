@@ -12,15 +12,8 @@ Run with::
     python examples/zoned_deployment.py
 """
 
-import numpy as np
-
 from repro import PlacementEngine, ThresholdPolicy, build_fat_tree
-from repro.core import (
-    PlacementProblem,
-    ZonedPlacementEngine,
-    classify_network,
-    partition_by_pod,
-)
+from repro.core import PlacementProblem, ZonedPlacementEngine, partition_by_pod
 from repro.experiments.common import render_table
 from repro.routing import PathEngine, ResponseTimeModel
 from repro.topology import CapacityModel, LinkUtilizationModel
@@ -31,29 +24,21 @@ def main() -> None:
     LinkUtilizationModel(0.2, 0.8, seed=5).apply(topology)
     policy = ThresholdPolicy(c_max=78.0, co_max=50.0, x_min=10.0)
     caps = CapacityModel(x_min=policy.x_min, seed=6).sample(topology.num_nodes)
-    roles = classify_network(caps, policy)
-    busy, cands = roles.busy, roles.candidates
-    cs = [policy.excess_load(caps[b]) for b in busy]
-    cd = [policy.spare_capacity(caps[c]) for c in cands]
-    data = [10.0] * len(busy)
-    print(f"{topology}: {len(busy)} busy, {len(cands)} candidates, "
-          f"Cs={sum(cs):.1f} pts")
+    problem = PlacementProblem.from_loads(topology, caps, policy, max_hops=5)
+    print(f"{topology}: {len(problem.busy)} busy, {len(problem.candidates)} candidates, "
+          f"Cs={problem.total_excess:.1f} pts")
 
     # Global placement with the faithful enumeration engine at max-hop 5.
     global_engine = PlacementEngine(
         response_model=ResponseTimeModel(engine=PathEngine.ENUMERATION, max_hops=5),
         with_routes=False,
     )
-    global_report = global_engine.solve(PlacementProblem(
-        topology=topology, busy=tuple(busy), candidates=tuple(cands),
-        cs=np.asarray(cs), cd=np.asarray(cd), data_mb=np.asarray(data),
-        max_hops=5,
-    ))
+    global_report = global_engine.solve(problem)
 
     # Zoned placement: one zone per pod (+ a core-switch share each).
-    zones = partition_by_pod(topology)
-    zoned_engine = ZonedPlacementEngine(engine=global_engine, max_hops=5)
-    zoned_report = zoned_engine.solve(topology, zones, busy, cands, cs, cd, data)
+    zoned_report = ZonedPlacementEngine(engine=global_engine).solve(
+        problem, partition_by_pod(topology)
+    )
 
     print(render_table(
         ("strategy", "solve s", "wall s (parallel zones)", "offloaded pts",

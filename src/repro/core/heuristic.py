@@ -257,6 +257,7 @@ def solve_heuristic(
     """
     if hop_radius < 1:
         raise PlacementError(f"hop_radius must be >= 1, got {hop_radius}")
+    problem.check_current()
     start = time.perf_counter()
     busy = problem.busy
     candidates = problem.candidates

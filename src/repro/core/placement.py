@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +67,35 @@ class PlacementProblem:
     cd: np.ndarray
     data_mb: np.ndarray
     max_hops: Optional[int] = None
+    #: ``topology.version`` when the problem was built; see :meth:`check_current`.
+    topology_version: int = field(init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_loads(
+        cls,
+        topology: Topology,
+        loads: Sequence[float],
+        policy: ThresholdPolicy,
+        *,
+        max_hops: Optional[int] = None,
+    ) -> "PlacementProblem":
+        """The figures' Eq. 3 instance for one network state: ``V_b`` and
+        ``V_o`` by :func:`classify_network`, ``Cs_i = C_i − C_max`` and
+        ``Cd_j = CO_max − C_j`` by the policy, and ``D_i = 10`` Mb."""
+        roles = classify_network(loads, policy)
+        busy, candidates = roles.busy, roles.candidates
+        return cls(
+            topology=topology,
+            busy=tuple(busy),
+            candidates=tuple(candidates),
+            cs=np.array([policy.excess_load(loads[b]) for b in busy]),
+            cd=np.array([policy.spare_capacity(loads[c]) for c in candidates]),
+            data_mb=np.full(len(busy), 10.0),
+            max_hops=max_hops,
+        )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "topology_version", self.topology.version)
         cs = np.asarray(self.cs, dtype=float)
         cd = np.asarray(self.cd, dtype=float)
         data = np.asarray(self.data_mb, dtype=float)
@@ -99,6 +126,16 @@ class PlacementProblem:
             )
         for node in (*self.busy, *self.candidates):
             self.topology.node(node)  # validates existence
+
+    def check_current(self) -> None:
+        """Refuse a problem whose topology changed after it was built: its
+        Trmin would be priced at links its loads were never drawn with."""
+        if self.topology.version != self.topology_version:
+            raise PlacementError(
+                f"the topology changed since this problem was built (version "
+                f"{self.topology_version}, now {self.topology.version}); "
+                "build a new problem for the current network state"
+            )
 
     @property
     def total_excess(self) -> float:
@@ -385,6 +422,7 @@ class PlacementEngine:
             and (when tracing is on) records a ``placement.solve`` span
             with nested ``placement.trmin`` / ``placement.lp`` phases.
         """
+        problem.check_current()
         with trace_span(
             "placement.solve",
             busy=len(problem.busy),

@@ -173,46 +173,32 @@ class ZonedPlacementReport:
 class ZonedPlacementEngine:
     """Per-zone Eq. 3 placement."""
 
-    def __init__(
-        self,
-        engine: Optional[PlacementEngine] = None,
-        max_hops: Optional[int] = 7,
-    ) -> None:
+    def __init__(self, engine: Optional[PlacementEngine] = None) -> None:
         self.engine = engine or PlacementEngine(with_routes=False)
-        self.max_hops = max_hops
 
     def solve(
-        self,
-        topology: Topology,
-        zones: Sequence[Zone],
-        busy: Sequence[int],
-        candidates: Sequence[int],
-        cs: Sequence[float],
-        cd: Sequence[float],
-        data_mb: Sequence[float],
+        self, problem: PlacementProblem, zones: Sequence[Zone]
     ) -> ZonedPlacementReport:
-        """Solve each zone independently; busy/candidate nodes outside
-        their zone's membership never exchange load."""
-        validate_partition(topology, zones)
+        """Solve each zone independently at the problem's hop budget;
+        busy/candidate nodes outside their zone's membership never
+        exchange load."""
+        problem.check_current()
+        validate_partition(problem.topology, zones)
         start = time.perf_counter()
-        cs_of = dict(zip(busy, map(float, cs)))
-        cd_of = dict(zip(candidates, map(float, cd)))
-        data_of = dict(zip(busy, map(float, data_mb)))
-
         problems: List[PlacementProblem] = []
         for zone in zones:
             members = set(zone.nodes)
-            zone_busy = tuple(b for b in busy if b in members)
-            zone_cands = tuple(c for c in candidates if c in members)
+            rows = [i for i, b in enumerate(problem.busy) if b in members]
+            cols = [j for j, c in enumerate(problem.candidates) if c in members]
             problems.append(
                 PlacementProblem(
-                    topology=topology,
-                    busy=zone_busy,
-                    candidates=zone_cands,
-                    cs=np.array([cs_of[b] for b in zone_busy]),
-                    cd=np.array([cd_of[c] for c in zone_cands]),
-                    data_mb=np.array([data_of[b] for b in zone_busy]),
-                    max_hops=self.max_hops,
+                    topology=problem.topology,
+                    busy=tuple(problem.busy[i] for i in rows),
+                    candidates=tuple(problem.candidates[j] for j in cols),
+                    cs=problem.cs[rows],
+                    cd=problem.cd[cols],
+                    data_mb=problem.data_mb[rows],
+                    max_hops=problem.max_hops,
                 )
             )
         reports = [self.engine.solve(p) for p in problems]
@@ -327,6 +313,7 @@ class DistributedPlacementEngine:
             centralized solve) plus protocol statistics. Routes are not
             attached; pair with the response model to materialize them.
         """
+        problem.check_current()
         owner = _zone_owner(problem.topology, self.zones)
         start = time.perf_counter()
         model = self.engine._model_for(problem)

@@ -68,26 +68,24 @@ class ExperimentResult:
         return "\n".join(head + [body] + tail)
 
 
+#: Range of the per-link utilization fractions every iteration draws.
+UTIL_LOW, UTIL_HIGH = 0.1, 0.9
+
+
 class IterationSampler:
     """Per-iteration randomized network state for the placement studies.
 
     Each iteration draws fresh node capacities and link utilizations
     from independently-seeded streams, exactly like the paper's
-    simulator re-rolls the dynamic network state.
+    simulator re-rolls the dynamic network state. The utilizations are
+    written into ``topology``, so a problem built from one state is
+    refused by the solvers once the next state is drawn
+    (:meth:`~repro.core.placement.PlacementProblem.check_current`).
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        x_min: float,
-        seed: Optional[int],
-        util_low: float = 0.1,
-        util_high: float = 0.9,
-    ) -> None:
+    def __init__(self, topology: Topology, x_min: float, seed: Optional[int]) -> None:
         self.topology = topology
         self.x_min = x_min
-        self.util_low = util_low
-        self.util_high = util_high
         self._master_seed = seed
 
     def states(self, iterations: int):
@@ -96,9 +94,9 @@ class IterationSampler:
         cap_model = CapacityModel(x_min=self.x_min)
         for it in range(iterations):
             cap_model.reseed(seeds[2 * it])
-            LinkUtilizationModel(
-                self.util_low, self.util_high, seed=seeds[2 * it + 1]
-            ).apply(self.topology)
+            LinkUtilizationModel(UTIL_LOW, UTIL_HIGH, seed=seeds[2 * it + 1]).apply(
+                self.topology
+            )
             yield it, cap_model.sample(self.topology.num_nodes)
 
 

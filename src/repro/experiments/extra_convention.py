@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import mean_hops
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -44,19 +43,10 @@ def run(iterations: int = 60, k: int = 4, seed: int = 0) -> ExperimentResult:
     agreement = 0
     considered = 0
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy)
+        if not problem.busy or not problem.candidates:
             continue
         considered += 1
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-        )
         destinations = {}
         for conv in BandwidthConvention:
             report = engines[conv].solve(problem)

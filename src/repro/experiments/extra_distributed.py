@@ -17,10 +17,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.experiments.common import ExperimentResult, IterationSampler
@@ -61,17 +58,7 @@ def solve_point(
     topology = build_fat_tree(k)
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     _, capacities = next(iter(sampler.states(1)))
-    roles = classify_network(capacities, policy)
-    busy, candidates = roles.busy, roles.candidates
-    problem = PlacementProblem(
-        topology=topology,
-        busy=tuple(busy),
-        candidates=tuple(candidates),
-        cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-        cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-        data_mb=np.full(len(busy), 10.0),
-        max_hops=max_hops,
-    )
+    problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
 
     central = _engine(max_hops).solve(problem)
     zones = partition_by_pod(topology)
@@ -93,8 +80,8 @@ def solve_point(
         "k": k,
         "nodes": topology.num_nodes,
         "zones": distributed.zones,
-        "busy": len(busy),
-        "candidates": len(candidates),
+        "busy": len(problem.busy),
+        "candidates": len(problem.candidates),
         "centralized_s": central.total_seconds,
         "distributed_s": distributed.total_seconds,
         "coordinator_s": distributed.coordinator_seconds,

@@ -11,6 +11,7 @@ one-hop restriction costs.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import mean_hops
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -51,24 +51,15 @@ def run(
     }
 
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy)
+        if not problem.busy or not problem.candidates:
             continue
-        base = dict(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-        )
         for budget in budgets:
-            report = engines[budget].solve(PlacementProblem(**base, max_hops=budget))
+            report = engines[budget].solve(replace(problem, max_hops=budget))
             if report.feasible and report.assignments:
                 per_budget_hops[budget].append(mean_hops(report))
                 per_budget_beta[budget].append(report.objective_beta)
-        heuristic = solve_heuristic(PlacementProblem(**base))
+        heuristic = solve_heuristic(problem)
         if heuristic.assignments:
             beta = sum(a.amount_pct * a.response_time_s for a in heuristic.assignments)
             heuristic_beta.append(beta)

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import fit_power_law
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -74,19 +73,11 @@ def scalability_point(
     )
     hfrs, ilp_times, heuristic_times = [], [], []
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
-            continue
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-            max_hops=ilp_max_hops,
+        problem = PlacementProblem.from_loads(
+            topology, capacities, policy, max_hops=ilp_max_hops
         )
+        if not problem.busy or not problem.candidates:
+            continue
         heuristic = solve_heuristic(problem)
         hfrs.append(heuristic.hfr_pct)
         heuristic_times.append(heuristic.total_seconds)

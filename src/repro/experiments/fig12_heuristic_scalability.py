@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
 from repro.topology.fattree import build_fat_tree
@@ -44,19 +43,10 @@ def heuristic_time_at_scale(
     sampler = IterationSampler(topology, x_min=policy.x_min, seed=seed)
     times, hfrs, busy_count = [], [], 0
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy)
+        if not problem.busy or not problem.candidates:
             continue
-        busy_count = len(busy)
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-        )
+        busy_count = len(problem.busy)
         report = solve_heuristic(problem)
         times.append(report.total_seconds)
         hfrs.append(report.hfr_pct)

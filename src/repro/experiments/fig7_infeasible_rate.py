@@ -14,10 +14,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.lp.result import SolveStatus
@@ -45,20 +42,10 @@ def io_rate_for_policy(
     infeasible = 0
     considered = 0
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy:
+        problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
+        if not problem.busy:
             continue  # nothing to optimize, not an io event either way
         considered += 1
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-            max_hops=max_hops,
-        )
         report = engine.solve(problem)
         if report.status is SolveStatus.INFEASIBLE:
             infeasible += 1

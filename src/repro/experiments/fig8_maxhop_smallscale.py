@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -59,19 +58,9 @@ def mean_solve_time(
     times = []
     betas = []
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy or not candidates:
+        problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
+        if not problem.busy or not problem.candidates:
             continue
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-            max_hops=max_hops,
-        )
         if not times:
             engine.solve(problem)
         reports = [engine.solve(problem) for _ in range(REPEATS)]

@@ -19,7 +19,6 @@ from repro.core.metrics import (
     summarize_categories,
 )
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.routing.response_time import PathEngine, ResponseTimeModel
@@ -46,20 +45,10 @@ def run(
     categories = []
     hfrs = []
     for _, capacities in sampler.states(iterations):
-        roles = classify_network(capacities, policy)
-        busy, candidates = roles.busy, roles.candidates
-        if not busy:
+        problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
+        if not problem.busy:
             categories.append(SuccessCategory.NO_OVERLOAD)
             continue
-        problem = PlacementProblem(
-            topology=topology,
-            busy=tuple(busy),
-            candidates=tuple(candidates),
-            cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-            cd=np.array([policy.spare_capacity(capacities[c]) for c in candidates]),
-            data_mb=np.full(len(busy), 10.0),
-            max_hops=max_hops,
-        )
         heuristic = solve_heuristic(problem)
         ilp = ilp_engine.solve(problem)
         categories.append(categorize_iteration(heuristic, ilp))

@@ -45,7 +45,7 @@ def _register(entry: ExperimentEntry) -> None:
 
 _register(ExperimentEntry(
     "fig1", "CPU utilization of the monitoring module under VxLAN load",
-    fig1_cpu_monitoring.run, {"intervals": 30},
+    fig1_cpu_monitoring.run, {"intervals": 60},
 ))
 _register(ExperimentEntry(
     "fig6", "Local vs DUST-offloaded CPU and memory utilization",

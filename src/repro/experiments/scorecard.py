@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import fit_power_law
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.experiments.fig11_scalability import DEFAULT_POLICY as FIG11_POLICY
@@ -63,22 +62,12 @@ def _find(result: ExperimentResult, label: object) -> tuple:
 def _problems(
     k: int, policy: ThresholdPolicy, iterations: int, seed: int
 ) -> Iterator[PlacementProblem]:
-    """The figures' seeded instances on fat-tree(k). Each state's link
-    utilizations go into the one topology: price a problem before the
-    next is drawn."""
+    """The figures' seeded instances on fat-tree(k)."""
     topology = build_fat_tree(k)
     for _, caps in IterationSampler(topology, x_min=policy.x_min, seed=seed).states(iterations):
-        roles = classify_network(caps, policy)
-        busy, candidates = tuple(roles.busy), tuple(roles.candidates)
-        if busy and candidates:
-            yield PlacementProblem(
-                topology=topology,
-                busy=busy,
-                candidates=candidates,
-                cs=np.array([policy.excess_load(caps[b]) for b in busy]),
-                cd=np.array([policy.spare_capacity(caps[c]) for c in candidates]),
-                data_mb=np.full(len(busy), 10.0),
-            )
+        problem = PlacementProblem.from_loads(topology, caps, policy)
+        if problem.busy and problem.candidates:
+            yield problem
 
 
 def path_counts(k: int, hops: Sequence[Optional[int]], seed: int) -> List[int]:
@@ -108,7 +97,7 @@ def _fig1(fig1: ExperimentResult) -> List[Row]:
             _verdict(75 <= mean <= 150), "one core of the 8-core DUT"),
         Row("Fig. 1 peak module CPU", "≈600 %", f"{peak:.0f} %", "450–750 %",
             _verdict(450 <= peak <= 750),
-            "the first VxLAN burst comes after minute 30, past the --quick window"),
+            "the first VxLAN burst comes after minute 30; --quick runs 60 minutes"),
     ]
 
 

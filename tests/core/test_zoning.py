@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     DUSTManager,
     PlacementEngine,
+    PlacementProblem,
     ThresholdPolicy,
     Zone,
     ZonedPlacementEngine,
@@ -18,6 +19,15 @@ from repro.routing import PathEngine, ResponseTimeModel
 from repro.simulation import MessageNetwork, SimulationEngine
 from repro.topology import CapacityModel, LinkUtilizationModel, build_fat_tree
 from tests.topologies import build_line
+
+
+def _problem(topo, busy, cands, cs, cd, max_hops):
+    """Eq. 3 instance with ``D_i = 10`` Mb for every busy node."""
+    return PlacementProblem(
+        topology=topo, busy=tuple(busy), candidates=tuple(cands),
+        cs=np.asarray(cs), cd=np.asarray(cd),
+        data_mb=np.full(len(busy), 10.0), max_hops=max_hops,
+    )
 
 
 class TestPartitioning:
@@ -68,8 +78,8 @@ class TestZonedPlacement:
         if not busy:
             pytest.skip("no busy nodes in this draw")
         zones = partition_by_pod(topo)
-        engine = ZonedPlacementEngine(max_hops=7)
-        report = engine.solve(topo, zones, busy, cands, cs, cd, [10.0] * len(busy))
+        engine = ZonedPlacementEngine()
+        report = engine.solve(_problem(topo, busy, cands, cs, cd, max_hops=7), zones)
         # Every assignment stays inside one zone.
         zone_of = {}
         for zone in zones:
@@ -95,7 +105,7 @@ class TestZonedPlacement:
         topo, busy, cands, cs, cd = self.setup_case(seed=3, k=8)
         zones = partition_by_pod(topo)
         report = ZonedPlacementEngine().solve(
-            topo, zones, busy, cands, cs, cd, [10.0] * len(busy)
+            _problem(topo, busy, cands, cs, cd, max_hops=7), zones
         )
         assert len(report.zone_reports) == len(zones) == 8
         assert report.total_offloaded + report.total_unplaced == pytest.approx(
@@ -106,25 +116,17 @@ class TestZonedPlacement:
         topo, busy, cands, cs, cd = self.setup_case(seed=5)
         if not busy:
             pytest.skip("no busy nodes in this draw")
-        from repro.core import PlacementProblem
-
+        problem = _problem(topo, busy, cands, cs, cd, max_hops=None)
         global_report = PlacementEngine(
             response_model=ResponseTimeModel(engine=PathEngine.DP),
             with_routes=False,
-        ).solve(
-            PlacementProblem(
-                topology=topo, busy=tuple(busy), candidates=tuple(cands),
-                cs=np.asarray(cs), cd=np.asarray(cd),
-                data_mb=np.full(len(busy), 10.0),
-            )
-        )
+        ).solve(problem)
         zoned = ZonedPlacementEngine(
             engine=PlacementEngine(
                 response_model=ResponseTimeModel(engine=PathEngine.DP),
                 with_routes=False,
             ),
-            max_hops=None,
-        ).solve(topo, partition_by_pod(topo), busy, cands, cs, cd, [10.0] * len(busy))
+        ).solve(problem, partition_by_pod(topo))
         if global_report.feasible:
             assert zoned.total_offloaded <= global_report.total_offloaded + 1e-9
 
@@ -135,8 +137,8 @@ class TestZonedPlacement:
         zones = partition_by_pod(topo)
         # Busy node 4 (pod 0 agg) with abundant candidates in its own pod.
         busy, cands = [4], [5, 6, 7]
-        report = ZonedPlacementEngine(max_hops=4).solve(
-            topo, zones, busy, cands, [5.0], [10.0, 10.0, 10.0], [10.0]
+        report = ZonedPlacementEngine().solve(
+            _problem(topo, busy, cands, [5.0], [10.0, 10.0, 10.0], max_hops=4), zones
         )
         assert report.zone_failure_rate_pct == 0.0
         assert report.total_offloaded == pytest.approx(5.0)
@@ -148,8 +150,8 @@ class TestZonedPlacement:
             link.utilization = 0.5
         zones = partition_by_pod(topo)
         # Node 4 is pod 0; node 16 is pod 3.
-        report = ZonedPlacementEngine(max_hops=None).solve(
-            topo, zones, [4], [16], [5.0], [10.0], [10.0]
+        report = ZonedPlacementEngine().solve(
+            _problem(topo, [4], [16], [5.0], [10.0], max_hops=None), zones
         )
         assert report.total_unplaced == pytest.approx(5.0)
         assert report.zone_failure_rate_pct == pytest.approx(100.0)
@@ -158,8 +160,8 @@ class TestZonedPlacement:
         topo, busy, cands, cs, cd = self.setup_case(seed=7)
         if not busy:
             pytest.skip("no busy nodes in this draw")
-        report = ZonedPlacementEngine(max_hops=5).solve(
-            topo, partition_by_pod(topo), busy, cands, cs, cd, [10.0] * len(busy)
+        report = ZonedPlacementEngine().solve(
+            _problem(topo, busy, cands, cs, cd, max_hops=5), partition_by_pod(topo)
         )
         assert report.max_zone_seconds <= report.total_seconds + 1e-9
 
@@ -179,7 +181,7 @@ class TestHeuristicRelief:
     def test_relief_off_by_default(self):
         topo, zones = self.infeasible_zone_case()
         report = ZonedPlacementEngine().solve(
-            topo, zones, [0], [1], [20.0], [5.0], [10.0]
+            _problem(topo, [0], [1], [20.0], [5.0], max_hops=7), zones
         )
         assert not report.zone_reports[0][1].feasible
         assert report.unplaced_per_zone[0] == pytest.approx(20.0)

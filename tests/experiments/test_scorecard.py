@@ -16,7 +16,6 @@ RANK = {"miss": 0, "shape-only": 1, "pass": 2}
 
 #: Rows allowed below ``pass`` at ``--quick`` size, with why.
 QUICK_FLOORS = {
-    "Fig. 1 peak module CPU": "miss",  # 30 intervals end before the first burst
     "Fig. 8 ILP time vs max-hop (4-k)": "miss",  # pricing time is flat in max-hop
     "Fig. 9 heuristic full / zero / partial": "shape-only",  # calibration: ROADMAP 6(a)
     "Fig. 10b ILP time, 16-k max-hop 4 → 5": "miss",  # the 16-k series stops at hop 3

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.placement import PlacementEngine, PlacementProblem
-from repro.core.roles import classify_network
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
 from repro.errors import SolverError
@@ -76,26 +75,12 @@ class TestWholeSolveTwin:
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_fat_tree_placement(self, k, monkeypatch):
+        """Each instance is solved both ways before the next state is
+        drawn: the sampler writes every state's links into the one
+        topology."""
         policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
         topology = build_fat_tree(k)
         sampler = IterationSampler(topology, x_min=policy.x_min, seed=40 + k)
-        problems = []
-        for _, capacities in sampler.states(3):
-            roles = classify_network(capacities, policy)
-            busy, candidates = roles.busy, roles.candidates
-            problems.append(
-                PlacementProblem(
-                    topology=topology,
-                    busy=tuple(busy),
-                    candidates=tuple(candidates),
-                    cs=np.array([policy.excess_load(capacities[b]) for b in busy]),
-                    cd=np.array(
-                        [policy.spare_capacity(capacities[c]) for c in candidates]
-                    ),
-                    data_mb=np.full(len(busy), 10.0),
-                    max_hops=4,
-                )
-            )
 
         def engines():
             central = PlacementEngine(
@@ -107,12 +92,17 @@ class TestWholeSolveTwin:
             )
             return central, zoned
 
-        kept = [[e.solve(p) for e in engines()] for p in problems]
+        kept, twins = [], []
+        for _, capacities in sampler.states(3):
+            problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=4)
+            kept.append([e.solve(problem) for e in engines()])
+            with monkeypatch.context() as patch:
+                _patch_oracle(patch)
+                twins.append([e.solve(problem) for e in engines()])
         assert sum(central.lp_iterations for central, _ in kept) > 0
-        _patch_oracle(monkeypatch)
-        for problem, reports in zip(problems, kept):
-            for engine, report in zip(engines(), reports):
-                _same_fields(report, engine.solve(problem))
+        for reports, oracle_reports in zip(kept, twins):
+            for report, oracle_report in zip(reports, oracle_reports):
+                _same_fields(report, oracle_report)
 
 
 class TestCellValidation:

@@ -154,7 +154,6 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
         "topology/graph.py _LinkView.capacity_mbps",
         "topology/graph.py _LinkView.utilization",
         "topology/graph.py _LinkView.latency_ms",
-        "topology/graph.py Topology.version",
         "topology/graph.py Topology.set_capacity",
         "topology/graph.py Topology.edges",
         "topology/graph.py Topology.link",
