@@ -33,9 +33,10 @@ True
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "Counter",
@@ -168,6 +169,23 @@ class Histogram(_Instrument):
                 self.minimum = value
             if value > self.maximum:
                 self.maximum = value
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record each of ``values``, in order, under one lock: what as
+        many :meth:`observe` calls would record. ``total`` is summed left
+        to right, as they sum it (the builtin ``sum`` compensates float
+        sums from Python 3.12)."""
+        values = [float(value) for value in values]
+        with self._lock:
+            total = self.total
+            for value in values:
+                total += value
+            self.total = total
+            self.count += len(values)
+            # ``min``/``max`` replace their pick on ``<``/``>``, as
+            # ``observe`` does, starting from the kept extremes.
+            self.minimum = min(itertools.chain((self.minimum,), values))
+            self.maximum = max(itertools.chain((self.maximum,), values))
 
     @property
     def mean(self) -> float:

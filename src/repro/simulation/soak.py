@@ -45,6 +45,9 @@ resilience run uses.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -290,30 +293,38 @@ class _SoakDriver:
         """Draw and apply every arrival at or before ``until``, in time
         order; each waited ``now - arrival`` for this tick.
 
-        Each stream yields its arrivals up to ``until`` and stays one
-        arrival ahead; one sort of the ``(time, salt)`` pairs puts them
-        in time order. A draw touches only the driver ``_rng`` and
-        applying touches only ``loads`` and one client, so drawing and
-        applying the sorted arrivals in turn gives the same draws,
-        engine sequence numbers and loads as one engine event per
-        arrival that draws it for the tick to apply; the engine carries
-        only control-plane events. The one divergence is an arrival
-        whose float time exactly equals a tick or another stream's
-        arrival (probability ~2⁻⁵² per tick): here it is applied at that
-        tick, and equal-time arrivals go in stream order.
+        Each stream hands over its arrivals up to ``until`` in one call
+        and stays one arrival ahead. When more than one stream has
+        arrivals, one sort of the ``(time, salt)`` pairs puts them in
+        time order, cut into runs of one kind. A draw touches only the
+        driver ``_rng`` and applying touches only ``loads`` and one
+        client, so drawing and applying the arrivals in turn gives the
+        same draws, engine sequence numbers and loads as one engine event
+        per arrival that draws it for the tick to apply; the engine
+        carries only control-plane events. The one divergence is an
+        arrival whose float time exactly equals a tick or another
+        stream's arrival (probability ~2⁻⁵² per tick): here it is applied
+        at that tick, and equal-time arrivals go in stream order.
         """
         horizon = self.config.horizon_s
-        due: List[Tuple[float, int, str]] = []
+        # ``at <= limit`` is ``at <= until and at < horizon``.
+        limit = until if until < horizon else math.nextafter(horizon, -math.inf)
+        streams: List[Tuple[int, str, List[float]]] = []
         for head in self._heads:
-            at, salt, kind, process = head
-            while at <= until and at < horizon:
-                due.append((at, salt, kind))
-                at = process.next_arrival()
-            head[0] = at
-        if not due:
+            if head[0] <= limit:
+                times, head[0] = head[3].arrivals_through(head[0], limit)
+                streams.append((head[1], head[2], times))
+        if not streams:
             return
         self._heads = [head for head in self._heads if head[0] < horizon]
-        due.sort()
+        if len(streams) == 1:
+            runs = [streams[0][1:]]
+        else:
+            due = sorted((at, salt, kind) for salt, kind, times in streams for at in times)
+            runs = [
+                (kind, [at for at, _salt, _kind in run])
+                for kind, run in itertools.groupby(due, key=operator.itemgetter(2))
+            ]
 
         integers, random = self._rng.integers, self._rng.random
         targets = self._targets
@@ -324,22 +335,30 @@ class _SoakDriver:
         offload_low, offload_span = self._offload_draw
         latencies = self.latencies
         now = self.engine.now
-        for at, _salt, kind in due:
-            node = targets[integers(n_targets)]
+        applied = 0
+        for kind, times in runs:
             if kind == "load":
-                loads[node] = min(high, max(low, loads[node] + (step_low + step_span * random())))
+                for _ in times:
+                    node = targets[integers(n_targets)]
+                    # ``min(high, max(low, load))``
+                    load = loads[node] + (step_low + step_span * random())
+                    loads[node] = (load if load < high else high) if load > low else low
             elif kind == "offload":
-                loads[node] = offload_low + offload_span * random()
+                for _ in times:
+                    node = targets[integers(n_targets)]
+                    loads[node] = offload_low + offload_span * random()
             else:  # churn
-                client = self.clients[node]
-                if client.alive:
-                    client.fail()
-                else:
-                    client.recover()
-            latencies.append(now - at)
-        self.events_generated += len(due)
-        self._generated_counter.inc(len(due))
-        self._applied_counter.inc(len(due))
+                for _ in times:
+                    client = self.clients[targets[integers(n_targets)]]
+                    if client.alive:
+                        client.fail()
+                    else:
+                        client.recover()
+            latencies += [now - at for at in times]
+            applied += len(times)
+        self.events_generated += applied
+        self._generated_counter.inc(applied)
+        self._applied_counter.inc(applied)
 
     # -- drift watchdog --------------------------------------------------------
     def _oracle_relief(self) -> Dict[int, float]:
@@ -410,9 +429,7 @@ class _SoakDriver:
         registry = get_registry()
         registry.gauge("soak.events_per_min").set(per_min)
         if self.latencies:
-            hist = registry.histogram("soak.event_latency_s")
-            for sample in self.latencies:
-                hist.observe(sample)
+            registry.histogram("soak.event_latency_s").observe_many(self.latencies)
             p50, p95, p99 = np.percentile(self.latencies, [50.0, 95.0, 99.0])
         else:
             p50 = p95 = p99 = float("nan")

@@ -63,6 +63,33 @@ class TestInstruments:
         assert h.maximum == 3.0
         assert h.mean == 2.0
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Cancellation: a left-to-right sum reads 0.0 + 3 + ..., a
+            # compensated one (builtin ``sum`` from Python 3.12) 0.1 + ...
+            [0.1, 1e16, 3, -1e16, 0.2, -0.5, 7.25, 1e-300],
+            # A NaN is never an extreme, as in ``observe``.
+            [float("nan"), 4.0, -1.0, float("nan")],
+            [],
+        ],
+        ids=["cancellation", "nan", "empty"],
+    )
+    def test_observe_many_equals_one_observe_each(self, values):
+        one, many = (MetricsRegistry("t").histogram("x.h") for _ in range(2))
+        for h in (one, many):
+            h.observe(2.0)
+        for v in values:
+            one.observe(v)
+        many.observe_many(iter(values))
+        assert repr(many._snapshot()) == repr(one._snapshot())
+        assert many.count == 1 + len(values)
+
+    def test_observe_many_sums_left_to_right(self):
+        h = MetricsRegistry("t").histogram("x.h")
+        h.observe_many([0.1, 1e16, -1e16])
+        assert h.total == (0.1 + 1e16) - 1e16 == 0.0
+
     def test_reset_zeroes_values_but_keeps_catalog(self):
         reg = MetricsRegistry("t")
         reg.counter("x.c").inc(5)

@@ -7,7 +7,10 @@ words (``repro.simulation.draws.BlockDraws``); the classes here keep the
 per-arrival scheduling (a self-rescheduling ``fire`` closure per stream
 that draws its arrival onto a pending list the tick applies) and the
 ``Generator.integers`` / ``Generator.uniform`` calls that replaced, so
-the suites hold the trajectory and the draws ``==`` to them.
+the suites hold the trajectory and the draws ``==`` to them. The diurnal
+load stream's block form (``DiurnalArrivals``) is held to the
+candidate-by-candidate thinning it replaced
+(:class:`ScalarDiurnalArrivals`).
 """
 
 from typing import Any, List, Optional, Tuple
@@ -51,6 +54,22 @@ class PerArrivalSoakDriver(_SoakDriver):
         else:
             value = 0.0
         return node, value
+
+    def _streams(self) -> List[Tuple[int, str, ArrivalProcess]]:
+        # The diurnal stream thinned one candidate at a time, from the
+        # same fresh generator.
+        streams = super()._streams()
+        for i, (salt, kind, process) in enumerate(streams):
+            if type(process) is DiurnalArrivals:
+                scalar = ScalarDiurnalArrivals(
+                    process.base_rate_per_s,
+                    process.swing,
+                    process.period_s,
+                    process.phase_s,
+                )
+                scalar._rng = process._rng
+                streams[i] = (salt, kind, scalar)
+        return streams
 
     def _start_streams(self) -> None:
         # Leaves the tick's heads empty, so it draws nothing itself.
@@ -97,7 +116,26 @@ def run_soak_per_arrival(config: SoakConfig) -> SoakResult:
     return PerArrivalSoakDriver(config).run()
 
 
-class UniformDiurnalArrivals(DiurnalArrivals):
+class ScalarDiurnalArrivals(DiurnalArrivals):
+    """Thinning one candidate at a time through ``Generator`` calls:
+    what ``DiurnalArrivals``' block stream must return, arrival for
+    arrival, and the words it must use."""
+
+    next_arrival = ArrivalProcess.next_arrival
+    arrivals_through = ArrivalProcess.arrivals_through
+
+    def _gap(self) -> float:
+        start = self._now
+        t = start
+        while True:
+            t += float(self._rng.exponential(self._peak_scale))
+            # ``random()`` is ``uniform()`` bit for bit (``0 + 1 *
+            # next_double``) at a third of the call cost.
+            if self._rng.random() <= self.rate_at(t) / self._peak:
+                return t - start
+
+
+class UniformDiurnalArrivals(ScalarDiurnalArrivals):
     """Thinning with ``uniform()`` and a ``rate_at`` call per candidate."""
 
     def _gap(self) -> float:

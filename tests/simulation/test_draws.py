@@ -1,9 +1,11 @@
-"""``BlockDraws`` against the numpy ``Generator`` calls it serves.
+"""``BlockDraws`` and the exponential walk against the numpy
+``Generator`` calls they serve.
 
 The source is meant to return exactly what ``default_rng(seed)`` returns
-for the same sequence of scalar ``random()`` / ``integers(n)`` calls, so
-every check here is ``==`` on long random interleavings that cross many
-block boundaries.
+for the same sequence of scalar ``random()`` / ``integers(n)`` calls, and
+the walk exactly what ``standard_exponential`` returns, so every check
+here is ``==`` on long random sequences that cross many block
+boundaries.
 """
 
 import random as pyrandom
@@ -11,7 +13,8 @@ import random as pyrandom
 import numpy as np
 import pytest
 
-from repro.simulation.draws import BLOCK, BlockDraws
+from repro.simulation import draws
+from repro.simulation.draws import BLOCK, BlockDraws, exponential_walk
 
 SEEDS = (0, 7, 2024)
 
@@ -74,3 +77,94 @@ def test_out_of_range_sizes_raise(n):
 def test_non_integer_size_raises():
     with pytest.raises(TypeError):
         BlockDraws(0).integers(319.0)
+
+
+# -- the exponential ziggurat on raw words -------------------------------------
+
+EXPONENTIAL_DRAWS = 1_000_000
+
+
+def _walk_exponentials(seed, n, block=4096):
+    """``n`` draws from ``exponential_walk`` over ``PCG64(seed)``'s words,
+    each block carrying the words its last, unfinished draw started on."""
+    bit_generator = np.random.PCG64(seed)
+    left = np.empty(0, dtype=np.uint64)
+    runs, count = [], 0
+    while count < n:
+        words = np.concatenate((left, bit_generator.random_raw(block)))
+        values, tails = exponential_walk(words)
+        runs.append(values)
+        count += len(values)
+        left = words[tails[-1]:] if len(tails) else words
+    return np.concatenate(runs)[:n]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_walk_equals_standard_exponential(seed):
+    drawn = _walk_exponentials(seed, EXPONENTIAL_DRAWS)
+    expected = np.random.default_rng(seed).standard_exponential(EXPONENTIAL_DRAWS)
+    assert np.array_equal(drawn, expected)
+    # ``exponential(scale)`` is ``scale * standard_exponential()``.
+    scale = 1.0 / 36.0
+    assert np.array_equal(
+        scale * drawn, np.random.default_rng(seed).exponential(scale, EXPONENTIAL_DRAWS)
+    )
+
+
+def test_walk_equals_scalar_exponential_calls():
+    generator = np.random.default_rng(11)
+    assert _walk_exponentials(11, 20_000, block=97).tolist() == [
+        generator.standard_exponential() for _ in range(20_000)
+    ]
+
+
+def test_every_slow_branch_is_taken(monkeypatch):
+    """Each branch of numpy's slow path, counted on 10⁶ draws: the idx-0
+    tail (≈ 0.05 %), a wedge accept and a wedge reject that draws again
+    (≈ 1.1 % each)."""
+    taken = []
+    slow_path = draws.exponential_slow_path
+
+    def counting(words, pos):
+        drawn = slow_path(words, pos)
+        if drawn is not None:
+            taken.append(((words[pos] >> 3) & 0xFF, drawn[1] - pos))
+        return drawn
+
+    monkeypatch.setattr(draws, "exponential_slow_path", counting)
+    drawn = _walk_exponentials(0, EXPONENTIAL_DRAWS)
+    assert np.array_equal(drawn, np.random.default_rng(0).standard_exponential(EXPONENTIAL_DRAWS))
+    tail = sum(1 for idx, _ in taken if idx == 0)
+    wedge_accept = sum(1 for idx, used in taken if idx and used == 2)
+    redrawn = sum(1 for _, used in taken if used > 2)
+    assert 300 < tail < 700
+    assert 9_000 < wedge_accept < 13_000
+    assert 9_000 < redrawn < 13_000
+
+
+@pytest.mark.parametrize("gap", (1, 2))
+def test_walk_leaves_gap_words_to_its_caller(gap):
+    """With ``gap`` words after each draw, the draws are what numpy's
+    ``standard_exponential`` returns when a ``random()`` call follows it
+    ``gap`` times, and ``tails`` points at those words."""
+    words = np.random.PCG64(3).random_raw(20_000)
+    values, tails = exponential_walk(words, gap=gap)
+    generator = np.random.default_rng(3)
+    expected, expected_draws = [], []
+    for _ in range(len(values)):
+        expected.append(generator.standard_exponential())
+        expected_draws.append([generator.random() for _ in range(gap)])
+    assert values.tolist() == expected
+    assert [
+        [(int(words[t + k]) >> 11) * 2.0**-53 for k in range(gap)] for t in tails.tolist()
+    ] == expected_draws
+    # Every draw whose gap words fit is returned.
+    assert int(tails[-1]) + gap > len(words) - 3 * (gap + 1)
+
+
+def test_slow_path_reports_running_out_of_words():
+    words = np.random.PCG64(0).random_raw(4096)
+    _, fast = draws.exponential_fast_path(words)
+    slow = int(np.flatnonzero(~fast)[0])
+    assert draws.exponential_slow_path(words.tolist()[: slow + 1], slow) is None
+    assert draws.exponential_slow_path(words.tolist(), slow) is not None

@@ -70,6 +70,13 @@ class TestArrivalProcesses:
         assert process.rate_at(75.0) == pytest.approx(1.0)   # trough
         assert process.rate_at(0.0) == pytest.approx(2.0)
 
+    def test_diurnal_rate_on_an_array_is_elementwise(self):
+        process = DiurnalArrivals(base_rate_per_s=2.0, swing=0.5, period_s=100.0)
+        times = np.array([0.0, 25.0, 75.0, 12.3])
+        assert process.rate_at(times) == pytest.approx(
+            [process.rate_at(float(t)) for t in times], rel=1e-15
+        )
+
     def test_diurnal_thinning_tracks_intensity(self):
         """More arrivals land in the peak half-period than the trough."""
         process = DiurnalArrivals(base_rate_per_s=20.0, swing=0.8,

@@ -23,7 +23,9 @@ from repro.simulation import (
     run_soak,
 )
 from repro.topology.fattree import build_fat_tree
+from repro.simulation import profiles
 from tests.oracles.soak import (
+    ScalarDiurnalArrivals,
     UniformDiurnalArrivals,
     UniformJitterNetwork,
     UniformJitterSender,
@@ -106,6 +108,67 @@ class TestTrajectoryTwins:
             assert fast.network.faults_dropped > 0
 
 
+def _used_state(seed, words):
+    """``PCG64(seed)``'s state after ``words`` raw words."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(words)
+    return bit_generator.state
+
+
+class TestDiurnalBlockStream:
+    """``DiurnalArrivals`` draws its candidates a block of raw words at a
+    time; each arrival must be the one the scalar thinning loop returns."""
+
+    ARRIVALS = 200_000
+    # 0, 13, and a phase whose rate starts at its peak (sin = 1 at t = 0).
+    PHASES = (0.0, 13.0, 450.0)
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_the_scalar_thinning(self, seed, phase):
+        params = dict(base_rate_per_s=20.0, swing=0.8, period_s=600.0, phase_s=phase, seed=seed)
+        fast, oracle = DiurnalArrivals(**params), ScalarDiurnalArrivals(**params)
+        # Half one at a time, half a soak tick (1 s) at a time.
+        arrivals = fast.take(self.ARRIVALS // 2)
+        at, tick = fast.next_arrival(), float(int(arrivals[-1]))
+        while len(arrivals) < self.ARRIVALS:
+            tick += 1.0
+            due, at = fast.arrivals_through(at, tick)
+            assert all(a <= tick for a in due) and at > tick
+            arrivals += due
+        assert arrivals == oracle.take(len(arrivals))
+        assert at == oracle.next_arrival()
+        assert _used_state(seed, int(fast._ends[fast._i - 1])) == oracle._rng.bit_generator.state
+
+    def test_an_arrival_off_its_candidate_clock(self):
+        """An arrival is ``start + (t - start)``, which is not ``t`` for
+        some early arrivals (``t > 2 * start``); the next gap starts
+        there. Seed 19's second arrival is one."""
+
+        class CandidateClock(ScalarDiurnalArrivals):
+            def next_arrival(self):
+                t = self._now
+                while True:
+                    t += float(self._rng.exponential(self._peak_scale))
+                    if self._rng.random() <= self.rate_at(t) / self._peak:
+                        self._now = t
+                        return t
+
+        params = dict(base_rate_per_s=20.0, swing=0.8, period_s=600.0, phase_s=13.0, seed=19)
+        expected = ScalarDiurnalArrivals(**params).take(1000)
+        assert CandidateClock(**params).take(2) != expected[:2]
+        assert DiurnalArrivals(**params).take(1000) == expected
+
+    def test_bounds_near_a_draw_are_decided_by_math_sin(self, monkeypatch):
+        """Every candidate goes through the ``rate_at`` recheck when the
+        slack covers all of ``[0, 1]``."""
+        monkeypatch.setattr(profiles, "_SIN_SLACK", 2.0)
+        params = dict(base_rate_per_s=20.0, swing=0.8, period_s=600.0, phase_s=13.0, seed=7)
+        assert DiurnalArrivals(**params).take(20_000) == ScalarDiurnalArrivals(**params).take(
+            20_000
+        )
+
+
 class TestSameDraws:
     """``random()`` forms against the ``uniform`` calls they replaced."""
 
@@ -114,7 +177,9 @@ class TestSameDraws:
         fast = DiurnalArrivals(20.0, swing=0.8, period_s=600.0, phase_s=13.0, seed=seed)
         oracle = UniformDiurnalArrivals(20.0, swing=0.8, period_s=600.0, phase_s=13.0, seed=seed)
         assert fast.take(5000) == oracle.take(5000)
-        assert fast._rng.bit_generator.state == oracle._rng.bit_generator.state
+        # The block stream draws words ahead of its arrivals; the words
+        # its 5000 arrivals used are the words the oracle's used.
+        assert _used_state(seed, int(fast._ends[fast._i - 1])) == oracle._rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_delivery_jitter(self, seed):
