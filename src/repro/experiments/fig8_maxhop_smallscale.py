@@ -42,7 +42,9 @@ def mean_solve_time(
 
     One untimed solve comes first, so the point does not pay a fresh
     process's one-off set-up; each instance's time is then the minimum
-    of :data:`REPEATS` solves.
+    of :data:`REPEATS` solves. Before each solve the same link state is
+    written back, so every timed solve prices its rows anew instead of
+    reading the ones the topology kept from the solve before.
 
     ``engine_kind=PathEngine.DP`` prices all busy sources through one
     all-sources DP plane — this is what keeps the k=32 series of
@@ -57,13 +59,20 @@ def mean_solve_time(
     )
     times = []
     betas = []
+
+    def rewritten(capacities) -> PlacementProblem:
+        topology.set_link_utilizations(topology.to_arrays().utilization)
+        return PlacementProblem.from_loads(
+            topology, capacities, policy, max_hops=max_hops
+        )
+
     for _, capacities in sampler.states(iterations):
         problem = PlacementProblem.from_loads(topology, capacities, policy, max_hops=max_hops)
         if not problem.busy or not problem.candidates:
             continue
         if not times:
             engine.solve(problem)
-        reports = [engine.solve(problem) for _ in range(REPEATS)]
+        reports = [engine.solve(rewritten(capacities)) for _ in range(REPEATS)]
         times.append(min(r.total_seconds for r in reports))
         report = reports[0]
         if report.feasible:

@@ -49,7 +49,13 @@ __all__ = [
 CATALOG: List[Tuple[str, str, str, str, str]] = [
     # -- trmin: route-pricing engine ------------------------------------------------
     ("counter", "trmin.full_computes", "count", "repro.routing.engine",
-     "Pricing calls; there is no route cache, so every call prices the full matrix"),
+     "Pricing calls with at least one source and one destination"),
+    ("counter", "trmin.rows_priced", "count", "repro.routing.response_time",
+     "Source rows a dp pricing call relaxed: the ones its topology kept no "
+     "row for at this link state"),
+    ("counter", "trmin.rows_reused", "count", "repro.routing.response_time",
+     "Source rows a dp pricing call took from the rows its topology kept "
+     "at this link state, unrelaxed"),
     ("histogram", "trmin.price_seconds", "seconds", "repro.routing.engine",
      "Wall time of one resistance_matrix call"),
     # -- routing: frontier-expansion enumeration kernel -----------------------------

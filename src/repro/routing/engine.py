@@ -8,9 +8,12 @@ pricing). There is one pricing pipeline —
 all-sources matrix DP for a dp model, the frontier-expansion kernel
 feeding the canonical fold for an enumeration model — and
 :class:`TrminEngine` is that call plus its default model, the
-``trmin.price`` span and the ``trmin.*`` metrics. It keeps no routes
-between calls: every pricing reads the link utilizations of the moment,
-as the paper's Eq. 1–2 do.
+``trmin.price`` span and the ``trmin.*`` metrics. It keeps nothing
+itself: every pricing reads the link utilizations of the moment, as the
+paper's Eq. 1–2 do. A dp model's source rows are kept by the topology
+for its current link state (:meth:`Topology.link_state_memo
+<repro.topology.graph.Topology.link_state_memo>`), so a call on an
+unchanged fabric relaxes only the sources not priced there yet.
 """
 
 from __future__ import annotations

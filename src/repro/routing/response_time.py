@@ -17,10 +17,12 @@ Two engines are provided, selected by :class:`PathEngine`:
 
 All matrix pricing goes through two canonical primitives:
 
-* :func:`_dp_matrix` — one all-sources matrix DP
-  (:func:`repro.routing.matrix.matrix_hop_constrained`), with parent
-  planes when paths are asked for, walked into a route only for the
-  pairs a caller looks up;
+* :func:`_dp_matrix` — per-source rows of the all-sources matrix DP
+  (:func:`repro.routing.matrix.matrix_hop_constrained`), priced once
+  per link state: the topology keeps each row until its ``version``
+  moves, and a call relaxes only the sources it lacks, in one block.
+  A row carries its parent-edge planes when paths were asked for,
+  walked into a route only for the pairs a caller looks up;
 * :func:`repro.routing.enumkernel.best_routes_matrix` — one frontier
   expansion for every pair of the call, pruning provably
   non-influential paths with an admissible lower bound, then picking
@@ -45,32 +47,80 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.obs import get_registry
 from repro.routing import enumkernel
-from repro.routing.matrix import MatrixDPResult, matrix_hop_constrained
+from repro.routing.matrix import matrix_hop_constrained
 from repro.routing.routes import Path
 from repro.topology.graph import Topology
 from repro.topology.links import BandwidthConvention
 
-class _DPRoutes(Mapping):
-    """Read-only ``(source, destination) -> Path`` view over a matrix
-    DP's predecessor planes: a route is walked
-    (:meth:`MatrixDPResult.path_to`) only when it is looked up, so a
-    caller that reports a handful of flows pays for a handful of routes.
 
-    Keys are the pairs with a finite ``R`` entry; a source id listed
-    more than once resolves to its last index. The id -> index maps are
-    built on the first lookup, so a call whose routes are never read
+class _DPRow(NamedTuple):
+    """One source's matrix-DP row at one link state, read-only.
+
+    ``best[v]`` and ``hops[v]`` are the source's row of
+    :class:`~repro.routing.matrix.MatrixDPResult`. ``parent_edge`` is
+    ``None`` when the row was priced without routes, else ``(layers,
+    n)``: ``parent_edge[h, v]`` is the edge through which layer ``h``
+    improved ``v``, ``-1`` where it did not. That is all a route walk
+    reads: the parent node is the edge's other endpoint, and a cell
+    improved at ``h`` exactly when it has a parent edge there."""
+
+    best: np.ndarray
+    hops: np.ndarray
+    parent_edge: Optional[np.ndarray]
+
+
+def _walk(topology: Topology, source: int, row: _DPRow, destination: int) -> Path:
+    """The route from ``source`` to a reachable ``destination`` that
+    :meth:`~repro.routing.matrix.MatrixDPResult.path_to` walks, read
+    from one :class:`_DPRow`."""
+    us, vs = topology.edge_endpoint_arrays()
+    parent_edge = row.parent_edge
+    h = int(row.hops[destination])
+    nodes: List[int] = [destination]
+    edges: List[int] = []
+    v = destination
+    while h > 0:
+        e = int(parent_edge[h, v])
+        if e >= 0:
+            v = int(us[e]) + int(vs[e]) - v
+            edges.append(e)
+            nodes.append(v)
+        h -= 1
+    if v != source:  # pragma: no cover - DP invariant guards this
+        raise RoutingError("path reconstruction walked past layer 0")
+    nodes.reverse()
+    edges.reverse()
+    return Path(nodes=tuple(nodes), edges=tuple(edges))
+
+
+class _DPRoutes(Mapping):
+    """Read-only ``(source, destination) -> Path`` view over one call's
+    DP rows: a route is walked (:func:`_walk`) only when it is looked up,
+    so a caller that reports a handful of flows pays for a handful of
+    routes.
+
+    Keys are the pairs with a finite ``R`` entry. The id -> index maps
+    are built on the first lookup, so a call whose routes are never read
     builds neither."""
 
     def __init__(
-        self, result: MatrixDPResult, destinations: np.ndarray, R: np.ndarray
+        self,
+        topology: Topology,
+        sources: List[int],
+        rows: List[_DPRow],
+        destinations: np.ndarray,
+        R: np.ndarray,
     ) -> None:
-        self._result = result
+        self._topology = topology
+        self._sources = sources
+        self._rows = rows
         self._destinations = destinations
         self._reachable = np.isfinite(R)
         self._row: Optional[Dict[int, int]] = None
@@ -79,7 +129,7 @@ class _DPRoutes(Mapping):
     def _index(self, key) -> Optional[int]:
         """Source index of a reachable ``key``, else ``None``."""
         if self._col is None:
-            self._row = {s: a for a, s in enumerate(self._result.sources)}
+            self._row = {s: a for a, s in enumerate(self._sources)}
             self._col = {d: b for b, d in enumerate(self._destinations.tolist())}
         try:
             source, destination = key
@@ -94,13 +144,13 @@ class _DPRoutes(Mapping):
         a = self._index(key)
         if a is None:
             raise KeyError(key)
-        return self._result.path_to(a, int(key[1]))
+        return _walk(self._topology, self._sources[a], self._rows[a], int(key[1]))
 
     def __contains__(self, key) -> bool:
         return self._index(key) is not None
 
     def _keys(self) -> Dict[Tuple[int, int], None]:
-        sources, destinations = self._result.sources, self._destinations.tolist()
+        sources, destinations = self._sources, self._destinations.tolist()
         return dict.fromkeys(
             (sources[a], destinations[b]) for a, b in zip(*np.nonzero(self._reachable))
         )
@@ -112,27 +162,79 @@ class _DPRoutes(Mapping):
         return len(self._keys())
 
 
+def _price_rows(
+    model: ResponseTimeModel,
+    topology: Topology,
+    sources: List[int],
+    with_paths: bool,
+) -> Dict[int, _DPRow]:
+    """One matrix DP over ``sources`` (distinct ids), split into
+    read-only per-source rows."""
+    result = matrix_hop_constrained(
+        topology,
+        sources,
+        model.max_hops,
+        model.edge_weights(topology),
+        with_parents=with_paths,
+    )
+    planes: List[Optional[np.ndarray]] = [None] * len(sources)
+    if with_paths:
+        # (S, layers, n): each source's parent-edge planes contiguous.
+        stacked = np.stack(result.parent_edge).astype(np.int32)
+        stacked = np.ascontiguousarray(stacked.transpose(2, 0, 1))
+        stacked.setflags(write=False)
+        planes = list(stacked)
+    result.best.setflags(write=False)
+    result.hops.setflags(write=False)
+    return {
+        s: _DPRow(best, hops, parent_edge)
+        for s, best, hops, parent_edge in zip(sources, result.best, result.hops, planes)
+    }
+
+
 def _dp_matrix(
+    model: ResponseTimeModel,
     topology: Topology,
     sources: Sequence[int],
     destinations: Sequence[int],
-    max_hops: Optional[int],
-    edge_weights: np.ndarray,
     with_paths: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Mapping[Tuple[int, int], Path]]:
-    """Trmin rows of ``sources`` via one all-sources matrix DP,
-    optionally with a lazy view that walks one optimal path per
-    reachable pair on lookup (weight-minimal, then hop-minimal; tie
-    witnesses are the kernel's)."""
-    result = matrix_hop_constrained(
-        topology, sources, max_hops, edge_weights, with_parents=with_paths
-    )
+    """Trmin rows of ``sources`` from the per-source DP rows the topology
+    keeps for this link state (:meth:`Topology.link_state_memo
+    <repro.topology.graph.Topology.link_state_memo>`), optionally with a
+    lazy view that walks one optimal path per reachable pair on lookup
+    (weight-minimal, then hop-minimal; tie witnesses are the kernel's).
+
+    The sources the memo lacks — or holds without parent planes, when
+    routes are asked for — are priced in one matrix DP. Source columns
+    of the DP are independent (block boundaries change no bit, and a
+    witness lane depends only on its own column), so a kept row equals
+    the one a fresh call would compute."""
+    memo = topology.link_state_memo(("dp_rows", model.convention, model.max_hops))
+    src = [int(s) for s in sources]
+    missing = [
+        s
+        for s in dict.fromkeys(src)
+        if s not in memo or (with_paths and memo[s].parent_edge is None)
+    ]
+    if missing or not src:
+        # An empty call still runs the kernel's argument checks.
+        memo.update(_price_rows(model, topology, missing, with_paths))
+    registry = get_registry()
+    registry.counter("trmin.rows_priced").inc(len(missing))
+    registry.counter("trmin.rows_reused").inc(len(src) - len(missing))
+
+    rows = [memo[s] for s in src]
     dest_arr = np.asarray(destinations, dtype=int)
-    R = result.best[:, dest_arr]
-    hops = result.hops[:, dest_arr]
+    if rows:
+        R = np.stack([row.best for row in rows])[:, dest_arr]
+        hops = np.stack([row.hops for row in rows])[:, dest_arr]
+    else:
+        R = np.empty((0, topology.num_nodes))[:, dest_arr]
+        hops = np.empty((0, topology.num_nodes), dtype=np.int64)[:, dest_arr]
     if not with_paths:
         return R, hops, {}
-    return R, hops, _DPRoutes(result, dest_arr, R)
+    return R, hops, _DPRoutes(topology, src, rows, dest_arr, R)
 
 
 class PathEngine(enum.Enum):
@@ -187,15 +289,17 @@ class ResponseTimeModel:
         up; the enumeration kernel builds every reachable pair's winner
         in the call, so it returns a plain dict.
         """
-        weights = self.edge_weights(topology)
         if self.engine is PathEngine.DP:
-            return _dp_matrix(
-                topology, sources, destinations, self.max_hops, weights, with_paths
-            )
+            return _dp_matrix(self, topology, sources, destinations, with_paths)
 
         # One kernel call expands every pair and picks each winner.
         R, hops, winners = enumkernel.best_routes_matrix(
-            topology, sources, destinations, self.max_hops, weights, with_paths
+            topology,
+            sources,
+            destinations,
+            self.max_hops,
+            self.edge_weights(topology),
+            with_paths,
         )
         paths: Dict[Tuple[int, int], Path] = {}
         for (a, b), (nodes, edges) in winners.items():

@@ -15,7 +15,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -188,6 +198,9 @@ class Topology:
         # held with the ``indptr`` array they were built from.
         self._csr_memo: Optional[Tuple[np.ndarray, Dict[str, object]]] = None
         self._lu_cache: Dict[BandwidthConvention, Tuple[int, np.ndarray]] = {}
+        # Results derived from the link state (see link_state_memo), held
+        # with the version they were computed at.
+        self._link_state_memo: Tuple[int, Dict[Hashable, dict]] = (0, {})
 
     @property
     def _adjacency(self) -> List[List[Tuple[int, int]]]:
@@ -213,7 +226,8 @@ class Topology:
         """Monotonically increasing mutation counter. Every structural
         change (node/edge added) and every link-state write — through
         the setters or through a :class:`Link` view, which calls them —
-        bumps it; the ``Lu_e`` and CSR caches key their entries on it."""
+        bumps it; the ``Lu_e`` and CSR caches and :meth:`link_state_memo`
+        key their entries on it."""
         return self._version
 
     def _bump(self) -> None:
@@ -456,6 +470,20 @@ class Topology:
         if key not in memo:
             memo[key] = build(self)
         return memo[key]
+
+    def link_state_memo(self, key: Hashable) -> dict:
+        """The dict kept under ``key`` for the current link state.
+
+        For results that depend on the wiring and the link state alone
+        (the routing DP's per-source rows): every entry is dropped when
+        :attr:`version` moves, i.e. after any link-state write or added
+        node or edge. Callers store only read-only values in it.
+        """
+        version, memos = self._link_state_memo
+        if version != self._version:
+            memos = {}
+            self._link_state_memo = (self._version, memos)
+        return memos.setdefault(key, {})
 
     def csr_adjacency(
         self, convention: BandwidthConvention = BandwidthConvention.AVAILABLE

@@ -14,8 +14,7 @@ import pytest
 from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.zoning import DistributedPlacementEngine, partition_by_pod
-from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
-from repro.routing.matrix import MatrixDPResult
+from repro.routing import PathEngine, ResponseTimeModel, TrminEngine, response_time
 from repro.topology import build_fat_tree
 from tests import oracles
 
@@ -108,15 +107,15 @@ class TestWithPathsIsForwarded:
 
 @pytest.fixture
 def walked(monkeypatch):
-    """``(source_index, destination)`` of every dp route walk."""
+    """``(source, destination)`` of every dp route walk."""
     calls = []
-    path_to = MatrixDPResult.path_to
+    walk = response_time._walk
 
-    def spy(result, source_index, destination):
-        calls.append((source_index, destination))
-        return path_to(result, source_index, destination)
+    def spy(topology, source, row, destination):
+        calls.append((source, destination))
+        return walk(topology, source, row, destination)
 
-    monkeypatch.setattr(MatrixDPResult, "path_to", spy)
+    monkeypatch.setattr(response_time, "_walk", spy)
     return calls
 
 

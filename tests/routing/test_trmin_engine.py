@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import PathEngine, ResponseTimeModel, TrminEngine
-from repro.routing.matrix import MatrixDPResult
+from repro.routing import PathEngine, ResponseTimeModel, TrminEngine, response_time
 from repro.topology import Link, Topology, build_fat_tree
 from tests import oracles
 from tests.topologies import build_random_connected
@@ -191,24 +190,25 @@ class TestLazyDpRoutes:
         topo = seeded_random_topology(seed)
         self.priced(topo, *endpoints(topo))
 
-    def test_duplicate_source_ids_resolve_to_the_last_index(self, monkeypatch):
+    def test_duplicate_source_ids_share_one_row(self, monkeypatch):
         topo = fat_tree_fixture()
         sources, destinations = [0, 0, 1], [5, 6, 5]
         paths = self.priced(topo, sources, destinations)
         walked = []
-        path_to = MatrixDPResult.path_to
+        walk = response_time._walk
 
-        def spy(result, source_index, destination):
-            walked.append((source_index, destination))
-            return path_to(result, source_index, destination)
+        def spy(topology, source, row, destination):
+            walked.append((source, destination))
+            return walk(topology, source, row, destination)
 
-        monkeypatch.setattr(MatrixDPResult, "path_to", spy)
-        paths = TrminEngine(
+        monkeypatch.setattr(response_time, "_walk", spy)
+        R, hops, paths = TrminEngine(
             ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        ).resistance_matrix(topo, sources, destinations, with_paths=True)[2]
+        ).resistance_matrix(topo, sources, destinations, with_paths=True)
         assert walked == []  # pricing walks no route
+        assert np.array_equal(R[0], R[1]) and np.array_equal(hops[0], hops[1])
         paths[(0, 6)]
-        assert walked == [(1, 6)]
+        assert walked == [(0, 6)]
 
     def test_lookups_outside_the_reachable_set(self):
         topo = fat_tree_fixture()
@@ -231,10 +231,11 @@ class TestLazyDpRoutes:
 class TestIncrementalCache:
     """Never a stale price after a mutation: whatever changes through
     the ``Topology`` API between two calls, the second call prices the
-    new state exactly (this guards the cached CSR wiring and the
-    version-keyed link-state views under the kernels). The class name
-    predates the removal of the route cache; it is kept so these test
-    ids stay stable."""
+    new state exactly. This guards the dp rows the topology keeps per
+    link state (``Topology.link_state_memo``), the cached CSR wiring and
+    the version-keyed link-state views under the kernels;
+    ``test_dp_row_memo.py`` drives the memo through random call
+    sequences."""
 
     @pytest.mark.parametrize("path_engine", ENGINES)
     @pytest.mark.parametrize("direction", ["increase", "decrease"])

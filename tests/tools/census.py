@@ -164,6 +164,12 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
         "topology/graph.py Topology.nodes_of_kind",
         "topology/graph.py Topology.__iter__",
     ),
+    "the reference walk over a matrix DP's full planes; the shipped walk "
+    "reads the parent-edge rows a topology keeps, and "
+    "tests/routing/test_dp_row_memo.py holds every route it gives == to "
+    "this one": (
+        "routing/matrix.py MatrixDPResult.path_to",
+    ),
     "Eq. 1 for one path; tests and benchmarks/bench_enum_kernel.py check "
     "routes with it": (
         "routing/routes.py Path.response_time",
