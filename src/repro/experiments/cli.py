@@ -46,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(resilience and soak keep their richer metrics dumps)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size for the sharded sweeps (fig10/fig11/"
-        "fig12, also inside scorecard); default: REPRO_WORKERS or the "
-        "CPU count",
-    )
-    parser.add_argument(
         "--trace", type=str, default=None,
         help="record a span timeline of the run and write it to this "
         "path as Chrome-trace JSON (open in chrome://tracing or "
@@ -105,11 +99,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for eid in ids:
         # Iteration overrides only apply to experiments that accept them.
         entry_overrides = dict(overrides)
-        sweeps = eid in ("fig10", "fig11", "fig12", "scorecard")
-        if sweeps:
+        if eid in ("fig10", "fig11", "fig12", "scorecard"):
             entry_overrides.pop("iterations", None)
-        if sweeps and args.workers is not None:
-            entry_overrides["workers"] = args.workers
         if eid not in ("resilience", "soak", "distributed"):
             entry_overrides.pop("json_path", None)
         result = run_experiment(eid, quick=args.quick, **entry_overrides)

@@ -8,7 +8,7 @@ values, which the CLI prints side by side and the scorecard judges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.simulation.random import spawn_seeds
 from repro.topology.capacity import CapacityModel
@@ -98,38 +98,6 @@ class IterationSampler:
                 self.topology
             )
             yield it, cap_model.sample(self.topology.num_nodes)
-
-
-def run_sharded_sweep(
-    point_fn: Callable,
-    payloads: Sequence,
-    workers: Optional[int] = None,
-) -> List:
-    """Shard independent experiment points over the worker pool.
-
-    The unit of work is one *point* — e.g. one (k, seed) instance of a
-    scalability sweep. ``point_fn`` must be a module-level (picklable)
-    callable of one payload; payloads carry scale parameters and seeds
-    only, and each point builds its own topology (``build_fat_tree``
-    materializes it from the memoized blueprint). Results come back in
-    payload order; each worker's obs-registry delta is merged into the
-    parent registry via ``collect_metrics=True``, so counters and
-    histograms read the same as a serial run.
-
-    Any pool failure (sandboxed environment, unpicklable payload,
-    worker death twice) degrades to the serial loop, which is always
-    correct — just slower.
-    """
-    from repro.parallel import map_with_pool_retry, resolve_workers
-
-    payloads = list(payloads)
-    workers = resolve_workers(workers, task_count=len(payloads))
-    if workers <= 1 or len(payloads) < 2:
-        return [point_fn(p) for p in payloads]
-    results = map_with_pool_retry(point_fn, payloads, workers, collect_metrics=True)
-    if results is None:
-        return [point_fn(p) for p in payloads]
-    return results
 
 
 #: Paper Table I, rendered for completeness (the only table in the paper).

@@ -17,9 +17,9 @@ is exactly the regime the matrix kernel exists for.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.experiments.common import ExperimentResult, run_sharded_sweep
+from repro.experiments.common import ExperimentResult
 from repro.experiments.fig8_maxhop_smallscale import mean_solve_time
 from repro.routing.response_time import PathEngine
 
@@ -27,17 +27,6 @@ DEFAULT_HOPS_8K: Tuple[int, ...] = (2, 3, 4, 5, 6, 7)
 DEFAULT_HOPS_16K: Tuple[int, ...] = (2, 3, 4, 5)
 #: The extra-paper 32-k series (DP engine).
 DEFAULT_HOPS_32K: Tuple[int, ...] = (2, 3, 4)
-
-
-def _sweep_point(payload: Tuple[int, int, int, int, PathEngine]) -> float:
-    """One (k, max-hop) point — module-level so pool workers can run it.
-
-    ``mean_solve_time`` builds its fat-tree through the blueprint LRU,
-    so each worker pays one wiring build per k at most.
-    """
-    k, h, iters, seed, engine_kind = payload
-    mean_s, _ = mean_solve_time(k, h, iters, seed=seed, engine_kind=engine_kind)
-    return mean_s
 
 
 def run(
@@ -48,13 +37,12 @@ def run(
     hops_16k: Sequence[int] = DEFAULT_HOPS_16K,
     hops_32k: Sequence[int] = DEFAULT_HOPS_32K,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 10a/10b's time-vs-max-hop curves (+ 32-k extra).
 
-    (k, max-hop) points are independent solves, so they shard over the
-    worker pool like the fig11/fig12 scale points. The 8-k/16-k series
-    replicate the paper's enumeration measurement; the 32-k series
+    Every (k, max-hop) point is timed in the calling process, one after
+    the other, so no point shares the CPUs with another. The 8-k/16-k
+    series replicate the paper's enumeration measurement; the 32-k series
     (pass ``hops_32k=()`` to skip) swaps in the DP engine, the only
     one that prices a 1280-node fabric in reasonable time.
     """
@@ -64,19 +52,15 @@ def run(
         (16, hops_16k, iterations_16k, PathEngine.ENUMERATION),
         (32, hops_32k, iterations_32k, PathEngine.DP),
     )
-    payloads = [
-        (k, h, iters, seed, engine_kind)
-        for k, hops, iters, engine_kind in series
-        for h in hops
-    ]
-    times = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
     times_16k = {}
-    for (k, h, _, _, engine_kind), mean_s in zip(payloads, times):
+    for k, hops, iters, engine_kind in series:
         engine_label = "enum" if engine_kind is PathEngine.ENUMERATION else "dp"
-        rows.append((f"{k}-k", h, engine_label, mean_s))
-        if k == 16:
-            times_16k[h] = mean_s
+        for h in hops:
+            mean_s, _ = mean_solve_time(k, h, iters, seed=seed, engine_kind=engine_kind)
+            rows.append((f"{k}-k", h, engine_label, mean_s))
+            if k == 16:
+                times_16k[h] = mean_s
     blowup = (
         times_16k[5] / times_16k[4]
         if 4 in times_16k and 5 in times_16k and times_16k[4] > 0

@@ -21,7 +21,7 @@ from repro.core.heuristic import solve_heuristic
 from repro.core.metrics import fit_power_law
 from repro.core.placement import PlacementEngine, PlacementProblem
 from repro.core.thresholds import ThresholdPolicy
-from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
+from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.routing.response_time import PathEngine, ResponseTimeModel
 from repro.topology.fattree import build_fat_tree
 
@@ -59,8 +59,8 @@ def scalability_point(
 
     The point builds its own fat-tree (a fresh topology from the
     memoized blueprint), and the iteration stream depends only on
-    ``seed``, so per-seed HFR values are identical whether this point
-    runs inline or on a pool worker.
+    ``seed``, so a point's HFR does not depend on which points ran
+    before it.
     """
     policy = policy or DEFAULT_POLICY
     topology = build_fat_tree(k)
@@ -90,43 +90,20 @@ def scalability_point(
     )
 
 
-def _sweep_point(payload: dict) -> Tuple[float, float, float]:
-    """One (k, seed) scale point — module-level so pool workers can run it."""
-    return scalability_point(
-        payload["k"],
-        payload["iterations"],
-        payload["run_ilp"],
-        payload["ilp_max_hops"],
-        seed=payload["seed"],
-    )
-
-
 def run(
     scales: Sequence[Tuple[int, int, bool, Optional[int]]] = DEFAULT_SCALES,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 11a (HFR vs size) and 11b (ILP time vs size).
 
-    Scale points shard over the worker pool; a payload carries only
-    the scale parameters and seed, and each point builds its own
-    fat-tree (see :func:`scalability_point`).
+    Scale points run one after the other in the calling process, each
+    on its own fat-tree (see :func:`scalability_point`).
     """
     start = time.perf_counter()
-    payloads = [
-        {
-            "k": k,
-            "iterations": iterations,
-            "run_ilp": run_ilp,
-            "ilp_max_hops": ilp_hops,
-            "seed": seed,
-        }
-        for k, iterations, run_ilp, ilp_hops in scales
-    ]
-    points = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
     sizes, hfr_series = [], []
-    for (k, iterations, run_ilp, ilp_hops), (hfr, ilp_s, _) in zip(scales, points):
+    for k, iterations, run_ilp, ilp_hops in scales:
+        hfr, ilp_s, _ = scalability_point(k, iterations, run_ilp, ilp_hops, seed=seed)
         nodes = 5 * k * k // 4
         rows.append((f"{k}-k", nodes, hfr, ilp_s if run_ilp else float("nan")))
         if hfr == hfr and hfr > 0:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.heuristic import solve_heuristic
 from repro.core.placement import PlacementProblem
 from repro.core.thresholds import ThresholdPolicy
-from repro.experiments.common import ExperimentResult, IterationSampler, run_sharded_sweep
+from repro.experiments.common import ExperimentResult, IterationSampler
 from repro.topology.fattree import build_fat_tree
 
 DEFAULT_SCALES: Tuple[Tuple[int, int], ...] = ((4, 10), (8, 5), (16, 3), (32, 2), (64, 1))
@@ -34,9 +34,8 @@ def heuristic_time_at_scale(
     """(mean heuristic seconds, mean HFR %, busy count of last state).
 
     The point builds its own mutable fat-tree from the memoized
-    blueprint, so a pool worker needs nothing but ``k`` and ``seed``.
-    The iteration stream depends only on ``seed``, so the sharded and
-    serial runs sample identical network states.
+    blueprint, and the iteration stream depends only on ``seed``, so a
+    point samples the same network states whichever points ran before.
     """
     policy = policy or ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
     topology = build_fat_tree(k)
@@ -57,34 +56,19 @@ def heuristic_time_at_scale(
     )
 
 
-def _sweep_point(payload: dict) -> Tuple[float, float, int]:
-    """One (k, seed) scale point — module-level so pool workers can run it."""
-    return heuristic_time_at_scale(
-        payload["k"],
-        payload["iterations"],
-        seed=payload["seed"],
-    )
-
-
 def run(
     scales: Sequence[Tuple[int, int]] = DEFAULT_SCALES,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 12's heuristic-runtime-vs-size series.
 
-    Scale points are independent, so they shard over the worker pool;
-    a payload carries only ``k``, the iteration count and the seed, and
-    each point builds its own fat-tree (see
-    :func:`heuristic_time_at_scale`).
+    Scale points run one after the other in the calling process, each
+    on its own fat-tree (see :func:`heuristic_time_at_scale`).
     """
     start = time.perf_counter()
-    payloads = [
-        {"k": k, "iterations": iterations, "seed": seed} for k, iterations in scales
-    ]
-    points = run_sharded_sweep(_sweep_point, payloads, workers=workers)
     rows = []
-    for (k, iterations), (mean_s, hfr, busy) in zip(scales, points):
+    for k, iterations in scales:
+        mean_s, hfr, busy = heuristic_time_at_scale(k, iterations, seed=seed)
         nodes = 5 * k * k // 4
         rows.append((f"{k}-k", nodes, mean_s, hfr, busy))
     return ExperimentResult(

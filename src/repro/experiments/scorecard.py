@@ -240,20 +240,15 @@ def score(figures: Mapping[str, ExperimentResult]) -> Tuple[Row, ...]:
     )
 
 
-def run(
-    quick: bool = False, seed: Optional[int] = None, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(quick: bool = False, seed: Optional[int] = None) -> ExperimentResult:
     """Run the paper figures (``quick``: their CI-sized parameters) and
-    judge every claim. ``seed`` overrides every figure's master seed;
-    ``workers`` sizes the fig10–12 sweep pools."""
+    judge every claim. ``seed`` overrides every figure's master seed."""
     from repro.experiments.registry import PAPER_FIGURE_IDS, run_experiment
 
     start = time.perf_counter()
     figures = {}
     for fid in PAPER_FIGURE_IDS:
         overrides = {} if seed is None else {"seed": seed}
-        if workers is not None and fid in ("fig10", "fig11", "fig12"):
-            overrides["workers"] = workers
         figures[fid] = run_experiment(fid, quick=quick, **overrides)
     rows = score(figures)
     verdicts = [row.verdict for row in rows]

@@ -10,11 +10,11 @@ at call granularity).
 Three cooperating pieces:
 
 * **Metrics registry** (:mod:`repro.obs.registry`) — process-wide named
-  counters / gauges / histograms with snapshot, delta-collect and merge
-  semantics so totals survive the process-pool fan-out in
-  :func:`repro.parallel.map_with_pool_retry`. The full metric catalog
-  is declared in :mod:`repro.obs.catalog` and documented (and
-  CI-checked) in ``docs/observability.md``.
+  counters / gauges / histograms with snapshot and reset. Every run
+  reports in the process that reads the registry; nothing merges one
+  across processes. The full metric catalog is declared in
+  :mod:`repro.obs.catalog` and documented (and CI-checked) in
+  ``docs/observability.md``.
 * **Tracer** (:mod:`repro.obs.tracer`) — span-based timeline recorder
   with a Chrome-trace exporter; one placement round (Trmin pricing →
   LP solve → message exchange → convergence) renders as a single

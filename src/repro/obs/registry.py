@@ -16,10 +16,10 @@ Design constraints, in order:
    re-entrant lock; hot loops keep their own local counters (e.g.
    :class:`~repro.routing.engine.EngineStats`) and mirror them in at
    call granularity via :meth:`Counter.set_max`;
-3. **mergeable** — a process-pool worker collects the *delta* its task
-   produced (:meth:`MetricsRegistry.collect_delta`) and the parent
-   folds it back in (:meth:`MetricsRegistry.merge_delta`), so metrics
-   survive the fan-out in :func:`repro.parallel.map_with_pool_retry`.
+3. **per process** — a registry counts what its own process did, and
+   nothing merges registries across processes. The experiment sweeps
+   run every point in the calling process, so a
+   :meth:`MetricsRegistry.snapshot` there covers the whole run.
 
 Examples
 --------
@@ -34,9 +34,8 @@ True
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "Counter",
@@ -106,9 +105,6 @@ class Counter(_Instrument):
     def _snapshot(self) -> Dict[str, float]:
         return {"value": self._value}
 
-    def _merge(self, delta: Mapping[str, float]) -> None:
-        self.inc(float(delta.get("value", 0.0)))
-
     def _reset(self) -> None:
         with self._lock:
             self._value = 0.0
@@ -134,9 +130,6 @@ class Gauge(_Instrument):
     def _snapshot(self) -> Dict[str, float]:
         return {"value": self._value}
 
-    def _merge(self, delta: Mapping[str, float]) -> None:
-        self.set(float(delta.get("value", 0.0)))
-
     def _reset(self) -> None:
         with self._lock:
             self._value = 0.0
@@ -146,8 +139,8 @@ class Histogram(_Instrument):
     """Streaming summary of observations: count, sum, min, max, mean.
 
     Deliberately bucket-free — the consumers here (bench reports,
-    experiment artifacts) want per-phase totals and extremes, and a
-    four-float summary merges exactly across threads and pool workers.
+    experiment artifacts) want per-phase totals and extremes, which a
+    four-float summary keeps exactly.
     """
 
     kind = "histogram"
@@ -203,13 +196,6 @@ class Histogram(_Instrument):
             "min": self.minimum,
             "max": self.maximum,
         }
-
-    def _merge(self, delta: Mapping[str, float]) -> None:
-        with self._lock:
-            self.count += int(delta.get("count", 0))
-            self.total += float(delta.get("total", 0.0))
-            self.minimum = min(self.minimum, float(delta.get("min", float("inf"))))
-            self.maximum = max(self.maximum, float(delta.get("max", float("-inf"))))
 
     def _reset(self) -> None:
         with self._lock:
@@ -305,84 +291,21 @@ class MetricsRegistry:
             raise MetricError(f"unknown metric {name!r}")
         return metric.value
 
-    # -- snapshots & merging --------------------------------------------------
+    # -- snapshots -----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Serializable dump of every metric's current state.
 
         The result is a plain dict (JSON-safe apart from infinities in
-        empty histograms) tagged with the producing ``pid`` so pool
-        merge logic can tell a forked worker's snapshot from its own.
+        empty histograms).
         """
         with self._lock:
             return {
                 "registry": self.name,
-                "pid": os.getpid(),
                 "metrics": {
                     name: dict(m._snapshot(), kind=m.kind, unit=m.unit, owner=m.owner)
                     for name, m in self._metrics.items()
                 },
             }
-
-    def collect_delta(self, baseline: Mapping[str, object]) -> Dict[str, object]:
-        """What changed since ``baseline`` (a prior :meth:`snapshot`).
-
-        Counter and histogram deltas are exact differences; gauges
-        report their current value (last-write-wins has no meaningful
-        delta). Metrics absent from the baseline contribute their full
-        state. Used by pool workers: the fork inherited the parent's
-        totals, so only the task's own contribution must travel back.
-        """
-        base: Mapping[str, Mapping[str, float]] = baseline.get("metrics", {})  # type: ignore[assignment]
-        delta: Dict[str, object] = {"pid": os.getpid(), "metrics": {}}
-        with self._lock:
-            for name, metric in self._metrics.items():
-                snap = metric._snapshot()
-                prior = base.get(name, {})
-                if metric.kind == "counter":
-                    d = snap["value"] - float(prior.get("value", 0.0))
-                    if d <= 0:
-                        continue
-                    entry = {"value": d}
-                elif metric.kind == "gauge":
-                    if snap["value"] == float(prior.get("value", 0.0)):
-                        continue
-                    entry = {"value": snap["value"]}
-                else:  # histogram
-                    d_count = snap["count"] - int(prior.get("count", 0))
-                    if d_count <= 0:
-                        continue
-                    # min/max cannot be differenced; the cumulative
-                    # extremes are merge-safe as-is (min/max are
-                    # idempotent under re-merging).
-                    entry = {
-                        "count": d_count,
-                        "total": snap["total"] - float(prior.get("total", 0.0)),
-                        "min": snap["min"],
-                        "max": snap["max"],
-                    }
-                entry.update(kind=metric.kind, unit=metric.unit, owner=metric.owner)
-                delta["metrics"][name] = entry  # type: ignore[index]
-        return delta
-
-    def merge_delta(self, delta: Mapping[str, object]) -> None:
-        """Fold a :meth:`collect_delta` result into this registry.
-
-        Unknown metrics are registered on the fly from the metadata the
-        delta carries, so a worker may legitimately be the first to
-        touch a metric.
-        """
-        for name, entry in delta.get("metrics", {}).items():  # type: ignore[union-attr]
-            kind = entry.get("kind", "counter")
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._register(
-                    kind, name, entry.get("unit", ""), entry.get("owner", ""), ""
-                )
-            elif metric.kind != kind:
-                raise MetricError(
-                    f"cannot merge {kind} delta into {metric.kind} {name!r}"
-                )
-            metric._merge(entry)
 
     def reset(self) -> None:
         """Zero every value; registrations (the catalog) are kept."""

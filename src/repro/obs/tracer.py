@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -72,9 +72,6 @@ class SpanRecord:
     phase :
         ``"X"`` for a complete span, ``"i"`` for an instant event —
         mirrors the Chrome-trace phase field.
-    pid :
-        Process that recorded the span when it was merged in from a
-        pool worker (:meth:`Tracer.merge`); 0 for this process.
     """
 
     name: str
@@ -84,7 +81,6 @@ class SpanRecord:
     thread_id: int
     tags: Tuple[Tuple[str, object], ...] = ()
     phase: str = "X"
-    pid: int = 0
 
 
 class _NoopSpan:
@@ -208,10 +204,6 @@ class Tracer:
         """Stop recording; the buffer is kept for export."""
         self.enabled = False
 
-    def merge(self, records: List[SpanRecord], pid: int) -> None:
-        """Append spans that process ``pid`` (a pool worker) recorded."""
-        self._records.extend(replace(r, pid=pid) for r in records)
-
     def clear(self) -> None:
         """Drop every buffered record."""
         self._records.clear()
@@ -247,16 +239,16 @@ class Tracer:
         record, so the timeline starts at zero regardless of process
         uptime.
         """
-        records = list(self._records)
+        records = self.records()
         t0 = min((r.start_ns for r in records), default=0)
-        own_pid = os.getpid()
+        pid = os.getpid()
         events = []
         for r in records:
             event: Dict[str, object] = {
                 "name": r.name,
                 "ph": r.phase,
                 "ts": (r.start_ns - t0) / 1000.0,
-                "pid": r.pid or own_pid,
+                "pid": pid,
                 "tid": r.thread_id,
             }
             if r.phase == "X":

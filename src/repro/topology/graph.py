@@ -573,8 +573,8 @@ class Topology:
         topo._edge_index = dict(zip(endpoints, range(m)))
         if arrays.csr_indptr is not None:
             # The blueprint carries the CSR wiring: prefill the structure
-            # cache and back the deferred adjacency with it (sweep
-            # workers running the CSR kernel never materialize the lists).
+            # cache and back the deferred adjacency with it (a sweep
+            # point running the CSR kernel never materializes the lists).
             for arr in (
                 arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids, us, vs
             ):

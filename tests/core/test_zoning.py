@@ -92,26 +92,6 @@ class TestZonedPlacement:
             sum(cs)
         )
 
-    def test_zones_solve_in_the_calling_process(self, monkeypatch):
-        """No worker pool per solve, whatever ``REPRO_WORKERS`` says."""
-        import repro.parallel
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("zoned placement started a worker pool")
-
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setattr(repro.parallel, "map_with_pool_retry", no_pool)
-        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
-        topo, busy, cands, cs, cd = self.setup_case(seed=3, k=8)
-        zones = partition_by_pod(topo)
-        report = ZonedPlacementEngine().solve(
-            _problem(topo, busy, cands, cs, cd, max_hops=7), zones
-        )
-        assert len(report.zone_reports) == len(zones) == 8
-        assert report.total_offloaded + report.total_unplaced == pytest.approx(
-            sum(cs)
-        )
-
     def test_zoning_never_beats_global_optimum(self):
         topo, busy, cands, cs, cd = self.setup_case(seed=5)
         if not busy:

@@ -123,7 +123,6 @@ class TestFig10:
             hops_8k=(2,),
             hops_16k=(2,),
             hops_32k=(2,),
-            workers=1,
         )
         by_k = {row[0]: row for row in result.rows}
         assert by_k["32-k"][2] == "dp"
@@ -163,63 +162,3 @@ class TestCli:
 
         assert main(["table1"]) == 0
         assert "Notation" in capsys.readouterr().out
-
-
-def _square_point(payload):
-    """Module-level (picklable) sweep point for TestShardedSweep."""
-    from repro.obs import get_registry
-
-    get_registry().counter("test.sweep.points").inc()
-    return payload["x"] ** 2
-
-
-class TestShardedSweep:
-    def test_results_come_back_in_payload_order(self):
-        from repro.experiments.common import run_sharded_sweep
-
-        payloads = [{"x": x} for x in range(6)]
-        assert run_sharded_sweep(_square_point, payloads, workers=2) == [
-            0, 1, 4, 9, 16, 25,
-        ]
-
-    def test_single_worker_takes_the_serial_path(self):
-        from repro.experiments.common import run_sharded_sweep
-
-        assert run_sharded_sweep(_square_point, [{"x": 3}], workers=1) == [9]
-
-    def test_worker_metric_deltas_merge_into_parent(self):
-        from repro.experiments.common import run_sharded_sweep
-        from repro.obs import get_registry
-
-        counter = get_registry().counter("test.sweep.points")
-        before = counter.value
-        payloads = [{"x": x} for x in range(4)]
-        run_sharded_sweep(_square_point, payloads, workers=2)
-        # One increment per point, whether it ran in a pool worker
-        # (delta merged back) or on the serial fallback.
-        assert counter.value == before + len(payloads)
-
-
-class TestShardedSweepEquality:
-    """A point builds the same topology and samples the same seeded
-    states wherever it runs, so every non-timing column of a sharded
-    sweep equals the serial one."""
-
-    def test_sharded_and_serial_fig11_points_match(self):
-        scales = ((4, 2, True, None), (8, 1, True, 4))
-        serial = run_experiment("fig11", scales=scales, seed=0, workers=1)
-        sharded = run_experiment("fig11", scales=scales, seed=0, workers=2)
-        assert len(serial.rows) == len(sharded.rows) == len(scales)
-        for row_serial, row_sharded in zip(serial.rows, sharded.rows):
-            # fat-tree label, nodes, mean HFR % (column 3 is ILP time)
-            assert row_serial[:3] == row_sharded[:3]
-
-    def test_sharded_and_serial_fig12_points_match(self):
-        scales = ((4, 2), (8, 1))
-        serial = run_experiment("fig12", scales=scales, seed=0, workers=1)
-        sharded = run_experiment("fig12", scales=scales, seed=0, workers=2)
-        assert len(serial.rows) == len(sharded.rows) == len(scales)
-        for row_serial, row_sharded in zip(serial.rows, sharded.rows):
-            assert row_serial[:2] == row_sharded[:2]  # fat-tree label, nodes
-            assert row_serial[3] == row_sharded[3]  # mean HFR %
-            assert row_serial[4] == row_sharded[4]  # busy count

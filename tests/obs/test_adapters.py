@@ -1,13 +1,10 @@
 """Adapter correctness: mirror maps match the real counter objects,
-mirroring never double-counts, pool metrics merge."""
+mirroring never double-counts."""
 
 import dataclasses
-import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-import repro.parallel as parallel
 from repro.obs import (
     CLIENT_MIRROR,
     FAULTY_NETWORK_MIRROR,
@@ -16,7 +13,6 @@ from repro.obs import (
     get_registry,
     mirror_counters,
 )
-from repro.parallel import map_with_pool_retry
 
 
 class TestMirrorMapsMatchReality:
@@ -156,39 +152,3 @@ class TestMirrorUnderGarbageCollection:
             capture_output=True, text=True, timeout=60,
         )
         assert done.stdout.strip() == "3.0", done.stdout + done.stderr
-
-
-def _observe_in_worker(amount):
-    """Module-level so it pickles into process-pool workers."""
-    get_registry().counter(
-        "testpool.work_units", unit="count", owner="tests"
-    ).inc(amount)
-    return os.getpid()
-
-
-class TestPoolMetricFlow:
-    def test_metrics_flow_back_from_pool_workers(self):
-        reg = get_registry()
-        before = reg.counter("testpool.work_units", owner="tests").value
-        amounts = [1, 2, 3, 4]
-        pids = map_with_pool_retry(
-            _observe_in_worker, amounts, workers=2, collect_metrics=True
-        )
-        assert pids is not None
-        # Exact regardless of executor: forked workers ship deltas home
-        # (merged), a thread fallback increments the shared registry
-        # directly (deltas skipped by the pid guard).
-        assert reg.value("testpool.work_units") - before == sum(amounts)
-
-    def test_thread_pool_does_not_double_count(self, monkeypatch):
-        # The pool make_executor degrades to where processes cannot start.
-        monkeypatch.setattr(
-            parallel, "make_executor", lambda w: ThreadPoolExecutor(max_workers=w)
-        )
-        reg = get_registry()
-        before = reg.counter("testpool.work_units", owner="tests").value
-        result = map_with_pool_retry(
-            _observe_in_worker, [5, 5], workers=2, collect_metrics=True
-        )
-        assert result is not None
-        assert reg.value("testpool.work_units") - before == 10

@@ -103,20 +103,9 @@ class TestExporters:
         assert complete["args"] == {"k": "v"}
         assert "dur" in complete
         assert instant["s"] == "t"
-        # Timeline is re-based to zero.
+        # Timeline is re-based to zero, on this process's lane.
         assert min(e["ts"] for e in events) == 0.0
-
-    def test_merged_spans_keep_the_worker_pid(self, tracer):
-        with tracer.span("parent"):
-            pass
-        worker = Tracer(enabled=True)
-        with worker.span("worker", {"k": 8}):
-            pass
-        tracer.merge(worker.records(), pid=4242)
-        events = {e["name"]: e for e in tracer.chrome_trace()["traceEvents"]}
-        assert events["worker"]["pid"] == 4242
-        assert events["worker"]["args"] == {"k": 8}
-        assert events["parent"]["pid"] == os.getpid()
+        assert {e["pid"] for e in events} == {os.getpid()}
 
 
 class TestGlobalHelpers:

@@ -7,7 +7,6 @@ the slow oracles in :mod:`tests.oracles` (per-source DP, exhaustive DFS
 fold), for both path engines, including the hop tie-breaks.
 """
 
-import pickle
 import warnings
 
 import numpy as np
@@ -348,14 +347,3 @@ class TestEngineMechanics:
             T, hops, _ = engine.trmin_matrix(topo, [4], [neighbour, 19], [0.0])
         assert T.tolist() == [[0.0, np.inf]]
         assert hops.tolist() == [[1, -1]]
-
-    def test_pickled_engine_still_prices(self):
-        # Zone fan-out ships engines to pool workers.
-        topo = fat_tree_fixture()
-        sources, destinations = endpoints(topo)
-        model = ResponseTimeModel(engine=PathEngine.DP, max_hops=4)
-        engine = TrminEngine(model)
-        R_ref, _, _ = engine.resistance_matrix(topo, sources, destinations)
-        clone = pickle.loads(pickle.dumps(engine))
-        R, _, _ = clone.resistance_matrix(topo, sources, destinations)
-        assert np.array_equal(R, R_ref)

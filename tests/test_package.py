@@ -1,9 +1,11 @@
 """Public API surface tests."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +80,29 @@ def test_placement_solves_with_scipy_unimportable():
         "assert sorted(report.capacity_duals) == [2, 3, 4], report.capacity_duals\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
+
+
+def test_every_run_stays_in_the_calling_process():
+    """No module under ``src/repro`` imports ``multiprocessing`` or
+    ``concurrent.futures``: the experiment sweeps, zoned placement and
+    route pricing all run in the process that calls them."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(root)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "multiprocessing"
+                or name.startswith("concurrent.futures")
+            ]
+    assert found == []
 
 
 def test_top_level_all_resolves():

@@ -8,8 +8,8 @@ Each run starts with a generated ``sitecustomize.py`` first on
 ``PYTHONPATH``. It installs ``sys.setprofile`` and
 ``threading.setprofile`` hooks that append every first-seen code object
 under ``src/repro`` to ``hits-<pid>.tsv``, one line each and
-line-buffered, so forked pool workers that leave through ``os._exit``
-and the benchmark's unit subprocesses are counted too.
+line-buffered, so the benchmark's unit subprocesses, each writing its
+own file, are counted too.
 
 The report walks ``src/repro`` as parsed with :mod:`ast` before the
 runs started and matches each function on ``(file, first line,
@@ -182,13 +182,12 @@ _KEPT: Dict[str, Tuple[str, ...]] = {
     "round-trip them), tuple semantics of a lazy view (a "
     "HeuristicReport's == and repr go through it), a repr, an abstract "
     "method, or the gauge/histogram half of the registry's "
-    "value/merge/reset interface": (
+    "value/reset interface": (
         "core/messages.py _rebuild",
         "core/messages.py ControlMessage.__reduce__",
         "core/messages.py ControlMessage.__repr__",
         "core/heuristic.py _LazyAssignments.__eq__",
         "core/heuristic.py _LazyAssignments.__repr__",
-        "obs/registry.py Gauge._merge",
         "obs/registry.py Gauge._reset",
         "obs/registry.py Histogram.value",
         "obs/registry.py MetricsRegistry.__len__",
