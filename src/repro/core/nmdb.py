@@ -22,11 +22,12 @@ from repro.errors import MalformedReportError, ProtocolError
 from repro.topology.graph import Topology
 
 _INF = float("inf")
+_new_record = tuple.__new__
 
 
 class NodeRecord(NamedTuple):
     """Latest known state of one client node (immutable; the NMDB
-    builds one positionally per applied STAT)."""
+    builds one per applied STAT from a tuple of its fields)."""
 
     node_id: int
     capable: bool = True
@@ -114,11 +115,14 @@ class NMDB:
                 f"capacity_pct={capacity_pct!r}, data_mb={data_mb!r}, "
                 f"num_agents={num_agents!r}, timestamp={timestamp!r}"
             )
-        rec = self._record(msg.node_id)
+        node_id = msg.node_id
+        rec = self._records.get(node_id)
+        if rec is None:
+            rec = self._record(node_id)  # raises: not a node of the topology
         if timestamp < rec.last_stat_time:
             if strict:
                 raise ProtocolError(
-                    f"out-of-order STAT from node {msg.node_id}: "
+                    f"out-of-order STAT from node {node_id}: "
                     f"{timestamp} < {rec.last_stat_time}"
                 )
             return False
@@ -129,15 +133,11 @@ class NMDB:
             and num_agents == rec.num_agents
         ):
             return False  # a copy of the applied report
-        self._records[msg.node_id] = NodeRecord(
-            msg.node_id,
-            rec.capable,
-            capacity_pct,
-            data_mb,
-            num_agents,
-            rec.c_max,
-            rec.co_max,
-            timestamp,
+        # ``NodeRecord._make`` in C: the NamedTuple's ``__new__`` is Python.
+        self._records[node_id] = _new_record(
+            NodeRecord,
+            (node_id, rec.capable, capacity_pct, data_mb, num_agents, rec.c_max,
+             rec.co_max, timestamp),
         )
         return True
 

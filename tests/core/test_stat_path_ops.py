@@ -8,8 +8,13 @@ benchmark (retry policy, snapshot store, a hot share that moves each
 period), and asserts that
 
 * the manager's dedup cache holds no periodic-STAT key, and
-* each client's STAT chain keeps one ``ScheduledEvent`` across its ticks.
+* each client's STAT chain keeps one ``ScheduledEvent`` across its ticks,
+* one periodic STAT, from its chain firing to its NMDB apply, costs at
+  most ``STAT_CALL_BUDGET`` Python-level calls and exactly two heap
+  pushes (its delivery and its chain's re-arm).
 """
+
+import sys
 
 import numpy as np
 
@@ -20,6 +25,13 @@ from repro.topology import LinkUtilizationModel, build_fat_tree
 
 POLICY = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=10.0)
 PERIOD_S = 30.0
+#: Python-level calls per periodic STAT: the chain tick, ``_send_stat``,
+#: ``current_capacity``, the base-load callable, ``Stat.__new__``,
+#: ``MessageNetwork.send``, the delivery's handler, the manager's
+#: ``_receive`` and ``_on_stat``, ``NMDB.apply_stat`` and the ledger's
+#: ``has_active`` (11), plus the window's one ``run_until`` spread over
+#: its STATs.
+STAT_CALL_BUDGET = 12
 
 
 def build_churn(seed=0):
@@ -113,3 +125,31 @@ def test_reclaim_check_runs_only_for_sources_with_an_active_row():
     assert manager.counters.reclaims_issued > 0
     assert asked and all(active for _, active in asked)
     assert len(asked) < manager.counters.stats_received
+
+
+def test_periodic_stat_costs_at_most_its_call_budget():
+    """Between the manager's keepalive sweeps at 45 s and 60 s the
+    engine runs only the clients' STAT chains and their deliveries, so
+    every Python call and heap push in that window is STAT traffic."""
+    engine, network, manager, clients, loads, rng = build_churn()
+    engine.run_until(45.0)
+    sent = sum(client.stats_sent for client in clients.values())
+    received = manager.counters.stats_received
+    events, sequence = engine.events_processed, engine._sequence
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        engine.run_until(59.0)
+    finally:
+        sys.setprofile(None)
+    stats = sum(client.stats_sent for client in clients.values()) - sent
+    assert stats == len(clients)
+    assert manager.counters.stats_received - received == stats
+    assert engine.events_processed - events == 2 * stats  # tick + delivery
+    assert engine._sequence - sequence == 2 * stats  # re-arm + delivery
+    assert calls[0] / stats <= STAT_CALL_BUDGET, calls[0] / stats
