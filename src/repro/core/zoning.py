@@ -33,7 +33,7 @@ from repro.core.placement import (
     PlacementReport,
 )
 from repro.errors import PlacementError, TopologyError
-from repro.lp.distributed import DistributedSolveResult, ZoneWorker, run_protocol
+from repro.lp.distributed import DistributedSolveResult, ZoneProfile, ZoneWorker, run_protocol
 from repro.topology.graph import NodeKind, Topology
 
 _TOL = 1e-9
@@ -326,9 +326,11 @@ class DistributedPlacementEngine:
         for j, c in enumerate(problem.candidates):
             cols_of[owner[c]].append(j)
 
-        # Phase 0 per zone: full-width Trmin rows, priced inside
-        # run_protocol against the coordinator's duals.
+        # Phase 0 per zone that owns a busy row: full-width Trmin rows,
+        # priced inside run_protocol against the coordinator's duals. A
+        # zone with no busy row only reports its columns' capacities.
         workers: List[ZoneWorker] = []
+        idle: List[ZoneProfile] = []
         trmin_seconds: Dict[int, float] = {}
         full_trmin = np.zeros((m, n))
         full_hops = np.zeros((m, n), dtype=int)
@@ -336,8 +338,21 @@ class DistributedPlacementEngine:
         for zone in self.zones:
             rows = rows_of[zone.zone_id]
             cols = cols_of[zone.zone_id]
+            if not rows:
+                trmin_seconds[zone.zone_id] = 0.0
+                idle.append(
+                    ZoneProfile(
+                        zone_id=zone.zone_id,
+                        rows=(),
+                        cols=tuple(cols),
+                        supplies=(),
+                        capacities=tuple(problem.cd[cols].tolist()),
+                        max_abs_cost=0.0,
+                    )
+                )
+                continue
             t0 = time.perf_counter()
-            if rows and n:
+            if n:
                 trmin_rows, hops_rows, _ = self.engine.trmin_engine.trmin_matrix(
                     problem.topology,
                     [problem.busy[i] for i in rows],
@@ -362,7 +377,7 @@ class DistributedPlacementEngine:
                 )
             )
 
-        result: DistributedSolveResult = run_protocol(workers)
+        result: DistributedSolveResult = run_protocol(workers, idle)
 
         assignments: List[PlacementAssignment] = []
         if result.status.is_optimal:
