@@ -73,19 +73,39 @@ _FLOW_TOL = 1e-6
 _MAX_PIVOTS = 100_000
 
 
+def _cost_scale(max_abs_cost: float) -> float:
+    """The instance's own cost unit: its largest ``|c_ij|`` over the
+    finite lanes, capped at 1 (1 when no finite lane costs anything).
+
+    It is the floor of the improving-lane test and the unit of the
+    Big-M. A floor of 1 is absolute on costs far below 1 (Eq. 3's Trmin
+    in seconds, ~1e-3), where it read a lane whose reduced cost was a
+    few percent of its own cost as optimal. ``scale + |c|`` is the
+    ``1 + |c|`` test on the costs divided by their largest one, so both
+    solvers stop at the optimum of the instance's own scale, and an
+    instance whose costs reach 1 keeps the test it had. The Big-M
+    shrinks with the floor: potentials that carry it carry its rounding
+    noise, which must stay below the floor or a degenerate lane prices
+    as improving and the solve cycles.
+    """
+    return min(max_abs_cost, 1.0) if max_abs_cost > 0.0 else 1.0
+
+
 def _big_m(max_abs_cost: float, m: int, n: int) -> float:
     """Cost of a forbidden lane, far above any mix of real lanes:
-    ``max_abs_cost`` is the largest ``|c_ij|`` over the finite lanes."""
-    return (max_abs_cost + 1.0) * max(m, n) * 1e6
+    ``max_abs_cost`` is the largest ``|c_ij|`` over the finite lanes,
+    in units of :func:`_cost_scale`."""
+    return (max_abs_cost + _cost_scale(max_abs_cost)) * max(m, n) * 1e6
 
 
-def _improving(reduced, cost):
-    """The one improving-lane test: ``reduced < −_OPT_TOL·(1 + |cost|)``,
-    judged against the lane's own cost (scalars or arrays)."""
-    return reduced < -_OPT_TOL * (1.0 + np.abs(cost))
+def _improving(reduced, cost, scale):
+    """The one improving-lane test: ``reduced < −_OPT_TOL·(scale + |cost|)``,
+    judged against the lane's own cost (scalars or arrays) and the
+    instance's :func:`_cost_scale`."""
+    return reduced < -_OPT_TOL * (scale + np.abs(cost))
 
 
-def _best_entering(reduced: np.ndarray, cost: np.ndarray) -> int:
+def _best_entering(reduced: np.ndarray, cost: np.ndarray, scale: float) -> int:
     """The first most-negative lane among those that improve, or -1.
 
     One entry per lane, basic lanes pinned to 0: the centralized loop's
@@ -93,8 +113,8 @@ def _best_entering(reduced: np.ndarray, cost: np.ndarray) -> int:
     zone-id order, then its dummy row, artificial column and corner.
     """
     k = int(reduced.argmin())
-    if not _improving(reduced[k], cost[k]):  # e.g. a Big-M lane: filter, then pick
-        improving = _improving(reduced, cost)
+    if not _improving(reduced[k], cost[k], scale):  # e.g. a Big-M lane: filter, then pick
+        improving = _improving(reduced, cost, scale)
         if not improving.any():
             return -1
         k = int(np.where(improving, reduced, np.inf).argmin())
@@ -588,7 +608,9 @@ def _solve_transportation_impl(problem: TransportationProblem) -> Transportation
     cost = problem.cost.copy()
     forbidden = ~np.isfinite(cost)
     finite = cost[~forbidden]
-    cost[forbidden] = _big_m(float(np.abs(finite).max()) if finite.size else 1.0, m, n)
+    max_abs_cost = float(np.abs(finite).max()) if finite.size else 1.0
+    cost[forbidden] = _big_m(max_abs_cost, m, n)
+    scale = _cost_scale(max_abs_cost)
 
     # Balance with a dummy supply row absorbing spare destination capacity.
     slack = total_demand - total_supply
@@ -621,7 +643,7 @@ def _solve_transportation_impl(problem: TransportationProblem) -> Transportation
         # Basic cells price to 0 by construction; pin them so numerical
         # noise cannot re-select one as entering.
         reduced_flat[slot_flat] = 0.0
-        entering = _best_entering(reduced_flat, cost_flat)
+        entering = _best_entering(reduced_flat, cost_flat, scale)
         if entering < 0:
             break  # optimal
         if pivots >= _MAX_PIVOTS:

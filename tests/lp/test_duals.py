@@ -25,7 +25,8 @@ from tests.lp.test_vogel import _corpus
 from tests.oracles.dsolve import solve_distributed
 
 #: The solvers' own optimality tolerance on a reduced cost, relative to
-#: ``1 + |c_ij|``.
+#: ``scale + |c_ij|``, where ``scale`` is the largest finite ``|c_ij|``
+#: capped at 1 (1 when it is 0): the instance's own cost scale.
 LANE_TOL = 1e-7
 #: Strong duality, relative to ``max(1, |beta|)``.
 OBJ_TOL = 1e-9
@@ -41,12 +42,14 @@ def assert_certificate(problem, result, basic):
     finite = np.isfinite(problem.cost)
     cost = np.where(finite, problem.cost, 0.0)
     reduced = cost - u[:, None] - v[None, :]
-    slack = LANE_TOL * (1.0 + np.abs(cost))
+    largest = float(np.abs(cost).max(initial=0.0))
+    scale = min(largest, 1.0) if largest > 0.0 else 1.0
+    slack = LANE_TOL * (scale + np.abs(cost))
     assert (reduced[finite] >= -slack[finite]).all()
     for i, j in basic:
         if finite[i, j]:
             assert abs(reduced[i, j]) <= slack[i, j], (i, j)
-    assert (v <= LANE_TOL).all()
+    assert (v <= LANE_TOL * scale).all()
     dual = float(problem.supply @ u + problem.demand @ v)
     assert abs(dual - result.objective) <= OBJ_TOL * max(1.0, abs(result.objective))
 

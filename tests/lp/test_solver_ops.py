@@ -150,7 +150,8 @@ def test_row_zero_with_a_zone_cell_solves_like_the_centralized_lp():
     while not coordinator.converged:
         u, v = coordinator.duals()
         coordinator.step([bid for w in workers
-                          for bid in w.price(u[list(w.rows)], v, coordinator.big_m)])
+                          for bid in w.price(u[list(w.rows)], v, coordinator.big_m,
+                                             coordinator.cost_scale)])
     status, flow, objective = coordinator.result()
     central = solve_transportation(problem)
     assert status == central.status is SolveStatus.OPTIMAL

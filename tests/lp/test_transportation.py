@@ -140,7 +140,7 @@ BIG_M = 1e6
     ],
 )
 def test_entering_lane(reduced, cost, entering):
-    assert _best_entering(np.array(reduced), np.array(cost)) == entering
+    assert _best_entering(np.array(reduced), np.array(cost), 1.0) == entering
 
 
 def test_shape_mismatch_rejected():

@@ -4,6 +4,11 @@
 independent solver the suites hold it to. It builds the LP with one
 column per finite lane and hands it to ``scipy.optimize.linprog``.
 scipy is a ``dev`` dependency, so callers skip when it is absent.
+
+HiGHS runs at primal and dual feasibility tolerances of 1e-10, not its
+default 1e-7: Eq. 3's costs are Trmin in seconds (~1e-3), and at the
+default HiGHS accepts a basis with a lane whose reduced cost is a few
+percent of its own cost, the same short stop as an absolute 1e-7 test.
 """
 
 from typing import Optional, Tuple
@@ -11,6 +16,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.lp import SolveStatus, TransportationProblem
+
+#: Feasibility tolerances tight enough for costs far below 1.
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def highs_status_objective(
@@ -35,7 +43,7 @@ def highs_status_objective(
     res = linprog(
         [problem.cost[i, j] for i, j in lanes],
         A_ub=a_ub, b_ub=problem.demand, A_eq=a_eq, b_eq=problem.supply,
-        bounds=(0, None), method="highs",
+        bounds=(0, None), method="highs", options=HIGHS_OPTIONS,
     )
     if res.status == 2:
         return SolveStatus.INFEASIBLE, float("nan")
