@@ -14,8 +14,14 @@ profiled unit time. ``--smoke`` builds the benchmark's k = 4 shape. cProfile cha
 to every Python call, so read the shares as where to look, and measure
 a change with ``benchmarks/e2e/run.py``.
 
+For a workload that runs a simulation engine (both churn workloads and
+the soak) it also prints the engine events per profiled unit and the
+Python-level calls per event. Those are counts, not times, so cProfile's
+per-call cost does not inflate them: a change to the message path can
+size itself by the calls it removes per event.
+
 pytest does not collect this file; ``tests/tools/test_profile_unit.py``
-runs it at k = 4 on ``lp_churn_k16`` and ``dist_churn_k16``.
+runs it at k = 4 on both churn workloads and on ``soak_chaos_k8``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import pstats
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 WORKLOADS_PY = ROOT / "benchmarks" / "e2e" / "workloads.py"
@@ -43,8 +49,21 @@ def load_workloads():
     return module
 
 
-def profile_units(workload: str, units: int, seed: int, smoke: bool) -> cProfile.Profile:
-    """Profile of ``units`` measured units after the unprofiled warm-up."""
+def _engine_events(bench) -> Optional[int]:
+    """Events the workload's engine has processed: a churn workload
+    keeps one engine, a soak unit builds its own (``result.engine``).
+    ``None`` when there is none."""
+    engine = getattr(bench, "engine", None)
+    if engine is None:
+        engine = getattr(getattr(bench, "result", None), "engine", None)
+    return None if engine is None else engine.events_processed
+
+
+def profile_units(
+    workload: str, units: int, seed: int, smoke: bool
+) -> Tuple[cProfile.Profile, Optional[int]]:
+    """Profile of ``units`` measured units after the unprofiled warm-up,
+    and the engine events they processed (``None`` with no engine)."""
     bench = load_workloads().build(workload, seed, smoke)
     bench.setup()
     for u in range(WARMUP_UNITS):
@@ -53,14 +72,26 @@ def profile_units(workload: str, units: int, seed: int, smoke: bool) -> cProfile
         bench.after(u)
     bench.start_measuring()
     profile = cProfile.Profile()
+    events: Optional[int] = None
     for u in range(WARMUP_UNITS, WARMUP_UNITS + units):
         bench.prepare(u)
+        before = _engine_events(bench) or 0  # a soak unit starts a fresh engine
         profile.enable()
         bench.unit(u)
         profile.disable()
+        after = _engine_events(bench)
+        if after is not None:
+            events = (events or 0) + after - before
         bench.after(u)
     bench.finish()
-    return profile
+    return profile, events
+
+
+def python_calls(profile: cProfile.Profile) -> int:
+    """Calls of Python-level functions in ``profile`` (builtins, which
+    cProfile files under ``~``, left out)."""
+    stats = pstats.Stats(profile)
+    return sum(row[1] for func, row in stats.stats.items() if func[0] != "~")
 
 
 def report(profile: cProfile.Profile, sort: str) -> str:
@@ -92,10 +123,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.units < 1:
         parser.error("need --units >= 1")
     began = time.perf_counter()
-    profile = profile_units(args.workload, args.units, args.seed, args.smoke)
+    profile, events = profile_units(args.workload, args.units, args.seed, args.smoke)
     print(f"{args.workload}: {args.units} profiled units after {WARMUP_UNITS} warm-up "
           f"(seed {args.seed}{', smoke' if args.smoke else ''}), "
           f"{time.perf_counter() - began:.1f} s wall")
+    if events:
+        print(f"{events / args.units:.1f} engine events per unit, "
+              f"{python_calls(profile) / events:.2f} Python calls per event")
     print(report(profile, args.sort))
     return 0
 
