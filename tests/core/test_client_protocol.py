@@ -140,6 +140,21 @@ class TestCapacityClamping:
         # 95 + rejected (over CO_max) => nothing hosted.
         assert client2.current_capacity(engine2.now) == pytest.approx(95.0)
 
+    @pytest.mark.parametrize("x_min", [10.0, 0.0, 10])
+    @pytest.mark.parametrize(
+        "base", [-5.0, -0.0, 0.0, 9.999, 10.0, 10.001, 55.5, 100.0, 100.5, float("nan")]
+    )
+    def test_clamp_returns_what_min_of_max_returns(self, base, x_min):
+        # current_capacity clamps with two comparisons; the builtins'
+        # form is the reference, bit for bit (NaN, signed zero, an int floor).
+        policy = ThresholdPolicy(c_max=80.0, co_max=50.0, x_min=x_min)
+        client, engine, _ = make_client()
+        client.policy, client.base_load = policy, base
+        got = client.current_capacity(engine.now)
+        want = float(min(100.0, max(policy.x_min, float(base))))
+        assert type(got) is float
+        assert repr(got) == repr(want)
+
     def test_callable_base_capacity(self):
         client, engine, _ = make_client(base=30.0)
         client.base_load = lambda t: 20.0 + t / 100.0
