@@ -187,14 +187,14 @@ def _one_hop_lanes(
     problem: PlacementProblem, convention: BandwidthConvention
 ) -> _Lanes:
     """Radius-1 producer: every busy node's directly connected
-    candidates, gathered from the cached CSR adjacency. The route
+    candidates, gathered from the topology's CSR wiring. The route
     handle is the lane's edge id."""
     topology = problem.topology
     n_busy = len(problem.busy)
-    csr = topology.csr_adjacency(convention)
+    indptr, indices, edge_ids = topology.csr_structure()
     # Same arithmetic as ResponseTimeModel.edge_weights, so lane costs
     # match the oracle bit-for-bit.
-    weights = csr.edge_costs
+    weights = 1.0 / topology.effective_bandwidths(convention)
 
     cand_of = np.full(topology.num_nodes, -1, dtype=np.int64)
     cand_of[np.asarray(problem.candidates, dtype=np.int64)] = np.arange(
@@ -204,16 +204,16 @@ def _one_hop_lanes(
 
     # Ragged indptr slices flattened into lane arrays; busy nodes with
     # nothing to place contribute no lanes.
-    starts = csr.indptr[busy_arr]
-    counts = (csr.indptr[busy_arr + 1] - starts) * (problem.cs > _TOL)
+    starts = indptr[busy_arr]
+    counts = (indptr[busy_arr + 1] - starts) * (problem.cs > _TOL)
     total = int(counts.sum())
     before = np.concatenate(([0], np.cumsum(counts)[:-1]))
     pos = np.repeat(starts - before, counts) + np.arange(total)
     row = np.repeat(np.arange(n_busy), counts)
-    cand_idx = cand_of[csr.indices[pos]]
+    cand_idx = cand_of[indices[pos]]
     keep = cand_idx >= 0
     row, cand_idx = row[keep], cand_idx[keep]
-    eid = csr.edge_ids[pos[keep]]
+    eid = edge_ids[pos[keep]]
     cost = problem.data_mb[row] * weights[eid]
     return row, cand_idx, cost, np.ones(len(row), dtype=np.int64), eid, Path.one_hop
 

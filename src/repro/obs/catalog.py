@@ -30,7 +30,6 @@ failover   snapshot/standby machinery (:mod:`repro.core.failover`)
 chaos      chaos harness (:mod:`repro.simulation.chaos`)
 soak       soak harness (:mod:`repro.simulation.soak`)
 dsolve     distributed placement solve (:mod:`repro.lp.distributed`)
-topology   CSR adjacency cache (:mod:`repro.topology.graph`)
 ========== ==========================================================
 """
 
@@ -240,11 +239,6 @@ CATALOG: List[Tuple[str, str, str, str, str]] = [
      "Lane bids received from zone managers"),
     ("histogram", "dsolve.solve_seconds", "seconds", "repro.lp.distributed",
      "Summed zone + coordinator wall time of one distributed solve"),
-    # -- topology: CSR adjacency cache ----------------------------------------------
-    ("counter", "topology.csr_cache_hits", "count", "repro.topology.graph",
-     "csr_adjacency calls answered by the version-keyed cache"),
-    ("counter", "topology.csr_cache_misses", "count", "repro.topology.graph",
-     "csr_adjacency rebuilds after a topology version change"),
 ]
 
 def register_catalog(registry: MetricsRegistry = None) -> MetricsRegistry:

@@ -12,8 +12,10 @@ Two engines are provided, selected by :class:`PathEngine`:
 * ``ENUMERATION`` — exhaustive hop-bounded enumeration
   (:mod:`repro.routing.enumkernel`), the source of the paper's measured
   ILP-time blowup with max-hop (Figs. 8/10);
-* ``DP`` — layered Bellman–Ford (:mod:`repro.routing.shortest`),
-  polynomial and exactly equivalent in optimum value.
+* ``DP`` — layered Bellman–Ford over all sources at once (the kernel
+  in :mod:`repro.routing.matrix`), polynomial and exactly equivalent
+  in optimum value. :mod:`repro.routing.shortest` is its per-source
+  reference, reached only by tests and ``bench_trmin_matrix.py``.
 
 All matrix pricing goes through two canonical primitives:
 

@@ -13,7 +13,7 @@ from repro.topology.fattree import (
     fat_tree_edge_count,
     fat_tree_node_count,
 )
-from repro.topology.graph import CSRAdjacency, Node, NodeKind, Topology, TopologyArrays
+from repro.topology.graph import Node, NodeKind, Topology, TopologyArrays
 from repro.topology.links import (
     MIN_EFFECTIVE_BANDWIDTH_MBPS,
     BandwidthConvention,
@@ -23,7 +23,6 @@ from repro.topology.links import (
 
 __all__ = [
     "BandwidthConvention",
-    "CSRAdjacency",
     "CapacityDistribution",
     "CapacityModel",
     "FatTreeLayout",

@@ -39,24 +39,8 @@ from repro.topology.links import (
 
 _T = TypeVar("_T")
 
-
-@dataclass(frozen=True)
-class CSRAdjacency:
-    """Compressed-sparse-row view of a topology's adjacency.
-
-    ``indices[indptr[v]:indptr[v + 1]]`` are ``v``'s neighbors in
-    adjacency-list (insertion) order, ``edge_ids`` the matching edge
-    ids, and ``edge_costs`` the per-*edge* resistance ``1 / Lu_e``
-    (indexed by edge id, not by lane — gather with ``edge_ids``).
-    The arrays are read-only; the vectorized heuristic kernel slices
-    them instead of walking :meth:`Topology.incident` dicts.
-    """
-
-    version: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    edge_ids: np.ndarray
-    edge_costs: np.ndarray
+#: The wiring memo's key for the CSR and edge-endpoint arrays.
+_WIRING = "csr_wiring"
 
 
 @dataclass(frozen=True)
@@ -80,9 +64,9 @@ class TopologyArrays:
     capacity_mbps: np.ndarray
     utilization: np.ndarray
     latency_ms: np.ndarray
-    #: Shared CSR wiring (see :class:`CSRAdjacency`): computed once at
-    #: export, so every :meth:`Topology.from_arrays` build prefills its
-    #: CSR structure cache instead of re-deriving it.
+    #: Shared CSR wiring (see :meth:`Topology.csr_structure`): computed
+    #: once at export, so every :meth:`Topology.from_arrays` build
+    #: prefills its wiring memo instead of re-deriving it.
     csr_indptr: Optional[np.ndarray] = None
     csr_indices: Optional[np.ndarray] = None
     csr_edge_ids: Optional[np.ndarray] = None
@@ -182,24 +166,12 @@ class Topology:
         self._lazy_adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._version = 0
-        # CSR export caches: structure arrays keyed on (nodes, edges) —
-        # the graph is append-only, so those two counts pin the wiring —
-        # and, per bandwidth convention, the costed view and the Lu_e
-        # vector keyed on version.
-        self._csr_structure: Optional[
-            Tuple[
-                Tuple[int, int],
-                np.ndarray, np.ndarray, np.ndarray,  # indptr, indices, edge_ids
-                np.ndarray, np.ndarray,  # edge endpoints us, vs
-            ]
-        ] = None
-        self._csr_cache: Dict[object, CSRAdjacency] = {}
-        # Kernel tables derived from the wiring alone (see csr_memo),
-        # held with the ``indptr`` array they were built from.
-        self._csr_memo: Optional[Tuple[np.ndarray, Dict[str, object]]] = None
-        self._lu_cache: Dict[BandwidthConvention, Tuple[int, np.ndarray]] = {}
-        # Results derived from the link state (see link_state_memo), held
-        # with the version they were computed at.
+        # Everything the topology derives lives in one of two memos: the
+        # wiring memo (see csr_memo), held with the (nodes, edges) counts
+        # it was built at — the graph is append-only, so those two counts
+        # pin the wiring — and the link-state memo (see link_state_memo),
+        # held with the version it was built at.
+        self._wiring_memo: Tuple[Tuple[int, int], Dict[str, object]] = ((0, 0), {})
         self._link_state_memo: Tuple[int, Dict[Hashable, dict]] = (0, {})
 
     @property
@@ -226,8 +198,8 @@ class Topology:
         """Monotonically increasing mutation counter. Every structural
         change (node/edge added) and every link-state write — through
         the setters or through a :class:`Link` view, which calls them —
-        bumps it; the ``Lu_e`` and CSR caches and :meth:`link_state_memo`
-        key their entries on it."""
+        bumps it; :meth:`link_state_memo`, which also holds the ``Lu_e``
+        vectors, drops its entries when it moves."""
         return self._version
 
     def _bump(self) -> None:
@@ -387,19 +359,19 @@ class Topology:
     def __repr__(self) -> str:
         return f"Topology({self.name!r}, nodes={self.num_nodes}, edges={self.num_edges})"
 
-    # -- vectorized views -----------------------------------------------------------
+    # -- derived data: the wiring memo and the link-state memo ---------------------
     def effective_bandwidths(
         self, convention: BandwidthConvention = BandwidthConvention.AVAILABLE
     ) -> np.ndarray:
         """Per-edge ``Lu_e`` vector (Mbps), indexed by edge id.
 
         One NumPy expression over the state arrays, elementwise equal to
-        ``Link.effective_mbps`` (same IEEE multiply and floor). Cached
-        per convention on :attr:`version` and returned read-only.
+        ``Link.effective_mbps`` (same IEEE multiply and floor). Kept per
+        convention in :meth:`link_state_memo` and returned read-only.
         """
-        cached = self._lu_cache.get(convention)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        memo = self.link_state_memo("effective_bandwidths")
+        if convention in memo:
+            return memo[convention]
         m = self.num_edges
         capacity, utilization = self._capacity[:m], self._utilization[:m]
         if convention is BandwidthConvention.AVAILABLE:
@@ -408,65 +380,60 @@ class Topology:
             raw = capacity * utilization
         lu = np.maximum(raw, MIN_EFFECTIVE_BANDWIDTH_MBPS)
         lu.setflags(write=False)
-        self._lu_cache[convention] = (self._version, lu)
+        memo[convention] = lu
         return lu
 
-    def edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only endpoint arrays ``(us, vs)`` for all edges, cached
-        with the CSR wiring (the layered DP asks once per source)."""
-        self._ensure_csr_structure()
-        *_, us, vs = self._csr_structure
-        return us, vs
-
-    def _ensure_csr_structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(indptr, indices, edge_ids)`` wiring arrays,
-        rebuilt only when the node/edge counts changed (the graph is
-        append-only, so those two counts pin the wiring)."""
-        structure_key = (self.num_nodes, self.num_edges)
-        if self._csr_structure is None or self._csr_structure[0] != structure_key:
-            n = self.num_nodes
-            degrees = np.fromiter(
-                (len(adj) for adj in self._adjacency), dtype=np.int64, count=n
-            )
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            total = int(indptr[-1])
-            indices = np.fromiter(
-                (nbr for adj in self._adjacency for nbr, _ in adj),
-                dtype=np.int64,
-                count=total,
-            )
-            edge_ids = np.fromiter(
-                (eid for adj in self._adjacency for _, eid in adj),
-                dtype=np.int64,
-                count=total,
-            )
-            endpoints = np.asarray(self._endpoints, dtype=np.int64).reshape(-1, 2)
-            us, vs = endpoints[:, 0].copy(), endpoints[:, 1].copy()
-            for arr in (indptr, indices, edge_ids, us, vs):
-                arr.setflags(write=False)
-            self._csr_structure = (structure_key, indptr, indices, edge_ids, us, vs)
-        _, indptr, indices, edge_ids, _, _ = self._csr_structure
-        return indptr, indices, edge_ids
-
     def csr_structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only CSR wiring ``(indptr, indices, edge_ids)`` without
-        costs — for kernels that bring their own edge-weight vector
-        (e.g. the matrix Trmin DP)."""
-        return self._ensure_csr_structure()
+        """Read-only CSR wiring ``(indptr, indices, edge_ids)``.
+
+        ``indices[indptr[v]:indptr[v + 1]]`` are ``v``'s neighbors in
+        adjacency-list (insertion) order and ``edge_ids`` the matching
+        edge ids. Kernels bring their own per-edge weights and gather
+        them with ``edge_ids``. Kept in the wiring memo (see
+        :meth:`csr_memo`).
+        """
+        return self._wiring()[:3]
+
+    def edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays ``(us, vs)`` for all edges, kept
+        with the CSR wiring (the layered DP asks once per source)."""
+        return self._wiring()[3:]
+
+    def _wiring(self) -> Tuple[np.ndarray, ...]:
+        """The wiring memo's read-only ``(indptr, indices, edge_ids, us, vs)``."""
+        return self.csr_memo(_WIRING, Topology._build_wiring)
+
+    def _build_wiring(self) -> Tuple[np.ndarray, ...]:
+        n = self.num_nodes
+        degrees = np.fromiter((len(adj) for adj in self._adjacency), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        total = int(indptr[-1])
+        indices = np.fromiter(
+            (nbr for adj in self._adjacency for nbr, _ in adj), dtype=np.int64, count=total
+        )
+        edge_ids = np.fromiter(
+            (eid for adj in self._adjacency for _, eid in adj), dtype=np.int64, count=total
+        )
+        endpoints = np.asarray(self._endpoints, dtype=np.int64).reshape(-1, 2)
+        wiring = (indptr, indices, edge_ids, endpoints[:, 0].copy(), endpoints[:, 1].copy())
+        for arr in wiring:
+            arr.setflags(write=False)
+        return wiring
 
     def csr_memo(self, key: str, build: Callable[["Topology"], _T]) -> _T:
-        """``build(self)``, memoized with the CSR wiring under ``key``.
+        """``build(self)``, kept in the wiring memo under ``key``.
 
-        For kernel tables that depend on the wiring alone (the routing
-        DP's degree classes): an entry lives as long as this topology and
-        is rebuilt exactly when :meth:`csr_structure` rebuilds, i.e. after
-        a node or edge is added. Link-state writes keep it.
+        For tables that depend on the wiring alone (the CSR arrays, the
+        routing DP's degree classes): an entry lives as long as this
+        topology and is rebuilt after a node or edge is added.
+        Link-state writes keep it.
         """
-        indptr = self._ensure_csr_structure()[0]
-        if self._csr_memo is None or self._csr_memo[0] is not indptr:
-            self._csr_memo = (indptr, {})
-        memo = self._csr_memo[1]
+        counts = (len(self._nodes), len(self._endpoints))
+        built_at, memo = self._wiring_memo
+        if built_at != counts:
+            memo = {}
+            self._wiring_memo = (counts, memo)
         if key not in memo:
             memo[key] = build(self)
         return memo[key]
@@ -475,9 +442,10 @@ class Topology:
         """The dict kept under ``key`` for the current link state.
 
         For results that depend on the wiring and the link state alone
-        (the routing DP's per-source rows): every entry is dropped when
-        :attr:`version` moves, i.e. after any link-state write or added
-        node or edge. Callers store only read-only values in it.
+        (the ``Lu_e`` vectors, the routing DP's per-source rows): every
+        entry is dropped when :attr:`version` moves, i.e. after any
+        link-state write or added node or edge. Callers store only
+        read-only values in it.
         """
         version, memos = self._link_state_memo
         if version != self._version:
@@ -485,42 +453,10 @@ class Topology:
             self._link_state_memo = (self._version, memos)
         return memos.setdefault(key, {})
 
-    def csr_adjacency(
-        self, convention: BandwidthConvention = BandwidthConvention.AVAILABLE
-    ) -> CSRAdjacency:
-        """Cached CSR adjacency export (see :class:`CSRAdjacency`).
-
-        Keyed on the topology :attr:`version`, so any link-state write
-        invalidates the costed view for free; the structure arrays
-        survive pure link-state changes. Cache traffic is reported on
-        the ``topology.csr_cache_hits`` / ``_misses`` counters.
-        """
-        from repro.obs import get_registry
-
-        cached = self._csr_cache.get(convention)
-        if cached is not None and cached.version == self._version:
-            get_registry().counter("topology.csr_cache_hits").inc()
-            return cached
-        get_registry().counter("topology.csr_cache_misses").inc()
-
-        indptr, indices, edge_ids = self._ensure_csr_structure()
-        edge_costs = 1.0 / self.effective_bandwidths(convention)
-        edge_costs.setflags(write=False)
-        csr = CSRAdjacency(
-            version=self._version,
-            indptr=indptr,
-            indices=indices,
-            edge_ids=edge_ids,
-            edge_costs=edge_costs,
-        )
-        self._csr_cache[convention] = csr
-        return csr
-
     # -- bulk array import/export ---------------------------------------------------
     def to_arrays(self) -> TopologyArrays:
         """Export the full graph state as :class:`TopologyArrays`."""
-        us, vs = self.edge_endpoint_arrays()
-        indptr, indices, edge_ids = self._ensure_csr_structure()
+        indptr, indices, edge_ids, us, vs = self._wiring()
         m = self.num_edges
         return TopologyArrays(
             name=self.name,
@@ -572,26 +508,14 @@ class Topology:
         topo._endpoints = endpoints
         topo._edge_index = dict(zip(endpoints, range(m)))
         if arrays.csr_indptr is not None:
-            # The blueprint carries the CSR wiring: prefill the structure
-            # cache and back the deferred adjacency with it (a sweep
-            # point running the CSR kernel never materializes the lists).
-            for arr in (
-                arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids, us, vs
-            ):
+            # The blueprint carries the CSR wiring: prefill the wiring memo
+            # and back the deferred adjacency with it (a sweep point
+            # running the CSR kernel never materializes the lists).
+            wiring = (arrays.csr_indptr, arrays.csr_indices, arrays.csr_edge_ids, us, vs)
+            for arr in wiring:
                 arr.setflags(write=False)
-            topo._csr_structure = (
-                (arrays.num_nodes, m),
-                arrays.csr_indptr,
-                arrays.csr_indices,
-                arrays.csr_edge_ids,
-                us,
-                vs,
-            )
-            topo._lazy_adjacency = (
-                arrays.csr_indptr,
-                arrays.csr_indices,
-                arrays.csr_edge_ids,
-            )
+            topo._wiring_memo = ((arrays.num_nodes, m), {_WIRING: wiring})
+            topo._lazy_adjacency = wiring[:3]
         else:
             adjacency: List[List[Tuple[int, int]]] = [
                 [] for _ in range(arrays.num_nodes)

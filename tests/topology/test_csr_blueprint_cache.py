@@ -1,9 +1,8 @@
-"""CSR adjacency export, bulk array import/export, fat-tree blueprint LRU."""
+"""CSR wiring and Lu_e memos, bulk array import/export, fat-tree blueprint LRU."""
 
 import numpy as np
 import pytest
 
-from repro.obs import get_registry
 from repro.topology import (
     BandwidthConvention,
     LinkUtilizationModel,
@@ -16,9 +15,10 @@ from repro.topology import (
 from tests.topologies import build_random_connected
 
 
-def _counter(name: str) -> float:
-    metric = get_registry().snapshot()["metrics"].get(name)
-    return metric["value"] if metric else 0.0
+def _lanes(topo, v):
+    indptr, indices, edge_ids = topo.csr_structure()
+    lo, hi = indptr[v], indptr[v + 1]
+    return list(zip(indices[lo:hi].tolist(), edge_ids[lo:hi].tolist()))
 
 
 class TestCSRAdjacency:
@@ -28,56 +28,34 @@ class TestCSRAdjacency:
         ids=["fat4", "fat8", "random40"],
     )
     def test_matches_incident_lists(self, topo):
-        csr = topo.csr_adjacency()
         for v in range(topo.num_nodes):
-            lanes = list(
-                zip(
-                    csr.indices[csr.indptr[v] : csr.indptr[v + 1]].tolist(),
-                    csr.edge_ids[csr.indptr[v] : csr.indptr[v + 1]].tolist(),
-                )
-            )
-            assert lanes == topo.incident(v)
-
-    def test_edge_costs_are_inverse_effective_bandwidth(self):
-        topo = build_fat_tree(4)
-        LinkUtilizationModel(0.2, 0.8, seed=5).apply(topo)
-        csr = topo.csr_adjacency(BandwidthConvention.AVAILABLE)
-        expected = 1.0 / topo.effective_bandwidths(BandwidthConvention.AVAILABLE)
-        np.testing.assert_array_equal(csr.edge_costs, expected)
-
-    def test_cache_hit_returns_same_object_and_counts(self):
-        topo = build_fat_tree(4)
-        misses0, hits0 = _counter("topology.csr_cache_misses"), _counter(
-            "topology.csr_cache_hits"
-        )
-        first = topo.csr_adjacency()
-        second = topo.csr_adjacency()
-        assert second is first
-        assert _counter("topology.csr_cache_misses") == misses0 + 1
-        assert _counter("topology.csr_cache_hits") == hits0 + 1
+            assert _lanes(topo, v) == topo.incident(v)
+        us, vs = topo.edge_endpoint_arrays()
+        assert list(zip(us.tolist(), vs.tolist())) == list(topo.edges)
 
     def test_link_state_mutation_invalidates_costs_not_structure(self):
         topo = build_fat_tree(4)
-        before = topo.csr_adjacency()
+        wiring = topo.csr_structure() + topo.edge_endpoint_arrays()
+        lu = topo.effective_bandwidths()
         topo.set_utilization(0, 0.77)
-        after = topo.csr_adjacency()
-        assert after is not before
-        assert after.version == topo.version > before.version
-        # Structure arrays survive a pure link-state change ...
-        assert after.indptr is before.indptr
-        assert after.indices is before.indices
-        assert after.edge_ids is before.edge_ids
-        # ... but the costed view is fresh.
-        assert after.edge_costs[0] != before.edge_costs[0]
+        # The Lu_e vector is dropped with the link state ...
+        fresh = topo.effective_bandwidths()
+        assert fresh is not lu and fresh[0] != lu[0]
+        # ... but the wiring arrays are the very same objects.
+        after = topo.csr_structure() + topo.edge_endpoint_arrays()
+        assert all(new is old for new, old in zip(after, wiring))
 
     def test_structure_rebuilt_when_graph_grows(self):
         topo = build_fat_tree(4)
-        before = topo.csr_adjacency()
+        indptr, indices, _ = topo.csr_structure()
+        us, _ = topo.edge_endpoint_arrays()
         n = topo.add_node(name="extra")
         topo.add_edge(0, n)
-        after = topo.csr_adjacency()
-        assert len(after.indptr) == len(before.indptr) + 1
-        assert len(after.indices) == len(before.indices) + 2
+        grown_indptr, grown_indices, _ = topo.csr_structure()
+        assert len(grown_indptr) == len(indptr) + 1
+        assert len(grown_indices) == len(indices) + 2
+        assert len(topo.edge_endpoint_arrays()[0]) == len(us) + 1
+        assert _lanes(topo, n) == topo.incident(n) == [(0, topo.num_edges - 1)]
 
     def test_memo_lives_with_the_wiring(self):
         topo = build_fat_tree(4)
@@ -97,18 +75,20 @@ class TestCSRAdjacency:
         assert builds == [m, m, m + 1]
 
     def test_arrays_are_read_only(self):
-        csr = build_fat_tree(4).csr_adjacency()
-        for arr in (csr.indptr, csr.indices, csr.edge_ids, csr.edge_costs):
+        topo = build_fat_tree(4)
+        arrays = topo.csr_structure() + topo.edge_endpoint_arrays()
+        for arr in arrays + tuple(topo.effective_bandwidths(c) for c in BandwidthConvention):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
     def test_per_convention_views(self):
         topo = build_fat_tree(4)
         LinkUtilizationModel(0.2, 0.8, seed=5).apply(topo)
-        available = topo.csr_adjacency(BandwidthConvention.AVAILABLE)
-        literal = topo.csr_adjacency(BandwidthConvention.UTILIZED_LITERAL)
-        assert not np.array_equal(available.edge_costs, literal.edge_costs)
-        assert topo.csr_adjacency(BandwidthConvention.UTILIZED_LITERAL) is literal
+        available = topo.effective_bandwidths(BandwidthConvention.AVAILABLE)
+        literal = topo.effective_bandwidths(BandwidthConvention.UTILIZED_LITERAL)
+        assert not np.array_equal(available, literal)
+        assert topo.effective_bandwidths(BandwidthConvention.UTILIZED_LITERAL) is literal
+        assert topo.effective_bandwidths(BandwidthConvention.AVAILABLE) is available
 
 
 class TestTopologyArraysRoundtrip:
